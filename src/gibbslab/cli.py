@@ -2,16 +2,16 @@
 
 Usage::
 
-    gibbslab run <config.json> [--seed S] [--out DIR] [--threads K]
-    gibbslab verify [--seed S] [--out DIR] [--threads K]
+    gibbslab run <config.json> [--seed S] [--out DIR]
+    gibbslab verify [--seed S] [--out DIR]
 
 A config file is a JSON object naming one experiment (``verify``,
 ``gibbs-solve``, ``gen-sweep``, ``bounds``, ``mfld-vs-grid``,
 ``gaussian-oracle``) together with model / gibbs / population /
-trainer / sweep blocks.  Results are written once, from the main
-thread, as CSV (fixed ten-column schema) and/or JSON; floats carry 17
-significant digits, so re-running a config reproduces its outputs byte
-for byte.
+trainer / sweep blocks.  Results are written once, as CSV (fixed
+ten-column schema) and/or JSON; floats carry 17 significant digits, so
+re-running a config reproduces its outputs byte for byte.  A
+non-finite number in a JSON result is an error, never written.
 
 Exit codes: 0 success, 2 when any reported ``holds`` field is false,
 1 on configuration or runtime errors.
@@ -250,14 +250,18 @@ def _est_row(exp_id, est: genbench.GenEstimate, oracle=None, bound=None,
 
 
 def _write_json(payload, path: Path) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    path.write_text(text + "\n")
 
 
 # ---------------------------------------------------------------------------
 # experiments
 
 
-def _run_gaussian_oracle(cfg, exp_id, seed, threads, out_dir):
+def _run_gaussian_oracle(cfg, exp_id, seed, out_dir):
     sigma_tilde = _get_number(cfg, "trainer.sigma_tilde", 1.0, minimum=1e-12)
     model, pop = genbench.gaussian_mean_setup(
         _get_number(cfg, "population.mu", 0.0),
@@ -268,8 +272,7 @@ def _run_gaussian_oracle(cfg, exp_id, seed, threads, out_dir):
     for n in ns:
         oracle = genbench.gaussian_mean_oracle(sigma_tilde, n)
         for route_fn in (genbench.wge_direct, genbench.wge_resampled):
-            est = route_fn(trainer, pop, model, n, replicates, seed,
-                           threads=threads)
+            est = route_fn(trainer, pop, model, n, replicates, seed)
             holds = abs(est.value - oracle) <= 3.0 * est.stderr
             rows.append(_est_row(exp_id, est, oracle=oracle, holds=holds))
     return rows, None
@@ -281,7 +284,7 @@ _GEN_ROUTES = {"direct": genbench.wge_direct,
                "lge": genbench.lge}
 
 
-def _run_gen_sweep(cfg, exp_id, seed, threads, out_dir):
+def _run_gen_sweep(cfg, exp_id, seed, out_dir):
     model = build_model(cfg)
     pop = build_population(cfg, model)
     kind = _get(cfg, "trainer.kind", "gibbs_grid")
@@ -302,13 +305,13 @@ def _run_gen_sweep(cfg, exp_id, seed, threads, out_dir):
             else None
         for route in routes:
             est = _GEN_ROUTES[route](trainer, pop, model, n, replicates,
-                                     seed, threads=threads)
+                                     seed)
             rows.append(_est_row(
                 exp_id, est, oracle=None if route == "lge" else oracle))
     return rows, None
 
 
-def _run_bounds(cfg, exp_id, seed, threads, out_dir):
+def _run_bounds(cfg, exp_id, seed, out_dir):
     model = build_model(cfg)
     pop = build_population(cfg, model)
     gcfg = build_gibbs_config(cfg, _theta_dim(cfg, model))
@@ -322,25 +325,22 @@ def _run_bounds(cfg, exp_id, seed, threads, out_dir):
     for n in ns:
         if schedule is None:
             consts = genbench.gibbs_bound_constants(model, gcfg, pop, n)
-            wge = genbench.wge_resampled(trainer, pop, model, n, replicates,
-                                         seed, threads=threads)
+            wge, lower, holds_c = genbench.convex_lower_bound_check(
+                trainer, pop, model, n, replicates, seed)
             holds_w = abs(wge.value) <= consts.wge_bound + 2.0 * wge.stderr
             rows.append(_est_row(exp_id, wge, bound=consts.wge_bound,
                                  holds=holds_w))
-            lge_est = genbench.lge(trainer, pop, model, n, replicates, seed,
-                                   threads=threads)
+            lge_est = genbench.lge(trainer, pop, model, n, replicates, seed)
             holds_l = lge_est.value <= consts.lge_bound + 2.0 * lge_est.stderr
             rows.append(_est_row(exp_id, lge_est, bound=consts.lge_bound,
                                  holds=holds_l))
             rep = genbench.lge_upper_terms(trainer, pop, model, n,
-                                           replicates, seed, threads=threads)
+                                           replicates, seed)
             rows.append(_row(exp_id, "lge_mc_bound", n, replicates, seed,
                              rep.lge_estimate.value, rep.lge_estimate.stderr,
                              bound=rep.bound_with_margin, holds=rep.holds))
-            wge2, lower, holds_c = genbench.convex_lower_bound_check(
-                trainer, pop, model, n, replicates, seed, threads=threads)
             rows.append(_row(exp_id, "convex_lower", n, replicates, seed,
-                             wge2.value, wge2.stderr, bound=lower.value,
+                             wge.value, wge.stderr, bound=lower.value,
                              holds=holds_c))
         else:
             mode = _get_choice(cfg, "schedule.mode",
@@ -349,15 +349,14 @@ def _run_bounds(cfg, exp_id, seed, threads, out_dir):
                 gcfg, _get_number(cfg, "schedule.m_bar.center"),
                 _get_number(cfg, "schedule.m_bar.scale", minimum=1e-12))
             rep = genbench.population_risk_bound(
-                trainer, pop, model, m_bar, n, mode, replicates, seed,
-                threads=threads)
+                trainer, pop, model, m_bar, n, mode, replicates, seed)
             rows.append(_row(exp_id, f"risk_bound_{mode}", n, replicates,
                              seed, rep.empirical.value, rep.empirical.stderr,
                              bound=rep.risk_bound, holds=rep.holds))
     return rows, None
 
 
-def _run_mfld_vs_grid(cfg, exp_id, seed, threads, out_dir):
+def _run_mfld_vs_grid(cfg, exp_id, seed, out_dir):
     model = build_model(cfg)
     pop = build_population(cfg, model)
     gcfg = build_gibbs_config(cfg, _theta_dim(cfg, model))
@@ -393,7 +392,7 @@ def _run_mfld_vs_grid(cfg, exp_id, seed, threads, out_dir):
     return rows, None
 
 
-def _run_gibbs_solve(cfg, exp_id, seed, threads, out_dir):
+def _run_gibbs_solve(cfg, exp_id, seed, out_dir):
     model = build_model(cfg)
     pop = build_population(cfg, model)
     gcfg = build_gibbs_config(cfg, _theta_dim(cfg, model))
@@ -433,7 +432,7 @@ def _run_gibbs_solve(cfg, exp_id, seed, threads, out_dir):
 # verification suite
 
 
-def _verify_checks(seed: int, threads: int):
+def _verify_checks(seed: int):
     """Deterministic invariant suite; returns check dicts."""
     checks = []
 
@@ -564,16 +563,15 @@ def _verify_checks(seed: int, threads: int):
     # quick closed-form oracle reproduction
     model_g, pop_g = genbench.gaussian_mean_setup(0.0, 1.0)
     tr_g = genbench.ExplicitGaussianMeanTrainer(1.0)
-    est = genbench.wge_resampled(tr_g, pop_g, model_g, 10, 2000, seed,
-                                 threads=threads)
+    est = genbench.wge_resampled(tr_g, pop_g, model_g, 10, 2000, seed)
     add("gaussian_oracle_quick",
         abs(est.value - genbench.gaussian_mean_oracle(1.0, 10)),
         5.0 * est.stderr)
     return checks
 
 
-def _run_verify(cfg, exp_id, seed, threads, out_dir):
-    checks = _verify_checks(seed, threads)
+def _run_verify(cfg, exp_id, seed, out_dir):
+    checks = _verify_checks(seed)
     name = _get(cfg, "output.json", f"{exp_id}.json") if cfg else \
         "verify_report.json"
     _write_json(checks, out_dir / name)
@@ -599,8 +597,8 @@ _RUNNERS = {"gaussian-oracle": _run_gaussian_oracle,
 # entry points
 
 
-def run(config_path, seed: Optional[int] = None, out: Optional[str] = None,
-        threads: int = 1) -> int:
+def run(config_path, seed: Optional[int] = None,
+        out: Optional[str] = None) -> int:
     """Execute one experiment config; returns the process exit code."""
     path = Path(config_path)
     try:
@@ -623,8 +621,7 @@ def run(config_path, seed: Optional[int] = None, out: Optional[str] = None,
         out_dir = Path(out if out is not None
                        else _get(cfg, "output.dir", "."))
         out_dir.mkdir(parents=True, exist_ok=True)
-        rows, code = _RUNNERS[experiment](cfg, exp_id, cfg_seed, threads,
-                                          out_dir)
+        rows, code = _RUNNERS[experiment](cfg, exp_id, cfg_seed, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -639,11 +636,11 @@ def run(config_path, seed: Optional[int] = None, out: Optional[str] = None,
     return 2 if violated else 0
 
 
-def verify(seed: int = 0, out: str = ".", threads: int = 1) -> int:
+def verify(seed: int = 0, out: str = ".") -> int:
     """Run the built-in invariant suite; returns the process exit code."""
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _, code = _run_verify(None, "verify", seed, threads, out_dir)
+    _, code = _run_verify(None, "verify", seed, out_dir)
     return code
 
 
@@ -660,16 +657,12 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None,
                        help="override the top-level seed")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for replicate loops")
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            return run(args.config, seed=args.seed, out=args.out,
-                       threads=args.threads)
+            return run(args.config, seed=args.seed, out=args.out)
         return verify(seed=args.seed if args.seed is not None else 0,
-                      out=args.out if args.out is not None else ".",
-                      threads=args.threads)
+                      out=args.out if args.out is not None else ".")
     except Exception as exc:  # runtime failures map to exit 1
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.linalg
 
 from . import losses as _losses
-from .gibbs import GibbsConfig, GibbsSolution, risk_dm_nodes, solve_gibbs
+from .gibbs import GibbsConfig, GibbsSolution, solve_gibbs
 from .measures import (DataMeasure, DataPoint, GridMeasure,
                        convex_combination)
 
@@ -120,9 +120,9 @@ def build_Cm(model, m: GridMeasure, nu: DataMeasure) -> KernelMatrix:
     if model.has_zero_d2m():
         return KernelMatrix(np.zeros((n, n)), w)
     entries = np.zeros((n, n))
-    preds = model.predict_batch(m, nu.xs)
+    preds = model.predict(m, nu.xs)
     curvs = nu.weights * model.outer.d2(preds, nu.ys)
-    feats = model.phi_batch(m.nodes, nu.xs)
+    feats = model.phi(m.nodes, nu.xs)
     for i in range(nu.n_atoms):
         v = feats[:, i] - preds[i]
         entries += curvs[i] * np.outer(v, v)
@@ -148,7 +148,7 @@ class TrainedDerivatives:
         self._solve_kwargs = dict(solve_kwargs or {})
         self._kernel = None
         self._lu = None
-        self._nu_avg = None
+        self._s_nodes = None
 
     @property
     def solution(self) -> GibbsSolution:
@@ -184,28 +184,18 @@ class TrainedDerivatives:
                     f"{np.linalg.cond(a):.3e})") from exc
         return self._lu
 
-    def _risk_dm_at(self, z: DataPoint) -> np.ndarray:
-        return np.asarray(
-            _losses.loss_dm(self.model, self.measure, z, self.measure.nodes),
-            dtype=float)
-
-    def _nu_average(self) -> np.ndarray:
-        if self._nu_avg is None:
-            self._nu_avg = risk_dm_nodes(self.model, self.measure, self.nu,
-                                         self.measure.nodes, centered=True)
-        return self._nu_avg
-
     def s_values(self, theta) -> np.ndarray:
         """Risk derivative at the trained measure, evaluated at ``theta``."""
-        vals = np.zeros(np.atleast_2d(np.asarray(theta, dtype=float)).shape[0])
-        for i in range(self.nu.n_atoms):
-            vals = vals + self.nu.weights[i] * np.asarray(
-                _losses.loss_dm(self.model, self.measure, self.nu.point(i),
-                                theta), dtype=float)
-        return vals
+        nu = self.nu
+        return self.model.dm(self.measure, nu.xs, nu.ys, nu.weights, theta)
 
     def s_derivative(self, z: DataPoint) -> SDerivative:
-        rhs = self._risk_dm_at(z) - self._nu_average()
+        # right-hand side: the loss derivative against delta_z - nu; the
+        # nu part is shared by every direction
+        m = self.measure
+        if self._s_nodes is None:
+            self._s_nodes = self.s_values(m.nodes)
+        rhs = _losses.loss_dm(self.model, m, z, m.nodes) - self._s_nodes
         if self.model.has_zero_d2m():
             return SDerivative(rhs, z)
         lu = self._ensure_lu()

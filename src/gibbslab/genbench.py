@@ -22,7 +22,6 @@ import dataclasses
 import itertools
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -58,19 +57,15 @@ def _rng(seed: int, replicate: int, stream: int) -> np.random.Generator:
     """Replicate- and purpose-keyed random stream.
 
     Streams are derived from ``(seed, replicate, stream)`` alone, so
-    results do not depend on scheduling order.
+    results do not depend on the order replicates run in.
     """
     return np.random.default_rng(np.random.SeedSequence((seed, replicate, stream)))
 
 
-def _map_replicates(kernel: Callable[[int], object], replicates: int,
-                    threads: int) -> list:
+def _map_replicates(kernel: Callable[[int], object], replicates: int) -> list:
     if replicates < 2:
         raise ValueError("need at least two replicates")
-    if threads <= 1:
-        return [kernel(r) for r in range(replicates)]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(kernel, range(replicates)))
+    return [kernel(r) for r in range(replicates)]
 
 
 def _estimate(values, n, seed, route) -> GenEstimate:
@@ -224,15 +219,10 @@ class DiscretePopulation(PopulationModel):
         return float(self.probs @ (1.0 + nsq) ** k)
 
     def population_risk(self, model, m):
-        return float(sum(p * _losses.loss_value(model, m, z)
-                         for z, p in zip(self.points, self.probs)))
+        return float(self.probs @ model.atom_losses(m, self._xs, self._ys))
 
     def population_loss_dm(self, model, m, nodes):
-        out = np.zeros(np.atleast_2d(nodes).shape[0])
-        for z, p in zip(self.points, self.probs):
-            out = out + p * np.asarray(
-                _losses.loss_dm(model, m, z, nodes), dtype=float)
-        return out
+        return model.dm(m, self._xs, self._ys, self.probs, nodes)
 
 
 def gaussian_mean_setup(mu: float = 0.0, sigma: float = 1.0):
@@ -385,7 +375,7 @@ def _draw(pop, seed, rep, count):
 
 
 def wge_direct(trainer, pop, model, n: int, replicates: int, seed: int,
-               oos_factor: int = 10, threads: int = 1) -> GenEstimate:
+               oos_factor: int = 10) -> GenEstimate:
     """Mean generalization gap, estimated directly.
 
     Each replicate draws a fresh dataset, trains, and evaluates
@@ -400,12 +390,12 @@ def wge_direct(trainer, pop, model, n: int, replicates: int, seed: int,
         return _pop_risk(pop, model, m, seed, rep, n, oos_factor) \
             - _losses.risk(model, m, nu)
 
-    return _estimate(_map_replicates(kern, replicates, threads),
+    return _estimate(_map_replicates(kern, replicates),
                      n, seed, "direct")
 
 
-def wge_resampled(trainer, pop, model, n: int, replicates: int, seed: int,
-                  threads: int = 1) -> GenEstimate:
+def wge_resampled(trainer, pop, model, n: int, replicates: int,
+                  seed: int) -> GenEstimate:
     """Mean generalization gap via the single-atom resampling identity.
 
     Each replicate draws ``n + 1`` samples, trains on the first ``n``
@@ -423,12 +413,12 @@ def wge_resampled(trainer, pop, model, n: int, replicates: int, seed: int,
         return _losses.loss_value(model, m, z_bar) \
             - _losses.loss_value(model, m_swap, z_bar)
 
-    return _estimate(_map_replicates(kern, replicates, threads),
+    return _estimate(_map_replicates(kern, replicates),
                      n, seed, "resampled")
 
 
 def lge(trainer, pop, model, n: int, replicates: int, seed: int,
-        oos_factor: int = 10, threads: int = 1) -> GenEstimate:
+        oos_factor: int = 10) -> GenEstimate:
     """Mean squared generalization gap (direct Monte Carlo)."""
     def kern(rep):
         xs, ys = _draw(pop, seed, rep, n)
@@ -438,7 +428,7 @@ def lge(trainer, pop, model, n: int, replicates: int, seed: int,
             - _losses.risk(model, m, nu)
         return gap * gap
 
-    return _estimate(_map_replicates(kern, replicates, threads),
+    return _estimate(_map_replicates(kern, replicates),
                      n, seed, "lge")
 
 
@@ -460,8 +450,7 @@ def _require_grid_trainer(trainer):
 
 def wge_representation(trainer, pop, model, n: int, replicates: int,
                        seed: int, lambda_nodes: int = 8,
-                       lambda_tilde_nodes: int = 8,
-                       threads: int = 1) -> GenEstimate:
+                       lambda_tilde_nodes: int = 8) -> GenEstimate:
     """Mean generalization gap via the derivative representation.
 
     Per replicate the inner double integral is evaluated with tensor
@@ -493,18 +482,17 @@ def wge_representation(trainer, pop, model, n: int, replicates: int,
         g_bar = np.zeros(m.n_nodes)
         for lam, w in zip(lams, wl):
             m_lam = convex_combination(m_swap, m, float(lam))
-            g_bar += w * np.asarray(
-                _losses.loss_dm(model, m_lam, z_bar, m.nodes), dtype=float)
+            g_bar += w * _losses.loss_dm(model, m_lam, z_bar, m.nodes)
 
         h = float(g_bar @ (d_bar * m.cell_volumes))
         return h / n
 
-    return _estimate(_map_replicates(kern, replicates, threads),
+    return _estimate(_map_replicates(kern, replicates),
                      n, seed, "representation")
 
 
 def convex_lower_bound_check(trainer, pop, model, n: int, replicates: int,
-                             seed: int, threads: int = 1):
+                             seed: int):
     """Paired check of the convex-trainer lower bound on the mean gap.
 
     Returns ``(wge_estimate, lower_estimate, holds)`` where both
@@ -522,11 +510,10 @@ def convex_lower_bound_check(trainer, pop, model, n: int, replicates: int,
         gap = _losses.loss_value(model, m, z_bar) \
             - _losses.loss_value(model, m_swap, z_bar)
         lower = m.integrate(
-            lambda th: np.asarray(_losses.loss_dm(model, m_swap, z_bar, th),
-                                  dtype=float))
+            lambda th: _losses.loss_dm(model, m_swap, z_bar, th))
         return gap, lower
 
-    pairs = _map_replicates(kern, replicates, threads)
+    pairs = _map_replicates(kern, replicates)
     gaps = [p[0] for p in pairs]
     lowers = [p[1] for p in pairs]
     wge_est = _estimate(gaps, n, seed, "resampled")
@@ -583,7 +570,7 @@ def _pop_dm_fn(pop, model, seed, rep, n, oos_factor):
 
 def lge_upper_terms(trainer, pop, model, n: int, replicates: int, seed: int,
                     lambda_nodes: int = 8, lambda_tilde_nodes: int = 8,
-                    oos_factor: int = 10, threads: int = 1) -> LgeUpperReport:
+                    oos_factor: int = 10) -> LgeUpperReport:
     """Squared-gap bound ``(4K + 2 sqrt(K * Eh2t) + Eh2t/n) / n``.
 
     ``K`` is the worse of the in-sample and out-of-sample second loss
@@ -612,19 +599,14 @@ def lge_upper_terms(trainer, pop, model, n: int, replicates: int, seed: int,
         loss_out = _losses.loss_value(model, m, zb1)
 
         pop_dm = _pop_dm_fn(pop, model, seed, rep, n, oos_factor)
-        pr = pop.population_risk(model, m)
-        if pr is None:
-            xs2, ys2 = pop.sample(_rng(seed, rep, 1),
-                                  max(oos_factor * n, 2))
-            pr = _losses.risk(model, m, empirical_from_arrays(xs2, ys2))
-        gap = pr - _losses.risk(model, m, nu)
+        gap = _pop_risk(pop, model, m, seed, rep, n, oos_factor) \
+            - _losses.risk(model, m, nu)
 
         d_bar = np.zeros(m.n_nodes)
         for lam, w in zip(lams, wl):
             m_lam = convex_combination(m_swap, m, float(lam))
-            d_bar += w * (np.asarray(
-                _losses.loss_dm(model, m_lam, z1, m.nodes), dtype=float)
-                - np.asarray(pop_dm(m_lam, m.nodes), dtype=float))
+            d_bar += w * (_losses.loss_dm(model, m_lam, z1, m.nodes)
+                          - pop_dm(m_lam, m.nodes))
 
         h2 = float(d_bar @ ((m.density - m_swap.density) * m.cell_volumes))
 
@@ -640,7 +622,7 @@ def lge_upper_terms(trainer, pop, model, n: int, replicates: int, seed: int,
 
         return (loss_in ** 2, loss_out ** 2, gap ** 2, h2 ** 2, h2t ** 2)
 
-    rows = np.asarray(_map_replicates(kern, replicates, threads), dtype=float)
+    rows = np.asarray(_map_replicates(kern, replicates), dtype=float)
     means = rows.mean(axis=0)
     errs = rows.std(axis=0, ddof=1) / math.sqrt(replicates)
     which = int(np.argmax(means[:2]))
@@ -750,8 +732,8 @@ _MODE_EXPONENT = {"wge_n14": 0.25, "lge_n16": 1.0 / 6.0}
 
 
 def population_risk_bound(trainer, pop, model, m_bar, n: int, mode: str,
-                          replicates: int, seed: int, oos_factor: int = 10,
-                          threads: int = 1) -> RiskBoundReport:
+                          replicates: int, seed: int,
+                          oos_factor: int = 10) -> RiskBoundReport:
     """Bound the (squared) population risk of the tilt trainer.
 
     The inverse temperature is scheduled as ``beta0 * n^{1/4}`` in mean
@@ -792,7 +774,7 @@ def population_risk_bound(trainer, pop, model, m_bar, n: int, mode: str,
         v_bar = _losses.risk(model, m_bar, nu) + kl_term
         return pr * pr, v_bar * v_bar
 
-    rows = np.asarray(_map_replicates(kern, replicates, threads), dtype=float)
+    rows = np.asarray(_map_replicates(kern, replicates), dtype=float)
     est = GenEstimate(float(rows[:, 0].mean()),
                       float(rows[:, 0].std(ddof=1) / math.sqrt(replicates)),
                       replicates, n, seed,
@@ -872,8 +854,7 @@ def enumerate_exact_gen(trainer, data_space, model, n: int):
         return cache[key]
 
     def pop_risk(m):
-        return sum(p * _losses.loss_value(model, m, z)
-                   for z, p in zip(points, probs))
+        return float(probs @ model.atom_losses(m, xs_all, ys_all))
 
     wge_exact = 0.0
     swap_exact = 0.0

@@ -86,9 +86,12 @@ def default_regularizer(p: float, kappa: float = 1.0) -> Regularizer:
     return Regularizer(kappa=kappa, q=max(1, math.ceil((p + 1.0) / 2.0)))
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class GibbsConfig:
     """Problem configuration for the regularized objective.
+
+    Immutable, so the cached grid and priors always match the fields;
+    derive variants with :meth:`with_beta` or :func:`dataclasses.replace`.
 
     Parameters
     ----------
@@ -126,14 +129,15 @@ class GibbsConfig:
         if self.p < 2:
             raise ValueError("moment order p must be at least 2")
         if self.regularizer is None:
-            self.regularizer = default_regularizer(self.p)
+            object.__setattr__(self, "regularizer",
+                               default_regularizer(self.p))
         if self.theta_dim < 1:
             raise ValueError("parameter dimension must be at least 1")
         if self.nodes_per_axis < 8:
             raise ValueError("grid needs at least 8 nodes per axis")
         if not 0 < self.tail_mass < 1e-4:
             raise ValueError("tail mass must be a small positive number")
-        self._cache = {}
+        object.__setattr__(self, "_cache", {})
 
     @property
     def temperature(self) -> float:
@@ -151,12 +155,7 @@ class GibbsConfig:
         The grid box is pinned to this configuration's radius so that
         measures remain comparable across a beta schedule.
         """
-        return GibbsConfig(beta=beta, sigma=self.sigma, p=self.p,
-                           regularizer=self.regularizer,
-                           theta_dim=self.theta_dim,
-                           nodes_per_axis=self.nodes_per_axis,
-                           radius=self.box_radius(),
-                           tail_mass=self.tail_mass)
+        return dataclasses.replace(self, beta=beta, radius=self.box_radius())
 
     # -- grid and priors ----------------------------------------------------
 
@@ -303,47 +302,17 @@ def objective(model, m: GridMeasure, nu: DataMeasure, cfg: GibbsConfig) -> float
     if not isinstance(m, GridMeasure):
         raise TypeError("objective needs a grid measure; KL of particles "
                         "is undefined here")
-    return _losses.risk(model, m, nu) + cfg.kl_weight * kl_divergence(
-        m, cfg.priors().gamma_sigma)
+    return _losses.risk(model, m, nu) + cfg.kl_weight * prior_kl(m, cfg)
 
 
 def risk_dm_nodes(model, m, nu: DataMeasure, nodes: np.ndarray,
                   centered: bool = True) -> np.ndarray:
     """Measure derivative of the empirical risk evaluated at all nodes.
 
-    ``centered=False`` drops the m-average normalization constant,
-    which the exponential tilt map is invariant to.
+    ``centered=False`` lets the model drop the m-average normalization
+    constant, which the exponential tilt map is invariant to.
     """
-    if isinstance(model, _losses.NNLoss):
-        preds = model.predict_batch(m, nu.xs)
-        coef = nu.weights * model.outer.d1(preds, nu.ys)
-        out = model.phi_batch(nodes, nu.xs) @ coef - float(preds @ coef)
-        return out
-    lpm = lp_matrix(model, nu, nodes)
-    out = nu.weights @ lpm
-    if centered:
-        w = _node_weights(m)
-        out = out - float(out @ w) if w is not None else out - _particle_mean(
-            model, m, nu)
-    return out
-
-
-def lp_matrix(model, nu: DataMeasure, nodes: np.ndarray) -> np.ndarray:
-    """Per-atom parametric losses on the nodes, shape (n_atoms, N)."""
-    if getattr(model, "lp_batch", None) is not None:
-        return model.lp_batch(nodes, nu.xs, nu.ys)
-    return np.stack([model.lp(nodes, nu.point(i)) for i in range(nu.n_atoms)])
-
-
-def _node_weights(m):
-    if isinstance(m, GridMeasure):
-        return m.node_weights
-    return None
-
-
-def _particle_mean(model, m, nu):
-    vals = np.array([model.loss_value(m, nu.point(i)) for i in range(nu.n_atoms)])
-    return float(nu.weights @ vals)
+    return model.dm(m, nu.xs, nu.ys, nu.weights, nodes, centered)
 
 
 def gibbs_map(model, m, nu: DataMeasure, cfg: GibbsConfig) -> GridMeasure:
@@ -426,7 +395,7 @@ def objective_gap_bound(model, nu: DataMeasure, cfg: GibbsConfig,
     instance but do not enter the number.
     """
     del model, nu
-    return cfg.kl_weight * kl_divergence(m_bar, cfg.priors().gamma_sigma)
+    return cfg.kl_weight * prior_kl(m_bar, cfg)
 
 
 def prior_moment_bound(model, nu: DataMeasure, cfg: GibbsConfig) -> float:
@@ -443,32 +412,10 @@ def prior_moment_bound(model, nu: DataMeasure, cfg: GibbsConfig) -> float:
 # particle sampler
 
 
-def _lp_grad(model, pts, z):
-    if model.lp_grad is not None:
-        return model.lp_grad(pts, z)
-    # centered finite difference fallback, coordinate by coordinate
-    g = np.empty_like(pts)
-    for j in range(pts.shape[1]):
-        h = 1e-6 * (1.0 + np.abs(pts[:, j]))
-        up, down = pts.copy(), pts.copy()
-        up[:, j] += h
-        down[:, j] -= h
-        g[:, j] = (model.lp(up, z) - model.lp(down, z)) / (2.0 * h)
-    return g
-
-
 def _drift(model, nu, cfg, pts):
     """Gradient of ``dR/dm(m_hat, nu, .) + U(.)/(2 beta^2)`` at the particles."""
-    out = cfg.regularizer.grad(pts) / (2.0 * cfg.beta ** 2)
-    if isinstance(model, _losses.NNLoss):
-        preds = model.phi_batch(pts, nu.xs).mean(axis=0)
-        coef = nu.weights * model.outer.d1(preds, nu.ys)
-        for i in range(nu.n_atoms):
-            out += coef[i] * model.phi_grad(pts, nu.xs[i])
-    else:
-        for i in range(nu.n_atoms):
-            out += nu.weights[i] * _lp_grad(model, pts, nu.point(i))
-    return out
+    return cfg.regularizer.grad(pts) / (2.0 * cfg.beta ** 2) + model.dm_grad(
+        ParticleMeasure(pts), nu.xs, nu.ys, nu.weights, pts)
 
 
 def _init_scale(cfg: GibbsConfig) -> float:

@@ -12,7 +12,9 @@ Two loss families are implemented:
 For both, the first and second measure derivatives (normalized so their
 measure average vanishes) are available in closed form, alongside
 growth envelopes ``g`` and ``g1`` controlling the loss and its first
-derivative in terms of ``1 + ||z||^2``.
+derivative in terms of ``1 + ||z||^2``.  Each model evaluates losses and
+weighted sums of first derivatives over all atoms of a dataset at once;
+the single-sample functions of this module are one-atom views of those.
 """
 
 from __future__ import annotations
@@ -173,6 +175,25 @@ def outer_loss(kind: str) -> OuterLoss:
 
 # ---------------------------------------------------------------------------
 # loss models
+#
+# Each model evaluates its per-atom operations over all atoms of a dataset
+# at once: ``xs`` (n, q) features, ``ys`` (n,) targets and, for weighted
+# sums, ``weights`` (n,), which may be signed.  Parameter arrays ``theta``
+# are (N, d).
+
+
+def _support(m) -> np.ndarray:
+    if isinstance(m, GridMeasure):
+        return m.nodes
+    if isinstance(m, ParticleMeasure):
+        return m.points
+    raise TypeError("unsupported parameter measure")
+
+
+def _finite(vals: np.ndarray) -> np.ndarray:
+    if not np.isfinite(vals).all():
+        raise ValueError("non-finite loss value")
+    return vals
 
 
 class NNLoss:
@@ -181,7 +202,8 @@ class NNLoss:
     ``theta = (a, w)`` splits into an output weight and feature weights;
     the feature map is ``phi(theta, x) = a * act(w . x)``.  The feature
     map grows at most like ``L_phi (1 + ||x||)(1 + ||theta||^2)`` with
-    ``L_phi = 1`` for every supported activation.
+    ``L_phi = 1`` for every supported activation.  The measure enters
+    only through the ``n`` predictions ``E_m phi(., x_i)``.
     """
 
     variant = "nn"
@@ -191,54 +213,53 @@ class NNLoss:
         self.activation = activation(act) if isinstance(act, str) else act
         self.outer = outer_loss(outer) if isinstance(outer, str) else outer
 
-    def phi(self, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-        theta = np.atleast_2d(np.asarray(theta, dtype=float))
-        u = theta[:, 1:] @ np.asarray(x, dtype=float)
-        return theta[:, 0] * self.activation.value(u)
-
-    def phi_batch(self, theta: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    def phi(self, theta: np.ndarray, xs: np.ndarray) -> np.ndarray:
         """Feature map for all parameter rows and all inputs, shape (N, n)."""
         theta = np.atleast_2d(np.asarray(theta, dtype=float))
         u = theta[:, 1:] @ np.asarray(xs, dtype=float).T
         return theta[:, 0][:, None] * self.activation.value(u)
 
-    def phi_grad(self, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Gradient of the feature map in ``theta``, shape (N, d)."""
+    def predict(self, m, xs: np.ndarray) -> np.ndarray:
+        """Mean-field predictions ``E_m phi(., x_i)``, shape (n,)."""
+        if isinstance(m, GridMeasure):
+            return self.phi(m.nodes, xs).T @ m.node_weights
+        return self.phi(_support(m), xs).mean(axis=0)
+
+    def atom_losses(self, m, xs, ys) -> np.ndarray:
+        """Per-atom losses ``l(m, z_i)``, shape (n,)."""
+        return _finite(self.outer.value(self.predict(m, xs), ys))
+
+    def dm(self, m, xs, ys, weights, theta, centered: bool = True
+           ) -> np.ndarray:
+        """Weighted derivative ``sum_i w_i dl/dm(m, z_i, theta)``, shape (N,).
+
+        Always centered: the constant costs nothing here.
+        """
+        preds = _finite(self.predict(m, xs))
+        coef = weights * self.outer.d1(preds, ys)
+        return self.phi(theta, xs) @ coef - float(preds @ coef)
+
+    def dm_grad(self, m, xs, ys, weights, theta) -> np.ndarray:
+        """Gradient in ``theta`` of :meth:`dm`, shape (N, d)."""
         if self.activation.deriv is None:
             raise ValueError(
                 f"activation {self.activation.kind!r} has no derivative")
         theta = np.atleast_2d(np.asarray(theta, dtype=float))
-        x = np.asarray(x, dtype=float)
-        u = theta[:, 1:] @ x
+        xs = np.asarray(xs, dtype=float)
+        coef = weights * self.outer.d1(self.predict(m, xs), ys)
+        u = theta[:, 1:] @ xs.T
         g = np.empty_like(theta)
-        g[:, 0] = self.activation.value(u)
-        g[:, 1:] = (theta[:, 0] * self.activation.deriv(u))[:, None] * x[None, :]
+        g[:, 0] = self.activation.value(u) @ coef
+        g[:, 1:] = theta[:, 0][:, None] * ((self.activation.deriv(u) * coef)
+                                           @ xs)
         return g
 
-    def predict(self, m, x) -> float:
-        return m.integrate(lambda nodes: self.phi(nodes, x))
-
-    def predict_batch(self, m, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        if isinstance(m, GridMeasure):
-            return self.phi_batch(m.nodes, xs).T @ m.node_weights
-        if isinstance(m, ParticleMeasure):
-            return self.phi_batch(m.points, xs).mean(axis=0)
-        raise TypeError("unsupported parameter measure")
-
-    def loss_value(self, m, z: DataPoint) -> float:
-        return float(self.outer.value(self.predict(m, z.x), z.y))
-
-    def loss_dm(self, m, z: DataPoint, theta) -> np.ndarray:
-        phi_hat = self.predict(m, z.x)
-        slope = self.outer.d1(phi_hat, z.y)
-        return slope * (self.phi(theta, z.x) - phi_hat)
-
     def loss_d2m(self, m, z: DataPoint, theta, theta2) -> np.ndarray:
-        phi_hat = self.predict(m, z.x)
+        xs = z.x[None, :]
+        phi_hat = self.predict(m, xs)[0]
         curv = self.outer.d2(phi_hat, z.y)
-        a = self.phi(theta, z.x) - phi_hat
-        b = self.phi(theta2, z.x) - phi_hat
+        a = self.phi(theta, xs)[:, 0] - phi_hat
+        b = self.phi(theta2, xs)[:, 0] - phi_hat
         return curv * np.multiply.outer(a, b).squeeze()
 
     def has_zero_d2m(self) -> bool:
@@ -261,37 +282,61 @@ class ExpectedParamLoss:
     Parameters
     ----------
     lp : callable
-        ``lp(theta, z)`` with ``theta`` of shape (N, d) and ``z`` a
-        :class:`~gibbslab.measures.DataPoint`; returns (N,) values.
+        ``lp(theta, xs, ys) -> (n, N)`` per-parameter losses of the
+        ``N`` rows of ``theta`` (N, d) on the ``n`` atoms given by
+        features ``xs`` (n, q) and targets ``ys`` (n,).
     M_p : float
         Growth constant with ``0 <= lp(theta, z) <= M_p (1 + ||theta||^2)(1 + ||z||^2)``.
     lp_grad : callable, optional
-        ``lp_grad(theta, z) -> (N, d)`` parameter gradient, used by the
-        particle sampler.  A centered finite difference is substituted
-        when missing.
-    lp_batch : callable, optional
-        ``lp_batch(theta, xs, ys) -> (n, N)`` vectorized evaluation over
-        a whole dataset; purely a fast path, must agree with ``lp``.
+        ``lp_grad(theta, xs, ys) -> (n, N, d)`` parameter gradient, used
+        by the particle sampler.  A centered finite difference of ``lp``
+        is substituted when missing.
     """
 
     variant = "expected_param"
 
-    def __init__(self, lp, M_p: float, lp_grad=None, lp_batch=None,
-                 name: str = "custom"):
+    def __init__(self, lp, M_p: float, lp_grad=None, name: str = "custom"):
         if M_p <= 0:
             raise ValueError("growth constant must be positive")
         self.lp = lp
         self.M_p = float(M_p)
-        self.lp_grad = lp_grad
-        self.lp_batch = lp_batch
+        self.lp_grad = lp_grad or self._finite_difference_grad
         self.name = name
 
-    def loss_value(self, m, z: DataPoint) -> float:
-        return m.integrate(lambda nodes: self.lp(nodes, z))
+    def _finite_difference_grad(self, theta, xs, ys) -> np.ndarray:
+        theta = np.asarray(theta, dtype=float)
+        g = np.empty((len(ys),) + theta.shape)
+        for j in range(theta.shape[1]):
+            h = 1e-6 * (1.0 + np.abs(theta[:, j]))
+            up, down = theta.copy(), theta.copy()
+            up[:, j] += h
+            down[:, j] -= h
+            g[:, :, j] = (self.lp(up, xs, ys) - self.lp(down, xs, ys)) \
+                / (2.0 * h)
+        return g
 
-    def loss_dm(self, m, z: DataPoint, theta) -> np.ndarray:
-        mean = self.loss_value(m, z)
-        return self.lp(np.atleast_2d(np.asarray(theta, dtype=float)), z) - mean
+    def atom_losses(self, m, xs, ys) -> np.ndarray:
+        """Per-atom losses ``E_m lp(., z_i)``, shape (n,)."""
+        if isinstance(m, GridMeasure):
+            return _finite(self.lp(m.nodes, xs, ys) @ m.node_weights)
+        return _finite(self.lp(_support(m), xs, ys).mean(axis=1))
+
+    def dm(self, m, xs, ys, weights, theta, centered: bool = True
+           ) -> np.ndarray:
+        """Weighted derivative ``sum_i w_i dl/dm(m, z_i, theta)``, shape (N,).
+
+        ``centered=False`` drops the m-average constant, which would
+        cost a second evaluation of ``lp``.
+        """
+        lpm = self.lp(np.atleast_2d(np.asarray(theta, dtype=float)), xs, ys)
+        if centered:
+            lpm = lpm - self.atom_losses(m, xs, ys)[:, None]
+        return weights @ lpm
+
+    def dm_grad(self, m, xs, ys, weights, theta) -> np.ndarray:
+        """Gradient in ``theta`` of :meth:`dm`, shape (N, d)."""
+        theta = np.atleast_2d(np.asarray(theta, dtype=float))
+        return np.tensordot(weights, self.lp_grad(theta, xs, ys), axes=1)
 
     def loss_d2m(self, m, z: DataPoint, theta, theta2) -> np.ndarray:
         theta = np.atleast_2d(np.asarray(theta, dtype=float))
@@ -312,56 +357,59 @@ class ExpectedParamLoss:
 
 def mean_squared_param_loss() -> ExpectedParamLoss:
     """Location loss ``lp(theta, z) = (theta - y)^2`` for scalar parameters."""
-    def lp(theta, z):
-        return (theta[:, 0] - z.y) ** 2
+    def lp(theta, xs, ys):
+        return (theta[:, 0] - np.asarray(ys)[:, None]) ** 2
 
-    def lp_grad(theta, z):
-        return 2.0 * (theta[:, 0] - z.y)[:, None]
+    def lp_grad(theta, xs, ys):
+        return 2.0 * (theta[:, 0] - np.asarray(ys)[:, None])[:, :, None]
 
-    def lp_batch(theta, xs, ys):
-        return (theta[:, 0][None, :] - np.asarray(ys)[:, None]) ** 2
-
-    return ExpectedParamLoss(lp, M_p=2.0, lp_grad=lp_grad, lp_batch=lp_batch,
-                             name="mean_squared")
+    return ExpectedParamLoss(lp, M_p=2.0, lp_grad=lp_grad, name="mean_squared")
 
 
 def linear_regression_param_loss() -> ExpectedParamLoss:
     """Scalar-slope regression loss ``lp(theta, z) = (y - theta * x)^2``."""
-    def lp(theta, z):
-        return (z.y - theta[:, 0] * z.x[0]) ** 2
-
-    def lp_grad(theta, z):
-        return (-2.0 * z.x[0] * (z.y - theta[:, 0] * z.x[0]))[:, None]
-
-    def lp_batch(theta, xs, ys):
+    def lp(theta, xs, ys):
         return (np.asarray(ys)[:, None]
-                - np.asarray(xs)[:, 0][:, None] * theta[:, 0][None, :]) ** 2
+                - np.asarray(xs)[:, :1] * theta[:, 0]) ** 2
 
-    return ExpectedParamLoss(lp, M_p=2.0, lp_grad=lp_grad, lp_batch=lp_batch,
+    def lp_grad(theta, xs, ys):
+        x = np.asarray(xs)[:, :1]
+        resid = np.asarray(ys)[:, None] - x * theta[:, 0]
+        return (-2.0 * x * resid)[:, :, None]
+
+    return ExpectedParamLoss(lp, M_p=2.0, lp_grad=lp_grad,
                              name="linear_regression")
 
 
 def zero_param_loss() -> ExpectedParamLoss:
     """Identically-zero loss (prior-only problems)."""
-    return ExpectedParamLoss(lambda theta, z: np.zeros(theta.shape[0]),
-                             M_p=1e-300, lp_grad=lambda theta, z: np.zeros_like(theta),
-                             name="zero")
+    def lp(theta, xs, ys):
+        return np.zeros((len(ys), theta.shape[0]))
+
+    def lp_grad(theta, xs, ys):
+        return np.zeros((len(ys),) + theta.shape)
+
+    return ExpectedParamLoss(lp, M_p=1e-300, lp_grad=lp_grad, name="zero")
 
 
 # ---------------------------------------------------------------------------
-# module-level operations
+# module-level operations; the single-sample forms are one-atom views
+
+
+_ONE = np.ones(1)
+_ONE.flags.writeable = False
 
 
 def predict(model, m, x) -> float:
     """Mean-field prediction at input ``x`` (network models only)."""
     if not isinstance(model, NNLoss):
         raise TypeError("predict requires a network loss model")
-    return model.predict(m, x)
+    return float(model.predict(m, np.reshape(x, (1, -1)))[0])
 
 
 def loss_value(model, m, z: DataPoint) -> float:
     """Loss of parameter measure ``m`` on the single sample ``z``."""
-    return model.loss_value(m, z)
+    return float(model.atom_losses(m, z.x[None, :], np.array([z.y]))[0])
 
 
 def loss_dm(model, m, z: DataPoint, theta) -> np.ndarray:
@@ -370,7 +418,7 @@ def loss_dm(model, m, z: DataPoint, theta) -> np.ndarray:
     Normalized so its ``m``-average vanishes; vectorized over rows of
     ``theta``.
     """
-    return model.loss_dm(m, z, theta)
+    return model.dm(m, z.x[None, :], np.array([z.y]), _ONE, theta)
 
 
 def loss_d2m(model, m, z: DataPoint, theta, theta2) -> np.ndarray:
@@ -386,18 +434,7 @@ def risk(model, m, nu: DataMeasure) -> float:
     """
     if nu.signed:
         raise ValueError("risk of a signed data measure is undefined")
-    if isinstance(model, NNLoss):
-        preds = model.predict_batch(m, nu.xs)
-        return float(nu.weights @ model.outer.value(preds, nu.ys))
-    if getattr(model, "lp_batch", None) is not None:
-        lpm = model.lp_batch(m.nodes if isinstance(m, GridMeasure) else m.points,
-                             nu.xs, nu.ys)
-        if isinstance(m, GridMeasure):
-            return float(nu.weights @ (lpm @ m.node_weights))
-        return float(nu.weights @ lpm.mean(axis=1))
-    vals = np.array([model.loss_value(m, nu.point(i))
-                     for i in range(nu.n_atoms)])
-    return float(nu.weights @ vals)
+    return float(nu.weights @ model.atom_losses(m, nu.xs, nu.ys))
 
 
 def growth_envelopes(model, m, theta=None):

@@ -35,6 +35,15 @@ def test_csv_float_format_round_trips():
     assert cli._fmt(0.2) == "0.20000000000000001"
 
 
+def test_write_json_refuses_non_finite_values(tmp_path):
+    path = tmp_path / "result.json"
+    with pytest.raises(ValueError, match="result.json"):
+        cli._write_json({"objective": float("inf")}, path)
+    assert not path.exists()
+    cli._write_json({"objective": 1.5}, path)
+    assert json.loads(path.read_text()) == {"objective": 1.5}
+
+
 def test_fmt_handles_all_field_types():
     assert cli._fmt(None) == ""
     assert cli._fmt(True) == "true"
@@ -215,8 +224,7 @@ def test_gibbs_solve_writes_json_summary(tmp_path):
 
 def test_main_cli_surface(tmp_path, capsys):
     path = write_config(tmp_path, GAUSS_CFG)
-    assert cli.main(["run", path, "--out", str(tmp_path), "--seed", "5",
-                     "--threads", "2"]) == 0
+    assert cli.main(["run", path, "--out", str(tmp_path), "--seed", "5"]) == 0
     with pytest.raises(SystemExit):
         cli.main([])
     with pytest.raises(SystemExit):

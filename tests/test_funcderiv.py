@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gibbslab import funcderiv, losses
+from gibbslab import funcderiv, gibbs, losses
 from gibbslab.funcderiv import (S_value, TrainedDerivatives, build_Cm,
                                 check_linear_derivative, dm_dnu,
                                 finite_diff_dm_dnu, gauss_legendre_01,
@@ -161,7 +161,7 @@ def test_s_derivative_zero_mean_and_contraction():
                                    atol=1e-10)
         # the solve contracts in L2(m): ||v|| <= ||L||
         rhs = (losses.loss_dm(model, m, z, m.nodes)
-               - funcderiv.risk_dm_nodes(model, m, nu, m.nodes))
+               - gibbs.risk_dm_nodes(model, m, nu, m.nodes))
         norm_v = float((sd.values ** 2) @ m.node_weights)
         norm_l = float((rhs ** 2) @ m.node_weights)
         assert norm_v <= norm_l * (1.0 + 1e-10)

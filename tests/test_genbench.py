@@ -175,14 +175,12 @@ def test_mfld_trainer_requires_rng():
 # estimation routes
 
 
-def test_routes_are_seed_reproducible_and_thread_invariant():
+def test_routes_are_seed_reproducible():
     model, pop = gaussian_mean_setup()
     trainer = ExplicitGaussianMeanTrainer(1.0)
     a = wge_direct(trainer, pop, model, 8, 40, seed=8)
     b = wge_direct(trainer, pop, model, 8, 40, seed=8)
     assert a == b
-    c = wge_direct(trainer, pop, model, 8, 40, seed=8, threads=4)
-    assert a.value == c.value and a.stderr == c.stderr
     d = wge_direct(trainer, pop, model, 8, 40, seed=9)
     assert d.value != a.value
     assert a.route == "direct" and a.n == 8 and a.replicates == 40

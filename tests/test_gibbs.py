@@ -81,6 +81,19 @@ def test_gibbs_config_validation_and_derived_quantities():
             GibbsConfig(**bad)
 
 
+def test_gibbs_config_is_frozen():
+    # a stale prior cache cannot survive a parameter change: the change
+    # itself is refused, and with_beta builds a fresh configuration
+    cfg = GibbsConfig(beta=1.0, sigma=1.0, p=4, nodes_per_axis=33)
+    cfg.priors()
+    with pytest.raises(AttributeError):
+        cfg.sigma = 2.0
+    cfg2 = cfg.with_beta(2.0)
+    assert cfg2.beta == 2.0 and cfg.beta == 1.0
+    assert cfg2.regularizer == cfg.regularizer
+    assert cfg2.priors() is not cfg.priors()
+
+
 def test_box_radius_tail_criterion():
     # mass of the prior outside the automatic box is below the tail target
     cfg = GibbsConfig(beta=1.0, sigma=1.0, p=4,
@@ -210,6 +223,22 @@ def test_objective_decomposition_and_minimizer():
     for trial in (m, grid_gaussian(cfg, np.array([-0.5]), 0.3),
                   cfg.priors().gamma_sigma):
         assert v_star <= objective(model, trial, nu, cfg) + 1e-10
+
+
+def test_objective_finite_under_prior_underflow():
+    # sigma = 0.3 on a radius-12 box: the prior density underflows to zero
+    # at the outer nodes, where the quadrature KL would return inf
+    cfg = GibbsConfig(beta=1.0, sigma=0.3, p=4, radius=12.0)
+    assert np.any(cfg.priors().gamma_sigma.density == 0.0)
+    model = losses.mean_squared_param_loss()
+    nu = gaussian_data(seed=4)
+    m = grid_gaussian(cfg, np.array([0.0]), 1.0)
+    val = objective(model, m, nu, cfg)
+    assert math.isfinite(val)
+    np.testing.assert_allclose(
+        val, losses.risk(model, m, nu) + cfg.kl_weight * prior_kl(m, cfg),
+        rtol=1e-12)
+    assert math.isfinite(objective_gap_bound(model, nu, cfg, m))
 
 
 def test_objective_gap_bound_value():

@@ -2,14 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gibbslab import losses
-from gibbslab.losses import (NNLoss, activation, linear_regression_param_loss,
+from gibbslab import gibbs, losses
+from gibbslab.losses import (ExpectedParamLoss, NNLoss, activation,
+                             linear_regression_param_loss,
                              mean_squared_param_loss, outer_loss,
                              zero_param_loss)
-from gibbslab.measures import (DataPoint, GridMeasure, ParticleMeasure,
-                               empirical_from_arrays, uniform_grid,
-                               uniform_grid_1d)
+from gibbslab.measures import (DataMeasure, DataPoint, GridMeasure,
+                               ParticleMeasure, empirical_from_arrays,
+                               uniform_grid, uniform_grid_1d)
 
 
 def gaussian_grid_1d(center=0.0, scale=0.5, half=3.0, n=401):
@@ -103,30 +106,21 @@ def test_nn_predict_matches_manual_average():
     x = np.array([0.7])
     manual = float((m.nodes[:, 0] * np.tanh(m.nodes[:, 1] * x[0]))
                    @ m.node_weights)
-    np.testing.assert_allclose(model.predict(m, x), manual, rtol=1e-12)
+    np.testing.assert_allclose(model.predict(m, x[None, :]), [manual],
+                               rtol=1e-12)
     np.testing.assert_allclose(losses.predict(model, m, x), manual)
-
-
-def test_nn_predict_batch_consistency():
-    model = NNLoss("sigmoid", "logcosh")
-    m = bump_grid_2d(np.array([-0.2, 0.4]))
-    xs = np.random.default_rng(5).standard_normal((6, 1))
-    batch = model.predict_batch(m, xs)
-    single = np.array([model.predict(m, x) for x in xs])
-    np.testing.assert_allclose(batch, single, rtol=1e-12)
     # particle measures take the empirical average
     pts = np.random.default_rng(6).standard_normal((500, 2))
-    pm = ParticleMeasure(pts)
-    batch_p = model.predict_batch(pm, xs)
-    manual = model.phi_batch(pts, xs).mean(axis=0)
-    np.testing.assert_allclose(batch_p, manual, rtol=1e-12)
+    manual_p = float(np.mean(pts[:, 0] * np.tanh(pts[:, 1] * x[0])))
+    np.testing.assert_allclose(
+        losses.predict(model, ParticleMeasure(pts), x), manual_p, rtol=1e-12)
 
 
 def test_nn_loss_value_and_dm_zero_mean():
     model = NNLoss("tanh", "quadratic")
     m = bump_grid_2d(np.array([0.3, 0.1]))
     z = DataPoint(np.array([0.4]), 0.8)
-    pred = model.predict(m, z.x)
+    pred = losses.predict(model, m, z.x)
     np.testing.assert_allclose(losses.loss_value(model, m, z),
                                (pred - z.y) ** 2, rtol=1e-12)
     dm = losses.loss_dm(model, m, z, m.nodes)
@@ -159,28 +153,32 @@ def test_nn_loss_d2m_outer_product_structure():
     d2 = losses.loss_d2m(model, m, z, th, th2)
     assert d2.shape == (5, 6)
     # quadratic outer: curvature 2, so d2m = 2 (phi - pred) x (phi - pred)
-    pred = model.predict(m, z.x)
-    a = model.phi(th, z.x) - pred
-    b = model.phi(th2, z.x) - pred
+    pred = losses.predict(model, m, z.x)
+    a = model.phi(th, z.x[None, :])[:, 0] - pred
+    b = model.phi(th2, z.x[None, :])[:, 0] - pred
     np.testing.assert_allclose(d2, 2.0 * np.outer(a, b), rtol=1e-12)
     assert not model.has_zero_d2m()
 
 
-def test_nn_phi_grad_matches_finite_difference():
+def test_nn_dm_grad_matches_finite_difference():
     model = NNLoss("tanh", "quadratic")
     rng = np.random.default_rng(7)
     theta = rng.standard_normal((4, 3))
-    x = rng.standard_normal(2)
-    g = model.phi_grad(theta, x)
+    xs = rng.standard_normal((5, 2))
+    ys = rng.standard_normal(5)
+    w = rng.uniform(-1, 1, 5)
+    m = ParticleMeasure(rng.standard_normal((50, 3)))
+    g = model.dm_grad(m, xs, ys, w, theta)
     h = 1e-6
     for j in range(3):
         up, down = theta.copy(), theta.copy()
         up[:, j] += h
         down[:, j] -= h
-        fd = (model.phi(up, x) - model.phi(down, x)) / (2 * h)
+        fd = (model.dm(m, xs, ys, w, up) - model.dm(m, xs, ys, w, down)) \
+            / (2 * h)
         np.testing.assert_allclose(g[:, j], fd, atol=1e-7)
     with pytest.raises(ValueError):
-        NNLoss("heaviside", "quadratic").phi_grad(theta, x)
+        NNLoss("heaviside", "quadratic").dm_grad(m, xs, ys, w, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -211,19 +209,6 @@ def test_linear_regression_param_loss():
     expected = (1.0 - 0.5 * 2.0) ** 2 + (0.2 * 2.0) ** 2
     np.testing.assert_allclose(losses.loss_value(model, m, z), expected,
                                atol=1e-6)
-
-
-def test_lp_batch_agrees_with_lp():
-    rng = np.random.default_rng(8)
-    for model in (mean_squared_param_loss(), linear_regression_param_loss()):
-        theta = rng.standard_normal((9, 1))
-        xs = rng.standard_normal((5, 1))
-        ys = rng.standard_normal(5)
-        batch = model.lp_batch(theta, xs, ys)
-        for i in range(5):
-            z = DataPoint(xs[i], ys[i])
-            np.testing.assert_allclose(batch[i], model.lp(theta, z),
-                                       rtol=1e-12)
 
 
 def test_risk_matches_atomwise_average():
@@ -270,8 +255,9 @@ def test_zero_param_loss_is_zero():
     m = gaussian_grid_1d()
     z = DataPoint(np.zeros(0), 0.7)
     assert losses.loss_value(model, m, z) == 0.0
-    np.testing.assert_array_equal(model.lp_grad(m.nodes, z),
-                                  np.zeros_like(m.nodes))
+    np.testing.assert_array_equal(
+        model.lp_grad(m.nodes, z.x[None, :], np.array([z.y])),
+        np.zeros((1,) + m.nodes.shape))
 
 
 def test_predict_rejects_param_models():
@@ -281,4 +267,100 @@ def test_predict_rejects_param_models():
 
 def test_expected_param_loss_validates_growth_constant():
     with pytest.raises(ValueError):
-        losses.ExpectedParamLoss(lambda t, z: np.zeros(t.shape[0]), M_p=0.0)
+        losses.ExpectedParamLoss(
+            lambda t, xs, ys: np.zeros((len(ys), t.shape[0])), M_p=0.0)
+
+
+# ---------------------------------------------------------------------------
+# batched operations against the one-atom views
+
+
+def _custom_param_loss():
+    # two parameter coordinates and no gradient: the finite-difference
+    # fallback supplies it
+    def lp(theta, xs, ys):
+        feat = np.asarray(xs).sum(axis=1)
+        return (np.asarray(ys)[:, None] - np.tanh(theta[:, 0])[None, :]
+                - feat[:, None] * theta[:, 1][None, :]) ** 2
+    return ExpectedParamLoss(lp, M_p=4.0)
+
+
+_NN_MODELS = [(act, outer) for act in ("relu", "tanh", "sigmoid", "heaviside")
+              for outer in ("quadratic", "logcosh", "product_margin")]
+_PARAM_MODELS = ["mean_squared", "linear_regression", "custom"]
+
+
+def _build_model(name, q):
+    if isinstance(name, tuple):
+        return NNLoss(*name), q + 1
+    if name == "custom":
+        return _custom_param_loss(), 2
+    if name == "linear_regression" and q == 0:
+        return None, 1
+    factory = {"mean_squared": mean_squared_param_loss,
+               "linear_regression": linear_regression_param_loss}[name]
+    return factory(), 1
+
+
+@settings(max_examples=120, deadline=None)
+@given(model_name=st.sampled_from(_NN_MODELS + _PARAM_MODELS),
+       n=st.integers(1, 6), q=st.integers(0, 2),
+       on_grid=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_batched_operations_match_one_atom_views(model_name, n, q, on_grid,
+                                                  seed):
+    model, d = _build_model(model_name, q)
+    if model is None:
+        q = 1
+        model, d = _build_model(model_name, q)
+    rng = np.random.default_rng(seed)
+    xs = rng.standard_normal((n, q))
+    ys = rng.uniform(-1.0, 1.0, n)
+    w = rng.uniform(0.1, 1.0, n)
+    nu = DataMeasure(xs, ys, w / w.sum())
+    if on_grid:
+        nodes, vol = uniform_grid(2.0, 5 if d > 2 else 9, d)
+        m = GridMeasure(nodes, vol, rng.uniform(0.1, 1.0, len(nodes)),
+                        normalize=True)
+    else:
+        m = ParticleMeasure(rng.standard_normal((40, d)))
+    theta = rng.standard_normal((7, d))
+
+    atoms = [nu.point(i) for i in range(n)]
+    per_atom = np.array([losses.loss_value(model, m, z) for z in atoms])
+    expected = float(nu.weights @ per_atom)
+    np.testing.assert_allclose(losses.risk(model, m, nu), expected,
+                               rtol=1e-12, atol=1e-12)
+    dm_loop = sum(wi * losses.loss_dm(model, m, z, theta)
+                  for wi, z in zip(nu.weights, atoms))
+    dm_batch = gibbs.risk_dm_nodes(model, m, nu, theta)
+    scale = 1.0 + np.max(np.abs(dm_loop))
+    np.testing.assert_allclose(dm_batch, dm_loop, rtol=0, atol=1e-12 * scale)
+
+    # drift of the particle sampler: gradient of the risk derivative at
+    # the empirical particle measure plus the confinement term
+    cfg = gibbs.GibbsConfig(beta=1.0, sigma=1.0, p=4, theta_dim=d)
+    pts = rng.standard_normal((6, d))
+    if isinstance(model, NNLoss) and model.activation.deriv is None:
+        with pytest.raises(ValueError):
+            gibbs._drift(model, nu, cfg, pts)
+        return
+    m_hat = ParticleMeasure(pts)
+
+    def potential(th):
+        return gibbs.risk_dm_nodes(model, m_hat, nu, th) \
+            + cfg.regularizer.value(th) / (2.0 * cfg.beta ** 2)
+
+    h = 1e-5
+    fd = np.empty_like(pts)
+    for j in range(d):
+        up, down = pts.copy(), pts.copy()
+        up[:, j] += h
+        down[:, j] -= h
+        fd[:, j] = (potential(up) - potential(down)) / (2 * h)
+    # rows within a step of a relu kink have no derivative to compare
+    smooth = np.ones(len(pts), bool)
+    if isinstance(model, NNLoss) and model.activation.kind == "relu":
+        u = np.abs(pts[:, 1:] @ xs.T)
+        smooth = ~np.any((u > 0) & (u < 1e-4), axis=1)
+    np.testing.assert_allclose(gibbs._drift(model, nu, cfg, pts)[smooth],
+                               fd[smooth], rtol=1e-6, atol=1e-6)
