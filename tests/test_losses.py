@@ -116,6 +116,23 @@ def test_nn_predict_matches_manual_average():
         losses.predict(model, ParticleMeasure(pts), x), manual_p, rtol=1e-12)
 
 
+def test_nn_predict_batch_consistency():
+    model = NNLoss("sigmoid", "logcosh")
+    m = bump_grid_2d(np.array([-0.2, 0.4]))
+    xs = np.random.default_rng(5).standard_normal((6, 1))
+    batch = model.predict(m, xs)
+    single = np.array([losses.predict(model, m, x) for x in xs])
+    np.testing.assert_allclose(batch, single, rtol=1e-12)
+    # particle measures take the empirical average
+    pts = np.random.default_rng(6).standard_normal((500, 2))
+    pm = ParticleMeasure(pts)
+    batch_p = model.predict(pm, xs)
+    manual = model.phi(pts, xs).mean(axis=0)
+    np.testing.assert_allclose(batch_p, manual, rtol=1e-12)
+    single_p = np.array([losses.predict(model, pm, x) for x in xs])
+    np.testing.assert_allclose(batch_p, single_p, rtol=1e-12)
+
+
 def test_nn_loss_value_and_dm_zero_mean():
     model = NNLoss("tanh", "quadratic")
     m = bump_grid_2d(np.array([0.3, 0.1]))
@@ -209,6 +226,21 @@ def test_linear_regression_param_loss():
     expected = (1.0 - 0.5 * 2.0) ** 2 + (0.2 * 2.0) ** 2
     np.testing.assert_allclose(losses.loss_value(model, m, z), expected,
                                atol=1e-6)
+
+
+def test_lp_batch_agrees_with_lp():
+    # lp over n atoms at once agrees row by row with its one-atom calls
+    rng = np.random.default_rng(8)
+    for model in (mean_squared_param_loss(), linear_regression_param_loss()):
+        theta = rng.standard_normal((9, 1))
+        xs = rng.standard_normal((5, 1))
+        ys = rng.standard_normal(5)
+        batch = model.lp(theta, xs, ys)
+        assert batch.shape == (5, 9)
+        for i in range(5):
+            np.testing.assert_allclose(
+                batch[i], model.lp(theta, xs[i:i + 1], ys[i:i + 1])[0],
+                rtol=1e-12)
 
 
 def test_risk_matches_atomwise_average():
