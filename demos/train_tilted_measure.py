@@ -1,8 +1,11 @@
-"""Train a measure over network weights by damped tilt iteration.
+"""Train a measure over network weights by solving the tilt fixed point.
 
 A two-parameter tanh unit is fit to eight noisy points.  The trained
 object is a probability measure on the weight box, found as the fixed
-point of the exponential-tilt map.  The script shows the things worth
+point of the exponential-tilt map; for a network the solver runs
+Newton's method on the eight predictions and converges in a few steps,
+falling back to damped tilt iteration only if a step does not help.
+The script shows the things worth
 watching during a solve: the residual dropping below tolerance, the
 variational objective at the solution beating both the prior and a
 crude competitor, and the moment bound that keeps the solution inside

@@ -225,12 +225,21 @@ def _fmt(value) -> str:
 
 
 def emit_csv(rows, path: Path) -> None:
-    """Write gen-sweep schema rows (header always present)."""
+    """Write gen-sweep schema rows (header always present).
+
+    Refuses non-finite numbers, naming the file and the field.
+    """
     lines = [",".join(CSV_FIELDS)]
     for row in rows:
         unknown = set(row) - set(CSV_FIELDS)
         if unknown:
             raise ValueError(f"unknown CSV fields: {sorted(unknown)}")
+        for f in CSV_FIELDS:
+            value = row.get(f)
+            if (isinstance(value, (float, np.floating))
+                    and not math.isfinite(value)):
+                raise ValueError(
+                    f"{path}: non-finite value {float(value)!r} in field {f!r}")
         lines.append(",".join(_fmt(row.get(f)) for f in CSV_FIELDS))
     path.write_text("\n".join(lines) + "\n")
 

@@ -7,8 +7,10 @@ direction of a sample ``z`` is obtained in three steps:
 1. evaluate the risk derivative at the solution,
 2. solve a well-posed linear system ``(Id + temperature * C_m) v = L``
    where ``C_m`` is the positive semidefinite curvature kernel of the
-   risk at the solution (dense LU, grid sizes capped so cubic cost is
-   acceptable),
+   risk at the solution.  For network losses ``C_m`` has rank at most
+   the number of atoms ``n``, so the system is solved by the Woodbury
+   identity through one n x n factorization per trained measure, and
+   each direction costs ``O(N n)`` on ``N`` grid nodes,
 3. assemble the signed density ``-temperature * m(theta) (v - E_m v)``.
 
 A finite-difference oracle over re-solved problems cross-checks the
@@ -25,11 +27,9 @@ import numpy as np
 import scipy.linalg
 
 from . import losses as _losses
-from .gibbs import GibbsConfig, GibbsSolution, solve_gibbs
+from .gibbs import CurvatureKernel, GibbsConfig, GibbsSolution, solve_gibbs
 from .measures import (DataMeasure, DataPoint, GridMeasure,
                        convex_combination)
-
-_DENSE_NODE_CAP = 4096
 
 
 def gauss_legendre_01(n: int):
@@ -63,39 +63,6 @@ def check_linear_derivative(value_fn: Callable, deriv_fn: Callable,
 
 
 @dataclasses.dataclass(frozen=True)
-class KernelMatrix:
-    """Curvature kernel of the risk at a measure, with quadrature weights.
-
-    ``entries[i, j]`` holds the second measure derivative summed over
-    the data atoms; the induced operator is
-    ``(C f)(theta_i) = sum_j entries[i, j] weights[j] f(theta_j)`` with
-    ``weights = density * cell_volumes``.  Symmetric, and positive
-    semidefinite in the weighted inner product whenever the outer loss
-    is convex.
-    """
-
-    entries: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
-            raise ValueError("kernel entries must form a square matrix")
-        if self.weights.shape != (self.entries.shape[0],):
-            raise ValueError("weights do not match the kernel size")
-        asym = float(np.max(np.abs(self.entries - self.entries.T))) \
-            if self.entries.size else 0.0
-        if asym > 1e-12:
-            raise ValueError(f"kernel asymmetry {asym:.3e} exceeds 1e-12")
-
-    @property
-    def n_nodes(self) -> int:
-        return self.entries.shape[0]
-
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        return self.entries @ (self.weights * f)
-
-
-@dataclasses.dataclass(frozen=True)
 class SDerivative:
     """Node values of the data-direction derivative of the risk derivative.
 
@@ -107,35 +74,32 @@ class SDerivative:
     z: DataPoint
 
 
-def build_Cm(model, m: GridMeasure, nu: DataMeasure) -> KernelMatrix:
-    """Assemble the curvature kernel of the risk at ``(m, nu)``.
+def build_Cm(model, m: GridMeasure, nu: DataMeasure) -> CurvatureKernel:
+    """Curvature kernel of the risk at ``(m, nu)`` in rank-n form.
 
-    For expected parametric losses the second measure derivative is
-    identically zero and a zero kernel is returned.
+    For network losses the kernel is ``A diag(c) A^T`` with ``A`` the
+    features centered at the predictions of ``m`` and ``c`` the atom
+    weights times the outer-loss curvatures there.  For expected
+    parametric losses the second measure derivative is identically zero
+    and the kernel has rank 0.
     """
     if not isinstance(m, GridMeasure):
         raise TypeError("the curvature kernel is assembled on a grid measure")
-    n = m.n_nodes
     w = m.node_weights
     if model.has_zero_d2m():
-        return KernelMatrix(np.zeros((n, n)), w)
-    entries = np.zeros((n, n))
-    preds = model.predict(m, nu.xs)
-    curvs = nu.weights * model.outer.d2(preds, nu.ys)
-    feats = model.phi(m.nodes, nu.xs)
-    for i in range(nu.n_atoms):
-        v = feats[:, i] - preds[i]
-        entries += curvs[i] * np.outer(v, v)
-    entries = 0.5 * (entries + entries.T)
-    return KernelMatrix(entries, w)
+        return CurvatureKernel(np.zeros((m.n_nodes, 0)), np.zeros(0), w)
+    phi = model.phi(m.nodes, nu.xs)
+    preds = phi.T @ w
+    return CurvatureKernel(phi - preds,
+                           nu.weights * model.outer.d2(preds, nu.ys), w)
 
 
 class TrainedDerivatives:
     """Derivative machinery around one trained measure.
 
-    Caches the solved measure, the curvature kernel and its LU
-    factorization so several sample directions ``z`` can be processed
-    against the same data measure cheaply.
+    Caches the solved measure, the curvature kernel and the LU
+    factorization of its n x n system so several sample directions
+    ``z`` can be processed against the same data measure cheaply.
     """
 
     def __init__(self, model, nu: DataMeasure, cfg: GibbsConfig,
@@ -162,27 +126,10 @@ class TrainedDerivatives:
         return self.solution.measure
 
     @property
-    def kernel(self) -> KernelMatrix:
+    def kernel(self) -> CurvatureKernel:
         if self._kernel is None:
             self._kernel = build_Cm(self.model, self.measure, self.nu)
         return self._kernel
-
-    def _ensure_lu(self):
-        if self._lu is None:
-            m = self.measure
-            if m.n_nodes > _DENSE_NODE_CAP:
-                raise ValueError(
-                    f"grid has {m.n_nodes} nodes; the dense solve is capped "
-                    f"at {_DENSE_NODE_CAP}")
-            a = np.eye(m.n_nodes) + self.cfg.temperature * (
-                self.kernel.entries * self.kernel.weights[None, :])
-            try:
-                self._lu = scipy.linalg.lu_factor(a)
-            except scipy.linalg.LinAlgError as exc:
-                raise RuntimeError(
-                    f"singular derivative system (cond ~ "
-                    f"{np.linalg.cond(a):.3e})") from exc
-        return self._lu
 
     def s_values(self, theta) -> np.ndarray:
         """Risk derivative at the trained measure, evaluated at ``theta``."""
@@ -190,6 +137,19 @@ class TrainedDerivatives:
         return self.model.dm(self.measure, nu.xs, nu.ys, nu.weights, theta)
 
     def s_derivative(self, z: DataPoint) -> SDerivative:
+        """Solve ``(Id + temperature * C_m) v = L`` for the direction ``z``.
+
+        ``L = dl/dm(m*, z, .) - int dl/dm(m*, z', .) nu(dz')``.  With
+        ``C_m W = A diag(c) A^T W`` the Woodbury identity gives
+        ``v = L - tau A diag(c) S^-1 A^T W L``.  The solution has zero
+        mean under the trained measure and
+        ``||v||_(L2(m*)) <= ||L||_(L2(m*))``.
+
+        Raises
+        ------
+        RuntimeError
+            If the n x n system ``S`` is numerically singular.
+        """
         # right-hand side: the loss derivative against delta_z - nu; the
         # nu part is shared by every direction
         m = self.measure
@@ -198,8 +158,18 @@ class TrainedDerivatives:
         rhs = _losses.loss_dm(self.model, m, z, m.nodes) - self._s_nodes
         if self.model.has_zero_d2m():
             return SDerivative(rhs, z)
-        lu = self._ensure_lu()
-        return SDerivative(scipy.linalg.lu_solve(lu, rhs), z)
+        kern, tau = self.kernel, self.cfg.temperature
+        if self._lu is None:
+            small = kern.system(tau)
+            cond = np.linalg.cond(small)
+            if not cond < 1.0 / np.finfo(float).eps:
+                raise RuntimeError(
+                    f"singular derivative system: n = {kern.rank}, "
+                    f"cond(S) ~ {cond:.3e}")
+            self._lu = scipy.linalg.lu_factor(small)
+        a = kern.features
+        coef = scipy.linalg.lu_solve(self._lu, a.T @ (kern.weights * rhs))
+        return SDerivative(rhs - tau * (a @ (kern.curvatures * coef)), z)
 
     def dm_dnu(self, z: DataPoint) -> GridMeasure:
         """Signed density derivative of the trained measure toward ``z``."""
@@ -223,10 +193,7 @@ def solve_dS_dnu(model, nu: DataMeasure, cfg: GibbsConfig, z: DataPoint,
                  solve_kwargs: Optional[dict] = None) -> SDerivative:
     """Data-direction derivative of the risk derivative, toward ``delta_z``.
 
-    Solves ``(Id + temperature * C_m) v = L`` with
-    ``L = dl/dm(m*, z, .) - int dl/dm(m*, z', .) nu(dz')`` by dense LU;
-    the solution has zero mean under the trained measure and
-    ``||v||_(L2(m*)) <= ||L||_(L2(m*))``.
+    See :meth:`TrainedDerivatives.s_derivative`.
     """
     td = TrainedDerivatives(model, nu, cfg, solution, solve_kwargs)
     return td.s_derivative(z)

@@ -9,9 +9,10 @@ and ``gamma_sigma`` is the prior with density proportional to
 ``exp(-U(theta)/sigma^2)`` for a polynomial confinement ``U``.
 
 Minimizers are fixed points of the tilt map implemented by
-:func:`gibbs_map`; :func:`solve_gibbs` finds them by damped fixed-point
-iteration on a tensor grid and :func:`mfld_sample` approximates them
-with an Euler-Maruyama particle system.
+:func:`gibbs_map`; :func:`solve_gibbs` finds them on a tensor grid, by
+Newton's method on the n predictions for network losses and by damped
+fixed-point iteration otherwise, and :func:`mfld_sample` approximates
+them with an Euler-Maruyama particle system.
 """
 
 from __future__ import annotations
@@ -324,14 +325,65 @@ def gibbs_map(model, m, nu: DataMeasure, cfg: GibbsConfig) -> GridMeasure:
     shifts of the loss; exponentiation is stabilized by subtracting the
     maximal exponent.
     """
+    return _tilt(cfg, risk_dm_nodes(model, m, nu, cfg.grid()[0],
+                                    centered=False))
+
+
+def _tilt(cfg: GibbsConfig, drdm: np.ndarray) -> GridMeasure:
+    """Grid measure with density proportional to ``exp(-tau drdm - U/sigma^2)``."""
     nodes, vol = cfg.grid()
-    drdm = risk_dm_nodes(model, m, nu, nodes, centered=False)
     expo = -cfg.temperature * drdm - cfg.regularizer.value(nodes) / cfg.sigma ** 2
     try:
         out, _ = _normalized_exp(nodes, vol, expo)
     except ValueError as exc:
         raise ValueError(f"tilt map produced a degenerate density: {exc}") from exc
     return out
+
+
+@dataclasses.dataclass(frozen=True)
+class CurvatureKernel:
+    """Curvature kernel of a network risk at a grid measure, in rank-n form.
+
+    The kernel is ``K = A diag(c) A^T`` with ``A = phi(nodes, xs) - E_m phi``
+    the (N, n) centered features, ``c`` the (n,) atom weights times the
+    outer-loss curvatures, and ``w`` the (N,) node weights of ``m``.  It
+    acts on node functions through ``(K W f) = A (c * A^T (w f))``;
+    symmetric, and positive semidefinite in the weighted inner product
+    whenever ``c >= 0``.  Losses linear in the measure have ``n = 0``.
+    """
+
+    features: np.ndarray
+    curvatures: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self):
+        if self.features.ndim != 2:
+            raise ValueError("kernel features must form an (N, n) matrix")
+        n_nodes, rank = self.features.shape
+        if self.curvatures.shape != (rank,):
+            raise ValueError("curvatures do not match the kernel rank")
+        if self.weights.shape != (n_nodes,):
+            raise ValueError("weights do not match the kernel size")
+
+    @property
+    def rank(self) -> int:
+        return self.features.shape[1]
+
+    def apply(self, f: np.ndarray) -> np.ndarray:
+        a = self.features
+        return a @ (self.curvatures * (a.T @ (self.weights * f)))
+
+    def system(self, temperature: float) -> np.ndarray:
+        """The n x n matrix ``S = I + tau Cov_m(phi) diag(c)``.
+
+        ``S`` is the negated Jacobian of the prediction map
+        ``p -> E_{tilt(p)} phi - p`` and the small matrix of the
+        Woodbury identity for ``(I + tau K W)^-1``.
+        """
+        # Gram form B^T B with B = W^(1/2) A: exactly symmetric, and it
+        # avoids subnormal products where the density underflows
+        b = self.features * np.sqrt(self.weights)[:, None]
+        return np.eye(self.rank) + temperature * (b.T @ b) * self.curvatures
 
 
 @dataclasses.dataclass(frozen=True)
@@ -343,18 +395,77 @@ class GibbsSolution:
     residual: float
 
 
+def _newton_network(model, nu: DataMeasure, cfg: GibbsConfig,
+                    m: GridMeasure, tol: float, max_iter: int):
+    """Newton's method on the n predictions of a network loss.
+
+    The fixed point solves ``G(q) = E_{tilt(q)} phi - q = 0`` in R^n,
+    with Jacobian ``-S`` (:meth:`CurvatureKernel.system`); each step
+    starts from the predictions of the current measure.  Stops at the
+    first measure whose residual ``||gibbs_map(m) - m||_inf`` is within
+    ``tol``, after ``max_iter`` steps, or when a step is non-finite,
+    singular or fails to lower ``||G||_inf``.  Returns the last accepted
+    ``(measure, steps, residual)``, with ``residual = inf`` unless it
+    converged.
+    """
+    phi = model.phi(cfg.grid()[0], nu.xs)
+
+    def tilt(p):
+        return _tilt(cfg, phi @ (nu.weights * model.outer.d1(p, nu.ys)))
+
+    current = trial = m
+    steps, g_norm = 0, math.inf
+    for it in range(max_iter + 1):
+        q = phi.T @ trial.node_weights
+        try:
+            target = tilt(q)
+        except ValueError:
+            break
+        residual = float(np.max(np.abs(target.density - trial.density)))
+        if residual <= tol:
+            return trial, it, residual
+        mean = phi.T @ target.node_weights
+        g = mean - q
+        g_trial = float(np.max(np.abs(g)))
+        if not g_trial < g_norm:
+            break
+        current, steps, g_norm = trial, it, g_trial
+        if it == max_iter:
+            break
+        kern = CurvatureKernel(phi - mean,
+                               nu.weights * model.outer.d2(q, nu.ys),
+                               target.node_weights)
+        try:
+            p = q + np.linalg.solve(kern.system(cfg.temperature), g)
+            trial = tilt(p)
+        except (np.linalg.LinAlgError, ValueError):
+            break
+    return current, steps, math.inf
+
+
 def solve_gibbs(model, nu: DataMeasure, cfg: GibbsConfig,
                 damping: float = 0.5, tol: float = 1e-8,
                 max_iter: int = 500, init: Optional[GridMeasure] = None
                 ) -> GibbsSolution:
-    """Damped fixed-point iteration for the regularized minimizer.
+    """Fixed point of the tilt map: the regularized minimizer on the grid.
 
-    Starting from the prior (or ``init``), repeatedly applies
-    :func:`gibbs_map` with relaxation ``damping`` until the sup-norm
-    density residual ``||map(m) - m||_inf`` falls below ``tol``.
-    ``iterations`` counts damped updates actually applied, so a model
-    whose tilt map does not depend on ``m`` converges after exactly one
-    update at ``damping=1``.
+    Starting from the prior (or ``init``), updates the measure until the
+    sup-norm density residual ``||gibbs_map(m) - m||_inf`` falls below
+    ``tol``; the returned measure satisfies it and ``residual`` is its
+    value.
+
+    For network losses the solver first runs Newton's method on the n
+    predictions ``E_m phi`` (the tilt map sees the measure only through
+    them); it needs no activation derivative and usually converges in
+    two to four steps.  If a Newton step is non-finite, singular or does
+    not lower the prediction residual, and for every other model, the
+    solver continues from the current measure by damped iteration:
+    :func:`gibbs_map` applied with relaxation ``damping``.
+
+    ``iterations`` counts the updates actually applied, Newton steps
+    first, and ``max_iter`` caps both kinds together.  A model whose
+    tilt map does not depend on ``m`` converges after exactly one update
+    at ``damping=1``.
 
     Raises
     ------
@@ -370,8 +481,13 @@ def solve_gibbs(model, nu: DataMeasure, cfg: GibbsConfig,
                              or init.nodes.shape != nodes.shape
                              or not np.array_equal(init.nodes, nodes)):
         raise ValueError("initial measure lives on a different grid")
+    start = 0
+    if isinstance(model, _losses.NNLoss):
+        m, start, residual = _newton_network(model, nu, cfg, m, tol, max_iter)
+        if residual <= tol:
+            return GibbsSolution(m, start, residual)
     residual = math.inf
-    for it in range(max_iter + 1):
+    for it in range(start, max_iter + 1):
         target = gibbs_map(model, m, nu, cfg)
         residual = float(np.max(np.abs(target.density - m.density)))
         if residual <= tol:

@@ -210,7 +210,7 @@ class GridMeasure:
         must be 0 within 1e-10 and values may be negative.
     """
 
-    __slots__ = ("nodes", "cell_volumes", "density", "signed")
+    __slots__ = ("nodes", "cell_volumes", "density", "node_weights", "signed")
 
     def __init__(self, nodes, cell_volumes, density, signed: bool = False,
                  normalize: bool = False):
@@ -246,6 +246,10 @@ class GridMeasure:
         self.nodes = _freeze(nodes)
         self.cell_volumes = _freeze(np.array(cell_volumes))
         self.density = _freeze(density)
+        # per-node quadrature mass ``density * cell_volume``
+        weights = self.density * self.cell_volumes
+        weights.flags.writeable = False
+        self.node_weights = weights
         self.signed = bool(signed)
 
     @property
@@ -255,11 +259,6 @@ class GridMeasure:
     @property
     def dim(self) -> int:
         return self.nodes.shape[1]
-
-    @property
-    def node_weights(self) -> np.ndarray:
-        """Per-node quadrature mass ``density * cell_volume``."""
-        return self.density * self.cell_volumes
 
     def same_grid(self, other: "GridMeasure") -> bool:
         return (self.nodes.shape == other.nodes.shape

@@ -44,6 +44,17 @@ def test_write_json_refuses_non_finite_values(tmp_path):
     assert json.loads(path.read_text()) == {"objective": 1.5}
 
 
+def test_emit_csv_refuses_non_finite_values(tmp_path):
+    path = tmp_path / "out.csv"
+    for field, bad in (("estimate", float("inf")), ("stderr", np.nan),
+                       ("bound", np.float64(-np.inf))):
+        row = cli._row("e", "direct", 5, 2, 0, estimate=0.25, stderr=0.01)
+        row[field] = bad
+        with pytest.raises(ValueError, match=f"out.csv.*{field}"):
+            cli.emit_csv([row], path)
+        assert not path.exists()
+
+
 def test_fmt_handles_all_field_types():
     assert cli._fmt(None) == ""
     assert cli._fmt(True) == "true"

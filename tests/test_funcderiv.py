@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gibbslab import funcderiv, gibbs, losses
+from gibbslab import gibbs, losses
 from gibbslab.funcderiv import (S_value, TrainedDerivatives, build_Cm,
                                 check_linear_derivative, dm_dnu,
                                 finite_diff_dm_dnu, gauss_legendre_01,
                                 solve_dS_dnu)
-from gibbslab.gibbs import GibbsConfig, Regularizer
+from gibbslab.gibbs import CurvatureKernel, GibbsConfig, Regularizer
 from gibbslab.measures import (DataPoint, GridMeasure, empirical_from_arrays,
                                uniform_grid, uniform_grid_1d)
 
@@ -97,11 +100,18 @@ def test_check_linear_derivative_requires_shared_grid():
 # curvature kernel
 
 
+def dense_kernel(kern):
+    """The N x N kernel ``A diag(c) A^T`` assembled from its factor."""
+    return (kern.features * kern.curvatures) @ kern.features.T
+
+
 def test_build_cm_zero_for_param_losses():
     model, nu = ep_problem()
     td = TrainedDerivatives(model, nu, EP_CFG, solve_kwargs=SOLVE_EP)
     kern = build_Cm(model, td.measure, nu)
-    assert np.all(kern.entries == 0.0)
+    assert kern.rank == 0
+    assert np.all(dense_kernel(kern) == 0.0)
+    assert np.all(kern.apply(np.ones(td.measure.n_nodes)) == 0.0)
     np.testing.assert_array_equal(kern.weights, td.measure.node_weights)
 
 
@@ -109,29 +119,32 @@ def test_build_cm_symmetric_and_psd_for_network_losses():
     model, nu = nn_problem()
     td = TrainedDerivatives(model, nu, NN_CFG, solve_kwargs=SOLVE_NN)
     kern = build_Cm(model, td.measure, nu)
-    np.testing.assert_allclose(kern.entries, kern.entries.T, atol=1e-14)
-    assert np.max(np.abs(kern.entries)) > 0.0
+    assert kern.rank == nu.n_atoms
+    dense = dense_kernel(kern)
+    np.testing.assert_allclose(dense, dense.T, atol=1e-14)
+    assert np.max(np.abs(dense)) > 0.0
     # PSD in the weighted inner product: f' W K W f >= 0
     rng = np.random.default_rng(2)
     w = kern.weights
     for _ in range(20):
-        f = rng.standard_normal(kern.n_nodes)
-        quad = float((w * f) @ kern.entries @ (w * f))
+        f = rng.standard_normal(td.measure.n_nodes)
+        quad = float((w * f) @ dense @ (w * f))
         assert quad >= -1e-12
     # apply() implements the weighted action
-    f = rng.standard_normal(kern.n_nodes)
-    np.testing.assert_allclose(kern.apply(f), kern.entries @ (w * f),
-                               rtol=1e-12)
+    f = rng.standard_normal(td.measure.n_nodes)
+    np.testing.assert_allclose(kern.apply(f), dense @ (w * f), rtol=1e-12)
 
 
 def test_kernel_matrix_validation():
     with pytest.raises(ValueError):
-        funcderiv.KernelMatrix(np.zeros((3, 2)), np.zeros(3))
+        CurvatureKernel(np.zeros(3), np.zeros(1), np.zeros(3))
     with pytest.raises(ValueError):
-        funcderiv.KernelMatrix(np.zeros((3, 3)), np.zeros(2))
-    bad = np.array([[0.0, 1.0], [0.0, 0.0]])
+        CurvatureKernel(np.zeros((3, 2)), np.zeros(3), np.zeros(3))
     with pytest.raises(ValueError):
-        funcderiv.KernelMatrix(bad, np.ones(2))
+        CurvatureKernel(np.zeros((3, 2)), np.zeros(2), np.zeros(2))
+    kern = CurvatureKernel(np.zeros((3, 2)), np.zeros(2), np.zeros(3))
+    assert kern.rank == 2
+    assert kern.system(1.0).shape == (2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +256,97 @@ def test_trained_derivatives_caches_solution():
 
 
 def test_dense_solve_node_cap():
+    # 129^2 = 16641 nodes: a grid the dense N x N solve used to refuse
     big = GibbsConfig(beta=0.7, sigma=1.0, p=4, theta_dim=2,
-                      nodes_per_axis=129)  # 16641 nodes > cap
+                      nodes_per_axis=129)
     model, nu = nn_problem(seed=11)
     td = TrainedDerivatives(model, nu, big, solve_kwargs=SOLVE_NN)
-    with pytest.raises(ValueError):
-        td._ensure_lu()
+    assert td.measure.n_nodes == 16641
+    z = nu.point(0)
+    deriv = td.dm_dnu(z)
+    np.testing.assert_allclose(deriv.node_weights.sum(), 0.0, atol=1e-12)
+    m = td.measure
+    v = td.s_derivative(z).values
+    w = m.node_weights
+    for k in range(10):
+        f = np.cos(m.nodes @ np.array([0.5 + 0.25 * k, 0.3 - 0.1 * k])
+                   + 0.1 * k)
+        cov = float((f * v) @ w) - float(f @ w) * float(v @ w)
+        assert abs(float(f @ deriv.node_weights)
+                   + big.temperature * cov) <= 1e-8
+
+
+@pytest.mark.parametrize("nodes", [17, 33])
+@pytest.mark.parametrize("atoms", [5, 64])
+def test_woodbury_matches_dense_lu(nodes, atoms):
+    # oracle: the N x N system (I + tau K W) v = L assembled atom by atom
+    # and solved by dense LU
+    cfg = GibbsConfig(beta=0.7, sigma=1.0, p=4, theta_dim=2,
+                      nodes_per_axis=nodes)
+    model, nu = nn_problem(seed=12, n=atoms)
+    td = TrainedDerivatives(model, nu, cfg, solve_kwargs=SOLVE_NN)
+    m = td.measure
+    preds = model.predict(m, nu.xs)
+    curvs = nu.weights * model.outer.d2(preds, nu.ys)
+    feats = model.phi(m.nodes, nu.xs)
+    entries = np.zeros((m.n_nodes, m.n_nodes))
+    for i in range(nu.n_atoms):
+        a = feats[:, i] - preds[i]
+        entries += curvs[i] * np.outer(a, a)
+    system = np.eye(m.n_nodes) + cfg.temperature * entries * m.node_weights
+    s_nodes = td.s_values(m.nodes)
+    for z in (nu.point(0), DataPoint(np.array([0.3]), -0.2)):
+        rhs = losses.loss_dm(model, m, z, m.nodes) - s_nodes
+        dense = scipy.linalg.lu_solve(scipy.linalg.lu_factor(system), rhs)
+        fast = td.s_derivative(z).values
+        assert (np.max(np.abs(fast - dense))
+                <= 1e-12 * np.max(np.abs(dense)))
+
+
+def test_singular_derivative_system_names_its_size():
+    # a negative curvature can make S singular: -tau * Cov(phi) * c = -1
+    model, nu = nn_problem(seed=13, n=1)
+    td = TrainedDerivatives(model, nu, NN_CFG, solve_kwargs=SOLVE_NN)
+    kern = td.kernel
+    cov = float(kern.features[:, 0] ** 2 @ kern.weights)
+    td._kernel = CurvatureKernel(kern.features,
+                                 np.array([-1.0 / (NN_CFG.temperature * cov)]),
+                                 kern.weights)
+    with pytest.raises(RuntimeError, match=r"n = 1, cond\(S\)"):
+        td.s_derivative(nu.point(0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(act=st.sampled_from(["tanh", "heaviside", "relu", "sigmoid"]),
+       outer=st.sampled_from(["quadratic", "logcosh", "product_margin"]),
+       n=st.integers(1, 6), nodes=st.integers(9, 17),
+       beta=st.floats(0.4, 1.5), seed=st.integers(0, 2 ** 32 - 1))
+def test_dm_dnu_properties_on_random_networks(act, outer, n, nodes, beta,
+                                              seed):
+    rng = np.random.default_rng(seed)
+    xs = rng.standard_normal((n, 1))
+    ys = (np.where(rng.random(n) < 0.5, -1.0, 1.0)
+          if outer == "product_margin" else rng.standard_normal(n))
+    nu = empirical_from_arrays(xs, ys)
+    model = losses.NNLoss(act, outer)
+    cfg = GibbsConfig(beta=beta, sigma=1.0, p=4, theta_dim=2,
+                      nodes_per_axis=nodes)
+    td = TrainedDerivatives(model, nu, cfg, solve_kwargs=SOLVE_NN)
+    m = td.measure
+    w = m.node_weights
+    z = DataPoint(rng.standard_normal(1), float(ys[0]))
+    deriv = td.dm_dnu(z)
+    v = td.s_derivative(z).values
+    scale = cfg.temperature * max(1.0, float(np.max(np.abs(v))))
+    # total mass 0
+    assert abs(deriv.node_weights.sum()) <= 1e-12 * scale
+    # covariance form <f, dm> = -tau Cov_m(f, v)
+    for k in range(3):
+        f = np.cos(m.nodes @ rng.standard_normal(2) + k)
+        cov = float((f * v) @ w) - float(f @ w) * float(v @ w)
+        assert abs(float(f @ deriv.node_weights)
+                   + cfg.temperature * cov) <= 1e-10 * scale
+    # v solves (I + tau K W) v = L
+    rhs = losses.loss_dm(model, m, z, m.nodes) - td.s_values(m.nodes)
+    resid = v + cfg.temperature * td.kernel.apply(v) - rhs
+    assert np.max(np.abs(resid)) <= 1e-10 * max(1.0, np.max(np.abs(rhs)))

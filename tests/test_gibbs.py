@@ -1,5 +1,6 @@
 """Tests for the regularized objective, tilt fixed point, and sampler."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -305,6 +306,69 @@ def test_solve_gibbs_nn_fixed_point_and_two_inits():
     assert np.max(np.abs(sol2.measure.density - sol.measure.density)) <= 1e-6
 
 
+def damped_oracle(model, nu, cfg, m, damping=0.5, tol=1e-12,
+                  max_iter=5000):
+    """Plain damped tilt iteration: the slow reference for Newton."""
+    nodes, vol = cfg.grid()
+    for _ in range(max_iter):
+        target = gibbs_map(model, m, nu, cfg)
+        if np.max(np.abs(target.density - m.density)) <= tol:
+            return m
+        m = GridMeasure(nodes, vol,
+                        (1.0 - damping) * m.density + damping * target.density,
+                        normalize=True)
+    raise AssertionError("damped oracle did not converge")
+
+
+def network_data(outer, n=5, seed=0):
+    xs = np.random.default_rng(seed).standard_normal((n, 1))
+    ys = (np.sign(xs[:, 0]) if outer == "product_margin"
+          else np.tanh(1.2 * xs[:, 0]))
+    return empirical_from_arrays(xs, ys)
+
+
+@pytest.mark.parametrize("nodes", [17, 33])
+@pytest.mark.parametrize("outer", ["quadratic", "logcosh", "product_margin"])
+@pytest.mark.parametrize("act", ["tanh", "heaviside"])
+def test_newton_matches_damped_oracle(nodes, outer, act):
+    # Newton on the predictions needs no activation derivative, so the
+    # heaviside network is covered too
+    model = losses.NNLoss(act, outer)
+    nu = network_data(outer)
+    for beta in (0.7, 2.0):
+        cfg = GibbsConfig(beta=beta, sigma=1.0, p=4, theta_dim=2,
+                          nodes_per_axis=nodes)
+        for init in (None, cfg.priors().gamma_tilt_p):
+            sol = solve_gibbs(model, nu, cfg, tol=1e-12, init=init)
+            assert sol.residual <= 1e-12
+            assert sol.iterations <= 5
+            ref = damped_oracle(model, nu, cfg,
+                                init or cfg.priors().gamma_sigma)
+            assert np.max(np.abs(sol.measure.density - ref.density)) <= 1e-9
+            # the reported residual is the tilt-map residual of the result
+            mapped = gibbs_map(model, sol.measure, nu, cfg)
+            np.testing.assert_allclose(
+                np.max(np.abs(mapped.density - sol.measure.density)),
+                sol.residual, atol=1e-14)
+
+
+def test_newton_falls_back_to_damped_iteration():
+    # a curvature of the wrong sign and size gives Newton steps that do
+    # not lower the prediction residual; the solver continues by damped
+    # iteration and still reaches the true fixed point
+    quad = losses.outer_loss("quadratic")
+    wrong = dataclasses.replace(quad, d2=lambda yh, y: -10.0 * quad.d2(yh, y))
+    nu = network_data("quadratic")
+    cfg = GibbsConfig(beta=2.0, sigma=1.0, p=4, theta_dim=2,
+                      nodes_per_axis=17)
+    sol = solve_gibbs(losses.NNLoss("tanh", wrong), nu, cfg, tol=1e-12)
+    assert sol.residual <= 1e-12
+    assert sol.iterations > 5
+    ref = damped_oracle(losses.NNLoss("tanh", "quadratic"), nu, cfg,
+                        cfg.priors().gamma_sigma)
+    assert np.max(np.abs(sol.measure.density - ref.density)) <= 1e-9
+
+
 def test_solve_gibbs_argument_validation():
     cfg = GibbsConfig(beta=1.0, sigma=1.0, p=4, nodes_per_axis=65)
     model = losses.mean_squared_param_loss()
@@ -324,7 +388,7 @@ def test_solve_gibbs_convergence_error_carries_residual():
                       nodes_per_axis=17)
     nu = empirical_from_arrays(np.array([[0.5]]), np.array([0.4]))
     with pytest.raises(GibbsConvergenceError) as err:
-        solve_gibbs(model, nu, cfg, damping=0.5, tol=1e-14, max_iter=2)
+        solve_gibbs(model, nu, cfg, damping=0.5, tol=1e-14, max_iter=1)
     assert err.value.residual > 0.0
 
 

@@ -76,6 +76,15 @@ def test_grid_measure_mass_validation():
         GridMeasure(nodes, vol, dens, signed=True)
 
 
+def test_grid_measure_node_weights_computed_once_and_frozen():
+    nodes, vol = uniform_grid_1d(0.0, 1.0, 11)
+    m = GridMeasure(nodes, vol, np.linspace(1.0, 2.0, 11), normalize=True)
+    assert m.node_weights is m.node_weights
+    np.testing.assert_array_equal(m.node_weights, m.density * m.cell_volumes)
+    with pytest.raises(ValueError):
+        m.node_weights[0] = 0.0
+
+
 def test_grid_measure_moments_against_gaussian():
     nodes, vol = uniform_grid_1d(0.0, 8.0, 2001)
     dens = np.exp(-nodes[:, 0] ** 2 / 2.0)
