@@ -25,7 +25,8 @@ funcderiv
     derivative ``dm/dnu`` via a Fredholm system.
 genbench
     Population models, trainers, generalization-error estimation
-    routes, bound constants, and exact enumeration oracles.
+    routes as reductions of one replicate record, bound constants, and
+    exact enumeration oracles.
 cli
     JSON-config experiment runner (``gibbslab run / verify``).
 """
@@ -43,15 +44,15 @@ from .gibbs import (GibbsConfig, GibbsConvergenceError, GibbsSolution,
                     kl_divergence, mfld_sample, objective,
                     objective_gap_bound, prior_kl, prior_moment_bound,
                     solve_gibbs)
-from .funcderiv import (S_value, TrainedDerivatives, check_linear_derivative,
-                        dm_dnu, finite_diff_dm_dnu, gauss_legendre_01,
-                        solve_dS_dnu)
+from .funcderiv import (TrainedDerivatives, check_linear_derivative, dm_dnu,
+                        finite_diff_dm_dnu, gauss_legendre_01)
 from .genbench import (BoundConstants, ConstantTrainer, DiscretePopulation,
                        ExplicitGaussianMeanTrainer, GaussianScalarPopulation,
                        GenEstimate, GridGibbsTrainer, LgeUpperReport,
                        MFLDTrainer, NoiselessLinePopulation, PopulationModel,
-                       RateFit, RiskBoundReport, convex_lower_bound_check,
-                       enumerate_exact_gen, gaussian_bump_on_grid,
+                       RateFit, ReplicateError, RiskBoundReport,
+                       convex_lower_bound_check, enumerate_exact_gen,
+                       estimate_routes, gaussian_bump_on_grid,
                        gaussian_mean_oracle, gaussian_mean_setup,
                        gibbs_bound_constants, lge, lge_upper_terms,
                        markov_tail, noiseless_line_setup,
@@ -72,13 +73,14 @@ __all__ = [
     "Regularizer", "default_regularizer", "gibbs_map", "kl_divergence",
     "mfld_sample", "objective", "objective_gap_bound", "prior_kl",
     "prior_moment_bound", "solve_gibbs",
-    "S_value", "TrainedDerivatives", "check_linear_derivative", "dm_dnu",
-    "finite_diff_dm_dnu", "gauss_legendre_01", "solve_dS_dnu",
+    "TrainedDerivatives", "check_linear_derivative", "dm_dnu",
+    "finite_diff_dm_dnu", "gauss_legendre_01",
     "BoundConstants", "ConstantTrainer", "DiscretePopulation",
     "ExplicitGaussianMeanTrainer", "GaussianScalarPopulation", "GenEstimate",
     "GridGibbsTrainer", "LgeUpperReport", "MFLDTrainer",
     "NoiselessLinePopulation", "PopulationModel", "RateFit",
-    "RiskBoundReport", "convex_lower_bound_check", "enumerate_exact_gen",
+    "ReplicateError", "RiskBoundReport", "convex_lower_bound_check",
+    "enumerate_exact_gen", "estimate_routes",
     "gaussian_bump_on_grid", "gaussian_mean_oracle", "gaussian_mean_setup",
     "gibbs_bound_constants", "lge", "lge_upper_terms", "markov_tail",
     "noiseless_line_setup", "population_risk_bound", "rate_fit",

@@ -280,17 +280,15 @@ def _run_gaussian_oracle(cfg, exp_id, seed, out_dir):
     rows = []
     for n in ns:
         oracle = genbench.gaussian_mean_oracle(sigma_tilde, n)
-        for route_fn in (genbench.wge_direct, genbench.wge_resampled):
-            est = route_fn(trainer, pop, model, n, replicates, seed)
+        ests = genbench.estimate_routes(trainer, pop, model, n, replicates,
+                                        seed, ["direct", "resampled"])
+        for est in ests.values():
             holds = abs(est.value - oracle) <= 3.0 * est.stderr
             rows.append(_est_row(exp_id, est, oracle=oracle, holds=holds))
     return rows, None
 
 
-_GEN_ROUTES = {"direct": genbench.wge_direct,
-               "resampled": genbench.wge_resampled,
-               "representation": genbench.wge_representation,
-               "lge": genbench.lge}
+_SWEEP_ROUTES = ("direct", "resampled", "representation", "lge")
 
 
 def _run_gen_sweep(cfg, exp_id, seed, out_dir):
@@ -304,7 +302,7 @@ def _run_gen_sweep(cfg, exp_id, seed, out_dir):
     if not isinstance(routes, list) or not routes:
         raise ConfigError("routes: expected a non-empty list")
     for r in routes:
-        if r not in _GEN_ROUTES:
+        if r not in _SWEEP_ROUTES:
             raise ConfigError(f"routes: unknown route {r!r}")
     ns, replicates, _ = _sweep(cfg)
     rows = []
@@ -312,11 +310,11 @@ def _run_gen_sweep(cfg, exp_id, seed, out_dir):
         oracle = genbench.gaussian_mean_oracle(trainer.sigma_tilde, n) \
             if isinstance(trainer, genbench.ExplicitGaussianMeanTrainer) \
             else None
+        ests = genbench.estimate_routes(trainer, pop, model, n, replicates,
+                                        seed, routes)
         for route in routes:
-            est = _GEN_ROUTES[route](trainer, pop, model, n, replicates,
-                                     seed)
-            rows.append(_est_row(
-                exp_id, est, oracle=None if route == "lge" else oracle))
+            rows.append(_est_row(exp_id, ests[route],
+                                 oracle=None if route == "lge" else oracle))
     return rows, None
 
 
@@ -334,19 +332,20 @@ def _run_bounds(cfg, exp_id, seed, out_dir):
     for n in ns:
         if schedule is None:
             consts = genbench.gibbs_bound_constants(model, gcfg, pop, n)
-            wge, lower, holds_c = genbench.convex_lower_bound_check(
-                trainer, pop, model, n, replicates, seed)
+            out = genbench.estimate_routes(trainer, pop, model, n,
+                                           replicates, seed,
+                                           ["convex_lower", "lge_upper"])
+            wge, lower, holds_c = out["convex_lower"]
             holds_w = abs(wge.value) <= consts.wge_bound + 2.0 * wge.stderr
             rows.append(_est_row(exp_id, wge, bound=consts.wge_bound,
                                  holds=holds_w))
-            lge_est = genbench.lge(trainer, pop, model, n, replicates, seed)
+            rep = out["lge_upper"]
+            lge_est = rep.lge_estimate
             holds_l = lge_est.value <= consts.lge_bound + 2.0 * lge_est.stderr
             rows.append(_est_row(exp_id, lge_est, bound=consts.lge_bound,
                                  holds=holds_l))
-            rep = genbench.lge_upper_terms(trainer, pop, model, n,
-                                           replicates, seed)
             rows.append(_row(exp_id, "lge_mc_bound", n, replicates, seed,
-                             rep.lge_estimate.value, rep.lge_estimate.stderr,
+                             lge_est.value, lge_est.stderr,
                              bound=rep.bound_with_margin, holds=rep.holds))
             rows.append(_row(exp_id, "convex_lower", n, replicates, seed,
                              wge.value, wge.stderr, bound=lower.value,
@@ -608,7 +607,11 @@ _RUNNERS = {"gaussian-oracle": _run_gaussian_oracle,
 
 def run(config_path, seed: Optional[int] = None,
         out: Optional[str] = None) -> int:
-    """Execute one experiment config; returns the process exit code."""
+    """Execute one experiment config; returns the process exit code.
+
+    A runtime failure prints ``error: [<config id>] <message>`` and
+    returns 1.
+    """
     path = Path(config_path)
     try:
         cfg = json.loads(path.read_text())
@@ -631,14 +634,17 @@ def run(config_path, seed: Optional[int] = None,
                        else _get(cfg, "output.dir", "."))
         out_dir.mkdir(parents=True, exist_ok=True)
         rows, code = _RUNNERS[experiment](cfg, exp_id, cfg_seed, out_dir)
+        if rows is None:
+            return code
+        csv_name = _get(cfg, "output.csv", f"{exp_id}.csv")
+        csv_path = out_dir / csv_name
+        emit_csv(rows, csv_path)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    if rows is None:
-        return code
-    csv_name = _get(cfg, "output.csv", f"{exp_id}.csv")
-    csv_path = out_dir / csv_name
-    emit_csv(rows, csv_path)
+    except Exception as exc:  # runtime failures map to exit 1
+        print(f"error: [{exp_id}] {exc}", file=sys.stderr)
+        return 1
     violated = any(r.get("holds") is False for r in rows)
     print(f"[{exp_id}] {len(rows)} rows -> {csv_path}"
           + (" (bound violation)" if violated else ""))

@@ -180,25 +180,6 @@ class TrainedDerivatives:
         return GridMeasure(m.nodes, m.cell_volumes, dens, signed=True)
 
 
-def S_value(model, nu: DataMeasure, cfg: GibbsConfig, theta,
-            solution: Optional[GibbsSolution] = None,
-            solve_kwargs: Optional[dict] = None) -> np.ndarray:
-    """Risk derivative at the trained measure for data measure ``nu``."""
-    td = TrainedDerivatives(model, nu, cfg, solution, solve_kwargs)
-    return td.s_values(theta)
-
-
-def solve_dS_dnu(model, nu: DataMeasure, cfg: GibbsConfig, z: DataPoint,
-                 solution: Optional[GibbsSolution] = None,
-                 solve_kwargs: Optional[dict] = None) -> SDerivative:
-    """Data-direction derivative of the risk derivative, toward ``delta_z``.
-
-    See :meth:`TrainedDerivatives.s_derivative`.
-    """
-    td = TrainedDerivatives(model, nu, cfg, solution, solve_kwargs)
-    return td.s_derivative(z)
-
-
 def dm_dnu(model, nu: DataMeasure, cfg: GibbsConfig, z: DataPoint,
            solution: Optional[GibbsSolution] = None,
            solve_kwargs: Optional[dict] = None) -> GridMeasure:

@@ -10,6 +10,14 @@ several routes that must agree:
 * ``representation``: the derivative-based double-integral formula
   (grid trainers only).
 
+Every route is a reduction of one replicate record.  A
+:class:`Replicate` makes one seeded draw ``(nu, z_bar)`` and trains
+``nu`` and its one- and two-atom swaps lazily, each at most once; a
+route reads its per-replicate term off the record, and
+:func:`estimate_routes` runs the replicate loop once for all the routes
+an experiment asks for.  The public route functions are one-route views
+of it.
+
 It also evaluates the closed-form upper-bound constants for the
 exponential-tilt trainer, an exhaustive enumeration oracle on tiny
 discrete sample spaces, the exactly solvable Gaussian location problem,
@@ -19,10 +27,11 @@ and log-log rate fits over sample-size sweeps.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 import warnings
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -35,6 +44,10 @@ from .measures import (DataMeasure, DataPoint, GridMeasure, ParticleMeasure,
 
 _MAX_MOMENT_ORDER = 8
 _ENUM_CAP = 1_000_000
+# out-of-sample batches hold _OOS_FACTOR * n samples
+_OOS_FACTOR = 10
+# Gauss-Legendre nodes of the lam and lam_tilde integrals of the routes
+_LAMBDA_NODES = 8
 
 
 # ---------------------------------------------------------------------------
@@ -62,12 +75,6 @@ def _rng(seed: int, replicate: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, replicate, stream)))
 
 
-def _map_replicates(kernel: Callable[[int], object], replicates: int) -> list:
-    if replicates < 2:
-        raise ValueError("need at least two replicates")
-    return [kernel(r) for r in range(replicates)]
-
-
 def _estimate(values, n, seed, route) -> GenEstimate:
     arr = np.asarray(values, dtype=float)
     return GenEstimate(float(arr.mean()),
@@ -85,24 +92,37 @@ class PopulationModel:
     Subclasses implement seeded sampling and the closed-form moments
     ``E[(1 + ||Z||^2)^k]`` for ``k <= 8``.  The optional hooks
     ``population_risk`` and ``population_loss_dm`` provide analytic
-    population averages when the model/population pair admits them;
-    estimators fall back to out-of-sample batches when they return
-    ``None``.
+    population averages when the model/population pair admits them (by
+    default from ``_expected_lp``, the analytic ``E_Z lp(theta, Z)`` of
+    an expected parametric loss); estimators fall back to out-of-sample
+    batches when they return ``None``.
     """
 
     feature_dim = 0
+    _expected_lp = None
 
     def sample(self, rng: np.random.Generator, size: int):
+        """``(xs, ys)`` of ``size`` samples drawn from ``rng``.
+
+        Contract: on the same stream, ``sample(rng, k)`` returns the first
+        ``k`` rows of ``sample(rng, k + j)`` for every ``j >= 0``; the
+        replicate record draws once and routes read prefixes of it.
+        """
         raise NotImplementedError
 
     def moment_one_plus_sq(self, k: int) -> float:
         raise NotImplementedError
 
     def population_risk(self, model, m) -> Optional[float]:
-        return None
+        if self._expected_lp is None:
+            return None
+        return m.integrate(self._expected_lp)
 
     def population_loss_dm(self, model, m, nodes) -> Optional[np.ndarray]:
-        return None
+        if self._expected_lp is None or model.variant != "expected_param":
+            return None
+        u = np.asarray(self._expected_lp(nodes), dtype=float)
+        return u - m.integrate(self._expected_lp)
 
     @staticmethod
     def _check_order(k: int):
@@ -143,17 +163,6 @@ class GaussianScalarPopulation(PopulationModel):
         raw = _normal_raw_moments(self.mu, self.sigma, 2 * k)
         return float(sum(math.comb(k, j) * raw[2 * j] for j in range(k + 1)))
 
-    def population_risk(self, model, m):
-        if self._expected_lp is None:
-            return None
-        return m.integrate(self._expected_lp)
-
-    def population_loss_dm(self, model, m, nodes):
-        if self._expected_lp is None or model.variant != "expected_param":
-            return None
-        u = np.asarray(self._expected_lp(nodes), dtype=float)
-        return u - m.integrate(self._expected_lp)
-
 
 class NoiselessLinePopulation(PopulationModel):
     """Samples on the line ``y = slope * x`` with Gaussian inputs.
@@ -180,17 +189,6 @@ class NoiselessLinePopulation(PopulationModel):
         scale = self.x_sigma * math.sqrt(1.0 + self.slope ** 2)
         raw = _normal_raw_moments(0.0, scale, 2 * k)
         return float(sum(math.comb(k, j) * raw[2 * j] for j in range(k + 1)))
-
-    def population_risk(self, model, m):
-        if self._expected_lp is None:
-            return None
-        return m.integrate(self._expected_lp)
-
-    def population_loss_dm(self, model, m, nodes):
-        if self._expected_lp is None or model.variant != "expected_param":
-            return None
-        u = np.asarray(self._expected_lp(nodes), dtype=float)
-        return u - m.integrate(self._expected_lp)
 
 
 class DiscretePopulation(PopulationModel):
@@ -265,10 +263,6 @@ class GridGibbsTrainer:
 
     def train(self, nu: DataMeasure, rng=None):
         return self.solve(nu).measure
-
-    def derivatives(self, nu: DataMeasure) -> TrainedDerivatives:
-        return TrainedDerivatives(self.model, nu, self.cfg,
-                                  solve_kwargs=self.solve_kwargs)
 
     def with_beta(self, beta: float) -> "GridGibbsTrainer":
         return GridGibbsTrainer(self.model, self.cfg.with_beta(beta),
@@ -358,173 +352,138 @@ class ConstantTrainer:
 
 
 # ---------------------------------------------------------------------------
-# core estimation routes
+# the replicate record and the estimation routes
 
 
-def _pop_risk(pop, model, m, seed, rep, n, oos_factor):
-    pr = pop.population_risk(model, m)
-    if pr is not None:
-        return pr
-    xs, ys = pop.sample(_rng(seed, rep, 1), max(oos_factor * n, 2))
-    return _losses.risk(model, m, empirical_from_arrays(xs, ys))
+class ReplicateError(RuntimeError):
+    """A replicate raised; the message names the routes, n, replicate and seed."""
 
 
-def _draw(pop, seed, rep, count):
-    xs, ys = pop.sample(_rng(seed, rep, 0), count)
-    return xs, ys
+class Replicate:
+    """One replicate of an experiment: a single draw and its trained measures.
 
-
-def wge_direct(trainer, pop, model, n: int, replicates: int, seed: int,
-               oos_factor: int = 10) -> GenEstimate:
-    """Mean generalization gap, estimated directly.
-
-    Each replicate draws a fresh dataset, trains, and evaluates
-    population risk (analytic hook when the pair admits one, otherwise
-    an out-of-sample batch of ``oos_factor * n`` samples) minus
-    empirical risk.
+    The draw is ``n + 2`` samples of the ``(seed, rep, 0)`` stream: the
+    data measure ``nu`` holds the first ``n`` and ``z_bar`` the two after
+    them.  Populations sample in prefix order, so a route that reads
+    only ``n`` or ``n + 1`` of them sees the numbers of a shorter draw.
+    Fields are computed on first use and kept, so each measure is trained
+    at most once whichever routes read it.  Swapped measures train ``m``
+    first, so a stochastic trainer draws its seeds from the
+    ``(seed, rep, 2)`` stream in a fixed order.
     """
-    def kern(rep):
-        xs, ys = _draw(pop, seed, rep, n)
-        nu = empirical_from_arrays(xs, ys)
-        m = trainer.train(nu, _rng(seed, rep, 2))
-        return _pop_risk(pop, model, m, seed, rep, n, oos_factor) \
-            - _losses.risk(model, m, nu)
 
-    return _estimate(_map_replicates(kern, replicates),
-                     n, seed, "direct")
+    def __init__(self, trainer, pop, model, n: int, seed: int, rep: int):
+        self.trainer, self.pop, self.model, self.n = trainer, pop, model, n
+        self._seed, self._rep = seed, rep
+        xs, ys = pop.sample(_rng(seed, rep, 0), n + 2)
+        self.nu = empirical_from_arrays(xs[:n], ys[:n])
+        self.z_bar = [DataPoint(xs[n + k], ys[n + k]) for k in range(2)]
+        self._train_rng = _rng(seed, rep, 2)
+        self._swaps = {}
 
+    @functools.cached_property
+    def m(self):
+        """Measure trained on ``nu``."""
+        return self.trainer.train(self.nu, self._train_rng)
 
-def wge_resampled(trainer, pop, model, n: int, replicates: int,
-                  seed: int) -> GenEstimate:
-    """Mean generalization gap via the single-atom resampling identity.
+    def swap(self, k: int):
+        """``(nu_k, m_k)``: ``nu`` with atoms ``0..k-1`` replaced by
+        ``z_bar[:k]`` (``k`` is 1 or 2), and the measure trained on it."""
+        if k not in self._swaps:
+            self.m  # trained first: fixes the order of the trainer's seeds
+            nu_k = resample(self.nu, list(range(k)), self.z_bar[:k])
+            self._swaps[k] = nu_k, self.trainer.train(nu_k, self._train_rng)
+        return self._swaps[k]
 
-    Each replicate draws ``n + 1`` samples, trains on the first ``n``
-    and on the measure with the first atom swapped for the extra one,
-    and averages the loss difference at the extra sample.
-    """
-    def kern(rep):
-        xs, ys = _draw(pop, seed, rep, n + 1)
-        nu = empirical_from_arrays(xs[:n], ys[:n])
-        z_bar = DataPoint(xs[n], ys[n])
-        nu_swap = resample(nu, [0], [z_bar])
-        rng_t = _rng(seed, rep, 2)
-        m = trainer.train(nu, rng_t)
-        m_swap = trainer.train(nu_swap, rng_t)
-        return _losses.loss_value(model, m, z_bar) \
-            - _losses.loss_value(model, m_swap, z_bar)
+    @functools.cached_property
+    def oos(self) -> DataMeasure:
+        """Out-of-sample batch of the ``(seed, rep, 1)`` stream."""
+        xs, ys = self.pop.sample(_rng(self._seed, self._rep, 1),
+                                 max(_OOS_FACTOR * self.n, 2))
+        return empirical_from_arrays(xs, ys)
 
-    return _estimate(_map_replicates(kern, replicates),
-                     n, seed, "resampled")
+    @functools.cached_property
+    def pop_risk(self) -> float:
+        """Population risk of ``m``: the analytic hook, else the batch."""
+        pr = self.pop.population_risk(self.model, self.m)
+        return _losses.risk(self.model, self.m, self.oos) if pr is None else pr
 
+    @functools.cached_property
+    def gap(self) -> float:
+        """Population minus empirical risk of ``m``."""
+        return self.pop_risk - _losses.risk(self.model, self.m, self.nu)
 
-def lge(trainer, pop, model, n: int, replicates: int, seed: int,
-        oos_factor: int = 10) -> GenEstimate:
-    """Mean squared generalization gap (direct Monte Carlo)."""
-    def kern(rep):
-        xs, ys = _draw(pop, seed, rep, n)
-        nu = empirical_from_arrays(xs, ys)
-        m = trainer.train(nu, _rng(seed, rep, 2))
-        gap = _pop_risk(pop, model, m, seed, rep, n, oos_factor) \
-            - _losses.risk(model, m, nu)
-        return gap * gap
+    @functools.cached_property
+    def swap_gap(self) -> float:
+        """Loss at ``z_bar[0]`` of ``m`` minus that of the swapped ``m_1``."""
+        z = self.z_bar[0]
+        return _losses.loss_value(self.model, self.m, z) \
+            - _losses.loss_value(self.model, self.swap(1)[1], z)
 
-    return _estimate(_map_replicates(kern, replicates),
-                     n, seed, "lge")
+    def pop_dm(self, m, nodes) -> np.ndarray:
+        """Population average of the loss derivative: hook, else the batch."""
+        out = self.pop.population_loss_dm(self.model, m, nodes)
+        if out is None:
+            out = risk_dm_nodes(self.model, m, self.oos, nodes, centered=True)
+        return out
 
+    def segment(self, k: int, integrand) -> np.ndarray:
+        """Quadrature of ``integrand(m_lam)`` along the segment ``m_k -> m``."""
+        out = np.zeros(self.m.n_nodes)
+        for lam, w in zip(*gauss_legendre_01(_LAMBDA_NODES)):
+            out += w * integrand(convex_combination(self.swap(k)[1], self.m,
+                                                    float(lam)))
+        return out
 
-def markov_tail(lge_estimate, eps: float) -> float:
-    """Chebyshev-style tail bound ``min(1, E[gap^2] / eps^2)``."""
-    if eps <= 0:
-        raise ValueError("tail threshold must be positive")
-    value = lge_estimate.value if isinstance(lge_estimate, GenEstimate) \
-        else float(lge_estimate)
-    if value < 0:
-        raise ValueError("squared-gap estimate cannot be negative")
-    return min(1.0, value / eps ** 2)
-
-
-def _require_grid_trainer(trainer):
-    if not isinstance(trainer, GridGibbsTrainer):
-        raise TypeError("this route requires the deterministic grid trainer")
-
-
-def wge_representation(trainer, pop, model, n: int, replicates: int,
-                       seed: int, lambda_nodes: int = 8,
-                       lambda_tilde_nodes: int = 8) -> GenEstimate:
-    """Mean generalization gap via the derivative representation.
-
-    Per replicate the inner double integral is evaluated with tensor
-    Gauss-Legendre quadrature: over ``lam`` the loss derivative along
-    the segment between the swapped and original trained measures, over
-    ``lam_tilde`` the trained-measure derivative at the blended data
-    measure, contracted with the sign pattern of the swapped pair.
-    """
-    _require_grid_trainer(trainer)
-    lams, wl = gauss_legendre_01(lambda_nodes)
-    lts, wlt = gauss_legendre_01(lambda_tilde_nodes)
-
-    def kern(rep):
-        xs, ys = _draw(pop, seed, rep, n + 1)
-        nu = empirical_from_arrays(xs[:n], ys[:n])
-        z1 = nu.point(0)
-        z_bar = DataPoint(xs[n], ys[n])
-        nu_swap = resample(nu, [0], [z_bar])
-        m = trainer.solve(nu).measure
-        m_swap = trainer.solve(nu_swap).measure
-
-        d_bar = np.zeros(m.n_nodes)
-        for lt, w in zip(lts, wlt):
-            nu_mix = convex_combination(nu_swap, nu, float(lt))
-            td = TrainedDerivatives(trainer.model, nu_mix, trainer.cfg,
-                                    solve_kwargs=trainer.solve_kwargs)
-            d_bar += w * (td.dm_dnu(z1).density - td.dm_dnu(z_bar).density)
-
-        g_bar = np.zeros(m.n_nodes)
-        for lam, w in zip(lams, wl):
-            m_lam = convex_combination(m_swap, m, float(lam))
-            g_bar += w * _losses.loss_dm(model, m_lam, z_bar, m.nodes)
-
-        h = float(g_bar @ (d_bar * m.cell_volumes))
-        return h / n
-
-    return _estimate(_map_replicates(kern, replicates),
-                     n, seed, "representation")
+    def derivative_path(self, k: int) -> np.ndarray:
+        """Quadrature along ``nu_k -> nu`` of the trained-measure derivative
+        toward ``z_j`` minus toward ``z_bar[j]``, summed over ``j < k``."""
+        t = self.trainer
+        out = np.zeros(self.m.n_nodes)
+        for lt, w in zip(*gauss_legendre_01(_LAMBDA_NODES)):
+            td = TrainedDerivatives(
+                t.model, convex_combination(self.swap(k)[0], self.nu,
+                                            float(lt)),
+                t.cfg, solve_kwargs=t.solve_kwargs)
+            diff = 0.0
+            for j in range(k):
+                diff = diff + td.dm_dnu(self.nu.point(j)).density \
+                    - td.dm_dnu(self.z_bar[j]).density
+            out += w * diff
+        return out
 
 
-def convex_lower_bound_check(trainer, pop, model, n: int, replicates: int,
-                             seed: int):
-    """Paired check of the convex-trainer lower bound on the mean gap.
+def _representation(r: Replicate) -> float:
+    z_bar = r.z_bar[0]
+    g_bar = r.segment(1, lambda m_lam: _losses.loss_dm(
+        r.model, m_lam, z_bar, r.m.nodes))
+    return float(g_bar @ (r.derivative_path(1) * r.m.cell_volumes)) / r.n
 
-    Returns ``(wge_estimate, lower_estimate, holds)`` where both
-    estimates share replicate randomness and ``holds`` allows a
-    ``2 * (stderr + stderr)`` margin.
-    """
-    def kern(rep):
-        xs, ys = _draw(pop, seed, rep, n + 1)
-        nu = empirical_from_arrays(xs[:n], ys[:n])
-        z_bar = DataPoint(xs[n], ys[n])
-        nu_swap = resample(nu, [0], [z_bar])
-        rng_t = _rng(seed, rep, 2)
-        m = trainer.train(nu, rng_t)
-        m_swap = trainer.train(nu_swap, rng_t)
-        gap = _losses.loss_value(model, m, z_bar) \
-            - _losses.loss_value(model, m_swap, z_bar)
-        lower = m.integrate(
-            lambda th: _losses.loss_dm(model, m_swap, z_bar, th))
-        return gap, lower
 
-    pairs = _map_replicates(kern, replicates)
-    gaps = [p[0] for p in pairs]
-    lowers = [p[1] for p in pairs]
+def _convex_lower(r: Replicate):
+    lower = r.m.integrate(
+        lambda th: _losses.loss_dm(r.model, r.swap(1)[1], r.z_bar[0], th))
+    return r.swap_gap, lower
+
+
+def _lge_upper(r: Replicate):
+    m, z1 = r.m, r.nu.point(0)
+    d_bar = r.segment(2, lambda m_lam: _losses.loss_dm(
+        r.model, m_lam, z1, m.nodes) - r.pop_dm(m_lam, m.nodes))
+    h2 = float(d_bar @ ((m.density - r.swap(2)[1].density) * m.cell_volumes))
+    h2t = float(d_bar @ (r.derivative_path(2) * m.cell_volumes))
+    return (_losses.loss_value(r.model, m, z1) ** 2,
+            _losses.loss_value(r.model, m, r.z_bar[0]) ** 2,
+            r.gap * r.gap, h2 ** 2, h2t ** 2)
+
+
+def _convex_lower_check(rows, n, seed, route):
+    gaps, lowers = zip(*rows)
     wge_est = _estimate(gaps, n, seed, "resampled")
     low_est = _estimate(lowers, n, seed, "convex_lower")
     holds = wge_est.value >= low_est.value - 2.0 * (wge_est.stderr
                                                     + low_est.stderr)
     return wge_est, low_est, holds
-
-
-# ---------------------------------------------------------------------------
-# squared-gap upper bound from resampled derivative terms
 
 
 @dataclasses.dataclass(frozen=True)
@@ -552,25 +511,150 @@ class LgeUpperReport:
     holds: bool
 
 
-def _pop_dm_fn(pop, model, seed, rep, n, oos_factor):
-    """Population average of the loss derivative, hook or out-of-sample."""
-    oos = {}
+def _lge_upper_report(rows, n, seed, route) -> LgeUpperReport:
+    k_in, k_out, lge_est, eh2, eh2t = (_estimate(col, n, seed, "lge")
+                                       for col in zip(*rows))
+    K = max(k_in, k_out, key=lambda e: e.value)
 
-    def fn(m_lam, nodes):
-        out = pop.population_loss_dm(model, m_lam, nodes)
-        if out is not None:
-            return out
-        if "nu" not in oos:
-            xs, ys = pop.sample(_rng(seed, rep, 1), max(oos_factor * n, 2))
-            oos["nu"] = empirical_from_arrays(xs, ys)
-        return risk_dm_nodes(model, m_lam, oos["nu"], nodes, centered=True)
+    def assemble(k, e):
+        return (4.0 * k + 2.0 * math.sqrt(k) * math.sqrt(e) + e / n) / n
 
-    return fn
+    bound = assemble(K.value, eh2t.value)
+    bound_margin = assemble(K.value + 2.0 * K.stderr,
+                            eh2t.value + 2.0 * eh2t.stderr)
+    holds = lge_est.value - 2.0 * lge_est.stderr <= bound_margin
+    return LgeUpperReport(n, seed, lge_est.replicates, K.value, K.stderr,
+                          eh2.value, eh2.stderr, eh2t.value, eh2t.stderr,
+                          bound, bound_margin, lge_est, holds)
 
 
-def lge_upper_terms(trainer, pop, model, n: int, replicates: int, seed: int,
-                    lambda_nodes: int = 8, lambda_tilde_nodes: int = 8,
-                    oos_factor: int = 10) -> LgeUpperReport:
+# route -> (per-replicate term read off the record, reduction of the terms)
+_ROUTES = {
+    "direct": (lambda r: r.gap, _estimate),
+    "resampled": (lambda r: r.swap_gap, _estimate),
+    "lge": (lambda r: r.gap * r.gap, _estimate),
+    "representation": (_representation, _estimate),
+    "convex_lower": (_convex_lower, _convex_lower_check),
+    "lge_upper": (_lge_upper, _lge_upper_report),
+}
+_GRID_ROUTES = ("representation", "lge_upper")
+
+
+def _replicate_terms(trainer, pop, model, n, replicates, seed,
+                     terms: dict) -> dict:
+    """Per-replicate values of each term, read off one record per replicate."""
+    if replicates < 2:
+        raise ValueError("need at least two replicates")
+    out = {name: [] for name in terms}
+    for rep in range(replicates):
+        try:
+            record = Replicate(trainer, pop, model, n, seed, rep)
+            for name, term in terms.items():
+                out[name].append(term(record))
+        except Exception as exc:
+            raise ReplicateError(
+                f"route(s) {', '.join(terms)} failed at n={n}, replicate "
+                f"{rep}, seed {seed}: {type(exc).__name__}: {exc}") from exc
+    return out
+
+
+def _require_grid_trainer(trainer):
+    if not isinstance(trainer, GridGibbsTrainer):
+        raise TypeError("this route requires the deterministic grid trainer")
+
+
+def estimate_routes(trainer, pop, model, n: int, replicates: int, seed: int,
+                    routes: Sequence[str]) -> dict:
+    """Every route in ``routes`` from one pass over the replicates.
+
+    Returns ``{route: result}``.  ``direct``, ``resampled``, ``lge`` and
+    ``representation`` give a :class:`GenEstimate`; ``convex_lower``
+    gives ``(wge_estimate, lower_estimate, holds)`` and ``lge_upper`` an
+    :class:`LgeUpperReport`.  Routes read the same :class:`Replicate`,
+    so a dataset two routes need is trained once.
+    """
+    for route in routes:
+        if route not in _ROUTES:
+            raise ValueError(f"unknown route {route!r}; expected one of "
+                             f"{sorted(_ROUTES)}")
+        if route in _GRID_ROUTES:
+            _require_grid_trainer(trainer)
+    if "lge_upper" in routes and n < 2:
+        raise ValueError("two-point resampling needs n >= 2")
+    terms = _replicate_terms(trainer, pop, model, n, replicates, seed,
+                             {route: _ROUTES[route][0] for route in routes})
+    return {route: _ROUTES[route][1](terms[route], n, seed, route)
+            for route in routes}
+
+
+def wge_direct(trainer, pop, model, n: int, replicates: int,
+               seed: int) -> GenEstimate:
+    """Mean generalization gap: population minus empirical risk of ``m``.
+
+    The population risk is the analytic hook when the pair admits one,
+    otherwise the risk on an out-of-sample batch of ``10 n`` samples.
+    """
+    return estimate_routes(trainer, pop, model, n, replicates, seed,
+                           ["direct"])["direct"]
+
+
+def wge_resampled(trainer, pop, model, n: int, replicates: int,
+                  seed: int) -> GenEstimate:
+    """Mean generalization gap via the single-atom resampling identity.
+
+    Averages the loss difference at ``z_bar`` between the measures
+    trained on ``nu`` and on ``nu`` with its first atom swapped for it.
+    """
+    return estimate_routes(trainer, pop, model, n, replicates, seed,
+                           ["resampled"])["resampled"]
+
+
+def lge(trainer, pop, model, n: int, replicates: int,
+        seed: int) -> GenEstimate:
+    """Mean squared generalization gap (direct Monte Carlo)."""
+    return estimate_routes(trainer, pop, model, n, replicates, seed,
+                           ["lge"])["lge"]
+
+
+def markov_tail(lge_estimate, eps: float) -> float:
+    """Chebyshev-style tail bound ``min(1, E[gap^2] / eps^2)``."""
+    if eps <= 0:
+        raise ValueError("tail threshold must be positive")
+    value = lge_estimate.value if isinstance(lge_estimate, GenEstimate) \
+        else float(lge_estimate)
+    if value < 0:
+        raise ValueError("squared-gap estimate cannot be negative")
+    return min(1.0, value / eps ** 2)
+
+
+def wge_representation(trainer, pop, model, n: int, replicates: int,
+                       seed: int) -> GenEstimate:
+    """Mean generalization gap via the derivative representation.
+
+    Per replicate the inner double integral is evaluated with tensor
+    Gauss-Legendre quadrature: over ``lam`` the loss derivative along
+    the segment between the swapped and original trained measures, over
+    ``lam_tilde`` the trained-measure derivative at the blended data
+    measure, contracted with the sign pattern of the swapped pair.
+    """
+    return estimate_routes(trainer, pop, model, n, replicates, seed,
+                           ["representation"])["representation"]
+
+
+def convex_lower_bound_check(trainer, pop, model, n: int, replicates: int,
+                             seed: int):
+    """Paired check of the convex-trainer lower bound on the mean gap.
+
+    Returns ``(wge_estimate, lower_estimate, holds)`` where both
+    estimates share replicate randomness and ``holds`` allows a
+    ``2 * (stderr + stderr)`` margin.
+    """
+    return estimate_routes(trainer, pop, model, n, replicates, seed,
+                           ["convex_lower"])["convex_lower"]
+
+
+def lge_upper_terms(trainer, pop, model, n: int, replicates: int,
+                    seed: int) -> LgeUpperReport:
     """Squared-gap bound ``(4K + 2 sqrt(K * Eh2t) + Eh2t/n) / n``.
 
     ``K`` is the worse of the in-sample and out-of-sample second loss
@@ -579,67 +663,8 @@ def lge_upper_terms(trainer, pop, model, n: int, replicates: int, seed: int,
     measures, and paired against both the measure difference (``h2``)
     and its derivative representation (``h2_tilde = n * h2``).
     """
-    _require_grid_trainer(trainer)
-    if n < 2:
-        raise ValueError("two-point resampling needs n >= 2")
-    lams, wl = gauss_legendre_01(lambda_nodes)
-    lts, wlt = gauss_legendre_01(lambda_tilde_nodes)
-
-    def kern(rep):
-        xs, ys = _draw(pop, seed, rep, n + 2)
-        nu = empirical_from_arrays(xs[:n], ys[:n])
-        z1, z2 = nu.point(0), nu.point(1)
-        zb1 = DataPoint(xs[n], ys[n])
-        zb2 = DataPoint(xs[n + 1], ys[n + 1])
-        nu_swap = resample(nu, [0, 1], [zb1, zb2])
-        m = trainer.solve(nu).measure
-        m_swap = trainer.solve(nu_swap).measure
-
-        loss_in = _losses.loss_value(model, m, z1)
-        loss_out = _losses.loss_value(model, m, zb1)
-
-        pop_dm = _pop_dm_fn(pop, model, seed, rep, n, oos_factor)
-        gap = _pop_risk(pop, model, m, seed, rep, n, oos_factor) \
-            - _losses.risk(model, m, nu)
-
-        d_bar = np.zeros(m.n_nodes)
-        for lam, w in zip(lams, wl):
-            m_lam = convex_combination(m_swap, m, float(lam))
-            d_bar += w * (_losses.loss_dm(model, m_lam, z1, m.nodes)
-                          - pop_dm(m_lam, m.nodes))
-
-        h2 = float(d_bar @ ((m.density - m_swap.density) * m.cell_volumes))
-
-        delta_bar = np.zeros(m.n_nodes)
-        for lt, w in zip(lts, wlt):
-            nu_mix = convex_combination(nu_swap, nu, float(lt))
-            td = TrainedDerivatives(trainer.model, nu_mix, trainer.cfg,
-                                    solve_kwargs=trainer.solve_kwargs)
-            delta_bar += w * (td.dm_dnu(z1).density - td.dm_dnu(zb1).density
-                              + td.dm_dnu(z2).density
-                              - td.dm_dnu(zb2).density)
-        h2t = float(d_bar @ (delta_bar * m.cell_volumes))
-
-        return (loss_in ** 2, loss_out ** 2, gap ** 2, h2 ** 2, h2t ** 2)
-
-    rows = np.asarray(_map_replicates(kern, replicates), dtype=float)
-    means = rows.mean(axis=0)
-    errs = rows.std(axis=0, ddof=1) / math.sqrt(replicates)
-    which = int(np.argmax(means[:2]))
-    K, K_se = float(means[which]), float(errs[which])
-    eh2, eh2_se = float(means[3]), float(errs[3])
-    eh2t, eh2t_se = float(means[4]), float(errs[4])
-    lge_est = GenEstimate(float(means[2]), float(errs[2]), replicates,
-                          n, seed, "lge")
-
-    def assemble(k, e):
-        return (4.0 * k + 2.0 * math.sqrt(k) * math.sqrt(e) + e / n) / n
-
-    bound = assemble(K, eh2t)
-    bound_margin = assemble(K + 2.0 * K_se, eh2t + 2.0 * eh2t_se)
-    holds = lge_est.value - 2.0 * lge_est.stderr <= bound_margin
-    return LgeUpperReport(n, seed, replicates, K, K_se, eh2, eh2_se,
-                          eh2t, eh2t_se, bound, bound_margin, lge_est, holds)
+    return estimate_routes(trainer, pop, model, n, replicates, seed,
+                           ["lge_upper"])["lge_upper"]
 
 
 # ---------------------------------------------------------------------------
@@ -732,8 +757,7 @@ _MODE_EXPONENT = {"wge_n14": 0.25, "lge_n16": 1.0 / 6.0}
 
 
 def population_risk_bound(trainer, pop, model, m_bar, n: int, mode: str,
-                          replicates: int, seed: int,
-                          oos_factor: int = 10) -> RiskBoundReport:
+                          replicates: int, seed: int) -> RiskBoundReport:
     """Bound the (squared) population risk of the tilt trainer.
 
     The inverse temperature is scheduled as ``beta0 * n^{1/4}`` in mean
@@ -758,33 +782,29 @@ def population_risk_bound(trainer, pop, model, m_bar, n: int, mode: str,
     kl_term = cfg_n.kl_weight * kl_value
     r_bar = pop.population_risk(model, m_bar)
     if r_bar is None:
-        xs, ys = pop.sample(_rng(seed, 0, 3), max(oos_factor * n, 1000))
+        xs, ys = pop.sample(_rng(seed, 0, 3), max(_OOS_FACTOR * n, 1000))
         r_bar = _losses.risk(model, m_bar, empirical_from_arrays(xs, ys))
     consts = gibbs_bound_constants(model, cfg_n, pop, n)
 
     squared = mode == "lge_n16"
 
-    def kern(rep):
-        xs, ys = _draw(pop, seed, rep, n)
-        nu = empirical_from_arrays(xs, ys)
-        m = trainer_n.train(nu, _rng(seed, rep, 2))
-        pr = _pop_risk(pop, model, m, seed, rep, n, oos_factor)
+    def term(r: Replicate):
         if not squared:
-            return pr, 0.0
-        v_bar = _losses.risk(model, m_bar, nu) + kl_term
-        return pr * pr, v_bar * v_bar
+            return r.pop_risk
+        v_bar = _losses.risk(model, m_bar, r.nu) + kl_term
+        return r.pop_risk * r.pop_risk, v_bar * v_bar
 
-    rows = np.asarray(_map_replicates(kern, replicates), dtype=float)
-    est = GenEstimate(float(rows[:, 0].mean()),
-                      float(rows[:, 0].std(ddof=1) / math.sqrt(replicates)),
-                      replicates, n, seed,
-                      "pop_risk_sq" if squared else "pop_risk")
+    rows = _replicate_terms(trainer_n, pop, model, n, replicates, seed,
+                            {"population_risk_bound": term})
+    values = rows["population_risk_bound"]
     if squared:
-        v2_mean = float(rows[:, 1].mean())
-        v2_se = float(rows[:, 1].std(ddof=1) / math.sqrt(replicates))
-        bound = 2.0 * consts.lge_bound + 2.0 * v2_mean
-        holds = est.value - 2.0 * est.stderr <= bound + 4.0 * v2_se
+        pr2, v2 = zip(*values)
+        est = _estimate(pr2, n, seed, "pop_risk_sq")
+        v2_est = _estimate(v2, n, seed, "pop_risk_sq")
+        bound = 2.0 * consts.lge_bound + 2.0 * v2_est.value
+        holds = est.value - 2.0 * est.stderr <= bound + 4.0 * v2_est.stderr
     else:
+        est = _estimate(values, n, seed, "pop_risk")
         bound = consts.wge_bound + kl_term + r_bar
         holds = est.value - 2.0 * est.stderr <= bound
     return RiskBoundReport(mode, n, beta_n, bound, est, kl_value, kl_term,
@@ -802,7 +822,6 @@ def gaussian_bump_on_grid(cfg: GibbsConfig, center, scale: float):
         raise ValueError("comparison bump is built for scalar parameters")
     dens = np.exp(-((nodes[:, 0] - float(center)) ** 2)
                   / (2.0 * float(scale) ** 2))
-    from .measures import GridMeasure
     return GridMeasure(nodes, vol, dens, normalize=True)
 
 
@@ -828,10 +847,9 @@ def enumerate_exact_gen(trainer, data_space, model, n: int):
     pair of outputs is a correctness oracle for trainers.  The trainer
     must be deterministic; trained measures are cached per multiset.
     """
-    points = [z for z, _ in data_space]
-    probs = np.asarray([p for _, p in data_space], dtype=float)
-    if probs.size == 0 or np.any(probs < 0) or abs(probs.sum() - 1) > 1e-12:
-        raise ValueError("probabilities must be nonnegative and sum to one")
+    pop = DiscretePopulation([z for z, _ in data_space],
+                             [p for _, p in data_space])
+    points, probs, xs_all, ys_all = pop.points, pop.probs, pop._xs, pop._ys
     if n < 1 or n > 6:
         raise ValueError("enumeration supports 1 <= n <= 6")
     s = len(points)
@@ -840,9 +858,6 @@ def enumerate_exact_gen(trainer, data_space, model, n: int):
     if not getattr(trainer, "deterministic", False):
         raise TypeError("enumeration needs a deterministic trainer")
 
-    xs_all = np.stack([z.x for z in points]) if points[0].x.size \
-        else np.zeros((s, 0))
-    ys_all = np.array([z.y for z in points])
     cache = {}
 
     def trained(idx):
@@ -853,9 +868,6 @@ def enumerate_exact_gen(trainer, data_space, model, n: int):
                 empirical_from_arrays(xs_all[sel], ys_all[sel]))
         return cache[key]
 
-    def pop_risk(m):
-        return float(probs @ model.atom_losses(m, xs_all, ys_all))
-
     wge_exact = 0.0
     swap_exact = 0.0
     for idx in itertools.product(range(s), repeat=n):
@@ -865,7 +877,8 @@ def enumerate_exact_gen(trainer, data_space, model, n: int):
         m = trained(idx)
         sel = list(idx)
         nu = empirical_from_arrays(xs_all[sel], ys_all[sel])
-        wge_exact += p_data * (pop_risk(m) - _losses.risk(model, m, nu))
+        wge_exact += p_data * (pop.population_risk(model, m)
+                              - _losses.risk(model, m, nu))
         for j in range(s):
             if probs[j] == 0.0:
                 continue

@@ -184,11 +184,17 @@ class GibbsConfig:
                 self.box_radius(), self.nodes_per_axis, self.theta_dim)
         return self._cache["grid"]
 
+    def confinement(self) -> np.ndarray:
+        """Prior exponent magnitude ``U(theta) / sigma^2`` at the grid nodes."""
+        if "confinement" not in self._cache:
+            self._cache["confinement"] = \
+                self.regularizer.value(self.grid()[0]) / self.sigma ** 2
+        return self._cache["confinement"]
+
     def priors(self) -> "PriorPair":
         if "priors" not in self._cache:
             nodes, vol = self.grid()
-            u = self.regularizer.value(nodes)
-            expo = -u / self.sigma ** 2
+            expo = -self.confinement()
             gamma, f_sigma = _normalized_exp(nodes, vol, expo)
             r = np.sqrt(np.einsum("ij,ij->i", nodes, nodes))
             tilt, f_tilt = _normalized_exp(nodes, vol, expo + r ** self.p)
@@ -293,7 +299,7 @@ def prior_kl(m: GridMeasure, cfg: GibbsConfig) -> float:
         raise ValueError("prior normalizer overflows")
     w = m.node_weights
     pos = w > 0.0
-    u_over = cfg.regularizer.value(m.nodes[pos]) / cfg.sigma ** 2
+    u_over = cfg.confinement()[pos]
     return float(w[pos] @ (np.log(m.density[pos]) + u_over)
                  + math.log(pair.normalizer_sigma))
 
@@ -332,7 +338,7 @@ def gibbs_map(model, m, nu: DataMeasure, cfg: GibbsConfig) -> GridMeasure:
 def _tilt(cfg: GibbsConfig, drdm: np.ndarray) -> GridMeasure:
     """Grid measure with density proportional to ``exp(-tau drdm - U/sigma^2)``."""
     nodes, vol = cfg.grid()
-    expo = -cfg.temperature * drdm - cfg.regularizer.value(nodes) / cfg.sigma ** 2
+    expo = -cfg.temperature * drdm - cfg.confinement()
     try:
         out, _ = _normalized_exp(nodes, vol, expo)
     except ValueError as exc:

@@ -48,11 +48,6 @@ class DataPoint:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", float(self.y))
 
-    @property
-    def norm_sq(self) -> float:
-        """Squared Euclidean norm of the joint vector ``(x, y)``."""
-        return float(self.x @ self.x + self.y * self.y)
-
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
@@ -118,10 +113,6 @@ class DataMeasure:
 
     def point(self, i: int) -> DataPoint:
         return DataPoint(self.xs[i], self.ys[i])
-
-    def norms_sq(self) -> np.ndarray:
-        """Per-atom squared norms ``||x||^2 + y^2``."""
-        return np.einsum("ij,ij->i", self.xs, self.xs) + self.ys ** 2
 
     def integrate(self, f: Callable[[DataPoint], float]) -> float:
         vals = np.array([f(self.point(i)) for i in range(self.n_atoms)], dtype=float)

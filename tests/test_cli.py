@@ -194,6 +194,25 @@ def test_gen_sweep_constant_trainer(tmp_path):
         assert abs(est) <= max(3 * se, 1e-15)
 
 
+def test_gen_sweep_convergence_failure_names_its_replicate(tmp_path, capsys):
+    cfg = {
+        "experiment": "gen-sweep",
+        "id": "stalls",
+        "model": {"variant": "expected_param", "param_loss": "mean_squared"},
+        "population": {"name": "gaussian", "mu": 0.0, "sigma": 1.0},
+        "gibbs": {"beta": 0.5, "sigma": 1.0, "p": 4, "kappa": 0.05, "q": 3},
+        "trainer": {"kind": "gibbs_grid", "damping": 0.5, "max_iter": 1},
+        "routes": ["direct", "resampled"],
+        "sweep": {"n": [4], "replicates": 5, "seed": 3},
+    }
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["run", path, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [stalls] ")
+    assert "direct, resampled" in err
+    assert "n=4, replicate 0, seed 3: GibbsConvergenceError" in err
+
+
 def test_verify_report_schema(tmp_path):
     code = cli.verify(seed=7, out=str(tmp_path))
     assert code == 0

@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gibbslab import gibbs, losses
-from gibbslab.funcderiv import (S_value, TrainedDerivatives, build_Cm,
+from gibbslab.funcderiv import (TrainedDerivatives, build_Cm,
                                 check_linear_derivative, dm_dnu,
-                                finite_diff_dm_dnu, gauss_legendre_01,
-                                solve_dS_dnu)
+                                finite_diff_dm_dnu, gauss_legendre_01)
 from gibbslab.gibbs import CurvatureKernel, GibbsConfig, Regularizer
 from gibbslab.measures import (DataPoint, GridMeasure, empirical_from_arrays,
                                uniform_grid, uniform_grid_1d)
@@ -158,7 +157,7 @@ def test_s_value_matches_manual_average_of_loss_dm():
     manual = sum(nu.weights[i]
                  * losses.loss_dm(model, td.measure, nu.point(i), theta)
                  for i in range(nu.n_atoms))
-    vals = S_value(model, nu, EP_CFG, theta, solve_kwargs=SOLVE_EP)
+    vals = td.s_values(theta)
     np.testing.assert_allclose(vals, manual, rtol=1e-12)
 
 
@@ -178,8 +177,6 @@ def test_s_derivative_zero_mean_and_contraction():
         norm_v = float((sd.values ** 2) @ m.node_weights)
         norm_l = float((rhs ** 2) @ m.node_weights)
         assert norm_v <= norm_l * (1.0 + 1e-10)
-        assert solve_dS_dnu(model, nu, cfg, z, solve_kwargs=kw).values \
-            == pytest.approx(sd.values)
 
 
 def test_dm_dnu_is_signed_with_zero_total_mass():

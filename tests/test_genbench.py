@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gibbslab import genbench, gibbs, losses
 from gibbslab.genbench import (ConstantTrainer, DiscretePopulation,
@@ -12,14 +14,14 @@ from gibbslab.genbench import (ConstantTrainer, DiscretePopulation,
                                GaussianScalarPopulation, GridGibbsTrainer,
                                MFLDTrainer, NoiselessLinePopulation,
                                convex_lower_bound_check, enumerate_exact_gen,
-                               gaussian_bump_on_grid, gaussian_mean_oracle,
+                               estimate_routes, gaussian_bump_on_grid, gaussian_mean_oracle,
                                gaussian_mean_setup, gibbs_bound_constants,
                                lge, lge_upper_terms, markov_tail,
                                noiseless_line_setup, population_risk_bound,
                                rate_fit, wge_direct, wge_representation,
                                wge_resampled)
 from gibbslab.gibbs import GibbsConfig, Regularizer
-from gibbslab.measures import DataPoint, empirical_from_arrays
+from gibbslab.measures import DataPoint, empirical_from_arrays, resample
 
 WEAK_CFG = GibbsConfig(beta=0.5, sigma=1.0, p=4,
                        regularizer=Regularizer(kappa=0.05, q=3),
@@ -240,6 +242,135 @@ def test_convex_lower_bound_is_exact_for_param_losses():
                                                seed=14)
     assert holds
     np.testing.assert_allclose(est.value, low.value, rtol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# the replicate record
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(0, 30),
+       which=st.sampled_from(["gaussian", "line", "discrete"]))
+def test_population_sample_is_prefix_stable(seed, k, which):
+    pop = {"gaussian": GaussianScalarPopulation(0.3, 1.2),
+           "line": NoiselessLinePopulation(0.5, 2.0),
+           "discrete": DiscretePopulation(
+               [DataPoint(np.array([0.0]), -1.0),
+                DataPoint(np.array([1.0]), 0.5),
+                DataPoint(np.array([2.0]), 2.0)], [0.2, 0.5, 0.3])}[which]
+    xs_k, ys_k = pop.sample(np.random.default_rng(seed), k)
+    xs, ys = pop.sample(np.random.default_rng(seed), k + 2)
+    np.testing.assert_array_equal(xs_k, xs[:k])
+    np.testing.assert_array_equal(ys_k, ys[:k])
+
+
+def _record_setup(kind):
+    """(trainer, population, model, routes, trainings per replicate)."""
+    model, pop = noiseless_line_setup()
+    light = ["direct", "resampled", "lge", "convex_lower"]
+    if kind == "explicit":
+        model, pop = gaussian_mean_setup()
+        return ExplicitGaussianMeanTrainer(1.0), pop, model, light, 2
+    if kind == "mfld":
+        return MFLDTrainer(model, WEAK_CFG, 16, 1e-3, 5), pop, model, light, 2
+    return (GridGibbsTrainer(model, WEAK_CFG), pop, model,
+            light + ["representation", "lge_upper"], 3)
+
+
+@pytest.mark.parametrize("kind", ["explicit", "grid", "mfld"])
+def test_replicate_record_trains_each_dataset_once(monkeypatch, kind):
+    trainer, pop, model, routes, per_replicate = _record_setup(kind)
+    seen = []
+    train = type(trainer).train
+
+    def counting(self, nu, rng=None):
+        seen.append((nu.xs.tobytes(), nu.ys.tobytes(), nu.weights.tobytes()))
+        return train(self, nu, rng)
+
+    monkeypatch.setattr(type(trainer), "train", counting)
+    estimate_routes(trainer, pop, model, 4, 3, 21, routes)
+    # nu, nu with one atom swapped and (grid routes) two atoms swapped
+    assert len(seen) == per_replicate * 3
+    assert len(set(seen)) == len(seen)
+
+
+@pytest.mark.parametrize("kind", ["explicit", "grid", "mfld"])
+def test_merged_routes_equal_standalone_functions(kind):
+    trainer, pop, model, routes, _ = _record_setup(kind)
+    views = {"direct": wge_direct, "resampled": wge_resampled, "lge": lge,
+             "convex_lower": convex_lower_bound_check,
+             "representation": wge_representation,
+             "lge_upper": lge_upper_terms}
+    merged = estimate_routes(trainer, pop, model, 4, 5, 23, routes)
+    assert list(merged) == routes
+    for route in routes:
+        assert merged[route] == views[route](trainer, pop, model, 4, 5, 23)
+
+
+def test_routes_match_scalar_loop_oracle():
+    # the per-replicate streams and training order of one kernel per route:
+    # draw (seed, rep, 0), out-of-sample batch (seed, rep, 1), trainer
+    # stream (seed, rep, 2) with m trained before the swapped measure
+    model = losses.mean_squared_param_loss()
+    pop = GaussianScalarPopulation(0.2, 1.0)  # no hook: out-of-sample risk
+    trainer = MFLDTrainer(model, WEAK_CFG, 16, 1e-3, 5)
+    n, replicates, seed = 4, 5, 29
+    direct, swapped = [], []
+    for rep in range(replicates):
+        def stream(k):
+            return np.random.default_rng(
+                np.random.SeedSequence((seed, rep, k)))
+        xs, ys = pop.sample(stream(0), n + 1)
+        nu = empirical_from_arrays(xs[:n], ys[:n])
+        z_bar = DataPoint(xs[n], ys[n])
+        rng = stream(2)
+        m = trainer.train(nu, rng)
+        m_swap = trainer.train(resample(nu, [0], [z_bar]), rng)
+        oos = empirical_from_arrays(*pop.sample(stream(1), 10 * n))
+        direct.append(losses.risk(model, m, oos) - losses.risk(model, m, nu))
+        swapped.append(losses.loss_value(model, m, z_bar)
+                       - losses.loss_value(model, m_swap, z_bar))
+    got = estimate_routes(trainer, pop, model, n, replicates, seed,
+                          ["direct", "resampled"])
+    for route, vals in (("direct", direct), ("resampled", swapped)):
+        assert got[route].value == np.mean(vals)
+        assert got[route].stderr == np.std(vals, ddof=1) / math.sqrt(replicates)
+
+
+def test_estimate_routes_validates_before_the_loop():
+    model, pop = gaussian_mean_setup()
+    trainer = ExplicitGaussianMeanTrainer(1.0)
+    with pytest.raises(ValueError, match="warp"):
+        estimate_routes(trainer, pop, model, 4, 5, 0, ["direct", "warp"])
+    with pytest.raises(TypeError):
+        estimate_routes(trainer, pop, model, 4, 5, 0, ["direct", "lge_upper"])
+    with pytest.raises(ValueError, match="n >= 2"):
+        estimate_routes(GridGibbsTrainer(model, WEAK_CFG), pop, model, 1, 5,
+                        0, ["lge_upper"])
+
+
+class _FailingTrainer(ExplicitGaussianMeanTrainer):
+    """Explicit trainer whose ``fail_on``-th training raises."""
+
+    def __init__(self, fail_on):
+        super().__init__(1.0)
+        self.calls, self.fail_on = 0, fail_on
+
+    def train(self, nu, rng=None):
+        self.calls += 1
+        if self.calls == self.fail_on:
+            raise FloatingPointError("overflow in the trainer")
+        return super().train(nu, rng)
+
+
+def test_replicate_failure_names_route_n_replicate_and_seed():
+    model, pop = gaussian_mean_setup()
+    # two trainings per replicate: the 4th call is replicate 1
+    with pytest.raises(genbench.ReplicateError,
+                       match=r"resampled.* n=5, replicate 1, seed 31: "
+                             r"FloatingPointError: overflow") as info:
+        wge_resampled(_FailingTrainer(4), pop, model, 5, 6, seed=31)
+    assert isinstance(info.value.__cause__, FloatingPointError)
 
 
 # ---------------------------------------------------------------------------

@@ -130,6 +130,31 @@ def test_grid_and_priors_are_cached():
     assert cfg.priors() is cfg.priors()
 
 
+def test_confinement_is_evaluated_once_per_configuration(monkeypatch):
+    calls = []
+    value = Regularizer.value
+
+    def counting(self, theta):
+        calls.append(1)
+        return value(self, theta)
+
+    monkeypatch.setattr(Regularizer, "value", counting)
+    model = losses.mean_squared_param_loss()
+    nu = gaussian_data(seed=2, n=5)
+    runs = []
+    for tol in (1e-3, 1e-12):
+        cfg = GibbsConfig(beta=0.5, sigma=1.0, p=4,
+                          regularizer=Regularizer(kappa=0.05, q=3),
+                          nodes_per_axis=65)
+        calls.clear()
+        sol = solve_gibbs(model, nu, cfg, damping=0.5, tol=tol)
+        prior_kl(sol.measure, cfg)
+        runs.append((sol.iterations, len(calls)))
+    (short, calls_short), (long, calls_long) = runs
+    assert long > short + 10
+    assert calls_short == calls_long == 1
+
+
 def test_priors_normalized_and_tilt_ratio():
     cfg = GibbsConfig(beta=1.0, sigma=1.0, p=4, nodes_per_axis=257)
     pair = cfg.priors()

@@ -1,0 +1,80 @@
+"""Run every shipped config and ``gibbslab verify``, or compare two such runs.
+
+Usage, from any directory::
+
+    python tools/output_digest.py run OUT_DIR [--repo ROOT]
+    python tools/output_digest.py diff PARENT_DIR CHANGE_DIR
+
+``run`` executes ``ROOT/configs/*.json`` and ``verify`` with the package
+in ``ROOT/src`` (ROOT defaults to this checkout) and records each exit
+code in ``OUT_DIR/exit_codes.json``.  ``diff`` prints one tab-separated
+line per differing ``(file, row, field, parent, change)``; JSON files
+are flattened to dotted paths.  It exits 1 when anything differs.
+"""
+
+import csv
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run(out: Path, root: Path) -> None:
+    out.mkdir(parents=True, exist_ok=True)
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    jobs = {p.name: ["run", str(p)]
+            for p in sorted((root / "configs").glob("*.json"))}
+    jobs["verify"] = ["verify"]
+    codes = {name: subprocess.run(
+        [sys.executable, "-m", "gibbslab", *cmd, "--out", str(out)],
+        env=env).returncode for name, cmd in jobs.items()}
+    (out / "exit_codes.json").write_text(json.dumps(codes, indent=1) + "\n")
+
+
+def _flatten(node, path=""):
+    if isinstance(node, dict):
+        items = [(f"{path}.{k}", v) for k, v in node.items()]
+    elif isinstance(node, list):
+        items = [(f"{path}[{i}]", v) for i, v in enumerate(node)]
+    else:
+        return {path: node}
+    return {k: v for p, child in items for k, v in _flatten(child, p).items()}
+
+
+def _records(path: Path) -> dict:
+    """``(row, field) -> value`` of a CSV, ``("", path) -> value`` of JSON."""
+    if not path.exists():
+        return {}
+    if path.suffix == ".csv":
+        with path.open() as fh:
+            return {(i, f): v for i, row in enumerate(csv.DictReader(fh))
+                    for f, v in row.items()}
+    return {("", k): v for k, v in _flatten(json.loads(path.read_text())).items()}
+
+
+def diff(parent: Path, change: Path) -> int:
+    names = sorted({p.name for d in (parent, change) for p in d.iterdir()
+                    if p.suffix in (".csv", ".json")})
+    count = 0
+    for name in names:
+        a, b = _records(parent / name), _records(change / name)
+        for key in sorted(set(a) | set(b), key=str):
+            if a.get(key, "<missing>") != b.get(key, "<missing>"):
+                count += 1
+                print(name, *key, a.get(key, "<missing>"),
+                      b.get(key, "<missing>"), sep="\t")
+    print(f"{count} differing fields in {len(names)} files")
+    return 1 if count else 0
+
+
+if __name__ == "__main__":
+    args = sys.argv[1:]
+    if args[:1] == ["run"] and len(args) in (2, 4):
+        root = Path(args[3]) if len(args) == 4 and args[2] == "--repo" \
+            else Path(__file__).resolve().parents[1]
+        run(Path(args[1]), root.resolve())
+    elif args[:1] == ["diff"] and len(args) == 3:
+        sys.exit(diff(Path(args[1]), Path(args[2])))
+    else:
+        sys.exit(__doc__)
