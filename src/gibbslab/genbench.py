@@ -10,13 +10,15 @@ several routes that must agree:
 * ``representation``: the derivative-based double-integral formula
   (grid trainers only).
 
-Every route is a reduction of one replicate record.  A
-:class:`Replicate` makes one seeded draw ``(nu, z_bar)`` and trains
-``nu`` and its one- and two-atom swaps lazily, each at most once; a
-route reads its per-replicate term off the record, and
-:func:`estimate_routes` runs the replicate loop once for all the routes
-an experiment asks for.  The public route functions are one-route views
-of it.
+Every route is a reduction over replicate blocks.  A block holds up to
+``_BLOCK`` consecutive replicates: their seeded draws ``(nu, z_bar)``
+stacked into arrays, and the batches of measures trained on ``nu`` and
+its one- and two-atom swaps, each trained lazily and at most once by
+one ``train_batch`` call per trainer.  ``direct``, ``resampled`` and
+``lge`` are array expressions over a block; the derivative routes read
+one replicate at a time off it.  :func:`estimate_routes` runs the blocks
+once for all the routes an experiment asks for, and the public route
+functions are one-route views of it.
 
 It also evaluates the closed-form upper-bound constants for the
 exponential-tilt trainer, an exhaustive enumeration oracle on tiny
@@ -38,8 +40,8 @@ import numpy as np
 from . import losses as _losses
 from .funcderiv import TrainedDerivatives, gauss_legendre_01
 from .gibbs import GibbsConfig, prior_kl, risk_dm_nodes, solve_gibbs
-from .measures import (DataMeasure, DataPoint, GridMeasure, ParticleMeasure,
-                       convex_combination, empirical_from_arrays, resample,
+from .measures import (DataMeasure, DataPoint, GridMeasure, MeasureBatch,
+                       check_rows, convex_combination, empirical_from_arrays,
                        uniform_grid_1d)
 
 _MAX_MOMENT_ORDER = 8
@@ -217,6 +219,11 @@ class DiscretePopulation(PopulationModel):
         return float(self.probs @ (1.0 + nsq) ** k)
 
     def population_risk(self, model, m):
+        if isinstance(m, MeasureBatch):
+            shape = (len(m),) + self._ys.shape
+            return np.array([self.probs @ row for row in model.atom_losses(
+                m, np.broadcast_to(self._xs, shape + self._xs.shape[1:]),
+                np.broadcast_to(self._ys, shape))])
         return float(self.probs @ model.atom_losses(m, self._xs, self._ys))
 
     def population_loss_dm(self, model, m, nodes):
@@ -243,9 +250,37 @@ def noiseless_line_setup(slope: float = 0.5, x_sigma: float = 1.0):
 
 # ---------------------------------------------------------------------------
 # trainers
+#
+# A trainer maps data to parameter measures.  ``train(nu, rng)`` trains one
+# data measure; ``train_batch(xs, ys, rngs)`` trains the B equal-weight
+# datasets ``xs`` (B, n, q), ``ys`` (B, n), row ``r`` on the stream
+# ``rngs[r]`` (``rngs`` is None for deterministic trainers), and returns a
+# MeasureBatch.  An exception raised for one row carries its index in
+# ``row``.
 
 
-class GridGibbsTrainer:
+class _RowByRowTrainer:
+    """Trainers whose primitive is ``train``: a batch is trained row by row."""
+
+    def train_batch(self, xs, ys, rngs=None) -> MeasureBatch:
+        out = []
+        for r in range(ys.shape[0]):
+            try:
+                out.append(self.train(empirical_from_arrays(xs[r], ys[r]),
+                                      None if rngs is None else rngs[r]))
+            except Exception as exc:
+                _name_row(exc, r)
+                raise
+        return MeasureBatch.of(out)
+
+
+def _name_row(exc: Exception, r: int) -> None:
+    """Record row ``r`` on ``exc`` unless an inner batch already named one."""
+    if getattr(exc, "row", None) is None:
+        exc.row = r
+
+
+class GridGibbsTrainer(_RowByRowTrainer):
     """Deterministic trainer: damped fixed-point solve on the grid."""
 
     kind = "gibbs_grid"
@@ -269,7 +304,7 @@ class GridGibbsTrainer:
                                 **self.solve_kwargs)
 
 
-class MFLDTrainer:
+class MFLDTrainer(_RowByRowTrainer):
     """Stochastic trainer: Euler-Maruyama interacting particle system."""
 
     kind = "mfld"
@@ -314,31 +349,41 @@ class ExplicitGaussianMeanTrainer:
         self.n_nodes = int(n_nodes)
         self.span = float(span)
 
-    def _n(self, nu: DataMeasure) -> int:
-        return self.fixed_n if self.fixed_n is not None else nu.n_atoms
+    def _scale(self, n_atoms: int) -> float:
+        n = self.fixed_n if self.fixed_n is not None else n_atoms
+        return self.sigma_tilde / math.sqrt(n)
 
-    def _params(self, nu: DataMeasure):
-        mu_hat = float(nu.weights @ nu.ys)
-        s = self.sigma_tilde / math.sqrt(self._n(nu))
-        return mu_hat, s
+    def train_batch(self, xs, ys, rngs=None) -> MeasureBatch:
+        """The closed form for every row at once.
+
+        Rows share the grid offsets and the density shape; only the node
+        positions, each row's mean plus the offsets, differ.
+        """
+        ys = np.asarray(ys, dtype=float)
+        s = self._scale(ys.shape[1])
+        offsets, h = uniform_grid_1d(0.0, self.span * s, self.n_nodes)
+        shape = np.exp(-(offsets[:, 0] ** 2) / (2.0 * s * s))
+        return MeasureBatch(ys.mean(axis=1)[:, None, None] + offsets, h,
+                            np.broadcast_to(shape, (ys.shape[0], shape.size)),
+                            normalize=True)
 
     def train(self, nu: DataMeasure, rng=None) -> GridMeasure:
-        mu_hat, s = self._params(nu)
-        nodes, vol = uniform_grid_1d(mu_hat, self.span * s, self.n_nodes)
-        dens = np.exp(-((nodes[:, 0] - mu_hat) ** 2) / (2.0 * s * s))
-        return GridMeasure(nodes, vol, dens, normalize=True)
+        """One-row view of :meth:`train_batch`."""
+        if np.ptp(nu.weights) > 0:
+            raise ValueError("the closed-form trainer needs equal weights")
+        return self.train_batch(nu.xs[None], nu.ys[None])[0]
 
     def dm_dnu(self, nu: DataMeasure, z: DataPoint) -> GridMeasure:
         """Closed-form signed density derivative toward ``delta_z``."""
         m = self.train(nu)
-        mu_hat, s = self._params(nu)
+        mu_hat, s = float(nu.ys.mean()), self._scale(nu.n_atoms)
         factor = (m.nodes[:, 0] - mu_hat) / s ** 2 * (z.y - mu_hat)
         dens = m.density * factor
         dens = dens - (dens @ m.cell_volumes) / float(m.cell_volumes.sum())
         return GridMeasure(m.nodes, m.cell_volumes, dens, signed=True)
 
 
-class ConstantTrainer:
+class ConstantTrainer(_RowByRowTrainer):
     """Trainer that ignores the data (zero generalization gap baseline)."""
 
     kind = "constant"
@@ -352,79 +397,149 @@ class ConstantTrainer:
 
 
 # ---------------------------------------------------------------------------
-# the replicate record and the estimation routes
+# replicate blocks and the estimation routes
 
 
 class ReplicateError(RuntimeError):
     """A replicate raised; the message names the routes, n, replicate and seed."""
 
 
-class Replicate:
-    """One replicate of an experiment: a single draw and its trained measures.
+# replicates drawn, trained and reduced together; bounds the working set
+_BLOCK = 64
 
-    The draw is ``n + 2`` samples of the ``(seed, rep, 0)`` stream: the
-    data measure ``nu`` holds the first ``n`` and ``z_bar`` the two after
-    them.  Populations sample in prefix order, so a route that reads
-    only ``n`` or ``n + 1`` of them sees the numbers of a shorter draw.
-    Fields are computed on first use and kept, so each measure is trained
-    at most once whichever routes read it.  Swapped measures train ``m``
-    first, so a stochastic trainer draws its seeds from the
-    ``(seed, rep, 2)`` stream in a fixed order.
+
+class _Block:
+    """Replicates ``start .. stop - 1`` of an experiment, held as arrays.
+
+    Replicate ``r`` draws ``n + 2`` samples of its ``(seed, r, 0)``
+    stream; the draws are stacked into ``xs`` (B, n + 2, q) and ``ys``
+    (B, n + 2).  The dataset ``nu`` is the first ``n`` columns and
+    ``z_bar`` the two after them.  Populations sample in prefix order, so
+    a route that reads only ``n`` or ``n + 1`` columns sees the numbers of
+    a shorter draw.  Trained batches are computed on first use and kept,
+    so each dataset is trained at most once whichever routes read it.
+    Swapped batches train ``m`` first, so a stochastic trainer draws its
+    seeds from each replicate's ``(seed, r, 2)`` stream in a fixed order.
+    That stream is made only for stochastic trainers, and the
+    out-of-sample stream ``(seed, r, 1)`` only when the population has no
+    analytic average.  Every term is a (B,) array.
     """
 
-    def __init__(self, trainer, pop, model, n: int, seed: int, rep: int):
+    def __init__(self, trainer, pop, model, n: int, seed: int, reps: range):
         self.trainer, self.pop, self.model, self.n = trainer, pop, model, n
-        self._seed, self._rep = seed, rep
-        xs, ys = pop.sample(_rng(seed, rep, 0), n + 2)
-        self.nu = empirical_from_arrays(xs[:n], ys[:n])
-        self.z_bar = [DataPoint(xs[n + k], ys[n + k]) for k in range(2)]
-        self._train_rng = _rng(seed, rep, 2)
+        self.seed, self.reps = seed, reps
+        self.xs, self.ys = self._draw(0, n + 2)
+        self._rngs = None if getattr(trainer, "deterministic", False) \
+            else [_rng(seed, r, 2) for r in reps]
+        self._data, self._swaps = {}, {}
+
+    def __len__(self) -> int:
+        return len(self.reps)
+
+    def _draw(self, stream: int, size: int):
+        draws = [self.pop.sample(_rng(self.seed, r, stream), size)
+                 for r in self.reps]
+        xs = np.stack([x for x, _ in draws])
+        ys = np.stack([y for _, y in draws])
+        check_rows(~np.isfinite(ys) | ~np.isfinite(xs).all(axis=-1),
+                   "non-finite atom or weight")
+        return xs, ys
+
+    def data(self, k: int):
+        """``(xs, ys)`` of ``nu`` with atoms ``0..k-1`` replaced by
+        ``z_bar[:k]`` (``k`` is 0, 1 or 2)."""
+        if k not in self._data:
+            n = self.n
+            xs, ys = self.xs[:, :n].copy(), self.ys[:, :n].copy()
+            xs[:, :k] = self.xs[:, n:n + k]
+            ys[:, :k] = self.ys[:, n:n + k]
+            self._data[k] = xs, ys
+        return self._data[k]
+
+    @functools.cached_property
+    def m(self) -> MeasureBatch:
+        """Measures trained on ``nu``."""
+        return self.trainer.train_batch(*self.data(0), self._rngs)
+
+    def swap(self, k: int) -> MeasureBatch:
+        """Measures trained on the ``k``-atom swaps of ``nu``."""
+        if k not in self._swaps:
+            self.m  # trained first: fixes the order of the trainer's seeds
+            self._swaps[k] = self.trainer.train_batch(*self.data(k),
+                                                      self._rngs)
+        return self._swaps[k]
+
+    @functools.cached_property
+    def oos(self):
+        """Out-of-sample draws ``(xs, ys)`` of the ``(seed, r, 1)`` streams."""
+        return self._draw(1, max(_OOS_FACTOR * self.n, 2))
+
+    def risk(self, m: MeasureBatch, xs, ys) -> np.ndarray:
+        """Risk of each row of ``m`` on the equal-weight atoms of its row,
+        summed row by row as :func:`losses.risk` sums."""
+        w = np.full(ys.shape[1], 1.0 / ys.shape[1])
+        return np.array([w @ row for row in self.model.atom_losses(m, xs, ys)])
+
+    @functools.cached_property
+    def pop_risk(self) -> np.ndarray:
+        """Population risk of ``m``: the analytic hook, else the batch."""
+        pr = self.pop.population_risk(self.model, self.m)
+        return self.risk(self.m, *self.oos) if pr is None else pr
+
+    @functools.cached_property
+    def gap(self) -> np.ndarray:
+        """Population minus empirical risk of ``m``."""
+        return self.pop_risk - self.risk(self.m, *self.data(0))
+
+    @functools.cached_property
+    def swap_gap(self) -> np.ndarray:
+        """Loss at ``z_bar[0]`` of ``m`` minus that of the swapped ``m_1``."""
+        z = self.xs[:, self.n:self.n + 1], self.ys[:, self.n:self.n + 1]
+        return (self.model.atom_losses(self.m, *z)
+                - self.model.atom_losses(self.swap(1), *z))[:, 0]
+
+
+class _Row:
+    """Replicate ``r`` of a block as measures and data points, for the
+    routes that work one replicate at a time."""
+
+    def __init__(self, block: _Block, r: int):
+        self.block, self.r = block, r
+        self.trainer, self.model, self.n = block.trainer, block.model, block.n
         self._swaps = {}
 
     @functools.cached_property
     def m(self):
-        """Measure trained on ``nu``."""
-        return self.trainer.train(self.nu, self._train_rng)
+        return self.block.m[self.r]
+
+    @functools.cached_property
+    def nu(self) -> DataMeasure:
+        return empirical_from_arrays(*(a[self.r] for a in self.block.data(0)))
+
+    @functools.cached_property
+    def z_bar(self):
+        b, n, r = self.block, self.n, self.r
+        return [DataPoint(b.xs[r, n + k], b.ys[r, n + k]) for k in range(2)]
+
+    @property
+    def gap(self) -> float:
+        return float(self.block.gap[self.r])
 
     def swap(self, k: int):
-        """``(nu_k, m_k)``: ``nu`` with atoms ``0..k-1`` replaced by
-        ``z_bar[:k]`` (``k`` is 1 or 2), and the measure trained on it."""
+        """``(nu_k, m_k)``: the ``k``-atom swap of ``nu`` and its measure."""
         if k not in self._swaps:
-            self.m  # trained first: fixes the order of the trainer's seeds
-            nu_k = resample(self.nu, list(range(k)), self.z_bar[:k])
-            self._swaps[k] = nu_k, self.trainer.train(nu_k, self._train_rng)
+            self._swaps[k] = (
+                empirical_from_arrays(*(a[self.r]
+                                        for a in self.block.data(k))),
+                self.block.swap(k)[self.r])
         return self._swaps[k]
-
-    @functools.cached_property
-    def oos(self) -> DataMeasure:
-        """Out-of-sample batch of the ``(seed, rep, 1)`` stream."""
-        xs, ys = self.pop.sample(_rng(self._seed, self._rep, 1),
-                                 max(_OOS_FACTOR * self.n, 2))
-        return empirical_from_arrays(xs, ys)
-
-    @functools.cached_property
-    def pop_risk(self) -> float:
-        """Population risk of ``m``: the analytic hook, else the batch."""
-        pr = self.pop.population_risk(self.model, self.m)
-        return _losses.risk(self.model, self.m, self.oos) if pr is None else pr
-
-    @functools.cached_property
-    def gap(self) -> float:
-        """Population minus empirical risk of ``m``."""
-        return self.pop_risk - _losses.risk(self.model, self.m, self.nu)
-
-    @functools.cached_property
-    def swap_gap(self) -> float:
-        """Loss at ``z_bar[0]`` of ``m`` minus that of the swapped ``m_1``."""
-        z = self.z_bar[0]
-        return _losses.loss_value(self.model, self.m, z) \
-            - _losses.loss_value(self.model, self.swap(1)[1], z)
 
     def pop_dm(self, m, nodes) -> np.ndarray:
         """Population average of the loss derivative: hook, else the batch."""
-        out = self.pop.population_loss_dm(self.model, m, nodes)
+        out = self.block.pop.population_loss_dm(self.model, m, nodes)
         if out is None:
-            out = risk_dm_nodes(self.model, m, self.oos, nodes, centered=True)
+            oos = empirical_from_arrays(*(a[self.r] for a in self.block.oos))
+            out = risk_dm_nodes(self.model, m, oos, nodes, centered=True)
         return out
 
     def segment(self, k: int, integrand) -> np.ndarray:
@@ -453,20 +568,35 @@ class Replicate:
         return out
 
 
-def _representation(r: Replicate) -> float:
+def _per_row(term):
+    """Block term of a route that works one replicate at a time: (B,) for
+    a scalar ``term``, (B, c) for a ``term`` that returns c values."""
+    def over_block(block: _Block) -> np.ndarray:
+        out = []
+        for r in range(len(block)):
+            try:
+                out.append(term(_Row(block, r)))
+            except Exception as exc:
+                _name_row(exc, r)
+                raise
+        return np.array(out, dtype=float)
+    return over_block
+
+
+def _representation(r: _Row) -> float:
     z_bar = r.z_bar[0]
     g_bar = r.segment(1, lambda m_lam: _losses.loss_dm(
         r.model, m_lam, z_bar, r.m.nodes))
     return float(g_bar @ (r.derivative_path(1) * r.m.cell_volumes)) / r.n
 
 
-def _convex_lower(r: Replicate):
-    lower = r.m.integrate(
-        lambda th: _losses.loss_dm(r.model, r.swap(1)[1], r.z_bar[0], th))
-    return r.swap_gap, lower
+def _convex_lower(block: _Block) -> np.ndarray:
+    lower = _per_row(lambda r: r.m.integrate(
+        lambda th: _losses.loss_dm(r.model, r.swap(1)[1], r.z_bar[0], th)))
+    return np.stack([block.swap_gap, lower(block)], axis=1)
 
 
-def _lge_upper(r: Replicate):
+def _lge_upper(r: _Row):
     m, z1 = r.m, r.nu.point(0)
     d_bar = r.segment(2, lambda m_lam: _losses.loss_dm(
         r.model, m_lam, z1, m.nodes) - r.pop_dm(m_lam, m.nodes))
@@ -477,8 +607,8 @@ def _lge_upper(r: Replicate):
             r.gap * r.gap, h2 ** 2, h2t ** 2)
 
 
-def _convex_lower_check(rows, n, seed, route):
-    gaps, lowers = zip(*rows)
+def _convex_lower_check(values, n, seed, route):
+    gaps, lowers = values.T
     wge_est = _estimate(gaps, n, seed, "resampled")
     low_est = _estimate(lowers, n, seed, "convex_lower")
     holds = wge_est.value >= low_est.value - 2.0 * (wge_est.stderr
@@ -511,9 +641,9 @@ class LgeUpperReport:
     holds: bool
 
 
-def _lge_upper_report(rows, n, seed, route) -> LgeUpperReport:
+def _lge_upper_report(values, n, seed, route) -> LgeUpperReport:
     k_in, k_out, lge_est, eh2, eh2t = (_estimate(col, n, seed, "lge")
-                                       for col in zip(*rows))
+                                       for col in values.T)
     K = max(k_in, k_out, key=lambda e: e.value)
 
     def assemble(k, e):
@@ -528,34 +658,38 @@ def _lge_upper_report(rows, n, seed, route) -> LgeUpperReport:
                           bound, bound_margin, lge_est, holds)
 
 
-# route -> (per-replicate term read off the record, reduction of the terms)
+# route -> (term of a block, (B,) or (B, c); reduction of the terms)
 _ROUTES = {
-    "direct": (lambda r: r.gap, _estimate),
-    "resampled": (lambda r: r.swap_gap, _estimate),
-    "lge": (lambda r: r.gap * r.gap, _estimate),
-    "representation": (_representation, _estimate),
+    "direct": (lambda b: b.gap, _estimate),
+    "resampled": (lambda b: b.swap_gap, _estimate),
+    "lge": (lambda b: b.gap * b.gap, _estimate),
+    "representation": (_per_row(_representation), _estimate),
     "convex_lower": (_convex_lower, _convex_lower_check),
-    "lge_upper": (_lge_upper, _lge_upper_report),
+    "lge_upper": (_per_row(_lge_upper), _lge_upper_report),
 }
 _GRID_ROUTES = ("representation", "lge_upper")
 
 
 def _replicate_terms(trainer, pop, model, n, replicates, seed,
                      terms: dict) -> dict:
-    """Per-replicate values of each term, read off one record per replicate."""
+    """Per-replicate values of each term, computed block by block."""
     if replicates < 2:
         raise ValueError("need at least two replicates")
     out = {name: [] for name in terms}
-    for rep in range(replicates):
+    for start in range(0, replicates, _BLOCK):
+        reps = range(start, min(start + _BLOCK, replicates))
         try:
-            record = Replicate(trainer, pop, model, n, seed, rep)
+            block = _Block(trainer, pop, model, n, seed, reps)
             for name, term in terms.items():
-                out[name].append(term(record))
+                out[name].append(term(block))
         except Exception as exc:
+            row = getattr(exc, "row", None)
+            where = f"replicate {reps[row]}" if row is not None \
+                else f"replicates {reps[0]}-{reps[-1]}"
             raise ReplicateError(
-                f"route(s) {', '.join(terms)} failed at n={n}, replicate "
-                f"{rep}, seed {seed}: {type(exc).__name__}: {exc}") from exc
-    return out
+                f"route(s) {', '.join(terms)} failed at n={n}, {where}, "
+                f"seed {seed}: {type(exc).__name__}: {exc}") from exc
+    return {name: np.concatenate(parts) for name, parts in out.items()}
 
 
 def _require_grid_trainer(trainer):
@@ -570,8 +704,8 @@ def estimate_routes(trainer, pop, model, n: int, replicates: int, seed: int,
     Returns ``{route: result}``.  ``direct``, ``resampled``, ``lge`` and
     ``representation`` give a :class:`GenEstimate`; ``convex_lower``
     gives ``(wge_estimate, lower_estimate, holds)`` and ``lge_upper`` an
-    :class:`LgeUpperReport`.  Routes read the same :class:`Replicate`,
-    so a dataset two routes need is trained once.
+    :class:`LgeUpperReport`.  Routes read the same replicate blocks, so
+    a dataset two routes need is trained once.
     """
     for route in routes:
         if route not in _ROUTES:
@@ -788,17 +922,18 @@ def population_risk_bound(trainer, pop, model, m_bar, n: int, mode: str,
 
     squared = mode == "lge_n16"
 
-    def term(r: Replicate):
+    def term(b: _Block):
         if not squared:
-            return r.pop_risk
-        v_bar = _losses.risk(model, m_bar, r.nu) + kl_term
-        return r.pop_risk * r.pop_risk, v_bar * v_bar
+            return b.pop_risk
+        v_bar = b.risk(MeasureBatch.of([m_bar] * len(b)), *b.data(0)) \
+            + kl_term
+        return np.stack([b.pop_risk * b.pop_risk, v_bar * v_bar], axis=1)
 
-    rows = _replicate_terms(trainer_n, pop, model, n, replicates, seed,
-                            {"population_risk_bound": term})
-    values = rows["population_risk_bound"]
+    values = _replicate_terms(trainer_n, pop, model, n, replicates, seed,
+                              {"population_risk_bound": term}
+                              )["population_risk_bound"]
     if squared:
-        pr2, v2 = zip(*values)
+        pr2, v2 = values.T
         est = _estimate(pr2, n, seed, "pop_risk_sq")
         v2_est = _estimate(v2, n, seed, "pop_risk_sq")
         bound = 2.0 * consts.lge_bound + 2.0 * v2_est.value

@@ -24,7 +24,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .measures import DataMeasure, DataPoint, GridMeasure, ParticleMeasure
+from .measures import (DataMeasure, DataPoint, GridMeasure, MeasureBatch,
+                       ParticleMeasure, row_error)
+
+# elements of the largest lp array one batched call may build
+_LP_ELEMENTS = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +183,8 @@ def outer_loss(kind: str) -> OuterLoss:
 # Each model evaluates its per-atom operations over all atoms of a dataset
 # at once: ``xs`` (n, q) features, ``ys`` (n,) targets and, for weighted
 # sums, ``weights`` (n,), which may be signed.  Parameter arrays ``theta``
-# are (N, d).
+# are (N, d).  ``atom_losses`` also takes a MeasureBatch of B measures
+# with ``xs`` (B, k, q) and ``ys`` (B, k), one dataset per row.
 
 
 def _support(m) -> np.ndarray:
@@ -191,7 +196,12 @@ def _support(m) -> np.ndarray:
 
 
 def _finite(vals: np.ndarray) -> np.ndarray:
-    if not np.isfinite(vals).all():
+    """``vals``, checked finite; a batch (2-D) names its first bad row."""
+    ok = np.isfinite(vals)
+    if not ok.all():
+        if vals.ndim == 2:
+            raise row_error(int((~ok).any(axis=1).argmax()),
+                            "non-finite loss value")
         raise ValueError("non-finite loss value")
     return vals
 
@@ -220,13 +230,18 @@ class NNLoss:
         return theta[:, 0][:, None] * self.activation.value(u)
 
     def predict(self, m, xs: np.ndarray) -> np.ndarray:
-        """Mean-field predictions ``E_m phi(., x_i)``, shape (n,)."""
+        """Mean-field predictions ``E_m phi(., x_i)``, shape (n,).
+
+        For a batch, row ``r`` predicts ``m[r]`` on ``xs[r]``: (B, k).
+        """
+        if isinstance(m, MeasureBatch):
+            return np.stack([self.predict(m[r], xs[r]) for r in range(len(m))])
         if isinstance(m, GridMeasure):
             return self.phi(m.nodes, xs).T @ m.node_weights
         return self.phi(_support(m), xs).mean(axis=0)
 
     def atom_losses(self, m, xs, ys) -> np.ndarray:
-        """Per-atom losses ``l(m, z_i)``, shape (n,)."""
+        """Per-atom losses ``l(m, z_i)``, shape (n,); (B, k) for a batch."""
         return _finite(self.outer.value(self.predict(m, xs), ys))
 
     def dm(self, m, xs, ys, weights, theta, centered: bool = True
@@ -316,10 +331,36 @@ class ExpectedParamLoss:
         return g
 
     def atom_losses(self, m, xs, ys) -> np.ndarray:
-        """Per-atom losses ``E_m lp(., z_i)``, shape (n,)."""
+        """Per-atom losses ``E_m lp(., z_i)``, shape (n,); (B, k) for a batch."""
+        if isinstance(m, MeasureBatch):
+            return _finite(self._batch_losses(m, xs, ys))
         if isinstance(m, GridMeasure):
             return _finite(self.lp(m.nodes, xs, ys) @ m.node_weights)
         return _finite(self.lp(_support(m), xs, ys).mean(axis=1))
+
+    def _batch_losses(self, m: MeasureBatch, xs, ys) -> np.ndarray:
+        """One ``lp`` call per row when the rows have their own nodes or
+        particles; on shared nodes, one call over the atoms of as many rows
+        as ``_LP_ELEMENTS`` allows.  Each row is reduced as
+        :meth:`atom_losses` reduces one measure, so it sums in that order."""
+        b, k = ys.shape
+        if m.points is not None:
+            return np.stack([self.lp(m.points[r], xs[r], ys[r]).mean(axis=1)
+                             for r in range(b)])
+        if m.nodes.ndim == 3:
+            return np.stack([self.lp(m.nodes[r], xs[r], ys[r])
+                             @ m.node_weights[r] for r in range(b)])
+        n_nodes = m.nodes.shape[0]
+        step = max(1, _LP_ELEMENTS // max(1, k * n_nodes))
+        out = np.empty((b, k))
+        for lo in range(0, b, step):
+            hi = min(lo + step, b)
+            vals = self.lp(m.nodes,
+                           xs[lo:hi].reshape((hi - lo) * k, xs.shape[-1]),
+                           ys[lo:hi].reshape(-1))
+            out[lo:hi] = [v @ w for v, w in zip(
+                vals.reshape(hi - lo, k, n_nodes), m.node_weights[lo:hi])]
+        return out
 
     def dm(self, m, xs, ys, weights, theta, centered: bool = True
            ) -> np.ndarray:

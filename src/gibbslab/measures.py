@@ -9,6 +9,11 @@ Two families of objects live here:
   represented either by a density on a tensor-product grid or by a
   particle cloud.
 
+A :class:`MeasureBatch` holds the parameter measures trained on one
+block of replicates as stacked arrays, so that losses and population
+averages of the whole block are array expressions; ``batch[r]`` is the
+r-th measure as one of the objects above.
+
 Signed measures (differences of probability measures, derivative
 objects) are supported through a ``signed`` flag rather than a separate
 type: validation switches from "weights sum to one" to "weights sum to
@@ -41,7 +46,7 @@ class DataPoint:
         x = np.atleast_1d(np.asarray(self.x, dtype=float))
         if x.ndim != 1:
             raise ValueError("feature vector must be one-dimensional")
-        if not np.all(np.isfinite(x)) or not np.isfinite(self.y):
+        if not (np.isfinite(x).all() and np.isfinite(self.y)):
             raise ValueError("non-finite data point")
         x = x.copy()
         x.flags.writeable = False
@@ -78,8 +83,8 @@ class DataMeasure:
             raise ValueError("atom arrays disagree on the atom count")
         if xs.shape[0] == 0:
             raise ValueError("empty dataset")
-        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))
-                and np.all(np.isfinite(weights))):
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all()
+                and np.isfinite(weights).all()):
             raise ValueError("non-finite atom or weight")
         total = float(weights.sum())
         if signed:
@@ -87,7 +92,7 @@ class DataMeasure:
                 raise ValueError(
                     f"signed data measure must have zero total mass, got {total!r}")
         else:
-            if np.any(weights < -_UNSIGNED_TOL):
+            if (weights < -_UNSIGNED_TOL).any():
                 raise ValueError("unsigned data measure with negative weight")
             if abs(total - 1.0) > _UNSIGNED_TOL:
                 raise ValueError(
@@ -116,7 +121,7 @@ class DataMeasure:
 
     def integrate(self, f: Callable[[DataPoint], float]) -> float:
         vals = np.array([f(self.point(i)) for i in range(self.n_atoms)], dtype=float)
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("non-finite integrand value")
         return float(self.weights @ vals)
 
@@ -213,10 +218,10 @@ class GridMeasure:
             np.asarray(cell_volumes, dtype=float), (nodes.shape[0],))
         if nodes.ndim != 2 or density.shape != (nodes.shape[0],):
             raise ValueError("grid arrays must be (N, d) nodes and (N,) density")
-        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(density))
-                and np.all(np.isfinite(cell_volumes))):
+        if not (np.isfinite(nodes).all() and np.isfinite(density).all()
+                and np.isfinite(cell_volumes).all()):
             raise ValueError("non-finite grid data")
-        if np.any(cell_volumes <= 0):
+        if (cell_volumes <= 0).any():
             raise ValueError("cell volumes must be positive")
         mass = float(density @ cell_volumes)
         if normalize and not signed:
@@ -229,13 +234,13 @@ class GridMeasure:
                 raise ValueError(
                     f"signed grid measure must have zero total mass, got {mass!r}")
         else:
-            if np.any(density < 0):
+            if (density < 0).any():
                 raise ValueError("unsigned grid density with negative value")
             if abs(mass - 1.0) > _GRID_TOL:
                 raise ValueError(
                     f"grid density must integrate to one, got {mass!r}")
         self.nodes = _freeze(nodes)
-        self.cell_volumes = _freeze(np.array(cell_volumes))
+        self.cell_volumes = _freeze(cell_volumes)
         self.density = _freeze(density)
         # per-node quadrature mass ``density * cell_volume``
         weights = self.density * self.cell_volumes
@@ -265,7 +270,7 @@ class GridMeasure:
         vals = np.asarray(f(self.nodes), dtype=float)
         if vals.shape != (self.n_nodes,):
             raise ValueError("integrand must return one value per node")
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("non-finite integrand value")
         return float(vals @ self.node_weights)
 
@@ -288,7 +293,7 @@ class ParticleMeasure:
             points = points[:, None]
         if points.ndim != 2 or points.shape[0] == 0:
             raise ValueError("particle array must be nonempty (N, d)")
-        if not np.all(np.isfinite(points)):
+        if not np.isfinite(points).all():
             raise ValueError("non-finite particle")
         self.points = _freeze(points)
 
@@ -304,7 +309,7 @@ class ParticleMeasure:
         vals = np.asarray(f(self.points), dtype=float)
         if vals.shape != (self.n_particles,):
             raise ValueError("integrand must return one value per particle")
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("non-finite integrand value")
         return float(vals.mean())
 
@@ -314,6 +319,146 @@ class ParticleMeasure:
 
     def mean(self) -> np.ndarray:
         return self.points.mean(axis=0)
+
+
+def _lock(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def row_error(row: int, message: str) -> ValueError:
+    """``ValueError`` for one row of a batch: the message and ``.row`` name it."""
+    exc = ValueError(f"row {row}: {message}")
+    exc.row = row
+    return exc
+
+
+def check_rows(bad: np.ndarray, message) -> None:
+    """Raise :func:`row_error` for the first row of ``bad`` (B, ...) that is set.
+
+    ``message`` is a string or a function of the row index.
+    """
+    bad = bad.reshape(bad.shape[0], -1).any(axis=1)
+    if bad.any():
+        r = int(bad.argmax())
+        raise row_error(r, message(r) if callable(message) else message)
+
+
+class MeasureBatch:
+    """``B`` parameter measures held as arrays, one measure per row.
+
+    A grid batch holds ``nodes``, shared (N, d) or per row (B, N, d);
+    ``cell_volumes``, (N,) or (B, N); and ``density`` and
+    ``node_weights``, (B, N).  A particle batch holds ``points``
+    (B, P, d).  ``batch[r]`` is the r-th measure: the object a trainer
+    built one by one (:meth:`of`), or a :class:`GridMeasure` built on
+    first request.
+
+    The constructor makes an unsigned grid batch and runs the checks of
+    :class:`GridMeasure` over the whole batch; a failure names the first
+    failing row (see :func:`row_error`).
+    """
+
+    __slots__ = ("nodes", "cell_volumes", "density", "node_weights",
+                 "points", "_rows")
+
+    def __init__(self, nodes, cell_volumes, density, normalize: bool = False):
+        nodes = np.asarray(nodes, dtype=float)
+        density = np.asarray(density, dtype=float)
+        if density.ndim != 2 or nodes.ndim not in (2, 3) \
+                or nodes.shape[-2] != density.shape[1] \
+                or (nodes.ndim == 3 and nodes.shape[0] != density.shape[0]):
+            raise ValueError("batch arrays must be (N, d) or (B, N, d) nodes "
+                             "and (B, N) density")
+        b, n = density.shape
+        cell_volumes = np.asarray(cell_volumes, dtype=float)
+        if cell_volumes.ndim < 2:
+            cell_volumes = np.broadcast_to(cell_volumes, (n,))
+        elif cell_volumes.shape != (b, n):
+            raise ValueError("batch cell volumes must be (N,) or (B, N)")
+
+        # masks of shared arrays broadcast to every row
+        check_rows(~np.isfinite(density) | ~np.isfinite(cell_volumes)
+                    | ~np.isfinite(nodes).all(axis=-1),
+                    "non-finite grid data")
+        check_rows(np.broadcast_to(cell_volumes <= 0, (b, n)),
+                    "cell volumes must be positive")
+        mass = (density * cell_volumes).sum(axis=-1)
+        if normalize:
+            check_rows(~(mass > 0) | ~np.isfinite(mass),
+                        "cannot normalize a degenerate density")
+            density = density / mass[:, None]
+            mass = np.ones(b)
+        check_rows(density < 0, "unsigned grid density with negative value")
+        check_rows(np.abs(mass - 1.0) > _GRID_TOL,
+                    lambda r: f"grid density must integrate to one, got "
+                              f"{float(mass[r])!r}")
+        self.nodes = _lock(nodes.copy())
+        self.cell_volumes = _lock(np.array(cell_volumes))
+        self.density = _lock(np.array(density))
+        self.node_weights = _lock(density * cell_volumes)
+        self.points = None
+        self._rows = [None] * b
+
+    @classmethod
+    def of(cls, measures) -> "MeasureBatch":
+        """Batch of measures that were built, and validated, one by one.
+
+        Grid nodes are stored once when every row has the same grid.
+        """
+        rows = list(measures)
+        batch = object.__new__(cls)
+        batch._rows = rows
+        batch.nodes = batch.cell_volumes = batch.density = None
+        batch.node_weights = batch.points = None
+        first = rows[0]
+        if all(isinstance(m, ParticleMeasure) for m in rows):
+            batch.points = _lock(np.stack([m.points for m in rows]))
+        elif all(isinstance(m, GridMeasure) for m in rows):
+            if all(m is first or m.same_grid(first) for m in rows):
+                batch.nodes, batch.cell_volumes = first.nodes, first.cell_volumes
+            else:
+                batch.nodes = _lock(np.stack([m.nodes for m in rows]))
+                batch.cell_volumes = _lock(np.stack([m.cell_volumes
+                                                     for m in rows]))
+            batch.density = _lock(np.stack([m.density for m in rows]))
+            batch.node_weights = _lock(np.stack([m.node_weights
+                                                 for m in rows]))
+        else:
+            raise TypeError("a batch holds grid measures or particle measures")
+        return batch
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, r: int):
+        m = self._rows[r]
+        if m is None:
+            nodes = self.nodes if self.nodes.ndim == 2 else self.nodes[r]
+            vol = self.cell_volumes if self.cell_volumes.ndim == 1 \
+                else self.cell_volumes[r]
+            m = self._rows[r] = GridMeasure(nodes, vol, self.density[r])
+        return m
+
+    def integrate(self, f) -> np.ndarray:
+        """Quadrature of ``f`` against every row, shape (B,).
+
+        ``f`` is evaluated once, on the (N, d) shared nodes or on all
+        (B * N, d) nodes or particles of the batch.
+        """
+        support = self.points if self.points is not None else self.nodes
+        vals = np.asarray(f(support.reshape(-1, support.shape[-1])),
+                          dtype=float)
+        if vals.size != support.size // support.shape[-1]:
+            raise ValueError("integrand must return one value per node")
+        vals = vals.reshape(support.shape[:-1])
+        if vals.ndim == 1:
+            vals = np.broadcast_to(vals, self.node_weights.shape)
+        check_rows(~np.isfinite(vals), "non-finite integrand value")
+        # row by row, summed as the one-measure integrate sums
+        if self.points is not None:
+            return np.array([v.mean() for v in vals])
+        return np.array([v @ w for v, w in zip(vals, self.node_weights)])
 
 
 def convex_combination(mu0, mu1, lam: float):

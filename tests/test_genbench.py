@@ -281,13 +281,13 @@ def _record_setup(kind):
 def test_replicate_record_trains_each_dataset_once(monkeypatch, kind):
     trainer, pop, model, routes, per_replicate = _record_setup(kind)
     seen = []
-    train = type(trainer).train
+    train_batch = type(trainer).train_batch
 
-    def counting(self, nu, rng=None):
-        seen.append((nu.xs.tobytes(), nu.ys.tobytes(), nu.weights.tobytes()))
-        return train(self, nu, rng)
+    def counting(self, xs, ys, rngs=None):
+        seen.extend((x.tobytes(), y.tobytes()) for x, y in zip(xs, ys))
+        return train_batch(self, xs, ys, rngs)
 
-    monkeypatch.setattr(type(trainer), "train", counting)
+    monkeypatch.setattr(type(trainer), "train_batch", counting)
     estimate_routes(trainer, pop, model, 4, 3, 21, routes)
     # nu, nu with one atom swapped and (grid routes) two atoms swapped
     assert len(seen) == per_replicate * 3
@@ -337,6 +337,116 @@ def test_routes_match_scalar_loop_oracle():
         assert got[route].stderr == np.std(vals, ddof=1) / math.sqrt(replicates)
 
 
+def _block_setup(trainer_kind, pop_kind):
+    """(trainer, population, model) for the block-against-loop tests."""
+    if pop_kind == "line":
+        model, pop = noiseless_line_setup()
+    else:
+        model, pop = gaussian_mean_setup(0.2, 1.0)
+        if pop_kind == "gaussian_no_hook":
+            pop = GaussianScalarPopulation(0.2, 1.0)
+        elif pop_kind == "discrete":
+            pop = DiscretePopulation(
+                [DataPoint(np.array([0.0]), -1.0),
+                 DataPoint(np.array([1.0]), 0.5),
+                 DataPoint(np.array([2.0]), 2.0)], [0.2, 0.5, 0.3])
+    trainer = {"explicit": lambda: ExplicitGaussianMeanTrainer(1.0),
+               "explicit_fixed_n": lambda: ExplicitGaussianMeanTrainer(
+                   1.0, fixed_n=3),
+               "grid": lambda: GridGibbsTrainer(model, WEAK_CFG),
+               "mfld": lambda: MFLDTrainer(model, WEAK_CFG, 16, 1e-3, 5),
+               }[trainer_kind]()
+    return trainer, pop, model
+
+
+def _scalar_loop_terms(trainer, pop, model, n, replicates, seed):
+    """direct, resampled and lge per replicate, one replicate at a time."""
+    rows = []
+    for rep in range(replicates):
+        def stream(k):
+            return np.random.default_rng(
+                np.random.SeedSequence((seed, rep, k)))
+        xs, ys = pop.sample(stream(0), n + 2)
+        nu = empirical_from_arrays(xs[:n], ys[:n])
+        z_bar = DataPoint(xs[n], ys[n])
+        rng = None if trainer.deterministic else stream(2)
+        m = trainer.train(nu, rng)
+        m_swap = trainer.train(resample(nu, [0], [z_bar]), rng)
+        pop_risk = pop.population_risk(model, m)
+        if pop_risk is None:
+            oos = empirical_from_arrays(*pop.sample(stream(1), 10 * n))
+            pop_risk = losses.risk(model, m, oos)
+        gap = pop_risk - losses.risk(model, m, nu)
+        rows.append((gap, losses.loss_value(model, m, z_bar)
+                     - losses.loss_value(model, m_swap, z_bar), gap * gap))
+    return dict(zip(("direct", "resampled", "lge"), np.array(rows).T))
+
+
+@settings(max_examples=30, deadline=None)
+@given(trainer_kind=st.sampled_from(["explicit", "explicit_fixed_n", "grid",
+                                     "mfld"]),
+       pop_kind=st.sampled_from(["gaussian", "gaussian_no_hook", "line",
+                                 "discrete"]),
+       n=st.integers(1, 8), replicates=st.integers(2, 5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_block_terms_match_scalar_loop(trainer_kind, pop_kind, n, replicates,
+                                       seed):
+    trainer, pop, model = _block_setup(trainer_kind, pop_kind)
+    routes = ["direct", "resampled", "lge"]
+    got = genbench._replicate_terms(
+        trainer, pop, model, n, replicates, seed,
+        {route: genbench._ROUTES[route][0] for route in routes})
+    want = _scalar_loop_terms(trainer, pop, model, n, replicates, seed)
+    for route in routes:
+        # atol covers terms that cancel to about zero
+        np.testing.assert_allclose(got[route], want[route], rtol=1e-12,
+                                   atol=1e-12)
+
+
+@pytest.mark.parametrize("trainer_kind, pop_kind, routes", [
+    ("explicit", "gaussian", ["direct", "resampled", "lge", "convex_lower"]),
+    ("explicit_fixed_n", "discrete", ["direct", "resampled"]),
+    ("grid", "gaussian_no_hook", ["direct", "resampled", "lge"]),
+    ("grid", "line", ["representation", "lge_upper"]),
+    ("mfld", "line", ["direct", "resampled"]),
+])
+def test_block_size_does_not_change_estimates(monkeypatch, trainer_kind,
+                                              pop_kind, routes):
+    trainer, pop, model = _block_setup(trainer_kind, pop_kind)
+    replicates = 4 if "lge_upper" in routes else 20
+    results = []
+    for block in (1, 7, replicates + 5):
+        monkeypatch.setattr(genbench, "_BLOCK", block)
+        results.append(estimate_routes(trainer, pop, model, 6, replicates,
+                                       41, routes))
+    assert results[0] == results[1] == results[2]
+
+
+class _InfAtReplicate(GaussianScalarPopulation):
+    """Gaussian population whose draw for replicate ``bad`` holds an inf."""
+
+    def __init__(self, bad):
+        super().__init__(0.0, 1.0)
+        self.bad = bad
+
+    def sample(self, rng, size):
+        xs, ys = super().sample(rng, size)
+        if rng.bit_generator.seed_seq.entropy[1] == self.bad:
+            ys[size // 2] = np.inf
+        return xs, ys
+
+
+@pytest.mark.parametrize("block", [64, 2])
+def test_non_finite_draw_names_its_replicate(monkeypatch, block):
+    monkeypatch.setattr(genbench, "_BLOCK", block)
+    model = losses.mean_squared_param_loss()
+    with pytest.raises(genbench.ReplicateError,
+                       match=r"direct.* n=4, replicate 3, seed 5: ValueError: "
+                             r"row \d+: non-finite atom"):
+        wge_direct(ExplicitGaussianMeanTrainer(1.0), _InfAtReplicate(3),
+                   model, 4, 8, seed=5)
+
+
 def test_estimate_routes_validates_before_the_loop():
     model, pop = gaussian_mean_setup()
     trainer = ExplicitGaussianMeanTrainer(1.0)
@@ -350,26 +460,28 @@ def test_estimate_routes_validates_before_the_loop():
 
 
 class _FailingTrainer(ExplicitGaussianMeanTrainer):
-    """Explicit trainer whose ``fail_on``-th training raises."""
+    """Explicit trainer whose batch of swapped datasets fails on one row."""
 
-    def __init__(self, fail_on):
+    def __init__(self, fail_row):
         super().__init__(1.0)
-        self.calls, self.fail_on = 0, fail_on
+        self.calls, self.fail_row = 0, fail_row
 
-    def train(self, nu, rng=None):
+    def train_batch(self, xs, ys, rngs=None):
         self.calls += 1
-        if self.calls == self.fail_on:
-            raise FloatingPointError("overflow in the trainer")
-        return super().train(nu, rng)
+        if self.calls == 2:
+            exc = FloatingPointError("overflow in the trainer")
+            exc.row = self.fail_row
+            raise exc
+        return super().train_batch(xs, ys, rngs)
 
 
 def test_replicate_failure_names_route_n_replicate_and_seed():
     model, pop = gaussian_mean_setup()
-    # two trainings per replicate: the 4th call is replicate 1
+    # one block of 6 replicates: the batch of nu, then the swapped batch
     with pytest.raises(genbench.ReplicateError,
                        match=r"resampled.* n=5, replicate 1, seed 31: "
                              r"FloatingPointError: overflow") as info:
-        wge_resampled(_FailingTrainer(4), pop, model, 5, 6, seed=31)
+        wge_resampled(_FailingTrainer(1), pop, model, 5, 6, seed=31)
     assert isinstance(info.value.__cause__, FloatingPointError)
 
 
@@ -392,6 +504,39 @@ def test_enumeration_identity_and_validation():
     with pytest.raises(TypeError):
         enumerate_exact_gen(MFLDTrainer(model, WEAK_CFG, 8, 1e-3, 5),
                             space, model, 2)
+
+
+@settings(max_examples=15, deadline=None)
+@given(ys=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=4, unique=True),
+       weights=st.lists(st.floats(0.05, 1.0), min_size=4, max_size=4),
+       n=st.integers(1, 3), kind=st.sampled_from(["explicit", "grid"]))
+def test_swap_identity_on_random_discrete_spaces(ys, weights, n, kind):
+    model = losses.mean_squared_param_loss()
+    trainer = ExplicitGaussianMeanTrainer(1.0, fixed_n=n) if kind == "explicit" \
+        else GridGibbsTrainer(model, WEAK_CFG)
+    probs = np.array(weights[:len(ys)]) / sum(weights[:len(ys)])
+    probs[-1] = 1.0 - probs[:-1].sum()
+    space = [(DataPoint(np.zeros(0), y), p) for y, p in zip(ys, probs)]
+    direct, swap = enumerate_exact_gen(trainer, space, model, n)
+    assert abs(direct - swap) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 6),
+       q=st.integers(0, 2), k=st.integers(1, 2), data=st.data())
+def test_resample_round_trip(seed, n, q, k, data):
+    rng = np.random.default_rng(seed)
+    nu = empirical_from_arrays(rng.standard_normal((n, q)),
+                               rng.standard_normal(n))
+    idx = data.draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k,
+                             unique=True))
+    new = [DataPoint(rng.standard_normal(q), float(rng.standard_normal()))
+           for _ in idx]
+    swapped = resample(nu, idx, new)
+    back = resample(swapped, idx, [nu.point(i) for i in idx])
+    for name in ("xs", "ys", "weights"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(nu, name))
+    assert not np.array_equal(swapped.ys, nu.ys)
 
 
 def test_enumeration_matches_monte_carlo():

@@ -5,7 +5,8 @@ import pytest
 
 from gibbslab import measures
 from gibbslab.measures import (DataMeasure, DataPoint, GridMeasure,
-                               ParticleMeasure, convex_combination,
+                               MeasureBatch, ParticleMeasure,
+                               convex_combination,
                                empirical_from_arrays, empirical_from_samples,
                                resample, uniform_grid, uniform_grid_1d)
 
@@ -187,3 +188,109 @@ def test_data_measure_weight_validation():
         DataMeasure(xs, ys, np.array([0.5, 0.5, 0.5]))
     nu = DataMeasure(xs, ys, np.array([0.2, 0.3, 0.5]))
     np.testing.assert_allclose(nu.weights.sum(), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# validation table: every rejection keeps its exception and its message
+
+
+def _grid_case(case):
+    """(nodes, cell volumes, density, signed) of a 5-node grid with one defect."""
+    nodes = np.linspace(-1.0, 1.0, 5)[:, None]
+    vol, dens, signed = np.full(5, 0.5), np.full(5, 0.4), False
+    if case == "non-finite node":
+        nodes[2, 0] = np.inf
+    elif case == "infinite density":
+        dens[2] = np.inf
+    elif case == "NaN density":
+        dens[2] = np.nan
+    elif case == "non-finite volume":
+        vol[2] = np.nan
+    elif case == "non-positive volume":
+        vol[1] = 0.0
+    elif case == "negative density":
+        dens[0], dens[1] = 0.5, -0.1
+    elif case == "unsigned mass":
+        dens = 2.0 * dens
+    elif case == "signed mass":
+        signed = True
+    return nodes, vol, dens, signed
+
+
+_GRID_CASES = [
+    ("non-finite node", "non-finite grid data"),
+    ("infinite density", "non-finite grid data"),
+    ("NaN density", "non-finite grid data"),
+    ("non-finite volume", "non-finite grid data"),
+    ("non-positive volume", "cell volumes must be positive"),
+    ("negative density", "unsigned grid density with negative value"),
+    ("unsigned mass", "grid density must integrate to one, got 2.0"),
+    ("signed mass", "signed grid measure must have zero total mass, got 1.0"),
+]
+
+
+@pytest.mark.parametrize("case, message", _GRID_CASES)
+def test_grid_measure_rejections(case, message):
+    nodes, vol, dens, signed = _grid_case(case)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        GridMeasure(nodes, vol, dens, signed=signed)
+
+
+@pytest.mark.parametrize("case, message",
+                         [c for c in _GRID_CASES if c[0] != "signed mass"])
+def test_measure_batch_rejections_name_the_row(case, message):
+    # rows 0 and 2 are valid; row 1 carries the defect
+    rows = [_grid_case(None), _grid_case(case), _grid_case(None)]
+    nodes, vol, dens = (np.stack([r[k] for r in rows]) for k in range(3))
+    with pytest.raises(ValueError, match=f"^row 1: {message}") as info:
+        MeasureBatch(nodes, vol, dens)
+    assert info.value.row == 1
+
+
+def test_measure_batch_of_rows_and_lazy_rows():
+    nodes, vol, dens, _ = _grid_case(None)
+    g = GridMeasure(nodes, vol, dens)
+    shared = MeasureBatch.of([g, g])
+    assert shared.nodes.shape == (5, 1) and shared[1] is g
+    np.testing.assert_array_equal(shared.integrate(lambda t: t[:, 0] ** 2),
+                                  [g.integrate(lambda t: t[:, 0] ** 2)] * 2)
+    built = MeasureBatch(nodes + np.array([0.0, 1.0])[:, None, None], vol,
+                         np.stack([dens, dens]))
+    assert built.nodes.shape == (2, 5, 1)
+    np.testing.assert_allclose(built[1].mean(), [1.0], rtol=1e-15)
+    parts = MeasureBatch.of([ParticleMeasure(np.zeros((4, 1))),
+                             ParticleMeasure(np.ones((4, 1)))])
+    np.testing.assert_array_equal(parts.integrate(lambda t: t[:, 0]), [0, 1])
+    with pytest.raises(TypeError):
+        MeasureBatch.of([g, ParticleMeasure(np.zeros((4, 1)))])
+
+
+_DATA_CASES = [
+    ("infinite feature", [[np.inf], [0.0]], [0.0, 1.0], [0.5, 0.5], False,
+     "non-finite atom or weight"),
+    ("NaN target", [[0.0], [1.0]], [np.nan, 1.0], [0.5, 0.5], False,
+     "non-finite atom or weight"),
+    ("NaN weight", [[0.0], [1.0]], [0.0, 1.0], [np.nan, 0.5], False,
+     "non-finite atom or weight"),
+    ("negative weight", [[0.0], [1.0]], [0.0, 1.0], [1.5, -0.5], False,
+     "unsigned data measure with negative weight"),
+    ("unsigned mass", [[0.0], [1.0]], [0.0, 1.0], [0.5, 0.6], False,
+     "unsigned data measure must have unit mass"),
+    ("signed mass", [[0.0], [1.0]], [0.0, 1.0], [0.5, 0.6], True,
+     "signed data measure must have zero total mass"),
+]
+
+
+@pytest.mark.parametrize("case, xs, ys, weights, signed, message", _DATA_CASES)
+def test_data_measure_rejections(case, xs, ys, weights, signed, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        DataMeasure(np.array(xs), np.array(ys), np.array(weights),
+                    signed=signed)
+
+
+@pytest.mark.parametrize("x, y", [([np.inf], 0.0), ([0.0], np.nan)])
+def test_data_point_and_particle_rejections(x, y):
+    with pytest.raises(ValueError, match="^non-finite data point"):
+        DataPoint(np.array(x), y)
+    with pytest.raises(ValueError, match="^non-finite particle"):
+        ParticleMeasure(np.array([x, [0.0]]) + y)

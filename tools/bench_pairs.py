@@ -1,0 +1,175 @@
+"""Compare a parent commit and a change with alternating benchmark pairs.
+
+Usage, from the root of a checkout::
+
+    python tools/bench_pairs.py --parent REF --label LABEL \\
+        --workload closed_form_replicates --seeds 11,12,13 [--seconds 30] \\
+        [--change REF] [--wall NAME=COMMAND --wall-pairs 3] [--what TEXT]
+
+The parent ref (and the change ref, when given; otherwise this checkout's
+working tree) is extracted with ``git archive`` into a temporary
+directory, so each side runs its committed files and nothing is
+registered in the repository.  For every workload and seed, one pair of
+``perfbench/run.py --trace 0`` runs is made, alternating which side runs
+first.  Each ``--wall`` command is run ``--wall-pairs`` times per side
+through the shell, in the side's directory with ``PYTHONPATH`` set to
+its ``src``; ``{out}`` in the command is replaced by a fresh output
+directory.  The tool prints each side's median and quartiles, the
+change's wins and the parent's interquartile range for every metric,
+and writes (or updates) ``BENCH_<label>.json``.
+"""
+
+import argparse
+import json
+import os
+import platform
+import shlex
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _extract(ref: str, dest: Path) -> Path:
+    dest.mkdir(parents=True)
+    archive = dest.with_suffix(".tar")
+    with archive.open("wb") as fh:
+        subprocess.run(["git", "-C", str(ROOT), "archive", ref], stdout=fh,
+                       check=True)
+    with tarfile.open(archive) as tar:
+        tar.extractall(dest, filter="data")
+    archive.unlink()
+    return dest
+
+
+def _bench(side: Path, workload: str, seed: int, seconds: float) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=side, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{side}: {workload} seed {seed} failed:\n"
+                           f"{proc.stderr[-2000:]}")
+    last = json.loads(proc.stdout.strip().splitlines()[-1])
+    row = {k: v["value"] for k, v in last["metrics"].items()}
+    row.update(attempted=last["attempted"], failed=last["failed"])
+    return row
+
+
+def _wall(side: Path, command: str, scratch: Path) -> dict:
+    out = Path(tempfile.mkdtemp(dir=scratch))
+    env = dict(os.environ, PYTHONPATH=str(side / "src"))
+    t0 = time.perf_counter()
+    proc = subprocess.run(command.replace("{out}", shlex.quote(str(out))),
+                          shell=True, cwd=side, env=env, capture_output=True)
+    return {"wall_s": time.perf_counter() - t0, "exit": proc.returncode}
+
+
+def _summary(runs: list, metrics) -> dict:
+    out = {}
+    for name in metrics:
+        pairs = [(r["parent"][name], r["change"][name]) for r in runs
+                 if name in r["parent"] and name in r["change"]]
+        if not pairs:
+            continue
+        par, chg = (np.array(side, dtype=float) for side in zip(*pairs))
+        pq = np.percentile(par, [25, 50, 75])
+        cq = np.percentile(chg, [25, 50, 75])
+        out[name] = {"parent_q1_median_q3": pq.tolist(),
+                     "change_q1_median_q3": cq.tolist(),
+                     "change_wins": int((chg < par).sum()),
+                     "pairs": len(pairs),
+                     "parent_iqr": float(pq[2] - pq[0]),
+                     "median_gap_exceeds_parent_iqr":
+                         bool(pq[1] - cq[1] > pq[2] - pq[0])}
+    return out
+
+
+def _print(title: str, summary: dict) -> None:
+    print(f"== {title}")
+    for name, s in summary.items():
+        p, c = s["parent_q1_median_q3"], s["change_q1_median_q3"]
+        print(f"  {name}: parent {p[1]:.4g} [{p[0]:.4g}, {p[2]:.4g}]  "
+              f"change {c[1]:.4g} [{c[0]:.4g}, {c[2]:.4g}]  "
+              f"wins {s['change_wins']}/{s['pairs']}  "
+              f"parent IQR {s['parent_iqr']:.3g}")
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--parent", required=True)
+    ap.add_argument("--change", default=None,
+                    help="ref of the change (default: this working tree)")
+    ap.add_argument("--label", required=True)
+    ap.add_argument("--workload", action="append", default=[])
+    ap.add_argument("--seeds", default="1")
+    ap.add_argument("--seconds", type=float, default=30.0)
+    ap.add_argument("--wall", action="append", default=[],
+                    metavar="NAME=COMMAND")
+    ap.add_argument("--wall-pairs", type=int, default=3)
+    ap.add_argument("--what", default="")
+    args = ap.parse_args(argv)
+    seeds = [int(s) for s in args.seeds.split(",") if s]
+
+    path = ROOT / f"BENCH_{args.label}.json"
+    report = json.loads(path.read_text()) if path.exists() else {
+        "label": args.label, "what": args.what}
+    if args.what:
+        report["what"] = args.what
+    report["command"] = ("python3 perfbench/run.py --workload W --seed S "
+                         f"--seconds {args.seconds:g} --trace 0, alternating "
+                         "which side runs first")
+    import scipy
+    report["environment"] = {
+        "python": platform.python_version(), "numpy": np.__version__,
+        "scipy": scipy.__version__, "nproc": os.cpu_count(),
+        "machine": platform.machine()}
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        sides = {"parent": _extract(args.parent, tmp / "parent"),
+                 "change": _extract(args.change, tmp / "change")
+                 if args.change else ROOT}
+        for workload in args.workload:
+            runs = []
+            for k, seed in enumerate(seeds):
+                order = ("parent", "change") if k % 2 == 0 \
+                    else ("change", "parent")
+                row = {"pair": k + 1, "seed": seed, "first": order[0]}
+                for side in order:
+                    row[side] = _bench(sides[side], workload, seed,
+                                       args.seconds)
+                runs.append(row)
+                print(json.dumps(row), flush=True)
+            summary = _summary(runs, ("wall_ref", "setup_s", "peak_rss_mb"))
+            report.setdefault("workloads", {})[workload] = {
+                "summary": summary, "runs": runs}
+            _print(workload, summary)
+        for spec in args.wall:
+            name, command = spec.split("=", 1)
+            runs = []
+            for k in range(args.wall_pairs):
+                order = ("parent", "change") if k % 2 == 0 \
+                    else ("change", "parent")
+                row = {"pair": k + 1, "first": order[0]}
+                for side in order:
+                    row[side] = _wall(sides[side], command, tmp)
+                runs.append(row)
+                print(json.dumps(row), flush=True)
+            summary = _summary(runs, ("wall_s",))
+            report.setdefault("end_to_end_wall", {})[name] = {
+                "command": command, "summary": summary, "runs": runs}
+            _print(name, summary)
+    path.write_text(json.dumps(report, indent=1) + "\n")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
