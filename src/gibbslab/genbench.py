@@ -259,25 +259,28 @@ def noiseless_line_setup(slope: float = 0.5, x_sigma: float = 1.0):
 # ``row``.
 
 
+def _by_row(fn, count: int) -> list:
+    """``[fn(0), ..., fn(count - 1)]``; an exception raised for row ``r``
+    gets ``row = r`` unless an inner batch already named its row."""
+    out = []
+    for r in range(count):
+        try:
+            out.append(fn(r))
+        except Exception as exc:
+            if getattr(exc, "row", None) is None:
+                exc.row = r
+            raise
+    return out
+
+
 class _RowByRowTrainer:
     """Trainers whose primitive is ``train``: a batch is trained row by row."""
 
     def train_batch(self, xs, ys, rngs=None) -> MeasureBatch:
-        out = []
-        for r in range(ys.shape[0]):
-            try:
-                out.append(self.train(empirical_from_arrays(xs[r], ys[r]),
-                                      None if rngs is None else rngs[r]))
-            except Exception as exc:
-                _name_row(exc, r)
-                raise
-        return MeasureBatch.of(out)
-
-
-def _name_row(exc: Exception, r: int) -> None:
-    """Record row ``r`` on ``exc`` unless an inner batch already named one."""
-    if getattr(exc, "row", None) is None:
-        exc.row = r
+        return MeasureBatch.of(_by_row(
+            lambda r: self.train(empirical_from_arrays(xs[r], ys[r]),
+                                 None if rngs is None else rngs[r]),
+            ys.shape[0]))
 
 
 class GridGibbsTrainer(_RowByRowTrainer):
@@ -409,7 +412,7 @@ _BLOCK = 64
 
 
 class _Block:
-    """Replicates ``start .. stop - 1`` of an experiment, held as arrays.
+    """The replicates ``reps`` of an experiment, held as arrays.
 
     Replicate ``r`` draws ``n + 2`` samples of its ``(seed, r, 0)``
     stream; the draws are stacked into ``xs`` (B, n + 2, q) and ``ys``
@@ -571,16 +574,8 @@ class _Row:
 def _per_row(term):
     """Block term of a route that works one replicate at a time: (B,) for
     a scalar ``term``, (B, c) for a ``term`` that returns c values."""
-    def over_block(block: _Block) -> np.ndarray:
-        out = []
-        for r in range(len(block)):
-            try:
-                out.append(term(_Row(block, r)))
-            except Exception as exc:
-                _name_row(exc, r)
-                raise
-        return np.array(out, dtype=float)
-    return over_block
+    return lambda block: np.array(
+        _by_row(lambda r: term(_Row(block, r)), len(block)), dtype=float)
 
 
 def _representation(r: _Row) -> float:

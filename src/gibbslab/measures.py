@@ -379,20 +379,20 @@ class MeasureBatch:
 
         # masks of shared arrays broadcast to every row
         check_rows(~np.isfinite(density) | ~np.isfinite(cell_volumes)
-                    | ~np.isfinite(nodes).all(axis=-1),
-                    "non-finite grid data")
+                   | ~np.isfinite(nodes).all(axis=-1),
+                   "non-finite grid data")
         check_rows(np.broadcast_to(cell_volumes <= 0, (b, n)),
-                    "cell volumes must be positive")
+                   "cell volumes must be positive")
         mass = (density * cell_volumes).sum(axis=-1)
         if normalize:
             check_rows(~(mass > 0) | ~np.isfinite(mass),
-                        "cannot normalize a degenerate density")
+                       "cannot normalize a degenerate density")
             density = density / mass[:, None]
             mass = np.ones(b)
         check_rows(density < 0, "unsigned grid density with negative value")
         check_rows(np.abs(mass - 1.0) > _GRID_TOL,
-                    lambda r: f"grid density must integrate to one, got "
-                              f"{float(mass[r])!r}")
+                   lambda r: f"grid density must integrate to one, got "
+                             f"{float(mass[r])!r}")
         self.nodes = _lock(nodes.copy())
         self.cell_volumes = _lock(np.array(cell_volumes))
         self.density = _lock(np.array(density))
