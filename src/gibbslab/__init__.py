@@ -25,7 +25,7 @@ funcderiv
     derivative ``dm/dnu`` via a Fredholm system.
 genbench
     Population models, trainers, generalization-error estimation
-    routes as reductions of one replicate record, bound constants, and
+    routes as reductions over replicate blocks, bound constants, and
     exact enumeration oracles.
 cli
     JSON-config experiment runner (``gibbslab run / verify``).

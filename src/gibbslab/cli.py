@@ -149,12 +149,14 @@ def build_gibbs_config(cfg: dict, theta_dim: int) -> gibbs.GibbsConfig:
     sigma = _get_number(cfg, "gibbs.sigma", 1.0)
     p = _get_number(cfg, "gibbs.p", 4.0)
     kappa = _get_number(cfg, "gibbs.kappa", 1.0)
-    q = _get(cfg, "gibbs.q", None)
-    reg = gibbs.Regularizer(kappa=kappa, q=int(q)) if q is not None \
-        else gibbs.default_regularizer(p, kappa)
-    radius = _get(cfg, "gibbs.radius", None)
+    q = None if _get(cfg, "gibbs.q", None) is None \
+        else _get_int(cfg, "gibbs.q", minimum=1)
+    radius = None if _get(cfg, "gibbs.radius", None) is None \
+        else _get_number(cfg, "gibbs.radius", minimum=1e-12)
     nodes = _get_int(cfg, "gibbs.nodes", 129, minimum=8)
     try:
+        reg = gibbs.Regularizer(kappa=kappa, q=q) if q is not None \
+            else gibbs.default_regularizer(p, kappa)
         return gibbs.GibbsConfig(beta=beta, sigma=sigma, p=p, regularizer=reg,
                                  theta_dim=theta_dim, nodes_per_axis=nodes,
                                  radius=radius)

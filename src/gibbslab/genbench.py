@@ -41,7 +41,7 @@ from . import losses as _losses
 from .funcderiv import TrainedDerivatives, gauss_legendre_01
 from .gibbs import GibbsConfig, prior_kl, risk_dm_nodes, solve_gibbs
 from .measures import (DataMeasure, DataPoint, GridMeasure, MeasureBatch,
-                       check_rows, convex_combination, empirical_from_arrays,
+                       convex_combination, empirical_from_arrays,
                        uniform_grid_1d)
 
 _MAX_MOMENT_ORDER = 8
@@ -201,8 +201,10 @@ class DiscretePopulation(PopulationModel):
         probs = np.asarray(probs, dtype=float)
         if len(self.points) != probs.size or probs.size == 0:
             raise ValueError("points and probabilities disagree")
-        if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-12:
-            raise ValueError("probabilities must be nonnegative and sum to one")
+        if not np.isfinite(probs).all() or np.any(probs < 0) \
+                or abs(probs.sum() - 1.0) > 1e-12:
+            raise ValueError(
+                "probabilities must be finite, nonnegative and sum to one")
         self.probs = probs
         self.feature_dim = self.points[0].x.shape[0]
         self._xs = np.stack([p.x for p in self.points]) if self.feature_dim \
@@ -255,32 +257,18 @@ def noiseless_line_setup(slope: float = 0.5, x_sigma: float = 1.0):
 # data measure; ``train_batch(xs, ys, rngs)`` trains the B equal-weight
 # datasets ``xs`` (B, n, q), ``ys`` (B, n), row ``r`` on the stream
 # ``rngs[r]`` (``rngs`` is None for deterministic trainers), and returns a
-# MeasureBatch.  An exception raised for one row carries its index in
-# ``row``.
-
-
-def _by_row(fn, count: int) -> list:
-    """``[fn(0), ..., fn(count - 1)]``; an exception raised for row ``r``
-    gets ``row = r`` unless an inner batch already named its row."""
-    out = []
-    for r in range(count):
-        try:
-            out.append(fn(r))
-        except Exception as exc:
-            if getattr(exc, "row", None) is None:
-                exc.row = r
-            raise
-    return out
+# MeasureBatch.  Row ``r`` must not depend on the other rows: the replicate
+# loop locates a failing replicate by training it again on its own.
 
 
 class _RowByRowTrainer:
     """Trainers whose primitive is ``train``: a batch is trained row by row."""
 
     def train_batch(self, xs, ys, rngs=None) -> MeasureBatch:
-        return MeasureBatch.of(_by_row(
-            lambda r: self.train(empirical_from_arrays(xs[r], ys[r]),
-                                 None if rngs is None else rngs[r]),
-            ys.shape[0]))
+        return MeasureBatch.of([
+            self.train(empirical_from_arrays(xs[r], ys[r]),
+                       None if rngs is None else rngs[r])
+            for r in range(ys.shape[0])])
 
 
 class GridGibbsTrainer(_RowByRowTrainer):
@@ -444,8 +432,8 @@ class _Block:
                  for r in self.reps]
         xs = np.stack([x for x, _ in draws])
         ys = np.stack([y for _, y in draws])
-        check_rows(~np.isfinite(ys) | ~np.isfinite(xs).all(axis=-1),
-                   "non-finite atom or weight")
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+            raise ValueError("non-finite atom or weight")
         return xs, ys
 
     def data(self, k: int):
@@ -575,7 +563,7 @@ def _per_row(term):
     """Block term of a route that works one replicate at a time: (B,) for
     a scalar ``term``, (B, c) for a ``term`` that returns c values."""
     return lambda block: np.array(
-        _by_row(lambda r: term(_Row(block, r)), len(block)), dtype=float)
+        [term(_Row(block, r)) for r in range(len(block))], dtype=float)
 
 
 def _representation(r: _Row) -> float:
@@ -667,24 +655,38 @@ _GRID_ROUTES = ("representation", "lge_upper")
 
 def _replicate_terms(trainer, pop, model, n, replicates, seed,
                      terms: dict) -> dict:
-    """Per-replicate values of each term, computed block by block."""
+    """Per-replicate values of each term, computed block by block.
+
+    When a block raises, its replicates run again one at a time, which is
+    exact because a replicate's values do not depend on its block; the
+    error names the first replicate that raises alone, else the block.
+    """
+    if n < 1:
+        raise ValueError("sample size must be positive")
     if replicates < 2:
         raise ValueError("need at least two replicates")
-    out = {name: [] for name in terms}
+
+    def run(reps):
+        block = _Block(trainer, pop, model, n, seed, reps)
+        return [term(block) for term in terms.values()]
+
+    parts = []
     for start in range(0, replicates, _BLOCK):
         reps = range(start, min(start + _BLOCK, replicates))
         try:
-            block = _Block(trainer, pop, model, n, seed, reps)
-            for name, term in terms.items():
-                out[name].append(term(block))
+            parts.append(run(reps))
         except Exception as exc:
-            row = getattr(exc, "row", None)
-            where = f"replicate {reps[row]}" if row is not None \
-                else f"replicates {reps[0]}-{reps[-1]}"
+            where, cause = f"replicates {reps[0]}-{reps[-1]}", exc
+            for r in reps:
+                try:
+                    run(range(r, r + 1))
+                except Exception as one:
+                    where, cause = f"replicate {r}", one
+                    break
             raise ReplicateError(
                 f"route(s) {', '.join(terms)} failed at n={n}, {where}, "
-                f"seed {seed}: {type(exc).__name__}: {exc}") from exc
-    return {name: np.concatenate(parts) for name, parts in out.items()}
+                f"seed {seed}: {type(cause).__name__}: {cause}") from cause
+    return {name: np.concatenate(col) for name, col in zip(terms, zip(*parts))}
 
 
 def _require_grid_trainer(trainer):

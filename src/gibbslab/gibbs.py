@@ -49,7 +49,7 @@ class Regularizer:
 
     def __post_init__(self):
         if self.kappa <= 0:
-            raise ValueError("confinement strength must be positive")
+            raise ValueError("confinement strength kappa must be positive")
         if int(self.q) != self.q or self.q < 1:
             raise ValueError("confinement exponent q must be an integer >= 1")
         object.__setattr__(self, "q", int(self.q))

@@ -15,6 +15,7 @@ growth envelopes ``g`` and ``g1`` controlling the loss and its first
 derivative in terms of ``1 + ||z||^2``.  Each model evaluates losses and
 weighted sums of first derivatives over all atoms of a dataset at once;
 the single-sample functions of this module are one-atom views of those.
+A non-finite loss raises ``ValueError``, for a batch without its row.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .measures import (DataMeasure, DataPoint, GridMeasure, MeasureBatch,
-                       ParticleMeasure, row_error)
+                       ParticleMeasure)
 
 # elements of the largest lp array one batched call may build
 _LP_ELEMENTS = 1 << 18
@@ -196,12 +197,8 @@ def _support(m) -> np.ndarray:
 
 
 def _finite(vals: np.ndarray) -> np.ndarray:
-    """``vals``, checked finite; a batch (2-D) names its first bad row."""
-    ok = np.isfinite(vals)
-    if not ok.all():
-        if vals.ndim == 2:
-            raise row_error(int((~ok).any(axis=1).argmax()),
-                            "non-finite loss value")
+    """``vals``, checked finite."""
+    if not np.isfinite(vals).all():
         raise ValueError("non-finite loss value")
     return vals
 

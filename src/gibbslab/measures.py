@@ -12,7 +12,8 @@ Two families of objects live here:
 A :class:`MeasureBatch` holds the parameter measures trained on one
 block of replicates as stacked arrays, so that losses and population
 averages of the whole block are array expressions; ``batch[r]`` is the
-r-th measure as one of the objects above.
+r-th measure as one of the objects above.  A batch runs the checks of
+one grid measure and does not say which row failed them.
 
 Signed measures (differences of probability measures, derivative
 objects) are supported through a ``signed`` flag rather than a separate
@@ -23,7 +24,8 @@ zero".
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Iterable, Sequence
+import math
+from typing import Sequence
 
 import numpy as np
 
@@ -58,6 +60,35 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.flags.writeable = False
     return a
+
+
+def _check_grid(nodes, cell_volumes, density, signed, normalize):
+    """Check one grid measure, ``density`` (N,), or a batch, (B, N), and
+    return the density, normalized if asked.  Each shape keeps the
+    rounding of its own mass sum."""
+    if not (np.isfinite(nodes).all() and np.isfinite(density).all()
+            and np.isfinite(cell_volumes).all()):
+        raise ValueError("non-finite grid data")
+    if (cell_volumes <= 0).any():
+        raise ValueError("cell volumes must be positive")
+    mass = density @ cell_volumes if density.ndim == 1 \
+        else (density * cell_volumes).sum(axis=-1)
+    # Python floats: cheaper to test than a one-element array
+    masses = mass.reshape(-1).tolist()
+    if normalize and not signed:
+        if not all(0.0 < m < math.inf for m in masses):
+            raise ValueError("cannot normalize a degenerate density")
+        density = density / mass[..., None]
+        masses = [1.0]
+    if not signed and (density < 0).any():
+        raise ValueError("unsigned grid density with negative value")
+    for m in masses:
+        if signed and abs(m) > _GRID_TOL:
+            raise ValueError(
+                f"signed grid measure must have zero total mass, got {m!r}")
+        if not signed and abs(m - 1.0) > _GRID_TOL:
+            raise ValueError(f"grid density must integrate to one, got {m!r}")
+    return density
 
 
 class DataMeasure:
@@ -110,20 +141,8 @@ class DataMeasure:
     def feature_dim(self) -> int:
         return self.xs.shape[1]
 
-    @property
-    def atoms(self) -> list[tuple[DataPoint, float]]:
-        """Atom list as ``(DataPoint, weight)`` pairs."""
-        return [(DataPoint(self.xs[i], self.ys[i]), float(self.weights[i]))
-                for i in range(self.n_atoms)]
-
     def point(self, i: int) -> DataPoint:
         return DataPoint(self.xs[i], self.ys[i])
-
-    def integrate(self, f: Callable[[DataPoint], float]) -> float:
-        vals = np.array([f(self.point(i)) for i in range(self.n_atoms)], dtype=float)
-        if not np.isfinite(vals).all():
-            raise ValueError("non-finite integrand value")
-        return float(self.weights @ vals)
 
 
 def empirical_from_samples(samples: Sequence[DataPoint]) -> DataMeasure:
@@ -218,27 +237,7 @@ class GridMeasure:
             np.asarray(cell_volumes, dtype=float), (nodes.shape[0],))
         if nodes.ndim != 2 or density.shape != (nodes.shape[0],):
             raise ValueError("grid arrays must be (N, d) nodes and (N,) density")
-        if not (np.isfinite(nodes).all() and np.isfinite(density).all()
-                and np.isfinite(cell_volumes).all()):
-            raise ValueError("non-finite grid data")
-        if (cell_volumes <= 0).any():
-            raise ValueError("cell volumes must be positive")
-        mass = float(density @ cell_volumes)
-        if normalize and not signed:
-            if mass <= 0 or not np.isfinite(mass):
-                raise ValueError("cannot normalize a degenerate density")
-            density = density / mass
-            mass = 1.0
-        if signed:
-            if abs(mass) > _GRID_TOL:
-                raise ValueError(
-                    f"signed grid measure must have zero total mass, got {mass!r}")
-        else:
-            if (density < 0).any():
-                raise ValueError("unsigned grid density with negative value")
-            if abs(mass - 1.0) > _GRID_TOL:
-                raise ValueError(
-                    f"grid density must integrate to one, got {mass!r}")
+        density = _check_grid(nodes, cell_volumes, density, signed, normalize)
         self.nodes = _freeze(nodes)
         self.cell_volumes = _freeze(cell_volumes)
         self.density = _freeze(density)
@@ -321,29 +320,6 @@ class ParticleMeasure:
         return self.points.mean(axis=0)
 
 
-def _lock(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-def row_error(row: int, message: str) -> ValueError:
-    """``ValueError`` for one row of a batch: the message and ``.row`` name it."""
-    exc = ValueError(f"row {row}: {message}")
-    exc.row = row
-    return exc
-
-
-def check_rows(bad: np.ndarray, message) -> None:
-    """Raise :func:`row_error` for the first row of ``bad`` (B, ...) that is set.
-
-    ``message`` is a string or a function of the row index.
-    """
-    bad = bad.reshape(bad.shape[0], -1).any(axis=1)
-    if bad.any():
-        r = int(bad.argmax())
-        raise row_error(r, message(r) if callable(message) else message)
-
-
 class MeasureBatch:
     """``B`` parameter measures held as arrays, one measure per row.
 
@@ -355,8 +331,7 @@ class MeasureBatch:
     first request.
 
     The constructor makes an unsigned grid batch and runs the checks of
-    :class:`GridMeasure` over the whole batch; a failure names the first
-    failing row (see :func:`row_error`).
+    :class:`GridMeasure` over the whole batch.
     """
 
     __slots__ = ("nodes", "cell_volumes", "density", "node_weights",
@@ -376,27 +351,11 @@ class MeasureBatch:
             cell_volumes = np.broadcast_to(cell_volumes, (n,))
         elif cell_volumes.shape != (b, n):
             raise ValueError("batch cell volumes must be (N,) or (B, N)")
-
-        # masks of shared arrays broadcast to every row
-        check_rows(~np.isfinite(density) | ~np.isfinite(cell_volumes)
-                   | ~np.isfinite(nodes).all(axis=-1),
-                   "non-finite grid data")
-        check_rows(np.broadcast_to(cell_volumes <= 0, (b, n)),
-                   "cell volumes must be positive")
-        mass = (density * cell_volumes).sum(axis=-1)
-        if normalize:
-            check_rows(~(mass > 0) | ~np.isfinite(mass),
-                       "cannot normalize a degenerate density")
-            density = density / mass[:, None]
-            mass = np.ones(b)
-        check_rows(density < 0, "unsigned grid density with negative value")
-        check_rows(np.abs(mass - 1.0) > _GRID_TOL,
-                   lambda r: f"grid density must integrate to one, got "
-                             f"{float(mass[r])!r}")
-        self.nodes = _lock(nodes.copy())
-        self.cell_volumes = _lock(np.array(cell_volumes))
-        self.density = _lock(np.array(density))
-        self.node_weights = _lock(density * cell_volumes)
+        density = _check_grid(nodes, cell_volumes, density, False, normalize)
+        self.nodes = _freeze(nodes)
+        self.cell_volumes = _freeze(cell_volumes)
+        self.density = _freeze(density)
+        self.node_weights = _freeze(density * cell_volumes)
         self.points = None
         self._rows = [None] * b
 
@@ -413,16 +372,16 @@ class MeasureBatch:
         batch.node_weights = batch.points = None
         first = rows[0]
         if all(isinstance(m, ParticleMeasure) for m in rows):
-            batch.points = _lock(np.stack([m.points for m in rows]))
+            batch.points = _freeze(np.stack([m.points for m in rows]))
         elif all(isinstance(m, GridMeasure) for m in rows):
             if all(m is first or m.same_grid(first) for m in rows):
                 batch.nodes, batch.cell_volumes = first.nodes, first.cell_volumes
             else:
-                batch.nodes = _lock(np.stack([m.nodes for m in rows]))
-                batch.cell_volumes = _lock(np.stack([m.cell_volumes
+                batch.nodes = _freeze(np.stack([m.nodes for m in rows]))
+                batch.cell_volumes = _freeze(np.stack([m.cell_volumes
                                                      for m in rows]))
-            batch.density = _lock(np.stack([m.density for m in rows]))
-            batch.node_weights = _lock(np.stack([m.node_weights
+            batch.density = _freeze(np.stack([m.density for m in rows]))
+            batch.node_weights = _freeze(np.stack([m.node_weights
                                                  for m in rows]))
         else:
             raise TypeError("a batch holds grid measures or particle measures")
@@ -452,9 +411,10 @@ class MeasureBatch:
         if vals.size != support.size // support.shape[-1]:
             raise ValueError("integrand must return one value per node")
         vals = vals.reshape(support.shape[:-1])
+        if not np.isfinite(vals).all():
+            raise ValueError("non-finite integrand value")
         if vals.ndim == 1:
             vals = np.broadcast_to(vals, self.node_weights.shape)
-        check_rows(~np.isfinite(vals), "non-finite integrand value")
         # row by row, summed as the one-measure integrate sums
         if self.points is not None:
             return np.array([v.mean() for v in vals])
@@ -488,23 +448,6 @@ def convex_combination(mu0, mu1, lam: float):
         w = np.concatenate([(1.0 - lam) * mu0.weights, lam * mu1.weights])
         return DataMeasure(xs, ys, w, signed=mu0.signed and mu1.signed)
     raise ValueError("measures of different kinds cannot be combined")
-
-
-def moment(m, p: float) -> float:
-    """p-th absolute moment ``E ||theta||^p`` of a parameter measure."""
-    if p < 0:
-        raise ValueError("moment order must be nonnegative")
-    return m.moment(p)
-
-
-def integrate(mu, f) -> float:
-    """Integral of ``f`` against any measure in this module.
-
-    For data measures ``f`` maps a single :class:`DataPoint` to a float;
-    for grid and particle measures ``f`` is vectorized over the node or
-    particle array.
-    """
-    return mu.integrate(f)
 
 
 def uniform_grid(radius: float, nodes_per_axis: int, dim: int):

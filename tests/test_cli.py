@@ -131,6 +131,35 @@ def test_unknown_route_rejected(tmp_path, capsys):
     assert "warp" in capsys.readouterr().err
 
 
+SWEEP_CFG = {
+    "experiment": "gen-sweep",
+    "model": {"variant": "expected_param", "param_loss": "mean_squared"},
+    "population": {"name": "discrete", "points": [{"y": 0.0}, {"y": 1.0}],
+                   "probs": [0.5, 0.5]},
+    "gibbs": {"beta": 1.0},
+    "trainer": {"kind": "constant"},
+    "sweep": {"n": [4], "replicates": 10, "seed": 0},
+}
+
+
+@pytest.mark.parametrize("block, key, value, named", [
+    ("gibbs", "q", 3.7, "gibbs.q"),
+    ("gibbs", "q", 0, "gibbs.q"),
+    ("gibbs", "radius", True, "gibbs.radius"),
+    ("gibbs", "radius", "5", "gibbs.radius"),
+    ("gibbs", "radius", -2.0, "gibbs.radius"),
+    ("gibbs", "kappa", -1, "kappa"),
+    ("population", "probs", [float("nan"), 1.0], "population.probs"),
+])
+def test_bad_config_values_are_config_errors(tmp_path, capsys, block, key,
+                                             value, named):
+    cfg = json.loads(json.dumps(SWEEP_CFG))
+    cfg[block][key] = value
+    assert cli.run(write_config(tmp_path, cfg), out=str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and named in err
+
+
 # ---------------------------------------------------------------------------
 # experiments end to end
 

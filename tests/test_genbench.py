@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gibbslab import genbench, gibbs, losses
+from gibbslab import funcderiv, genbench, gibbs, losses
 from gibbslab.genbench import (ConstantTrainer, DiscretePopulation,
                                ExplicitGaussianMeanTrainer,
                                GaussianScalarPopulation, GridGibbsTrainer,
@@ -74,8 +74,9 @@ def test_discrete_population_exact_hooks():
         + 0.75 * losses.loss_value(model, m, pts[1])
     np.testing.assert_allclose(pop.population_risk(model, m), manual,
                                rtol=1e-12)
-    with pytest.raises(ValueError):
-        DiscretePopulation(pts, [0.5, 0.6])
+    for probs in ([0.5, 0.6], [np.nan, 1.0], [1.0, np.nan], [np.inf, 1.0]):
+        with pytest.raises(ValueError, match="finite, nonnegative"):
+            DiscretePopulation(pts, probs)
 
 
 def test_setup_factories_attach_analytic_risks():
@@ -422,29 +423,61 @@ def test_block_size_does_not_change_estimates(monkeypatch, trainer_kind,
     assert results[0] == results[1] == results[2]
 
 
-class _InfAtReplicate(GaussianScalarPopulation):
-    """Gaussian population whose draw for replicate ``bad`` holds an inf."""
+class _MarkAtReplicate(GaussianScalarPopulation):
+    """Gaussian population whose draws for replicate ``bad`` hold ``value``
+    at the positions ``at``."""
 
-    def __init__(self, bad):
+    def __init__(self, bad, value, at=slice(None)):
         super().__init__(0.0, 1.0)
-        self.bad = bad
+        self.bad, self.value, self.at = bad, value, at
 
     def sample(self, rng, size):
         xs, ys = super().sample(rng, size)
         if rng.bit_generator.seed_seq.entropy[1] == self.bad:
-            ys[size // 2] = np.inf
+            ys[self.at] = self.value
         return xs, ys
 
 
-@pytest.mark.parametrize("block", [64, 2])
-def test_non_finite_draw_names_its_replicate(monkeypatch, block):
+_MARK = 0.375
+
+
+class _DerivativeFailsAtMark(funcderiv.TrainedDerivatives):
+    """Trained-measure derivative that raises toward a marked atom."""
+
+    def dm_dnu(self, z):
+        if z.y == _MARK:
+            raise FloatingPointError("derivative toward the marked atom")
+        return super().dm_dnu(z)
+
+
+# where the failure is raised -> (trainer, marked value, route, message)
+_FAILURE_SITES = {
+    "draw": (lambda m: ExplicitGaussianMeanTrainer(1.0), np.inf, "direct",
+             "ValueError: non-finite atom or weight"),
+    "train_batch": (lambda m: ExplicitGaussianMeanTrainer(1.0), 1e308,
+                    "resampled", "ValueError: non-finite grid data"),
+    "row_by_row": (lambda m: GridGibbsTrainer(m, WEAK_CFG), 1e200,
+                   "resampled", "ValueError: tilt map produced a degenerate"),
+    "route_term": (lambda m: GridGibbsTrainer(m, WEAK_CFG), _MARK,
+                   "representation",
+                   "FloatingPointError: derivative toward the marked atom"),
+}
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+@pytest.mark.parametrize("where", list(_FAILURE_SITES))
+def test_non_finite_draw_names_its_replicate(monkeypatch, where, block):
     monkeypatch.setattr(genbench, "_BLOCK", block)
+    # only the route_term case marks its draws with _MARK
+    monkeypatch.setattr(genbench, "TrainedDerivatives", _DerivativeFailsAtMark)
     model = losses.mean_squared_param_loss()
-    with pytest.raises(genbench.ReplicateError,
-                       match=r"direct.* n=4, replicate 3, seed 5: ValueError: "
-                             r"row \d+: non-finite atom"):
-        wge_direct(ExplicitGaussianMeanTrainer(1.0), _InfAtReplicate(3),
-                   model, 4, 8, seed=5)
+    make_trainer, value, route, message = _FAILURE_SITES[where]
+    with np.errstate(over="ignore"), pytest.raises(
+            genbench.ReplicateError,
+            match=rf"{route}.* n=4, replicate 3, seed 5: {message}") as info:
+        estimate_routes(make_trainer(model), _MarkAtReplicate(3, value),
+                        model, 4, 8, 5, [route])
+    assert type(info.value.__cause__).__name__ == message.split(":")[0]
 
 
 def test_estimate_routes_validates_before_the_loop():
@@ -457,31 +490,48 @@ def test_estimate_routes_validates_before_the_loop():
     with pytest.raises(ValueError, match="n >= 2"):
         estimate_routes(GridGibbsTrainer(model, WEAK_CFG), pop, model, 1, 5,
                         0, ["lge_upper"])
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="sample size must be positive"):
+            wge_direct(trainer, pop, model, n, 4, 0)
 
 
-class _FailingTrainer(ExplicitGaussianMeanTrainer):
-    """Explicit trainer whose batch of swapped datasets fails on one row."""
-
-    def __init__(self, fail_row):
-        super().__init__(1.0)
-        self.calls, self.fail_row = 0, fail_row
+class _FailsAtMark(ExplicitGaussianMeanTrainer):
+    """Explicit trainer that fails on any batch holding a marked atom."""
 
     def train_batch(self, xs, ys, rngs=None):
-        self.calls += 1
-        if self.calls == 2:
-            exc = FloatingPointError("overflow in the trainer")
-            exc.row = self.fail_row
-            raise exc
+        if (ys == _MARK).any():
+            raise FloatingPointError("overflow in the trainer")
         return super().train_batch(xs, ys, rngs)
 
 
 def test_replicate_failure_names_route_n_replicate_and_seed():
-    model, pop = gaussian_mean_setup()
-    # one block of 6 replicates: the batch of nu, then the swapped batch
+    model = losses.mean_squared_param_loss()
+    # z_bar[0] of replicate 1 is marked: its dataset trains, and the batch
+    # of swapped datasets, which holds z_bar[0], fails
+    pop = _MarkAtReplicate(1, _MARK, at=5)
     with pytest.raises(genbench.ReplicateError,
                        match=r"resampled.* n=5, replicate 1, seed 31: "
                              r"FloatingPointError: overflow") as info:
-        wge_resampled(_FailingTrainer(1), pop, model, 5, 6, seed=31)
+        wge_resampled(_FailsAtMark(1.0), pop, model, 5, 6, seed=31)
+    assert isinstance(info.value.__cause__, FloatingPointError)
+
+
+class _FailsOnBlocks(ExplicitGaussianMeanTrainer):
+    """Explicit trainer that fails on every batch of more than one row."""
+
+    def train_batch(self, xs, ys, rngs=None):
+        if ys.shape[0] > 1:
+            raise FloatingPointError("batch of several rows")
+        return super().train_batch(xs, ys, rngs)
+
+
+def test_block_only_failure_names_the_block(monkeypatch):
+    monkeypatch.setattr(genbench, "_BLOCK", 7)
+    model, pop = gaussian_mean_setup()
+    with pytest.raises(genbench.ReplicateError,
+                       match=r"direct.* n=4, replicates 0-6, seed 2: "
+                             r"FloatingPointError: batch of") as info:
+        wge_direct(_FailsOnBlocks(1.0), pop, model, 4, 10, seed=2)
     assert isinstance(info.value.__cause__, FloatingPointError)
 
 
