@@ -15,8 +15,11 @@ Every route is a reduction over replicate blocks.  A block holds up to
 stacked into arrays, and the batches of measures trained on ``nu`` and
 its one- and two-atom swaps, each trained lazily and at most once by
 one ``train_batch`` call per trainer.  ``direct``, ``resampled`` and
-``lge`` are array expressions over a block; the derivative routes read
-one replicate at a time off it.  :func:`estimate_routes` runs the blocks
+``lge`` are array expressions over a block.  So are the derivative
+routes (``representation``, ``convex_lower``, ``lge_upper``) for a
+closed-form grid trainer, whose trained measure and its data derivative
+have closed forms; for other trainers they read one replicate at a time
+off the block, and that row form is the oracle of the block form.  :func:`estimate_routes` runs the blocks
 once for all the routes an experiment asks for, and the public route
 functions are one-route views of it.
 
@@ -48,8 +51,6 @@ _MAX_MOMENT_ORDER = 8
 _ENUM_CAP = 1_000_000
 # out-of-sample batches hold _OOS_FACTOR * n samples
 _OOS_FACTOR = 10
-# Gauss-Legendre nodes of the lam and lam_tilde integrals of the routes
-_LAMBDA_NODES = 8
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +78,18 @@ def _rng(seed: int, replicate: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, replicate, stream)))
 
 
+@functools.cache
+def _lambda_rule():
+    """``(lam, w)`` pairs of the 8-node Gauss-Legendre rule on [0, 1] for
+    the ``lam`` and ``lam_tilde`` integrals of the routes.
+
+    Computed once, on first use rather than at import: its eigenvalue
+    solve adds about 1.5 MB of resident memory to a process that never
+    integrates over ``lam``.
+    """
+    return tuple(zip(*gauss_legendre_01(8)))
+
+
 def _estimate(values, n, seed, route) -> GenEstimate:
     arr = np.asarray(values, dtype=float)
     return GenEstimate(float(arr.mean()),
@@ -97,7 +110,9 @@ class PopulationModel:
     population averages when the model/population pair admits them (by
     default from ``_expected_lp``, the analytic ``E_Z lp(theta, Z)`` of
     an expected parametric loss); estimators fall back to out-of-sample
-    batches when they return ``None``.
+    batches when they return ``None``.  Both hooks also take a
+    :class:`MeasureBatch` and then return one value, or one row of node
+    values, per measure.
     """
 
     feature_dim = 0
@@ -124,7 +139,7 @@ class PopulationModel:
         if self._expected_lp is None or model.variant != "expected_param":
             return None
         u = np.asarray(self._expected_lp(nodes), dtype=float)
-        return u - m.integrate(self._expected_lp)
+        return u - np.expand_dims(m.integrate(self._expected_lp), -1)
 
     @staticmethod
     def _check_order(k: int):
@@ -229,6 +244,9 @@ class DiscretePopulation(PopulationModel):
         return float(self.probs @ model.atom_losses(m, self._xs, self._ys))
 
     def population_loss_dm(self, model, m, nodes):
+        if isinstance(m, MeasureBatch):
+            return np.stack([self.population_loss_dm(model, m[r], nodes)
+                             for r in range(len(m))])
         return model.dm(m, self._xs, self._ys, self.probs, nodes)
 
 
@@ -272,7 +290,16 @@ class _RowByRowTrainer:
 
 
 class GridGibbsTrainer(_RowByRowTrainer):
-    """Deterministic trainer: damped fixed-point solve on the grid."""
+    """Deterministic trainer: damped fixed-point solve on the grid.
+
+    For a loss linear in the measure (``model.has_zero_d2m()``) the tilt
+    map ignores ``m``, and at ``damping`` 1 :func:`solve_gibbs` returns
+    its first update: the normalized ``exp(E)`` of the exponent
+    ``E = -tau sum_i w_i lp(., z_i) - U / sigma^2``.  Such a trainer is
+    ``closed_form``: :meth:`train_batch` evaluates that tilt for a whole
+    batch at once.  Every other trainer trains a batch row by row, and
+    :meth:`train` always solves, as the oracle of the closed form.
+    """
 
     kind = "gibbs_grid"
     deterministic = True
@@ -283,12 +310,42 @@ class GridGibbsTrainer(_RowByRowTrainer):
         self.cfg = cfg
         self.solve_kwargs = {"damping": damping, "tol": tol,
                              "max_iter": max_iter}
+        self.closed_form = model.has_zero_d2m() and damping == 1.0
 
     def solve(self, nu: DataMeasure):
         return solve_gibbs(self.model, nu, self.cfg, **self.solve_kwargs)
 
     def train(self, nu: DataMeasure, rng=None):
         return self.solve(nu).measure
+
+    def _exponent(self, xs, ys) -> np.ndarray:
+        """(B, N) tilt exponents ``E`` of the equal-weight datasets ``xs``
+        (B, n, q), ``ys`` (B, n) on the grid (closed form only)."""
+        w = np.full(ys.shape[1], 1.0 / ys.shape[1])
+        return -self.cfg.temperature * self.model.lp_sums(
+            self.cfg.grid()[0], xs, ys, w) - self.cfg.confinement()
+
+    def _tilt(self, expo: np.ndarray) -> np.ndarray:
+        """(B, N) densities :func:`solve_gibbs` returns for the exponent
+        rows ``expo``: each normalized ``exp`` row, or the prior where that
+        lies within ``tol`` of it (the solver's start)."""
+        shift = expo.max(axis=1, keepdims=True)
+        if not np.isfinite(shift).all():
+            raise ValueError("tilt map produced a degenerate density: "
+                             "degenerate exponent on the grid")
+        raw = np.exp(expo - shift)
+        dens = raw / (raw.sum(axis=1, keepdims=True) * self.cfg.grid()[1])
+        prior = self.cfg.priors().gamma_sigma.density
+        start = np.abs(dens - prior).max(axis=1) <= self.solve_kwargs["tol"]
+        dens[start] = prior
+        return dens
+
+    def train_batch(self, xs, ys, rngs=None) -> MeasureBatch:
+        if not self.closed_form:
+            return super().train_batch(xs, ys, rngs)
+        nodes, vol = self.cfg.grid()
+        return MeasureBatch(nodes, vol, self._tilt(self._exponent(xs, ys)),
+                            normalize=True)
 
     def with_beta(self, beta: float) -> "GridGibbsTrainer":
         return GridGibbsTrainer(self.model, self.cfg.with_beta(beta),
@@ -419,6 +476,7 @@ class _Block:
     def __init__(self, trainer, pop, model, n: int, seed: int, reps: range):
         self.trainer, self.pop, self.model, self.n = trainer, pop, model, n
         self.seed, self.reps = seed, reps
+        self.closed_form = getattr(trainer, "closed_form", False)
         self.xs, self.ys = self._draw(0, n + 2)
         self._rngs = None if getattr(trainer, "deterministic", False) \
             else [_rng(seed, r, 2) for r in reps]
@@ -489,6 +547,59 @@ class _Block:
         return (self.model.atom_losses(self.m, *z)
                 - self.model.atom_losses(self.swap(1), *z))[:, 0]
 
+    # closed-form grid trainers: node functions as (B, N) arrays
+
+    def drawn_lp(self, lo: int, hi: int) -> np.ndarray:
+        """``sum_j lp(., z_rj)`` on the grid over the drawn columns
+        ``lo <= j < hi``."""
+        return self.model.lp_sums(self.trainer.cfg.grid()[0],
+                                  self.xs[:, lo:hi], self.ys[:, lo:hi],
+                                  np.ones(hi - lo))
+
+    def pop_dm(self, m: MeasureBatch) -> np.ndarray:
+        """Population average of the loss derivative at each row of ``m``:
+        the hook, else the out-of-sample batch."""
+        out = self.pop.population_loss_dm(self.model, m, m.nodes)
+        if out is None:
+            xs, ys = self.oos
+            w = np.full(ys.shape[1], 1.0 / ys.shape[1])
+            out = _centered(self.model.lp_sums(m.nodes, xs, ys, w),
+                            m.node_weights)
+        return out
+
+    def derivative_path(self, k: int) -> np.ndarray:
+        """Quadrature along ``nu_k -> nu`` of the trained-measure derivative
+        toward ``z_j`` minus toward ``z_bar[j]``, summed over ``j < k``.
+
+        The measure trained on the blend ``(1 - lt) nu_k + lt nu`` is the
+        tilt of the blended exponent.  The risk derivative at it cancels
+        in the difference of two directions, which leaves
+        ``-tau m (D - E_m D)`` with ``D = sum_j lp(., z_j) - lp(., z_bar[j])``.
+        """
+        t, n = self.trainer, self.n
+        d = self.drawn_lp(0, k) - self.drawn_lp(n, n + k)
+        e0, ek = (t._exponent(*self.data(j)) for j in (0, k))
+        vol = t.cfg.grid()[1]
+        out = np.zeros_like(e0)
+        for lt, w in _lambda_rule():
+            dens = t._tilt((1.0 - lt) * ek + lt * e0)
+            out += w * (-t.cfg.temperature * dens * _centered(d, dens * vol))
+        return out
+
+
+def _centered(f: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Node functions ``f`` (B, N) minus their means under the node
+    ``weights`` (B, N) of each row."""
+    return f - (f * weights).sum(axis=1, keepdims=True)
+
+
+def _segment(block: _Block, k: int, integrand) -> np.ndarray:
+    """Quadrature of ``integrand(m_lam)`` along the segment ``m_k -> m``
+    for an ``integrand`` affine in the measure, from the end points."""
+    a = sum(w * (1.0 - lam) for lam, w in _lambda_rule())
+    b = sum(w * lam for lam, w in _lambda_rule())
+    return a * integrand(block.swap(k)) + b * integrand(block.m)
+
 
 class _Row:
     """Replicate ``r`` of a block as measures and data points, for the
@@ -536,7 +647,7 @@ class _Row:
     def segment(self, k: int, integrand) -> np.ndarray:
         """Quadrature of ``integrand(m_lam)`` along the segment ``m_k -> m``."""
         out = np.zeros(self.m.n_nodes)
-        for lam, w in zip(*gauss_legendre_01(_LAMBDA_NODES)):
+        for lam, w in _lambda_rule():
             out += w * integrand(convex_combination(self.swap(k)[1], self.m,
                                                     float(lam)))
         return out
@@ -546,7 +657,7 @@ class _Row:
         toward ``z_j`` minus toward ``z_bar[j]``, summed over ``j < k``."""
         t = self.trainer
         out = np.zeros(self.m.n_nodes)
-        for lt, w in zip(*gauss_legendre_01(_LAMBDA_NODES)):
+        for lt, w in _lambda_rule():
             td = TrainedDerivatives(
                 t.model, convex_combination(self.swap(k)[0], self.nu,
                                             float(lt)),
@@ -566,20 +677,43 @@ def _per_row(term):
         [term(_Row(block, r)) for r in range(len(block))], dtype=float)
 
 
-def _representation(r: _Row) -> float:
+# Each derivative-route term comes in two forms: a block form, which runs
+# array expressions for closed-form grid trainers and otherwise applies the
+# row form to each replicate, and the row form, kept as the oracle.
+
+
+def _representation_row(r: _Row) -> float:
     z_bar = r.z_bar[0]
     g_bar = r.segment(1, lambda m_lam: _losses.loss_dm(
         r.model, m_lam, z_bar, r.m.nodes))
     return float(g_bar @ (r.derivative_path(1) * r.m.cell_volumes)) / r.n
 
 
+def _representation(block: _Block) -> np.ndarray:
+    if not block.closed_form:
+        return _per_row(_representation_row)(block)
+    lp_bar = block.drawn_lp(block.n, block.n + 1)
+    g_bar = _segment(block, 1, lambda m: _centered(lp_bar, m.node_weights))
+    vol = block.m.cell_volumes
+    return (g_bar * (block.derivative_path(1) * vol)).sum(axis=1) / block.n
+
+
+def _convex_lower_row(r: _Row) -> float:
+    return r.m.integrate(
+        lambda th: _losses.loss_dm(r.model, r.swap(1)[1], r.z_bar[0], th))
+
+
 def _convex_lower(block: _Block) -> np.ndarray:
-    lower = _per_row(lambda r: r.m.integrate(
-        lambda th: _losses.loss_dm(r.model, r.swap(1)[1], r.z_bar[0], th)))
-    return np.stack([block.swap_gap, lower(block)], axis=1)
+    if block.closed_form:
+        lp_bar = block.drawn_lp(block.n, block.n + 1)
+        lower = (_centered(lp_bar, block.swap(1).node_weights)
+                 * block.m.node_weights).sum(axis=1)
+    else:
+        lower = _per_row(_convex_lower_row)(block)
+    return np.stack([block.swap_gap, lower], axis=1)
 
 
-def _lge_upper(r: _Row):
+def _lge_upper_row(r: _Row):
     m, z1 = r.m, r.nu.point(0)
     d_bar = r.segment(2, lambda m_lam: _losses.loss_dm(
         r.model, m_lam, z1, m.nodes) - r.pop_dm(m_lam, m.nodes))
@@ -588,6 +722,21 @@ def _lge_upper(r: _Row):
     return (_losses.loss_value(r.model, m, z1) ** 2,
             _losses.loss_value(r.model, m, r.z_bar[0]) ** 2,
             r.gap * r.gap, h2 ** 2, h2t ** 2)
+
+
+def _lge_upper(block: _Block) -> np.ndarray:
+    if not block.closed_form:
+        return _per_row(_lge_upper_row)(block)
+    b, m, m2 = block, block.m, block.swap(2)
+    lp_1 = b.drawn_lp(0, 1)
+    d_bar = _segment(b, 2, lambda m_lam: _centered(lp_1, m_lam.node_weights)
+                     - b.pop_dm(m_lam))
+    h2 = (d_bar * ((m.density - m2.density) * m.cell_volumes)).sum(axis=1)
+    h2t = (d_bar * (b.derivative_path(2) * m.cell_volumes)).sum(axis=1)
+    k_in, k_out = (b.model.atom_losses(m, b.xs[:, j:j + 1], b.ys[:, j:j + 1])
+                   [:, 0] for j in (0, b.n))
+    return np.stack([k_in ** 2, k_out ** 2, b.gap * b.gap, h2 ** 2,
+                     h2t ** 2], axis=1)
 
 
 def _convex_lower_check(values, n, seed, route):
@@ -646,9 +795,9 @@ _ROUTES = {
     "direct": (lambda b: b.gap, _estimate),
     "resampled": (lambda b: b.swap_gap, _estimate),
     "lge": (lambda b: b.gap * b.gap, _estimate),
-    "representation": (_per_row(_representation), _estimate),
+    "representation": (_representation, _estimate),
     "convex_lower": (_convex_lower, _convex_lower_check),
-    "lge_upper": (_per_row(_lge_upper), _lge_upper_report),
+    "lge_upper": (_lge_upper, _lge_upper_report),
 }
 _GRID_ROUTES = ("representation", "lge_upper")
 

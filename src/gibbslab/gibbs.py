@@ -18,6 +18,7 @@ them with an Euler-Maruyama particle system.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Optional
 
@@ -161,21 +162,12 @@ class GibbsConfig:
     # -- grid and priors ----------------------------------------------------
 
     def box_radius(self) -> float:
-        if "radius" not in self._cache:
-            if self.radius is not None:
-                if self.radius <= 0:
-                    raise ValueError("grid radius must be positive")
-                self._cache["radius"] = float(self.radius)
-            else:
-                reg, s2 = self.regularizer, self.sigma ** 2
-                r_prior = _radial_tail_radius(
-                    lambda r: -reg.value_radial(r) / s2,
-                    self.theta_dim, self.tail_mass)
-                r_tilt = _radial_tail_radius(
-                    lambda r: -reg.value_radial(r) / s2 + r ** self.p,
-                    self.theta_dim, self.tail_mass)
-                self._cache["radius"] = max(r_prior, r_tilt)
-        return self._cache["radius"]
+        if self.radius is None:
+            return _auto_radius(self.regularizer, self.sigma, self.p,
+                                self.theta_dim, self.tail_mass)
+        if self.radius <= 0:
+            raise ValueError("grid radius must be positive")
+        return float(self.radius)
 
     def grid(self):
         """Grid nodes and scalar cell volume for this configuration."""
@@ -224,6 +216,23 @@ def _normalized_exp(nodes, vol, exponent):
     measure = GridMeasure(nodes, vol, raw / (mass))
     normalizer = math.exp(shift) * mass if shift < 700 else math.inf
     return measure, normalizer
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _auto_radius(regularizer, sigma, p, theta_dim, tail_mass) -> float:
+    """Box half-width leaving tail mass below ``tail_mass`` under both the
+    prior and its ``||theta||^p``-tilted companion.
+
+    Memoized on every value it reads: configurations that differ only in
+    ``beta`` or the grid resolution share one computation.
+    """
+    s2 = sigma ** 2
+    r_prior = _radial_tail_radius(
+        lambda r: -regularizer.value_radial(r) / s2, theta_dim, tail_mass)
+    r_tilt = _radial_tail_radius(
+        lambda r: -regularizer.value_radial(r) / s2 + r ** p,
+        theta_dim, tail_mass)
+    return max(r_prior, r_tilt)
 
 
 def _radial_tail_radius(exponent, dim, tail_mass):

@@ -335,11 +335,25 @@ class ExpectedParamLoss:
             return _finite(self.lp(m.nodes, xs, ys) @ m.node_weights)
         return _finite(self.lp(_support(m), xs, ys).mean(axis=1))
 
+    def _lp_chunks(self, nodes, xs, ys):
+        """``(lo, hi, vals)`` over the rows of ``xs`` (B, k, q), ``ys``
+        (B, k): ``vals`` (hi - lo, k, N) holds ``lp`` on the shared
+        ``nodes`` (N, d) for as many rows as ``_LP_ELEMENTS`` allows."""
+        b, k = ys.shape
+        n_nodes = nodes.shape[0]
+        step = max(1, _LP_ELEMENTS // max(1, k * n_nodes))
+        for lo in range(0, b, step):
+            hi = min(lo + step, b)
+            vals = self.lp(nodes,
+                           xs[lo:hi].reshape((hi - lo) * k, xs.shape[-1]),
+                           ys[lo:hi].reshape(-1))
+            yield lo, hi, vals.reshape(hi - lo, k, n_nodes)
+
     def _batch_losses(self, m: MeasureBatch, xs, ys) -> np.ndarray:
         """One ``lp`` call per row when the rows have their own nodes or
-        particles; on shared nodes, one call over the atoms of as many rows
-        as ``_LP_ELEMENTS`` allows.  Each row is reduced as
-        :meth:`atom_losses` reduces one measure, so it sums in that order."""
+        particles; on shared nodes, one call per chunk of rows
+        (:meth:`_lp_chunks`).  Each row is reduced as :meth:`atom_losses`
+        reduces one measure, so it sums in that order."""
         b, k = ys.shape
         if m.points is not None:
             return np.stack([self.lp(m.points[r], xs[r], ys[r]).mean(axis=1)
@@ -347,16 +361,19 @@ class ExpectedParamLoss:
         if m.nodes.ndim == 3:
             return np.stack([self.lp(m.nodes[r], xs[r], ys[r])
                              @ m.node_weights[r] for r in range(b)])
-        n_nodes = m.nodes.shape[0]
-        step = max(1, _LP_ELEMENTS // max(1, k * n_nodes))
         out = np.empty((b, k))
-        for lo in range(0, b, step):
-            hi = min(lo + step, b)
-            vals = self.lp(m.nodes,
-                           xs[lo:hi].reshape((hi - lo) * k, xs.shape[-1]),
-                           ys[lo:hi].reshape(-1))
-            out[lo:hi] = [v @ w for v, w in zip(
-                vals.reshape(hi - lo, k, n_nodes), m.node_weights[lo:hi])]
+        for lo, hi, vals in self._lp_chunks(m.nodes, xs, ys):
+            out[lo:hi] = [v @ w for v, w in zip(vals, m.node_weights[lo:hi])]
+        return out
+
+    def lp_sums(self, nodes, xs, ys, weights) -> np.ndarray:
+        """Weighted sums ``sum_i weights[i] lp(theta, z_ri)``, ``weights``
+        (k,), over the atoms of each row of ``xs`` (B, k, q), ``ys`` (B, k),
+        at the shared ``nodes`` (N, d): shape (B, N).  Each row sums as :meth:`dm` sums
+        one dataset."""
+        out = np.empty((ys.shape[0], nodes.shape[0]))
+        for lo, hi, vals in self._lp_chunks(nodes, xs, ys):
+            out[lo:hi] = weights @ vals
         return out
 
     def dm(self, m, xs, ys, weights, theta, centered: bool = True

@@ -404,6 +404,59 @@ def test_block_terms_match_scalar_loop(trainer_kind, pop_kind, n, replicates,
                                    atol=1e-12)
 
 
+@settings(max_examples=25, deadline=None)
+@given(pop_kind=st.sampled_from(["gaussian", "gaussian_no_hook", "line",
+                                 "discrete"]),
+       n=st.integers(1, 8), replicates=st.integers(2, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_closed_form_matches_row_by_row_oracle(pop_kind, n, replicates,
+                                               seed):
+    trainer, pop, model = _block_setup("grid", pop_kind)
+    assert trainer.closed_form
+    block = genbench._Block(trainer, pop, model, n, seed, range(replicates))
+    # training: nu and its one- and two-atom swaps against solve_gibbs
+    for k in range(min(n, 2) + 1):
+        batch = block.swap(k) if k else block.m
+        xs, ys = block.data(k)
+        for r in range(replicates):
+            want = trainer.solve(empirical_from_arrays(xs[r], ys[r]))
+            np.testing.assert_allclose(batch.density[r],
+                                       want.measure.density, rtol=1e-12)
+    # derivative routes: block arrays against the per-replicate oracle;
+    # atol covers the terms that cancel to about zero
+    rows = genbench._per_row
+    got = [genbench._representation(block),
+           genbench._convex_lower(block)[:, 1]]
+    want = [rows(genbench._representation_row)(block),
+            rows(genbench._convex_lower_row)(block)]
+    if n >= 2:
+        upper = genbench._lge_upper(block)
+        oracle = rows(genbench._lge_upper_row)(block)
+        # K in, K out and gap^2 cancel nothing
+        np.testing.assert_allclose(upper[:, :3], oracle[:, :3], rtol=1e-12)
+        got.append(upper[:, 3:])
+        want.append(oracle[:, 3:])
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
+
+
+def test_closed_form_returns_the_prior_where_the_solver_stops_at_it():
+    # a row whose tilt lies within tol of the prior: solve_gibbs returns the
+    # prior it starts from, after 0 updates, and so does the batch
+    model, _ = noiseless_line_setup()
+    trainer = GridGibbsTrainer(model, WEAK_CFG, tol=1e-3)
+    xs = np.array([[[1.0], [-0.7]], [[1e-3], [-2e-3]]])
+    ys = 0.5 * xs[..., 0]
+    batch = trainer.train_batch(xs, ys)
+    iterations = []
+    for r in range(2):
+        sol = trainer.solve(empirical_from_arrays(xs[r], ys[r]))
+        iterations.append(sol.iterations)
+        np.testing.assert_allclose(batch.density[r], sol.measure.density,
+                                   rtol=1e-12)
+    assert iterations == [1, 0]
+
+
 @pytest.mark.parametrize("trainer_kind, pop_kind, routes", [
     ("explicit", "gaussian", ["direct", "resampled", "lge", "convex_lower"]),
     ("explicit_fixed_n", "discrete", ["direct", "resampled"]),
@@ -450,16 +503,21 @@ class _DerivativeFailsAtMark(funcderiv.TrainedDerivatives):
         return super().dm_dnu(z)
 
 
-# where the failure is raised -> (trainer, marked value, route, message)
+# where the failure is raised -> (trainer, marked value, route, message);
+# a damped grid trainer trains and differentiates row by row, an undamped
+# one in closed form
 _FAILURE_SITES = {
     "draw": (lambda m: ExplicitGaussianMeanTrainer(1.0), np.inf, "direct",
              "ValueError: non-finite atom or weight"),
     "train_batch": (lambda m: ExplicitGaussianMeanTrainer(1.0), 1e308,
                     "resampled", "ValueError: non-finite grid data"),
-    "row_by_row": (lambda m: GridGibbsTrainer(m, WEAK_CFG), 1e200,
-                   "resampled", "ValueError: tilt map produced a degenerate"),
-    "route_term": (lambda m: GridGibbsTrainer(m, WEAK_CFG), _MARK,
-                   "representation",
+    "closed_form": (lambda m: GridGibbsTrainer(m, WEAK_CFG), 1e200,
+                    "resampled", "ValueError: tilt map produced a degenerate"),
+    "row_by_row": (lambda m: GridGibbsTrainer(m, WEAK_CFG, damping=0.5),
+                   1e200, "resampled",
+                   "ValueError: tilt map produced a degenerate"),
+    "route_term": (lambda m: GridGibbsTrainer(m, WEAK_CFG, damping=0.5),
+                   _MARK, "representation",
                    "FloatingPointError: derivative toward the marked atom"),
 }
 

@@ -124,6 +124,36 @@ def test_explicit_radius_and_with_beta_pin():
         GibbsConfig(beta=1.0, sigma=1.0, p=4, radius=-2.0).box_radius()
 
 
+def test_automatic_radius_is_memoized_on_the_fields_it_reads(monkeypatch):
+    calls = []
+    tail_radius = gibbs._radial_tail_radius
+
+    def counting(exponent, dim, tail_mass):
+        calls.append(1)
+        return tail_radius(exponent, dim, tail_mass)
+
+    monkeypatch.setattr(gibbs, "_radial_tail_radius", counting)
+    gibbs._auto_radius.cache_clear()
+    base = dict(beta=1.0, sigma=0.9, p=4,
+                regularizer=Regularizer(kappa=0.3, q=3))
+    radius = GibbsConfig(**base).box_radius()
+    # beta and the grid resolution do not enter the radius
+    for cfg in (GibbsConfig(**base), GibbsConfig(**dict(base, beta=0.2)),
+                GibbsConfig(**base, nodes_per_axis=33)):
+        assert cfg.box_radius() == radius
+    assert len(calls) == 2  # the prior's tail and the tilted tail, once
+    for field, value in (("sigma", 0.8), ("p", 5),
+                         ("regularizer", Regularizer(kappa=0.3, q=4)),
+                         ("theta_dim", 2), ("tail_mass", 1e-9)):
+        calls.clear()
+        assert GibbsConfig(**dict(base, **{field: value})).box_radius() \
+            != radius
+        assert len(calls) == 2, field
+    calls.clear()
+    assert GibbsConfig(**base, radius=2.5).box_radius() == 2.5
+    assert calls == []
+
+
 def test_grid_and_priors_are_cached():
     cfg = GibbsConfig(beta=1.0, sigma=1.0, p=4, nodes_per_axis=33)
     assert cfg.grid() is cfg.grid()
