@@ -65,8 +65,10 @@ def _get(cfg: dict, path: str, default=_REQUIRED):
 
 def _get_number(cfg, path, default=_REQUIRED, minimum=None):
     val = _get(cfg, path, default)
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
-        raise ConfigError(f"{path}: expected a number, got {val!r}")
+    # json parses NaN and +-Infinity; none is a usable setting
+    if not isinstance(val, (int, float)) or isinstance(val, bool) \
+            or not math.isfinite(val):
+        raise ConfigError(f"{path}: expected a finite number, got {val!r}")
     if minimum is not None and val < minimum:
         raise ConfigError(f"{path}: must be >= {minimum}, got {val!r}")
     return float(val)

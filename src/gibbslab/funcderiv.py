@@ -103,12 +103,11 @@ class TrainedDerivatives:
     """
 
     def __init__(self, model, nu: DataMeasure, cfg: GibbsConfig,
-                 solution: Optional[GibbsSolution] = None,
                  solve_kwargs: Optional[dict] = None):
         self.model = model
         self.nu = nu
         self.cfg = cfg
-        self._solution = solution
+        self._solution = None
         self._solve_kwargs = dict(solve_kwargs or {})
         self._kernel = None
         self._lu = None
@@ -181,11 +180,9 @@ class TrainedDerivatives:
 
 
 def dm_dnu(model, nu: DataMeasure, cfg: GibbsConfig, z: DataPoint,
-           solution: Optional[GibbsSolution] = None,
            solve_kwargs: Optional[dict] = None) -> GridMeasure:
     """Signed density derivative of the trained measure in direction ``z``."""
-    td = TrainedDerivatives(model, nu, cfg, solution, solve_kwargs)
-    return td.dm_dnu(z)
+    return TrainedDerivatives(model, nu, cfg, solve_kwargs).dm_dnu(z)
 
 
 def finite_diff_dm_dnu(model, nu: DataMeasure, cfg: GibbsConfig, z: DataPoint,

@@ -14,14 +14,13 @@ Every route is a reduction over replicate blocks.  A block holds up to
 ``_BLOCK`` consecutive replicates: their seeded draws ``(nu, z_bar)``
 stacked into arrays, and the batches of measures trained on ``nu`` and
 its one- and two-atom swaps, each trained lazily and at most once by
-one ``train_batch`` call per trainer.  ``direct``, ``resampled`` and
-``lge`` are array expressions over a block.  So are the derivative
-routes (``representation``, ``convex_lower``, ``lge_upper``) for a
-closed-form grid trainer, whose trained measure and its data derivative
-have closed forms; for other trainers they read one replicate at a time
-off the block, and that row form is the oracle of the block form.  :func:`estimate_routes` runs the blocks
-once for all the routes an experiment asks for, and the public route
-functions are one-route views of it.
+one ``train_batch`` call per trainer.  Each route is an array
+expression over a block.  The derivative routes pair the loss
+derivative, which the loss model evaluates for a whole batch, with the
+data derivative of the trained measure, which the grid trainer owns
+(:meth:`GridGibbsTrainer.derivative_path`).  :func:`estimate_routes`
+runs the blocks once for all the routes an experiment asks for, and
+the public route functions are one-route views of it.
 
 It also evaluates the closed-form upper-bound constants for the
 exponential-tilt trainer, an exhaustive enumeration oracle on tiny
@@ -42,7 +41,7 @@ import numpy as np
 
 from . import losses as _losses
 from .funcderiv import TrainedDerivatives, gauss_legendre_01
-from .gibbs import GibbsConfig, prior_kl, risk_dm_nodes, solve_gibbs
+from .gibbs import GibbsConfig, prior_kl, solve_gibbs
 from .measures import (DataMeasure, DataPoint, GridMeasure, MeasureBatch,
                        convex_combination, empirical_from_arrays,
                        uniform_grid_1d)
@@ -51,6 +50,10 @@ _MAX_MOMENT_ORDER = 8
 _ENUM_CAP = 1_000_000
 # out-of-sample batches hold _OOS_FACTOR * n samples
 _OOS_FACTOR = 10
+# grid of the explicit trainer: node count, and half-width in units of
+# its scale sigma_tilde / sqrt(n)
+_EXPLICIT_NODES = 257
+_EXPLICIT_SPAN = 9.0
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +299,10 @@ class GridGibbsTrainer(_RowByRowTrainer):
     map ignores ``m``, and at ``damping`` 1 :func:`solve_gibbs` returns
     its first update: the normalized ``exp(E)`` of the exponent
     ``E = -tau sum_i w_i lp(., z_i) - U / sigma^2``.  Such a trainer is
-    ``closed_form``: :meth:`train_batch` evaluates that tilt for a whole
-    batch at once.  Every other trainer trains a batch row by row, and
-    :meth:`train` always solves, as the oracle of the closed form.
+    ``closed_form``: :meth:`train_batch` and :meth:`derivative_path`
+    evaluate that tilt for a whole batch at once.  Otherwise both solve
+    row by row, and with ``closed_form`` off they are the oracles of the
+    closed form; :meth:`train` always solves.
     """
 
     kind = "gibbs_grid"
@@ -347,6 +351,46 @@ class GridGibbsTrainer(_RowByRowTrainer):
         return MeasureBatch(nodes, vol, self._tilt(self._exponent(xs, ys)),
                             normalize=True)
 
+    def derivative_path(self, data, swapped, k: int) -> np.ndarray:
+        """Quadrature along ``swapped -> data`` of the trained-measure
+        derivative toward ``z_j`` minus toward ``z_bar_j``, summed over
+        ``j < k``: (B, N) node values.
+
+        ``data`` and ``swapped`` are the ``(xs, ys)`` of B equal-weight
+        datasets that differ in their first ``k`` atoms, ``z_j`` and
+        ``z_bar_j``.  In closed form the measure trained on the blend
+        ``(1 - lt) swapped + lt data`` is the tilt of the blended
+        exponent, and the risk derivative cancels in the difference of
+        two directions: ``-tau m (D - E_m D)`` with
+        ``D = sum_j lp(., z_j) - lp(., z_bar_j)``.  Otherwise each row
+        solves :class:`TrainedDerivatives` at every blend.
+        """
+        (xs, ys), (xk, yk) = data, swapped
+        nodes, vol = self.cfg.grid()
+        out = np.zeros((ys.shape[0], nodes.shape[0]))
+        if self.closed_form:
+            d = self.model.lp_sums(nodes, xs[:, :k], ys[:, :k], np.ones(k)) \
+                - self.model.lp_sums(nodes, xk[:, :k], yk[:, :k], np.ones(k))
+            e0, ek = self._exponent(xs, ys), self._exponent(xk, yk)
+            for lt, w in _lambda_rule():
+                dens = self._tilt((1.0 - lt) * ek + lt * e0)
+                mean = (d * (dens * vol)).sum(axis=1, keepdims=True)
+                out += w * (-self.cfg.temperature * dens * (d - mean))
+            return out
+        for r in range(ys.shape[0]):
+            nu = empirical_from_arrays(xs[r], ys[r])
+            nu_k = empirical_from_arrays(xk[r], yk[r])
+            for lt, w in _lambda_rule():
+                td = TrainedDerivatives(
+                    self.model, convex_combination(nu_k, nu, float(lt)),
+                    self.cfg, solve_kwargs=self.solve_kwargs)
+                diff = 0.0
+                for j in range(k):
+                    diff = diff + td.dm_dnu(nu.point(j)).density \
+                        - td.dm_dnu(nu_k.point(j)).density
+                out[r] += w * diff
+        return out
+
     def with_beta(self, beta: float) -> "GridGibbsTrainer":
         return GridGibbsTrainer(self.model, self.cfg.with_beta(beta),
                                 **self.solve_kwargs)
@@ -388,14 +432,11 @@ class ExplicitGaussianMeanTrainer:
     kind = "explicit_gaussian_mean"
     deterministic = True
 
-    def __init__(self, sigma_tilde: float, fixed_n: Optional[int] = None,
-                 n_nodes: int = 257, span: float = 9.0):
+    def __init__(self, sigma_tilde: float, fixed_n: Optional[int] = None):
         if sigma_tilde <= 0:
             raise ValueError("sigma_tilde must be positive")
         self.sigma_tilde = float(sigma_tilde)
         self.fixed_n = fixed_n
-        self.n_nodes = int(n_nodes)
-        self.span = float(span)
 
     def _scale(self, n_atoms: int) -> float:
         n = self.fixed_n if self.fixed_n is not None else n_atoms
@@ -409,7 +450,7 @@ class ExplicitGaussianMeanTrainer:
         """
         ys = np.asarray(ys, dtype=float)
         s = self._scale(ys.shape[1])
-        offsets, h = uniform_grid_1d(0.0, self.span * s, self.n_nodes)
+        offsets, h = uniform_grid_1d(0.0, _EXPLICIT_SPAN * s, _EXPLICIT_NODES)
         shape = np.exp(-(offsets[:, 0] ** 2) / (2.0 * s * s))
         return MeasureBatch(ys.mean(axis=1)[:, None, None] + offsets, h,
                             np.broadcast_to(shape, (ys.shape[0], shape.size)),
@@ -476,7 +517,6 @@ class _Block:
     def __init__(self, trainer, pop, model, n: int, seed: int, reps: range):
         self.trainer, self.pop, self.model, self.n = trainer, pop, model, n
         self.seed, self.reps = seed, reps
-        self.closed_form = getattr(trainer, "closed_form", False)
         self.xs, self.ys = self._draw(0, n + 2)
         self._rngs = None if getattr(trainer, "deterministic", False) \
             else [_rng(seed, r, 2) for r in reps]
@@ -493,6 +533,11 @@ class _Block:
         if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
             raise ValueError("non-finite atom or weight")
         return xs, ys
+
+    def atom(self, j: int):
+        """``(xs, ys)`` of the drawn column ``j``, (B, 1, q) and (B, 1):
+        ``z_j`` of ``nu`` for ``j < n``, ``z_bar[j - n]`` after it."""
+        return self.xs[:, j:j + 1], self.ys[:, j:j + 1]
 
     def data(self, k: int):
         """``(xs, ys)`` of ``nu`` with atoms ``0..k-1`` replaced by
@@ -543,18 +588,15 @@ class _Block:
     @functools.cached_property
     def swap_gap(self) -> np.ndarray:
         """Loss at ``z_bar[0]`` of ``m`` minus that of the swapped ``m_1``."""
-        z = self.xs[:, self.n:self.n + 1], self.ys[:, self.n:self.n + 1]
+        z = self.atom(self.n)
         return (self.model.atom_losses(self.m, *z)
                 - self.model.atom_losses(self.swap(1), *z))[:, 0]
 
-    # closed-form grid trainers: node functions as (B, N) arrays
+    # node functions of grid batches, (B, N)
 
-    def drawn_lp(self, lo: int, hi: int) -> np.ndarray:
-        """``sum_j lp(., z_rj)`` on the grid over the drawn columns
-        ``lo <= j < hi``."""
-        return self.model.lp_sums(self.trainer.cfg.grid()[0],
-                                  self.xs[:, lo:hi], self.ys[:, lo:hi],
-                                  np.ones(hi - lo))
+    def loss_dm(self, m: MeasureBatch, j: int) -> np.ndarray:
+        """Loss derivative at each row of ``m`` toward the drawn atom ``j``."""
+        return self.model.dm(m, *self.atom(j), np.ones(1), m.nodes)
 
     def pop_dm(self, m: MeasureBatch) -> np.ndarray:
         """Population average of the loss derivative at each row of ``m``:
@@ -562,179 +604,45 @@ class _Block:
         out = self.pop.population_loss_dm(self.model, m, m.nodes)
         if out is None:
             xs, ys = self.oos
-            w = np.full(ys.shape[1], 1.0 / ys.shape[1])
-            out = _centered(self.model.lp_sums(m.nodes, xs, ys, w),
-                            m.node_weights)
-        return out
-
-    def derivative_path(self, k: int) -> np.ndarray:
-        """Quadrature along ``nu_k -> nu`` of the trained-measure derivative
-        toward ``z_j`` minus toward ``z_bar[j]``, summed over ``j < k``.
-
-        The measure trained on the blend ``(1 - lt) nu_k + lt nu`` is the
-        tilt of the blended exponent.  The risk derivative at it cancels
-        in the difference of two directions, which leaves
-        ``-tau m (D - E_m D)`` with ``D = sum_j lp(., z_j) - lp(., z_bar[j])``.
-        """
-        t, n = self.trainer, self.n
-        d = self.drawn_lp(0, k) - self.drawn_lp(n, n + k)
-        e0, ek = (t._exponent(*self.data(j)) for j in (0, k))
-        vol = t.cfg.grid()[1]
-        out = np.zeros_like(e0)
-        for lt, w in _lambda_rule():
-            dens = t._tilt((1.0 - lt) * ek + lt * e0)
-            out += w * (-t.cfg.temperature * dens * _centered(d, dens * vol))
-        return out
-
-
-def _centered(f: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Node functions ``f`` (B, N) minus their means under the node
-    ``weights`` (B, N) of each row."""
-    return f - (f * weights).sum(axis=1, keepdims=True)
-
-
-def _segment(block: _Block, k: int, integrand) -> np.ndarray:
-    """Quadrature of ``integrand(m_lam)`` along the segment ``m_k -> m``
-    for an ``integrand`` affine in the measure, from the end points."""
-    a = sum(w * (1.0 - lam) for lam, w in _lambda_rule())
-    b = sum(w * lam for lam, w in _lambda_rule())
-    return a * integrand(block.swap(k)) + b * integrand(block.m)
-
-
-class _Row:
-    """Replicate ``r`` of a block as measures and data points, for the
-    routes that work one replicate at a time."""
-
-    def __init__(self, block: _Block, r: int):
-        self.block, self.r = block, r
-        self.trainer, self.model, self.n = block.trainer, block.model, block.n
-        self._swaps = {}
-
-    @functools.cached_property
-    def m(self):
-        return self.block.m[self.r]
-
-    @functools.cached_property
-    def nu(self) -> DataMeasure:
-        return empirical_from_arrays(*(a[self.r] for a in self.block.data(0)))
-
-    @functools.cached_property
-    def z_bar(self):
-        b, n, r = self.block, self.n, self.r
-        return [DataPoint(b.xs[r, n + k], b.ys[r, n + k]) for k in range(2)]
-
-    @property
-    def gap(self) -> float:
-        return float(self.block.gap[self.r])
-
-    def swap(self, k: int):
-        """``(nu_k, m_k)``: the ``k``-atom swap of ``nu`` and its measure."""
-        if k not in self._swaps:
-            self._swaps[k] = (
-                empirical_from_arrays(*(a[self.r]
-                                        for a in self.block.data(k))),
-                self.block.swap(k)[self.r])
-        return self._swaps[k]
-
-    def pop_dm(self, m, nodes) -> np.ndarray:
-        """Population average of the loss derivative: hook, else the batch."""
-        out = self.block.pop.population_loss_dm(self.model, m, nodes)
-        if out is None:
-            oos = empirical_from_arrays(*(a[self.r] for a in self.block.oos))
-            out = risk_dm_nodes(self.model, m, oos, nodes, centered=True)
+            out = self.model.dm(m, xs, ys, np.full(ys.shape[1],
+                                                  1.0 / ys.shape[1]), m.nodes)
         return out
 
     def segment(self, k: int, integrand) -> np.ndarray:
-        """Quadrature of ``integrand(m_lam)`` along the segment ``m_k -> m``."""
-        out = np.zeros(self.m.n_nodes)
+        """Quadrature of ``integrand(m_lam)`` along the segment ``m_k -> m``
+        over blended batches.  For a loss linear in the measure the
+        integrand is affine in it, and the end points give it exactly."""
+        m_k, m = self.swap(k), self.m
+        if self.model.has_zero_d2m():
+            a = sum(w * (1.0 - lam) for lam, w in _lambda_rule())
+            b = sum(w * lam for lam, w in _lambda_rule())
+            return a * integrand(m_k) + b * integrand(m)
+        out = 0.0
         for lam, w in _lambda_rule():
-            out += w * integrand(convex_combination(self.swap(k)[1], self.m,
-                                                    float(lam)))
-        return out
-
-    def derivative_path(self, k: int) -> np.ndarray:
-        """Quadrature along ``nu_k -> nu`` of the trained-measure derivative
-        toward ``z_j`` minus toward ``z_bar[j]``, summed over ``j < k``."""
-        t = self.trainer
-        out = np.zeros(self.m.n_nodes)
-        for lt, w in _lambda_rule():
-            td = TrainedDerivatives(
-                t.model, convex_combination(self.swap(k)[0], self.nu,
-                                            float(lt)),
-                t.cfg, solve_kwargs=t.solve_kwargs)
-            diff = 0.0
-            for j in range(k):
-                diff = diff + td.dm_dnu(self.nu.point(j)).density \
-                    - td.dm_dnu(self.z_bar[j]).density
-            out += w * diff
+            out = out + w * integrand(MeasureBatch(
+                m.nodes, m.cell_volumes,
+                (1.0 - lam) * m_k.density + lam * m.density))
         return out
 
 
-def _per_row(term):
-    """Block term of a route that works one replicate at a time: (B,) for
-    a scalar ``term``, (B, c) for a ``term`` that returns c values."""
-    return lambda block: np.array(
-        [term(_Row(block, r)) for r in range(len(block))], dtype=float)
+def _representation(b: _Block) -> np.ndarray:
+    g_bar = b.segment(1, lambda m: b.loss_dm(m, b.n))
+    path = b.trainer.derivative_path(b.data(0), b.data(1), 1)
+    return (g_bar * (path * b.m.cell_volumes)).sum(axis=1) / b.n
 
 
-# Each derivative-route term comes in two forms: a block form, which runs
-# array expressions for closed-form grid trainers and otherwise applies the
-# row form to each replicate, and the row form, kept as the oracle.
+def _convex_lower(b: _Block) -> np.ndarray:
+    lower = b.model.dm_along(b.swap(1), b.m, *b.atom(b.n))[:, 0]
+    return np.stack([b.swap_gap, lower], axis=1)
 
 
-def _representation_row(r: _Row) -> float:
-    z_bar = r.z_bar[0]
-    g_bar = r.segment(1, lambda m_lam: _losses.loss_dm(
-        r.model, m_lam, z_bar, r.m.nodes))
-    return float(g_bar @ (r.derivative_path(1) * r.m.cell_volumes)) / r.n
-
-
-def _representation(block: _Block) -> np.ndarray:
-    if not block.closed_form:
-        return _per_row(_representation_row)(block)
-    lp_bar = block.drawn_lp(block.n, block.n + 1)
-    g_bar = _segment(block, 1, lambda m: _centered(lp_bar, m.node_weights))
-    vol = block.m.cell_volumes
-    return (g_bar * (block.derivative_path(1) * vol)).sum(axis=1) / block.n
-
-
-def _convex_lower_row(r: _Row) -> float:
-    return r.m.integrate(
-        lambda th: _losses.loss_dm(r.model, r.swap(1)[1], r.z_bar[0], th))
-
-
-def _convex_lower(block: _Block) -> np.ndarray:
-    if block.closed_form:
-        lp_bar = block.drawn_lp(block.n, block.n + 1)
-        lower = (_centered(lp_bar, block.swap(1).node_weights)
-                 * block.m.node_weights).sum(axis=1)
-    else:
-        lower = _per_row(_convex_lower_row)(block)
-    return np.stack([block.swap_gap, lower], axis=1)
-
-
-def _lge_upper_row(r: _Row):
-    m, z1 = r.m, r.nu.point(0)
-    d_bar = r.segment(2, lambda m_lam: _losses.loss_dm(
-        r.model, m_lam, z1, m.nodes) - r.pop_dm(m_lam, m.nodes))
-    h2 = float(d_bar @ ((m.density - r.swap(2)[1].density) * m.cell_volumes))
-    h2t = float(d_bar @ (r.derivative_path(2) * m.cell_volumes))
-    return (_losses.loss_value(r.model, m, z1) ** 2,
-            _losses.loss_value(r.model, m, r.z_bar[0]) ** 2,
-            r.gap * r.gap, h2 ** 2, h2t ** 2)
-
-
-def _lge_upper(block: _Block) -> np.ndarray:
-    if not block.closed_form:
-        return _per_row(_lge_upper_row)(block)
-    b, m, m2 = block, block.m, block.swap(2)
-    lp_1 = b.drawn_lp(0, 1)
-    d_bar = _segment(b, 2, lambda m_lam: _centered(lp_1, m_lam.node_weights)
-                     - b.pop_dm(m_lam))
-    h2 = (d_bar * ((m.density - m2.density) * m.cell_volumes)).sum(axis=1)
-    h2t = (d_bar * (b.derivative_path(2) * m.cell_volumes)).sum(axis=1)
-    k_in, k_out = (b.model.atom_losses(m, b.xs[:, j:j + 1], b.ys[:, j:j + 1])
-                   [:, 0] for j in (0, b.n))
+def _lge_upper(b: _Block) -> np.ndarray:
+    m, m2, vol = b.m, b.swap(2), b.m.cell_volumes
+    d_bar = b.segment(2, lambda m_lam: b.loss_dm(m_lam, 0) - b.pop_dm(m_lam))
+    h2 = (d_bar * ((m.density - m2.density) * vol)).sum(axis=1)
+    path = b.trainer.derivative_path(b.data(0), b.data(2), 2)
+    h2t = (d_bar * (path * vol)).sum(axis=1)
+    k_in, k_out = (b.model.atom_losses(m, *b.atom(j))[:, 0] for j in (0, b.n))
     return np.stack([k_in ** 2, k_out ** 2, b.gap * b.gap, h2 ** 2,
                      h2t ** 2], axis=1)
 

@@ -12,9 +12,11 @@ Two loss families are implemented:
 For both, the first and second measure derivatives (normalized so their
 measure average vanishes) are available in closed form, alongside
 growth envelopes ``g`` and ``g1`` controlling the loss and its first
-derivative in terms of ``1 + ||z||^2``.  Each model evaluates losses and
-weighted sums of first derivatives over all atoms of a dataset at once;
-the single-sample functions of this module are one-atom views of those.
+derivative in terms of ``1 + ||z||^2``.  Each model evaluates losses,
+weighted sums of first derivatives (``dm``) and their pairings with a
+difference of measures (``dm_along``) over all atoms of a dataset at
+once, and for a whole :class:`MeasureBatch` of measures; the
+single-sample functions of this module are one-atom views of those.
 A non-finite loss raises ``ValueError``, for a batch without its row.
 """
 
@@ -184,8 +186,9 @@ def outer_loss(kind: str) -> OuterLoss:
 # Each model evaluates its per-atom operations over all atoms of a dataset
 # at once: ``xs`` (n, q) features, ``ys`` (n,) targets and, for weighted
 # sums, ``weights`` (n,), which may be signed.  Parameter arrays ``theta``
-# are (N, d).  ``atom_losses`` also takes a MeasureBatch of B measures
-# with ``xs`` (B, k, q) and ``ys`` (B, k), one dataset per row.
+# are (N, d).  ``atom_losses``, ``dm`` and ``dm_along`` also take a
+# MeasureBatch of B measures with ``xs`` (B, k, q) and ``ys`` (B, k), one
+# dataset per row, and then return one row per measure.
 
 
 def _support(m) -> np.ndarray:
@@ -245,8 +248,12 @@ class NNLoss:
            ) -> np.ndarray:
         """Weighted derivative ``sum_i w_i dl/dm(m, z_i, theta)``, shape (N,).
 
-        Always centered: the constant costs nothing here.
+        Always centered: the constant costs nothing here.  A batch goes
+        row by row on the shared ``theta``: (B, N).
         """
+        if isinstance(m, MeasureBatch):
+            return np.stack([self.dm(m[r], xs[r], ys[r], weights, theta)
+                             for r in range(len(m))])
         preds = _finite(self.predict(m, xs))
         coef = weights * self.outer.d1(preds, ys)
         return self.phi(theta, xs) @ coef - float(preds @ coef)
@@ -265,6 +272,14 @@ class NNLoss:
         g[:, 1:] = theta[:, 0][:, None] * ((self.activation.deriv(u) * coef)
                                            @ xs)
         return g
+
+    def dm_along(self, m, m2, xs, ys) -> np.ndarray:
+        """Per-atom pairing ``int dl/dm(m, z_i, .) d(m2 - m)``, shape (n,):
+        ``l_o'(p_i, y_i) (p2_i - p_i)`` with ``p``, ``p2`` the predictions
+        of ``m`` and ``m2``.  (B, k) for batches."""
+        preds = self.predict(m, xs)
+        return _finite(self.outer.d1(preds, ys)
+                       * (self.predict(m2, xs) - preds))
 
     def loss_d2m(self, m, z: DataPoint, theta, theta2) -> np.ndarray:
         xs = z.x[None, :]
@@ -369,8 +384,8 @@ class ExpectedParamLoss:
     def lp_sums(self, nodes, xs, ys, weights) -> np.ndarray:
         """Weighted sums ``sum_i weights[i] lp(theta, z_ri)``, ``weights``
         (k,), over the atoms of each row of ``xs`` (B, k, q), ``ys`` (B, k),
-        at the shared ``nodes`` (N, d): shape (B, N).  Each row sums as :meth:`dm` sums
-        one dataset."""
+        at the shared ``nodes`` (N, d): shape (B, N).  Each row sums as
+        the uncentered :meth:`dm` sums one dataset."""
         out = np.empty((ys.shape[0], nodes.shape[0]))
         for lo, hi, vals in self._lp_chunks(nodes, xs, ys):
             out[lo:hi] = weights @ vals
@@ -381,8 +396,15 @@ class ExpectedParamLoss:
         """Weighted derivative ``sum_i w_i dl/dm(m, z_i, theta)``, shape (N,).
 
         ``centered=False`` drops the m-average constant, which would
-        cost a second evaluation of ``lp``.
+        cost a second evaluation of ``lp``.  For a grid batch on the
+        shared nodes ``theta`` (N, d) it is :meth:`lp_sums` minus each
+        row's mean under its measure: (B, N).
         """
+        if isinstance(m, MeasureBatch):
+            out = self.lp_sums(theta, xs, ys, weights)
+            if centered:
+                out = out - (out * m.node_weights).sum(axis=1, keepdims=True)
+            return out
         lpm = self.lp(np.atleast_2d(np.asarray(theta, dtype=float)), xs, ys)
         if centered:
             lpm = lpm - self.atom_losses(m, xs, ys)[:, None]
@@ -392,6 +414,12 @@ class ExpectedParamLoss:
         """Gradient in ``theta`` of :meth:`dm`, shape (N, d)."""
         theta = np.atleast_2d(np.asarray(theta, dtype=float))
         return np.tensordot(weights, self.lp_grad(theta, xs, ys), axes=1)
+
+    def dm_along(self, m, m2, xs, ys) -> np.ndarray:
+        """Per-atom pairing ``int dl/dm(m, z_i, .) d(m2 - m)``, shape (n,):
+        the loss difference ``l(m2, z_i) - l(m, z_i)``, since the loss is
+        linear in the measure.  (B, k) for batches."""
+        return self.atom_losses(m2, xs, ys) - self.atom_losses(m, xs, ys)
 
     def loss_d2m(self, m, z: DataPoint, theta, theta2) -> np.ndarray:
         theta = np.atleast_2d(np.asarray(theta, dtype=float))

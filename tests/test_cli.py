@@ -160,6 +160,32 @@ def test_bad_config_values_are_config_errors(tmp_path, capsys, block, key,
     assert err.startswith("config error:") and named in err
 
 
+GIBBS_SWEEP_CFG = {
+    "experiment": "gen-sweep",
+    "model": {"variant": "expected_param", "param_loss": "mean_squared"},
+    "population": {"name": "gaussian", "sigma": 1.0},
+    "gibbs": {"beta": 0.5, "kappa": 0.05, "q": 3, "nodes": 65},
+    "trainer": {"kind": "gibbs_grid", "tol": 1e-10},
+    "routes": ["resampled"],
+    "sweep": {"n": [4], "replicates": 4, "seed": 0},
+    "output": {"csv": "sweep.csv"},
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")])
+@pytest.mark.parametrize("block, key", [("trainer", "tol"), ("gibbs", "beta"),
+                                        ("population", "sigma")])
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, block, key,
+                                              value):
+    cfg = json.loads(json.dumps(GIBBS_SWEEP_CFG))
+    cfg[block][key] = value  # written as NaN / Infinity / -Infinity
+    assert cli.run(write_config(tmp_path, cfg), out=str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"{block}.{key}" in err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # experiments end to end
 

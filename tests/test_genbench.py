@@ -21,7 +21,8 @@ from gibbslab.genbench import (ConstantTrainer, DiscretePopulation,
                                rate_fit, wge_direct, wge_representation,
                                wge_resampled)
 from gibbslab.gibbs import GibbsConfig, Regularizer
-from gibbslab.measures import DataPoint, empirical_from_arrays, resample
+from gibbslab.measures import (DataPoint, convex_combination,
+                               empirical_from_arrays, resample)
 
 WEAK_CFG = GibbsConfig(beta=0.5, sigma=1.0, p=4,
                        regularizer=Regularizer(kappa=0.05, q=3),
@@ -411,33 +412,90 @@ def test_block_terms_match_scalar_loop(trainer_kind, pop_kind, n, replicates,
        seed=st.integers(0, 2 ** 32 - 1))
 def test_closed_form_matches_row_by_row_oracle(pop_kind, n, replicates,
                                                seed):
+    # the same blocks with the closed form off: trained and differentiated
+    # row by row by solve_gibbs and TrainedDerivatives
     trainer, pop, model = _block_setup("grid", pop_kind)
     assert trainer.closed_form
-    block = genbench._Block(trainer, pop, model, n, seed, range(replicates))
-    # training: nu and its one- and two-atom swaps against solve_gibbs
+    solved = GridGibbsTrainer(model, WEAK_CFG)
+    solved.closed_form = False
+    block, oracle = (genbench._Block(t, pop, model, n, seed, range(replicates))
+                     for t in (trainer, solved))
     for k in range(min(n, 2) + 1):
-        batch = block.swap(k) if k else block.m
-        xs, ys = block.data(k)
-        for r in range(replicates):
-            want = trainer.solve(empirical_from_arrays(xs[r], ys[r]))
-            np.testing.assert_allclose(batch.density[r],
-                                       want.measure.density, rtol=1e-12)
-    # derivative routes: block arrays against the per-replicate oracle;
-    # atol covers the terms that cancel to about zero
-    rows = genbench._per_row
-    got = [genbench._representation(block),
-           genbench._convex_lower(block)[:, 1]]
-    want = [rows(genbench._representation_row)(block),
-            rows(genbench._convex_lower_row)(block)]
+        got, want = ((b.swap(k) if k else b.m).density for b in (block, oracle))
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+    routes = [genbench._representation, genbench._convex_lower]
     if n >= 2:
-        upper = genbench._lge_upper(block)
-        oracle = rows(genbench._lge_upper_row)(block)
-        # K in, K out and gap^2 cancel nothing
-        np.testing.assert_allclose(upper[:, :3], oracle[:, :3], rtol=1e-12)
-        got.append(upper[:, 3:])
-        want.append(oracle[:, 3:])
-    for g, w in zip(got, want):
-        np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
+        routes.append(genbench._lge_upper)
+    for route in routes:
+        got, want = route(block), route(oracle)
+        # K in, K out and gap^2 cancel nothing; atol covers the terms that
+        # cancel to about zero
+        if route is genbench._lge_upper:
+            np.testing.assert_allclose(got[:, :3], want[:, :3], rtol=1e-12)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def _reference_terms(block, r):
+    """representation, convex_lower and lge_upper terms of replicate ``r``
+    of ``block``, one measure at a time with the one-measure functions."""
+    model, n, pop, t = block.model, block.n, block.pop, block.trainer
+    nus = [empirical_from_arrays(*(a[r] for a in block.data(k)))
+           for k in range(3)]
+    ms = [block.m[r], block.swap(1)[r], block.swap(2)[r]]
+    m, nodes, vol = ms[0], ms[0].nodes, ms[0].cell_volumes
+    z1, z_bar = nus[0].point(0), nus[1].point(0)
+    oos = empirical_from_arrays(*(a[r] for a in block.oos))
+    rule = list(zip(*funcderiv.gauss_legendre_01(8)))
+
+    def segment(k, integrand):
+        return sum(w * integrand(convex_combination(ms[k], m, float(lam)))
+                   for lam, w in rule)
+
+    def derivative_path(k):
+        out = 0.0
+        for lt, w in rule:
+            td = funcderiv.TrainedDerivatives(
+                model, convex_combination(nus[k], nus[0], float(lt)), t.cfg,
+                solve_kwargs=t.solve_kwargs)
+            for j in range(k):
+                out = out + w * (td.dm_dnu(nus[0].point(j)).density
+                                 - td.dm_dnu(nus[k].point(j)).density)
+        return out
+
+    def pop_dm(m_lam):
+        out = pop.population_loss_dm(model, m_lam, nodes)
+        return gibbs.risk_dm_nodes(model, m_lam, oos, nodes) if out is None \
+            else out
+
+    g_bar = segment(1, lambda m_lam: losses.loss_dm(model, m_lam, z_bar, nodes))
+    representation = g_bar @ (derivative_path(1) * vol) / n
+    lower = m.integrate(lambda th: losses.loss_dm(model, ms[1], z_bar, th))
+    d_bar = segment(2, lambda m_lam: losses.loss_dm(model, m_lam, z1, nodes)
+                    - pop_dm(m_lam))
+    upper = [losses.loss_value(model, m, z1) ** 2,
+             losses.loss_value(model, m, z_bar) ** 2, block.gap[r] ** 2,
+             (d_bar @ ((m.density - ms[2].density) * vol)) ** 2,
+             (d_bar @ (derivative_path(2) * vol)) ** 2]
+    return representation, lower, upper
+
+
+@pytest.mark.parametrize("kind", ["closed_form", "damped", "network"])
+def test_derivative_routes_match_per_replicate_reference(kind):
+    model, pop, cfg = *noiseless_line_setup(), WEAK_CFG
+    if kind == "network":
+        model, pop = losses.NNLoss("tanh", "quadratic"), \
+            NoiselessLinePopulation(0.8)
+        cfg = GibbsConfig(beta=0.7, sigma=1.0, p=4, theta_dim=2,
+                          nodes_per_axis=17)
+    trainer = GridGibbsTrainer(model, cfg,
+                               damping=1.0 if kind == "closed_form" else 0.5)
+    assert trainer.closed_form == (kind == "closed_form")
+    block = genbench._Block(trainer, pop, model, 3, 43, range(3))
+    got = (genbench._representation(block), genbench._convex_lower(block)[:, 1],
+           genbench._lge_upper(block))
+    for g, w in zip(got, zip(*(_reference_terms(block, r) for r in range(3)))):
+        # atol covers the terms that cancel to about zero
+        np.testing.assert_allclose(g, np.array(w), rtol=1e-12, atol=1e-12)
 
 
 def test_closed_form_returns_the_prior_where_the_solver_stops_at_it():

@@ -11,8 +11,9 @@ from gibbslab.losses import (ExpectedParamLoss, NNLoss, activation,
                              mean_squared_param_loss, outer_loss,
                              zero_param_loss)
 from gibbslab.measures import (DataMeasure, DataPoint, GridMeasure,
-                               ParticleMeasure, empirical_from_arrays,
-                               uniform_grid, uniform_grid_1d)
+                               MeasureBatch, ParticleMeasure,
+                               empirical_from_arrays, uniform_grid,
+                               uniform_grid_1d)
 
 
 def gaussian_grid_1d(center=0.0, scale=0.5, half=3.0, n=401):
@@ -332,6 +333,40 @@ def _build_model(name, q):
     factory = {"mean_squared": mean_squared_param_loss,
                "linear_regression": linear_regression_param_loss}[name]
     return factory(), 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(model_name=st.sampled_from(_NN_MODELS + _PARAM_MODELS),
+       k=st.integers(1, 4), on_grid=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_batch_dm_and_pairing_match_one_measure_forms(model_name, k, on_grid,
+                                                      seed):
+    model, d = _build_model(model_name, 1)
+    rng = np.random.default_rng(seed)
+    xs, ys = rng.standard_normal((3, k, 1)), rng.uniform(-1.0, 1.0, (3, k))
+    w = rng.uniform(-1.0, 1.0, k)
+    nodes, vol = uniform_grid(2.0, 5 if d > 1 else 9, d)
+    if on_grid:
+        ms = [MeasureBatch(nodes, vol, rng.uniform(0.1, 1.0, (3, len(nodes))),
+                           normalize=True) for _ in range(2)]
+        dm = model.dm(ms[0], xs, ys, w, nodes)
+    else:
+        ms = [MeasureBatch.of([ParticleMeasure(rng.standard_normal((30, d)))
+                               for _ in range(3)]) for _ in range(2)]
+    along = model.dm_along(ms[0], ms[1], xs, ys)
+    for r in range(3):
+        m, m2 = ms[0][r], ms[1][r]
+        if on_grid:
+            np.testing.assert_allclose(dm[r], model.dm(m, xs[r], ys[r], w,
+                                                       nodes),
+                                       rtol=1e-12, atol=1e-12)
+        # the pairing is the loss derivative at m integrated against m2 - m
+        for i in range(k):
+            z = DataPoint(xs[r, i], ys[r, i])
+            want = m2.integrate(lambda th: losses.loss_dm(model, m, z, th)) \
+                - m.integrate(lambda th: losses.loss_dm(model, m, z, th))
+            np.testing.assert_allclose(along[r, i], want, rtol=1e-10,
+                                       atol=1e-12)
 
 
 @settings(max_examples=120, deadline=None)

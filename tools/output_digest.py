@@ -8,12 +8,15 @@ Usage, from any directory::
 ``run`` executes ``ROOT/configs/*.json`` and ``verify`` with the package
 in ``ROOT/src`` (ROOT defaults to this checkout) and records each exit
 code in ``OUT_DIR/exit_codes.json``.  ``diff`` prints one tab-separated
-line per differing ``(file, row, field, parent, change)``; JSON files
-are flattened to dotted paths.  It exits 1 when anything differs.
+line per differing ``(file, row, field, parent, change, relative)``,
+where ``relative`` is ``|change - parent| / |parent|`` for two numbers
+and ``-`` otherwise, then each file's largest relative difference; JSON
+files are flattened to dotted paths.  It exits 1 when anything differs.
 """
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -53,17 +56,34 @@ def _records(path: Path) -> dict:
     return {("", k): v for k, v in _flatten(json.loads(path.read_text())).items()}
 
 
+def _relative(old, new):
+    """``|new - old| / |old|`` of two numbers (inf from 0), else None."""
+    try:
+        x, y = float(old), float(new)
+    except (TypeError, ValueError):
+        return None
+    if isinstance(old, bool) or isinstance(new, bool):
+        return None
+    return abs(y - x) / abs(x) if x else (0.0 if y == x else math.inf)
+
+
 def diff(parent: Path, change: Path) -> int:
     names = sorted({p.name for d in (parent, change) for p in d.iterdir()
                     if p.suffix in (".csv", ".json")})
-    count = 0
+    count, largest = 0, {}
     for name in names:
         a, b = _records(parent / name), _records(change / name)
         for key in sorted(set(a) | set(b), key=str):
-            if a.get(key, "<missing>") != b.get(key, "<missing>"):
+            old, new = a.get(key, "<missing>"), b.get(key, "<missing>")
+            if old != new:
                 count += 1
-                print(name, *key, a.get(key, "<missing>"),
-                      b.get(key, "<missing>"), sep="\t")
+                rel = _relative(old, new)
+                if rel is not None:
+                    largest[name] = max(largest.get(name, 0.0), rel)
+                print(name, *key, old, new, "-" if rel is None else f"{rel:.2g}",
+                      sep="\t")
+    for name, rel in largest.items():
+        print(f"{name}: largest relative difference {rel:.2g}")
     print(f"{count} differing fields in {len(names)} files")
     return 1 if count else 0
 
