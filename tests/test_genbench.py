@@ -421,7 +421,8 @@ def test_closed_form_matches_row_by_row_oracle(pop_kind, n, replicates,
     block, oracle = (genbench._Block(t, pop, model, n, seed, range(replicates))
                      for t in (trainer, solved))
     for k in range(min(n, 2) + 1):
-        got, want = ((b.swap(k) if k else b.m).density for b in (block, oracle))
+        got, want = ((b.swap(k) if k else b.m).density
+                     for b in (block, oracle))
         np.testing.assert_allclose(got, want, rtol=1e-12)
     routes = [genbench._representation, genbench._convex_lower]
     if n >= 2:
@@ -467,7 +468,8 @@ def _reference_terms(block, r):
         return gibbs.risk_dm_nodes(model, m_lam, oos, nodes) if out is None \
             else out
 
-    g_bar = segment(1, lambda m_lam: losses.loss_dm(model, m_lam, z_bar, nodes))
+    g_bar = segment(1, lambda m_lam: losses.loss_dm(model, m_lam, z_bar,
+                                                    nodes))
     representation = g_bar @ (derivative_path(1) * vol) / n
     lower = m.integrate(lambda th: losses.loss_dm(model, ms[1], z_bar, th))
     d_bar = segment(2, lambda m_lam: losses.loss_dm(model, m_lam, z1, nodes)
@@ -491,8 +493,8 @@ def test_derivative_routes_match_per_replicate_reference(kind):
                                damping=1.0 if kind == "closed_form" else 0.5)
     assert trainer.closed_form == (kind == "closed_form")
     block = genbench._Block(trainer, pop, model, 3, 43, range(3))
-    got = (genbench._representation(block), genbench._convex_lower(block)[:, 1],
-           genbench._lge_upper(block))
+    got = (genbench._representation(block),
+           genbench._convex_lower(block)[:, 1], genbench._lge_upper(block))
     for g, w in zip(got, zip(*(_reference_terms(block, r) for r in range(3)))):
         # atol covers the terms that cancel to about zero
         np.testing.assert_allclose(g, np.array(w), rtol=1e-12, atol=1e-12)

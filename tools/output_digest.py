@@ -80,8 +80,8 @@ def diff(parent: Path, change: Path) -> int:
                 rel = _relative(old, new)
                 if rel is not None:
                     largest[name] = max(largest.get(name, 0.0), rel)
-                print(name, *key, old, new, "-" if rel is None else f"{rel:.2g}",
-                      sep="\t")
+                print(name, *key, old, new,
+                      "-" if rel is None else f"{rel:.2g}", sep="\t")
     for name, rel in largest.items():
         print(f"{name}: largest relative difference {rel:.2g}")
     print(f"{count} differing fields in {len(names)} files")
