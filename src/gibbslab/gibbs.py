@@ -546,7 +546,7 @@ def prior_moment_bound(model, nu: DataMeasure, cfg: GibbsConfig) -> float:
 def _drift(model, nu, cfg, pts):
     """Gradient of ``dR/dm(m_hat, nu, .) + U(.)/(2 beta^2)`` at the particles."""
     return cfg.regularizer.grad(pts) / (2.0 * cfg.beta ** 2) + model.dm_grad(
-        ParticleMeasure(pts), nu.xs, nu.ys, nu.weights, pts)
+        pts, nu.xs, nu.ys, nu.weights)
 
 
 def _init_scale(cfg: GibbsConfig) -> float:
@@ -577,6 +577,7 @@ def mfld_sample(model, nu: DataMeasure, cfg: GibbsConfig, n_particles: int,
         For activations without a derivative, or when the heuristic
         stability check ``h * temperature * L <= 0.25`` fails (``L`` a
         probed Lipschitz scale of the drift).
+        Also when a particle is not finite: in ``init``, or after a step.
     RuntimeError
         If any particle escapes ten box radii (divergence detector).
     """
@@ -594,10 +595,11 @@ def mfld_sample(model, nu: DataMeasure, cfg: GibbsConfig, n_particles: int,
         pts = np.array(init, dtype=float)
         if pts.shape != (n_particles, cfg.theta_dim):
             raise ValueError("initial particle array has the wrong shape")
+        if not np.isfinite(pts).all():
+            raise ValueError("non-finite particle in init")
 
     # heuristic stability probe: drift Lipschitz scale on the initial cloud
-    k = min(n_particles, 33)
-    probe = pts[:k]
+    probe = pts[:33]
     d0 = _drift(model, nu, cfg, probe)
     num = np.linalg.norm(d0[1:] - d0[:-1], axis=1)
     den = np.linalg.norm(probe[1:] - probe[:-1], axis=1)
@@ -608,11 +610,21 @@ def mfld_sample(model, nu: DataMeasure, cfg: GibbsConfig, n_particles: int,
             f"step size {step_size} too large: h * temperature * L = "
             f"{step_size * cfg.temperature * lip:.3g} exceeds 0.25")
 
+    # pts is updated in place; noise is the buffer of the one reduction
+    # that serves both checks, a NaN propagating through the max
     noise_scale = math.sqrt(step_size * cfg.sigma ** 2 / cfg.beta ** 2)
-    for _ in range(n_steps):
-        pts = pts - step_size * _drift(model, nu, cfg, pts) \
-            + noise_scale * rng.standard_normal(pts.shape)
-        if np.max(np.abs(pts)) > 10.0 * radius:
+    noise = np.empty_like(pts)
+    for step in range(n_steps):
+        d = _drift(model, nu, cfg, pts)
+        d *= step_size
+        pts -= d
+        rng.standard_normal(out=noise)
+        noise *= noise_scale
+        pts += noise
+        top = np.abs(pts, out=noise).max()
+        if np.isnan(top):
+            raise ValueError(f"non-finite particle after step {step + 1}")
+        if top > 10.0 * radius:
             raise RuntimeError(
                 "particle system diverged (left ten box radii); "
                 "reduce the step size")

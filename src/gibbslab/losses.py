@@ -32,6 +32,8 @@ from .measures import (DataMeasure, DataPoint, GridMeasure, MeasureBatch,
 
 # elements of the largest lp array one batched call may build
 _LP_ELEMENTS = 1 << 18
+# elements of the largest feature array one NNLoss.predict call may build
+_PHI_ELEMENTS = 1 << 22
 
 
 # ---------------------------------------------------------------------------
@@ -233,12 +235,18 @@ class NNLoss:
         """Mean-field predictions ``E_m phi(., x_i)``, shape (n,).
 
         For a batch, row ``r`` predicts ``m[r]`` on ``xs[r]``: (B, k).
+        Features are built for at most ``_PHI_ELEMENTS`` entries at a time.
         """
         if isinstance(m, MeasureBatch):
             return np.stack([self.predict(m[r], xs[r]) for r in range(len(m))])
+        support = _support(m)
+        step = max(1, _PHI_ELEMENTS // len(support))
+        if len(xs) > step:
+            return np.concatenate([self.predict(m, xs[lo:lo + step])
+                                   for lo in range(0, len(xs), step)])
         if isinstance(m, GridMeasure):
-            return self.phi(m.nodes, xs).T @ m.node_weights
-        return self.phi(_support(m), xs).mean(axis=0)
+            return self.phi(support, xs).T @ m.node_weights
+        return self.phi(support, xs).mean(axis=0)
 
     def atom_losses(self, m, xs, ys) -> np.ndarray:
         """Per-atom losses ``l(m, z_i)``, shape (n,); (B, k) for a batch."""
@@ -258,19 +266,20 @@ class NNLoss:
         coef = weights * self.outer.d1(preds, ys)
         return self.phi(theta, xs) @ coef - float(preds @ coef)
 
-    def dm_grad(self, m, xs, ys, weights, theta) -> np.ndarray:
-        """Gradient in ``theta`` of :meth:`dm`, shape (N, d)."""
+    def dm_grad(self, pts, xs, ys, weights) -> np.ndarray:
+        """Gradient at the particles ``pts`` (N, d) of :meth:`dm` at their
+        own empirical measure, (N, d), from one evaluation of the features."""
         if self.activation.deriv is None:
             raise ValueError(
                 f"activation {self.activation.kind!r} has no derivative")
-        theta = np.atleast_2d(np.asarray(theta, dtype=float))
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
         xs = np.asarray(xs, dtype=float)
-        coef = weights * self.outer.d1(self.predict(m, xs), ys)
-        u = theta[:, 1:] @ xs.T
-        g = np.empty_like(theta)
-        g[:, 0] = self.activation.value(u) @ coef
-        g[:, 1:] = theta[:, 0][:, None] * ((self.activation.deriv(u) * coef)
-                                           @ xs)
+        u = pts[:, 1:] @ xs.T
+        a = self.activation.value(u)
+        coef = weights * self.outer.d1((pts[:, :1] * a).mean(axis=0), ys)
+        g = np.empty_like(pts)
+        g[:, 0] = a @ coef
+        g[:, 1:] = pts[:, :1] * ((self.activation.deriv(u) * coef) @ xs)
         return g
 
     def dm_along(self, m, m2, xs, ys) -> np.ndarray:
@@ -410,10 +419,13 @@ class ExpectedParamLoss:
             lpm = lpm - self.atom_losses(m, xs, ys)[:, None]
         return weights @ lpm
 
-    def dm_grad(self, m, xs, ys, weights, theta) -> np.ndarray:
-        """Gradient in ``theta`` of :meth:`dm`, shape (N, d)."""
-        theta = np.atleast_2d(np.asarray(theta, dtype=float))
-        return np.tensordot(weights, self.lp_grad(theta, xs, ys), axes=1)
+    def dm_grad(self, pts, xs, ys, weights) -> np.ndarray:
+        """Gradient of :meth:`dm` at the particles ``pts`` (N, d): (N, d)."""
+        g = self.lp_grad(np.atleast_2d(np.asarray(pts, dtype=float)), xs, ys)
+        # the one dot call of tensordot(weights, g, axes=1), without its
+        # Python bookkeeping, which costs as much as the dot at these sizes
+        return np.dot(np.reshape(weights, (1, -1)),
+                      g.reshape(len(g), -1)).reshape(g.shape[1:])
 
     def dm_along(self, m, m2, xs, ys) -> np.ndarray:
         """Per-atom pairing ``int dl/dm(m, z_i, .) d(m2 - m)``, shape (n,):

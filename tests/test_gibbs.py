@@ -11,8 +11,8 @@ from gibbslab.gibbs import (GibbsConfig, GibbsConvergenceError, Regularizer,
                             default_regularizer, gibbs_map, kl_divergence,
                             mfld_sample, objective, objective_gap_bound,
                             prior_kl, prior_moment_bound, solve_gibbs)
-from gibbslab.measures import (GridMeasure, empirical_from_arrays,
-                               uniform_grid_1d)
+from gibbslab.measures import (GridMeasure, ParticleMeasure,
+                               empirical_from_arrays, uniform_grid_1d)
 
 
 def gaussian_data(seed=0, n=8):
@@ -537,3 +537,115 @@ def test_mfld_sample_custom_init_shape_checked():
     with pytest.raises(ValueError):
         mfld_sample(model, nu, cfg, 32, 1e-3, 5, seed=5,
                     init=np.zeros((8, 1)))
+
+
+def _shifted_init(n_particles, far_row, far_value):
+    # 33 probe rows near 0, so the stability probe passes, and one row
+    # outside the probe at far_value
+    init = np.linspace(-0.1, 0.1, n_particles)[:, None]
+    init[far_row] = far_value
+    return init
+
+
+def test_mfld_sample_divergence_raises_runtime_error():
+    cfg = GibbsConfig(beta=1.0, sigma=1.0, p=2,
+                      regularizer=Regularizer(kappa=1.0, q=1), radius=6.0)
+    nu = gaussian_data(seed=15, n=3)
+    with pytest.raises(RuntimeError, match="diverged"):
+        mfld_sample(losses.zero_param_loss(), nu, cfg, 64, 1e-3, 5, seed=2,
+                    init=_shifted_init(64, 33, 100.0))
+
+
+def test_mfld_sample_non_finite_particle_raises_value_error():
+    def lp(theta, xs, ys):
+        return (theta[:, 0] - ys[:, None]) ** 2
+
+    def lp_grad(theta, xs, ys):
+        g = 2.0 * (theta[:, 0] - ys[:, None])[:, :, None]
+        return np.where(np.abs(theta) > 5.0, np.nan, g)
+
+    model = losses.ExpectedParamLoss(lp, M_p=2.0, lp_grad=lp_grad)
+    cfg = GibbsConfig(beta=1.0, sigma=1.0, p=2,
+                      regularizer=Regularizer(kappa=1.0, q=1), radius=6.0)
+    nu = gaussian_data(seed=16, n=3)
+    # the drift at 5.5 is NaN, and so is that particle after one step
+    with pytest.raises(ValueError, match="non-finite particle"):
+        mfld_sample(model, nu, cfg, 64, 1e-3, 5, seed=3,
+                    init=_shifted_init(64, 40, 5.5))
+    with pytest.raises(ValueError, match="non-finite particle"):
+        mfld_sample(losses.zero_param_loss(), nu, cfg, 64, 1e-3, 5, seed=3,
+                    init=_shifted_init(64, 40, np.nan))
+
+
+def _general_dm_grad(model, m, xs, ys, weights, theta):
+    """Gradient in ``theta`` of ``model.dm`` at any measure ``m``."""
+    theta = np.atleast_2d(np.asarray(theta, dtype=float))
+    if not isinstance(model, losses.NNLoss):
+        return np.tensordot(weights, model.lp_grad(theta, xs, ys), axes=1)
+    act = model.activation
+    xs = np.asarray(xs, dtype=float)
+    preds = model.phi(m.points, xs).mean(axis=0)
+    coef = weights * model.outer.d1(preds, ys)
+    u = theta[:, 1:] @ xs.T
+    g = np.empty_like(theta)
+    g[:, 0] = act.value(u) @ coef
+    g[:, 1:] = theta[:, 0][:, None] * ((act.deriv(u) * coef) @ xs)
+    return g
+
+
+def _oracle_mfld_sample(model, nu, cfg, n_particles, step_size, n_steps,
+                        seed, init=None):
+    """The sampler one out-of-place step at a time, with a
+    ``ParticleMeasure`` per step: the slow reference for the fused loop."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    if init is None:
+        pts = gibbs._init_scale(cfg) * rng.standard_normal(
+            (n_particles, cfg.theta_dim))
+    else:
+        pts = np.array(init, dtype=float)
+    noise_scale = math.sqrt(step_size * cfg.sigma ** 2 / cfg.beta ** 2)
+    for _ in range(n_steps):
+        drift = cfg.regularizer.grad(pts) / (2.0 * cfg.beta ** 2) \
+            + _general_dm_grad(model, ParticleMeasure(pts), nu.xs, nu.ys,
+                               nu.weights, pts)
+        pts = pts - step_size * drift \
+            + noise_scale * rng.standard_normal(pts.shape)
+        assert np.max(np.abs(pts)) <= 10.0 * cfg.box_radius()
+    return ParticleMeasure(pts)
+
+
+def _sampler_case(name):
+    """``(model, nu, cfg)`` of one equivalence case."""
+    rng = np.random.default_rng(21)
+    if name.startswith("nn"):
+        _, act, outer, q = name.split("-")
+        xs = rng.standard_normal((6, int(q)))
+        nu = empirical_from_arrays(xs, np.tanh(xs @ np.linspace(1, 0.5,
+                                                                int(q))))
+        cfg = GibbsConfig(beta=1.0, sigma=0.5, p=8, theta_dim=1 + int(q))
+        return losses.NNLoss(act, outer), nu, cfg
+    xs = rng.standard_normal((5, 1))
+    nu = empirical_from_arrays(xs, 0.7 * xs[:, 0] + rng.standard_normal(5))
+    cfg = GibbsConfig(beta=0.8, sigma=1.0, p=4,
+                      regularizer=Regularizer(kappa=0.05, q=3))
+    if name == "finite_difference":
+        def lp(theta, xs, ys):
+            return np.log1p((theta[:, 0] - ys[:, None]) ** 2)
+        return losses.ExpectedParamLoss(lp, M_p=1.0), nu, cfg
+    return {"mean_squared": losses.mean_squared_param_loss,
+            "linear_regression": losses.linear_regression_param_loss,
+            "zero": losses.zero_param_loss}[name](), nu, cfg
+
+
+@pytest.mark.parametrize("with_init", [False, True])
+@pytest.mark.parametrize("name", [
+    "mean_squared", "linear_regression", "finite_difference", "zero",
+    *(f"nn-{act}-{outer}-{q}" for act in ("tanh", "sigmoid", "relu")
+      for outer in ("quadratic", "logcosh") for q in (1, 2))])
+def test_mfld_sample_matches_out_of_place_oracle(name, with_init):
+    model, nu, cfg = _sampler_case(name)
+    init = (0.3 * np.random.default_rng(4).standard_normal((64, cfg.theta_dim))
+            if with_init else None)
+    part = mfld_sample(model, nu, cfg, 64, 1e-3, 40, seed=9, init=init)
+    ref = _oracle_mfld_sample(model, nu, cfg, 64, 1e-3, 40, seed=9, init=init)
+    np.testing.assert_array_equal(part.points, ref.points)

@@ -179,14 +179,16 @@ def test_nn_loss_d2m_outer_product_structure():
 
 
 def test_nn_dm_grad_matches_finite_difference():
+    # dm_grad differentiates dm at the particles' own empirical measure,
+    # which the difference quotient holds fixed
     model = NNLoss("tanh", "quadratic")
     rng = np.random.default_rng(7)
-    theta = rng.standard_normal((4, 3))
     xs = rng.standard_normal((5, 2))
     ys = rng.standard_normal(5)
     w = rng.uniform(-1, 1, 5)
-    m = ParticleMeasure(rng.standard_normal((50, 3)))
-    g = model.dm_grad(m, xs, ys, w, theta)
+    theta = rng.standard_normal((50, 3))
+    m = ParticleMeasure(theta)
+    g = model.dm_grad(theta, xs, ys, w)
     h = 1e-6
     for j in range(3):
         up, down = theta.copy(), theta.copy()
@@ -196,7 +198,29 @@ def test_nn_dm_grad_matches_finite_difference():
             / (2 * h)
         np.testing.assert_allclose(g[:, j], fd, atol=1e-7)
     with pytest.raises(ValueError):
-        NNLoss("heaviside", "quadratic").dm_grad(m, xs, ys, w, theta)
+        NNLoss("heaviside", "quadratic").dm_grad(theta, xs, ys, w)
+
+
+def test_predict_in_atom_chunks_matches_one_feature_array(monkeypatch):
+    model = NNLoss("tanh", "quadratic")
+    rng = np.random.default_rng(8)
+    xs = rng.standard_normal((13, 1))
+    grid = bump_grid_2d(np.array([0.3, -0.2]), n=9)
+    cloud = ParticleMeasure(rng.standard_normal((50, 2)))
+    whole = [model.predict(m, xs) for m in (grid, cloud)]
+    monkeypatch.setattr(losses, "_PHI_ELEMENTS", 200)
+    phi, widths = model.phi, []
+
+    def counting(theta, x):
+        widths.append(len(x))
+        return phi(theta, x)
+
+    monkeypatch.setattr(model, "phi", counting)
+    for m, ref, step in zip((grid, cloud), whole, (2, 4)):
+        widths.clear()
+        np.testing.assert_allclose(model.predict(m, xs), ref, rtol=1e-14,
+                                   atol=0)
+        assert max(widths) == step and sum(widths) == len(xs)
 
 
 # ---------------------------------------------------------------------------
