@@ -83,6 +83,12 @@ def _get_int(cfg, path, default=_REQUIRED, minimum=None):
     return val
 
 
+def _seed(seed: int, path: str) -> int:
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"{path}: expected 0 <= seed < 2**64, got {seed}")
+    return seed
+
+
 def _get_choice(cfg, path, choices, default=_REQUIRED):
     val = _get(cfg, path, default)
     if val not in choices:
@@ -136,8 +142,12 @@ def build_population(cfg: dict, model):
     points = []
     for i, item in enumerate(pts):
         try:
+            if not isinstance(item, dict):
+                raise TypeError(f"expected an object, got {item!r}")
             x = np.asarray(item.get("x", []), dtype=float)
             points.append(measures.DataPoint(x, float(item["y"])))
+            if points[-1].x.shape != points[0].x.shape:
+                raise ValueError("x differs in length from points[0].x")
         except (TypeError, KeyError, ValueError) as exc:
             raise ConfigError(f"population.points[{i}]: {exc}") from exc
     try:
@@ -206,9 +216,7 @@ def _sweep(cfg: dict):
         raise ConfigError("sweep.n: expected a strictly increasing list of "
                           "positive integers")
     replicates = _get_int(cfg, "sweep.replicates", minimum=2)
-    seed = _get_int(cfg, "sweep.seed", minimum=0)
-    if seed >= 2 ** 64:
-        raise ConfigError("sweep.seed: must fit in 64 bits")
+    seed = _seed(_get_int(cfg, "sweep.seed"), "sweep.seed")
     return ns, replicates, seed
 
 
@@ -632,8 +640,8 @@ def run(config_path, seed: Optional[int] = None,
     try:
         experiment = _get_choice(cfg, "experiment", set(_EXPERIMENTS))
         exp_id = _get(cfg, "id", experiment)
-        cfg_seed = seed if seed is not None else _get_int(cfg, "sweep.seed",
-                                                          0, minimum=0)
+        cfg_seed = seed if seed is not None \
+            else _seed(_get_int(cfg, "sweep.seed", 0), "sweep.seed")
         out_dir = Path(out if out is not None
                        else _get(cfg, "output.dir", "."))
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -678,10 +686,15 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None, help="output directory")
     args = parser.parse_args(argv)
     try:
+        if args.seed is not None:
+            _seed(args.seed, "--seed")
         if args.command == "run":
             return run(args.config, seed=args.seed, out=args.out)
         return verify(seed=args.seed if args.seed is not None else 0,
                       out=args.out if args.out is not None else ".")
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     except Exception as exc:  # runtime failures map to exit 1
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import losses as _losses
 from .funcderiv import TrainedDerivatives, gauss_legendre_01
-from .gibbs import GibbsConfig, prior_kl, solve_gibbs
+from .gibbs import GibbsConfig, _normalized_exp, prior_kl, solve_gibbs
 from .measures import (DataMeasure, DataPoint, GridMeasure, MeasureBatch,
                        convex_combination, empirical_from_arrays,
                        uniform_grid_1d)
@@ -333,12 +333,7 @@ class GridGibbsTrainer(_RowByRowTrainer):
         """(B, N) densities :func:`solve_gibbs` returns for the exponent
         rows ``expo``: each normalized ``exp`` row, or the prior where that
         lies within ``tol`` of it (the solver's start)."""
-        shift = expo.max(axis=1, keepdims=True)
-        if not np.isfinite(shift).all():
-            raise ValueError("tilt map produced a degenerate density: "
-                             "degenerate exponent on the grid")
-        raw = np.exp(expo - shift)
-        dens = raw / (raw.sum(axis=1, keepdims=True) * self.cfg.grid()[1])
+        dens = _normalized_exp(expo, self.cfg.grid()[1])[0]
         prior = self.cfg.priors().gamma_sigma.density
         start = np.abs(dens - prior).max(axis=1) <= self.solve_kwargs["tol"]
         dens[start] = prior
@@ -422,25 +417,19 @@ class MFLDTrainer(_RowByRowTrainer):
 class ExplicitGaussianMeanTrainer:
     """Closed-form trainer of the Gaussian location problem.
 
-    Maps a data measure to the normal law centered at its target mean
-    with variance ``sigma_tilde^2 / n``; ``n`` defaults to the atom
-    count of the trained measure and can be pinned for perturbation
-    calculus.  The mean generalization error of this trainer is exactly
+    Maps a data measure of ``n`` atoms to the normal law centered at its
+    target mean with variance ``sigma_tilde^2 / n``.  The mean
+    generalization error of this trainer is exactly
     ``2 sigma_tilde^2 / n``.
     """
 
     kind = "explicit_gaussian_mean"
     deterministic = True
 
-    def __init__(self, sigma_tilde: float, fixed_n: Optional[int] = None):
+    def __init__(self, sigma_tilde: float):
         if sigma_tilde <= 0:
             raise ValueError("sigma_tilde must be positive")
         self.sigma_tilde = float(sigma_tilde)
-        self.fixed_n = fixed_n
-
-    def _scale(self, n_atoms: int) -> float:
-        n = self.fixed_n if self.fixed_n is not None else n_atoms
-        return self.sigma_tilde / math.sqrt(n)
 
     def train_batch(self, xs, ys, rngs=None) -> MeasureBatch:
         """The closed form for every row at once.
@@ -449,7 +438,7 @@ class ExplicitGaussianMeanTrainer:
         positions, each row's mean plus the offsets, differ.
         """
         ys = np.asarray(ys, dtype=float)
-        s = self._scale(ys.shape[1])
+        s = self.sigma_tilde / math.sqrt(ys.shape[1])
         offsets, h = uniform_grid_1d(0.0, _EXPLICIT_SPAN * s, _EXPLICIT_NODES)
         shape = np.exp(-(offsets[:, 0] ** 2) / (2.0 * s * s))
         return MeasureBatch(ys.mean(axis=1)[:, None, None] + offsets, h,
@@ -461,15 +450,6 @@ class ExplicitGaussianMeanTrainer:
         if np.ptp(nu.weights) > 0:
             raise ValueError("the closed-form trainer needs equal weights")
         return self.train_batch(nu.xs[None], nu.ys[None])[0]
-
-    def dm_dnu(self, nu: DataMeasure, z: DataPoint) -> GridMeasure:
-        """Closed-form signed density derivative toward ``delta_z``."""
-        m = self.train(nu)
-        mu_hat, s = float(nu.ys.mean()), self._scale(nu.n_atoms)
-        factor = (m.nodes[:, 0] - mu_hat) / s ** 2 * (z.y - mu_hat)
-        dens = m.density * factor
-        dens = dens - (dens @ m.cell_volumes) / float(m.cell_volumes.sum())
-        return GridMeasure(m.nodes, m.cell_volumes, dens, signed=True)
 
 
 class ConstantTrainer(_RowByRowTrainer):
@@ -898,7 +878,7 @@ def gibbs_bound_constants(model, cfg: GibbsConfig, pop: PopulationModel,
         raise ValueError("sample size must be positive")
     tilt = cfg.priors().gamma_tilt_p
     mom_p = tilt.moment(cfg.p)
-    g_tilt, _ = _losses.growth_envelopes(model, tilt)
+    g_tilt = model.growth(tilt)
     c_theta = _theta_growth_constant(model, cfg.p)
     tau = cfg.temperature
 

@@ -27,6 +27,9 @@ import numpy as np
 from . import losses as _losses
 from .measures import DataMeasure, GridMeasure, ParticleMeasure, uniform_grid
 
+# prior and tilted-prior mass left outside the automatic grid box
+TAIL_MASS = 1e-10
+
 
 class GibbsConvergenceError(RuntimeError):
     """Fixed-point iteration failed to reach tolerance; carries the last residual."""
@@ -113,7 +116,7 @@ class GibbsConfig:
     radius : float, optional
         Half-width of the grid box.  When omitted it is chosen so both
         the prior and its ``||theta||^p``-tilted companion carry tail
-        mass below ``tail_mass`` outside the box.
+        mass below :data:`TAIL_MASS` outside the box.
     """
 
     beta: float
@@ -123,7 +126,6 @@ class GibbsConfig:
     theta_dim: int = 1
     nodes_per_axis: int = 129
     radius: Optional[float] = None
-    tail_mass: float = 1e-10
 
     def __post_init__(self):
         if self.beta <= 0 or self.sigma <= 0:
@@ -137,8 +139,6 @@ class GibbsConfig:
             raise ValueError("parameter dimension must be at least 1")
         if self.nodes_per_axis < 8:
             raise ValueError("grid needs at least 8 nodes per axis")
-        if not 0 < self.tail_mass < 1e-4:
-            raise ValueError("tail mass must be a small positive number")
         object.__setattr__(self, "_cache", {})
 
     @property
@@ -164,7 +164,7 @@ class GibbsConfig:
     def box_radius(self) -> float:
         if self.radius is None:
             return _auto_radius(self.regularizer, self.sigma, self.p,
-                                self.theta_dim, self.tail_mass)
+                                self.theta_dim)
         if self.radius <= 0:
             raise ValueError("grid radius must be positive")
         return float(self.radius)
@@ -187,10 +187,14 @@ class GibbsConfig:
         if "priors" not in self._cache:
             nodes, vol = self.grid()
             expo = -self.confinement()
-            gamma, f_sigma = _normalized_exp(nodes, vol, expo)
             r = np.sqrt(np.einsum("ij,ij->i", nodes, nodes))
-            tilt, f_tilt = _normalized_exp(nodes, vol, expo + r ** self.p)
-            self._cache["priors"] = PriorPair(gamma, tilt, f_sigma, f_tilt)
+            dens, shift, mass = _normalized_exp(
+                np.stack([expo, expo + r ** self.p]), vol)
+            f_sigma, f_tilt = (float(math.exp(s) * m) if s < 700 else math.inf
+                               for s, m in zip(shift, mass))
+            self._cache["priors"] = PriorPair(
+                GridMeasure(nodes, vol, dens[0]),
+                GridMeasure(nodes, vol, dens[1]), f_sigma, f_tilt)
         return self._cache["priors"]
 
 
@@ -204,39 +208,41 @@ class PriorPair:
     normalizer_tilt_p: float
 
 
-def _normalized_exp(nodes, vol, exponent):
-    """Grid-normalized density ``exp(exponent)`` and its quadrature normalizer."""
-    shift = float(np.max(exponent))
-    if not np.isfinite(shift):
-        raise ValueError("degenerate exponent on the grid")
-    raw = np.exp(exponent - shift)
-    mass = float(raw.sum()) * vol
-    if mass <= 0 or not np.isfinite(mass):
-        raise ValueError("density underflows everywhere on the grid")
-    measure = GridMeasure(nodes, vol, raw / (mass))
-    normalizer = math.exp(shift) * mass if shift < 700 else math.inf
-    return measure, normalizer
+def _normalized_exp(exponent, vol):
+    """Densities ``exp(exponent)``, normalized by grid quadrature with cell
+    volume ``vol``, of an (N,) exponent or of each row of a (B, N) one.
+
+    Each row is shifted by its maximum before ``exp``, so its largest
+    entry is 1 and its mass is at least one cell volume.  Returns
+    ``(density, shift, mass)``; the normalizer is ``exp(shift) * mass``.
+    """
+    shift = np.max(exponent, axis=-1)
+    if not np.isfinite(shift).all():
+        raise ValueError("tilt map produced a degenerate density: "
+                         "degenerate exponent on the grid")
+    raw = np.exp(exponent - shift[..., None])
+    mass = raw.sum(axis=-1) * vol
+    return raw / mass[..., None], shift, mass
 
 
 @functools.lru_cache(maxsize=64, typed=True)
-def _auto_radius(regularizer, sigma, p, theta_dim, tail_mass) -> float:
-    """Box half-width leaving tail mass below ``tail_mass`` under both the
-    prior and its ``||theta||^p``-tilted companion.
+def _auto_radius(regularizer, sigma, p, theta_dim) -> float:
+    """Box half-width leaving tail mass below :data:`TAIL_MASS` under both
+    the prior and its ``||theta||^p``-tilted companion.
 
     Memoized on every value it reads: configurations that differ only in
     ``beta`` or the grid resolution share one computation.
     """
     s2 = sigma ** 2
     r_prior = _radial_tail_radius(
-        lambda r: -regularizer.value_radial(r) / s2, theta_dim, tail_mass)
+        lambda r: -regularizer.value_radial(r) / s2, theta_dim)
     r_tilt = _radial_tail_radius(
-        lambda r: -regularizer.value_radial(r) / s2 + r ** p,
-        theta_dim, tail_mass)
+        lambda r: -regularizer.value_radial(r) / s2 + r ** p, theta_dim)
     return max(r_prior, r_tilt)
 
 
-def _radial_tail_radius(exponent, dim, tail_mass):
-    """Smallest radius whose radial tail mass ratio is below ``tail_mass``.
+def _radial_tail_radius(exponent, dim):
+    """Smallest radius whose radial tail mass ratio is below :data:`TAIL_MASS`.
 
     ``exponent`` is the radial log-density ``f(r)``; the mass element is
     ``r^(dim-1) exp(f(r)) dr``.  A box of this half-width contains the
@@ -261,7 +267,7 @@ def _radial_tail_radius(exponent, dim, tail_mass):
     cum = np.concatenate([[0.0], np.cumsum((w[1:] + w[:-1]) * 0.5)])
     total = cum[-1]
     tail_ratio = 1.0 - cum / total
-    idx = int(np.searchsorted(-tail_ratio, -tail_mass))
+    idx = int(np.searchsorted(-tail_ratio, -TAIL_MASS))
     idx = min(max(idx, 1), len(r) - 1)
     return float(r[idx])
 
@@ -321,16 +327,6 @@ def objective(model, m: GridMeasure, nu: DataMeasure, cfg: GibbsConfig) -> float
     return _losses.risk(model, m, nu) + cfg.kl_weight * prior_kl(m, cfg)
 
 
-def risk_dm_nodes(model, m, nu: DataMeasure, nodes: np.ndarray,
-                  centered: bool = True) -> np.ndarray:
-    """Measure derivative of the empirical risk evaluated at all nodes.
-
-    ``centered=False`` lets the model drop the m-average normalization
-    constant, which the exponential tilt map is invariant to.
-    """
-    return model.dm(m, nu.xs, nu.ys, nu.weights, nodes, centered)
-
-
 def gibbs_map(model, m, nu: DataMeasure, cfg: GibbsConfig) -> GridMeasure:
     """One application of the exponential tilt map.
 
@@ -338,21 +334,18 @@ def gibbs_map(model, m, nu: DataMeasure, cfg: GibbsConfig) -> GridMeasure:
     ``exp(-(2 beta^2/sigma^2) [dR/dm(m, nu, theta) + U(theta)/(2 beta^2)])``,
     normalized by grid quadrature.  The map is invariant under constant
     shifts of the loss; exponentiation is stabilized by subtracting the
-    maximal exponent.
+    maximal exponent; ``model.dm`` drops its m-average constant
+    (``centered=False``), to which the map is invariant.
     """
-    return _tilt(cfg, risk_dm_nodes(model, m, nu, cfg.grid()[0],
-                                    centered=False))
+    return _tilt(cfg, model.dm(m, nu.xs, nu.ys, nu.weights, cfg.grid()[0],
+                               centered=False))
 
 
 def _tilt(cfg: GibbsConfig, drdm: np.ndarray) -> GridMeasure:
     """Grid measure with density proportional to ``exp(-tau drdm - U/sigma^2)``."""
     nodes, vol = cfg.grid()
     expo = -cfg.temperature * drdm - cfg.confinement()
-    try:
-        out, _ = _normalized_exp(nodes, vol, expo)
-    except ValueError as exc:
-        raise ValueError(f"tilt map produced a degenerate density: {exc}") from exc
-    return out
+    return GridMeasure(nodes, vol, _normalized_exp(expo, vol)[0])
 
 
 @dataclasses.dataclass(frozen=True)

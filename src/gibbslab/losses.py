@@ -11,8 +11,9 @@ Two loss families are implemented:
 
 For both, the first and second measure derivatives (normalized so their
 measure average vanishes) are available in closed form, alongside
-growth envelopes ``g`` and ``g1`` controlling the loss and its first
-derivative in terms of ``1 + ||z||^2``.  Each model evaluates losses,
+growth envelopes ``growth(m)`` and ``growth_d1(m, theta)`` bounding
+``|l(m, z)|`` and ``|dl/dm(m, z, theta)|`` in units of
+``1 + ||z||^2``.  Each model evaluates losses,
 weighted sums of first derivatives (``dm``) and their pairings with a
 difference of measures (``dm_along``) over all atoms of a dataset at
 once, and for a whole :class:`MeasureBatch` of measures; the
@@ -405,14 +406,14 @@ class ExpectedParamLoss:
         """Weighted derivative ``sum_i w_i dl/dm(m, z_i, theta)``, shape (N,).
 
         ``centered=False`` drops the m-average constant, which would
-        cost a second evaluation of ``lp``.  For a grid batch on the
-        shared nodes ``theta`` (N, d) it is :meth:`lp_sums` minus each
-        row's mean under its measure: (B, N).
+        cost a second evaluation of ``lp``.  For a batch it is
+        :meth:`lp_sums` on the shared ``theta`` (N, d) minus the weighted
+        sum of each row's atom losses: (B, N).
         """
         if isinstance(m, MeasureBatch):
             out = self.lp_sums(theta, xs, ys, weights)
             if centered:
-                out = out - (out * m.node_weights).sum(axis=1, keepdims=True)
+                out = out - (self.atom_losses(m, xs, ys) @ weights)[:, None]
             return out
         lpm = self.lp(np.atleast_2d(np.asarray(theta, dtype=float)), xs, ys)
         if centered:
@@ -522,24 +523,5 @@ def loss_d2m(model, m, z: DataPoint, theta, theta2) -> np.ndarray:
 
 
 def risk(model, m, nu: DataMeasure) -> float:
-    """Average loss of ``m`` over the data measure ``nu``.
-
-    Signed data measures are rejected: risk is only defined against a
-    probability measure.
-    """
-    if nu.signed:
-        raise ValueError("risk of a signed data measure is undefined")
+    """Average loss of ``m`` over the data measure ``nu``."""
     return float(nu.weights @ model.atom_losses(m, nu.xs, nu.ys))
-
-
-def growth_envelopes(model, m, theta=None):
-    """Growth envelopes ``(g(m), g1(m, theta))``.
-
-    ``g`` bounds the loss through ``|l(m, z)| <= g(m) (1 + ||z||^2)``
-    and ``g1`` bounds the first derivative through
-    ``|dl/dm(m, z, theta)| <= g1(m, theta) (1 + ||z||^2)``.  The second
-    element is ``None`` when ``theta`` is omitted.
-    """
-    g = model.growth(m)
-    g1 = model.growth_d1(m, theta) if theta is not None else None
-    return g, g1

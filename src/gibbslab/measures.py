@@ -15,10 +15,10 @@ averages of the whole block are array expressions; ``batch[r]`` is the
 r-th measure as one of the objects above.  A batch runs the checks of
 one grid measure and does not say which row failed them.
 
-Signed measures (differences of probability measures, derivative
-objects) are supported through a ``signed`` flag rather than a separate
-type: validation switches from "weights sum to one" to "weights sum to
-zero".
+Data measures are probability measures.  Signed grid measures
+(derivatives of trained measures in the data) are supported through a
+``signed`` flag rather than a separate type: validation switches from
+"density integrates to one" to "density integrates to zero".
 """
 
 from __future__ import annotations
@@ -92,17 +92,16 @@ def _check_grid(nodes, cell_volumes, density, signed, normalize):
 
 
 class DataMeasure:
-    """Weighted atomic measure on the sample space.
+    """Weighted atomic probability measure on the sample space.
 
     Atoms are stored as parallel arrays ``xs`` (n, q), ``ys`` (n,) and
     ``weights`` (n,).  Duplicate sample values are kept as separate
-    atoms.  Unsigned measures must have nonnegative weights summing to
-    one; signed measures must have weights summing to zero.
+    atoms.  Weights must be nonnegative and sum to one.
     """
 
-    __slots__ = ("xs", "ys", "weights", "signed")
+    __slots__ = ("xs", "ys", "weights")
 
-    def __init__(self, xs, ys, weights, signed: bool = False):
+    def __init__(self, xs, ys, weights):
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         weights = np.asarray(weights, dtype=float)
@@ -118,20 +117,14 @@ class DataMeasure:
                 and np.isfinite(weights).all()):
             raise ValueError("non-finite atom or weight")
         total = float(weights.sum())
-        if signed:
-            if abs(total) > _UNSIGNED_TOL:
-                raise ValueError(
-                    f"signed data measure must have zero total mass, got {total!r}")
-        else:
-            if (weights < -_UNSIGNED_TOL).any():
-                raise ValueError("unsigned data measure with negative weight")
-            if abs(total - 1.0) > _UNSIGNED_TOL:
-                raise ValueError(
-                    f"unsigned data measure must have unit mass, got {total!r}")
+        if (weights < -_UNSIGNED_TOL).any():
+            raise ValueError("unsigned data measure with negative weight")
+        if abs(total - 1.0) > _UNSIGNED_TOL:
+            raise ValueError(
+                f"unsigned data measure must have unit mass, got {total!r}")
         self.xs = _freeze(xs)
         self.ys = _freeze(ys)
         self.weights = _freeze(weights)
-        self.signed = bool(signed)
 
     @property
     def n_atoms(self) -> int:
@@ -207,7 +200,7 @@ def resample(nu: DataMeasure, indices: Sequence[int],
             raise ValueError("replacement feature dimension mismatch")
         xs[i] = r.x
         ys[i] = r.y
-    return DataMeasure(xs, ys, nu.weights, signed=nu.signed)
+    return DataMeasure(xs, ys, nu.weights)
 
 
 class GridMeasure:
@@ -324,18 +317,17 @@ class MeasureBatch:
     """``B`` parameter measures held as arrays, one measure per row.
 
     A grid batch holds ``nodes``, shared (N, d) or per row (B, N, d);
-    ``cell_volumes``, (N,) or (B, N); and ``density`` and
+    ``cell_volumes`` (N,), shared by the rows; and ``density`` and
     ``node_weights``, (B, N).  A particle batch holds ``points``
-    (B, P, d).  ``batch[r]`` is the r-th measure: the object a trainer
-    built one by one (:meth:`of`), or a :class:`GridMeasure` built on
-    first request.
+    (B, P, d).  ``batch[r]`` is the r-th measure, a :class:`GridMeasure`
+    or :class:`ParticleMeasure` built when it is asked for.
 
     The constructor makes an unsigned grid batch and runs the checks of
     :class:`GridMeasure` over the whole batch.
     """
 
     __slots__ = ("nodes", "cell_volumes", "density", "node_weights",
-                 "points", "_rows")
+                 "points")
 
     def __init__(self, nodes, cell_volumes, density, normalize: bool = False):
         nodes = np.asarray(nodes, dtype=float)
@@ -345,41 +337,32 @@ class MeasureBatch:
                 or (nodes.ndim == 3 and nodes.shape[0] != density.shape[0]):
             raise ValueError("batch arrays must be (N, d) or (B, N, d) nodes "
                              "and (B, N) density")
-        b, n = density.shape
         cell_volumes = np.asarray(cell_volumes, dtype=float)
-        if cell_volumes.ndim < 2:
-            cell_volumes = np.broadcast_to(cell_volumes, (n,))
-        elif cell_volumes.shape != (b, n):
-            raise ValueError("batch cell volumes must be (N,) or (B, N)")
+        if cell_volumes.ndim > 1:
+            raise ValueError("batch cell volumes must be a scalar or (N,)")
+        cell_volumes = np.broadcast_to(cell_volumes, (density.shape[1],))
         density = _check_grid(nodes, cell_volumes, density, False, normalize)
         self.nodes = _freeze(nodes)
         self.cell_volumes = _freeze(cell_volumes)
         self.density = _freeze(density)
         self.node_weights = _freeze(density * cell_volumes)
         self.points = None
-        self._rows = [None] * b
 
     @classmethod
     def of(cls, measures) -> "MeasureBatch":
-        """Batch of measures that were built, and validated, one by one.
-
-        Grid nodes are stored once when every row has the same grid.
-        """
+        """Batch of measures that were built, and validated, one by one:
+        particle measures, or grid measures on one shared grid."""
         rows = list(measures)
         batch = object.__new__(cls)
-        batch._rows = rows
         batch.nodes = batch.cell_volumes = batch.density = None
         batch.node_weights = batch.points = None
         first = rows[0]
         if all(isinstance(m, ParticleMeasure) for m in rows):
             batch.points = _freeze(np.stack([m.points for m in rows]))
         elif all(isinstance(m, GridMeasure) for m in rows):
-            if all(m is first or m.same_grid(first) for m in rows):
-                batch.nodes, batch.cell_volumes = first.nodes, first.cell_volumes
-            else:
-                batch.nodes = _freeze(np.stack([m.nodes for m in rows]))
-                batch.cell_volumes = _freeze(np.stack([m.cell_volumes
-                                                     for m in rows]))
+            if not all(m is first or m.same_grid(first) for m in rows):
+                raise ValueError("batch rows must share one grid")
+            batch.nodes, batch.cell_volumes = first.nodes, first.cell_volumes
             batch.density = _freeze(np.stack([m.density for m in rows]))
             batch.node_weights = _freeze(np.stack([m.node_weights
                                                  for m in rows]))
@@ -388,16 +371,13 @@ class MeasureBatch:
         return batch
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self.points if self.points is not None else self.density)
 
     def __getitem__(self, r: int):
-        m = self._rows[r]
-        if m is None:
-            nodes = self.nodes if self.nodes.ndim == 2 else self.nodes[r]
-            vol = self.cell_volumes if self.cell_volumes.ndim == 1 \
-                else self.cell_volumes[r]
-            m = self._rows[r] = GridMeasure(nodes, vol, self.density[r])
-        return m
+        if self.points is not None:
+            return ParticleMeasure(self.points[r])
+        nodes = self.nodes if self.nodes.ndim == 2 else self.nodes[r]
+        return GridMeasure(nodes, self.cell_volumes, self.density[r])
 
     def integrate(self, f) -> np.ndarray:
         """Quadrature of ``f`` against every row, shape (B,).
@@ -446,7 +426,7 @@ def convex_combination(mu0, mu1, lam: float):
         xs = np.concatenate([mu0.xs, mu1.xs])
         ys = np.concatenate([mu0.ys, mu1.ys])
         w = np.concatenate([(1.0 - lam) * mu0.weights, lam * mu1.weights])
-        return DataMeasure(xs, ys, w, signed=mu0.signed and mu1.signed)
+        return DataMeasure(xs, ys, w)
     raise ValueError("measures of different kinds cannot be combined")
 
 

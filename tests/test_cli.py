@@ -150,6 +150,12 @@ SWEEP_CFG = {
     ("gibbs", "radius", -2.0, "gibbs.radius"),
     ("gibbs", "kappa", -1, "kappa"),
     ("population", "probs", [float("nan"), 1.0], "population.probs"),
+    ("population", "points", [{"x": [0.0], "y": 0.0},
+                              {"x": [0.0, 1.0], "y": 1.0}],
+     "population.points[1]"),
+    ("population", "points", [{"y": 0.0}, 3], "population.points[1]"),
+    ("sweep", "seed", -1, "sweep.seed"),
+    ("sweep", "seed", 2 ** 64, "sweep.seed"),
 ])
 def test_bad_config_values_are_config_errors(tmp_path, capsys, block, key,
                                              value, named):
@@ -305,6 +311,17 @@ def test_gibbs_solve_writes_json_summary(tmp_path):
     assert payload["residual"] <= 1e-10
     assert payload["p_moment"] <= payload["p_moment_bound"] + 1e-6
     assert payload["holds"] is True
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_bad_seed_override_is_a_config_error(tmp_path, capsys, command, seed):
+    args = [command, write_config(tmp_path, GAUSS_CFG)] if command == "run" \
+        else [command]
+    assert cli.main(args + ["--seed", seed, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("config error: --seed")
+    assert not list(tmp_path.glob("*.csv")) \
+        and not (tmp_path / "verify_report.json").exists()
 
 
 def test_main_cli_surface(tmp_path, capsys):

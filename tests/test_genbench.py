@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gibbslab import funcderiv, genbench, gibbs, losses
+from gibbslab import funcderiv, genbench, losses
 from gibbslab.genbench import (ConstantTrainer, DiscretePopulation,
                                ExplicitGaussianMeanTrainer,
                                GaussianScalarPopulation, GridGibbsTrainer,
@@ -116,30 +116,6 @@ def test_explicit_trainer_matches_its_description():
     np.testing.assert_allclose(var, 1.5 ** 2 / 4.0, rtol=1e-6)
     with pytest.raises(ValueError):
         ExplicitGaussianMeanTrainer(0.0)
-
-
-def test_explicit_trainer_dm_dnu_matches_finite_difference():
-    trainer = ExplicitGaussianMeanTrainer(1.0, fixed_n=4)
-    ys = np.array([0.1, -0.3, 0.6, 0.2])
-    nu = empirical_from_arrays(np.zeros((4, 0)), ys)
-    z = DataPoint(np.zeros(0), 1.3)
-    an = trainer.dm_dnu(nu, z)
-    np.testing.assert_allclose(an.node_weights.sum(), 0.0, atol=1e-12)
-    # difference the analytic normal density on the *base* grid (the
-    # trainer re-centers its own grid, so node-by-node differencing of
-    # two trainings would compare different coordinates)
-    m0 = trainer.train(nu)
-    mu_hat = float(nu.weights @ nu.ys)
-    s = 1.0 / math.sqrt(4.0)
-    eps = 1e-6
-    mu_eps = (1 - eps) * mu_hat + eps * z.y
-    t = m0.nodes[:, 0]
-    def pdf(mu):
-        raw = np.exp(-((t - mu) ** 2) / (2 * s * s))
-        return raw / (raw @ m0.cell_volumes)
-    fd = (pdf(mu_eps) - pdf(mu_hat)) / eps
-    np.testing.assert_allclose(an.density, fd,
-                               atol=1e-4 * np.abs(fd).max())
 
 
 def test_grid_trainer_roundtrip_and_with_beta():
@@ -353,8 +329,6 @@ def _block_setup(trainer_kind, pop_kind):
                  DataPoint(np.array([1.0]), 0.5),
                  DataPoint(np.array([2.0]), 2.0)], [0.2, 0.5, 0.3])
     trainer = {"explicit": lambda: ExplicitGaussianMeanTrainer(1.0),
-               "explicit_fixed_n": lambda: ExplicitGaussianMeanTrainer(
-                   1.0, fixed_n=3),
                "grid": lambda: GridGibbsTrainer(model, WEAK_CFG),
                "mfld": lambda: MFLDTrainer(model, WEAK_CFG, 16, 1e-3, 5),
                }[trainer_kind]()
@@ -385,8 +359,7 @@ def _scalar_loop_terms(trainer, pop, model, n, replicates, seed):
 
 
 @settings(max_examples=30, deadline=None)
-@given(trainer_kind=st.sampled_from(["explicit", "explicit_fixed_n", "grid",
-                                     "mfld"]),
+@given(trainer_kind=st.sampled_from(["explicit", "grid", "mfld"]),
        pop_kind=st.sampled_from(["gaussian", "gaussian_no_hook", "line",
                                  "discrete"]),
        n=st.integers(1, 8), replicates=st.integers(2, 5),
@@ -465,8 +438,8 @@ def _reference_terms(block, r):
 
     def pop_dm(m_lam):
         out = pop.population_loss_dm(model, m_lam, nodes)
-        return gibbs.risk_dm_nodes(model, m_lam, oos, nodes) if out is None \
-            else out
+        return model.dm(m_lam, oos.xs, oos.ys, oos.weights, nodes) \
+            if out is None else out
 
     g_bar = segment(1, lambda m_lam: losses.loss_dm(model, m_lam, z_bar,
                                                     nodes))
@@ -519,7 +492,7 @@ def test_closed_form_returns_the_prior_where_the_solver_stops_at_it():
 
 @pytest.mark.parametrize("trainer_kind, pop_kind, routes", [
     ("explicit", "gaussian", ["direct", "resampled", "lge", "convex_lower"]),
-    ("explicit_fixed_n", "discrete", ["direct", "resampled"]),
+    ("explicit", "discrete", ["direct", "resampled"]),
     ("grid", "gaussian_no_hook", ["direct", "resampled", "lge"]),
     ("grid", "line", ["representation", "lge_upper"]),
     ("mfld", "line", ["direct", "resampled"]),
@@ -680,7 +653,7 @@ def test_enumeration_identity_and_validation():
        n=st.integers(1, 3), kind=st.sampled_from(["explicit", "grid"]))
 def test_swap_identity_on_random_discrete_spaces(ys, weights, n, kind):
     model = losses.mean_squared_param_loss()
-    trainer = ExplicitGaussianMeanTrainer(1.0, fixed_n=n) if kind == "explicit" \
+    trainer = ExplicitGaussianMeanTrainer(1.0) if kind == "explicit" \
         else GridGibbsTrainer(model, WEAK_CFG)
     probs = np.array(weights[:len(ys)]) / sum(weights[:len(ys)])
     probs[-1] = 1.0 - probs[:-1].sum()
@@ -709,7 +682,7 @@ def test_resample_round_trip(seed, n, q, k, data):
 
 def test_enumeration_matches_monte_carlo():
     model, _ = gaussian_mean_setup()
-    trainer = ExplicitGaussianMeanTrainer(1.0, fixed_n=2)
+    trainer = ExplicitGaussianMeanTrainer(1.0)
     pts = [DataPoint(np.zeros(0), -1.0), DataPoint(np.zeros(0), 1.0)]
     space = [(pts[0], 0.5), (pts[1], 0.5)]
     w_exact, _ = enumerate_exact_gen(trainer, space, model, 2)

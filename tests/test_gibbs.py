@@ -104,7 +104,7 @@ def test_box_radius_tail_criterion():
     w = np.exp(-cfg.regularizer.value_radial(r) / cfg.sigma ** 2)
     total = np.trapezoid(w, r)
     outside = np.trapezoid(np.where(r > radius, w, 0.0), r)
-    assert outside / total <= 1.5 * cfg.tail_mass
+    assert outside / total <= 1.5 * gibbs.TAIL_MASS
     # the tilted companion decays on the same box
     tilt = np.exp(-cfg.regularizer.value_radial(r) + r ** cfg.p)
     assert tilt[-1] < 1e-100
@@ -128,9 +128,9 @@ def test_automatic_radius_is_memoized_on_the_fields_it_reads(monkeypatch):
     calls = []
     tail_radius = gibbs._radial_tail_radius
 
-    def counting(exponent, dim, tail_mass):
+    def counting(exponent, dim):
         calls.append(1)
-        return tail_radius(exponent, dim, tail_mass)
+        return tail_radius(exponent, dim)
 
     monkeypatch.setattr(gibbs, "_radial_tail_radius", counting)
     gibbs._auto_radius.cache_clear()
@@ -144,7 +144,7 @@ def test_automatic_radius_is_memoized_on_the_fields_it_reads(monkeypatch):
     assert len(calls) == 2  # the prior's tail and the tilted tail, once
     for field, value in (("sigma", 0.8), ("p", 5),
                          ("regularizer", Regularizer(kappa=0.3, q=4)),
-                         ("theta_dim", 2), ("tail_mass", 1e-9)):
+                         ("theta_dim", 2)):
         calls.clear()
         assert GibbsConfig(**dict(base, **{field: value})).box_radius() \
             != radius
@@ -464,8 +464,8 @@ def test_risk_dm_nodes_centering():
     nu = gaussian_data(seed=9)
     m = cfg.priors().gamma_sigma
     nodes = m.nodes
-    centered = gibbs.risk_dm_nodes(model, m, nu, nodes, centered=True)
-    raw = gibbs.risk_dm_nodes(model, m, nu, nodes, centered=False)
+    centered = model.dm(m, nu.xs, nu.ys, nu.weights, nodes, centered=True)
+    raw = model.dm(m, nu.xs, nu.ys, nu.weights, nodes, centered=False)
     np.testing.assert_allclose(centered @ m.node_weights, 0.0, atol=1e-10)
     # centering only shifts by a constant
     assert np.ptp(raw - centered) < 1e-10
@@ -476,7 +476,7 @@ def test_risk_dm_nodes_centering():
     xs = np.random.default_rng(10).standard_normal((4, 1))
     nu2 = empirical_from_arrays(xs, np.tanh(xs[:, 0]))
     m2 = cfg2.priors().gamma_sigma
-    vals = gibbs.risk_dm_nodes(nn, m2, nu2, m2.nodes)
+    vals = nn.dm(m2, nu2.xs, nu2.ys, nu2.weights, m2.nodes)
     np.testing.assert_allclose(vals @ m2.node_weights, 0.0, atol=1e-12)
 
 

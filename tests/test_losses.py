@@ -285,26 +285,17 @@ def test_risk_matches_atomwise_average():
     np.testing.assert_allclose(losses.risk(ep, m1, nu), manual, rtol=1e-12)
 
 
-def test_risk_rejects_signed_data_measure():
-    nu = empirical_from_arrays(np.zeros((2, 0)), np.array([0.0, 1.0]))
-    signed = type(nu)(nu.xs, nu.ys, np.array([0.5, -0.5]), signed=True)
-    with pytest.raises(ValueError):
-        losses.risk(mean_squared_param_loss(), gaussian_grid_1d(), signed)
-
-
 def test_growth_envelopes_bound_loss_and_derivative():
     rng = np.random.default_rng(10)
     nn = NNLoss("tanh", "quadratic")
     m = bump_grid_2d(np.array([0.0, 0.0]))
-    g, g1 = losses.growth_envelopes(nn, m, m.nodes)
+    g, g1 = nn.growth(m), nn.growth_d1(m, m.nodes)
     for _ in range(200):
         z = DataPoint(rng.standard_normal(1), float(rng.standard_normal()))
         scale = 1.0 + z.x @ z.x + z.y ** 2
         assert abs(losses.loss_value(nn, m, z)) <= g * scale
         assert np.all(np.abs(losses.loss_dm(nn, m, z, m.nodes))
                       <= g1 * scale)
-    g_only, none = losses.growth_envelopes(nn, m)
-    assert none is None and g_only == g
 
 
 def test_zero_param_loss_is_zero():
@@ -373,16 +364,18 @@ def test_batch_dm_and_pairing_match_one_measure_forms(model_name, k, on_grid,
     if on_grid:
         ms = [MeasureBatch(nodes, vol, rng.uniform(0.1, 1.0, (3, len(nodes))),
                            normalize=True) for _ in range(2)]
-        dm = model.dm(ms[0], xs, ys, w, nodes)
     else:
         ms = [MeasureBatch.of([ParticleMeasure(rng.standard_normal((30, d)))
                                for _ in range(3)]) for _ in range(2)]
+    # the derivative at the batch's own nodes and at shifted points
+    thetas = (nodes, nodes + 0.5)
+    dms = [model.dm(ms[0], xs, ys, w, theta) for theta in thetas]
     along = model.dm_along(ms[0], ms[1], xs, ys)
     for r in range(3):
         m, m2 = ms[0][r], ms[1][r]
-        if on_grid:
+        for dm, theta in zip(dms, thetas):
             np.testing.assert_allclose(dm[r], model.dm(m, xs[r], ys[r], w,
-                                                       nodes),
+                                                       theta),
                                        rtol=1e-12, atol=1e-12)
         # the pairing is the loss derivative at m integrated against m2 - m
         for i in range(k):
@@ -423,7 +416,7 @@ def test_batched_operations_match_one_atom_views(model_name, n, q, on_grid,
                                rtol=1e-12, atol=1e-12)
     dm_loop = sum(wi * losses.loss_dm(model, m, z, theta)
                   for wi, z in zip(nu.weights, atoms))
-    dm_batch = gibbs.risk_dm_nodes(model, m, nu, theta)
+    dm_batch = model.dm(m, nu.xs, nu.ys, nu.weights, theta)
     scale = 1.0 + np.max(np.abs(dm_loop))
     np.testing.assert_allclose(dm_batch, dm_loop, rtol=0, atol=1e-12 * scale)
 
@@ -438,7 +431,7 @@ def test_batched_operations_match_one_atom_views(model_name, n, q, on_grid,
     m_hat = ParticleMeasure(pts)
 
     def potential(th):
-        return gibbs.risk_dm_nodes(model, m_hat, nu, th) \
+        return model.dm(m_hat, nu.xs, nu.ys, nu.weights, th) \
             + cfg.regularizer.value(th) / (2.0 * cfg.beta ** 2)
 
     h = 1e-5

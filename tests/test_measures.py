@@ -229,19 +229,28 @@ def test_grid_measure_rejections(case, message):
 @pytest.mark.parametrize("case, message",
                          [c for c in _GRID_CASES if c[0] != "signed mass"])
 def test_measure_batch_rejections_name_the_row(case, message):
-    # rows 0 and 2 are valid; row 1 carries the defect, and the batch
-    # rejects it with the message of the one-measure check
+    # rows 0 and 2 are valid; row 1 carries the defect, or the shared
+    # cell volumes do, and the batch rejects it with the message of the
+    # one-measure check
     rows = [_grid_case(None), _grid_case(case), _grid_case(None)]
-    nodes, vol, dens = (np.stack([r[k] for r in rows]) for k in range(3))
+    nodes, dens = (np.stack([r[k] for r in rows]) for k in (0, 2))
     with pytest.raises(ValueError, match=f"^{message}"):
-        MeasureBatch(nodes, vol, dens)
+        MeasureBatch(nodes, rows[1][1], dens)
+
+
+def test_measure_batch_rejects_per_row_cell_volumes():
+    nodes, vol, dens, _ = _grid_case(None)
+    with pytest.raises(ValueError, match="^batch cell volumes must be"):
+        MeasureBatch(nodes, np.stack([vol, vol]), np.stack([dens, dens]))
 
 
 def test_measure_batch_of_rows_and_lazy_rows():
     nodes, vol, dens, _ = _grid_case(None)
     g = GridMeasure(nodes, vol, dens)
-    shared = MeasureBatch.of([g, g])
-    assert shared.nodes.shape == (5, 1) and shared[1] is g
+    shared = MeasureBatch.of([g, GridMeasure(nodes, vol, dens)])
+    assert shared.nodes.shape == (5, 1) and len(shared) == 2
+    assert shared[1].same_grid(g)
+    np.testing.assert_array_equal(shared[1].density, g.density)
     np.testing.assert_array_equal(shared.integrate(lambda t: t[:, 0] ** 2),
                                   [g.integrate(lambda t: t[:, 0] ** 2)] * 2)
     built = MeasureBatch(nodes + np.array([0.0, 1.0])[:, None, None], vol,
@@ -250,9 +259,14 @@ def test_measure_batch_of_rows_and_lazy_rows():
     np.testing.assert_allclose(built[1].mean(), [1.0], rtol=1e-15)
     parts = MeasureBatch.of([ParticleMeasure(np.zeros((4, 1))),
                              ParticleMeasure(np.ones((4, 1)))])
+    assert len(parts) == 2
+    np.testing.assert_array_equal(parts[1].points, np.ones((4, 1)))
     np.testing.assert_array_equal(parts.integrate(lambda t: t[:, 0]), [0, 1])
     with pytest.raises(TypeError):
         MeasureBatch.of([g, ParticleMeasure(np.zeros((4, 1)))])
+    # measures on different grids are not one batch
+    with pytest.raises(ValueError, match="^batch rows must share one grid"):
+        MeasureBatch.of([g, GridMeasure(nodes + 1.0, vol, dens)])
 
 
 _DATA_CASES = [
@@ -266,16 +280,17 @@ _DATA_CASES = [
      "unsigned data measure with negative weight"),
     ("unsigned mass", [[0.0], [1.0]], [0.0, 1.0], [0.5, 0.6], False,
      "unsigned data measure must have unit mass"),
-    ("signed mass", [[0.0], [1.0]], [0.0, 1.0], [0.5, 0.6], True,
-     "signed data measure must have zero total mass"),
+    ("flat features", [[0.0], [np.inf]], [0.0, 1.0], [0.5, 0.5], True,
+     "non-finite atom or weight"),
 ]
 
 
-@pytest.mark.parametrize("case, xs, ys, weights, signed, message", _DATA_CASES)
-def test_data_measure_rejections(case, xs, ys, weights, signed, message):
+@pytest.mark.parametrize("case, xs, ys, weights, flat, message", _DATA_CASES)
+def test_data_measure_rejections(case, xs, ys, weights, flat, message):
+    # flat: the features of a one-feature dataset given as an (n,) array
+    xs = np.array(xs)
     with pytest.raises(ValueError, match=f"^{message}"):
-        DataMeasure(np.array(xs), np.array(ys), np.array(weights),
-                    signed=signed)
+        DataMeasure(xs[:, 0] if flat else xs, np.array(ys), np.array(weights))
 
 
 @pytest.mark.parametrize("x, y", [([np.inf], 0.0), ([0.0], np.nan)])
