@@ -15,8 +15,8 @@ the well-behaved region of the box.
 import numpy as np
 
 from gibbslab import (GibbsConfig, GridMeasure, NNLoss, Regularizer,
-                      empirical_from_arrays, objective, predict,
-                      prior_moment_bound, risk, solve_gibbs)
+                      empirical_from_arrays, objective, prior_moment_bound,
+                      risk, solve_gibbs)
 
 
 def main():
@@ -58,7 +58,8 @@ def main():
     # jointly flipping the signs of (a, w) -- so read out predictions.
     print("predictions of the trained measure:")
     for x in (-1.0, 0.0, 1.0):
-        print(f"  x = {x:+.1f}: predicted {predict(model, sol.measure, [x]):+.4f}"
+        pred = model.predict(sol.measure, [[x]])[0]
+        print(f"  x = {x:+.1f}: predicted {pred:+.4f}"
               f"   target {np.tanh(1.3 * x):+.4f}")
 
 

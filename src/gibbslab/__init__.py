@@ -15,14 +15,14 @@ measures
     convex combinations between them.
 losses
     Mean-field network losses (activation x outer loss) and expected
-    parametric losses, with value / first / second measure derivatives
-    and growth envelopes.
+    parametric losses, with values, first measure derivatives and
+    growth envelopes.
 gibbs
     Entropy-regularized objective, exponential-tilt fixed point solver,
     prior pair with moment bounds, and the particle sampler.
 funcderiv
-    Linear-functional derivative checks and the trained-measure
-    derivative ``dm/dnu`` via a Fredholm system.
+    Linear-functional derivative checks, the curvature kernel and the
+    trained-measure derivative ``dm/dnu`` via a Fredholm system.
 genbench
     Population models, trainers, generalization-error estimation
     routes as reductions over replicate blocks, bound constants, and
@@ -32,18 +32,16 @@ cli
 """
 
 from .measures import (DataMeasure, DataPoint, GridMeasure, ParticleMeasure,
-                       convex_combination, empirical_from_arrays,
-                       empirical_from_samples, resample, uniform_grid,
-                       uniform_grid_1d)
+                       convex_combination, empirical_from_arrays, resample,
+                       uniform_grid, uniform_grid_1d)
 from .losses import (ExpectedParamLoss, NNLoss, activation,
-                     linear_regression_param_loss, loss_d2m, loss_dm,
-                     loss_value, mean_squared_param_loss, outer_loss,
-                     predict, risk, zero_param_loss)
+                     linear_regression_param_loss, loss_dm, loss_value,
+                     mean_squared_param_loss, outer_loss, risk,
+                     zero_param_loss)
 from .gibbs import (GibbsConfig, GibbsConvergenceError, GibbsSolution,
                     PriorPair, Regularizer, default_regularizer, gibbs_map,
-                    kl_divergence, mfld_sample, objective,
-                    objective_gap_bound, prior_kl, prior_moment_bound,
-                    solve_gibbs)
+                    kl_divergence, mfld_sample, objective, prior_kl,
+                    prior_moment_bound, solve_gibbs)
 from .funcderiv import (TrainedDerivatives, check_linear_derivative, dm_dnu,
                         finite_diff_dm_dnu, gauss_legendre_01)
 from .genbench import (BoundConstants, ConstantTrainer, DiscretePopulation,
@@ -55,24 +53,23 @@ from .genbench import (BoundConstants, ConstantTrainer, DiscretePopulation,
                        estimate_routes, gaussian_bump_on_grid,
                        gaussian_mean_oracle, gaussian_mean_setup,
                        gibbs_bound_constants, lge, lge_upper_terms,
-                       markov_tail, noiseless_line_setup,
-                       population_risk_bound, rate_fit, wge_direct,
-                       wge_representation, wge_resampled)
+                       noiseless_line_setup, population_risk_bound,
+                       rate_fit, wge_direct, wge_representation,
+                       wge_resampled)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DataMeasure", "DataPoint", "GridMeasure", "ParticleMeasure",
-    "convex_combination", "empirical_from_arrays", "empirical_from_samples",
-    "resample", "uniform_grid", "uniform_grid_1d",
+    "convex_combination", "empirical_from_arrays", "resample",
+    "uniform_grid", "uniform_grid_1d",
     "ExpectedParamLoss", "NNLoss", "activation",
-    "linear_regression_param_loss", "loss_d2m", "loss_dm", "loss_value",
-    "mean_squared_param_loss", "outer_loss", "predict", "risk",
-    "zero_param_loss",
+    "linear_regression_param_loss", "loss_dm", "loss_value",
+    "mean_squared_param_loss", "outer_loss", "risk", "zero_param_loss",
     "GibbsConfig", "GibbsConvergenceError", "GibbsSolution", "PriorPair",
     "Regularizer", "default_regularizer", "gibbs_map", "kl_divergence",
-    "mfld_sample", "objective", "objective_gap_bound", "prior_kl",
-    "prior_moment_bound", "solve_gibbs",
+    "mfld_sample", "objective", "prior_kl", "prior_moment_bound",
+    "solve_gibbs",
     "TrainedDerivatives", "check_linear_derivative", "dm_dnu",
     "finite_diff_dm_dnu", "gauss_legendre_01",
     "BoundConstants", "ConstantTrainer", "DiscretePopulation",
@@ -82,7 +79,7 @@ __all__ = [
     "ReplicateError", "RiskBoundReport", "convex_lower_bound_check",
     "enumerate_exact_gen", "estimate_routes",
     "gaussian_bump_on_grid", "gaussian_mean_oracle", "gaussian_mean_setup",
-    "gibbs_bound_constants", "lge", "lge_upper_terms", "markov_tail",
+    "gibbs_bound_constants", "lge", "lge_upper_terms",
     "noiseless_line_setup", "population_risk_bound", "rate_fit",
     "wge_direct", "wge_representation", "wge_resampled",
     "__version__",

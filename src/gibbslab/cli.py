@@ -176,10 +176,16 @@ def build_gibbs_config(cfg: dict, theta_dim: int) -> gibbs.GibbsConfig:
         raise ConfigError(f"gibbs: {exc}") from exc
 
 
-def _theta_dim(cfg: dict, model) -> int:
-    if model.variant == "nn":
-        return _get_int(cfg, "gibbs.theta_dim", 2, minimum=2)
-    return _get_int(cfg, "gibbs.theta_dim", 1, minimum=1)
+def _gibbs_config(cfg: dict, model) -> gibbs.GibbsConfig:
+    """The ``gibbs`` block for ``model``, checked for its growth condition."""
+    dim = 2 if model.variant == "nn" else 1
+    gcfg = build_gibbs_config(
+        cfg, _get_int(cfg, "gibbs.theta_dim", dim, minimum=dim))
+    try:
+        gcfg.regularizer.validate_growth(model, gcfg.p)
+    except ValueError as exc:
+        raise ConfigError(f"gibbs: {exc}") from exc
+    return gcfg
 
 
 def build_trainer(cfg: dict, model, gcfg: Optional[gibbs.GibbsConfig]):
@@ -307,7 +313,7 @@ def _run_gen_sweep(cfg, exp_id, seed, out_dir):
     model = build_model(cfg)
     pop = build_population(cfg, model)
     kind = _get(cfg, "trainer.kind", "gibbs_grid")
-    gcfg = build_gibbs_config(cfg, _theta_dim(cfg, model)) \
+    gcfg = _gibbs_config(cfg, model) \
         if kind != "explicit_gaussian_mean" else None
     trainer = build_trainer(cfg, model, gcfg)
     routes = _get(cfg, "routes", ["direct", "resampled"])
@@ -333,7 +339,7 @@ def _run_gen_sweep(cfg, exp_id, seed, out_dir):
 def _run_bounds(cfg, exp_id, seed, out_dir):
     model = build_model(cfg)
     pop = build_population(cfg, model)
-    gcfg = build_gibbs_config(cfg, _theta_dim(cfg, model))
+    gcfg = _gibbs_config(cfg, model)
     trainer = build_trainer(cfg, model, gcfg)
     if not isinstance(trainer, genbench.GridGibbsTrainer):
         raise ConfigError("trainer.kind: bounds experiments need the "
@@ -379,7 +385,7 @@ def _run_bounds(cfg, exp_id, seed, out_dir):
 def _run_mfld_vs_grid(cfg, exp_id, seed, out_dir):
     model = build_model(cfg)
     pop = build_population(cfg, model)
-    gcfg = build_gibbs_config(cfg, _theta_dim(cfg, model))
+    gcfg = _gibbs_config(cfg, model)
     ns, _, _ = _sweep(cfg)
     n = ns[0]
     n_particles = _get_int(cfg, "trainer.n_particles", 4096, minimum=2)
@@ -415,7 +421,7 @@ def _run_mfld_vs_grid(cfg, exp_id, seed, out_dir):
 def _run_gibbs_solve(cfg, exp_id, seed, out_dir):
     model = build_model(cfg)
     pop = build_population(cfg, model)
-    gcfg = build_gibbs_config(cfg, _theta_dim(cfg, model))
+    gcfg = _gibbs_config(cfg, model)
     trainer = build_trainer(cfg, model, gcfg)
     if not isinstance(trainer, genbench.GridGibbsTrainer):
         raise ConfigError("trainer.kind: gibbs-solve needs the gibbs_grid "
@@ -640,7 +646,7 @@ def run(config_path, seed: Optional[int] = None,
     try:
         experiment = _get_choice(cfg, "experiment", set(_EXPERIMENTS))
         exp_id = _get(cfg, "id", experiment)
-        cfg_seed = seed if seed is not None \
+        cfg_seed = _seed(seed, "seed") if seed is not None \
             else _seed(_get_int(cfg, "sweep.seed", 0), "sweep.seed")
         out_dir = Path(out if out is not None
                        else _get(cfg, "output.dir", "."))

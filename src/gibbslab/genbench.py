@@ -238,19 +238,22 @@ class DiscretePopulation(PopulationModel):
         nsq = np.einsum("ij,ij->i", self._xs, self._xs) + self._ys ** 2
         return float(self.probs @ (1.0 + nsq) ** k)
 
+    def _atoms(self, m):
+        """The support as one dataset, broadcast to (B, S) for a batch."""
+        if not isinstance(m, MeasureBatch):
+            return self._xs, self._ys
+        shape = (len(m),) + self._ys.shape
+        return (np.broadcast_to(self._xs, shape + self._xs.shape[1:]),
+                np.broadcast_to(self._ys, shape))
+
     def population_risk(self, model, m):
+        vals = model.atom_losses(m, *self._atoms(m))
         if isinstance(m, MeasureBatch):
-            shape = (len(m),) + self._ys.shape
-            return np.array([self.probs @ row for row in model.atom_losses(
-                m, np.broadcast_to(self._xs, shape + self._xs.shape[1:]),
-                np.broadcast_to(self._ys, shape))])
-        return float(self.probs @ model.atom_losses(m, self._xs, self._ys))
+            return np.array([self.probs @ row for row in vals])
+        return float(self.probs @ vals)
 
     def population_loss_dm(self, model, m, nodes):
-        if isinstance(m, MeasureBatch):
-            return np.stack([self.population_loss_dm(model, m[r], nodes)
-                             for r in range(len(m))])
-        return model.dm(m, self._xs, self._ys, self.probs, nodes)
+        return model.dm(m, *self._atoms(m), self.probs, nodes)
 
 
 def gaussian_mean_setup(mu: float = 0.0, sigma: float = 1.0):
@@ -782,17 +785,6 @@ def lge(trainer, pop, model, n: int, replicates: int,
     """Mean squared generalization gap (direct Monte Carlo)."""
     return estimate_routes(trainer, pop, model, n, replicates, seed,
                            ["lge"])["lge"]
-
-
-def markov_tail(lge_estimate, eps: float) -> float:
-    """Chebyshev-style tail bound ``min(1, E[gap^2] / eps^2)``."""
-    if eps <= 0:
-        raise ValueError("tail threshold must be positive")
-    value = lge_estimate.value if isinstance(lge_estimate, GenEstimate) \
-        else float(lge_estimate)
-    if value < 0:
-        raise ValueError("squared-gap estimate cannot be negative")
-    return min(1.0, value / eps ** 2)
 
 
 def wge_representation(trainer, pop, model, n: int, replicates: int,

@@ -509,19 +509,6 @@ def solve_gibbs(model, nu: DataMeasure, cfg: GibbsConfig,
         residual)
 
 
-def objective_gap_bound(model, nu: DataMeasure, cfg: GibbsConfig,
-                        m_bar: GridMeasure) -> float:
-    """Value bound ``kl_weight * KL(m_bar || gamma_sigma)``.
-
-    Bounds the optimal objective whenever ``m_bar`` has zero empirical
-    risk; callers with a non-interpolating reference measure must add
-    its risk themselves.  ``model`` and ``nu`` identify the problem
-    instance but do not enter the number.
-    """
-    del model, nu
-    return cfg.kl_weight * prior_kl(m_bar, cfg)
-
-
 def prior_moment_bound(model, nu: DataMeasure, cfg: GibbsConfig) -> float:
     """Upper bound ``R(gamma_tilt_p, nu) + E_gamma_tilt ||theta||^p``.
 

@@ -9,11 +9,13 @@ Two loss families are implemented:
 * :class:`ExpectedParamLoss`: the measure average of a per-parameter
   loss ``lp(theta, z)``.
 
-For both, the first and second measure derivatives (normalized so their
-measure average vanishes) are available in closed form, alongside
-growth envelopes ``growth(m)`` and ``growth_d1(m, theta)`` bounding
+For both, the first measure derivative (normalized so its measure
+average vanishes) is available in closed form, alongside growth
+envelopes ``growth(m)`` and ``growth_d1(m, theta)`` bounding
 ``|l(m, z)|`` and ``|dl/dm(m, z, theta)|`` in units of
-``1 + ||z||^2``.  Each model evaluates losses,
+``1 + ||z||^2``.  ``has_zero_d2m()`` says whether the second measure
+derivative vanishes; ``funcderiv.build_Cm`` assembles it over a dataset
+as a rank-n ``gibbs.CurvatureKernel``.  Each model evaluates losses,
 weighted sums of first derivatives (``dm``) and their pairings with a
 difference of measures (``dm_along``) over all atoms of a dataset at
 once, and for a whole :class:`MeasureBatch` of measures; the
@@ -291,14 +293,6 @@ class NNLoss:
         return _finite(self.outer.d1(preds, ys)
                        * (self.predict(m2, xs) - preds))
 
-    def loss_d2m(self, m, z: DataPoint, theta, theta2) -> np.ndarray:
-        xs = z.x[None, :]
-        phi_hat = self.predict(m, xs)[0]
-        curv = self.outer.d2(phi_hat, z.y)
-        a = self.phi(theta, xs)[:, 0] - phi_hat
-        b = self.phi(theta2, xs)[:, 0] - phi_hat
-        return curv * np.multiply.outer(a, b).squeeze()
-
     def has_zero_d2m(self) -> bool:
         return False
 
@@ -434,11 +428,6 @@ class ExpectedParamLoss:
         linear in the measure.  (B, k) for batches."""
         return self.atom_losses(m2, xs, ys) - self.atom_losses(m, xs, ys)
 
-    def loss_d2m(self, m, z: DataPoint, theta, theta2) -> np.ndarray:
-        theta = np.atleast_2d(np.asarray(theta, dtype=float))
-        theta2 = np.atleast_2d(np.asarray(theta2, dtype=float))
-        return np.zeros((theta.shape[0], theta2.shape[0])).squeeze()
-
     def has_zero_d2m(self) -> bool:
         return True
 
@@ -496,13 +485,6 @@ _ONE = np.ones(1)
 _ONE.flags.writeable = False
 
 
-def predict(model, m, x) -> float:
-    """Mean-field prediction at input ``x`` (network models only)."""
-    if not isinstance(model, NNLoss):
-        raise TypeError("predict requires a network loss model")
-    return float(model.predict(m, np.reshape(x, (1, -1)))[0])
-
-
 def loss_value(model, m, z: DataPoint) -> float:
     """Loss of parameter measure ``m`` on the single sample ``z``."""
     return float(model.atom_losses(m, z.x[None, :], np.array([z.y]))[0])
@@ -515,11 +497,6 @@ def loss_dm(model, m, z: DataPoint, theta) -> np.ndarray:
     ``theta``.
     """
     return model.dm(m, z.x[None, :], np.array([z.y]), _ONE, theta)
-
-
-def loss_d2m(model, m, z: DataPoint, theta, theta2) -> np.ndarray:
-    """Second measure derivative at ``(m, z)`` (outer product over rows)."""
-    return model.loss_d2m(m, z, theta, theta2)
 
 
 def risk(model, m, nu: DataMeasure) -> float:

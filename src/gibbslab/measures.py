@@ -138,26 +138,6 @@ class DataMeasure:
         return DataPoint(self.xs[i], self.ys[i])
 
 
-def empirical_from_samples(samples: Sequence[DataPoint]) -> DataMeasure:
-    """Equal-weight empirical measure of a list of samples.
-
-    Raises
-    ------
-    ValueError
-        If the list is empty ("empty dataset").
-    """
-    samples = list(samples)
-    if not samples:
-        raise ValueError("empty dataset")
-    q = samples[0].x.shape[0]
-    if any(s.x.shape[0] != q for s in samples):
-        raise ValueError("samples disagree on the feature dimension")
-    xs = np.stack([s.x for s in samples]) if q else np.zeros((len(samples), 0))
-    ys = np.array([s.y for s in samples])
-    w = np.full(len(samples), 1.0 / len(samples))
-    return DataMeasure(xs, ys, w)
-
-
 def empirical_from_arrays(xs, ys) -> DataMeasure:
     """Equal-weight empirical measure from raw arrays (fast path)."""
     xs = np.asarray(xs, dtype=float)

@@ -1,11 +1,14 @@
 """Tests for the experiment runner: configs, CSV schema, exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gibbslab import cli
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_config(tmp_path, body, name="config.json"):
@@ -192,6 +195,24 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, block, key,
     assert not (tmp_path / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("config, key, value", [
+    ("bounds_gaussian.json", "q", 2),
+    # a network's first derivative grows like ||theta||^4, which the
+    # default confinement for p = 3 (q = 2) does not dominate
+    ("gibbs_solve_nn.json", "p", 3),
+])
+def test_weak_confinement_is_a_config_error(tmp_path, capsys, config, key,
+                                            value):
+    cfg = json.loads((CONFIGS / config).read_text())
+    cfg["gibbs"][key] = value
+    assert cli.run(write_config(tmp_path, cfg), out=str(tmp_path)) == 1
+    assert capsys.readouterr().err == (
+        "config error: gibbs: confinement degree 2q=4 must exceed 4.0 for "
+        "this model and moment order\n")
+    assert not list(tmp_path.glob("*.csv")) \
+        and not list(tmp_path.glob("gibbs_solve_nn.json"))
+
+
 # ---------------------------------------------------------------------------
 # experiments end to end
 
@@ -322,6 +343,16 @@ def test_bad_seed_override_is_a_config_error(tmp_path, capsys, command, seed):
     assert capsys.readouterr().err.startswith("config error: --seed")
     assert not list(tmp_path.glob("*.csv")) \
         and not (tmp_path / "verify_report.json").exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_bad_seed_argument_is_a_config_error(tmp_path, capsys, seed):
+    # run() called from Python checks its seed as --seed does
+    path = write_config(tmp_path, GAUSS_CFG)
+    assert cli.run(path, seed=seed, out=str(tmp_path)) == 1
+    assert capsys.readouterr().err == (
+        f"config error: seed: expected 0 <= seed < 2**64, got {seed}\n")
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_main_cli_surface(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Smoke tests: demo scripts run to completion as separate processes."""
+"""Smoke tests of the public surface: every exported name resolves, and
+the demo scripts run to completion as separate processes."""
 
 import os
 import subprocess
@@ -7,7 +8,14 @@ from pathlib import Path
 
 import pytest
 
+import gibbslab
+
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_every_exported_name_resolves():
+    assert [n for n in gibbslab.__all__ if not hasattr(gibbslab, n)] == []
+    assert len(set(gibbslab.__all__)) == len(gibbslab.__all__)
 
 
 @pytest.mark.parametrize("script", ["train_tilted_measure.py",

@@ -134,6 +134,36 @@ def test_build_cm_symmetric_and_psd_for_network_losses():
     np.testing.assert_allclose(kern.apply(f), dense @ (w * f), rtol=1e-12)
 
 
+@pytest.mark.parametrize("outer", ["quadratic", "logcosh"])
+def test_curvature_kernel_is_the_derivative_of_dm(outer):
+    # the kernel acting on m1 - m equals the m-centered central difference
+    # of the risk derivative dm along m -> m1: build_Cm is the second
+    # measure derivative of the loss
+    model = losses.NNLoss("tanh", outer)
+    _, nu = nn_problem()
+    nodes, vol = uniform_grid(2.0, 33, 2)
+
+    def bump(center, scale):
+        dens = np.exp(-np.sum((nodes - center) ** 2, axis=1) / scale ** 2)
+        return GridMeasure(nodes, vol, dens, normalize=True)
+
+    m, m1 = bump((0.3, -0.2), 0.6), bump((-0.5, 0.7), 0.4)
+    kern = build_Cm(model, m, nu)
+    a = kern.features
+    action = a @ (kern.curvatures * (a.T @ ((m1.density - m.density) * vol)))
+
+    def dm_at(t):
+        m_t = GridMeasure(nodes, vol, m.density + t * (m1.density - m.density))
+        return model.dm(m_t, nu.xs, nu.ys, nu.weights, nodes)
+
+    eps = 1e-6
+    fd = (dm_at(eps) - dm_at(-eps)) / (2 * eps)
+    fd -= fd @ m.node_weights
+    assert not model.has_zero_d2m()
+    np.testing.assert_allclose(fd, action, rtol=0,
+                               atol=1e-8 * np.max(np.abs(action)))
+
+
 def test_kernel_matrix_validation():
     with pytest.raises(ValueError):
         CurvatureKernel(np.zeros(3), np.zeros(1), np.zeros(3))

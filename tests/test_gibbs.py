@@ -9,8 +9,8 @@ import pytest
 from gibbslab import gibbs, losses
 from gibbslab.gibbs import (GibbsConfig, GibbsConvergenceError, Regularizer,
                             default_regularizer, gibbs_map, kl_divergence,
-                            mfld_sample, objective, objective_gap_bound,
-                            prior_kl, prior_moment_bound, solve_gibbs)
+                            mfld_sample, objective, prior_kl,
+                            prior_moment_bound, solve_gibbs)
 from gibbslab.measures import (GridMeasure, ParticleMeasure,
                                empirical_from_arrays, uniform_grid_1d)
 
@@ -293,18 +293,6 @@ def test_objective_finite_under_prior_underflow():
     assert math.isfinite(val)
     np.testing.assert_allclose(
         val, losses.risk(model, m, nu) + cfg.kl_weight * prior_kl(m, cfg),
-        rtol=1e-12)
-    assert math.isfinite(objective_gap_bound(model, nu, cfg, m))
-
-
-def test_objective_gap_bound_value():
-    cfg = GibbsConfig(beta=0.7, sigma=1.0, p=4, nodes_per_axis=257)
-    m_bar = grid_gaussian(cfg, np.array([0.1]), 0.4)
-    nu = gaussian_data(seed=3)
-    model = losses.mean_squared_param_loss()
-    np.testing.assert_allclose(
-        objective_gap_bound(model, nu, cfg, m_bar),
-        cfg.kl_weight * kl_divergence(m_bar, cfg.priors().gamma_sigma),
         rtol=1e-12)
 
 

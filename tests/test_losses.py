@@ -109,12 +109,12 @@ def test_nn_predict_matches_manual_average():
                    @ m.node_weights)
     np.testing.assert_allclose(model.predict(m, x[None, :]), [manual],
                                rtol=1e-12)
-    np.testing.assert_allclose(losses.predict(model, m, x), manual)
     # particle measures take the empirical average
     pts = np.random.default_rng(6).standard_normal((500, 2))
     manual_p = float(np.mean(pts[:, 0] * np.tanh(pts[:, 1] * x[0])))
     np.testing.assert_allclose(
-        losses.predict(model, ParticleMeasure(pts), x), manual_p, rtol=1e-12)
+        model.predict(ParticleMeasure(pts), x[None, :]), [manual_p],
+        rtol=1e-12)
 
 
 def test_nn_predict_batch_consistency():
@@ -122,7 +122,7 @@ def test_nn_predict_batch_consistency():
     m = bump_grid_2d(np.array([-0.2, 0.4]))
     xs = np.random.default_rng(5).standard_normal((6, 1))
     batch = model.predict(m, xs)
-    single = np.array([losses.predict(model, m, x) for x in xs])
+    single = np.array([model.predict(m, x[None, :])[0] for x in xs])
     np.testing.assert_allclose(batch, single, rtol=1e-12)
     # particle measures take the empirical average
     pts = np.random.default_rng(6).standard_normal((500, 2))
@@ -130,7 +130,7 @@ def test_nn_predict_batch_consistency():
     batch_p = model.predict(pm, xs)
     manual = model.phi(pts, xs).mean(axis=0)
     np.testing.assert_allclose(batch_p, manual, rtol=1e-12)
-    single_p = np.array([losses.predict(model, pm, x) for x in xs])
+    single_p = np.array([model.predict(pm, x[None, :])[0] for x in xs])
     np.testing.assert_allclose(batch_p, single_p, rtol=1e-12)
 
 
@@ -138,7 +138,7 @@ def test_nn_loss_value_and_dm_zero_mean():
     model = NNLoss("tanh", "quadratic")
     m = bump_grid_2d(np.array([0.3, 0.1]))
     z = DataPoint(np.array([0.4]), 0.8)
-    pred = losses.predict(model, m, z.x)
+    pred = model.predict(m, z.x[None, :])[0]
     np.testing.assert_allclose(losses.loss_value(model, m, z),
                                (pred - z.y) ** 2, rtol=1e-12)
     dm = losses.loss_dm(model, m, z, m.nodes)
@@ -160,22 +160,6 @@ def test_nn_loss_dm_predicts_loss_change():
     fd = (losses.loss_value(model, m_eps, z)
           - losses.loss_value(model, m0, z)) / eps
     np.testing.assert_allclose(directional, fd, atol=1e-4)
-
-
-def test_nn_loss_d2m_outer_product_structure():
-    model = NNLoss("tanh", "quadratic")
-    m = bump_grid_2d(np.array([0.0, 0.0]))
-    z = DataPoint(np.array([0.5]), 0.3)
-    th = m.nodes[:5]
-    th2 = m.nodes[5:11]
-    d2 = losses.loss_d2m(model, m, z, th, th2)
-    assert d2.shape == (5, 6)
-    # quadratic outer: curvature 2, so d2m = 2 (phi - pred) x (phi - pred)
-    pred = losses.predict(model, m, z.x)
-    a = model.phi(th, z.x[None, :])[:, 0] - pred
-    b = model.phi(th2, z.x[None, :])[:, 0] - pred
-    np.testing.assert_allclose(d2, 2.0 * np.outer(a, b), rtol=1e-12)
-    assert not model.has_zero_d2m()
 
 
 def test_nn_dm_grad_matches_finite_difference():
@@ -241,7 +225,6 @@ def test_mean_squared_param_loss_closed_form():
         dm, (m.nodes[:, 0] - z.y) ** 2 - losses.loss_value(model, m, z),
         rtol=1e-10)
     assert model.has_zero_d2m()
-    assert np.all(losses.loss_d2m(model, m, z, m.nodes[:3], m.nodes[:4]) == 0)
 
 
 def test_linear_regression_param_loss():
@@ -306,11 +289,6 @@ def test_zero_param_loss_is_zero():
     np.testing.assert_array_equal(
         model.lp_grad(m.nodes, z.x[None, :], np.array([z.y])),
         np.zeros((1,) + m.nodes.shape))
-
-
-def test_predict_rejects_param_models():
-    with pytest.raises(TypeError):
-        losses.predict(mean_squared_param_loss(), gaussian_grid_1d(), None)
 
 
 def test_expected_param_loss_validates_growth_constant():

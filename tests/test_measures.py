@@ -5,8 +5,7 @@ import pytest
 
 from gibbslab.measures import (DataMeasure, DataPoint, GridMeasure,
                                MeasureBatch, ParticleMeasure,
-                               convex_combination,
-                               empirical_from_arrays, empirical_from_samples,
+                               convex_combination, empirical_from_arrays,
                                resample, uniform_grid, uniform_grid_1d)
 
 
@@ -31,15 +30,6 @@ def test_empirical_from_arrays_uniform_weights():
     z = nu.point(2)
     np.testing.assert_array_equal(z.x, xs[2])
     assert z.y == ys[2]
-
-
-def test_empirical_from_samples_matches_arrays():
-    pts = [DataPoint(np.array([0.5]), 1.0), DataPoint(np.array([-1.0]), 2.0)]
-    nu = empirical_from_samples(pts)
-    nu2 = empirical_from_arrays(np.array([[0.5], [-1.0]]),
-                                np.array([1.0, 2.0]))
-    np.testing.assert_array_equal(nu.xs, nu2.xs)
-    np.testing.assert_array_equal(nu.ys, nu2.ys)
 
 
 def test_resample_replaces_atoms_and_preserves_original():

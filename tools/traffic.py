@@ -11,9 +11,12 @@ default 0), all writing into a temporary directory, with the package
 imported from ``ROOT/src`` (ROOT defaults to this checkout).  It then
 prints, one per line as ``module.qualified_name``, every function or
 method defined in ``ROOT/src/gibbslab`` of which no body line ran, and
-their count.  Lambdas are not listed.  A failing config, check or
-workload pass is reported on stderr and the script goes on.  Nothing
-under ``ROOT/perfbench`` is written.
+their count.  Lambdas are not listed.  Last, for each module, it prints
+how many of its executable lines (those the compiled code maps an
+instruction to) never ran, and which: this shows the branches that no
+traffic takes inside functions that do run.  A failing config, check
+or workload pass is reported on stderr and the script goes on.
+Nothing under ``ROOT/perfbench`` is written.
 """
 
 import argparse
@@ -24,6 +27,7 @@ import sys
 import tempfile
 import time
 import trace
+import types
 from pathlib import Path
 
 
@@ -44,6 +48,30 @@ def _functions(path: Path):
 
     walk(ast.parse(path.read_text()), "")
     return out
+
+
+def _executable_lines(path: Path) -> set:
+    """Lines of ``path`` that its compiled code objects map an
+    instruction to (``co_lines``), nested functions included."""
+    lines = set()
+    stack = [compile(path.read_text(), str(path), "exec")]
+    while stack:
+        code = stack.pop()
+        lines.update(ln for _, _, ln in code.co_lines() if ln)
+        stack.extend(c for c in code.co_consts
+                     if isinstance(c, types.CodeType))
+    return lines
+
+
+def _ranges(lines) -> str:
+    """``1-3, 7``: sorted line numbers with runs collapsed."""
+    out, lines = [], sorted(lines)
+    for i, ln in enumerate(lines):
+        if i == 0 or ln != lines[i - 1] + 1:
+            out.append([ln, ln])
+        else:
+            out[-1][1] = ln
+    return ", ".join(f"{a}" if a == b else f"{a}-{b}" for a, b in out)
 
 
 def _traffic(root: Path, seed: int, out: Path) -> None:
@@ -94,14 +122,20 @@ def main(argv=None) -> int:
     ran = {}
     for (filename, line), _ in counts.items():
         ran.setdefault(Path(filename).resolve(), set()).add(line)
-    unreached = []
+    unreached, unrun = [], []
     for path in sorted(pkg.glob("*.py")):
         lines = ran.get(path.resolve(), set())
         for name, first, last in _functions(path):
             if not any(first <= ln <= last for ln in lines):
                 unreached.append(f"{path.stem}.{name}")
+        code = _executable_lines(path)
+        missed = code - lines
+        unrun.append(f"{path.stem}: {len(missed)} of {len(code)} executable "
+                     f"lines not run" + (f": {_ranges(missed)}" if missed
+                                         else ""))
     print("\n".join(unreached))
     print(f"{len(unreached)} functions not entered")
+    print("\n".join(unrun))
     return 0
 
 
