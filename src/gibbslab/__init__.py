@@ -11,8 +11,8 @@ computable upper bounds.
 Modules
 -------
 measures
-    Empirical data measures, grid measures, particle clouds, and
-    convex combinations between them.
+    Empirical data measures, grid measures (a particle cloud is one,
+    on its particles), and convex combinations between them.
 losses
     Mean-field network losses (activation x outer loss) and expected
     parametric losses, with values, first measure derivatives and

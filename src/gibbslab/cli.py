@@ -34,10 +34,6 @@ from . import funcderiv, genbench, gibbs, losses, measures
 CSV_FIELDS = ("experiment_id", "route", "n", "replicates", "seed",
               "estimate", "stderr", "oracle", "bound", "holds")
 
-_EXPERIMENTS = ("verify", "gibbs-solve", "gen-sweep", "bounds",
-                "mfld-vs-grid", "gaussian-oracle")
-
-
 class ConfigError(Exception):
     """Malformed configuration; the message carries the field path."""
 
@@ -393,8 +389,7 @@ def _run_mfld_vs_grid(cfg, exp_id, seed, out_dir):
     n_steps = _get_int(cfg, "trainer.n_steps", 4000, minimum=1)
     damping = _get_number(cfg, "trainer.damping", 0.5)
 
-    xs, ys = pop.sample(np.random.default_rng(
-        np.random.SeedSequence((seed, 0, 0))), n)
+    xs, ys = pop.sample(genbench._rng(seed, 0, 0), n)
     nu = measures.empirical_from_arrays(xs, ys)
     sol = gibbs.solve_gibbs(model, nu, gcfg, damping=damping)
     part = gibbs.mfld_sample(model, nu, gcfg, n_particles, step_size,
@@ -428,8 +423,7 @@ def _run_gibbs_solve(cfg, exp_id, seed, out_dir):
                           "trainer")
     ns, _, _ = _sweep(cfg)
     n = ns[0]
-    xs, ys = pop.sample(np.random.default_rng(
-        np.random.SeedSequence((seed, 0, 0))), n)
+    xs, ys = pop.sample(genbench._rng(seed, 0, 0), n)
     nu = measures.empirical_from_arrays(xs, ys)
     sol = trainer.solve(nu)
     mom = sol.measure.moment(gcfg.p)
@@ -479,7 +473,7 @@ def _verify_checks(seed: int):
     add("enumeration_identity", abs(w1 - w2), 1e-12)
 
     # first-order expansion of the loss in the measure
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0, 10)))
+    rng = genbench._rng(seed, 0, 10)
     nodes, vol = measures.uniform_grid(2.0, 25, 2)
 
     def bump2():
@@ -525,7 +519,7 @@ def _verify_checks(seed: int):
     model_nn = losses.NNLoss("tanh", "quadratic")
     cfg2 = gibbs.GibbsConfig(beta=0.7, sigma=1.0, p=4, theta_dim=2,
                              nodes_per_axis=49)
-    rng2 = np.random.default_rng(np.random.SeedSequence((seed, 0, 11)))
+    rng2 = genbench._rng(seed, 0, 11)
     xs = rng2.standard_normal((8, 1))
     ys = np.tanh(1.3 * xs[:, 0]) + 0.1 * rng2.standard_normal(8)
     nu_nn = measures.empirical_from_arrays(xs, ys)
@@ -537,7 +531,7 @@ def _verify_checks(seed: int):
         np.max(np.abs(sol_a.measure.density - sol_b.measure.density)), 1e-6)
 
     xs1, ys1 = genbench.GaussianScalarPopulation(0.0, 1.0).sample(
-        np.random.default_rng(np.random.SeedSequence((seed, 0, 12))), 8)
+        genbench._rng(seed, 0, 12), 8)
     nu1 = measures.empirical_from_arrays(xs1, ys1)
     sol1 = gibbs.solve_gibbs(ep, nu1, cfg1, damping=1.0)
     add("gibbs_param_one_step", abs(sol1.iterations - 1), 0.5)
@@ -577,9 +571,8 @@ def _verify_checks(seed: int):
                                             np.array([0.0, 1.0]))
     part = gibbs.mfld_sample(zero, nu_any, cfg_ou, n_particles=8192,
                              step_size=5e-3, n_steps=2000,
-                             seed=int(np.random.default_rng(
-                                 np.random.SeedSequence((seed, 0, 13)))
-                                 .integers(2 ** 63)))
+                             seed=int(genbench._rng(seed, 0, 13)
+                                      .integers(2 ** 63)))
     samp = part.points[:, 0]
     target = cfg_ou.sigma ** 2 / 2.0
     var_hat = float(samp.var(ddof=1))
@@ -644,7 +637,7 @@ def run(config_path, seed: Optional[int] = None,
         print("config error: top level must be an object", file=sys.stderr)
         return 1
     try:
-        experiment = _get_choice(cfg, "experiment", set(_EXPERIMENTS))
+        experiment = _get_choice(cfg, "experiment", set(_RUNNERS))
         exp_id = _get(cfg, "id", experiment)
         cfg_seed = _seed(seed, "seed") if seed is not None \
             else _seed(_get_int(cfg, "sweep.seed", 0), "sweep.seed")
@@ -671,6 +664,11 @@ def run(config_path, seed: Optional[int] = None,
 
 def verify(seed: int = 0, out: str = ".") -> int:
     """Run the built-in invariant suite; returns the process exit code."""
+    try:
+        _seed(seed, "seed")
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _, code = _run_verify(None, "verify", seed, out_dir)

@@ -308,7 +308,6 @@ class GridGibbsTrainer(_RowByRowTrainer):
     closed form; :meth:`train` always solves.
     """
 
-    kind = "gibbs_grid"
     deterministic = True
 
     def __init__(self, model, cfg: GibbsConfig, damping: float = 1.0,
@@ -397,7 +396,6 @@ class GridGibbsTrainer(_RowByRowTrainer):
 class MFLDTrainer(_RowByRowTrainer):
     """Stochastic trainer: Euler-Maruyama interacting particle system."""
 
-    kind = "mfld"
     deterministic = False
 
     def __init__(self, model, cfg: GibbsConfig, n_particles: int,
@@ -426,7 +424,6 @@ class ExplicitGaussianMeanTrainer:
     ``2 sigma_tilde^2 / n``.
     """
 
-    kind = "explicit_gaussian_mean"
     deterministic = True
 
     def __init__(self, sigma_tilde: float):
@@ -458,7 +455,6 @@ class ExplicitGaussianMeanTrainer:
 class ConstantTrainer(_RowByRowTrainer):
     """Trainer that ignores the data (zero generalization gap baseline)."""
 
-    kind = "constant"
     deterministic = True
 
     def __init__(self, measure):

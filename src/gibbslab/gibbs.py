@@ -301,7 +301,8 @@ def prior_kl(m: GridMeasure, cfg: GibbsConfig) -> float:
     Equivalent to ``kl_divergence(m, gamma_sigma)`` but evaluated in log
     space from the analytic prior exponent, so it stays finite on wide
     boxes where the prior density itself underflows to zero at the edge
-    nodes.
+    nodes.  A measure off the configuration grid, such as a particle
+    cloud, raises ``ValueError``.
     """
     if not isinstance(m, GridMeasure):
         raise TypeError("prior KL needs a grid measure")
@@ -320,11 +321,9 @@ def prior_kl(m: GridMeasure, cfg: GibbsConfig) -> float:
 
 
 def objective(model, m: GridMeasure, nu: DataMeasure, cfg: GibbsConfig) -> float:
-    """Regularized objective ``R(m, nu) + kl_weight * KL(m || gamma_sigma)``."""
-    if not isinstance(m, GridMeasure):
-        raise TypeError("objective needs a grid measure; KL of particles "
-                        "is undefined here")
-    return _losses.risk(model, m, nu) + cfg.kl_weight * prior_kl(m, cfg)
+    """Regularized objective ``R(m, nu) + kl_weight * KL(m || gamma_sigma)``;
+    ``m`` must live on the configuration grid (:func:`prior_kl`)."""
+    return cfg.kl_weight * prior_kl(m, cfg) + _losses.risk(model, m, nu)
 
 
 def gibbs_map(model, m, nu: DataMeasure, cfg: GibbsConfig) -> GridMeasure:
@@ -549,7 +548,8 @@ def mfld_sample(model, nu: DataMeasure, cfg: GibbsConfig, n_particles: int,
     + sqrt(h sigma^2 / beta^2) * xi``
     with ``m_hat`` the empirical particle measure, so the stationary law
     matches the exponential tilt fixed point.  Deterministic for a fixed
-    ``seed``.
+    ``seed``.  Returns the cloud, a grid measure on the particles with
+    weight ``1/P`` each.
 
     Raises
     ------

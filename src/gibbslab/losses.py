@@ -30,8 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .measures import (DataMeasure, DataPoint, GridMeasure, MeasureBatch,
-                       ParticleMeasure)
+from .measures import DataMeasure, DataPoint, MeasureBatch
 
 # elements of the largest lp array one batched call may build
 _LP_ELEMENTS = 1 << 18
@@ -196,14 +195,6 @@ def outer_loss(kind: str) -> OuterLoss:
 # dataset per row, and then return one row per measure.
 
 
-def _support(m) -> np.ndarray:
-    if isinstance(m, GridMeasure):
-        return m.nodes
-    if isinstance(m, ParticleMeasure):
-        return m.points
-    raise TypeError("unsupported parameter measure")
-
-
 def _finite(vals: np.ndarray) -> np.ndarray:
     """``vals``, checked finite."""
     if not np.isfinite(vals).all():
@@ -242,14 +233,11 @@ class NNLoss:
         """
         if isinstance(m, MeasureBatch):
             return np.stack([self.predict(m[r], xs[r]) for r in range(len(m))])
-        support = _support(m)
-        step = max(1, _PHI_ELEMENTS // len(support))
+        step = max(1, _PHI_ELEMENTS // m.n_nodes)
         if len(xs) > step:
             return np.concatenate([self.predict(m, xs[lo:lo + step])
                                    for lo in range(0, len(xs), step)])
-        if isinstance(m, GridMeasure):
-            return self.phi(support, xs).T @ m.node_weights
-        return self.phi(support, xs).mean(axis=0)
+        return self.phi(m.nodes, xs).T @ m.node_weights
 
     def atom_losses(self, m, xs, ys) -> np.ndarray:
         """Per-atom losses ``l(m, z_i)``, shape (n,); (B, k) for a batch."""
@@ -350,9 +338,7 @@ class ExpectedParamLoss:
         """Per-atom losses ``E_m lp(., z_i)``, shape (n,); (B, k) for a batch."""
         if isinstance(m, MeasureBatch):
             return _finite(self._batch_losses(m, xs, ys))
-        if isinstance(m, GridMeasure):
-            return _finite(self.lp(m.nodes, xs, ys) @ m.node_weights)
-        return _finite(self.lp(_support(m), xs, ys).mean(axis=1))
+        return _finite(self.lp(m.nodes, xs, ys) @ m.node_weights)
 
     def _lp_chunks(self, nodes, xs, ys):
         """``(lo, hi, vals)`` over the rows of ``xs`` (B, k, q), ``ys``
@@ -369,14 +355,11 @@ class ExpectedParamLoss:
             yield lo, hi, vals.reshape(hi - lo, k, n_nodes)
 
     def _batch_losses(self, m: MeasureBatch, xs, ys) -> np.ndarray:
-        """One ``lp`` call per row when the rows have their own nodes or
-        particles; on shared nodes, one call per chunk of rows
-        (:meth:`_lp_chunks`).  Each row is reduced as :meth:`atom_losses`
-        reduces one measure, so it sums in that order."""
+        """One ``lp`` call per row when the rows have their own nodes; on
+        shared nodes, one call per chunk of rows (:meth:`_lp_chunks`).
+        Each row is reduced as :meth:`atom_losses` reduces one measure, so
+        it sums in that order."""
         b, k = ys.shape
-        if m.points is not None:
-            return np.stack([self.lp(m.points[r], xs[r], ys[r]).mean(axis=1)
-                             for r in range(b)])
         if m.nodes.ndim == 3:
             return np.stack([self.lp(m.nodes[r], xs[r], ys[r])
                              @ m.node_weights[r] for r in range(b)])

@@ -6,14 +6,15 @@ Two families of objects live here:
   ``Z = X x Y`` (feature vector plus scalar target), including the
   empirical measure of a dataset and its resampling perturbations;
 * parameter measures: probability measures on the parameter space,
-  represented either by a density on a tensor-product grid or by a
-  particle cloud.
+  each a weighted atomic measure ``sum_i w_i delta_{theta_i}`` held as
+  a density on quadrature nodes.  A particle cloud is the special case
+  whose nodes are its particles, each with weight ``1/P``.
 
 A :class:`MeasureBatch` holds the parameter measures trained on one
 block of replicates as stacked arrays, so that losses and population
 averages of the whole block are array expressions; ``batch[r]`` is the
-r-th measure as one of the objects above.  A batch runs the checks of
-one grid measure and does not say which row failed them.
+r-th measure as a grid measure.  A batch runs the checks of one grid
+measure and does not say which row failed them.
 
 Data measures are probability measures.  Signed grid measures
 (derivatives of trained measures in the data) are supported through a
@@ -254,10 +255,11 @@ class GridMeasure:
         return self.nodes.T @ self.node_weights
 
 
-class ParticleMeasure:
-    """Equal-weight particle cloud on parameter space."""
+class ParticleMeasure(GridMeasure):
+    """Equal-weight particle cloud on parameter space: the grid measure
+    whose nodes are the ``points``, each with quadrature weight ``1/P``."""
 
-    __slots__ = ("points",)
+    __slots__ = ()
 
     def __init__(self, points):
         points = np.asarray(points, dtype=float)
@@ -267,47 +269,31 @@ class ParticleMeasure:
             raise ValueError("particle array must be nonempty (N, d)")
         if not np.isfinite(points).all():
             raise ValueError("non-finite particle")
-        self.points = _freeze(points)
+        super().__init__(points, 1.0 / points.shape[0],
+                         np.ones(points.shape[0]))
+
+    @property
+    def points(self) -> np.ndarray:
+        return self.nodes
 
     @property
     def n_particles(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-    def integrate(self, f) -> float:
-        vals = np.asarray(f(self.points), dtype=float)
-        if vals.shape != (self.n_particles,):
-            raise ValueError("integrand must return one value per particle")
-        if not np.isfinite(vals).all():
-            raise ValueError("non-finite integrand value")
-        return float(vals.mean())
-
-    def moment(self, p: float) -> float:
-        r = np.sqrt(np.einsum("ij,ij->i", self.points, self.points))
-        return float((r ** p).mean())
-
-    def mean(self) -> np.ndarray:
-        return self.points.mean(axis=0)
+        return self.n_nodes
 
 
 class MeasureBatch:
     """``B`` parameter measures held as arrays, one measure per row.
 
-    A grid batch holds ``nodes``, shared (N, d) or per row (B, N, d);
+    A batch holds ``nodes``, shared (N, d) or per row (B, N, d);
     ``cell_volumes`` (N,), shared by the rows; and ``density`` and
-    ``node_weights``, (B, N).  A particle batch holds ``points``
-    (B, P, d).  ``batch[r]`` is the r-th measure, a :class:`GridMeasure`
-    or :class:`ParticleMeasure` built when it is asked for.
+    ``node_weights``, (B, N).  ``batch[r]`` is the r-th measure, a
+    :class:`GridMeasure` built when it is asked for.
 
-    The constructor makes an unsigned grid batch and runs the checks of
+    The constructor makes an unsigned batch and runs the checks of
     :class:`GridMeasure` over the whole batch.
     """
 
-    __slots__ = ("nodes", "cell_volumes", "density", "node_weights",
-                 "points")
+    __slots__ = ("nodes", "cell_volumes", "density", "node_weights")
 
     def __init__(self, nodes, cell_volumes, density, normalize: bool = False):
         nodes = np.asarray(nodes, dtype=float)
@@ -326,36 +312,35 @@ class MeasureBatch:
         self.cell_volumes = _freeze(cell_volumes)
         self.density = _freeze(density)
         self.node_weights = _freeze(density * cell_volumes)
-        self.points = None
 
     @classmethod
     def of(cls, measures) -> "MeasureBatch":
-        """Batch of measures that were built, and validated, one by one:
-        particle measures, or grid measures on one shared grid."""
+        """Batch of measures that were built, and validated, one by one.
+
+        Rows on one grid share its nodes; otherwise each row keeps its
+        own nodes, and the rows must agree on node count and cell volumes.
+        """
         rows = list(measures)
-        batch = object.__new__(cls)
-        batch.nodes = batch.cell_volumes = batch.density = None
-        batch.node_weights = batch.points = None
         first = rows[0]
-        if all(isinstance(m, ParticleMeasure) for m in rows):
-            batch.points = _freeze(np.stack([m.points for m in rows]))
-        elif all(isinstance(m, GridMeasure) for m in rows):
-            if not all(m is first or m.same_grid(first) for m in rows):
-                raise ValueError("batch rows must share one grid")
-            batch.nodes, batch.cell_volumes = first.nodes, first.cell_volumes
-            batch.density = _freeze(np.stack([m.density for m in rows]))
-            batch.node_weights = _freeze(np.stack([m.node_weights
-                                                 for m in rows]))
+        batch = object.__new__(cls)
+        if all(m is first or m.same_grid(first) for m in rows):
+            batch.nodes = first.nodes
+        elif all(m.nodes.shape == first.nodes.shape
+                 and np.array_equal(m.cell_volumes, first.cell_volumes)
+                 for m in rows):
+            batch.nodes = _freeze(np.stack([m.nodes for m in rows]))
         else:
-            raise TypeError("a batch holds grid measures or particle measures")
+            raise ValueError("batch rows must agree on node count and "
+                             "cell volumes")
+        batch.cell_volumes = first.cell_volumes
+        batch.density = _freeze(np.stack([m.density for m in rows]))
+        batch.node_weights = _freeze(np.stack([m.node_weights for m in rows]))
         return batch
 
     def __len__(self) -> int:
-        return len(self.points if self.points is not None else self.density)
+        return len(self.density)
 
-    def __getitem__(self, r: int):
-        if self.points is not None:
-            return ParticleMeasure(self.points[r])
+    def __getitem__(self, r: int) -> GridMeasure:
         nodes = self.nodes if self.nodes.ndim == 2 else self.nodes[r]
         return GridMeasure(nodes, self.cell_volumes, self.density[r])
 
@@ -363,21 +348,18 @@ class MeasureBatch:
         """Quadrature of ``f`` against every row, shape (B,).
 
         ``f`` is evaluated once, on the (N, d) shared nodes or on all
-        (B * N, d) nodes or particles of the batch.
+        (B * N, d) nodes of the batch.
         """
-        support = self.points if self.points is not None else self.nodes
-        vals = np.asarray(f(support.reshape(-1, support.shape[-1])),
-                          dtype=float)
-        if vals.size != support.size // support.shape[-1]:
+        nodes = self.nodes
+        vals = np.asarray(f(nodes.reshape(-1, nodes.shape[-1])), dtype=float)
+        if vals.size != nodes.size // nodes.shape[-1]:
             raise ValueError("integrand must return one value per node")
-        vals = vals.reshape(support.shape[:-1])
+        vals = vals.reshape(nodes.shape[:-1])
         if not np.isfinite(vals).all():
             raise ValueError("non-finite integrand value")
         if vals.ndim == 1:
             vals = np.broadcast_to(vals, self.node_weights.shape)
         # row by row, summed as the one-measure integrate sums
-        if self.points is not None:
-            return np.array([v.mean() for v in vals])
         return np.array([v @ w for v, w in zip(vals, self.node_weights)])
 
 

@@ -347,12 +347,15 @@ def test_bad_seed_override_is_a_config_error(tmp_path, capsys, command, seed):
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])
 def test_bad_seed_argument_is_a_config_error(tmp_path, capsys, seed):
-    # run() called from Python checks its seed as --seed does
+    # run() and verify() called from Python check their seed as --seed does
     path = write_config(tmp_path, GAUSS_CFG)
+    message = f"config error: seed: expected 0 <= seed < 2**64, got {seed}\n"
     assert cli.run(path, seed=seed, out=str(tmp_path)) == 1
-    assert capsys.readouterr().err == (
-        f"config error: seed: expected 0 <= seed < 2**64, got {seed}\n")
+    assert capsys.readouterr().err == message
     assert not list(tmp_path.glob("*.csv"))
+    assert cli.verify(seed=seed, out=str(tmp_path)) == 1
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "verify_report.json").exists()
 
 
 def test_main_cli_surface(tmp_path, capsys):

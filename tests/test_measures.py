@@ -7,6 +7,7 @@ from gibbslab.measures import (DataMeasure, DataPoint, GridMeasure,
                                MeasureBatch, ParticleMeasure,
                                convex_combination, empirical_from_arrays,
                                resample, uniform_grid, uniform_grid_1d)
+from gibbslab.losses import ExpectedParamLoss, NNLoss
 
 
 def test_data_point_validation():
@@ -247,16 +248,44 @@ def test_measure_batch_of_rows_and_lazy_rows():
                          np.stack([dens, dens]))
     assert built.nodes.shape == (2, 5, 1)
     np.testing.assert_allclose(built[1].mean(), [1.0], rtol=1e-15)
+    # clouds keep their own nodes, each row a grid measure on its particles
     parts = MeasureBatch.of([ParticleMeasure(np.zeros((4, 1))),
                              ParticleMeasure(np.ones((4, 1)))])
-    assert len(parts) == 2
-    np.testing.assert_array_equal(parts[1].points, np.ones((4, 1)))
+    assert len(parts) == 2 and parts.nodes.shape == (2, 4, 1)
+    np.testing.assert_array_equal(parts[1].nodes, np.ones((4, 1)))
+    np.testing.assert_array_equal(parts.node_weights, np.full((2, 4), 0.25))
     np.testing.assert_array_equal(parts.integrate(lambda t: t[:, 0]), [0, 1])
-    with pytest.raises(TypeError):
-        MeasureBatch.of([g, ParticleMeasure(np.zeros((4, 1)))])
-    # measures on different grids are not one batch
-    with pytest.raises(ValueError, match="^batch rows must share one grid"):
-        MeasureBatch.of([g, GridMeasure(nodes + 1.0, vol, dens)])
+    # so do grid measures on grids of one size and cell volume
+    moved = MeasureBatch.of([g, GridMeasure(nodes + 1.0, vol, dens)])
+    assert moved.nodes.shape == (2, 5, 1)
+    np.testing.assert_array_equal(moved[1].nodes, nodes + 1.0)
+    # rows that disagree on node count or cell volumes are not one batch
+    for rows in ([g, ParticleMeasure(np.zeros((4, 1)))],
+                 [g, GridMeasure(nodes + 1.0, 2.0 * vol, 0.5 * dens)],
+                 [ParticleMeasure(np.zeros((4, 2))),
+                  ParticleMeasure(np.zeros((5, 2)))]):
+        with pytest.raises(ValueError, match="^batch rows must agree"):
+            MeasureBatch.of(rows)
+
+
+def test_cloud_batch_matches_one_measure_forms_bit_for_bit():
+    rng = np.random.default_rng(12)
+    clouds = [ParticleMeasure(rng.standard_normal((37, 2))) for _ in range(3)]
+    batch = MeasureBatch.of(clouds)
+    xs = rng.standard_normal((3, 4, 1))
+    ys = rng.standard_normal((3, 4))
+
+    def f(t):
+        return np.sin(t[:, 0]) * t[:, 1] ** 2
+
+    np.testing.assert_array_equal(batch.integrate(f),
+                                  [m.integrate(f) for m in clouds])
+    for model in (NNLoss("tanh", "quadratic"),
+                  ExpectedParamLoss(lambda th, x, y: (th[:, 0] + th[:, 1]
+                                                      - y[:, None]) ** 2, 2.0)):
+        np.testing.assert_array_equal(
+            model.atom_losses(batch, xs, ys),
+            [model.atom_losses(m, xs[r], ys[r]) for r, m in enumerate(clouds)])
 
 
 _DATA_CASES = [
