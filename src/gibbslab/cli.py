@@ -79,6 +79,14 @@ def _get_int(cfg, path, default=_REQUIRED, minimum=None):
     return val
 
 
+def _get_positive(cfg, path, default=_REQUIRED, maximum=math.inf):
+    """A number in ``(0, maximum]``."""
+    val = _get_number(cfg, path, default)
+    if not 0.0 < val <= maximum:
+        raise ConfigError(f"{path}: must lie in (0, {maximum:g}], got {val!r}")
+    return val
+
+
 def _seed(seed: int, path: str) -> int:
     if not 0 <= seed < 2 ** 64:
         raise ConfigError(f"{path}: expected 0 <= seed < 2**64, got {seed}")
@@ -115,21 +123,17 @@ def build_model(cfg: dict):
     return factory()
 
 
-def build_population(cfg: dict, model):
+def build_population(cfg: dict):
     name = _get_choice(cfg, "population.name",
                        {"gaussian", "noiseless_line", "discrete"})
     if name == "gaussian":
-        mu = _get_number(cfg, "population.mu", 0.0)
-        sigma = _get_number(cfg, "population.sigma")
-        if getattr(model, "name", None) == "mean_squared":
-            return genbench.gaussian_mean_setup(mu, sigma)[1]
-        return genbench.GaussianScalarPopulation(mu, sigma)
+        return genbench.GaussianScalarPopulation(
+            _get_number(cfg, "population.mu", 0.0),
+            _get_number(cfg, "population.sigma"))
     if name == "noiseless_line":
-        slope = _get_number(cfg, "population.slope")
-        x_sigma = _get_number(cfg, "population.x_sigma", 1.0)
-        if getattr(model, "name", None) == "linear_regression":
-            return genbench.noiseless_line_setup(slope, x_sigma)[1]
-        return genbench.NoiselessLinePopulation(slope, x_sigma)
+        return genbench.NoiselessLinePopulation(
+            _get_number(cfg, "population.slope"),
+            _get_number(cfg, "population.x_sigma", 1.0))
     pts = _get(cfg, "population.points")
     probs = _get(cfg, "population.probs")
     if not isinstance(pts, list) or not isinstance(probs, list):
@@ -172,11 +176,15 @@ def build_gibbs_config(cfg: dict, theta_dim: int) -> gibbs.GibbsConfig:
         raise ConfigError(f"gibbs: {exc}") from exc
 
 
-def _gibbs_config(cfg: dict, model) -> gibbs.GibbsConfig:
-    """The ``gibbs`` block for ``model``, checked for its growth condition."""
-    dim = 2 if model.variant == "nn" else 1
-    gcfg = build_gibbs_config(
-        cfg, _get_int(cfg, "gibbs.theta_dim", dim, minimum=dim))
+def _gibbs_config(cfg: dict, model, pop) -> gibbs.GibbsConfig:
+    """The ``gibbs`` block for ``model`` on ``pop``'s data, checked for its
+    growth condition.  A network's ``theta = (a, w)``: one w per feature."""
+    dim = 1 + pop.feature_dim if model.variant == "nn" else 1
+    got = _get_int(cfg, "gibbs.theta_dim", dim, minimum=1)
+    if model.variant == "nn" and got != dim:
+        raise ConfigError(f"gibbs.theta_dim: a network on {pop.feature_dim}-"
+                          f"feature data has theta_dim {dim}, got {got}")
+    gcfg = build_gibbs_config(cfg, got)
     try:
         gcfg.regularizer.validate_growth(model, gcfg.p)
     except ValueError as exc:
@@ -200,12 +208,12 @@ def build_trainer(cfg: dict, model, gcfg: Optional[gibbs.GibbsConfig]):
         return genbench.MFLDTrainer(
             model, gcfg,
             n_particles=_get_int(cfg, "trainer.n_particles", 2048, minimum=1),
-            step_size=_get_number(cfg, "trainer.step_size", 1e-3),
+            step_size=_get_positive(cfg, "trainer.step_size", 1e-3),
             n_steps=_get_int(cfg, "trainer.n_steps", 2000, minimum=1))
     return genbench.GridGibbsTrainer(
         model, gcfg,
-        damping=_get_number(cfg, "trainer.damping", 1.0),
-        tol=_get_number(cfg, "trainer.tol", 1e-10),
+        damping=_get_positive(cfg, "trainer.damping", 1.0, maximum=1.0),
+        tol=_get_positive(cfg, "trainer.tol", 1e-10),
         max_iter=_get_int(cfg, "trainer.max_iter", 500, minimum=1))
 
 
@@ -307,9 +315,9 @@ _SWEEP_ROUTES = ("direct", "resampled", "representation", "lge")
 
 def _run_gen_sweep(cfg, exp_id, seed, out_dir):
     model = build_model(cfg)
-    pop = build_population(cfg, model)
+    pop = build_population(cfg)
     kind = _get(cfg, "trainer.kind", "gibbs_grid")
-    gcfg = _gibbs_config(cfg, model) \
+    gcfg = _gibbs_config(cfg, model, pop) \
         if kind != "explicit_gaussian_mean" else None
     trainer = build_trainer(cfg, model, gcfg)
     routes = _get(cfg, "routes", ["direct", "resampled"])
@@ -334,8 +342,8 @@ def _run_gen_sweep(cfg, exp_id, seed, out_dir):
 
 def _run_bounds(cfg, exp_id, seed, out_dir):
     model = build_model(cfg)
-    pop = build_population(cfg, model)
-    gcfg = _gibbs_config(cfg, model)
+    pop = build_population(cfg)
+    gcfg = _gibbs_config(cfg, model, pop)
     trainer = build_trainer(cfg, model, gcfg)
     if not isinstance(trainer, genbench.GridGibbsTrainer):
         raise ConfigError("trainer.kind: bounds experiments need the "
@@ -380,14 +388,14 @@ def _run_bounds(cfg, exp_id, seed, out_dir):
 
 def _run_mfld_vs_grid(cfg, exp_id, seed, out_dir):
     model = build_model(cfg)
-    pop = build_population(cfg, model)
-    gcfg = _gibbs_config(cfg, model)
+    pop = build_population(cfg)
+    gcfg = _gibbs_config(cfg, model, pop)
     ns, _, _ = _sweep(cfg)
     n = ns[0]
     n_particles = _get_int(cfg, "trainer.n_particles", 4096, minimum=2)
-    step_size = _get_number(cfg, "trainer.step_size", 1e-3)
+    step_size = _get_positive(cfg, "trainer.step_size", 1e-3)
     n_steps = _get_int(cfg, "trainer.n_steps", 4000, minimum=1)
-    damping = _get_number(cfg, "trainer.damping", 0.5)
+    damping = _get_positive(cfg, "trainer.damping", 0.5, maximum=1.0)
 
     xs, ys = pop.sample(genbench._rng(seed, 0, 0), n)
     nu = measures.empirical_from_arrays(xs, ys)
@@ -415,8 +423,8 @@ def _run_mfld_vs_grid(cfg, exp_id, seed, out_dir):
 
 def _run_gibbs_solve(cfg, exp_id, seed, out_dir):
     model = build_model(cfg)
-    pop = build_population(cfg, model)
-    gcfg = _gibbs_config(cfg, model)
+    pop = build_population(cfg)
+    gcfg = _gibbs_config(cfg, model, pop)
     trainer = build_trainer(cfg, model, gcfg)
     if not isinstance(trainer, genbench.GridGibbsTrainer):
         raise ConfigError("trainer.kind: gibbs-solve needs the gibbs_grid "
@@ -442,10 +450,9 @@ def _run_gibbs_solve(cfg, exp_id, seed, out_dir):
     }
     name = _get(cfg, "output.json", f"{exp_id}.json")
     _write_json(payload, out_dir / name)
-    holds_all = payload["holds"]
     print(f"[{exp_id}] iterations={sol.iterations} "
           f"residual={sol.residual:.3e} -> {out_dir / name}")
-    return None, (0 if holds_all else 2)
+    return None, (0 if payload["holds"] else 2)
 
 
 # ---------------------------------------------------------------------------

@@ -108,18 +108,16 @@ class PopulationModel:
     """Data-generating distribution with a moment oracle.
 
     Subclasses implement seeded sampling and the closed-form moments
-    ``E[(1 + ||Z||^2)^k]`` for ``k <= 8``.  The optional hooks
-    ``population_risk`` and ``population_loss_dm`` provide analytic
-    population averages when the model/population pair admits them (by
+    ``E[(1 + ||Z||^2)^k]`` for ``k <= 8``.  The hooks ``population_risk``
+    and ``population_loss_dm`` give analytic population averages, by
     default from ``_expected_lp``, the analytic ``E_Z lp(theta, Z)`` of
-    an expected parametric loss); estimators fall back to out-of-sample
-    batches when they return ``None``.  Both hooks also take a
-    :class:`MeasureBatch` and then return one value, or one row of node
-    values, per measure.
+    each expected parametric loss by name; estimators take out-of-sample
+    batches when they return ``None``.  On a :class:`MeasureBatch` they
+    return one value, or one row of node values, per measure.
     """
 
     feature_dim = 0
-    _expected_lp = None
+    _expected_lp: dict = {}
 
     def sample(self, rng: np.random.Generator, size: int):
         """``(xs, ys)`` of ``size`` samples drawn from ``rng``.
@@ -134,15 +132,13 @@ class PopulationModel:
         raise NotImplementedError
 
     def population_risk(self, model, m) -> Optional[float]:
-        if self._expected_lp is None:
-            return None
-        return m.integrate(self._expected_lp)
+        f = self._expected_lp.get(getattr(model, "name", None))
+        return None if f is None else m.integrate(f)
 
     def population_loss_dm(self, model, m, nodes) -> Optional[np.ndarray]:
-        if self._expected_lp is None or model.variant != "expected_param":
-            return None
-        u = np.asarray(self._expected_lp(nodes), dtype=float)
-        return u - np.expand_dims(m.integrate(self._expected_lp), -1)
+        f = self._expected_lp.get(getattr(model, "name", None))
+        return None if f is None else np.asarray(f(nodes), dtype=float) \
+            - np.expand_dims(m.integrate(f), -1)
 
     @staticmethod
     def _check_order(k: int):
@@ -167,12 +163,13 @@ class GaussianScalarPopulation(PopulationModel):
 
     feature_dim = 0
 
-    def __init__(self, mu: float, sigma: float, expected_lp=None):
+    def __init__(self, mu: float, sigma: float):
         if sigma <= 0:
             raise ValueError("population scale must be positive")
         self.mu = float(mu)
         self.sigma = float(sigma)
-        self._expected_lp = expected_lp
+        self._expected_lp = {"mean_squared": lambda th: (th[:, 0] - mu) ** 2
+                             + sigma ** 2}
 
     def sample(self, rng, size):
         ys = self.mu + self.sigma * rng.standard_normal(size)
@@ -193,12 +190,13 @@ class NoiselessLinePopulation(PopulationModel):
 
     feature_dim = 1
 
-    def __init__(self, slope: float, x_sigma: float = 1.0, expected_lp=None):
+    def __init__(self, slope: float, x_sigma: float = 1.0):
         if x_sigma <= 0:
             raise ValueError("input scale must be positive")
         self.slope = float(slope)
         self.x_sigma = float(x_sigma)
-        self._expected_lp = expected_lp
+        self._expected_lp = {"linear_regression": lambda th: (
+            slope - th[:, 0]) ** 2 * x_sigma ** 2}
 
     def sample(self, rng, size):
         xs = self.x_sigma * rng.standard_normal((size, 1))
@@ -239,18 +237,15 @@ class DiscretePopulation(PopulationModel):
         return float(self.probs @ (1.0 + nsq) ** k)
 
     def _atoms(self, m):
-        """The support as one dataset, broadcast to (B, S) for a batch."""
-        if not isinstance(m, MeasureBatch):
-            return self._xs, self._ys
-        shape = (len(m),) + self._ys.shape
+        """The support as the dataset of every row of ``m``."""
+        shape = m.node_weights.shape[:-1] + self._ys.shape
         return (np.broadcast_to(self._xs, shape + self._xs.shape[1:]),
                 np.broadcast_to(self._ys, shape))
 
     def population_risk(self, model, m):
         vals = model.atom_losses(m, *self._atoms(m))
-        if isinstance(m, MeasureBatch):
-            return np.array([self.probs @ row for row in vals])
-        return float(self.probs @ vals)
+        out = [self.probs @ row for row in np.atleast_2d(vals)]
+        return float(out[0]) if vals.ndim == 1 else np.array(out)
 
     def population_loss_dm(self, model, m, nodes):
         return model.dm(m, *self._atoms(m), self.probs, nodes)
@@ -258,20 +253,14 @@ class DiscretePopulation(PopulationModel):
 
 def gaussian_mean_setup(mu: float = 0.0, sigma: float = 1.0):
     """Matched (model, population) pair for the Gaussian location problem."""
-    model = _losses.mean_squared_param_loss()
-    pop = GaussianScalarPopulation(
-        mu, sigma,
-        expected_lp=lambda th: (th[:, 0] - mu) ** 2 + sigma ** 2)
-    return model, pop
+    return (_losses.mean_squared_param_loss(),
+            GaussianScalarPopulation(mu, sigma))
 
 
 def noiseless_line_setup(slope: float = 0.5, x_sigma: float = 1.0):
     """Matched (model, population) pair for noiseless scalar regression."""
-    model = _losses.linear_regression_param_loss()
-    pop = NoiselessLinePopulation(
-        slope, x_sigma,
-        expected_lp=lambda th: (slope - th[:, 0]) ** 2 * x_sigma ** 2)
-    return model, pop
+    return (_losses.linear_regression_param_loss(),
+            NoiselessLinePopulation(slope, x_sigma))
 
 
 # ---------------------------------------------------------------------------

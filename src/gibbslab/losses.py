@@ -18,8 +18,9 @@ derivative vanishes; ``funcderiv.build_Cm`` assembles it over a dataset
 as a rank-n ``gibbs.CurvatureKernel``.  Each model evaluates losses,
 weighted sums of first derivatives (``dm``) and their pairings with a
 difference of measures (``dm_along``) over all atoms of a dataset at
-once, and for a whole :class:`MeasureBatch` of measures; the
-single-sample functions of this module are one-atom views of those.
+once, in one body over the rows of :func:`measures.as_rows`: a single
+measure is one row, a :class:`MeasureBatch` B rows with a dataset each.
+The single-sample functions of this module are one-atom views of those.
 A non-finite loss raises ``ValueError``, for a batch without its row.
 """
 
@@ -30,7 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .measures import DataMeasure, DataPoint, MeasureBatch
+from .measures import DataMeasure, DataPoint, as_rows
 
 # elements of the largest lp array one batched call may build
 _LP_ELEMENTS = 1 << 18
@@ -46,21 +47,21 @@ _PHI_ELEMENTS = 1 << 22
 class Activation:
     """Scalar activation with an optional derivative.
 
-    ``value`` is vectorized; ``deriv`` is ``None`` for activations that
-    have no usable derivative (heaviside), which restricts them to
-    grid-based solvers.
+    ``value`` is vectorized; ``deriv(u, a)`` also takes ``a = value(u)``.
+    ``deriv`` is ``None`` for activations that have no usable derivative
+    (heaviside), which restricts them to grid-based solvers.
     """
 
     kind: str
     value: Callable[[np.ndarray], np.ndarray]
-    deriv: Optional[Callable[[np.ndarray], np.ndarray]]
+    deriv: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]]
 
 
 def _relu(u):
     return np.maximum(u, 0.0)
 
 
-def _relu_deriv(u):
+def _relu_deriv(u, a):
     return (u > 0).astype(float)
 
 
@@ -73,19 +74,14 @@ def _sigmoid(u):
     return out
 
 
-def _sigmoid_deriv(u):
-    s = _sigmoid(u)
-    return s * (1.0 - s)
-
-
 def _heaviside(u):
     return (u >= 0).astype(float)
 
 
 _ACTIVATIONS = {
     "relu": Activation("relu", _relu, _relu_deriv),
-    "tanh": Activation("tanh", np.tanh, lambda u: 1.0 - np.tanh(u) ** 2),
-    "sigmoid": Activation("sigmoid", _sigmoid, _sigmoid_deriv),
+    "tanh": Activation("tanh", np.tanh, lambda u, a: 1.0 - a ** 2),
+    "sigmoid": Activation("sigmoid", _sigmoid, lambda u, a: a * (1.0 - a)),
     "heaviside": Activation("heaviside", _heaviside, None),
 }
 
@@ -190,9 +186,9 @@ def outer_loss(kind: str) -> OuterLoss:
 # Each model evaluates its per-atom operations over all atoms of a dataset
 # at once: ``xs`` (n, q) features, ``ys`` (n,) targets and, for weighted
 # sums, ``weights`` (n,), which may be signed.  Parameter arrays ``theta``
-# are (N, d).  ``atom_losses``, ``dm`` and ``dm_along`` also take a
-# MeasureBatch of B measures with ``xs`` (B, k, q) and ``ys`` (B, k), one
-# dataset per row, and then return one row per measure.
+# are (N, d).  ``predict``, ``atom_losses``, ``dm`` and ``dm_along`` also
+# take a MeasureBatch of B measures with ``xs`` (B, k, q) and ``ys`` (B, k),
+# one dataset per row, and then return one row per measure.
 
 
 def _finite(vals: np.ndarray) -> np.ndarray:
@@ -226,18 +222,18 @@ class NNLoss:
         return theta[:, 0][:, None] * self.activation.value(u)
 
     def predict(self, m, xs: np.ndarray) -> np.ndarray:
-        """Mean-field predictions ``E_m phi(., x_i)``, shape (n,).
-
-        For a batch, row ``r`` predicts ``m[r]`` on ``xs[r]``: (B, k).
-        Features are built for at most ``_PHI_ELEMENTS`` entries at a time.
-        """
-        if isinstance(m, MeasureBatch):
-            return np.stack([self.predict(m[r], xs[r]) for r in range(len(m))])
-        step = max(1, _PHI_ELEMENTS // m.n_nodes)
-        if len(xs) > step:
-            return np.concatenate([self.predict(m, xs[lo:lo + step])
-                                   for lo in range(0, len(xs), step)])
-        return self.phi(m.nodes, xs).T @ m.node_weights
+        """Mean-field predictions ``E_m phi(., x_i)``, shape (n,); (B, k)
+        for a batch.  Features are built for at most ``_PHI_ELEMENTS``
+        entries at a time."""
+        nodes, weights, (xs,), one = as_rows(m, xs)
+        step = max(1, _PHI_ELEMENTS // weights.shape[1])
+        out = np.empty(xs.shape[:2])
+        for r, w in enumerate(weights):
+            theta = nodes if nodes.ndim == 2 else nodes[r]
+            for lo in range(0, xs.shape[1], step):
+                feats = self.phi(theta, xs[r, lo:lo + step])
+                out[r, lo:lo + step] = feats.T @ w
+        return out[0] if one else out
 
     def atom_losses(self, m, xs, ys) -> np.ndarray:
         """Per-atom losses ``l(m, z_i)``, shape (n,); (B, k) for a batch."""
@@ -250,12 +246,12 @@ class NNLoss:
         Always centered: the constant costs nothing here.  A batch goes
         row by row on the shared ``theta``: (B, N).
         """
-        if isinstance(m, MeasureBatch):
-            return np.stack([self.dm(m[r], xs[r], ys[r], weights, theta)
-                             for r in range(len(m))])
         preds = _finite(self.predict(m, xs))
+        _, _, (xs, ys, preds), one = as_rows(m, xs, ys, preds)
         coef = weights * self.outer.d1(preds, ys)
-        return self.phi(theta, xs) @ coef - float(preds @ coef)
+        out = np.stack([self.phi(theta, x) @ c - float(p @ c)
+                        for x, c, p in zip(xs, coef, preds)])
+        return out[0] if one else out
 
     def dm_grad(self, pts, xs, ys, weights) -> np.ndarray:
         """Gradient at the particles ``pts`` (N, d) of :meth:`dm` at their
@@ -270,7 +266,7 @@ class NNLoss:
         coef = weights * self.outer.d1((pts[:, :1] * a).mean(axis=0), ys)
         g = np.empty_like(pts)
         g[:, 0] = a @ coef
-        g[:, 1:] = pts[:, :1] * ((self.activation.deriv(u) * coef) @ xs)
+        g[:, 1:] = pts[:, :1] * ((self.activation.deriv(u, a) * coef) @ xs)
         return g
 
     def dm_along(self, m, m2, xs, ys) -> np.ndarray:
@@ -336,9 +332,16 @@ class ExpectedParamLoss:
 
     def atom_losses(self, m, xs, ys) -> np.ndarray:
         """Per-atom losses ``E_m lp(., z_i)``, shape (n,); (B, k) for a batch."""
-        if isinstance(m, MeasureBatch):
-            return _finite(self._batch_losses(m, xs, ys))
-        return _finite(self.lp(m.nodes, xs, ys) @ m.node_weights)
+        nodes, weights, (xs, ys), one = as_rows(m, xs, ys)
+        # one lp call per row of per-row nodes, else per chunk of rows
+        if nodes.ndim == 3:
+            out = np.stack([self.lp(nodes[r], xs[r], ys[r]) @ weights[r]
+                            for r in range(len(ys))])
+        else:
+            out = np.empty(ys.shape)
+            for lo, hi, vals in self._lp_chunks(nodes, xs, ys):
+                out[lo:hi] = [v @ w for v, w in zip(vals, weights[lo:hi])]
+        return _finite(out[0] if one else out)
 
     def _lp_chunks(self, nodes, xs, ys):
         """``(lo, hi, vals)`` over the rows of ``xs`` (B, k, q), ``ys``
@@ -354,48 +357,30 @@ class ExpectedParamLoss:
                            ys[lo:hi].reshape(-1))
             yield lo, hi, vals.reshape(hi - lo, k, n_nodes)
 
-    def _batch_losses(self, m: MeasureBatch, xs, ys) -> np.ndarray:
-        """One ``lp`` call per row when the rows have their own nodes; on
-        shared nodes, one call per chunk of rows (:meth:`_lp_chunks`).
-        Each row is reduced as :meth:`atom_losses` reduces one measure, so
-        it sums in that order."""
-        b, k = ys.shape
-        if m.nodes.ndim == 3:
-            return np.stack([self.lp(m.nodes[r], xs[r], ys[r])
-                             @ m.node_weights[r] for r in range(b)])
-        out = np.empty((b, k))
-        for lo, hi, vals in self._lp_chunks(m.nodes, xs, ys):
-            out[lo:hi] = [v @ w for v, w in zip(vals, m.node_weights[lo:hi])]
-        return out
-
-    def lp_sums(self, nodes, xs, ys, weights) -> np.ndarray:
-        """Weighted sums ``sum_i weights[i] lp(theta, z_ri)``, ``weights``
-        (k,), over the atoms of each row of ``xs`` (B, k, q), ``ys`` (B, k),
-        at the shared ``nodes`` (N, d): shape (B, N).  Each row sums as
-        the uncentered :meth:`dm` sums one dataset."""
+    def lp_sums(self, nodes, xs, ys, weights, shift=None) -> np.ndarray:
+        """Weighted sums ``sum_i weights[i] (lp(theta, z_ri) - shift[r, i])``,
+        ``weights`` (k,), over the atoms of each row of ``xs`` (B, k, q),
+        ``ys`` (B, k), at the shared ``nodes`` (N, d): shape (B, N).
+        ``shift`` (B, k) defaults to zero."""
         out = np.empty((ys.shape[0], nodes.shape[0]))
         for lo, hi, vals in self._lp_chunks(nodes, xs, ys):
+            if shift is not None:
+                vals = vals - shift[lo:hi, :, None]
             out[lo:hi] = weights @ vals
         return out
 
     def dm(self, m, xs, ys, weights, theta, centered: bool = True
            ) -> np.ndarray:
-        """Weighted derivative ``sum_i w_i dl/dm(m, z_i, theta)``, shape (N,).
-
-        ``centered=False`` drops the m-average constant, which would
-        cost a second evaluation of ``lp``.  For a batch it is
-        :meth:`lp_sums` on the shared ``theta`` (N, d) minus the weighted
-        sum of each row's atom losses: (B, N).
+        """Weighted derivative ``sum_i w_i dl/dm(m, z_i, theta)``, shape (N,);
+        (B, N) for a batch.  :meth:`lp_sums` shifted by each atom's loss,
+        which ``centered=False`` drops to save a second evaluation of ``lp``.
         """
-        if isinstance(m, MeasureBatch):
-            out = self.lp_sums(theta, xs, ys, weights)
-            if centered:
-                out = out - (self.atom_losses(m, xs, ys) @ weights)[:, None]
-            return out
-        lpm = self.lp(np.atleast_2d(np.asarray(theta, dtype=float)), xs, ys)
-        if centered:
-            lpm = lpm - self.atom_losses(m, xs, ys)[:, None]
-        return weights @ lpm
+        shift = np.atleast_2d(self.atom_losses(m, xs, ys)) if centered \
+            else None
+        _, _, (xs, ys), one = as_rows(m, xs, ys)
+        out = self.lp_sums(np.atleast_2d(np.asarray(theta, dtype=float)),
+                           xs, ys, weights, shift)
+        return out[0] if one else out
 
     def dm_grad(self, pts, xs, ys, weights) -> np.ndarray:
         """Gradient of :meth:`dm` at the particles ``pts`` (N, d): (N, d)."""

@@ -14,7 +14,8 @@ A :class:`MeasureBatch` holds the parameter measures trained on one
 block of replicates as stacked arrays, so that losses and population
 averages of the whole block are array expressions; ``batch[r]`` is the
 r-th measure as a grid measure.  A batch runs the checks of one grid
-measure and does not say which row failed them.
+measure and does not say which row failed them.  Code that takes
+either reads it as rows (:func:`as_rows`); a grid measure is one row.
 
 Data measures are probability measures.  Signed grid measures
 (derivatives of trained measures in the data) are supported through a
@@ -184,6 +185,33 @@ def resample(nu: DataMeasure, indices: Sequence[int],
     return DataMeasure(xs, ys, nu.weights)
 
 
+def as_rows(m, *data):
+    """``(nodes, weights, data, one)``: ``m`` read as rows, with nodes
+    shared (N, d) or per row (B, N, d), (B, N) weights and the ``data``
+    arrays of its rows.  A grid measure is the single row (``one``): its
+    data gain a row axis, which the caller drops from its result."""
+    w = m.node_weights
+    data = [np.asarray(a, dtype=float) for a in data]
+    if w.ndim == 2:
+        return m.nodes, w, data, False
+    return m.nodes, w[None], [a[None] for a in data], True
+
+
+def _integrate(m, f) -> float | np.ndarray:
+    """Quadrature of ``f`` against the measure, or each row of a batch:
+    ``f`` maps all nodes, (N, d) or (B * N, d), to one value each."""
+    nodes, w, _, one = as_rows(m)
+    flat = nodes.reshape(-1, nodes.shape[-1])
+    vals = np.asarray(f(flat), dtype=float)
+    if vals.shape != flat.shape[:1]:
+        raise ValueError("integrand must return one value per node")
+    if not np.isfinite(vals).all():
+        raise ValueError("non-finite integrand value")
+    vals = np.broadcast_to(vals.reshape(-1, w.shape[1]), w.shape)
+    out = [v @ r for v, r in zip(vals, w)]
+    return float(out[0]) if one else np.array(out)
+
+
 class GridMeasure:
     """Measure on parameter space given by a density on quadrature nodes.
 
@@ -234,18 +262,7 @@ class GridMeasure:
                 and np.array_equal(self.nodes, other.nodes)
                 and np.array_equal(self.cell_volumes, other.cell_volumes))
 
-    def integrate(self, f) -> float:
-        """Quadrature of ``f`` against the measure.
-
-        ``f`` receives the full (N, d) node array and must return (N,)
-        values (vectorized evaluation).
-        """
-        vals = np.asarray(f(self.nodes), dtype=float)
-        if vals.shape != (self.n_nodes,):
-            raise ValueError("integrand must return one value per node")
-        if not np.isfinite(vals).all():
-            raise ValueError("non-finite integrand value")
-        return float(vals @ self.node_weights)
+    integrate = _integrate
 
     def moment(self, p: float) -> float:
         r = np.sqrt(np.einsum("ij,ij->i", self.nodes, self.nodes))
@@ -344,23 +361,7 @@ class MeasureBatch:
         nodes = self.nodes if self.nodes.ndim == 2 else self.nodes[r]
         return GridMeasure(nodes, self.cell_volumes, self.density[r])
 
-    def integrate(self, f) -> np.ndarray:
-        """Quadrature of ``f`` against every row, shape (B,).
-
-        ``f`` is evaluated once, on the (N, d) shared nodes or on all
-        (B * N, d) nodes of the batch.
-        """
-        nodes = self.nodes
-        vals = np.asarray(f(nodes.reshape(-1, nodes.shape[-1])), dtype=float)
-        if vals.size != nodes.size // nodes.shape[-1]:
-            raise ValueError("integrand must return one value per node")
-        vals = vals.reshape(nodes.shape[:-1])
-        if not np.isfinite(vals).all():
-            raise ValueError("non-finite integrand value")
-        if vals.ndim == 1:
-            vals = np.broadcast_to(vals, self.node_weights.shape)
-        # row by row, summed as the one-measure integrate sums
-        return np.array([v @ w for v, w in zip(vals, self.node_weights)])
+    integrate = _integrate
 
 
 def convex_combination(mu0, mu1, lam: float):

@@ -213,6 +213,59 @@ def test_weak_confinement_is_a_config_error(tmp_path, capsys, config, key,
         and not list(tmp_path.glob("gibbs_solve_nn.json"))
 
 
+@pytest.mark.parametrize("config, trainer, message", [
+    ("gen_sweep_gibbs.json", {"damping": 0}, "trainer.damping: must lie in "
+     "(0, 1], got 0.0"),
+    ("gen_sweep_gibbs.json", {"damping": 2}, "trainer.damping: must lie in "
+     "(0, 1], got 2.0"),
+    ("gen_sweep_gibbs.json", {"tol": -1}, "trainer.tol: must lie in "
+     "(0, inf], got -1.0"),
+    ("gen_sweep_gibbs.json", {"kind": "mfld", "step_size": -1},
+     "trainer.step_size: must lie in (0, inf], got -1.0"),
+    ("mfld_vs_grid.json", {"step_size": -1}, "trainer.step_size: must lie "
+     "in (0, inf], got -1.0"),
+    ("mfld_vs_grid.json", {"damping": 0}, "trainer.damping: must lie in "
+     "(0, 1], got 0.0"),
+])
+def test_bad_trainer_settings_are_config_errors(tmp_path, capsys, config,
+                                                trainer, message):
+    cfg = json.loads((CONFIGS / config).read_text())
+    cfg["trainer"].update(trainer)
+    assert cli.run(write_config(tmp_path, cfg), out=str(tmp_path)) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not list(tmp_path.glob("*.csv"))
+
+
+NN_DISCRETE_CFG = {
+    "experiment": "gen-sweep",
+    "id": "nn2",
+    "model": {"variant": "nn", "activation": "tanh", "outer": "quadratic"},
+    "population": {"name": "discrete",
+                   "points": [{"x": [0.5, -1.0], "y": 0.3},
+                              {"x": [1.0, 0.2], "y": -0.4},
+                              {"x": [-0.7, 0.4], "y": 0.8}],
+                   "probs": [0.3, 0.3, 0.4]},
+    "gibbs": {"beta": 0.7, "p": 8, "nodes": 13},
+    "trainer": {"kind": "gibbs_grid", "damping": 0.5, "tol": 1e-9},
+    "sweep": {"n": [3], "replicates": 2, "seed": 1},
+}
+
+
+def test_network_parameter_dimension_follows_the_features(tmp_path, capsys):
+    # theta = (a, w) with one weight per feature: 3 on 2-feature data
+    path = write_config(tmp_path, NN_DISCRETE_CFG)
+    assert cli.run(path, out=str(tmp_path)) == 0
+    assert len((tmp_path / "nn2.csv").read_text().splitlines()) == 3
+    cfg = json.loads(json.dumps(NN_DISCRETE_CFG))
+    for dim in (2, 4):
+        cfg["gibbs"]["theta_dim"] = dim
+        capsys.readouterr()
+        assert cli.run(write_config(tmp_path, cfg), out=str(tmp_path)) == 1
+        assert capsys.readouterr().err == (
+            "config error: gibbs.theta_dim: a network on 2-feature data has "
+            f"theta_dim 3, got {dim}\n")
+
+
 # ---------------------------------------------------------------------------
 # experiments end to end
 

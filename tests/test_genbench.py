@@ -29,6 +29,12 @@ WEAK_CFG = GibbsConfig(beta=0.5, sigma=1.0, p=4,
                        nodes_per_axis=257)
 
 
+def _unnamed(model):
+    """``model`` under a name for which no population has an analytic
+    average, so that estimators take their out-of-sample batches."""
+    return losses.ExpectedParamLoss(model.lp, model.M_p, model.lp_grad)
+
+
 # ---------------------------------------------------------------------------
 # populations
 
@@ -117,6 +123,24 @@ def test_setup_factories_attach_analytic_risks():
     emp2 = losses.risk(model2, m2, empirical_from_arrays(xs2, ys2))
     np.testing.assert_allclose(pop2.population_risk(model2, m2), emp2,
                                atol=5e-3)
+
+
+def test_analytic_average_answers_only_for_its_own_loss():
+    # a population's formula belongs to the loss it was derived for: the
+    # Gaussian one is E (theta - Z)^2, which is not the zero loss's average
+    zero = losses.zero_param_loss()
+    m = GibbsConfig(beta=0.5, sigma=1.0, p=4,
+                    nodes_per_axis=65).priors().gamma_sigma
+    for pop in (gaussian_mean_setup()[1], noiseless_line_setup()[1]):
+        assert pop.population_risk(zero, m) is None
+        assert pop.population_loss_dm(zero, m, m.nodes) is None
+        assert pop.population_risk(losses.NNLoss("tanh", "quadratic"),
+                                   m) is None
+        est = wge_direct(ConstantTrainer(m), pop, zero, 4, 3, 5)
+        assert est.value == 0.0 and est.stderr == 0.0
+    model, pop = gaussian_mean_setup()
+    assert pop.population_risk(_unnamed(model), m) is None
+    assert pop.population_risk(model, m) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +326,7 @@ def test_routes_match_scalar_loop_oracle():
     # the per-replicate streams and training order of one kernel per route:
     # draw (seed, rep, 0), out-of-sample batch (seed, rep, 1), trainer
     # stream (seed, rep, 2) with m trained before the swapped measure
-    model = losses.mean_squared_param_loss()
+    model = _unnamed(losses.mean_squared_param_loss())
     pop = GaussianScalarPopulation(0.2, 1.0)  # no hook: out-of-sample risk
     trainer = MFLDTrainer(model, WEAK_CFG, 16, 1e-3, 5)
     n, replicates, seed = 4, 5, 29
@@ -335,7 +359,7 @@ def _block_setup(trainer_kind, pop_kind):
     else:
         model, pop = gaussian_mean_setup(0.2, 1.0)
         if pop_kind == "gaussian_no_hook":
-            pop = GaussianScalarPopulation(0.2, 1.0)
+            model = _unnamed(model)
         elif pop_kind == "discrete":
             pop = DiscretePopulation(
                 [DataPoint(np.array([0.0]), -1.0),

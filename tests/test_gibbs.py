@@ -576,8 +576,9 @@ def _general_dm_grad(model, m, xs, ys, weights, theta):
     coef = weights * model.outer.d1(preds, ys)
     u = theta[:, 1:] @ xs.T
     g = np.empty_like(theta)
-    g[:, 0] = act.value(u) @ coef
-    g[:, 1:] = theta[:, 0][:, None] * ((act.deriv(u) * coef) @ xs)
+    a = act.value(u)
+    g[:, 0] = a @ coef
+    g[:, 1:] = theta[:, 0][:, None] * ((act.deriv(u, a) * coef) @ xs)
     return g
 
 

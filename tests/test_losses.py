@@ -42,12 +42,19 @@ def test_activation_values_and_derivs():
     np.testing.assert_array_equal(activation("heaviside").value(u),
                                   (u >= 0).astype(float))
     assert activation("heaviside").deriv is None
-    # finite-difference check of the stored derivatives
+    # finite-difference check of the stored derivatives, which take the
+    # activation value and equal the closed forms in u bit for bit
     h = 1e-6
+    closed = {"tanh": 1.0 - np.tanh(u) ** 2,
+              "sigmoid": sig.value(u) * (1.0 - sig.value(u))}
     for kind in ("tanh", "sigmoid"):
         act = activation(kind)
         fd = (act.value(u + h) - act.value(u - h)) / (2 * h)
-        np.testing.assert_allclose(act.deriv(u), fd, atol=1e-8)
+        np.testing.assert_allclose(act.deriv(u, act.value(u)), fd, atol=1e-8)
+        np.testing.assert_array_equal(act.deriv(u, act.value(u)), closed[kind])
+    np.testing.assert_array_equal(
+        activation("relu").deriv(u, activation("relu").value(u)),
+        (u > 0).astype(float))
     with pytest.raises(ValueError):
         activation("softsign")
 

@@ -7,6 +7,7 @@ from gibbslab.measures import (DataMeasure, DataPoint, GridMeasure,
                                MeasureBatch, ParticleMeasure,
                                convex_combination, empirical_from_arrays,
                                resample, uniform_grid, uniform_grid_1d)
+from gibbslab import losses
 from gibbslab.losses import ExpectedParamLoss, NNLoss
 
 
@@ -268,7 +269,7 @@ def test_measure_batch_of_rows_and_lazy_rows():
             MeasureBatch.of(rows)
 
 
-def test_cloud_batch_matches_one_measure_forms_bit_for_bit():
+def test_cloud_batch_matches_one_measure_forms_bit_for_bit(monkeypatch):
     rng = np.random.default_rng(12)
     clouds = [ParticleMeasure(rng.standard_normal((37, 2))) for _ in range(3)]
     batch = MeasureBatch.of(clouds)
@@ -280,12 +281,53 @@ def test_cloud_batch_matches_one_measure_forms_bit_for_bit():
 
     np.testing.assert_array_equal(batch.integrate(f),
                                   [m.integrate(f) for m in clouds])
-    for model in (NNLoss("tanh", "quadratic"),
-                  ExpectedParamLoss(lambda th, x, y: (th[:, 0] + th[:, 1]
-                                                      - y[:, None]) ** 2, 2.0)):
+    models = (NNLoss("tanh", "quadratic"),
+              ExpectedParamLoss(lambda th, x, y: (th[:, 0] + th[:, 1] * x
+                                                  - y[:, None]) ** 2, 2.0))
+    for model in models:
         np.testing.assert_array_equal(
             model.atom_losses(batch, xs, ys),
             [model.atom_losses(m, xs[r], ys[r]) for r, m in enumerate(clouds)])
+    # the derivatives over several signed atoms, on cloud rows and on rows
+    # of one grid, equal each row's one-measure form
+    nodes, vol = uniform_grid(2.0, 9, 2)
+    grids = [GridMeasure(nodes, vol, rng.uniform(0.1, 1.0, len(nodes)),
+                         normalize=True) for _ in range(3)]
+    weights = np.array([0.4, -0.1, 0.5, 0.2])
+    theta = rng.standard_normal((11, 2))
+    for rows in (clouds, grids):
+        rows_batch = MeasureBatch.of(rows)
+        for model in models:
+            for centered in (True, False):
+                np.testing.assert_array_equal(
+                    model.dm(rows_batch, xs, ys, weights, theta, centered),
+                    [model.dm(m, xs[r], ys[r], weights, theta, centered)
+                     for r, m in enumerate(rows)])
+    # predictions whose row loop crosses feature-chunk boundaries: two
+    # atoms per chunk of 37-particle features
+    monkeypatch.setattr(losses, "_PHI_ELEMENTS", 2 * 37 + 1)
+    np.testing.assert_array_equal(
+        models[0].predict(batch, xs),
+        [models[0].predict(m, xs[r]) for r, m in enumerate(clouds)])
+
+
+def test_network_batch_forms_build_no_grid_measure(monkeypatch):
+    # a batch is read as rows of arrays, never rebuilt measure by measure
+    rng = np.random.default_rng(13)
+    batch = MeasureBatch.of([ParticleMeasure(rng.standard_normal((16, 2)))
+                             for _ in range(4)])
+    xs, ys = rng.standard_normal((4, 3, 1)), rng.standard_normal((4, 3))
+    model = NNLoss("tanh", "logcosh")
+    want = model.predict(batch, xs), model.dm(batch, xs, ys, np.ones(3),
+                                              batch.nodes[0])
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a GridMeasure was built")
+
+    monkeypatch.setattr(GridMeasure, "__init__", refuse)
+    np.testing.assert_array_equal(model.predict(batch, xs), want[0])
+    np.testing.assert_array_equal(
+        model.dm(batch, xs, ys, np.ones(3), batch.nodes[0]), want[1])
 
 
 _DATA_CASES = [
