@@ -179,6 +179,10 @@ def build_gibbs_config(cfg: dict, theta_dim: int) -> gibbs.GibbsConfig:
 def _gibbs_config(cfg: dict, model, pop) -> gibbs.GibbsConfig:
     """The ``gibbs`` block for ``model`` on ``pop``'s data, checked for its
     growth condition.  A network's ``theta = (a, w)``: one w per feature."""
+    if model.variant == "nn" and pop.feature_dim == 0:
+        # every prediction would be E_m[a] * act(0), blind to the data
+        raise ConfigError("model.variant: a network needs data with at least "
+                          "one feature, and the population has none")
     dim = 1 + pop.feature_dim if model.variant == "nn" else 1
     got = _get_int(cfg, "gibbs.theta_dim", dim, minimum=1)
     if model.variant == "nn" and got != dim:
@@ -190,6 +194,19 @@ def _gibbs_config(cfg: dict, model, pop) -> gibbs.GibbsConfig:
     except ValueError as exc:
         raise ConfigError(f"gibbs: {exc}") from exc
     return gcfg
+
+
+def _particle_settings(cfg: dict, min_particles: int = 1) -> dict:
+    """``n_particles``, ``step_size`` and ``n_steps`` of the particle
+    sampler, with the defaults every runner shares."""
+    return {"n_particles": _get_int(cfg, "trainer.n_particles", 2048,
+                                    minimum=min_particles),
+            "step_size": _get_positive(cfg, "trainer.step_size", 1e-3),
+            "n_steps": _get_int(cfg, "trainer.n_steps", 2000, minimum=1)}
+
+
+def _damping(cfg: dict) -> float:
+    return _get_positive(cfg, "trainer.damping", 1.0, maximum=1.0)
 
 
 def build_trainer(cfg: dict, model, gcfg: Optional[gibbs.GibbsConfig]):
@@ -205,14 +222,9 @@ def build_trainer(cfg: dict, model, gcfg: Optional[gibbs.GibbsConfig]):
         return genbench.ConstantTrainer(
             pair.gamma_sigma if which == "prior" else pair.gamma_tilt_p)
     if kind == "mfld":
-        return genbench.MFLDTrainer(
-            model, gcfg,
-            n_particles=_get_int(cfg, "trainer.n_particles", 2048, minimum=1),
-            step_size=_get_positive(cfg, "trainer.step_size", 1e-3),
-            n_steps=_get_int(cfg, "trainer.n_steps", 2000, minimum=1))
+        return genbench.MFLDTrainer(model, gcfg, **_particle_settings(cfg))
     return genbench.GridGibbsTrainer(
-        model, gcfg,
-        damping=_get_positive(cfg, "trainer.damping", 1.0, maximum=1.0),
+        model, gcfg, damping=_damping(cfg),
         tol=_get_positive(cfg, "trainer.tol", 1e-10),
         max_iter=_get_int(cfg, "trainer.max_iter", 500, minimum=1))
 
@@ -392,16 +404,15 @@ def _run_mfld_vs_grid(cfg, exp_id, seed, out_dir):
     gcfg = _gibbs_config(cfg, model, pop)
     ns, _, _ = _sweep(cfg)
     n = ns[0]
-    n_particles = _get_int(cfg, "trainer.n_particles", 4096, minimum=2)
-    step_size = _get_positive(cfg, "trainer.step_size", 1e-3)
-    n_steps = _get_int(cfg, "trainer.n_steps", 4000, minimum=1)
-    damping = _get_positive(cfg, "trainer.damping", 0.5, maximum=1.0)
+    # the standard errors divide by n_particles - 1
+    particles = _particle_settings(cfg, min_particles=2)
+    damping = _damping(cfg)
 
     xs, ys = pop.sample(genbench._rng(seed, 0, 0), n)
     nu = measures.empirical_from_arrays(xs, ys)
     sol = gibbs.solve_gibbs(model, nu, gcfg, damping=damping)
-    part = gibbs.mfld_sample(model, nu, gcfg, n_particles, step_size,
-                             n_steps, seed)
+    part = gibbs.mfld_sample(model, nu, gcfg, seed=seed, **particles)
+    n_particles = particles["n_particles"]
 
     rows = []
     grid_mean = sol.measure.mean()

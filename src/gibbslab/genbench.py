@@ -72,13 +72,113 @@ class GenEstimate:
     route: str
 
 
-def _rng(seed: int, replicate: int, stream: int) -> np.random.Generator:
-    """Replicate- and purpose-keyed random stream.
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): the entropy
+# words mix into a pool of 4 uint32 words through `hashmix`, whose
+# multiplier runs through INIT_A * MULT_A**k, and `mix`; `generate_state`
+# spreads the pool into output words with INIT_B * MULT_B**k.  Neither
+# multiplier sequence depends on the data, so both are tabulated here.
+_POOL = 4
+_MAX_ENTROPY_WORDS = 16
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
-    Streams are derived from ``(seed, replicate, stream)`` alone, so
-    results do not depend on the order replicates run in.
+
+def _powers(init: int, mult: int, count: int) -> np.ndarray:
+    """(count, 1) uint32 column of ``init * mult**k mod 2**32``."""
+    out = [init]
+    for _ in range(count - 1):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+# hashmix call k xors with _HASH_A[k] and multiplies by _HASH_A[k + 1]: 4
+# calls fill the pool, 12 cross-mix it, 4 more per entropy word past 4
+_HASH_A = _powers(0x43B0D7E5, 0x931E8875,
+                  _POOL * _POOL + _POOL * (_MAX_ENTROPY_WORDS - _POOL) + 1)
+# output word k of generate_state: xor _HASH_B[k], multiply by _HASH_B[k + 1]
+_HASH_B = _powers(0x8B51F9DD, 0x58F38DED, 2 * _POOL + 1)
+
+
+def _hashmix(value, k: int, rows: int) -> np.ndarray:
+    """``rows`` consecutive hashmix calls from call ``k`` on ``value``."""
+    value = (value ^ _HASH_A[k:k + rows]) * _HASH_A[k + 1:k + rows + 1]
+    return value ^ value >> 16
+
+
+def _mix(x, y) -> np.ndarray:
+    out = _MIX_L * x - _MIX_R * y
+    return out ^ out >> 16
+
+
+def _words(value: int) -> list:
+    """The little-endian uint32 words SeedSequence reads from an integer."""
+    if value < 0:
+        raise ValueError(f"expected a non-negative integer, got {value}")
+    words = [value & 0xFFFFFFFF]
+    while value > 0xFFFFFFFF:
+        value >>= 32
+        words.append(value & 0xFFFFFFFF)
+    return words
+
+
+class _BlockSeed(np.random.bit_generator.ISeedSequence):
+    """The PCG64 seed words of one replicate's stream, a read-only row of
+    its block; ``entropy`` is the ``(seed, replicate, stream)`` key."""
+
+    def __init__(self, entropy: tuple, state: np.ndarray):
+        self.entropy, self._state = entropy, state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a block stream holds only the 4 uint64 words "
+                             "that seed PCG64")
+        return self._state
+
+
+def _streams(seed: int, reps: range, stream: int) -> list:
+    """Replicate- and purpose-keyed random streams, one per replicate.
+
+    Replicate ``r``'s stream is bit for bit
+    ``default_rng(SeedSequence((seed, r, stream)))``: the SeedSequence hash
+    runs as uint32 column operations over the block, and each row of
+    PCG64 seed words becomes one Generator.  Streams depend on
+    ``(seed, r, stream)`` alone, so results do not depend on the blocks or
+    on the order replicates run in.  Replicate indices must lie below
+    ``2**32`` (one entropy word), and the key may take at most 16 words.
     """
-    return np.random.default_rng(np.random.SeedSequence((seed, replicate, stream)))
+    rs = np.asarray(reps, dtype=np.int64)
+    if rs.size and not 0 <= rs.min() <= rs.max() <= 0xFFFFFFFF:
+        raise ValueError("replicate indices must lie in [0, 2**32)")
+    head, tail = _words(seed), _words(stream)
+    n_words = len(head) + 1 + len(tail)
+    if n_words > _MAX_ENTROPY_WORDS:
+        raise ValueError(f"the seed {seed} and stream {stream} take more "
+                         f"than {_MAX_ENTROPY_WORDS} entropy words")
+    entropy = np.zeros((max(n_words, _POOL), rs.size), dtype=np.uint32)
+    entropy[:n_words] = np.array(head + [0] + tail, dtype=np.uint32)[:, None]
+    entropy[len(head)] = rs
+    pool = _hashmix(entropy[:_POOL], 0, _POOL)
+    k = _POOL
+    for src in range(_POOL):
+        dst = [d for d in range(_POOL) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], k, _POOL - 1))
+        k += _POOL - 1
+    for word in entropy[_POOL:]:
+        pool = _mix(pool, _hashmix(word, k, _POOL))
+        k += _POOL
+    out = np.concatenate([pool, pool]) ^ _HASH_B[:-1]
+    out *= _HASH_B[1:]
+    out ^= out >> 16
+    out = out.astype(np.uint64)
+    state = np.ascontiguousarray((out[0::2] | out[1::2] << 32).T)
+    state.flags.writeable = False
+    return [np.random.Generator(np.random.PCG64(
+        _BlockSeed((seed, int(r), stream), row)))
+        for r, row in zip(rs, state)]
+
+
+def _rng(seed: int, replicate: int, stream: int) -> np.random.Generator:
+    """The one stream ``(seed, replicate, stream)``: a one-row block."""
+    return _streams(seed, range(replicate, replicate + 1), stream)[0]
 
 
 @functools.cache
@@ -487,17 +587,20 @@ class _Block:
         self.seed, self.reps = seed, reps
         self.xs, self.ys = self._draw(0, n + 2)
         self._rngs = None if getattr(trainer, "deterministic", False) \
-            else [_rng(seed, r, 2) for r in reps]
+            else _streams(seed, reps, 2)
         self._data, self._swaps = {}, {}
 
     def __len__(self) -> int:
         return len(self.reps)
 
     def _draw(self, stream: int, size: int):
-        draws = [self.pop.sample(_rng(self.seed, r, stream), size)
-                 for r in self.reps]
-        xs = np.stack([x for x, _ in draws])
-        ys = np.stack([y for _, y in draws])
+        rngs = _streams(self.seed, self.reps, stream)
+        x0, y0 = self.pop.sample(rngs[0], size)
+        xs = np.empty((len(rngs),) + x0.shape, x0.dtype)
+        ys = np.empty((len(rngs),) + y0.shape, y0.dtype)
+        xs[0], ys[0] = x0, y0
+        for row, rng in enumerate(rngs[1:], 1):
+            xs[row], ys[row] = self.pop.sample(rng, size)
         if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
             raise ValueError("non-finite atom or weight")
         return xs, ys

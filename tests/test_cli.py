@@ -266,6 +266,57 @@ def test_network_parameter_dimension_follows_the_features(tmp_path, capsys):
             f"theta_dim 3, got {dim}\n")
 
 
+@pytest.mark.parametrize("population", [
+    {"name": "gaussian", "sigma": 1.0},
+    {"name": "discrete", "points": [{"y": 0.3}, {"y": -0.4}],
+     "probs": [0.5, 0.5]},
+])
+def test_network_on_featureless_data_is_a_config_error(tmp_path, capsys,
+                                                       population):
+    # with no feature every prediction is E_m[a] * act(0), blind to the data
+    cfg = dict(NN_DISCRETE_CFG, population=population)
+    assert cli.run(write_config(tmp_path, cfg), out=str(tmp_path)) == 1
+    assert capsys.readouterr().err == (
+        "config error: model.variant: a network needs data with at least one "
+        "feature, and the population has none\n")
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_particle_and_damping_defaults_are_shared(tmp_path, capsys,
+                                                  monkeypatch):
+    cfg = json.loads((CONFIGS / "mfld_vs_grid.json").read_text())
+    cfg["trainer"] = {"kind": "mfld"}
+    seen = {}
+    solve = cli.gibbs.solve_gibbs
+
+    def record_solve(*args, **kwargs):
+        seen["damping"] = kwargs["damping"]
+        return solve(*args, **kwargs)
+
+    def record_sample(*args, **kwargs):
+        seen.update(kwargs)
+        raise RuntimeError("recorded")
+
+    monkeypatch.setattr(cli.gibbs, "solve_gibbs", record_solve)
+    monkeypatch.setattr(cli.gibbs, "mfld_sample", record_sample)
+    assert cli.run(write_config(tmp_path, cfg), out=str(tmp_path)) == 1
+    assert capsys.readouterr().err == "error: [mfld_vs_grid] recorded\n"
+    assert seen == {"damping": 1.0, "seed": 61, "n_particles": 2048,
+                    "step_size": 1e-3, "n_steps": 2000}
+    # the same trainer block in a gen-sweep
+    trainer = cli.build_trainer(cfg, None, None)
+    assert (trainer.n_particles, trainer.step_size, trainer.n_steps) \
+        == (2048, 1e-3, 2000)
+    grid = cli.build_trainer({"trainer": {}}, cli.build_model(cfg), None)
+    assert grid.solve_kwargs["damping"] == 1.0
+    # mfld-vs-grid's standard errors need two particles, a gen-sweep's not
+    cfg["trainer"]["n_particles"] = 1
+    assert cli.build_trainer(cfg, None, None).n_particles == 1
+    assert cli.run(write_config(tmp_path, cfg), out=str(tmp_path)) == 1
+    assert capsys.readouterr().err == (
+        "config error: trainer.n_particles: must be >= 2, got 1\n")
+
+
 # ---------------------------------------------------------------------------
 # experiments end to end
 

@@ -546,6 +546,43 @@ def test_block_size_does_not_change_estimates(monkeypatch, trainer_kind,
     assert results[0] == results[1] == results[2]
 
 
+@pytest.mark.parametrize("seed", [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1,
+                                  2 ** 96 + 5])
+def test_block_streams_match_seedsequence(seed):
+    # seeds of 1, 1, 2, 2 and 4 entropy words; blocks of 1, 8 and 64 rows
+    for stream in [0, 1, 2, 3, 10, 11, 12, 13]:
+        for reps in (range(3, 4), range(0, 8), range(64, 128)):
+            rngs = genbench._streams(seed, reps, stream)
+            assert len(rngs) == len(reps)
+            for r, rng in zip(reps, rngs):
+                want = np.random.SeedSequence((seed, r, stream))
+                assert rng.bit_generator.seed_seq.entropy == (seed, r, stream)
+                np.testing.assert_array_equal(
+                    rng.bit_generator.seed_seq.generate_state(4, np.uint64),
+                    want.generate_state(4, np.uint64))
+                np.testing.assert_array_equal(
+                    rng.standard_normal(32),
+                    np.random.default_rng(want).standard_normal(32))
+        np.testing.assert_array_equal(
+            genbench._rng(seed, 5, stream).standard_normal(8),
+            genbench._streams(seed, range(5, 6), stream)[0]
+            .standard_normal(8))
+
+
+def test_block_streams_reject_keys_they_cannot_hash():
+    # a replicate index of two entropy words would shift the stream words
+    with pytest.raises(ValueError, match="replicate indices"):
+        genbench._streams(1, range(2 ** 32 - 1, 2 ** 32 + 1), 0)
+    with pytest.raises(ValueError, match="replicate indices"):
+        genbench._rng(1, 2 ** 32, 0)
+    with pytest.raises(ValueError, match="non-negative"):
+        genbench._rng(-1, 0, 0)
+    with pytest.raises(ValueError, match="entropy words"):
+        genbench._rng(2 ** 512, 0, 0)
+    with pytest.raises(ValueError, match="PCG64"):
+        genbench._rng(1, 0, 0).bit_generator.seed_seq.generate_state(8)
+
+
 class _MarkAtReplicate(GaussianScalarPopulation):
     """Gaussian population whose draws for replicate ``bad`` hold ``value``
     at the positions ``at``."""

@@ -1,0 +1,43 @@
+"""Tests for the command-line tools under ``tools/``."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+_CSV = ("experiment_id,route,n,replicates,seed,estimate,stderr\n"
+        "e,direct,5,100,1,0.40000000000000002,0.01\n"
+        "e,resampled,5,100,1,0.5,0.02\n")
+_JSON = {"checks": [{"name": "a", "residual": 1e-13}], "passed": True}
+
+
+def _outputs(path: Path, csv_text: str) -> Path:
+    path.mkdir()
+    (path / "sweep.csv").write_text(csv_text)
+    (path / "verify.json").write_text(json.dumps(_JSON))
+    return path
+
+
+def _diff(parent: Path, change: Path):
+    return subprocess.run([sys.executable, str(TOOLS / "output_digest.py"),
+                           "diff", str(parent), str(change)],
+                          capture_output=True, text=True)
+
+
+def test_output_digest_diff_passes_identical_outputs(tmp_path):
+    proc = _diff(_outputs(tmp_path / "a", _CSV), _outputs(tmp_path / "b", _CSV))
+    assert proc.returncode == 0
+    assert proc.stdout == "0 differing fields in 2 files\n"
+
+
+def test_output_digest_diff_names_a_moved_field(tmp_path):
+    moved = _CSV.replace("0.5,0.02", "0.55000000000000004,0.02")
+    proc = _diff(_outputs(tmp_path / "a", _CSV),
+                 _outputs(tmp_path / "b", moved))
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines() == [
+        "sweep.csv\t1\testimate\t0.5\t0.55000000000000004\t0.1",
+        "sweep.csv: largest relative difference 0.1",
+        "1 differing fields in 2 files"]
