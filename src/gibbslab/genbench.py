@@ -165,6 +165,8 @@ def _streams(seed: int, reps: range, stream: int) -> list:
     for word in entropy[_POOL:]:
         pool = _mix(pool, _hashmix(word, k, _POOL))
         k += _POOL
+    # the 8 uint32 output words cycle through the pool; pairs of them,
+    # low word first, are the 4 uint64 words
     out = np.concatenate([pool, pool]) ^ _HASH_B[:-1]
     out *= _HASH_B[1:]
     out ^= out >> 16
@@ -172,8 +174,7 @@ def _streams(seed: int, reps: range, stream: int) -> list:
     state = np.ascontiguousarray((out[0::2] | out[1::2] << 32).T)
     state.flags.writeable = False
     return [np.random.Generator(np.random.PCG64(
-        _BlockSeed((seed, int(r), stream), row)))
-        for r, row in zip(rs, state)]
+        _BlockSeed((seed, r, stream), row))) for r, row in zip(reps, state)]
 
 
 def _rng(seed: int, replicate: int, stream: int) -> np.random.Generator:
