@@ -205,8 +205,13 @@ def _particle_settings(cfg: dict, min_particles: int = 1) -> dict:
             "n_steps": _get_int(cfg, "trainer.n_steps", 2000, minimum=1)}
 
 
-def _damping(cfg: dict) -> float:
-    return _get_positive(cfg, "trainer.damping", 1.0, maximum=1.0)
+def _solver_settings(cfg: dict) -> dict:
+    """``damping``, ``tol`` and ``max_iter`` of the grid solve, with the
+    defaults every runner shares."""
+    return {"damping": _get_positive(cfg, "trainer.damping", 1.0,
+                                     maximum=1.0),
+            "tol": _get_positive(cfg, "trainer.tol", 1e-10),
+            "max_iter": _get_int(cfg, "trainer.max_iter", 500, minimum=1)}
 
 
 def build_trainer(cfg: dict, model, gcfg: Optional[gibbs.GibbsConfig]):
@@ -223,10 +228,7 @@ def build_trainer(cfg: dict, model, gcfg: Optional[gibbs.GibbsConfig]):
             pair.gamma_sigma if which == "prior" else pair.gamma_tilt_p)
     if kind == "mfld":
         return genbench.MFLDTrainer(model, gcfg, **_particle_settings(cfg))
-    return genbench.GridGibbsTrainer(
-        model, gcfg, damping=_damping(cfg),
-        tol=_get_positive(cfg, "trainer.tol", 1e-10),
-        max_iter=_get_int(cfg, "trainer.max_iter", 500, minimum=1))
+    return genbench.GridGibbsTrainer(model, gcfg, **_solver_settings(cfg))
 
 
 def _sweep(cfg: dict):
@@ -406,11 +408,11 @@ def _run_mfld_vs_grid(cfg, exp_id, seed, out_dir):
     n = ns[0]
     # the standard errors divide by n_particles - 1
     particles = _particle_settings(cfg, min_particles=2)
-    damping = _damping(cfg)
+    solver = _solver_settings(cfg)
 
     xs, ys = pop.sample(genbench._rng(seed, 0, 0), n)
     nu = measures.empirical_from_arrays(xs, ys)
-    sol = gibbs.solve_gibbs(model, nu, gcfg, damping=damping)
+    sol = gibbs.solve_gibbs(model, nu, gcfg, **solver)
     part = gibbs.mfld_sample(model, nu, gcfg, seed=seed, **particles)
     n_particles = particles["n_particles"]
 

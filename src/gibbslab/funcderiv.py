@@ -9,8 +9,9 @@ direction of a sample ``z`` is obtained in three steps:
    where ``C_m`` is the positive semidefinite curvature kernel of the
    risk at the solution.  For network losses ``C_m`` has rank at most
    the number of atoms ``n``, so the system is solved by the Woodbury
-   identity through one n x n factorization per trained measure, and
-   each direction costs ``O(N n)`` on ``N`` grid nodes,
+   identity: the inverse of its n x n system is formed once per trained
+   measure, after a condition check, and each direction costs
+   ``O(N n)`` on ``N`` grid nodes,
 3. assemble the signed density ``-temperature * m(theta) (v - E_m v)``.
 
 A finite-difference oracle over re-solved problems cross-checks the
@@ -24,7 +25,6 @@ import dataclasses
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from . import losses as _losses
 from .gibbs import CurvatureKernel, GibbsConfig, GibbsSolution, solve_gibbs
@@ -97,9 +97,10 @@ def build_Cm(model, m: GridMeasure, nu: DataMeasure) -> CurvatureKernel:
 class TrainedDerivatives:
     """Derivative machinery around one trained measure.
 
-    Caches the solved measure, the curvature kernel and the LU
-    factorization of its n x n system so several sample directions
-    ``z`` can be processed against the same data measure cheaply.
+    Caches the solved measure, the curvature kernel and the inverse of
+    its condition-checked n x n system, so each further sample
+    direction ``z`` against the same data measure costs matrix-vector
+    products only.
     """
 
     def __init__(self, model, nu: DataMeasure, cfg: GibbsConfig,
@@ -110,7 +111,7 @@ class TrainedDerivatives:
         self._solution = None
         self._solve_kwargs = dict(solve_kwargs or {})
         self._kernel = None
-        self._lu = None
+        self._s_inv = None
         self._s_nodes = None
 
     @property
@@ -158,16 +159,16 @@ class TrainedDerivatives:
         if self.model.has_zero_d2m():
             return SDerivative(rhs, z)
         kern, tau = self.kernel, self.cfg.temperature
-        if self._lu is None:
+        if self._s_inv is None:
             small = kern.system(tau)
             cond = np.linalg.cond(small)
             if not cond < 1.0 / np.finfo(float).eps:
                 raise RuntimeError(
                     f"singular derivative system: n = {kern.rank}, "
                     f"cond(S) ~ {cond:.3e}")
-            self._lu = scipy.linalg.lu_factor(small)
+            self._s_inv = np.linalg.inv(small)
         a = kern.features
-        coef = scipy.linalg.lu_solve(self._lu, a.T @ (kern.weights * rhs))
+        coef = self._s_inv @ (a.T @ (kern.weights * rhs))
         return SDerivative(rhs - tau * (a @ (kern.curvatures * coef)), z)
 
     def dm_dnu(self, z: DataPoint) -> GridMeasure:

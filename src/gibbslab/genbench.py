@@ -41,7 +41,8 @@ import numpy as np
 
 from . import losses as _losses
 from .funcderiv import TrainedDerivatives, gauss_legendre_01
-from .gibbs import GibbsConfig, _normalized_exp, prior_kl, solve_gibbs
+from .gibbs import (GibbsConfig, _normalized_exp, mfld_sample, prior_kl,
+                    solve_gibbs)
 from .measures import (DataMeasure, DataPoint, GridMeasure, MeasureBatch,
                        convex_combination, empirical_from_arrays,
                        uniform_grid_1d)
@@ -497,7 +498,6 @@ class MFLDTrainer(_RowByRowTrainer):
         self.n_steps = int(n_steps)
 
     def train(self, nu: DataMeasure, rng=None):
-        from .gibbs import mfld_sample
         if rng is None:
             raise ValueError("the particle trainer needs a random stream")
         seed = int(rng.integers(0, 2 ** 63))

@@ -290,7 +290,7 @@ def test_particle_and_damping_defaults_are_shared(tmp_path, capsys,
     solve = cli.gibbs.solve_gibbs
 
     def record_solve(*args, **kwargs):
-        seen["damping"] = kwargs["damping"]
+        seen.update(kwargs)
         return solve(*args, **kwargs)
 
     def record_sample(*args, **kwargs):
@@ -301,20 +301,35 @@ def test_particle_and_damping_defaults_are_shared(tmp_path, capsys,
     monkeypatch.setattr(cli.gibbs, "mfld_sample", record_sample)
     assert cli.run(write_config(tmp_path, cfg), out=str(tmp_path)) == 1
     assert capsys.readouterr().err == "error: [mfld_vs_grid] recorded\n"
-    assert seen == {"damping": 1.0, "seed": 61, "n_particles": 2048,
-                    "step_size": 1e-3, "n_steps": 2000}
+    assert seen == {"damping": 1.0, "tol": 1e-10, "max_iter": 500,
+                    "seed": 61, "n_particles": 2048, "step_size": 1e-3,
+                    "n_steps": 2000}
     # the same trainer block in a gen-sweep
     trainer = cli.build_trainer(cfg, None, None)
     assert (trainer.n_particles, trainer.step_size, trainer.n_steps) \
         == (2048, 1e-3, 2000)
     grid = cli.build_trainer({"trainer": {}}, cli.build_model(cfg), None)
-    assert grid.solve_kwargs["damping"] == 1.0
+    assert grid.solve_kwargs == {"damping": 1.0, "tol": 1e-10,
+                                 "max_iter": 500}
     # mfld-vs-grid's standard errors need two particles, a gen-sweep's not
     cfg["trainer"]["n_particles"] = 1
     assert cli.build_trainer(cfg, None, None).n_particles == 1
     assert cli.run(write_config(tmp_path, cfg), out=str(tmp_path)) == 1
     assert capsys.readouterr().err == (
         "config error: trainer.n_particles: must be >= 2, got 1\n")
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("tol", -1, "trainer.tol: must lie in (0, inf], got -1.0"),
+    ("max_iter", 0, "trainer.max_iter: must be >= 1, got 0"),
+])
+def test_mfld_vs_grid_checks_solver_settings(tmp_path, capsys, key, value,
+                                             message):
+    cfg = json.loads((CONFIGS / "mfld_vs_grid.json").read_text())
+    cfg["trainer"].update({"n_particles": 64, "n_steps": 50, key: value})
+    assert cli.run(write_config(tmp_path, cfg), out=str(tmp_path)) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not list(tmp_path.glob("*.csv"))
 
 
 # ---------------------------------------------------------------------------

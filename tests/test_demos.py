@@ -1,5 +1,6 @@
-"""Smoke tests of the public surface: every exported name resolves, and
-the demo scripts run to completion as separate processes."""
+"""Smoke tests of the public surface: every exported name resolves, the
+package imports without scipy, and the demo scripts run to completion as
+separate processes."""
 
 import os
 import subprocess
@@ -18,13 +19,29 @@ def test_every_exported_name_resolves():
     assert len(set(gibbslab.__all__)) == len(gibbslab.__all__)
 
 
-@pytest.mark.parametrize("script", ["train_tilted_measure.py",
-                                    "measure_derivatives.py"])
-def test_demo_runs(script):
+def _src_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
+def test_import_leaves_scipy_unloaded():
+    # numpy is the only runtime dependency; a stray scipy import costs
+    # every fresh process its import time and resident memory
+    code = ("import sys, gibbslab, gibbslab.cli; "
+            "print(sorted(k for k in sys.modules "
+            "if k == 'scipy' or k.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("script", ["train_tilted_measure.py",
+                                    "measure_derivatives.py"])
+def test_demo_runs(script):
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / script)],
-                          env=env, capture_output=True, text=True,
+                          env=_src_env(), capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -125,10 +125,9 @@ def main(argv=None) -> int:
     report["command"] = ("python3 perfbench/run.py --workload W --seed S "
                          f"--seconds {args.seconds:g} --trace 0, alternating "
                          "which side runs first")
-    import scipy
     report["environment"] = {
         "python": platform.python_version(), "numpy": np.__version__,
-        "scipy": scipy.__version__, "nproc": os.cpu_count(),
+        "nproc": os.cpu_count(),
         "machine": platform.machine()}
 
     with tempfile.TemporaryDirectory() as tmp:
