@@ -226,6 +226,10 @@ def test_weak_confinement_is_a_config_error(tmp_path, capsys, config, key,
      "in (0, inf], got -1.0"),
     ("mfld_vs_grid.json", {"damping": 0}, "trainer.damping: must lie in "
      "(0, 1], got 0.0"),
+    ("mfld_vs_grid.json", {"tol": -1}, "trainer.tol: must lie in "
+     "(0, inf], got -1.0"),
+    ("mfld_vs_grid.json", {"max_iter": 0}, "trainer.max_iter: must be >= 1, "
+     "got 0"),
 ])
 def test_bad_trainer_settings_are_config_errors(tmp_path, capsys, config,
                                                 trainer, message):
@@ -317,19 +321,6 @@ def test_particle_and_damping_defaults_are_shared(tmp_path, capsys,
     assert cli.run(write_config(tmp_path, cfg), out=str(tmp_path)) == 1
     assert capsys.readouterr().err == (
         "config error: trainer.n_particles: must be >= 2, got 1\n")
-
-
-@pytest.mark.parametrize("key, value, message", [
-    ("tol", -1, "trainer.tol: must lie in (0, inf], got -1.0"),
-    ("max_iter", 0, "trainer.max_iter: must be >= 1, got 0"),
-])
-def test_mfld_vs_grid_checks_solver_settings(tmp_path, capsys, key, value,
-                                             message):
-    cfg = json.loads((CONFIGS / "mfld_vs_grid.json").read_text())
-    cfg["trainer"].update({"n_particles": 64, "n_steps": 50, key: value})
-    assert cli.run(write_config(tmp_path, cfg), out=str(tmp_path)) == 1
-    assert capsys.readouterr().err == f"config error: {message}\n"
-    assert not list(tmp_path.glob("*.csv"))
 
 
 # ---------------------------------------------------------------------------
