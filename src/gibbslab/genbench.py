@@ -44,7 +44,7 @@ from .funcderiv import TrainedDerivatives, gauss_legendre_01
 from .gibbs import (GibbsConfig, _normalized_exp, mfld_sample, prior_kl,
                     solve_gibbs)
 from .measures import (DataMeasure, DataPoint, GridMeasure, MeasureBatch,
-                       convex_combination, empirical_from_arrays,
+                       convex_combination, empirical_from_arrays, row_dot,
                        uniform_grid_1d)
 
 _MAX_MOMENT_ORDER = 8
@@ -345,9 +345,8 @@ class DiscretePopulation(PopulationModel):
                 np.broadcast_to(self._ys, shape))
 
     def population_risk(self, model, m):
-        vals = model.atom_losses(m, *self._atoms(m))
-        out = [self.probs @ row for row in np.atleast_2d(vals)]
-        return float(out[0]) if vals.ndim == 1 else np.array(out)
+        out = row_dot(model.atom_losses(m, *self._atoms(m)), self.probs)
+        return float(out) if out.ndim == 0 else out
 
     def population_loss_dm(self, model, m, nodes):
         return model.dm(m, *self._atoms(m), self.probs, nodes)
@@ -642,9 +641,9 @@ class _Block:
 
     def risk(self, m: MeasureBatch, xs, ys) -> np.ndarray:
         """Risk of each row of ``m`` on the equal-weight atoms of its row,
-        summed row by row as :func:`losses.risk` sums."""
+        summed as :func:`losses.risk` sums one row."""
         w = np.full(ys.shape[1], 1.0 / ys.shape[1])
-        return np.array([w @ row for row in self.model.atom_losses(m, xs, ys)])
+        return row_dot(self.model.atom_losses(m, xs, ys), w)
 
     @functools.cached_property
     def pop_risk(self) -> np.ndarray:

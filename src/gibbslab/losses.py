@@ -7,7 +7,15 @@ Two loss families are implemented:
   ``phi(theta, x) = a * act(w . x)`` over ``theta = (a, w)``, composed
   with a convex outer loss in the prediction.
 * :class:`ExpectedParamLoss`: the measure average of a per-parameter
-  loss ``lp(theta, z)``.
+  loss ``lp(theta, z)``.  A loss may also be given in separable form,
+  ``lp(theta, z) = psi(theta - c) . coef(z, c)`` with K statistics,
+  about a centre ``c`` chosen per row.  Then the data of a row enter
+  through one K-vector of weighted sums, and a measure through the
+  K moments ``E_m psi``, instead of ``lp`` at every atom and node.  The
+  centre only sets the rounding: expanded about a far point the terms
+  are large and cancel, so losses are centred at each measure's mean
+  and weighted sums at a point taken from the data.  Every shipped
+  parametric loss is a quadratic, separable with ``psi = (1, u, u^2)``.
 
 For both, the first measure derivative (normalized so its measure
 average vanishes) is available in closed form, alongside growth
@@ -31,7 +39,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .measures import DataMeasure, DataPoint, as_rows
+from .measures import DataMeasure, DataPoint, as_rows, row_dot
 
 # elements of the largest lp array one batched call may build
 _LP_ELEMENTS = 1 << 18
@@ -291,6 +299,21 @@ class NNLoss:
         return c * (4.0 + r4 + m.moment(4.0))
 
 
+def _contract(a, b) -> np.ndarray:
+    """``sum_k a[k] * b[k]`` over the leading axis, as elementwise products
+    that round each entry alike whatever the other axes hold."""
+    out = a[0] * b[0]
+    for j in range(1, len(a)):
+        out += a[j] * b[j]
+    return out
+
+
+def _param_major(nodes) -> np.ndarray:
+    """Nodes (N, d), or (B, N, d), as (d, 1, N), or (d, B, N)."""
+    theta = np.moveaxis(nodes, -1, 0)
+    return np.ascontiguousarray(theta if theta.ndim == 3 else theta[:, None])
+
+
 class ExpectedParamLoss:
     """Expected parametric loss ``l(m, z) = E_m[lp(theta, z)]``.
 
@@ -306,17 +329,36 @@ class ExpectedParamLoss:
         ``lp_grad(theta, xs, ys) -> (n, N, d)`` parameter gradient, used
         by the particle sampler.  A centered finite difference of ``lp``
         is substituted when missing.
+    psi, coef, centre : callables, optional
+        The separable form ``lp(theta, z) = sum_k psi(theta - c)[k]
+        coef(z, c)[k]``, valid for every centre ``c``; give all three or
+        none.  Arrays are parameter- and statistic-major:
+        ``psi(u) -> (K, ...)`` for parameters ``u`` (d, ...) less their
+        centre; ``coef(xs, ys, c) -> (K, ..., n)`` for the atoms ``xs``
+        (..., n, q), ``ys`` (..., n) and one centre per row, ``c``
+        (d, ...); ``centre(xs, ys) -> (d, ...)`` a centre taken from each
+        row's data.  With them, :meth:`atom_losses` is
+        ``coef(z, c) . E_m psi(. - c)`` about each measure's mean ``c``,
+        and :meth:`lp_sums` is ``psi(theta - c) . sum_i w_i coef(z_i, c)``
+        about the data's centre: the terms of the expansion stay the size
+        of the loss, so the rounding does too.  Without them ``lp`` is
+        evaluated at every atom and node; that path is the oracle of the
+        separable one.
     """
 
     variant = "expected_param"
 
-    def __init__(self, lp, M_p: float, lp_grad=None, name: str = "custom"):
+    def __init__(self, lp, M_p: float, lp_grad=None, name: str = "custom",
+                 psi=None, coef=None, centre=None):
         if M_p <= 0:
             raise ValueError("growth constant must be positive")
+        if (psi is None) != (coef is None) or (psi is None) != (centre is None):
+            raise ValueError("give psi, coef and centre together")
         self.lp = lp
         self.M_p = float(M_p)
         self.lp_grad = lp_grad or self._finite_difference_grad
         self.name = name
+        self.psi, self.coef, self.centre = psi, coef, centre
 
     def _finite_difference_grad(self, theta, xs, ys) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
@@ -333,8 +375,14 @@ class ExpectedParamLoss:
     def atom_losses(self, m, xs, ys) -> np.ndarray:
         """Per-atom losses ``E_m lp(., z_i)``, shape (n,); (B, k) for a batch."""
         nodes, weights, (xs, ys), one = as_rows(m, xs, ys)
+        if self.psi is not None:
+            # each row's moments about its own mean
+            theta = _param_major(nodes)
+            c = row_dot(theta, weights)
+            moments = row_dot(self.psi(theta - c[..., None]), weights)
+            out = _contract(self.coef(xs, ys, c), moments[..., None])
         # one lp call per row of per-row nodes, else per chunk of rows
-        if nodes.ndim == 3:
+        elif nodes.ndim == 3:
             out = np.stack([self.lp(nodes[r], xs[r], ys[r]) @ weights[r]
                             for r in range(len(ys))])
         else:
@@ -362,6 +410,14 @@ class ExpectedParamLoss:
         ``weights`` (k,), over the atoms of each row of ``xs`` (B, k, q),
         ``ys`` (B, k), at the shared ``nodes`` (N, d): shape (B, N).
         ``shift`` (B, k) defaults to zero."""
+        if self.psi is not None:
+            c = self.centre(xs, ys)
+            stats = row_dot(self.coef(xs, ys, c), weights)
+            out = _contract(self.psi(_param_major(nodes) - c[..., None]),
+                            stats[..., None])
+            if shift is not None:
+                out -= row_dot(shift, weights)[:, None]
+            return out
         out = np.empty((ys.shape[0], nodes.shape[0]))
         for lo, hi, vals in self._lp_chunks(nodes, xs, ys):
             if shift is not None:
@@ -408,19 +464,50 @@ class ExpectedParamLoss:
         return self.M_p * (2.0 + m.moment(2.0) + r2)
 
 
+def _quadratic_psi(u) -> np.ndarray:
+    """``(1, u, u^2)`` of the first parameter coordinate: (3, ...)."""
+    out = np.empty((3,) + u.shape[1:])
+    out[0] = 1.0
+    out[1] = u[0]
+    np.multiply(u[0], u[0], out=out[2])
+    return out
+
+
+def _square_coef(r, x) -> np.ndarray:
+    """Statistics of ``(r - u x)^2 = r^2 - 2 r x u + x^2 u^2``: (3, ...)."""
+    out = np.empty((3,) + r.shape)
+    np.multiply(r, r, out=out[0])
+    np.multiply(-2.0 * r, x, out=out[1])
+    np.multiply(x, x, out=out[2])
+    return out
+
+
 def mean_squared_param_loss() -> ExpectedParamLoss:
-    """Location loss ``lp(theta, z) = (theta - y)^2`` for scalar parameters."""
+    """Location loss ``lp(theta, z) = (theta - y)^2`` for scalar parameters.
+
+    Separable about ``c``: ``(y - c - u)^2`` with ``u = theta - c``; the
+    data's centre is each row's mean target."""
     def lp(theta, xs, ys):
         return (theta[:, 0] - np.asarray(ys)[:, None]) ** 2
 
     def lp_grad(theta, xs, ys):
         return 2.0 * (theta[:, 0] - np.asarray(ys)[:, None])[:, :, None]
 
-    return ExpectedParamLoss(lp, M_p=2.0, lp_grad=lp_grad, name="mean_squared")
+    def coef(xs, ys, c):
+        return _square_coef(ys - c[0][..., None], 1.0)
+
+    def centre(xs, ys):
+        return ys.mean(axis=-1)[None]
+
+    return ExpectedParamLoss(lp, M_p=2.0, lp_grad=lp_grad, name="mean_squared",
+                             psi=_quadratic_psi, coef=coef, centre=centre)
 
 
 def linear_regression_param_loss() -> ExpectedParamLoss:
-    """Scalar-slope regression loss ``lp(theta, z) = (y - theta * x)^2``."""
+    """Scalar-slope regression loss ``lp(theta, z) = (y - theta * x)^2``.
+
+    Separable about ``c``: ``(y - c x - u x)^2`` with ``u = theta - c``;
+    the data's centre is each row's least-squares slope."""
     def lp(theta, xs, ys):
         return (np.asarray(ys)[:, None]
                 - np.asarray(xs)[:, :1] * theta[:, 0]) ** 2
@@ -430,19 +517,39 @@ def linear_regression_param_loss() -> ExpectedParamLoss:
         resid = np.asarray(ys)[:, None] - x * theta[:, 0]
         return (-2.0 * x * resid)[:, :, None]
 
+    def coef(xs, ys, c):
+        x = xs[..., 0]
+        return _square_coef(ys - c[0][..., None] * x, x)
+
+    def centre(xs, ys):
+        x = xs[..., 0]
+        sxx = (x * x).sum(axis=-1)
+        return ((x * ys).sum(axis=-1) / np.where(sxx > 0, sxx, 1.0))[None]
+
     return ExpectedParamLoss(lp, M_p=2.0, lp_grad=lp_grad,
-                             name="linear_regression")
+                             name="linear_regression",
+                             psi=_quadratic_psi, coef=coef, centre=centre)
 
 
 def zero_param_loss() -> ExpectedParamLoss:
-    """Identically-zero loss (prior-only problems)."""
+    """Identically-zero loss (prior-only problems): one statistic, 0."""
     def lp(theta, xs, ys):
         return np.zeros((len(ys), theta.shape[0]))
 
     def lp_grad(theta, xs, ys):
         return np.zeros((len(ys),) + theta.shape)
 
-    return ExpectedParamLoss(lp, M_p=1e-300, lp_grad=lp_grad, name="zero")
+    def psi(u):
+        return np.ones((1,) + u.shape[1:])
+
+    def coef(xs, ys, c):
+        return np.zeros((1,) + ys.shape)
+
+    def centre(xs, ys):
+        return np.zeros((1,) + ys.shape[:-1])
+
+    return ExpectedParamLoss(lp, M_p=1e-300, lp_grad=lp_grad, name="zero",
+                             psi=psi, coef=coef, centre=centre)
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,13 @@ def as_rows(m, *data):
     return m.nodes, w[None], [a[None] for a in data], True
 
 
+def row_dot(a, b) -> np.ndarray:
+    """``sum_j a[..., j] b[..., j]`` for each row of the broadcast ``a`` and
+    ``b``: one stacked product that takes the dot of ``a[r] @ b[r]`` row by
+    row, so each row rounds alike whatever the batch size."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def _integrate(m, f) -> float | np.ndarray:
     """Quadrature of ``f`` against the measure, or each row of a batch:
     ``f`` maps all nodes, (N, d) or (B * N, d), to one value each."""
@@ -207,9 +214,8 @@ def _integrate(m, f) -> float | np.ndarray:
         raise ValueError("integrand must return one value per node")
     if not np.isfinite(vals).all():
         raise ValueError("non-finite integrand value")
-    vals = np.broadcast_to(vals.reshape(-1, w.shape[1]), w.shape)
-    out = [v @ r for v, r in zip(vals, w)]
-    return float(out[0]) if one else np.array(out)
+    out = row_dot(w, vals.reshape(-1, w.shape[1]))
+    return float(out[0]) if one else out
 
 
 class GridMeasure:

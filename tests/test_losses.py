@@ -299,9 +299,137 @@ def test_zero_param_loss_is_zero():
 
 
 def test_expected_param_loss_validates_growth_constant():
+    def lp(t, xs, ys):
+        return np.zeros((len(ys), t.shape[0]))
     with pytest.raises(ValueError):
-        losses.ExpectedParamLoss(
-            lambda t, xs, ys: np.zeros((len(ys), t.shape[0])), M_p=0.0)
+        losses.ExpectedParamLoss(lp, M_p=0.0)
+    zero = zero_param_loss()
+    with pytest.raises(ValueError, match="together"):
+        losses.ExpectedParamLoss(lp, M_p=1.0, psi=zero.psi, coef=zero.coef)
+
+
+# ---------------------------------------------------------------------------
+# the separable form against lp
+
+
+_SHIPPED = {"mean_squared": mean_squared_param_loss,
+            "linear_regression": linear_regression_param_loss,
+            "zero": zero_param_loss}
+
+
+def _lp_only(model):
+    """``model`` without its separable form: every operation through lp."""
+    return ExpectedParamLoss(model.lp, model.M_p, model.lp_grad, model.name)
+
+
+def _expansion_error(model, theta, x, y, c):
+    """``|psi(theta - c) . coef(z, c) - lp(theta, z)|`` for one atom and one
+    parameter."""
+    terms = model.psi(np.array([[theta - c]]))[:, 0] \
+        * model.coef(np.array([[[x]]]), np.array([[y]]), np.array([[c]]))[
+            :, 0, 0]
+    lp = model.lp(np.array([[theta]]), np.array([[x]]), np.array([y]))
+    return abs(terms.sum() - lp[0, 0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(_SHIPPED)),
+       theta=st.floats(-1e3, 1e3), y=st.floats(-1e3, 1e3),
+       x=st.floats(-10.0, 10.0), t=st.floats(0.0, 1.0),
+       far=st.floats(-1e3, 1e3))
+def test_separable_form_equals_lp(name, theta, y, x, t, far):
+    # the expansion is an identity in the centre: about any c it equals lp
+    # to 1e-12 of the squared size of the residual's parts, y, x theta and
+    # x c (x is 1 for the location loss).  That lp is small where they
+    # cancel is the centre's concern, checked on data below.
+    model = _SHIPPED[name]()
+    if name != "linear_regression":
+        x = 1.0
+    # the parameter at which the residual vanishes, within a finite range
+    root = float(np.clip(y / x, -1e6, 1e6)) if x else 0.0
+    for c in (theta + t * (root - theta), far):
+        scale = (abs(y) + abs(x) * (abs(theta) + abs(c))) ** 2
+        assert _expansion_error(model, theta, x, y, c) \
+            <= 1e-12 * scale + np.finfo(float).tiny
+
+
+def _trained_rows(name, mu, per_row, rng, b=4, n=6):
+    """Data rows (b, n) about the population centre ``mu`` and measures
+    of about the trained spread at each row's own centre, on per-row or
+    shared nodes."""
+    xs = rng.standard_normal((b, n, 1))
+    if name == "linear_regression":
+        ys = mu * xs[..., 0] + 0.5 * rng.standard_normal((b, n))
+        centres = (xs[..., 0] * ys).sum(1) / (xs[..., 0] ** 2).sum(1)
+    else:
+        ys = mu + rng.standard_normal((b, n))
+        centres = ys.mean(1)
+    s = 1.0 / np.sqrt(n)
+    if per_row:
+        offsets, vol = uniform_grid_1d(0.0, 8.0 * s, 129)
+        nodes = centres[:, None, None] + offsets
+        dens = np.exp(-0.5 * (offsets[:, 0] / s) ** 2) \
+            * rng.uniform(0.5, 1.0, (b, 129))
+    else:
+        nodes, vol = uniform_grid_1d(mu, 4.0, 257)
+        dens = np.exp(-0.5 * ((nodes[:, 0] - centres[:, None]) / s) ** 2)
+    return MeasureBatch(nodes, vol, dens, normalize=True), xs, ys
+
+
+def _assert_rows_close(got, want, rtol=1e-12):
+    """Each row within ``rtol`` of its largest entry."""
+    scale = np.abs(want).max(axis=-1, keepdims=True)
+    assert np.all(np.abs(got - want) <= rtol * scale), \
+        float((np.abs(got - want) / scale).max())
+
+
+@pytest.mark.parametrize("mu", [0.0, 10.0, 1000.0])
+@pytest.mark.parametrize("per_row", [False, True])
+@pytest.mark.parametrize("name", ["mean_squared", "linear_regression"])
+def test_separable_operations_match_lp_oracle(name, per_row, mu):
+    # every operation of the separable form equals the same loss given by
+    # lp alone, to 1e-12, also far from the origin where an expansion
+    # about 0 cancels in its large terms
+    model = _SHIPPED[name]()
+    oracle = _lp_only(model)
+    rng = np.random.default_rng(int(mu) + 7 * per_row)
+    m, xs, ys = _trained_rows(name, mu, per_row, rng)
+    m2 = _trained_rows(name, mu, per_row, rng)[0]
+    # losses and their sums are positive: to 1e-12 entry by entry
+    np.testing.assert_allclose(model.atom_losses(m, xs, ys),
+                               oracle.atom_losses(m, xs, ys), rtol=1e-12)
+    theta = uniform_grid_1d(mu, 3.0, 101)[0]
+    w = rng.uniform(0.5, 1.0, ys.shape[1])
+    w /= w.sum()
+    np.testing.assert_allclose(model.lp_sums(theta, xs, ys, w),
+                               oracle.lp_sums(theta, xs, ys, w), rtol=1e-12)
+    np.testing.assert_allclose(model.dm(m, xs, ys, w, theta, centered=False),
+                               oracle.dm(m, xs, ys, w, theta, centered=False),
+                               rtol=1e-12)
+    # the centred derivative and the pairing cross zero: to 1e-12 of each
+    # row's largest value
+    _assert_rows_close(model.dm(m, xs, ys, w, theta),
+                       oracle.dm(m, xs, ys, w, theta))
+    _assert_rows_close(model.dm_along(m, m2, xs, ys),
+                       oracle.dm_along(m, m2, xs, ys))
+    # a single measure is the one-row view of the same body
+    one = m[1]
+    np.testing.assert_array_equal(model.atom_losses(one, xs[1], ys[1]),
+                                  model.atom_losses(m, xs, ys)[1])
+    np.testing.assert_array_equal(model.dm(one, xs[1], ys[1], w, theta),
+                                  model.dm(m, xs, ys, w, theta)[1])
+
+
+def test_zero_param_loss_is_separable():
+    # the zero loss takes the separable path and is exactly 0 there too
+    model = zero_param_loss()
+    m, xs, ys = _trained_rows("mean_squared", 0.0, True,
+                              np.random.default_rng(3))
+    np.testing.assert_array_equal(model.atom_losses(m, xs, ys),
+                                  np.zeros(ys.shape))
+    theta = uniform_grid_1d(0.0, 3.0, 11)[0]
+    np.testing.assert_array_equal(
+        model.dm(m, xs, ys, np.full(6, 1 / 6), theta), np.zeros((4, 11)))
 
 
 # ---------------------------------------------------------------------------
