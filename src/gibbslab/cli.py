@@ -8,9 +8,11 @@ Usage::
 A config file is a JSON object naming one experiment (``verify``,
 ``gibbs-solve``, ``gen-sweep``, ``bounds``, ``mfld-vs-grid``,
 ``gaussian-oracle``) together with model / gibbs / population /
-trainer / sweep blocks.  Results are written once, as CSV (fixed
-ten-column schema) and/or JSON; floats carry 17 significant digits, so
-re-running a config reproduces its outputs byte for byte.  A
+trainer / sweep blocks.  It is read once, against the table
+``_SCHEMA`` of every key it may hold; an unknown key is an error.
+Results are written once, as CSV (fixed ten-column schema) and/or
+JSON; floats carry 17 significant digits, so re-running a config
+reproduces its outputs byte for byte.  A
 non-finite number in a JSON result is an error, never written.
 
 Exit codes: 0 success, 2 when any reported ``holds`` field is false,
@@ -20,12 +22,11 @@ Exit codes: 0 success, 2 when any reported ``holds`` field is false,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -39,52 +40,36 @@ class ConfigError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# config access helpers
-
-_REQUIRED = object()
+# config reader
 
 
-def _get(cfg: dict, path: str, default=_REQUIRED):
-    node = cfg
-    walked = []
-    for key in path.split("."):
-        walked.append(key)
-        if not isinstance(node, dict):
-            raise ConfigError(f"{'.'.join(walked[:-1])}: expected an object")
-        if key not in node:
-            if default is _REQUIRED:
-                raise ConfigError(f"{'.'.join(walked)}: missing required field")
-            return default
-        node = node[key]
-    return node
+class _Key(NamedTuple):
+    """One key of the config table; ``_SCHEMA`` gives its meaning."""
+    kind: str
+    bound: object = None
+    default: object = ...  # required
 
 
-def _get_number(cfg, path, default=_REQUIRED, minimum=None):
-    val = _get(cfg, path, default)
-    # json parses NaN and +-Infinity; none is a usable setting
-    if not isinstance(val, (int, float)) or isinstance(val, bool) \
-            or not math.isfinite(val):
-        raise ConfigError(f"{path}: expected a finite number, got {val!r}")
-    if minimum is not None and val < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}, got {val!r}")
-    return float(val)
+class _Settings:
+    """A config block read against the table; frozen.
 
+    ``key in block`` says whether the config gave ``key``; reading a
+    required key that it left out raises :class:`ConfigError`.
+    """
 
-def _get_int(cfg, path, default=_REQUIRED, minimum=None):
-    val = _get(cfg, path, default)
-    if not isinstance(val, int) or isinstance(val, bool):
-        raise ConfigError(f"{path}: expected an integer, got {val!r}")
-    if minimum is not None and val < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}, got {val!r}")
-    return val
+    def __init__(self, path: str, values: dict, given):
+        self.__dict__.update(values, _path=path, _given=frozenset(given))
 
+    def __getattr__(self, key):  # only a required key left out gets here
+        if key.startswith("_"):
+            raise AttributeError(key)
+        raise ConfigError(f"{self._path}{key}: missing required field")
 
-def _get_positive(cfg, path, default=_REQUIRED, maximum=math.inf):
-    """A number in ``(0, maximum]``."""
-    val = _get_number(cfg, path, default)
-    if not 0.0 < val <= maximum:
-        raise ConfigError(f"{path}: must lie in (0, {maximum:g}], got {val!r}")
-    return val
+    def __contains__(self, key) -> bool:
+        return key in self._given
+
+    def __setattr__(self, key, value):
+        raise AttributeError("config settings are frozen")
 
 
 def _seed(seed: int, path: str) -> int:
@@ -93,90 +78,135 @@ def _seed(seed: int, path: str) -> int:
     return seed
 
 
-def _get_choice(cfg, path, choices, default=_REQUIRED):
-    val = _get(cfg, path, default)
-    if val not in choices:
-        raise ConfigError(f"{path}: expected one of {sorted(choices)}, "
+def _read(spec, val, path: str, problems: list, names: dict):
+    """``val`` read against ``spec``, a ``_Key`` or a table (a block).
+
+    A block adds each unknown key and bad value to ``problems`` and fills
+    in the defaults, and its nested blocks, that ``val`` leaves out.  A
+    bad value of a key raises :class:`ConfigError`.
+    """
+    if isinstance(spec, dict):
+        if not isinstance(val, dict):
+            problems.append(f"{path}: expected an object, got {val!r}")
+            val = {}
+        path += "." if path else ""
+        problems += [f"{path}{key}: unknown key" for key in val
+                     if key not in spec]
+        values = {}
+        for key, sub in spec.items():
+            try:
+                if key in val or isinstance(sub, dict):
+                    values[key] = _read(sub, val.get(key, {}), path + key,
+                                        problems, names)
+                elif sub.default is not ...:
+                    values[key] = sub.default.format_map(names) \
+                        if isinstance(sub.default, str) else sub.default
+            except ConfigError as exc:
+                problems.append(str(exc))
+        return _Settings(path, values, val)
+    kind, bound, default = spec
+    if val is None and default is None:
+        return None
+    if kind in ("list", "sizes"):
+        if not isinstance(val, list) or not val:
+            raise ConfigError(f"{path}: expected a non-empty list, "
+                              f"got {val!r}")
+        items = tuple(_read(bound, item, f"{path}[{i}]", problems, names)
+                      for i, item in enumerate(val))
+        if kind == "sizes" and any(b <= a for a, b in zip(items, items[1:])):
+            raise ConfigError(f"{path}: expected a strictly increasing list, "
+                              f"got {val!r}")
+        return items
+    if kind == "choice" and val not in bound:
+        raise ConfigError(f"{path}: expected one of {sorted(bound)}, "
                           f"got {val!r}")
-    return val
+    if kind == "str" and not isinstance(val, str):
+        raise ConfigError(f"{path}: expected a string, got {val!r}")
+    if kind in ("int", "seed") and type(val) is not int:
+        raise ConfigError(f"{path}: expected an integer, got {val!r}")
+    # json parses NaN and +-Infinity, and integers of any size; none of
+    # them is a usable setting (NaN fails every comparison)
+    if kind in ("number", "positive") and (
+            type(val) not in (int, float)
+            or not abs(val) <= sys.float_info.max):
+        raise ConfigError(f"{path}: expected a finite number, got {val!r}")
+    if kind == "positive" and not 0.0 < val <= bound:
+        raise ConfigError(f"{path}: must lie in (0, {bound:g}], "
+                          f"got {float(val)!r}")
+    if kind in ("number", "int") and bound is not None and val < bound:
+        raise ConfigError(f"{path}: must be >= {bound}, got {val!r}")
+    if kind == "seed":
+        return _seed(val, path)
+    return float(val) if kind in ("number", "positive") else val
+
+
+def read_config(raw) -> _Settings:
+    """The parsed JSON config ``raw`` read against ``_SCHEMA``: frozen
+    settings, or one :class:`ConfigError` naming every unknown key and
+    every bad value."""
+    if not isinstance(raw, dict):
+        raise ConfigError("top level must be an object")
+    problems = []
+    names = {"experiment": raw.get("experiment"),
+             "id": raw.get("id", raw.get("experiment"))}
+    cfg = _read(_SCHEMA, raw, "", problems, names)
+    if problems:
+        raise ConfigError("; ".join(problems))
+    return cfg
+
+
+def _settings(cfg) -> _Settings:
+    """The builders take read settings, or a raw config dict to read."""
+    return cfg if isinstance(cfg, _Settings) else read_config(cfg)
 
 
 # ---------------------------------------------------------------------------
 # block builders
 
-
-def build_model(cfg: dict):
-    variant = _get_choice(cfg, "model.variant", {"expected_param", "nn"})
-    if variant == "nn":
-        act = _get_choice(cfg, "model.activation",
-                          {"relu", "tanh", "sigmoid", "heaviside"}, "tanh")
-        outer = _get_choice(cfg, "model.outer",
-                            {"quadratic", "logcosh", "product_margin"},
-                            "quadratic")
-        return losses.NNLoss(act, outer)
-    name = _get_choice(cfg, "model.param_loss",
-                       {"mean_squared", "linear_regression", "zero"},
-                       "mean_squared")
-    factory = {"mean_squared": losses.mean_squared_param_loss,
-               "linear_regression": losses.linear_regression_param_loss,
-               "zero": losses.zero_param_loss}[name]
-    return factory()
+_PARAM_LOSSES = {"mean_squared": losses.mean_squared_param_loss,
+                 "linear_regression": losses.linear_regression_param_loss,
+                 "zero": losses.zero_param_loss}
+_POPULATIONS = ("gaussian", "noiseless_line", "discrete")
+_TRAINERS = ("gibbs_grid", "explicit_gaussian_mean", "constant", "mfld")
 
 
-def build_population(cfg: dict):
-    name = _get_choice(cfg, "population.name",
-                       {"gaussian", "noiseless_line", "discrete"})
-    if name == "gaussian":
-        return genbench.GaussianScalarPopulation(
-            _get_number(cfg, "population.mu", 0.0),
-            _get_number(cfg, "population.sigma"))
-    if name == "noiseless_line":
-        return genbench.NoiselessLinePopulation(
-            _get_number(cfg, "population.slope"),
-            _get_number(cfg, "population.x_sigma", 1.0))
-    pts = _get(cfg, "population.points")
-    probs = _get(cfg, "population.probs")
-    if not isinstance(pts, list) or not isinstance(probs, list):
-        raise ConfigError("population.points / population.probs: "
-                          "expected arrays")
-    points = []
-    for i, item in enumerate(pts):
-        try:
-            if not isinstance(item, dict):
-                raise TypeError(f"expected an object, got {item!r}")
-            x = np.asarray(item.get("x", []), dtype=float)
-            points.append(measures.DataPoint(x, float(item["y"])))
-            if points[-1].x.shape != points[0].x.shape:
-                raise ValueError("x differs in length from points[0].x")
-        except (TypeError, KeyError, ValueError) as exc:
-            raise ConfigError(f"population.points[{i}]: {exc}") from exc
+def build_model(cfg):
+    m = _settings(cfg).model
+    if m.variant == "nn":
+        return losses.NNLoss(m.activation, m.outer)
+    return _PARAM_LOSSES[m.param_loss]()
+
+
+def build_population(cfg):
+    p = _settings(cfg).population
+    if p.name == "gaussian":
+        return genbench.GaussianScalarPopulation(p.mu, p.sigma)
+    if p.name == "noiseless_line":
+        return genbench.NoiselessLinePopulation(p.slope, p.x_sigma)
+    points = [measures.DataPoint(item.x, item.y) for item in p.points]
+    for i, point in enumerate(points):
+        if point.x.shape != points[0].x.shape:
+            raise ConfigError(f"population.points[{i}]: x differs in length "
+                              "from points[0].x")
     try:
-        return genbench.DiscretePopulation(points, probs)
+        return genbench.DiscretePopulation(points, p.probs)
     except ValueError as exc:
         raise ConfigError(f"population.probs: {exc}") from exc
 
 
-def build_gibbs_config(cfg: dict, theta_dim: int) -> gibbs.GibbsConfig:
-    beta = _get_number(cfg, "gibbs.beta")
-    sigma = _get_number(cfg, "gibbs.sigma", 1.0)
-    p = _get_number(cfg, "gibbs.p", 4.0)
-    kappa = _get_number(cfg, "gibbs.kappa", 1.0)
-    q = None if _get(cfg, "gibbs.q", None) is None \
-        else _get_int(cfg, "gibbs.q", minimum=1)
-    radius = None if _get(cfg, "gibbs.radius", None) is None \
-        else _get_number(cfg, "gibbs.radius", minimum=1e-12)
-    nodes = _get_int(cfg, "gibbs.nodes", 129, minimum=8)
+def build_gibbs_config(cfg, theta_dim: int) -> gibbs.GibbsConfig:
+    g = _settings(cfg).gibbs
     try:
-        reg = gibbs.Regularizer(kappa=kappa, q=q) if q is not None \
-            else gibbs.default_regularizer(p, kappa)
-        return gibbs.GibbsConfig(beta=beta, sigma=sigma, p=p, regularizer=reg,
-                                 theta_dim=theta_dim, nodes_per_axis=nodes,
-                                 radius=radius)
+        reg = gibbs.Regularizer(kappa=g.kappa, q=g.q) if g.q is not None \
+            else gibbs.default_regularizer(g.p, g.kappa)
+        return gibbs.GibbsConfig(beta=g.beta, sigma=g.sigma, p=g.p,
+                                 regularizer=reg, theta_dim=theta_dim,
+                                 nodes_per_axis=g.nodes, radius=g.radius)
     except ValueError as exc:
         raise ConfigError(f"gibbs: {exc}") from exc
 
 
-def _gibbs_config(cfg: dict, model, pop) -> gibbs.GibbsConfig:
+def _gibbs_config(cfg: _Settings, model, pop) -> gibbs.GibbsConfig:
     """The ``gibbs`` block for ``model`` on ``pop``'s data, checked for its
     growth condition.  A network's ``theta = (a, w)``: one w per feature."""
     if model.variant == "nn" and pop.feature_dim == 0:
@@ -184,7 +214,7 @@ def _gibbs_config(cfg: dict, model, pop) -> gibbs.GibbsConfig:
         raise ConfigError("model.variant: a network needs data with at least "
                           "one feature, and the population has none")
     dim = 1 + pop.feature_dim if model.variant == "nn" else 1
-    got = _get_int(cfg, "gibbs.theta_dim", dim, minimum=1)
+    got = dim if cfg.gibbs.theta_dim is None else cfg.gibbs.theta_dim
     if model.variant == "nn" and got != dim:
         raise ConfigError(f"gibbs.theta_dim: a network on {pop.feature_dim}-"
                           f"feature data has theta_dim {dim}, got {got}")
@@ -196,52 +226,28 @@ def _gibbs_config(cfg: dict, model, pop) -> gibbs.GibbsConfig:
     return gcfg
 
 
-def _particle_settings(cfg: dict, min_particles: int = 1) -> dict:
-    """``n_particles``, ``step_size`` and ``n_steps`` of the particle
-    sampler, with the defaults every runner shares."""
-    return {"n_particles": _get_int(cfg, "trainer.n_particles", 2048,
-                                    minimum=min_particles),
-            "step_size": _get_positive(cfg, "trainer.step_size", 1e-3),
-            "n_steps": _get_int(cfg, "trainer.n_steps", 2000, minimum=1)}
+def _setup(cfg: _Settings):
+    """``cfg``'s model, population, gibbs config (None for the closed-form
+    trainer, which has no grid) and trainer."""
+    model, pop = build_model(cfg), build_population(cfg)
+    gcfg = None if cfg.trainer.kind == "explicit_gaussian_mean" \
+        else _gibbs_config(cfg, model, pop)
+    return model, pop, gcfg, build_trainer(cfg, model, gcfg)
 
 
-def _solver_settings(cfg: dict) -> dict:
-    """``damping``, ``tol`` and ``max_iter`` of the grid solve, with the
-    defaults every runner shares."""
-    return {"damping": _get_positive(cfg, "trainer.damping", 1.0,
-                                     maximum=1.0),
-            "tol": _get_positive(cfg, "trainer.tol", 1e-10),
-            "max_iter": _get_int(cfg, "trainer.max_iter", 500, minimum=1)}
-
-
-def build_trainer(cfg: dict, model, gcfg: Optional[gibbs.GibbsConfig]):
-    kind = _get_choice(cfg, "trainer.kind",
-                       {"gibbs_grid", "explicit_gaussian_mean", "constant",
-                        "mfld"}, "gibbs_grid")
-    if kind == "explicit_gaussian_mean":
-        return genbench.ExplicitGaussianMeanTrainer(
-            _get_number(cfg, "trainer.sigma_tilde", minimum=1e-12))
-    if kind == "constant":
-        which = _get_choice(cfg, "trainer.measure", {"prior", "tilt"}, "prior")
+def build_trainer(cfg, model, gcfg: Optional[gibbs.GibbsConfig]):
+    t = _settings(cfg).trainer
+    if t.kind == "explicit_gaussian_mean":
+        return genbench.ExplicitGaussianMeanTrainer(t.sigma_tilde)
+    if t.kind == "constant":
         pair = gcfg.priors()
         return genbench.ConstantTrainer(
-            pair.gamma_sigma if which == "prior" else pair.gamma_tilt_p)
-    if kind == "mfld":
-        return genbench.MFLDTrainer(model, gcfg, **_particle_settings(cfg))
-    return genbench.GridGibbsTrainer(model, gcfg, **_solver_settings(cfg))
-
-
-def _sweep(cfg: dict):
-    ns = _get(cfg, "sweep.n")
-    if (not isinstance(ns, list) or not ns
-            or any(not isinstance(n, int) or isinstance(n, bool) or n < 1
-                   for n in ns)
-            or any(b <= a for a, b in zip(ns, ns[1:]))):
-        raise ConfigError("sweep.n: expected a strictly increasing list of "
-                          "positive integers")
-    replicates = _get_int(cfg, "sweep.replicates", minimum=2)
-    seed = _seed(_get_int(cfg, "sweep.seed"), "sweep.seed")
-    return ns, replicates, seed
+            pair.gamma_sigma if t.measure == "prior" else pair.gamma_tilt_p)
+    if t.kind == "mfld":
+        return genbench.MFLDTrainer(model, gcfg, n_particles=t.n_particles,
+                                    step_size=t.step_size, n_steps=t.n_steps)
+    return genbench.GridGibbsTrainer(model, gcfg, damping=t.damping,
+                                     tol=t.tol, max_iter=t.max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -307,66 +313,50 @@ def _write_json(payload, path: Path) -> None:
 
 
 def _run_gaussian_oracle(cfg, exp_id, seed, out_dir):
-    sigma_tilde = _get_number(cfg, "trainer.sigma_tilde", 1.0, minimum=1e-12)
+    sigma_tilde = cfg.trainer.sigma_tilde
+    pop = cfg.population
+    # the oracle's model: the population's spread defaults to the trainer's
     model, pop = genbench.gaussian_mean_setup(
-        _get_number(cfg, "population.mu", 0.0),
-        _get_number(cfg, "population.sigma", sigma_tilde))
+        pop.mu, pop.sigma if "sigma" in pop else sigma_tilde)
     trainer = genbench.ExplicitGaussianMeanTrainer(sigma_tilde)
-    ns, replicates, _ = _sweep(cfg)
     rows = []
-    for n in ns:
+    for n in cfg.sweep.n:
         oracle = genbench.gaussian_mean_oracle(sigma_tilde, n)
-        ests = genbench.estimate_routes(trainer, pop, model, n, replicates,
-                                        seed, ["direct", "resampled"])
+        ests = genbench.estimate_routes(trainer, pop, model, n,
+                                        cfg.sweep.replicates, seed,
+                                        ["direct", "resampled"])
         for est in ests.values():
             holds = abs(est.value - oracle) <= 3.0 * est.stderr
             rows.append(_est_row(exp_id, est, oracle=oracle, holds=holds))
     return rows, None
 
 
-_SWEEP_ROUTES = ("direct", "resampled", "representation", "lge")
-
-
 def _run_gen_sweep(cfg, exp_id, seed, out_dir):
-    model = build_model(cfg)
-    pop = build_population(cfg)
-    kind = _get(cfg, "trainer.kind", "gibbs_grid")
-    gcfg = _gibbs_config(cfg, model, pop) \
-        if kind != "explicit_gaussian_mean" else None
-    trainer = build_trainer(cfg, model, gcfg)
-    routes = _get(cfg, "routes", ["direct", "resampled"])
-    if not isinstance(routes, list) or not routes:
-        raise ConfigError("routes: expected a non-empty list")
-    for r in routes:
-        if r not in _SWEEP_ROUTES:
-            raise ConfigError(f"routes: unknown route {r!r}")
-    ns, replicates, _ = _sweep(cfg)
+    model, pop, _, trainer = _setup(cfg)
+    replicates = cfg.sweep.replicates
     rows = []
-    for n in ns:
+    for n in cfg.sweep.n:
         oracle = genbench.gaussian_mean_oracle(trainer.sigma_tilde, n) \
             if isinstance(trainer, genbench.ExplicitGaussianMeanTrainer) \
             else None
         ests = genbench.estimate_routes(trainer, pop, model, n, replicates,
-                                        seed, routes)
-        for route in routes:
+                                        seed, cfg.routes)
+        for route in cfg.routes:
             rows.append(_est_row(exp_id, ests[route],
                                  oracle=None if route == "lge" else oracle))
     return rows, None
 
 
 def _run_bounds(cfg, exp_id, seed, out_dir):
-    model = build_model(cfg)
-    pop = build_population(cfg)
-    gcfg = _gibbs_config(cfg, model, pop)
-    trainer = build_trainer(cfg, model, gcfg)
-    if not isinstance(trainer, genbench.GridGibbsTrainer):
-        raise ConfigError("trainer.kind: bounds experiments need the "
-                          "gibbs_grid trainer")
-    ns, replicates, _ = _sweep(cfg)
+    model, pop, gcfg, trainer = _setup(cfg)
+    replicates = cfg.sweep.replicates
+    if "schedule" in cfg:
+        mode = cfg.schedule.mode
+        m_bar = genbench.gaussian_bump_on_grid(
+            gcfg, cfg.schedule.m_bar.center, cfg.schedule.m_bar.scale)
     rows = []
-    schedule = _get(cfg, "schedule", None)
-    for n in ns:
-        if schedule is None:
+    for n in cfg.sweep.n:
+        if "schedule" not in cfg:
             consts = genbench.gibbs_bound_constants(model, gcfg, pop, n)
             out = genbench.estimate_routes(trainer, pop, model, n,
                                            replicates, seed,
@@ -387,11 +377,6 @@ def _run_bounds(cfg, exp_id, seed, out_dir):
                              wge.value, wge.stderr, bound=lower.value,
                              holds=holds_c))
         else:
-            mode = _get_choice(cfg, "schedule.mode",
-                               set(genbench._MODE_EXPONENT))
-            m_bar = genbench.gaussian_bump_on_grid(
-                gcfg, _get_number(cfg, "schedule.m_bar.center"),
-                _get_number(cfg, "schedule.m_bar.scale", minimum=1e-12))
             rep = genbench.population_risk_bound(
                 trainer, pop, model, m_bar, n, mode, replicates, seed)
             rows.append(_row(exp_id, f"risk_bound_{mode}", n, replicates,
@@ -401,20 +386,21 @@ def _run_bounds(cfg, exp_id, seed, out_dir):
 
 
 def _run_mfld_vs_grid(cfg, exp_id, seed, out_dir):
-    model = build_model(cfg)
-    pop = build_population(cfg)
-    gcfg = _gibbs_config(cfg, model, pop)
-    ns, _, _ = _sweep(cfg)
-    n = ns[0]
-    # the standard errors divide by n_particles - 1
-    particles = _particle_settings(cfg, min_particles=2)
-    solver = _solver_settings(cfg)
+    model, pop, gcfg, _ = _setup(cfg)
+    n = cfg.sweep.n[0]
+    t = cfg.trainer
+    n_particles = t.n_particles
+    if n_particles < 2:  # the standard errors divide by n_particles - 1
+        raise ConfigError(f"trainer.n_particles: must be >= 2, "
+                          f"got {n_particles}")
 
     xs, ys = pop.sample(genbench._rng(seed, 0, 0), n)
     nu = measures.empirical_from_arrays(xs, ys)
-    sol = gibbs.solve_gibbs(model, nu, gcfg, **solver)
-    part = gibbs.mfld_sample(model, nu, gcfg, seed=seed, **particles)
-    n_particles = particles["n_particles"]
+    sol = gibbs.solve_gibbs(model, nu, gcfg, damping=t.damping, tol=t.tol,
+                            max_iter=t.max_iter)
+    part = gibbs.mfld_sample(model, nu, gcfg, seed=seed,
+                             n_particles=n_particles, step_size=t.step_size,
+                             n_steps=t.n_steps)
 
     rows = []
     grid_mean = sol.measure.mean()
@@ -435,15 +421,8 @@ def _run_mfld_vs_grid(cfg, exp_id, seed, out_dir):
 
 
 def _run_gibbs_solve(cfg, exp_id, seed, out_dir):
-    model = build_model(cfg)
-    pop = build_population(cfg)
-    gcfg = _gibbs_config(cfg, model, pop)
-    trainer = build_trainer(cfg, model, gcfg)
-    if not isinstance(trainer, genbench.GridGibbsTrainer):
-        raise ConfigError("trainer.kind: gibbs-solve needs the gibbs_grid "
-                          "trainer")
-    ns, _, _ = _sweep(cfg)
-    n = ns[0]
+    model, pop, gcfg, trainer = _setup(cfg)
+    n = cfg.sweep.n[0]
     xs, ys = pop.sample(genbench._rng(seed, 0, 0), n)
     nu = measures.empirical_from_arrays(xs, ys)
     sol = trainer.solve(nu)
@@ -461,10 +440,10 @@ def _run_gibbs_solve(cfg, exp_id, seed, out_dir):
         "p_moment_bound": mom_bound,
         "holds": bool(mom <= mom_bound + 1e-6),
     }
-    name = _get(cfg, "output.json", f"{exp_id}.json")
-    _write_json(payload, out_dir / name)
+    path = out_dir / cfg.output.json
+    _write_json(payload, path)
     print(f"[{exp_id}] iterations={sol.iterations} "
-          f"residual={sol.residual:.3e} -> {out_dir / name}")
+          f"residual={sol.residual:.3e} -> {path}")
     return None, (0 if payload["holds"] else 2)
 
 
@@ -611,12 +590,11 @@ def _verify_checks(seed: int):
 
 def _run_verify(cfg, exp_id, seed, out_dir):
     checks = _verify_checks(seed)
-    name = _get(cfg, "output.json", f"{exp_id}.json") if cfg else \
-        "verify_report.json"
-    _write_json(checks, out_dir / name)
+    path = out_dir / cfg.output.json
+    _write_json(checks, path)
     n_fail = sum(c["status"] == "fail" for c in checks)
     print(f"[{exp_id}] {len(checks) - n_fail}/{len(checks)} checks passed "
-          f"-> {out_dir / name}")
+          f"-> {path}")
     for c in checks:
         if c["status"] == "fail":
             print(f"  FAIL {c['check_name']}: residual {c['residual']:.3e} "
@@ -624,12 +602,76 @@ def _run_verify(cfg, exp_id, seed, out_dir):
     return None, (0 if n_fail == 0 else 2)
 
 
-_RUNNERS = {"gaussian-oracle": _run_gaussian_oracle,
-            "gen-sweep": _run_gen_sweep,
-            "bounds": _run_bounds,
-            "mfld-vs-grid": _run_mfld_vs_grid,
-            "gibbs-solve": _run_gibbs_solve,
-            "verify": _run_verify}
+# ---------------------------------------------------------------------------
+# config table
+
+# each experiment's runner, and the trainer kinds and populations it runs:
+# a config that names any other is an error, never silently ignored
+_EXPERIMENTS = {
+    "gaussian-oracle": (_run_gaussian_oracle, ("explicit_gaussian_mean",),
+                        ("gaussian",)),
+    "gen-sweep": (_run_gen_sweep, _TRAINERS, _POPULATIONS),
+    "bounds": (_run_bounds, ("gibbs_grid",), _POPULATIONS),
+    "mfld-vs-grid": (_run_mfld_vs_grid, ("mfld",), _POPULATIONS),
+    "gibbs-solve": (_run_gibbs_solve, ("gibbs_grid",), _POPULATIONS),
+    "verify": (_run_verify, (), ()),
+}
+
+# Every key a config may hold: its kind, bound and default; a nested table
+# is a block.  The bound is the minimum of a number or int, the maximum of
+# a positive (a number in (0, bound]), the values of a choice and the spec
+# of each item of a list or sizes (a key, or a table for items that are
+# objects).  Both are non-empty, and the items of sizes strictly increase.
+# A seed is an int in [0, 2**64).  A key with no default is required
+# where it is read; a None default also takes null; a str default may
+# name {experiment} and {id}.
+_SCHEMA = {
+    "experiment": _Key("choice", tuple(_EXPERIMENTS)),
+    "id": _Key("str", default="{experiment}"),
+    "routes": _Key("list", _Key("choice", ("direct", "resampled",
+                                           "representation", "lge")),
+                   ("direct", "resampled")),
+    "model": {"variant": _Key("choice", ("expected_param", "nn")),
+              "activation": _Key("choice", tuple(losses._ACTIVATIONS), "tanh"),
+              "outer": _Key("choice", tuple(losses._OUTER), "quadratic"),
+              "param_loss": _Key("choice", tuple(_PARAM_LOSSES),
+                                 "mean_squared")},
+    "population": {"name": _Key("choice", _POPULATIONS),
+                   "mu": _Key("number", default=0.0),
+                   "sigma": _Key("positive", math.inf),
+                   "slope": _Key("number"),
+                   "x_sigma": _Key("positive", math.inf, 1.0),
+                   "points": _Key("list", {"x": _Key("list", _Key("number"),
+                                                     ()),
+                                           "y": _Key("number")}),
+                   "probs": _Key("list", _Key("number"))},
+    "gibbs": {"beta": _Key("number"),
+              "sigma": _Key("number", default=1.0),
+              "p": _Key("number", default=4.0),
+              "kappa": _Key("number", default=1.0),
+              "q": _Key("int", 1, None),
+              "radius": _Key("number", 1e-12, None),
+              "nodes": _Key("int", 8, 129),
+              "theta_dim": _Key("int", 1, None)},  # None: the model's own
+    "trainer": {"kind": _Key("choice", _TRAINERS, "gibbs_grid"),
+                "sigma_tilde": _Key("number", 1e-12, 1.0),
+                "measure": _Key("choice", ("prior", "tilt"), "prior"),
+                "damping": _Key("positive", 1.0, 1.0),
+                "tol": _Key("positive", math.inf, 1e-10),
+                "max_iter": _Key("int", 1, 500),
+                "n_particles": _Key("int", 1, 2048),
+                "step_size": _Key("positive", math.inf, 1e-3),
+                "n_steps": _Key("int", 1, 2000)},
+    "sweep": {"n": _Key("sizes", _Key("int", 1)),
+              "replicates": _Key("int", 2),
+              "seed": _Key("seed")},
+    "schedule": {"mode": _Key("choice", tuple(genbench._MODE_EXPONENT)),
+                 "m_bar": {"center": _Key("number"),
+                           "scale": _Key("number", 1e-12)}},
+    "output": {"dir": _Key("str", default="."),
+               "csv": _Key("str", default="{id}.csv"),
+               "json": _Key("str", default="{id}.json")},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +687,7 @@ def run(config_path, seed: Optional[int] = None,
     """
     path = Path(config_path)
     try:
-        cfg = json.loads(path.read_text())
+        raw = json.loads(path.read_text())
     except OSError as exc:
         print(f"config error: cannot read {path}: {exc}", file=sys.stderr)
         return 1
@@ -653,22 +695,38 @@ def run(config_path, seed: Optional[int] = None,
         print(f"config error: {path}:{exc.lineno}:{exc.colno}: {exc.msg}",
               file=sys.stderr)
         return 1
-    if not isinstance(cfg, dict):
-        print("config error: top level must be an object", file=sys.stderr)
-        return 1
+    return _execute(raw, seed, out)
+
+
+def verify(seed: int = 0, out: str = ".") -> int:
+    """Run the built-in invariant suite; returns the process exit code."""
+    return _execute({"experiment": "verify",
+                     "output": {"json": "verify_report.json"}}, seed, out)
+
+
+def _execute(raw, seed: Optional[int], out: Optional[str]) -> int:
+    """Read the config ``raw`` once and run its experiment."""
+    exp_id = None
     try:
-        experiment = _get_choice(cfg, "experiment", set(_RUNNERS))
-        exp_id = _get(cfg, "id", experiment)
-        cfg_seed = _seed(seed, "seed") if seed is not None \
-            else _seed(_get_int(cfg, "sweep.seed", 0), "sweep.seed")
-        out_dir = Path(out if out is not None
-                       else _get(cfg, "output.dir", "."))
+        cfg = read_config(raw)
+        experiment, exp_id = cfg.experiment, cfg.id
+        runner, trainers, populations = _EXPERIMENTS[experiment]
+        for block, key, allowed in ((cfg.trainer, "kind", trainers),
+                                    (cfg.population, "name", populations)):
+            if key in block and getattr(block, key) not in allowed:
+                raise ConfigError(f"{block._path}{key}: {experiment} takes "
+                                  f"{sorted(allowed) or 'none'}, got "
+                                  f"{getattr(block, key)!r}")
+        if seed is None:
+            seed = cfg.sweep.seed if "seed" in cfg.sweep \
+                or experiment != "verify" else 0
+        seed = _seed(seed, "seed")
+        out_dir = Path(out if out is not None else cfg.output.dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        rows, code = _RUNNERS[experiment](cfg, exp_id, cfg_seed, out_dir)
+        rows, code = runner(cfg, exp_id, seed, out_dir)
         if rows is None:
             return code
-        csv_name = _get(cfg, "output.csv", f"{exp_id}.csv")
-        csv_path = out_dir / csv_name
+        csv_path = out_dir / cfg.output.csv
         emit_csv(rows, csv_path)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -682,19 +740,6 @@ def run(config_path, seed: Optional[int] = None,
     return 2 if violated else 0
 
 
-def verify(seed: int = 0, out: str = ".") -> int:
-    """Run the built-in invariant suite; returns the process exit code."""
-    try:
-        _seed(seed, "seed")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _, code = _run_verify(None, "verify", seed, out_dir)
-    return code
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="gibbslab",
@@ -706,22 +751,18 @@ def main(argv=None) -> int:
     p_ver = sub.add_parser("verify", help="run the built-in invariant suite")
     for p in (p_run, p_ver):
         p.add_argument("--seed", type=int, default=None,
-                       help="override the top-level seed")
+                       help="the seed; run defaults to sweep.seed")
         p.add_argument("--out", default=None, help="output directory")
     args = parser.parse_args(argv)
     try:
         if args.seed is not None:
             _seed(args.seed, "--seed")
-        if args.command == "run":
-            return run(args.config, seed=args.seed, out=args.out)
-        return verify(seed=args.seed if args.seed is not None else 0,
-                      out=args.out if args.out is not None else ".")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # runtime failures map to exit 1
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.command == "run":
+        return run(args.config, seed=args.seed, out=args.out)
+    return verify(seed=args.seed or 0, out=args.out or ".")
 
 
 if __name__ == "__main__":

@@ -159,6 +159,9 @@ SWEEP_CFG = {
     ("population", "points", [{"y": 0.0}, 3], "population.points[1]"),
     ("sweep", "seed", -1, "sweep.seed"),
     ("sweep", "seed", 2 ** 64, "sweep.seed"),
+    ("population", "sigma", 0, "population.sigma"),
+    ("population", "x_sigma", -1.0, "population.x_sigma"),
+    ("gibbs", "p", 10 ** 400, "gibbs.p"),
 ])
 def test_bad_config_values_are_config_errors(tmp_path, capsys, block, key,
                                              value, named):
@@ -321,6 +324,134 @@ def test_particle_and_damping_defaults_are_shared(tmp_path, capsys,
     assert cli.run(write_config(tmp_path, cfg), out=str(tmp_path)) == 1
     assert capsys.readouterr().err == (
         "config error: trainer.n_particles: must be >= 2, got 1\n")
+
+
+def shipped(name):
+    return json.loads((CONFIGS / name).read_text())
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")),
+                         ids=lambda p: p.name)
+def test_shipped_configs_read_cleanly(path):
+    # a stale or misspelled key in a shipped config fails here
+    cfg = cli.read_config(json.loads(path.read_text()))
+    assert cfg.id == path.stem and cfg.output.csv == f"{path.stem}.csv"
+    with pytest.raises(AttributeError):
+        cfg.trainer.kind = "mfld"  # settings are frozen
+
+
+# one config per experiment, each as shipped where one is
+EXPERIMENT_CFGS = {
+    "gaussian-oracle": "gaussian_oracle.json",
+    "gen-sweep": "gen_sweep_gibbs.json",
+    "bounds": "schedule_wge.json",
+    "mfld-vs-grid": "mfld_vs_grid.json",
+    "gibbs-solve": "gibbs_solve_nn.json",
+    "verify": None,
+}
+
+
+def experiment_cfg(experiment):
+    name = EXPERIMENT_CFGS[experiment]
+    return shipped(name) if name else {"experiment": "verify"}
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENT_CFGS))
+def test_unknown_keys_are_all_named_in_one_error(tmp_path, capsys,
+                                                 experiment):
+    cfg = experiment_cfg(experiment)
+    cfg["bogus_top"] = 1
+    cfg.setdefault("sweep", {})["bogus"] = 2
+    cfg.setdefault("schedule", {}).setdefault("m_bar", {})["bogus"] = 3
+    out = tmp_path / "out"
+    assert cli.run(write_config(tmp_path, cfg), out=str(out)) == 1
+    assert capsys.readouterr().err == (
+        "config error: bogus_top: unknown key; sweep.bogus: unknown key; "
+        "schedule.m_bar.bogus: unknown key\n")
+    assert not any(out.glob("*"))
+
+
+def test_misspelled_keys_of_a_shipped_config_are_errors(tmp_path, capsys):
+    cfg = shipped("gen_sweep_gibbs.json")
+    cfg["trainer"]["tolerance"] = -5
+    cfg["sweep"]["replicate"] = 3
+    cfg["bogus_top"] = True
+    assert cli.run(write_config(tmp_path, cfg), out=str(tmp_path)) == 1
+    assert capsys.readouterr().err == (
+        "config error: bogus_top: unknown key; trainer.tolerance: unknown "
+        "key; sweep.replicate: unknown key\n")
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_points_take_only_x_and_y(tmp_path, capsys):
+    cfg = json.loads(json.dumps(SWEEP_CFG))
+    cfg["population"]["points"][1]["z"] = 0.5
+    assert cli.run(write_config(tmp_path, cfg), out=str(tmp_path)) == 1
+    assert capsys.readouterr().err == (
+        "config error: population.points[1].z: unknown key\n")
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("experiment, block, value, takes", [
+    ("gaussian-oracle", "trainer", "gibbs_grid", "['explicit_gaussian_mean']"),
+    ("gaussian-oracle", "population", "discrete", "['gaussian']"),
+    ("gen-sweep", "trainer", "warp", None),
+    ("bounds", "trainer", "mfld", "['gibbs_grid']"),
+    ("bounds", "trainer", "explicit_gaussian_mean", "['gibbs_grid']"),
+    ("mfld-vs-grid", "trainer", "gibbs_grid", "['mfld']"),
+    ("gibbs-solve", "trainer", "constant", "['gibbs_grid']"),
+    ("verify", "trainer", "gibbs_grid", "none"),
+    ("verify", "population", "gaussian", "none"),
+])
+def test_each_experiment_refuses_other_trainers_and_populations(
+        tmp_path, capsys, experiment, block, value, takes):
+    cfg = experiment_cfg(experiment)
+    key = "kind" if block == "trainer" else "name"
+    cfg.setdefault(block, {})[key] = value
+    out = tmp_path / "out"
+    assert cli.run(write_config(tmp_path, cfg), out=str(out)) == 1
+    message = f"{block}.{key}: {experiment} takes {takes}, got {value!r}" \
+        if takes else (f"{block}.{key}: expected one of "
+                       f"{sorted(cli._TRAINERS)}, got {value!r}")
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not any(out.glob("*"))
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"id": {"a": 1}}, "id: expected a string, got {'a': 1}"),
+    ({"output": {"csv": 5}}, "output.csv: expected a string, got 5"),
+    ({"output": {"dir": ["a"]}}, "output.dir: expected a string, got ['a']"),
+])
+def test_output_names_are_checked_before_any_work(tmp_path, capsys,
+                                                  monkeypatch, change,
+                                                  message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(cli.genbench, "estimate_routes", no_work)
+    cfg = dict(shipped("gen_sweep_explicit.json"), **change)
+    assert cli.run(write_config(tmp_path, cfg), out=str(tmp_path)) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_seed_option_stands_in_for_a_missing_sweep_seed(tmp_path, capsys):
+    cfg = json.loads(json.dumps(GAUSS_CFG))
+    del cfg["sweep"]["seed"]
+    path = write_config(tmp_path, cfg)
+    assert cli.run(path, out=str(tmp_path)) == 1
+    assert capsys.readouterr().err == (
+        "config error: sweep.seed: missing required field\n")
+    assert not (tmp_path / "gauss.csv").exists()
+    assert cli.run(path, seed=3, out=str(tmp_path)) == 0
+    rows = (tmp_path / "gauss.csv").read_text().splitlines()[1:]
+    assert len(rows) == 4 and all(r.split(",")[4] == "3" for r in rows)
+
+
+def test_trainer_sigma_tilde_has_one_default():
+    cfg = {"trainer": {"kind": "explicit_gaussian_mean"}}
+    trainer = cli.build_trainer(cfg, None, None)
+    assert trainer.sigma_tilde == 1.0
 
 
 # ---------------------------------------------------------------------------
