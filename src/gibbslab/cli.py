@@ -208,16 +208,19 @@ def build_gibbs_config(cfg, theta_dim: int) -> gibbs.GibbsConfig:
 
 def _gibbs_config(cfg: _Settings, model, pop) -> gibbs.GibbsConfig:
     """The ``gibbs`` block for ``model`` on ``pop``'s data, checked for its
-    growth condition.  A network's ``theta = (a, w)``: one w per feature."""
+    growth condition.  A network's ``theta = (a, w)``: one w per feature;
+    the shipped parametric losses read ``theta[:, 0]`` only."""
     if model.variant == "nn" and pop.feature_dim == 0:
         # every prediction would be E_m[a] * act(0), blind to the data
         raise ConfigError("model.variant: a network needs data with at least "
                           "one feature, and the population has none")
     dim = 1 + pop.feature_dim if model.variant == "nn" else 1
     got = dim if cfg.gibbs.theta_dim is None else cfg.gibbs.theta_dim
-    if model.variant == "nn" and got != dim:
-        raise ConfigError(f"gibbs.theta_dim: a network on {pop.feature_dim}-"
-                          f"feature data has theta_dim {dim}, got {got}")
+    if got != dim:
+        what = f"a network on {pop.feature_dim}-feature data" \
+            if model.variant == "nn" else "an expected-parameter loss"
+        raise ConfigError(f"gibbs.theta_dim: {what} has theta_dim {dim}, "
+                          f"got {got}")
     gcfg = build_gibbs_config(cfg, got)
     try:
         gcfg.regularizer.validate_growth(model, gcfg.p)

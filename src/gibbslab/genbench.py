@@ -183,18 +183,6 @@ def _rng(seed: int, replicate: int, stream: int) -> np.random.Generator:
     return _streams(seed, range(replicate, replicate + 1), stream)[0]
 
 
-@functools.cache
-def _lambda_rule():
-    """``(lam, w)`` pairs of the 8-node Gauss-Legendre rule on [0, 1] for
-    the ``lam`` and ``lam_tilde`` integrals of the routes.
-
-    Computed once, on first use rather than at import: its eigenvalue
-    solve adds about 1.5 MB of resident memory to a process that never
-    integrates over ``lam``.
-    """
-    return tuple(zip(*gauss_legendre_01(8)))
-
-
 def _estimate(values, n, seed, route) -> GenEstimate:
     arr = np.asarray(values, dtype=float)
     return GenEstimate(float(arr.mean()),
@@ -459,7 +447,7 @@ class GridGibbsTrainer(_RowByRowTrainer):
             d = self.model.lp_sums(nodes, xs[:, :k], ys[:, :k], np.ones(k)) \
                 - self.model.lp_sums(nodes, xk[:, :k], yk[:, :k], np.ones(k))
             e0, ek = self._exponent(xs, ys), self._exponent(xk, yk)
-            for lt, w in _lambda_rule():
+            for lt, w in zip(*gauss_legendre_01(8)):
                 dens = self._tilt((1.0 - lt) * ek + lt * e0)
                 mean = (d * (dens * vol)).sum(axis=1, keepdims=True)
                 out += w * (-self.cfg.temperature * dens * (d - mean))
@@ -467,7 +455,7 @@ class GridGibbsTrainer(_RowByRowTrainer):
         for r in range(ys.shape[0]):
             nu = empirical_from_arrays(xs[r], ys[r])
             nu_k = empirical_from_arrays(xk[r], yk[r])
-            for lt, w in _lambda_rule():
+            for lt, w in zip(*gauss_legendre_01(8)):
                 td = TrainedDerivatives(
                     self.model, convex_combination(nu_k, nu, float(lt)),
                     self.cfg, solve_kwargs=self.solve_kwargs)
@@ -685,11 +673,11 @@ class _Block:
         integrand is affine in it, and the end points give it exactly."""
         m_k, m = self.swap(k), self.m
         if self.model.has_zero_d2m():
-            a = sum(w * (1.0 - lam) for lam, w in _lambda_rule())
-            b = sum(w * lam for lam, w in _lambda_rule())
+            a = sum(w * (1.0 - lam) for lam, w in zip(*gauss_legendre_01(8)))
+            b = sum(w * lam for lam, w in zip(*gauss_legendre_01(8)))
             return a * integrand(m_k) + b * integrand(m)
         out = 0.0
-        for lam, w in _lambda_rule():
+        for lam, w in zip(*gauss_legendre_01(8)):
             out = out + w * integrand(MeasureBatch(
                 m.nodes, m.cell_volumes,
                 (1.0 - lam) * m_k.density + lam * m.density))

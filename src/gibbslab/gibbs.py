@@ -68,6 +68,8 @@ class Regularizer:
 
     def grad(self, theta) -> np.ndarray:
         theta = np.atleast_2d(np.asarray(theta, dtype=float))
+        if self.q == 1:  # r2 ** 0 is exactly 1, even for a non-finite r2
+            return (2.0 * self.q * self.kappa) * theta
         r2 = np.einsum("ij,ij->i", theta, theta)
         return (2.0 * self.q * self.kappa * r2 ** (self.q - 1))[:, None] * theta
 

@@ -569,9 +569,11 @@ def loss_dm(model, m, z: DataPoint, theta) -> np.ndarray:
     """First measure derivative of the loss at ``(m, z)``.
 
     Normalized so its ``m``-average vanishes; vectorized over rows of
-    ``theta``.
+    ``theta``, and (B, N) for a batch, with ``z`` the sample of every row.
     """
-    return model.dm(m, z.x[None, :], np.array([z.y]), _ONE, theta)
+    lead = m.density.shape[:-1]
+    return model.dm(m, np.broadcast_to(z.x, lead + (1, z.x.size)),
+                    np.full(lead + (1,), z.y), _ONE, theta)
 
 
 def risk(model, m, nu: DataMeasure) -> float:

@@ -575,6 +575,27 @@ def test_gibbs_solve_writes_json_summary(tmp_path):
     assert payload["holds"] is True
 
 
+def test_expected_parameter_loss_needs_one_parameter_dimension(tmp_path,
+                                                               capsys):
+    # the shipped parametric losses read theta[:, 0] only: a second axis
+    # would multiply the grid by its node count and change nothing else
+    cfg = {
+        "experiment": "gibbs-solve",
+        "id": "solve",
+        "model": {"variant": "expected_param", "param_loss": "mean_squared"},
+        "population": {"name": "gaussian", "sigma": 1.0},
+        "gibbs": {"beta": 0.5, "p": 4, "theta_dim": 2, "nodes": 17},
+        "trainer": {"kind": "gibbs_grid", "damping": 1.0, "tol": 1e-10},
+        "sweep": {"n": [8], "replicates": 2, "seed": 1},
+        "output": {"json": "solve.json"},
+    }
+    assert cli.run(write_config(tmp_path, cfg), out=str(tmp_path)) == 1
+    assert capsys.readouterr().err == (
+        "config error: gibbs.theta_dim: an expected-parameter loss has "
+        "theta_dim 1, got 2\n")
+    assert not (tmp_path / "solve.json").exists()
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
 @pytest.mark.parametrize("command", ["run", "verify"])
 def test_bad_seed_override_is_a_config_error(tmp_path, capsys, command, seed):

@@ -10,7 +10,8 @@ from gibbslab.funcderiv import (TrainedDerivatives, build_Cm,
                                 check_linear_derivative, dm_dnu,
                                 finite_diff_dm_dnu, gauss_legendre_01)
 from gibbslab.gibbs import CurvatureKernel, GibbsConfig, Regularizer
-from gibbslab.measures import (DataPoint, GridMeasure, empirical_from_arrays,
+from gibbslab.measures import (DataPoint, GridMeasure, MeasureBatch,
+                               convex_combination, empirical_from_arrays,
                                uniform_grid, uniform_grid_1d)
 
 EP_CFG = GibbsConfig(beta=1.0, sigma=1.0, p=4,
@@ -57,6 +58,20 @@ def test_gauss_legendre_01_integrates_polynomials_exactly():
         gauss_legendre_01(0)
 
 
+def test_gauss_legendre_01_is_cached_and_read_only():
+    x, w = gauss_legendre_01(8)
+    for a in (x, w):
+        with pytest.raises(ValueError):
+            a[0] = 0.5
+    lx, lw = np.polynomial.legendre.leggauss(8)
+    for _ in range(2):
+        again = gauss_legendre_01(8)
+        np.testing.assert_array_equal(again[0], 0.5 * (lx + 1.0))
+        np.testing.assert_array_equal(again[1], 0.5 * lw)
+    with pytest.raises(ValueError):
+        gauss_legendre_01(0)
+
+
 def test_check_linear_derivative_accepts_true_derivative():
     model, _ = ep_problem()
     nodes, vol = uniform_grid_1d(0.0, 3.0, 301)
@@ -92,6 +107,97 @@ def test_check_linear_derivative_requires_shared_grid():
     with pytest.raises(ValueError):
         check_linear_derivative(lambda m: 0.0, lambda m: np.zeros(11),
                                 m0, m1)
+
+
+def per_lambda_residual(value_fn, deriv_fn, m0, m1, lambda_nodes):
+    """Oracle of :func:`check_linear_derivative`: one blend at a time, by
+    ``convex_combination`` and a one-measure derivative."""
+    delta_w = (m1.density - m0.density) * m0.cell_volumes
+    inner = 0.0
+    for lam, wt in zip(*gauss_legendre_01(lambda_nodes)):
+        vals = np.asarray(deriv_fn(convex_combination(m0, m1, float(lam))),
+                          dtype=float)
+        inner += wt * float(vals @ delta_w)
+    return abs(float(value_fn(m1)) - float(value_fn(m0)) - inner)
+
+
+def segment_case(name):
+    """``(model, m0, m1, z)``: a network on a 2-D grid, named by its outer
+    loss, or a parametric loss on a 1-D grid."""
+    if name in ("mean_squared", "linear_regression"):
+        nodes, vol = uniform_grid_1d(0.0, 3.0, 129)
+        m0, m1 = bump_1d(-0.4, 0.5, nodes, vol), bump_1d(0.6, 0.3, nodes, vol)
+        model = getattr(losses, f"{name}_param_loss")()
+        x = np.zeros(0) if name == "mean_squared" else np.array([0.9])
+        return model, m0, m1, DataPoint(x, 0.7)
+    nodes, vol = uniform_grid(2.0, 25, 2)
+
+    def bump(center, scale):
+        dens = np.exp(-np.sum((nodes - center) ** 2, axis=1)
+                      / (2 * scale * scale))
+        return GridMeasure(nodes, vol, dens, normalize=True)
+
+    return (losses.NNLoss("tanh", name), bump((-0.4, 0.2), 0.5),
+            bump((0.6, -0.3), 0.4), DataPoint(np.array([0.7]), 0.3))
+
+
+SEGMENT_CASES = ("quadratic", "logcosh", "product_margin", "mean_squared",
+                 "linear_regression")
+
+
+@pytest.mark.parametrize("lambda_nodes", [1, 4, 8, 64])
+@pytest.mark.parametrize("case", SEGMENT_CASES)
+def test_batched_expansion_residual_equals_per_lambda_oracle(case,
+                                                             lambda_nodes):
+    model, m0, m1, z = segment_case(case)
+    seen = []
+
+    def deriv(m):
+        # the blends and derivative rows as well: a residual near rounding
+        # can agree while they do not
+        out = losses.loss_dm(model, m, z, m0.nodes)
+        seen.append((np.atleast_2d(m.density), np.atleast_2d(out)))
+        return out
+
+    args = (lambda m: losses.loss_value(model, m, z), deriv,
+            m0, m1, lambda_nodes)
+    assert check_linear_derivative(*args) == per_lambda_residual(*args)
+    for batched, one_by_one in zip(seen[0], zip(*seen[1:])):
+        np.testing.assert_array_equal(batched, np.concatenate(one_by_one))
+
+
+@pytest.mark.parametrize("case", SEGMENT_CASES)
+def test_loss_dm_on_a_batch_equals_each_row(case):
+    model, m0, m1, z = segment_case(case)
+    lams = np.array([0.1, 0.5, 0.9])
+    batch = MeasureBatch(
+        m0.nodes, m0.cell_volumes,
+        (1.0 - lams)[:, None] * m0.density + lams[:, None] * m1.density)
+    got = losses.loss_dm(model, batch, z, m0.nodes)
+    assert got.shape == (3, m0.n_nodes)
+    for r in range(3):
+        np.testing.assert_array_equal(
+            got[r], losses.loss_dm(model, batch[r], z, m0.nodes))
+
+
+def test_check_linear_derivative_needs_one_row_per_blend():
+    _, m0, m1, _ = segment_case("mean_squared")
+    n = m0.n_nodes
+    for lambda_nodes, rows in ((1, np.zeros(n)), (8, np.zeros(n)),
+                               (8, np.zeros((4, n)))):
+        with pytest.raises(ValueError, match="one row per blend"):
+            check_linear_derivative(lambda m: 0.0, lambda m: rows, m0, m1,
+                                    lambda_nodes=lambda_nodes)
+
+
+def test_check_linear_derivative_rejects_signed_end_points():
+    _, m0, m1, _ = segment_case("mean_squared")
+    signed = GridMeasure(m0.nodes, m0.cell_volumes, m1.density - m0.density,
+                         signed=True)
+    for a, b in ((m0, signed), (signed, m1)):
+        with pytest.raises(ValueError, match="unsigned"):
+            check_linear_derivative(lambda m: 0.0,
+                                    lambda m: np.zeros((8, m0.n_nodes)), a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,22 @@ def test_regularizer_validation_and_values():
         Regularizer(kappa=1.0, q=0)
 
 
+def test_regularizer_grad_at_q1_is_the_general_formula_bit_for_bit():
+    # q == 1 skips the radius, since r2 ** 0 is exactly 1, also where r2
+    # is NaN or infinite
+    rng = np.random.default_rng(5)
+    theta = 10.0 * rng.standard_normal((9, 3))
+    theta[4] = np.nan
+    theta[6, 1] = np.inf
+    for kappa in (0.05, 0.3, 2.0):
+        q = 1
+        r2 = np.einsum("ij,ij->i", theta, theta)
+        want = (2.0 * q * kappa * r2 ** (q - 1))[:, None] * theta
+        np.testing.assert_array_equal(Regularizer(kappa, q).grad(theta), want)
+    np.testing.assert_array_equal(Regularizer(0.25, 1).grad([1.5, -2.0]),
+                                  [[0.75, -1.0]])
+
+
 def test_default_regularizer_degree():
     assert default_regularizer(2.0).q == 2
     assert default_regularizer(4.0).q == 3

@@ -41,3 +41,21 @@ def test_output_digest_diff_names_a_moved_field(tmp_path):
         "sweep.csv\t1\testimate\t0.5\t0.55000000000000004\t0.1",
         "sweep.csv: largest relative difference 0.1",
         "1 differing fields in 2 files"]
+
+
+def test_output_digest_diff_names_a_moved_demo_line(tmp_path):
+    demo = ("outer loss 'quadratic':\n"
+            "   2 quadrature nodes -> residual 9.71e-17\n"
+            "   4 quadrature nodes -> residual 9.71e-17\n")
+    parent, change = (_outputs(tmp_path / d, _CSV) for d in "ab")
+    (parent / "demo_identity.txt").write_text(demo)
+    (change / "demo_identity.txt").write_text(
+        demo.replace("4 quadrature nodes -> residual 9.71e-17",
+                     "4 quadrature nodes -> residual 1.02e-16"))
+    proc = _diff(parent, change)
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines() == [
+        "demo_identity.txt\t3\tline"
+        "\t   4 quadrature nodes -> residual 9.71e-17"
+        "\t   4 quadrature nodes -> residual 1.02e-16\t-",
+        "1 differing fields in 3 files"]

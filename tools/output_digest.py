@@ -1,17 +1,22 @@
-"""Run every shipped config and ``gibbslab verify``, or compare two such runs.
+"""Run every shipped config, ``gibbslab verify`` and every demo, or compare
+two such runs.
 
 Usage, from any directory::
 
     python tools/output_digest.py run OUT_DIR [--repo ROOT]
     python tools/output_digest.py diff PARENT_DIR CHANGE_DIR
 
-``run`` executes ``ROOT/configs/*.json`` and ``verify`` with the package
-in ``ROOT/src`` (ROOT defaults to this checkout) and records each exit
-code in ``OUT_DIR/exit_codes.json``.  ``diff`` prints one tab-separated
-line per differing ``(file, row, field, parent, change, relative)``,
-where ``relative`` is ``|change - parent| / |parent|`` for two numbers
-and ``-`` otherwise, then each file's largest relative difference; JSON
-files are flattened to dotted paths.  It exits 1 when anything differs.
+``run`` executes ``ROOT/configs/*.json``, ``verify`` and
+``ROOT/demos/*.py`` with the package in ``ROOT/src`` (ROOT defaults to
+this checkout), writes the stdout of each demo to
+``OUT_DIR/demo_<name>.txt`` and records each exit code in
+``OUT_DIR/exit_codes.json``.  ``diff`` prints one tab-separated line per
+differing ``(file, row, field, parent, change, relative)``, where
+``relative`` is ``|change - parent| / |parent|`` for two numbers and
+``-`` otherwise, then each file's largest relative difference; JSON
+files are flattened to dotted paths, and a demo's stdout is compared
+line by line, its row the 1-based line number and its field ``line``.
+It exits 1 when anything differs.
 """
 
 import csv
@@ -32,6 +37,11 @@ def run(out: Path, root: Path) -> None:
     codes = {name: subprocess.run(
         [sys.executable, "-m", "gibbslab", *cmd, "--out", str(out)],
         env=env).returncode for name, cmd in jobs.items()}
+    for demo in sorted((root / "demos").glob("*.py")):
+        proc = subprocess.run([sys.executable, str(demo)], env=env,
+                              stdout=subprocess.PIPE, text=True)
+        (out / f"demo_{demo.stem}.txt").write_text(proc.stdout)
+        codes[f"demos/{demo.name}"] = proc.returncode
     (out / "exit_codes.json").write_text(json.dumps(codes, indent=1) + "\n")
 
 
@@ -46,9 +56,13 @@ def _flatten(node, path=""):
 
 
 def _records(path: Path) -> dict:
-    """``(row, field) -> value`` of a CSV, ``("", path) -> value`` of JSON."""
+    """``(row, field) -> value`` of a CSV, ``("", path) -> value`` of JSON,
+    ``(line, "line") -> text`` of a demo's stdout."""
     if not path.exists():
         return {}
+    if path.suffix == ".txt":
+        return {(i, "line"): line for i, line
+                in enumerate(path.read_text().splitlines(), start=1)}
     if path.suffix == ".csv":
         with path.open() as fh:
             return {(i, f): v for i, row in enumerate(csv.DictReader(fh))
@@ -69,7 +83,7 @@ def _relative(old, new):
 
 def diff(parent: Path, change: Path) -> int:
     names = sorted({p.name for d in (parent, change) for p in d.iterdir()
-                    if p.suffix in (".csv", ".json")})
+                    if p.suffix in (".csv", ".json", ".txt")})
     count, largest = 0, {}
     for name in names:
         a, b = _records(parent / name), _records(change / name)
