@@ -9,7 +9,8 @@ A config file is a JSON object naming one experiment (``verify``,
 ``gibbs-solve``, ``gen-sweep``, ``bounds``, ``mfld-vs-grid``,
 ``gaussian-oracle``) together with model / gibbs / population /
 trainer / sweep blocks.  It is read once, against the table
-``_SCHEMA`` of every key it may hold; an unknown key is an error.
+``_SCHEMA`` of every key it may hold; an unknown key is an error, and
+so is a block that its experiment does not read (``_EXPERIMENTS``).
 Results are written once, as CSV (fixed ten-column schema) and/or
 JSON; floats carry 17 significant digits, so re-running a config
 reproduces its outputs byte for byte.  A
@@ -608,16 +609,21 @@ def _run_verify(cfg, exp_id, seed, out_dir):
 # ---------------------------------------------------------------------------
 # config table
 
-# each experiment's runner, and the trainer kinds and populations it runs:
-# a config that names any other is an error, never silently ignored
+# each experiment's runner, trainer kinds, populations and blocks (besides
+# _TOP): a config that names any other is an error, never silently ignored
+_TOP = ("experiment", "id")
+_BLOCKS = ("model", "population", "gibbs", "trainer", "sweep", "output")
 _EXPERIMENTS = {
     "gaussian-oracle": (_run_gaussian_oracle, ("explicit_gaussian_mean",),
-                        ("gaussian",)),
-    "gen-sweep": (_run_gen_sweep, _TRAINERS, _POPULATIONS),
-    "bounds": (_run_bounds, ("gibbs_grid",), _POPULATIONS),
-    "mfld-vs-grid": (_run_mfld_vs_grid, ("mfld",), _POPULATIONS),
-    "gibbs-solve": (_run_gibbs_solve, ("gibbs_grid",), _POPULATIONS),
-    "verify": (_run_verify, (), ()),
+                        ("gaussian",),
+                        ("population", "trainer", "sweep", "output")),
+    "gen-sweep": (_run_gen_sweep, _TRAINERS, _POPULATIONS,
+                  _BLOCKS + ("routes",)),
+    "bounds": (_run_bounds, ("gibbs_grid",), _POPULATIONS,
+               _BLOCKS + ("schedule",)),
+    "mfld-vs-grid": (_run_mfld_vs_grid, ("mfld",), _POPULATIONS, _BLOCKS),
+    "gibbs-solve": (_run_gibbs_solve, ("gibbs_grid",), _POPULATIONS, _BLOCKS),
+    "verify": (_run_verify, (), (), ("sweep", "output")),
 }
 
 # Every key a config may hold: its kind, bound and default; a nested table
@@ -713,13 +719,17 @@ def _execute(raw, seed: Optional[int], out: Optional[str]) -> int:
     try:
         cfg = read_config(raw)
         experiment, exp_id = cfg.experiment, cfg.id
-        runner, trainers, populations = _EXPERIMENTS[experiment]
+        runner, trainers, populations, blocks = _EXPERIMENTS[experiment]
         for block, key, allowed in ((cfg.trainer, "kind", trainers),
                                     (cfg.population, "name", populations)):
             if key in block and getattr(block, key) not in allowed:
                 raise ConfigError(f"{block._path}{key}: {experiment} takes "
                                   f"{sorted(allowed) or 'none'}, got "
                                   f"{getattr(block, key)!r}")
+        unread = [f"{key}: {experiment} does not read this block" for key
+                  in _SCHEMA if key in cfg and key not in blocks + _TOP]
+        if unread:
+            raise ConfigError("; ".join(unread))
         if seed is None:
             seed = cfg.sweep.seed if "seed" in cfg.sweep \
                 or experiment != "verify" else 0

@@ -51,9 +51,10 @@ _MAX_MOMENT_ORDER = 8
 _ENUM_CAP = 1_000_000
 # out-of-sample batches hold _OOS_FACTOR * n samples
 _OOS_FACTOR = 10
-# grid of the explicit trainer: node count, and half-width in units of
-# its scale sigma_tilde / sqrt(n)
-_EXPLICIT_NODES = 257
+# grid of the explicit trainer: node count, and half-width in units of its
+# scale sigma_tilde / sqrt(n); on a Gaussian the rule's relative error, about
+# 2 exp(-2 pi^2 (N / 18)^2), and the mass past 9 scales are below rounding
+_EXPLICIT_NODES = 65
 _EXPLICIT_SPAN = 9.0
 
 
@@ -209,14 +210,17 @@ class PopulationModel:
     feature_dim = 0
     _expected_lp: dict = {}
 
-    def sample(self, rng: np.random.Generator, size: int):
-        """``(xs, ys)`` of ``size`` samples drawn from ``rng``.
-
-        Contract: on the same stream, ``sample(rng, k)`` returns the first
-        ``k`` rows of ``sample(rng, k + j)`` for every ``j >= 0``; the
-        replicate record draws once and routes read prefixes of it.
-        """
+    def sample_batch(self, rngs: Sequence[np.random.Generator], size: int):
+        """``xs`` (B, size, q) and ``ys`` (B, size), row ``r`` drawn from
+        ``rngs[r]`` alone.  Contract: on one stream, a row of ``size`` ``k``
+        is the first ``k`` samples of a row of ``size`` ``k + j``; the
+        replicate record draws once and routes read prefixes of it."""
         raise NotImplementedError
+
+    def sample(self, rng: np.random.Generator, size: int):
+        """``(xs, ys)`` of ``size`` samples of ``rng``: a one-row batch."""
+        xs, ys = self.sample_batch([rng], size)
+        return xs[0], ys[0]
 
     def moment_one_plus_sq(self, k: int) -> float:
         raise NotImplementedError
@@ -261,9 +265,11 @@ class GaussianScalarPopulation(PopulationModel):
         self._expected_lp = {"mean_squared": lambda th: (th[:, 0] - mu) ** 2
                              + sigma ** 2}
 
-    def sample(self, rng, size):
-        ys = self.mu + self.sigma * rng.standard_normal(size)
-        return np.zeros((size, 0)), ys
+    def sample_batch(self, rngs, size):
+        z = np.empty((len(rngs), size))
+        for rng, row in zip(rngs, z):
+            rng.standard_normal(out=row)
+        return np.zeros(z.shape + (0,)), self.mu + self.sigma * z
 
     def moment_one_plus_sq(self, k):
         self._check_order(k)
@@ -288,9 +294,12 @@ class NoiselessLinePopulation(PopulationModel):
         self._expected_lp = {"linear_regression": lambda th: (
             slope - th[:, 0]) ** 2 * x_sigma ** 2}
 
-    def sample(self, rng, size):
-        xs = self.x_sigma * rng.standard_normal((size, 1))
-        return xs, self.slope * xs[:, 0]
+    def sample_batch(self, rngs, size):
+        z = np.empty((len(rngs), size, 1))
+        for rng, row in zip(rngs, z):
+            rng.standard_normal(out=row)
+        z *= self.x_sigma
+        return z, self.slope * z[..., 0]
 
     def moment_one_plus_sq(self, k):
         self._check_order(k)
@@ -317,8 +326,9 @@ class DiscretePopulation(PopulationModel):
             else np.zeros((len(self.points), 0))
         self._ys = np.array([p.y for p in self.points])
 
-    def sample(self, rng, size):
-        idx = rng.choice(len(self.points), size=size, p=self.probs)
+    def sample_batch(self, rngs, size):
+        idx = np.array([rng.choice(len(self.points), size=size, p=self.probs)
+                        for rng in rngs])
         return self._xs[idx], self._ys[idx]
 
     def moment_one_plus_sq(self, k):
@@ -557,17 +567,17 @@ class _Block:
     """The replicates ``reps`` of an experiment, held as arrays.
 
     Replicate ``r`` draws ``n + 2`` samples of its ``(seed, r, 0)``
-    stream; the draws are stacked into ``xs`` (B, n + 2, q) and ``ys``
-    (B, n + 2).  The dataset ``nu`` is the first ``n`` columns and
-    ``z_bar`` the two after them.  Populations sample in prefix order, so
-    a route that reads only ``n`` or ``n + 1`` columns sees the numbers of
-    a shorter draw.  Trained batches are computed on first use and kept,
-    so each dataset is trained at most once whichever routes read it.
-    Swapped batches train ``m`` first, so a stochastic trainer draws its
-    seeds from each replicate's ``(seed, r, 2)`` stream in a fixed order.
-    That stream is made only for stochastic trainers, and the
-    out-of-sample stream ``(seed, r, 1)`` only when the population has no
-    analytic average.  Every term is a (B,) array.
+    stream; one ``pop.sample_batch`` call draws the block into ``xs``
+    (B, n + 2, q) and ``ys`` (B, n + 2).  The dataset ``nu`` is the first
+    ``n`` columns and ``z_bar`` the two after them.  Populations sample in
+    prefix order, so a route that reads only ``n`` or ``n + 1`` columns
+    sees the numbers of a shorter draw.  Trained batches are computed on
+    first use and kept, so each dataset is trained at most once whichever
+    routes read it.  Swapped batches train ``m`` first, so a stochastic
+    trainer draws its seeds from each replicate's ``(seed, r, 2)`` stream
+    in a fixed order.  That stream is made only for stochastic trainers,
+    and the out-of-sample stream ``(seed, r, 1)`` only when the population
+    has no analytic average.  Every term is a (B,) array.
     """
 
     def __init__(self, trainer, pop, model, n: int, seed: int, reps: range):
@@ -582,13 +592,8 @@ class _Block:
         return len(self.reps)
 
     def _draw(self, stream: int, size: int):
-        rngs = _streams(self.seed, self.reps, stream)
-        x0, y0 = self.pop.sample(rngs[0], size)
-        xs = np.empty((len(rngs),) + x0.shape, x0.dtype)
-        ys = np.empty((len(rngs),) + y0.shape, y0.dtype)
-        xs[0], ys[0] = x0, y0
-        for row, rng in enumerate(rngs[1:], 1):
-            xs[row], ys[row] = self.pop.sample(rng, size)
+        xs, ys = self.pop.sample_batch(_streams(self.seed, self.reps, stream),
+                                       size)
         if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
             raise ValueError("non-finite atom or weight")
         return xs, ys

@@ -1,5 +1,6 @@
 """Tests for the experiment runner: configs, CSV schema, exit codes."""
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -415,6 +416,78 @@ def test_each_experiment_refuses_other_trainers_and_populations(
                        f"{sorted(cli._TRAINERS)}, got {value!r}")
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not any(out.glob("*"))
+
+
+# a valid body of each block that some experiment does not read; the
+# trainer and population name no kind, which is checked first
+_BLOCK_BODIES = {
+    "routes": ["direct"],
+    "model": {"variant": "expected_param", "param_loss": "linear_regression"},
+    "population": {"mu": 0.0, "sigma": 1.0},
+    "gibbs": {"beta": 0.5},
+    "trainer": {"sigma_tilde": 1.0},
+    "schedule": {"mode": "wge_n14", "m_bar": {"center": 0.5, "scale": 0.2}},
+}
+
+
+def _reads(experiment):
+    return set(cli._EXPERIMENTS[experiment][3] + cli._TOP)
+
+
+@pytest.mark.parametrize("experiment, block", [
+    (experiment, block) for experiment in sorted(EXPERIMENT_CFGS)
+    for block in sorted(_BLOCK_BODIES) if block not in _reads(experiment)])
+def test_a_block_the_experiment_does_not_read_is_an_error(
+        tmp_path, capsys, monkeypatch, experiment, block):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setitem(cli._EXPERIMENTS, experiment,
+                        (no_work,) + cli._EXPERIMENTS[experiment][1:])
+    cfg = experiment_cfg(experiment)
+    assert block not in cfg
+    cfg[block] = _BLOCK_BODIES[block]
+    out = tmp_path / "out"
+    assert cli.run(write_config(tmp_path, cfg), out=str(out)) == 1
+    assert capsys.readouterr().err == (
+        f"config error: {block}: {experiment} does not read this block\n")
+    assert not out.exists()
+
+
+def test_every_unread_block_is_named_in_one_error(tmp_path, capsys):
+    cfg = dict(shipped("gibbs_solve_nn.json"), routes=["lge"],
+               schedule=_BLOCK_BODIES["schedule"])
+    out = tmp_path / "out"
+    assert cli.run(write_config(tmp_path, cfg), out=str(out)) == 1
+    assert capsys.readouterr().err == (
+        "config error: routes: gibbs-solve does not read this block; "
+        "schedule: gibbs-solve does not read this block\n")
+    assert not out.exists()
+    # a block left at its schema default is not given, and not an error
+    assert "routes" not in cli.read_config(shipped("gibbs_solve_nn.json"))
+
+
+def _perfbench_configs(tmp_path):
+    """The experiment configs the benchmark's CLI workloads generate."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    bodies = []
+    for cls in workloads.WORKLOADS.values():
+        if issubclass(cls, workloads._CliWorkload):
+            work = cls(1, tmp_path)
+            work.setup()
+            bodies += [body for _, body in work.configs]
+    return bodies
+
+
+def test_shipped_and_benchmark_configs_hold_only_blocks_they_read(tmp_path):
+    bodies = [json.loads(p.read_text()) for p in CONFIGS.glob("*.json")]
+    generated = _perfbench_configs(tmp_path)
+    assert len(generated) >= 6
+    for body in bodies + generated:
+        assert set(body) <= _reads(body["experiment"]), body["id"]
 
 
 @pytest.mark.parametrize("change, message", [

@@ -159,6 +159,39 @@ def test_explicit_trainer_matches_its_description():
         ExplicitGaussianMeanTrainer(0.0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 80, 10 ** 4])
+@pytest.mark.parametrize("sigma_tilde", [0.5, 1.0, 3.0])
+def test_explicit_trainer_rule_is_exact_to_rounding(n, sigma_tilde):
+    # the mean and the variance of the grid law are those of
+    # N(mean(ys), sigma_tilde^2 / n) to rounding, on population-like data
+    ys = np.random.default_rng([n, int(10 * sigma_tilde)]).standard_normal(
+        (4, n))
+    m = ExplicitGaussianMeanTrainer(sigma_tilde).train_batch(
+        np.zeros((4, n, 0)), ys)
+    s = sigma_tilde / math.sqrt(n)
+    for r in range(4):
+        mean = m[r].mean()[0]
+        var = m[r].integrate(lambda th: (th[:, 0] - mean) ** 2)
+        assert abs(mean - ys[r].mean()) <= 1e-14 * s
+        assert abs(var - s * s) <= 1e-14 * s * s
+
+
+@pytest.mark.parametrize("n", [5, 80])
+def test_explicit_routes_match_a_finer_rule(monkeypatch, n):
+    model, pop = gaussian_mean_setup()
+    routes = ["direct", "resampled", "lge", "convex_lower"]
+
+    def estimates():
+        out = estimate_routes(ExplicitGaussianMeanTrainer(1.0), pop, model,
+                              n, 2000, 3, routes)
+        ests = [out[r] for r in routes[:3]] + list(out["convex_lower"][:2])
+        return np.array([(e.value, e.stderr) for e in ests])
+
+    got = estimates()
+    monkeypatch.setattr(genbench, "_EXPLICIT_NODES", 257)
+    np.testing.assert_allclose(got, estimates(), rtol=1e-13, atol=0)
+
+
 def test_grid_trainer_roundtrip_and_with_beta():
     model, pop = noiseless_line_setup()
     trainer = GridGibbsTrainer(model, WEAK_CFG)
@@ -263,16 +296,55 @@ def test_convex_lower_bound_is_exact_for_param_losses():
 # the replicate record
 
 
+def _population(which):
+    return {"gaussian": GaussianScalarPopulation(0.3, 1.2),
+            "line": NoiselessLinePopulation(0.5, 2.0),
+            "discrete": DiscretePopulation(
+                [DataPoint(np.array([0.0]), -1.0),
+                 DataPoint(np.array([1.0]), 0.5),
+                 DataPoint(np.array([2.0]), 2.0)], [0.2, 0.5, 0.3])}[which]
+
+
+def _one_stream(pop, rng, size):
+    """``pop``'s draw of ``size`` samples from the one stream ``rng``,
+    written out for each shipped population."""
+    if isinstance(pop, GaussianScalarPopulation):
+        return (np.zeros((size, 0)),
+                pop.mu + pop.sigma * rng.standard_normal(size))
+    if isinstance(pop, NoiselessLinePopulation):
+        xs = pop.x_sigma * rng.standard_normal((size, 1))
+        return xs, pop.slope * xs[:, 0]
+    idx = rng.choice(len(pop.points), size=size, p=pop.probs)
+    return pop._xs[idx], pop._ys[idx]
+
+
+@pytest.mark.parametrize("rows", [1, 7, 64])
+@pytest.mark.parametrize("which", ["gaussian", "line", "discrete"])
+def test_sample_batch_rows_are_the_one_stream_draws(which, rows):
+    pop, size = _population(which), 9
+
+    def fresh():
+        return [np.random.default_rng([11, r]) for r in range(rows)]
+
+    xs, ys = pop.sample_batch(fresh(), size)
+    assert xs.shape == (rows, size, pop.feature_dim)
+    assert ys.shape == (rows, size)
+    for r, (rng, rng_formula) in enumerate(zip(fresh(), fresh())):
+        x1, y1 = pop.sample(rng, size)
+        x2, y2 = _one_stream(pop, rng_formula, size)
+        for got, want in ((xs[r], x1), (ys[r], y1), (xs[r], x2), (ys[r], y2)):
+            np.testing.assert_array_equal(got, want)
+    for k in (0, 1, size - 1):
+        xs_k, ys_k = pop.sample_batch(fresh(), k)
+        np.testing.assert_array_equal(xs_k, xs[:, :k])
+        np.testing.assert_array_equal(ys_k, ys[:, :k])
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(0, 30),
        which=st.sampled_from(["gaussian", "line", "discrete"]))
 def test_population_sample_is_prefix_stable(seed, k, which):
-    pop = {"gaussian": GaussianScalarPopulation(0.3, 1.2),
-           "line": NoiselessLinePopulation(0.5, 2.0),
-           "discrete": DiscretePopulation(
-               [DataPoint(np.array([0.0]), -1.0),
-                DataPoint(np.array([1.0]), 0.5),
-                DataPoint(np.array([2.0]), 2.0)], [0.2, 0.5, 0.3])}[which]
+    pop = _population(which)
     xs_k, ys_k = pop.sample(np.random.default_rng(seed), k)
     xs, ys = pop.sample(np.random.default_rng(seed), k + 2)
     np.testing.assert_array_equal(xs_k, xs[:k])
@@ -591,10 +663,11 @@ class _MarkAtReplicate(GaussianScalarPopulation):
         super().__init__(0.0, 1.0)
         self.bad, self.value, self.at = bad, value, at
 
-    def sample(self, rng, size):
-        xs, ys = super().sample(rng, size)
-        if rng.bit_generator.seed_seq.entropy[1] == self.bad:
-            ys[self.at] = self.value
+    def sample_batch(self, rngs, size):
+        xs, ys = super().sample_batch(rngs, size)
+        for rng, row in zip(rngs, ys):
+            if rng.bit_generator.seed_seq.entropy[1] == self.bad:
+                row[self.at] = self.value
         return xs, ys
 
 
