@@ -114,6 +114,9 @@ def _read(spec, val, path: str, problems: list, names: dict):
                               f"got {val!r}")
         items = tuple(_read(bound, item, f"{path}[{i}]", problems, names)
                       for i, item in enumerate(val))
+        for i, item in enumerate(items):
+            if getattr(bound, "kind", None) == "choice" and item in items[:i]:
+                raise ConfigError(f"{path}: {item!r} is given twice")
         if kind == "sizes" and any(b <= a for a, b in zip(items, items[1:])):
             raise ConfigError(f"{path}: expected a strictly increasing list, "
                               f"got {val!r}")
@@ -389,17 +392,26 @@ def _run_bounds(cfg, exp_id, seed, out_dir):
     return rows, None
 
 
+def _one_dataset(cfg, pop, seed):
+    """``(n, nu)``: the one dataset; more sizes or replicates are errors."""
+    n, what = cfg.sweep.n, f"{cfg.experiment} trains on one dataset"
+    bad = [f"sweep.n: {what}, got {len(n)} sizes"] if len(n) > 1 else []
+    if "replicates" in cfg.sweep:
+        bad.append(f"sweep.replicates: {what}, not replicates")
+    if bad:
+        raise ConfigError("; ".join(bad))
+    xs, ys = pop.sample(genbench._rng(seed, 0, 0), n[0])
+    return n[0], measures.empirical_from_arrays(xs, ys)
+
+
 def _run_mfld_vs_grid(cfg, exp_id, seed, out_dir):
     model, pop, gcfg, _ = _setup(cfg)
-    n = cfg.sweep.n[0]
     t = cfg.trainer
     n_particles = t.n_particles
     if n_particles < 2:  # the standard errors divide by n_particles - 1
         raise ConfigError(f"trainer.n_particles: must be >= 2, "
                           f"got {n_particles}")
-
-    xs, ys = pop.sample(genbench._rng(seed, 0, 0), n)
-    nu = measures.empirical_from_arrays(xs, ys)
+    n, nu = _one_dataset(cfg, pop, seed)
     sol = gibbs.solve_gibbs(model, nu, gcfg, damping=t.damping, tol=t.tol,
                             max_iter=t.max_iter)
     part = gibbs.mfld_sample(model, nu, gcfg, seed=seed,
@@ -426,9 +438,7 @@ def _run_mfld_vs_grid(cfg, exp_id, seed, out_dir):
 
 def _run_gibbs_solve(cfg, exp_id, seed, out_dir):
     model, pop, gcfg, trainer = _setup(cfg)
-    n = cfg.sweep.n[0]
-    xs, ys = pop.sample(genbench._rng(seed, 0, 0), n)
-    nu = measures.empirical_from_arrays(xs, ys)
+    n, nu = _one_dataset(cfg, pop, seed)
     sol = trainer.solve(nu)
     mom = sol.measure.moment(gcfg.p)
     mom_bound = gibbs.prior_moment_bound(model, nu, gcfg)
@@ -630,10 +640,10 @@ _EXPERIMENTS = {
 # is a block.  The bound is the minimum of a number or int, the maximum of
 # a positive (a number in (0, bound]), the values of a choice and the spec
 # of each item of a list or sizes (a key, or a table for items that are
-# objects).  Both are non-empty, and the items of sizes strictly increase.
-# A seed is an int in [0, 2**64).  A key with no default is required
-# where it is read; a None default also takes null; a str default may
-# name {experiment} and {id}.
+# objects).  Both are non-empty, the items of sizes strictly increase and
+# a list holds each choice once.  A seed is an int in [0, 2**64).  A key
+# with no default is required where it is read; a None default also takes
+# null; a str default may name {experiment} and {id}.
 _SCHEMA = {
     "experiment": _Key("choice", tuple(_EXPERIMENTS)),
     "id": _Key("str", default="{experiment}"),

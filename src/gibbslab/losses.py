@@ -41,8 +41,6 @@ import numpy as np
 
 from .measures import DataMeasure, DataPoint, as_rows, row_dot
 
-# elements of the largest lp array one batched call may build
-_LP_ELEMENTS = 1 << 18
 # elements of the largest feature array one NNLoss.predict call may build
 _PHI_ELEMENTS = 1 << 22
 
@@ -342,8 +340,8 @@ class ExpectedParamLoss:
         and :meth:`lp_sums` is ``psi(theta - c) . sum_i w_i coef(z_i, c)``
         about the data's centre: the terms of the expansion stay the size
         of the loss, so the rounding does too.  Without them ``lp`` is
-        evaluated at every atom and node; that path is the oracle of the
-        separable one.
+        evaluated at every atom and node, one row of data at a time; that
+        path is the oracle of the separable one.
     """
 
     variant = "expected_param"
@@ -381,29 +379,11 @@ class ExpectedParamLoss:
             c = row_dot(theta, weights)
             moments = row_dot(self.psi(theta - c[..., None]), weights)
             out = _contract(self.coef(xs, ys, c), moments[..., None])
-        # one lp call per row of per-row nodes, else per chunk of rows
-        elif nodes.ndim == 3:
-            out = np.stack([self.lp(nodes[r], xs[r], ys[r]) @ weights[r]
-                            for r in range(len(ys))])
         else:
-            out = np.empty(ys.shape)
-            for lo, hi, vals in self._lp_chunks(nodes, xs, ys):
-                out[lo:hi] = [v @ w for v, w in zip(vals, weights[lo:hi])]
+            out = np.stack([self.lp(nodes if nodes.ndim == 2 else nodes[r],
+                                    xs[r], ys[r]) @ weights[r]
+                            for r in range(len(ys))])
         return _finite(out[0] if one else out)
-
-    def _lp_chunks(self, nodes, xs, ys):
-        """``(lo, hi, vals)`` over the rows of ``xs`` (B, k, q), ``ys``
-        (B, k): ``vals`` (hi - lo, k, N) holds ``lp`` on the shared
-        ``nodes`` (N, d) for as many rows as ``_LP_ELEMENTS`` allows."""
-        b, k = ys.shape
-        n_nodes = nodes.shape[0]
-        step = max(1, _LP_ELEMENTS // max(1, k * n_nodes))
-        for lo in range(0, b, step):
-            hi = min(lo + step, b)
-            vals = self.lp(nodes,
-                           xs[lo:hi].reshape((hi - lo) * k, xs.shape[-1]),
-                           ys[lo:hi].reshape(-1))
-            yield lo, hi, vals.reshape(hi - lo, k, n_nodes)
 
     def lp_sums(self, nodes, xs, ys, weights, shift=None) -> np.ndarray:
         """Weighted sums ``sum_i weights[i] (lp(theta, z_ri) - shift[r, i])``,
@@ -418,12 +398,10 @@ class ExpectedParamLoss:
             if shift is not None:
                 out -= row_dot(shift, weights)[:, None]
             return out
-        out = np.empty((ys.shape[0], nodes.shape[0]))
-        for lo, hi, vals in self._lp_chunks(nodes, xs, ys):
-            if shift is not None:
-                vals = vals - shift[lo:hi, :, None]
-            out[lo:hi] = weights @ vals
-        return out
+        rows = (self.lp(nodes, x, y) for x, y in zip(xs, ys))
+        if shift is not None:  # per atom: off the sum, large terms cancel
+            rows = (v - s[:, None] for v, s in zip(rows, shift))
+        return np.stack([weights @ v for v in rows])
 
     def dm(self, m, xs, ys, weights, theta, centered: bool = True
            ) -> np.ndarray:

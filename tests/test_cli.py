@@ -467,6 +467,53 @@ def test_every_unread_block_is_named_in_one_error(tmp_path, capsys):
     assert "routes" not in cli.read_config(shipped("gibbs_solve_nn.json"))
 
 
+@pytest.mark.parametrize("sweep, message", [
+    ({"n": [8, 16]}, "sweep.n: {} trains on one dataset, got 2 sizes"),
+    ({"replicates": 50},
+     "sweep.replicates: {} trains on one dataset, not replicates"),
+    ({"n": [8, 16, 32], "replicates": 2},
+     "sweep.n: {} trains on one dataset, got 3 sizes; "
+     "sweep.replicates: {} trains on one dataset, not replicates"),
+])
+@pytest.mark.parametrize("experiment", ["gibbs-solve", "mfld-vs-grid"])
+def test_single_dataset_experiments_refuse_sweep_keys_they_ignore(
+        tmp_path, capsys, monkeypatch, experiment, sweep, message):
+    # both train on the first size alone: a second size or a replicate
+    # count would go unread
+    def no_work(*args, **kwargs):
+        raise AssertionError("the experiment trained")
+
+    for name in ("solve_gibbs", "mfld_sample"):
+        monkeypatch.setattr(cli.gibbs, name, no_work)
+    monkeypatch.setattr(cli.genbench.GridGibbsTrainer, "solve", no_work)
+    cfg = experiment_cfg(experiment)
+    assert "replicates" not in cfg["sweep"]
+    cfg["sweep"].update(sweep)
+    out = tmp_path / "out"
+    assert cli.run(write_config(tmp_path, cfg), out=str(out)) == 1
+    assert capsys.readouterr().err == (
+        f"config error: {message.format(experiment, experiment)}\n")
+    assert not any(out.glob("*"))
+
+
+def test_a_route_given_twice_is_an_error(tmp_path, capsys):
+    cfg = dict(shipped("gen_sweep_explicit.json"),
+               routes=["direct", "resampled", "direct", "resampled"])
+    out = tmp_path / "out"
+    assert cli.run(write_config(tmp_path, cfg), out=str(out)) == 1
+    assert capsys.readouterr().err == (
+        "config error: routes: 'direct' is given twice\n")
+    assert not out.exists()
+    # numbers and points may repeat: only a list of choices holds each once
+    cfg = json.loads(json.dumps(SWEEP_CFG))
+    cfg["population"] = {"name": "discrete",
+                         "points": [{"x": [1.0, 1.0], "y": 0.5}] * 2,
+                         "probs": [0.5, 0.5]}
+    read = cli.read_config(cfg).population
+    assert read.probs == (0.5, 0.5) and read.points[0].x == (1.0, 1.0)
+    assert len(read.points) == 2
+
+
 def _perfbench_configs(tmp_path):
     """The experiment configs the benchmark's CLI workloads generate."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -488,6 +535,10 @@ def test_shipped_and_benchmark_configs_hold_only_blocks_they_read(tmp_path):
     assert len(generated) >= 6
     for body in bodies + generated:
         assert set(body) <= _reads(body["experiment"]), body["id"]
+        # distinct routes, and one dataset where the experiment trains one
+        cfg = cli.read_config(body)
+        if body["experiment"] in ("gibbs-solve", "mfld-vs-grid"):
+            cli._one_dataset(cfg, cli.build_population(cfg), cfg.sweep.seed)
 
 
 @pytest.mark.parametrize("change, message", [
@@ -637,7 +688,7 @@ def test_gibbs_solve_writes_json_summary(tmp_path):
         "population": {"name": "noiseless_line", "slope": 0.5},
         "gibbs": {"beta": 0.5, "sigma": 1.0, "p": 4, "kappa": 0.05, "q": 3},
         "trainer": {"kind": "gibbs_grid", "damping": 1.0, "tol": 1e-10},
-        "sweep": {"n": [8], "replicates": 2, "seed": 1},
+        "sweep": {"n": [8], "seed": 1},
         "output": {"json": "solve.json"},
     }
     assert cli.run(write_config(tmp_path, cfg), out=str(tmp_path)) == 0
@@ -659,7 +710,7 @@ def test_expected_parameter_loss_needs_one_parameter_dimension(tmp_path,
         "population": {"name": "gaussian", "sigma": 1.0},
         "gibbs": {"beta": 0.5, "p": 4, "theta_dim": 2, "nodes": 17},
         "trainer": {"kind": "gibbs_grid", "damping": 1.0, "tol": 1e-10},
-        "sweep": {"n": [8], "replicates": 2, "seed": 1},
+        "sweep": {"n": [8], "seed": 1},
         "output": {"json": "solve.json"},
     }
     assert cli.run(write_config(tmp_path, cfg), out=str(tmp_path)) == 1

@@ -463,6 +463,39 @@ def _build_model(name, q):
     return factory(), 1
 
 
+@pytest.mark.parametrize("per_row", [False, True])
+@pytest.mark.parametrize("name", ["linear_regression", "custom"])
+def test_lp_path_rows_equal_their_one_row_results(name, per_row):
+    # a loss given by lp alone is evaluated row by row: with 64 rows of 80
+    # atoms on 257 nodes, over 2^18 lp values a block, row r of each
+    # batched operation is bit for bit the result of row r on its own
+    model, d = _build_model(name, 1)
+    model = _lp_only(model)
+    rng = np.random.default_rng(11 + per_row)
+    b, k, n_nodes = 64, 80, 257
+    xs, ys = rng.standard_normal((b, k, 1)), rng.standard_normal((b, k))
+    nodes = rng.standard_normal((b, n_nodes, d) if per_row else (n_nodes, d))
+    m = MeasureBatch(nodes, 0.01, rng.uniform(0.1, 1.0, (b, n_nodes)),
+                     normalize=True)
+    theta = rng.standard_normal((n_nodes, d))
+    w = rng.uniform(0.5, 1.0, k)
+    shift = rng.standard_normal((b, k))
+    batched = (model.atom_losses(m, xs, ys),
+               model.lp_sums(theta, xs, ys, w),
+               model.lp_sums(theta, xs, ys, w, shift),
+               model.dm(m, xs, ys, w, theta),
+               model.dm(m, xs, ys, w, theta, centered=False))
+    for r in range(b):
+        x, y, one = xs[r], ys[r], slice(r, r + 1)
+        rows = (model.atom_losses(m[r], x, y),
+                model.lp_sums(theta, xs[one], ys[one], w)[0],
+                model.lp_sums(theta, xs[one], ys[one], w, shift[one])[0],
+                model.dm(m[r], x, y, w, theta),
+                model.dm(m[r], x, y, w, theta, centered=False))
+        for got, want in zip(batched, rows):
+            np.testing.assert_array_equal(got[r], want)
+
+
 @settings(max_examples=40, deadline=None)
 @given(model_name=st.sampled_from(_NN_MODELS + _PARAM_MODELS),
        k=st.integers(1, 4), on_grid=st.booleans(),

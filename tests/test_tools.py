@@ -1,5 +1,6 @@
 """Tests for the command-line tools under ``tools/``."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -59,3 +60,38 @@ def test_output_digest_diff_names_a_moved_demo_line(tmp_path):
         "\t   4 quadrature nodes -> residual 9.71e-17"
         "\t   4 quadrature nodes -> residual 1.02e-16\t-",
         "1 differing fields in 3 files"]
+
+
+_MODULE = '''def used():
+    return 1
+
+
+def unused():
+    return 2
+
+
+class K:
+    def method(self, x):
+        if x:
+            return 3
+        return 4
+'''
+
+
+def test_traffic_report_names_unrun_code_and_counts_lines(tmp_path):
+    spec = importlib.util.spec_from_file_location("_traffic",
+                                                  TOOLS / "traffic.py")
+    traffic = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traffic)
+    pkg = tmp_path / "src" / "gibbslab"
+    pkg.mkdir(parents=True)
+    (pkg / "mod.py").write_text(_MODULE)
+    (pkg / "other.py").write_text("X = 1\n\nY = 2\n")
+    ran = {(pkg / "mod.py").resolve(): {1, 2, 11, 13},
+           (pkg / "other.py").resolve(): {1, 3}}
+    assert traffic.report(pkg, ran).splitlines() == [
+        "mod.unused",
+        "1 functions not entered",
+        "mod: 13 lines, 5 of 9 executable lines not run: 5-6, 9-10, 12",
+        "other: 3 lines, 0 of 2 executable lines not run",
+        "src/gibbslab: 16 lines"]

@@ -11,11 +11,12 @@ default 0), all writing into a temporary directory, with the package
 imported from ``ROOT/src`` (ROOT defaults to this checkout).  It then
 prints, one per line as ``module.qualified_name``, every function or
 method defined in ``ROOT/src/gibbslab`` of which no body line ran, and
-their count.  Lambdas are not listed.  Last, for each module, it prints
-how many of its executable lines (those the compiled code maps an
-instruction to) never ran, and which: this shows the branches that no
-traffic takes inside functions that do run.  A failing config, check
-or workload pass is reported on stderr and the script goes on.
+their count.  Lambdas are not listed.  Then, for each module, it prints
+its line count and how many of its executable lines (those the compiled
+code maps an instruction to) never ran, and which: this shows the
+branches that no traffic takes inside functions that do run.  The line
+count of ``src/gibbslab`` ends the report.  A failing config, check or
+workload pass is reported on stderr and the script goes on.
 Nothing under ``ROOT/perfbench`` is written.
 """
 
@@ -74,6 +75,29 @@ def _ranges(lines) -> str:
     return ", ".join(f"{a}" if a == b else f"{a}-{b}" for a, b in out)
 
 
+def report(pkg: Path, ran: dict) -> str:
+    """The report on the modules ``pkg/*.py``, given the line numbers that
+    ``ran`` maps each resolved module path to: the functions of which no
+    body line ran and their count; for each module its line count and its
+    executable lines that did not run; last the package's line count."""
+    unreached, unrun, total = [], [], 0
+    for path in sorted(pkg.glob("*.py")):
+        lines = ran.get(path.resolve(), set())
+        for name, first, last in _functions(path):
+            if not any(first <= ln <= last for ln in lines):
+                unreached.append(f"{path.stem}.{name}")
+        code = _executable_lines(path)
+        missed = code - lines
+        size = len(path.read_text().splitlines())
+        total += size
+        unrun.append(f"{path.stem}: {size} lines, {len(missed)} of "
+                     f"{len(code)} executable lines not run"
+                     + (f": {_ranges(missed)}" if missed else ""))
+    return "\n".join(unreached + [f"{len(unreached)} functions not entered"]
+                     + unrun
+                     + [f"{pkg.parent.name}/{pkg.name}: {total} lines"])
+
+
 def _traffic(root: Path, seed: int, out: Path) -> None:
     """The configs, ``verify`` and one pass of each benchmark workload."""
     from gibbslab import cli
@@ -118,24 +142,10 @@ def main(argv=None) -> int:
     tracer = trace.Trace(count=1, trace=0)
     with tempfile.TemporaryDirectory() as tmp:
         tracer.runfunc(_traffic, root, args.seed, Path(tmp))
-    counts = tracer.results().counts
     ran = {}
-    for (filename, line), _ in counts.items():
+    for (filename, line), _ in tracer.results().counts.items():
         ran.setdefault(Path(filename).resolve(), set()).add(line)
-    unreached, unrun = [], []
-    for path in sorted(pkg.glob("*.py")):
-        lines = ran.get(path.resolve(), set())
-        for name, first, last in _functions(path):
-            if not any(first <= ln <= last for ln in lines):
-                unreached.append(f"{path.stem}.{name}")
-        code = _executable_lines(path)
-        missed = code - lines
-        unrun.append(f"{path.stem}: {len(missed)} of {len(code)} executable "
-                     f"lines not run" + (f": {_ranges(missed)}" if missed
-                                         else ""))
-    print("\n".join(unreached))
-    print(f"{len(unreached)} functions not entered")
-    print("\n".join(unrun))
+    print(report(pkg, ran))
     return 0
 
 
