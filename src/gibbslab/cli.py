@@ -10,10 +10,10 @@ A config file is a JSON object naming one experiment (``verify``,
 ``gaussian-oracle``) together with model / gibbs / population /
 trainer / sweep blocks.  It is read once, against the table
 ``_SCHEMA`` of every key it may hold; an unknown key is an error, and
-so is a block that its experiment does not read (``_EXPERIMENTS``).
-Results are written once, as CSV (fixed ten-column schema) and/or
-JSON; floats carry 17 significant digits, so re-running a config
-reproduces its outputs byte for byte.  A
+so is a block its experiment does not read (``_EXPERIMENTS``) or a key
+its trainer kind, population or model variant does not read.  Results
+are written once, as CSV (ten fixed columns) and/or JSON, with floats
+to 17 significant digits: a rerun reproduces them byte for byte.  A
 non-finite number in a JSON result is an error, never written.
 
 Exit codes: 0 success, 2 when any reported ``holds`` field is false,
@@ -145,17 +145,35 @@ def _read(spec, val, path: str, problems: list, names: dict):
 
 
 def read_config(raw) -> _Settings:
-    """The parsed JSON config ``raw`` read against ``_SCHEMA``: frozen
-    settings, or one :class:`ConfigError` naming every unknown key and
-    every bad value."""
+    """The parsed JSON config ``raw`` read against ``_SCHEMA``, then its
+    experiment's row of ``_EXPERIMENTS``: frozen settings, or one
+    :class:`ConfigError` naming every fault the failing stage finds."""
     if not isinstance(raw, dict):
         raise ConfigError("top level must be an object")
-    problems = []
-    names = {"experiment": raw.get("experiment"),
-             "id": raw.get("id", raw.get("experiment"))}
+    problems, exp = [], raw.get("experiment")
+    _, trainers, populations, blocks = _EXPERIMENTS.get(
+        str(exp), (None, _TRAINERS, _POPULATIONS, tuple(_SCHEMA)))
+    names = {"experiment": exp, "id": raw.get("id", exp),
+             "kind": next(iter(trainers or _TRAINERS))}
     cfg = _read(_SCHEMA, raw, "", problems, names)
     if problems:
         raise ConfigError("; ".join(problems))
+    unread = [f"{key}: {exp} does not read this block" for key in _SCHEMA
+              if key in cfg and key not in blocks + _TOP]
+    for block, key, table in (("trainer", "kind", trainers),
+                              ("population", "name", populations),
+                              ("model", "variant", _MODELS)):
+        b = getattr(cfg, block)
+        # a selector left out is the experiment's only value, if it has one
+        value = vars(b).get(key, [*table][0] if len(table) == 1 else None)
+        if key in b and value not in table:
+            raise ConfigError(f"{block}.{key}: {exp} takes "
+                              f"{sorted(table) or 'none'}, got {value!r}")
+        if block in blocks and value is not None:
+            unread += [f"{block}.{k}: {key} {value!r} does not read this key"
+                       for k in sorted(b._given - {key, *table[value]})]
+    if unread:
+        raise ConfigError("; ".join(unread))
     return cfg
 
 
@@ -170,8 +188,14 @@ def _settings(cfg) -> _Settings:
 _PARAM_LOSSES = {"mean_squared": losses.mean_squared_param_loss,
                  "linear_regression": losses.linear_regression_param_loss,
                  "zero": losses.zero_param_loss}
-_POPULATIONS = ("gaussian", "noiseless_line", "discrete")
-_TRAINERS = ("gibbs_grid", "explicit_gaussian_mean", "constant", "mfld")
+# each model.variant, population.name and trainer.kind: the keys it reads
+_MODELS = {"expected_param": ("param_loss",), "nn": ("activation", "outer")}
+_POPULATIONS = {"gaussian": ("mu", "sigma"), "discrete": ("points", "probs"),
+                "noiseless_line": ("slope", "x_sigma")}
+_TRAINERS = {"gibbs_grid": ("damping", "tol", "max_iter"),
+             "explicit_gaussian_mean": ("sigma_tilde",),
+             "constant": ("measure",),
+             "mfld": ("n_particles", "step_size", "n_steps")}
 
 
 def build_model(cfg):
@@ -290,6 +314,7 @@ def emit_csv(rows, path: Path) -> None:
                 raise ValueError(
                     f"{path}: non-finite value {float(value)!r} in field {f!r}")
         lines.append(",".join(_fmt(row.get(f)) for f in CSV_FIELDS))
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -312,6 +337,7 @@ def _write_json(payload, path: Path) -> None:
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text + "\n")
 
 
@@ -320,15 +346,13 @@ def _write_json(payload, path: Path) -> None:
 
 
 def _run_gaussian_oracle(cfg, exp_id, seed, out_dir):
-    sigma_tilde = cfg.trainer.sigma_tilde
-    pop = cfg.population
+    trainer, pop = build_trainer(cfg, None, None), cfg.population
     # the oracle's model: the population's spread defaults to the trainer's
     model, pop = genbench.gaussian_mean_setup(
-        pop.mu, pop.sigma if "sigma" in pop else sigma_tilde)
-    trainer = genbench.ExplicitGaussianMeanTrainer(sigma_tilde)
+        pop.mu, pop.sigma if "sigma" in pop else trainer.sigma_tilde)
     rows = []
     for n in cfg.sweep.n:
-        oracle = genbench.gaussian_mean_oracle(sigma_tilde, n)
+        oracle = genbench.gaussian_mean_oracle(trainer.sigma_tilde, n)
         ests = genbench.estimate_routes(trainer, pop, model, n,
                                         cfg.sweep.replicates, seed,
                                         ["direct", "resampled"])
@@ -406,8 +430,7 @@ def _one_dataset(cfg, pop, seed):
 
 def _run_mfld_vs_grid(cfg, exp_id, seed, out_dir):
     model, pop, gcfg, _ = _setup(cfg)
-    t = cfg.trainer
-    n_particles = t.n_particles
+    t, n_particles = cfg.trainer, cfg.trainer.n_particles
     if n_particles < 2:  # the standard errors divide by n_particles - 1
         raise ConfigError(f"trainer.n_particles: must be >= 2, "
                           f"got {n_particles}")
@@ -619,21 +642,25 @@ def _run_verify(cfg, exp_id, seed, out_dir):
 # ---------------------------------------------------------------------------
 # config table
 
-# each experiment's runner, trainer kinds, populations and blocks (besides
-# _TOP): a config that names any other is an error, never silently ignored
+# each experiment's runner, trainer kinds and populations (each mapped to
+# the keys it reads) and blocks besides _TOP; any other is a config error
 _TOP = ("experiment", "id")
 _BLOCKS = ("model", "population", "gibbs", "trainer", "sweep", "output")
 _EXPERIMENTS = {
-    "gaussian-oracle": (_run_gaussian_oracle, ("explicit_gaussian_mean",),
-                        ("gaussian",),
+    "gaussian-oracle": (_run_gaussian_oracle,
+                        {"explicit_gaussian_mean": ("sigma_tilde",)},
+                        {"gaussian": ("mu", "sigma")},
                         ("population", "trainer", "sweep", "output")),
     "gen-sweep": (_run_gen_sweep, _TRAINERS, _POPULATIONS,
                   _BLOCKS + ("routes",)),
-    "bounds": (_run_bounds, ("gibbs_grid",), _POPULATIONS,
-               _BLOCKS + ("schedule",)),
-    "mfld-vs-grid": (_run_mfld_vs_grid, ("mfld",), _POPULATIONS, _BLOCKS),
-    "gibbs-solve": (_run_gibbs_solve, ("gibbs_grid",), _POPULATIONS, _BLOCKS),
-    "verify": (_run_verify, (), (), ("sweep", "output")),
+    "bounds": (_run_bounds, {"gibbs_grid": _TRAINERS["gibbs_grid"]},
+               _POPULATIONS, _BLOCKS + ("schedule",)),
+    "mfld-vs-grid": (_run_mfld_vs_grid,  # its grid solve reads grid keys
+                     {"mfld": _TRAINERS["mfld"] + _TRAINERS["gibbs_grid"]},
+                     _POPULATIONS, _BLOCKS),
+    "gibbs-solve": (_run_gibbs_solve, {"gibbs_grid": _TRAINERS["gibbs_grid"]},
+                    _POPULATIONS, _BLOCKS),
+    "verify": (_run_verify, {}, {}, ("sweep", "output")),
 }
 
 # Every key a config may hold: its kind, bound and default; a nested table
@@ -643,19 +670,20 @@ _EXPERIMENTS = {
 # objects).  Both are non-empty, the items of sizes strictly increase and
 # a list holds each choice once.  A seed is an int in [0, 2**64).  A key
 # with no default is required where it is read; a None default also takes
-# null; a str default may name {experiment} and {id}.
+# null; a str default may name {experiment}, {id} and {kind}, the
+# experiment's first trainer kind.
 _SCHEMA = {
     "experiment": _Key("choice", tuple(_EXPERIMENTS)),
     "id": _Key("str", default="{experiment}"),
     "routes": _Key("list", _Key("choice", ("direct", "resampled",
                                            "representation", "lge")),
                    ("direct", "resampled")),
-    "model": {"variant": _Key("choice", ("expected_param", "nn")),
+    "model": {"variant": _Key("choice", tuple(_MODELS)),
               "activation": _Key("choice", tuple(losses._ACTIVATIONS), "tanh"),
               "outer": _Key("choice", tuple(losses._OUTER), "quadratic"),
               "param_loss": _Key("choice", tuple(_PARAM_LOSSES),
                                  "mean_squared")},
-    "population": {"name": _Key("choice", _POPULATIONS),
+    "population": {"name": _Key("choice", tuple(_POPULATIONS)),
                    "mu": _Key("number", default=0.0),
                    "sigma": _Key("positive", math.inf),
                    "slope": _Key("number"),
@@ -672,7 +700,7 @@ _SCHEMA = {
               "radius": _Key("number", 1e-12, None),
               "nodes": _Key("int", 8, 129),
               "theta_dim": _Key("int", 1, None)},  # None: the model's own
-    "trainer": {"kind": _Key("choice", _TRAINERS, "gibbs_grid"),
+    "trainer": {"kind": _Key("choice", tuple(_TRAINERS), "{kind}"),
                 "sigma_tilde": _Key("number", 1e-12, 1.0),
                 "measure": _Key("choice", ("prior", "tilt"), "prior"),
                 "damping": _Key("positive", 1.0, 1.0),
@@ -729,24 +757,12 @@ def _execute(raw, seed: Optional[int], out: Optional[str]) -> int:
     try:
         cfg = read_config(raw)
         experiment, exp_id = cfg.experiment, cfg.id
-        runner, trainers, populations, blocks = _EXPERIMENTS[experiment]
-        for block, key, allowed in ((cfg.trainer, "kind", trainers),
-                                    (cfg.population, "name", populations)):
-            if key in block and getattr(block, key) not in allowed:
-                raise ConfigError(f"{block._path}{key}: {experiment} takes "
-                                  f"{sorted(allowed) or 'none'}, got "
-                                  f"{getattr(block, key)!r}")
-        unread = [f"{key}: {experiment} does not read this block" for key
-                  in _SCHEMA if key in cfg and key not in blocks + _TOP]
-        if unread:
-            raise ConfigError("; ".join(unread))
         if seed is None:
             seed = cfg.sweep.seed if "seed" in cfg.sweep \
                 or experiment != "verify" else 0
         seed = _seed(seed, "seed")
         out_dir = Path(out if out is not None else cfg.output.dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        rows, code = runner(cfg, exp_id, seed, out_dir)
+        rows, code = _EXPERIMENTS[experiment][0](cfg, exp_id, seed, out_dir)
         if rows is None:
             return code
         csv_path = out_dir / cfg.output.csv

@@ -369,7 +369,7 @@ def test_unknown_keys_are_all_named_in_one_error(tmp_path, capsys,
     assert capsys.readouterr().err == (
         "config error: bogus_top: unknown key; sweep.bogus: unknown key; "
         "schedule.m_bar.bogus: unknown key\n")
-    assert not any(out.glob("*"))
+    assert not out.exists()
 
 
 def test_misspelled_keys_of_a_shipped_config_are_errors(tmp_path, capsys):
@@ -415,7 +415,7 @@ def test_each_experiment_refuses_other_trainers_and_populations(
         if takes else (f"{block}.{key}: expected one of "
                        f"{sorted(cli._TRAINERS)}, got {value!r}")
     assert capsys.readouterr().err == f"config error: {message}\n"
-    assert not any(out.glob("*"))
+    assert not out.exists()
 
 
 # a valid body of each block that some experiment does not read; the
@@ -493,7 +493,7 @@ def test_single_dataset_experiments_refuse_sweep_keys_they_ignore(
     assert cli.run(write_config(tmp_path, cfg), out=str(out)) == 1
     assert capsys.readouterr().err == (
         f"config error: {message.format(experiment, experiment)}\n")
-    assert not any(out.glob("*"))
+    assert not out.exists()
 
 
 def test_a_route_given_twice_is_an_error(tmp_path, capsys):
@@ -539,6 +539,169 @@ def test_shipped_and_benchmark_configs_hold_only_blocks_they_read(tmp_path):
         cfg = cli.read_config(body)
         if body["experiment"] in ("gibbs-solve", "mfld-vs-grid"):
             cli._one_dataset(cfg, cli.build_population(cfg), cfg.sweep.seed)
+
+
+@pytest.mark.parametrize("config, block, key, value, selected", [
+    ("gibbs_solve_nn.json", "trainer", "sigma_tilde", 3.0,
+     "kind 'gibbs_grid'"),
+    ("gibbs_solve_nn.json", "trainer", "n_particles", 10, "kind 'gibbs_grid'"),
+    ("gen_sweep_explicit.json", "trainer", "damping", 0.5,
+     "kind 'explicit_gaussian_mean'"),
+    ("gen_sweep_explicit.json", "trainer", "n_steps", 10,
+     "kind 'explicit_gaussian_mean'"),
+    ("gen_sweep_explicit.json", "population", "slope", 1.0, "name 'gaussian'"),
+    ("gen_sweep_explicit.json", "population", "points", [{"y": 0.0}],
+     "name 'gaussian'"),
+    ("gen_sweep_explicit.json", "population", "probs", [1.0],
+     "name 'gaussian'"),
+    ("gibbs_solve_nn.json", "population", "mu", 0.5, "name 'noiseless_line'"),
+    ("gen_sweep_explicit.json", "model", "activation", "relu",
+     "variant 'expected_param'"),
+    ("gen_sweep_explicit.json", "model", "outer", "logcosh",
+     "variant 'expected_param'"),
+    ("gibbs_solve_nn.json", "model", "param_loss", "zero", "variant 'nn'"),
+    ("gaussian_oracle.json", "trainer", "measure", "tilt",
+     "kind 'explicit_gaussian_mean'"),
+    # gaussian-oracle takes only the gaussian population: a left-out name
+    # reads as that one
+    (None, "population", "x_sigma", 2.0, "name 'gaussian'"),
+])
+def test_a_key_the_selected_value_does_not_read_is_an_error(
+        tmp_path, capsys, monkeypatch, config, block, key, value, selected):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the experiment trained")
+
+    monkeypatch.setattr(cli.genbench, "estimate_routes", no_work)
+    monkeypatch.setattr(cli.genbench.GridGibbsTrainer, "solve", no_work)
+    cfg = shipped(config) if config else json.loads(json.dumps(GAUSS_CFG))
+    cfg[block][key] = value
+    out = tmp_path / "out"
+    assert cli.run(write_config(tmp_path, cfg), out=str(out)) == 1
+    assert capsys.readouterr().err == (
+        f"config error: {block}.{key}: {selected} does not read this key\n")
+    assert not out.exists()
+
+
+def test_every_unread_key_is_named_in_one_error(tmp_path, capsys):
+    cfg = shipped("gen_sweep_explicit.json")
+    cfg["trainer"].update(n_steps=10, damping=0.5)
+    cfg["population"]["slope"] = 1.0
+    cfg["model"]["outer"] = "logcosh"
+    out = tmp_path / "out"
+    assert cli.run(write_config(tmp_path, cfg), out=str(out)) == 1
+    assert capsys.readouterr().err == (
+        "config error: trainer.damping: kind 'explicit_gaussian_mean' does "
+        "not read this key; trainer.n_steps: kind 'explicit_gaussian_mean' "
+        "does not read this key; population.slope: name 'gaussian' does not "
+        "read this key; model.outer: variant 'expected_param' does not read "
+        "this key\n")
+    assert not out.exists()
+
+
+def test_only_mfld_vs_grid_reads_grid_keys_beside_the_particle_keys(
+        tmp_path, capsys):
+    # its grid solve reads damping, tol and max_iter; a gen-sweep's
+    # particle trainer does not
+    cfg = shipped("mfld_vs_grid.json")
+    cfg["trainer"].update(damping=0.5, tol=1e-9, max_iter=20)
+    t = cli.read_config(cfg).trainer
+    assert (t.kind, t.damping, t.tol, t.max_iter) == ("mfld", 0.5, 1e-9, 20)
+    cfg = dict(shipped("gen_sweep_gibbs.json"),
+               trainer={"kind": "mfld", "n_steps": 10, "damping": 1.0})
+    out = tmp_path / "out"
+    assert cli.run(write_config(tmp_path, cfg), out=str(out)) == 1
+    assert capsys.readouterr().err == (
+        "config error: trainer.damping: kind 'mfld' does not read this key\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment, kind", [
+    ("gaussian-oracle", "explicit_gaussian_mean"),
+    ("gen-sweep", "gibbs_grid"),
+    ("bounds", "gibbs_grid"),
+    ("mfld-vs-grid", "mfld"),
+    ("gibbs-solve", "gibbs_grid"),
+    ("verify", "gibbs_grid"),  # read by no verify check
+])
+def test_a_config_naming_no_kind_runs_the_first_kind_its_experiment_takes(
+        experiment, kind):
+    cfg = experiment_cfg(experiment)
+    cfg.get("trainer", {}).pop("kind", None)
+    trainer = cli.read_config(cfg).trainer
+    assert "kind" not in trainer and trainer.kind == kind
+
+
+def test_selector_tables_name_every_key_of_their_block_and_no_other():
+    for block, key, table in (("trainer", "kind", cli._TRAINERS),
+                              ("population", "name", cli._POPULATIONS),
+                              ("model", "variant", cli._MODELS)):
+        schema = cli._SCHEMA[block]
+        assert schema[key].bound == tuple(table)  # the choices
+        read = [k for keys in table.values() for k in keys]
+        assert len(read) == len(set(read))
+        assert set(read) == set(schema) - {key}
+    for _, trainers, populations, _ in cli._EXPERIMENTS.values():
+        for block, key, sub, table in (
+                ("trainer", "kind", trainers, cli._TRAINERS),
+                ("population", "name", populations, cli._POPULATIONS)):
+            for value, keys in sub.items():
+                assert set(table[value]) <= set(keys)
+                assert set(keys) <= set(cli._SCHEMA[block]) - {key}
+
+
+def _changed(config, block, **keys):
+    cfg = shipped(config)
+    cfg[block].update(keys)
+    return cfg
+
+
+@pytest.mark.parametrize("cfg, message", [
+    (_changed("mfld_vs_grid.json", "trainer", n_particles=1),
+     "config error: trainer.n_particles: must be >= 2, got 1\n"),
+    (_changed("gibbs_solve_nn.json", "gibbs", theta_dim=3),
+     "config error: gibbs.theta_dim: a network on 1-feature data has "
+     "theta_dim 2, got 3\n"),
+    (dict(shipped("gibbs_solve_nn.json"),
+          population={"name": "gaussian", "sigma": 1.0}),
+     "config error: model.variant: a network needs data with at least one "
+     "feature, and the population has none\n"),
+    # a runtime error; the residual depends on the machine
+    (_changed("gibbs_solve_nn.json", "trainer", max_iter=1),
+     "error: [gibbs_solve_nn] no fixed point after 1 updates; "),
+], ids=["n_particles", "theta_dim", "featureless", "max_iter"])
+def test_a_failed_run_leaves_no_output(tmp_path, capsys, cfg, message):
+    out = tmp_path / "out" / "nested"
+    assert cli.run(write_config(tmp_path, cfg), out=str(out)) == 1
+    assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / "out").exists()
+
+
+def test_output_names_may_name_subdirectories(tmp_path):
+    cfg = dict(GAUSS_CFG, output={"csv": "csv/gauss.csv"})
+    assert cli.run(write_config(tmp_path, cfg), out=str(tmp_path / "a")) == 0
+    assert len((tmp_path / "a" / "csv" / "gauss.csv").read_text()
+               .splitlines()) == 5
+
+
+def test_readme_config_table_lists_every_schema_key():
+    lines = (Path(__file__).resolve().parents[1] / "README.md") \
+        .read_text().splitlines()
+    start = lines.index("| block | key | kind | range | default |") + 2
+    listed = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        block, key = (cell.strip().strip("`") for cell in line.split("|")[1:3])
+        listed.append(("" if block == "(top)" else block, key))
+
+    def leaves(spec, path):
+        for key, sub in spec.items():
+            if isinstance(sub, dict):
+                yield from leaves(sub, f"{path}.{key}".lstrip("."))
+            else:
+                yield path, key
+
+    assert listed == list(leaves(cli._SCHEMA, ""))
 
 
 @pytest.mark.parametrize("change, message", [
