@@ -10,11 +10,11 @@ A config file is a JSON object naming one experiment (``verify``,
 ``gaussian-oracle``) together with model / gibbs / population /
 trainer / sweep blocks.  It is read once, against the table
 ``_SCHEMA`` of every key it may hold; an unknown key is an error, and
-so is a block its experiment does not read (``_EXPERIMENTS``) or a key
-its trainer kind, population or model variant does not read.  Results
-are written once, as CSV (ten fixed columns) and/or JSON, with floats
-to 17 significant digits: a rerun reproduces them byte for byte.  A
-non-finite number in a JSON result is an error, never written.
+so is a block or key its experiment does not read (``_EXPERIMENTS``) or
+a key its trainer kind, population or model variant does not read.
+Results are written once, as CSV (ten fixed columns) and/or JSON, with
+floats to 17 significant digits: a rerun reproduces them byte for byte.
+A non-finite number in a JSON result is an error, never written.
 
 Exit codes: 0 success, 2 when any reported ``holds`` field is false,
 1 on configuration or runtime errors.
@@ -151,15 +151,21 @@ def read_config(raw) -> _Settings:
     if not isinstance(raw, dict):
         raise ConfigError("top level must be an object")
     problems, exp = [], raw.get("experiment")
-    _, trainers, populations, blocks = _EXPERIMENTS.get(
-        str(exp), (None, _TRAINERS, _POPULATIONS, tuple(_SCHEMA)))
+    _, trainers, populations, reads = _EXPERIMENTS.get(
+        str(exp), (None, _TRAINERS, _POPULATIONS, dict.fromkeys(_SCHEMA)))
     names = {"experiment": exp, "id": raw.get("id", exp),
              "kind": next(iter(trainers or _TRAINERS))}
     cfg = _read(_SCHEMA, raw, "", problems, names)
     if problems:
         raise ConfigError("; ".join(problems))
     unread = [f"{key}: {exp} does not read this block" for key in _SCHEMA
-              if key in cfg and key not in blocks + _TOP]
+              if key in cfg and key not in {*reads, *_TOP}]
+    if "gibbs" in cfg and "gibbs" in reads and cfg.trainer.kind in _GRIDLESS:
+        unread.append(f"gibbs: kind {cfg.trainer.kind!r} does not read "
+                      "this block")
+    unread += [f"{block}.{k}: {exp} does not read this key"
+               for block, keys in reads.items() if keys is not None
+               for k in sorted(getattr(cfg, block)._given - {*keys})]
     for block, key, table in (("trainer", "kind", trainers),
                               ("population", "name", populations),
                               ("model", "variant", _MODELS)):
@@ -169,7 +175,7 @@ def read_config(raw) -> _Settings:
         if key in b and value not in table:
             raise ConfigError(f"{block}.{key}: {exp} takes "
                               f"{sorted(table) or 'none'}, got {value!r}")
-        if block in blocks and value is not None:
+        if block in reads and value is not None:
             unread += [f"{block}.{k}: {key} {value!r} does not read this key"
                        for k in sorted(b._given - {key, *table[value]})]
     if unread:
@@ -196,6 +202,7 @@ _TRAINERS = {"gibbs_grid": ("damping", "tol", "max_iter"),
              "explicit_gaussian_mean": ("sigma_tilde",),
              "constant": ("measure",),
              "mfld": ("n_particles", "step_size", "n_steps")}
+_GRIDLESS = ("explicit_gaussian_mean",)  # kinds that read no gibbs block
 
 
 def build_model(cfg):
@@ -261,7 +268,7 @@ def _setup(cfg: _Settings):
     """``cfg``'s model, population, gibbs config (None for the closed-form
     trainer, which has no grid) and trainer."""
     model, pop = build_model(cfg), build_population(cfg)
-    gcfg = None if cfg.trainer.kind == "explicit_gaussian_mean" \
+    gcfg = None if cfg.trainer.kind in _GRIDLESS \
         else _gibbs_config(cfg, model, pop)
     return model, pop, gcfg, build_trainer(cfg, model, gcfg)
 
@@ -643,24 +650,27 @@ def _run_verify(cfg, exp_id, seed, out_dir):
 # config table
 
 # each experiment's runner, trainer kinds and populations (each mapped to
-# the keys it reads) and blocks besides _TOP; any other is a config error
+# the keys it reads) and blocks besides _TOP, each mapped to the keys it
+# reads (None: all); any other block or key is a config error
 _TOP = ("experiment", "id")
-_BLOCKS = ("model", "population", "gibbs", "trainer", "sweep", "output")
+_BLOCKS = dict.fromkeys(("model", "population", "gibbs", "trainer", "sweep"))
+_CSV, _JSON = {"output": ("dir", "csv")}, {"output": ("dir", "json")}
 _EXPERIMENTS = {
     "gaussian-oracle": (_run_gaussian_oracle,
                         {"explicit_gaussian_mean": ("sigma_tilde",)},
                         {"gaussian": ("mu", "sigma")},
-                        ("population", "trainer", "sweep", "output")),
+                        dict.fromkeys(("population", "trainer", "sweep"))
+                        | _CSV),
     "gen-sweep": (_run_gen_sweep, _TRAINERS, _POPULATIONS,
-                  _BLOCKS + ("routes",)),
+                  _BLOCKS | {"routes": None} | _CSV),
     "bounds": (_run_bounds, {"gibbs_grid": _TRAINERS["gibbs_grid"]},
-               _POPULATIONS, _BLOCKS + ("schedule",)),
+               _POPULATIONS, _BLOCKS | {"schedule": None} | _CSV),
     "mfld-vs-grid": (_run_mfld_vs_grid,  # its grid solve reads grid keys
                      {"mfld": _TRAINERS["mfld"] + _TRAINERS["gibbs_grid"]},
-                     _POPULATIONS, _BLOCKS),
+                     _POPULATIONS, _BLOCKS | _CSV),
     "gibbs-solve": (_run_gibbs_solve, {"gibbs_grid": _TRAINERS["gibbs_grid"]},
-                    _POPULATIONS, _BLOCKS),
-    "verify": (_run_verify, {}, {}, ("sweep", "output")),
+                    _POPULATIONS, _BLOCKS | _JSON),
+    "verify": (_run_verify, {}, {}, {"sweep": ("seed",)} | _JSON),
 }
 
 # Every key a config may hold: its kind, bound and default; a nested table

@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import threading
 from typing import Optional
 
 import numpy as np
@@ -29,6 +30,8 @@ from .measures import DataMeasure, GridMeasure, ParticleMeasure, uniform_grid
 
 # prior and tilted-prior mass left outside the automatic grid box
 TAIL_MASS = 1e-10
+# normals in each of the sampler's two noise blocks (at least one step)
+_NOISE_ELEMENTS = 1 << 16
 
 
 class GibbsConvergenceError(RuntimeError):
@@ -550,8 +553,10 @@ def mfld_sample(model, nu: DataMeasure, cfg: GibbsConfig, n_particles: int,
     + sqrt(h sigma^2 / beta^2) * xi``
     with ``m_hat`` the empirical particle measure, so the stationary law
     matches the exponential tilt fixed point.  Deterministic for a fixed
-    ``seed``.  Returns the cloud, a grid measure on the particles with
-    weight ``1/P`` each.
+    ``seed``: one helper thread draws the noise ahead, in blocks of
+    steps, and the particles are the serial stream's bit for bit,
+    whatever the timing or core count.  Returns the cloud, a grid
+    measure on the particles with weight ``1/P`` each.
 
     Raises
     ------
@@ -592,22 +597,46 @@ def mfld_sample(model, nu: DataMeasure, cfg: GibbsConfig, n_particles: int,
             f"step size {step_size} too large: h * temperature * L = "
             f"{step_size * cfg.temperature * lip:.3g} exceeds 0.25")
 
-    # pts is updated in place; noise is the buffer of the one reduction
-    # that serves both checks, a NaN propagating through the max
+    # a helper thread owns rng from here: it fills block i + 1 of k steps
+    # of scaled normals while this thread runs block i, and leaves a fault
+    # in done[i] for this thread to raise
     noise_scale = math.sqrt(step_size * cfg.sigma ** 2 / cfg.beta ** 2)
-    noise = np.empty_like(pts)
-    for step in range(n_steps):
-        d = _drift(model, nu, cfg, pts)
-        d *= step_size
-        pts -= d
-        rng.standard_normal(out=noise)
-        noise *= noise_scale
-        pts += noise
-        top = np.abs(pts, out=noise).max()
-        if np.isnan(top):
-            raise ValueError(f"non-finite particle after step {step + 1}")
-        if top > 10.0 * radius:
-            raise RuntimeError(
-                "particle system diverged (left ten box radii); "
-                "reduce the step size")
+    k = max(1, _NOISE_ELEMENTS // pts.size)
+    sizes = [min(k, n_steps - s) for s in range(0, n_steps, k)]
+    blocks, done = np.empty((2, k) + pts.shape), [None] * len(sizes)
+    sync = threading.Barrier(2)
+
+    def draw():
+        try:
+            for i, size in enumerate(sizes):
+                try:
+                    rng.standard_normal(out=blocks[i % 2, :size])
+                    blocks[i % 2, :size] *= noise_scale
+                except BaseException as exc:
+                    done[i] = exc
+                sync.wait()
+        except threading.BrokenBarrierError:  # the sampler stopped early
+            return
+    helper = threading.Thread(target=draw, daemon=True)
+    helper.start()
+    try:
+        for i, size in enumerate(sizes):
+            sync.wait()
+            if done[i] is not None:
+                raise done[i]
+            for step, noise in enumerate(blocks[i % 2, :size], i * k + 1):
+                d = _drift(model, nu, cfg, pts)
+                d *= step_size
+                pts -= d
+                pts += noise
+                top = np.abs(pts, out=d).max()  # a NaN propagates
+                if np.isnan(top):
+                    raise ValueError(f"non-finite particle after step {step}")
+                if top > 10.0 * radius:
+                    raise RuntimeError(
+                        "particle system diverged (left ten box radii); "
+                        "reduce the step size")
+    finally:
+        sync.abort()
+        helper.join()
     return ParticleMeasure(pts)

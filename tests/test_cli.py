@@ -431,7 +431,7 @@ _BLOCK_BODIES = {
 
 
 def _reads(experiment):
-    return set(cli._EXPERIMENTS[experiment][3] + cli._TOP)
+    return {*cli._EXPERIMENTS[experiment][3], *cli._TOP}
 
 
 @pytest.mark.parametrize("experiment, block", [
@@ -613,6 +613,62 @@ def test_only_mfld_vs_grid_reads_grid_keys_beside_the_particle_keys(
     assert capsys.readouterr().err == (
         "config error: trainer.damping: kind 'mfld' does not read this key\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment, keys, message", [
+    ("verify", {"sweep": {"n": [8]}}, "sweep.n: verify does not read this key"),
+    ("verify", {"sweep": {"replicates": 4}},
+     "sweep.replicates: verify does not read this key"),
+    ("verify", {"output": {"csv": "verify.csv"}},
+     "output.csv: verify does not read this key"),
+    ("verify", {"sweep": {"n": [8], "replicates": 4, "seed": 3},
+                "output": {"csv": "verify.csv", "json": "report.json"}},
+     "sweep.n: verify does not read this key; sweep.replicates: verify does "
+     "not read this key; output.csv: verify does not read this key"),
+    ("gen-sweep", {"output": {"json": "never.json"}},
+     "output.json: gen-sweep does not read this key"),
+    ("gibbs-solve", {"output": {"csv": "never.csv"}},
+     "output.csv: gibbs-solve does not read this key"),
+    ("gaussian-oracle", {"output": {"json": "never.json"}},
+     "output.json: gaussian-oracle does not read this key"),
+    ("bounds", {"output": {"json": "never.json"}},
+     "output.json: bounds does not read this key"),
+    ("mfld-vs-grid", {"output": {"json": "never.json"}},
+     "output.json: mfld-vs-grid does not read this key"),
+])
+def test_a_sweep_or_output_key_the_experiment_does_not_read_is_an_error(
+        tmp_path, capsys, monkeypatch, experiment, keys, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setitem(cli._EXPERIMENTS, experiment,
+                        (no_work,) + cli._EXPERIMENTS[experiment][1:])
+    cfg = experiment_cfg(experiment)
+    for block, body in keys.items():
+        cfg.setdefault(block, {}).update(body)
+    out = tmp_path / "out"
+    assert cli.run(write_config(tmp_path, cfg), out=str(out)) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_the_closed_form_trainer_reads_no_gibbs_block(tmp_path, capsys,
+                                                      monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the experiment trained")
+
+    monkeypatch.setattr(cli.genbench, "estimate_routes", no_work)
+    cfg = dict(shipped("gen_sweep_explicit.json"),
+               gibbs={"beta": 0.5, "nodes": 9})
+    out = tmp_path / "out"
+    assert cli.run(write_config(tmp_path, cfg), out=str(out)) == 1
+    assert capsys.readouterr().err == (
+        "config error: gibbs: kind 'explicit_gaussian_mean' does not read "
+        "this block\n")
+    assert not out.exists()
+    # a grid trainer in the same experiment reads it
+    cfg["trainer"] = {"kind": "gibbs_grid"}
+    assert cli.read_config(cfg).gibbs.nodes == 9
 
 
 @pytest.mark.parametrize("experiment, kind", [

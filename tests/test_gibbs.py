@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -654,3 +656,145 @@ def test_mfld_sample_matches_out_of_place_oracle(name, with_init):
     part = mfld_sample(model, nu, cfg, 64, 1e-3, 40, seed=9, init=init)
     ref = _oracle_mfld_sample(model, nu, cfg, 64, 1e-3, 40, seed=9, init=init)
     np.testing.assert_array_equal(part.points, ref.points)
+
+
+_SAMPLER_NAMES = [
+    "mean_squared", "linear_regression", "finite_difference", "zero",
+    *(f"nn-{act}-{outer}-{q}" for act in ("tanh", "sigmoid", "relu")
+      for outer in ("quadratic", "logcosh") for q in (1, 2))]
+
+
+# _NOISE_ELEMENTS as a function of P * d: 3 steps a block with a last
+# block of 1 (40 = 13 * 3 + 1), one block of 50 > 40 steps, and one step
+# a block when a step alone holds more normals than the constant
+@pytest.mark.parametrize("elements", [lambda pd: 3 * pd + pd - 1,
+                                      lambda pd: 50 * pd,
+                                      lambda pd: pd - 1],
+                         ids=["partial_last_block", "one_short_block",
+                              "one_step_blocks"])
+@pytest.mark.parametrize("with_init", [False, True])
+@pytest.mark.parametrize("name", _SAMPLER_NAMES)
+def test_mfld_sample_noise_blocks_match_oracle(monkeypatch, name, with_init,
+                                               elements):
+    model, nu, cfg = _sampler_case(name)
+    monkeypatch.setattr(gibbs, "_NOISE_ELEMENTS",
+                        elements(64 * cfg.theta_dim))
+    init = (0.3 * np.random.default_rng(4).standard_normal((64, cfg.theta_dim))
+            if with_init else None)
+    part = mfld_sample(model, nu, cfg, 64, 1e-3, 40, seed=9, init=init)
+    ref = _oracle_mfld_sample(model, nu, cfg, 64, 1e-3, 40, seed=9, init=init)
+    np.testing.assert_array_equal(part.points, ref.points)
+
+
+def _nan_beyond(limit):
+    """A quadratic loss whose gradient is NaN where ``|theta| > limit``."""
+    def lp(theta, xs, ys):
+        return (theta[:, 0] - ys[:, None]) ** 2
+
+    def lp_grad(theta, xs, ys):
+        g = 2.0 * (theta[:, 0] - ys[:, None])[:, :, None]
+        return np.where(np.abs(theta) > limit, np.nan, g)
+
+    return losses.ExpectedParamLoss(lp, M_p=2.0, lp_grad=lp_grad)
+
+
+def _oracle_first_nan_step(model, nu, cfg, step_size, n_steps, seed, init):
+    """The out-of-place loop's first step that leaves a NaN particle."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    pts = np.array(init, dtype=float)
+    noise_scale = math.sqrt(step_size * cfg.sigma ** 2 / cfg.beta ** 2)
+    for step in range(1, n_steps + 1):
+        drift = cfg.regularizer.grad(pts) / (2.0 * cfg.beta ** 2) \
+            + _general_dm_grad(model, ParticleMeasure(pts), nu.xs, nu.ys,
+                               nu.weights, pts)
+        pts = pts - step_size * drift \
+            + noise_scale * rng.standard_normal(pts.shape)
+        if np.isnan(pts).any():
+            return step
+    return None
+
+
+def test_mfld_sample_leaves_no_thread_behind(monkeypatch):
+    # five steps a block, so each failure below happens inside a later block
+    monkeypatch.setattr(gibbs, "_NOISE_ELEMENTS", 5 * 64)
+    cfg = GibbsConfig(beta=1.0, sigma=1.0, p=2,
+                      regularizer=Regularizer(kappa=1.0, q=1), radius=6.0)
+    nu = gaussian_data(seed=16, n=3)
+    before = threading.enumerate()
+    mfld_sample(losses.zero_param_loss(), nu, cfg, 64, 1e-3, 23, seed=3)
+    assert threading.enumerate() == before
+
+    with pytest.raises(RuntimeError, match="diverged"):
+        mfld_sample(losses.zero_param_loss(), nu, cfg, 64, 1e-3, 23, seed=2,
+                    init=_shifted_init(64, 33, 100.0))
+    assert threading.enumerate() == before
+
+    model, init = _nan_beyond(1.05), _shifted_init(64, 40, 1.0)
+    step = _oracle_first_nan_step(model, nu, cfg, 1e-2, 200, 3, init)
+    assert step is not None and step > 5 and step % 5 != 1
+    with pytest.raises(ValueError) as info:
+        mfld_sample(model, nu, cfg, 64, 1e-2, 200, seed=3, init=init)
+    assert str(info.value) == f"non-finite particle after step {step}"
+    assert threading.enumerate() == before
+
+
+class _FailingDraws:
+    """A generator whose ``fail_at``-th draw into a buffer raises."""
+
+    def __init__(self, rng, fail_at):
+        self.rng, self.left = rng, fail_at
+
+    def standard_normal(self, size=None, out=None):
+        if out is not None:
+            self.left -= 1
+            if self.left == 0:
+                raise MemoryError("injected draw failure")
+        return self.rng.standard_normal(size, out=out)
+
+
+def test_mfld_sample_reraises_a_fault_of_the_noise_thread(monkeypatch):
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(gibbs, "_NOISE_ELEMENTS", 5 * 64)
+    cfg = GibbsConfig(beta=1.0, sigma=1.0, p=2,
+                      regularizer=Regularizer(kappa=1.0, q=1), radius=6.0)
+    nu = gaussian_data(seed=16, n=3)
+    before = threading.enumerate()
+    for fail_at in (1, 3):
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: _FailingDraws(default_rng(seed),
+                                                       fail_at))
+        with pytest.raises(MemoryError, match="injected draw failure"):
+            mfld_sample(losses.zero_param_loss(), nu, cfg, 64, 1e-3, 23,
+                        seed=3)
+        assert threading.enumerate() == before
+
+
+def test_mfld_sample_matches_oracle_under_thread_contention(monkeypatch):
+    # four samplers at once, each with its own noise thread, two steps a
+    # block and a short switch interval: a fill racing the drift over a
+    # block would move a particle
+    monkeypatch.setattr(gibbs, "_NOISE_ELEMENTS", 2 * 64 * 2)
+    model, nu, cfg = _sampler_case("nn-tanh-quadratic-1")
+    init = 0.3 * np.random.default_rng(4).standard_normal((64, 2))
+    points = {}
+
+    def sample(seed):
+        points[seed] = mfld_sample(model, nu, cfg, 64, 1e-3, 40, seed=seed,
+                                   init=init).points
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=sample, args=(seed,), daemon=True)
+                   for seed in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    for seed in range(4):
+        ref = _oracle_mfld_sample(model, nu, cfg, 64, 1e-3, 40, seed=seed,
+                                  init=init)
+        np.testing.assert_array_equal(points[seed], ref.points)

@@ -95,3 +95,37 @@ def test_traffic_report_names_unrun_code_and_counts_lines(tmp_path):
         "mod: 13 lines, 5 of 9 executable lines not run: 5-6, 9-10, 12",
         "other: 3 lines, 0 of 2 executable lines not run",
         "src/gibbslab: 16 lines"]
+
+
+def _git(repo: Path, *args: str) -> str:
+    return subprocess.run(["git", "-C", str(repo), *args], check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_bench_pairs_runs_a_snapshot_of_the_working_tree(tmp_path,
+                                                         monkeypatch):
+    spec = importlib.util.spec_from_file_location("_bench_pairs",
+                                                  TOOLS / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    _git(repo, "init", "-q")
+    (repo / ".gitignore").write_text("__pycache__/\n")
+    (repo / "tracked.py").write_text("A = 1\n")
+    _git(repo, "add", "-A")
+    _git(repo, "-c", "user.name=t", "-c", "user.email=t@t", "commit", "-qm",
+         "base")
+    (repo / "tracked.py").write_text("A = 2\n")
+    (repo / "new.py").write_text("B = 3\n")
+    (repo / "__pycache__").mkdir()
+    (repo / "__pycache__" / "tracked.pyc").write_bytes(b"\0")
+    status = _git(repo, "status", "--porcelain")
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    side = bench_pairs._extract(bench_pairs._worktree(), tmp_path / "side")
+    # edits and untracked files run, ignored ones do not, and the
+    # repository's own index is left as it was
+    assert sorted(p.name for p in side.iterdir()) == [".gitignore", "new.py",
+                                                      "tracked.py"]
+    assert (side / "tracked.py").read_text() == "A = 2\n"
+    assert _git(repo, "status", "--porcelain") == status

@@ -6,17 +6,19 @@ Usage, from the root of a checkout::
         --workload closed_form_replicates --seeds 11,12,13 [--seconds 30] \\
         [--change REF] [--wall NAME=COMMAND --wall-pairs 3] [--what TEXT]
 
-The parent ref (and the change ref, when given; otherwise this checkout's
-working tree) is extracted with ``git archive`` into a temporary
-directory, so each side runs its committed files and nothing is
-registered in the repository.  For every workload and seed, one pair of
-``perfbench/run.py --trace 0`` runs is made, alternating which side runs
-first.  Each ``--wall`` command is run ``--wall-pairs`` times per side
-through the shell, in the side's directory with ``PYTHONPATH`` set to
-its ``src``; ``{out}`` in the command is replaced by a fresh output
-directory.  The tool prints each side's median and quartiles, the
-change's wins and the parent's interquartile range for every metric,
-and writes (or updates) ``BENCH_<label>.json``.
+The parent ref and the change ref, when given, otherwise a snapshot of
+this checkout's working tree (tracked and untracked files that git does
+not ignore, staged or not), are each extracted with ``git archive`` into
+a temporary directory.  So each side runs from a fresh tree with no
+``__pycache__``, and no ref or index of the repository changes.  For
+every workload and seed, one pair of ``perfbench/run.py --trace 0`` runs
+is made, alternating which side runs first.  Each ``--wall`` command is
+run ``--wall-pairs`` times per side through the shell, in the side's
+directory with ``PYTHONPATH`` set to its ``src``; ``{out}`` in the
+command is replaced by a fresh output directory.  The tool prints each
+side's median and quartiles, the change's wins and the parent's
+interquartile range for every metric, and writes (or updates)
+``BENCH_<label>.json``.
 """
 
 import argparse
@@ -46,6 +48,16 @@ def _extract(ref: str, dest: Path) -> Path:
         tar.extractall(dest, filter="data")
     archive.unlink()
     return dest
+
+
+def _worktree() -> str:
+    """A tree object of the working tree, built in a scratch index."""
+    with tempfile.TemporaryDirectory() as tmp:
+        env = dict(os.environ, GIT_INDEX_FILE=str(Path(tmp) / "index"))
+        git = ["git", "-C", str(ROOT)]
+        subprocess.run(git + ["add", "-A"], env=env, check=True)
+        return subprocess.run(git + ["write-tree"], env=env, check=True,
+                              capture_output=True, text=True).stdout.strip()
 
 
 def _bench(side: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -133,8 +145,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         sides = {"parent": _extract(args.parent, tmp / "parent"),
-                 "change": _extract(args.change, tmp / "change")
-                 if args.change else ROOT}
+                 "change": _extract(args.change or _worktree(),
+                                    tmp / "change")}
         for workload in args.workload:
             runs = []
             for k, seed in enumerate(seeds):
