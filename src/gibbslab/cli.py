@@ -194,14 +194,29 @@ def _settings(cfg) -> _Settings:
 _PARAM_LOSSES = {"mean_squared": losses.mean_squared_param_loss,
                  "linear_regression": losses.linear_regression_param_loss,
                  "zero": losses.zero_param_loss}
-# each model.variant, population.name and trainer.kind: the keys it reads
-_MODELS = {"expected_param": ("param_loss",), "nn": ("activation", "outer")}
-_POPULATIONS = {"gaussian": ("mu", "sigma"), "discrete": ("points", "probs"),
-                "noiseless_line": ("slope", "x_sigma")}
-_TRAINERS = {"gibbs_grid": ("damping", "tol", "max_iter"),
-             "explicit_gaussian_mean": ("sigma_tilde",),
-             "constant": ("measure",),
-             "mfld": ("n_particles", "step_size", "n_steps")}
+# each model.variant, population.name and trainer.kind: the specs of the
+# keys it reads, which _SCHEMA's selector blocks gather
+_MODELS = {
+    "nn": {"activation": _Key("choice", tuple(losses._ACTIVATIONS), "tanh"),
+           "outer": _Key("choice", tuple(losses._OUTER), "quadratic")},
+    "expected_param": {
+        "param_loss": _Key("choice", tuple(_PARAM_LOSSES), "mean_squared")}}
+_POPULATIONS = {
+    "gaussian": {"mu": _Key("number", default=0.0),
+                 "sigma": _Key("positive", math.inf)},
+    "noiseless_line": {"slope": _Key("number"),
+                       "x_sigma": _Key("positive", math.inf, 1.0)},
+    "discrete": {"points": _Key("list", {"x": _Key("list", _Key("number"), ()),
+                                         "y": _Key("number")}),
+                 "probs": _Key("list", _Key("number"))}}
+_TRAINERS = {
+    "gibbs_grid": {"damping": _Key("positive", 1.0, 1.0),
+                   "tol": _Key("positive", math.inf, 1e-10),
+                   "max_iter": _Key("int", 1, 500)},
+    "explicit_gaussian_mean": {"sigma_tilde": _Key("number", 1e-12, 1.0)},
+    "mfld": {"n_particles": _Key("int", 1, 2048),
+             "step_size": _Key("positive", math.inf, 1e-3),
+             "n_steps": _Key("int", 1, 2000)}}
 _GRIDLESS = ("explicit_gaussian_mean",)  # kinds that read no gibbs block
 
 
@@ -243,20 +258,15 @@ def build_gibbs_config(cfg, theta_dim: int) -> gibbs.GibbsConfig:
 
 def _gibbs_config(cfg: _Settings, model, pop) -> gibbs.GibbsConfig:
     """The ``gibbs`` block for ``model`` on ``pop``'s data, checked for its
-    growth condition.  A network's ``theta = (a, w)``: one w per feature;
-    the shipped parametric losses read ``theta[:, 0]`` only."""
+    growth condition.  The parameter dimension is the model's: a network's
+    ``theta = (a, w)`` has one w per feature, and the shipped parametric
+    losses read ``theta[:, 0]`` only."""
     if model.variant == "nn" and pop.feature_dim == 0:
         # every prediction would be E_m[a] * act(0), blind to the data
         raise ConfigError("model.variant: a network needs data with at least "
                           "one feature, and the population has none")
-    dim = 1 + pop.feature_dim if model.variant == "nn" else 1
-    got = dim if cfg.gibbs.theta_dim is None else cfg.gibbs.theta_dim
-    if got != dim:
-        what = f"a network on {pop.feature_dim}-feature data" \
-            if model.variant == "nn" else "an expected-parameter loss"
-        raise ConfigError(f"gibbs.theta_dim: {what} has theta_dim {dim}, "
-                          f"got {got}")
-    gcfg = build_gibbs_config(cfg, got)
+    gcfg = build_gibbs_config(
+        cfg, 1 + pop.feature_dim if model.variant == "nn" else 1)
     try:
         gcfg.regularizer.validate_growth(model, gcfg.p)
     except ValueError as exc:
@@ -277,10 +287,6 @@ def build_trainer(cfg, model, gcfg: Optional[gibbs.GibbsConfig]):
     t = _settings(cfg).trainer
     if t.kind == "explicit_gaussian_mean":
         return genbench.ExplicitGaussianMeanTrainer(t.sigma_tilde)
-    if t.kind == "constant":
-        pair = gcfg.priors()
-        return genbench.ConstantTrainer(
-            pair.gamma_sigma if t.measure == "prior" else pair.gamma_tilt_p)
     if t.kind == "mfld":
         return genbench.MFLDTrainer(model, gcfg, n_particles=t.n_particles,
                                     step_size=t.step_size, n_steps=t.n_steps)
@@ -371,14 +377,12 @@ def _run_gaussian_oracle(cfg, exp_id, seed, out_dir):
 
 def _run_gen_sweep(cfg, exp_id, seed, out_dir):
     model, pop, _, trainer = _setup(cfg)
-    replicates = cfg.sweep.replicates
     rows = []
     for n in cfg.sweep.n:
         oracle = genbench.gaussian_mean_oracle(trainer.sigma_tilde, n) \
-            if isinstance(trainer, genbench.ExplicitGaussianMeanTrainer) \
-            else None
-        ests = genbench.estimate_routes(trainer, pop, model, n, replicates,
-                                        seed, cfg.routes)
+            if cfg.trainer.kind == "explicit_gaussian_mean" else None
+        ests = genbench.estimate_routes(trainer, pop, model, n,
+                                        cfg.sweep.replicates, seed, cfg.routes)
         for route in cfg.routes:
             rows.append(_est_row(exp_id, ests[route],
                                  oracle=None if route == "lge" else oracle))
@@ -392,6 +396,9 @@ def _run_bounds(cfg, exp_id, seed, out_dir):
         mode = cfg.schedule.mode
         m_bar = genbench.gaussian_bump_on_grid(
             gcfg, cfg.schedule.m_bar.center, cfg.schedule.m_bar.scale)
+    elif cfg.sweep.n[0] < 2:  # lge_upper resamples two atoms
+        raise ConfigError(f"sweep.n: bounds needs n >= 2, "
+                          f"got {cfg.sweep.n[0]}")
     rows = []
     for n in cfg.sweep.n:
         if "schedule" not in cfg:
@@ -515,48 +522,40 @@ def _verify_checks(seed: int):
     w1, w2 = genbench.enumerate_exact_gen(trainer, space, ep, 2)
     add("enumeration_identity", abs(w1 - w2), 1e-12)
 
-    # first-order expansion of the loss in the measure
+    # first-order expansion of the loss in the measure: per model, a pair
+    # of bumps on its grid, then a sample point with q features
     rng = genbench._rng(seed, 0, 10)
-    nodes, vol = measures.uniform_grid(2.0, 25, 2)
+    grid2, grid1 = measures.uniform_grid(2.0, 25, 2), \
+        measures.uniform_grid(2.0, 129, 1)
 
-    def bump2():
-        c = rng.uniform(-0.8, 0.8, size=2)
-        s = rng.uniform(0.3, 0.8)
-        dens = np.exp(-np.sum((nodes - c) ** 2, axis=1) / (2 * s * s))
-        return measures.GridMeasure(nodes, vol, dens, normalize=True)
+    def bump(grid, c, s):
+        dens = np.exp(-np.sum((grid[0] - c) ** 2, axis=1) / (2 * s * s))
+        return measures.GridMeasure(*grid, dens, normalize=True)
 
-    for outer, lam_nodes, tol, label in (
-            ("quadratic", 4, 1e-10, "derivative_identity_quadratic_4node"),
-            ("logcosh", 64, 1e-6, "derivative_identity_logcosh")):
-        nn = losses.NNLoss("tanh", outer)
+    def pair2():
+        return [bump(grid2, rng.uniform(-0.8, 0.8, size=2),
+                     rng.uniform(0.3, 0.8)) for _ in range(2)]
+
+    def pair1():
+        cs, ss = rng.uniform(-1, 1, 2), rng.uniform(0.2, 0.6, 2)
+        return [bump(grid1, c, s) for c, s in zip(cs, ss)]
+
+    for model, pair, q, blends, tol, label in (
+            (losses.NNLoss("tanh", "quadratic"), pair2, 1, 4, 1e-10,
+             "derivative_identity_quadratic_4node"),
+            (losses.NNLoss("tanh", "logcosh"), pair2, 1, 64, 1e-6,
+             "derivative_identity_logcosh"),
+            (ep, pair1, 0, 64, 1e-6, "derivative_identity_param")):
         worst = 0.0
         for _ in range(10):
-            m0, m1 = bump2(), bump2()
-            z = measures.DataPoint(rng.standard_normal(1),
+            m0, m1 = pair()
+            z = measures.DataPoint(rng.standard_normal(q),
                                    float(rng.standard_normal()))
             worst = max(worst, funcderiv.check_linear_derivative(
-                lambda mm: losses.loss_value(nn, mm, z),
-                lambda mm: losses.loss_dm(nn, mm, z, nodes),
-                m0, m1, lambda_nodes=lam_nodes))
+                lambda mm: losses.loss_value(model, mm, z),
+                lambda mm: losses.loss_dm(model, mm, z, m0.nodes),
+                m0, m1, lambda_nodes=blends))
         add(label, worst, tol)
-
-    nodes1, vol1 = measures.uniform_grid(2.0, 129, 1)
-    worst = 0.0
-    for _ in range(10):
-        c0, c1 = rng.uniform(-1, 1, 2)
-        s0, s1 = rng.uniform(0.2, 0.6, 2)
-        m0 = measures.GridMeasure(
-            nodes1, vol1, np.exp(-(nodes1[:, 0] - c0) ** 2 / (2 * s0 * s0)),
-            normalize=True)
-        m1 = measures.GridMeasure(
-            nodes1, vol1, np.exp(-(nodes1[:, 0] - c1) ** 2 / (2 * s1 * s1)),
-            normalize=True)
-        z = measures.DataPoint(np.zeros(0), float(rng.standard_normal()))
-        worst = max(worst, funcderiv.check_linear_derivative(
-            lambda mm: losses.loss_value(ep, mm, z),
-            lambda mm: losses.loss_dm(ep, mm, z, nodes1),
-            m0, m1, lambda_nodes=64))
-    add("derivative_identity_param", worst, 1e-6)
 
     # fixed-point properties
     model_nn = losses.NNLoss("tanh", "quadratic")
@@ -650,15 +649,16 @@ def _run_verify(cfg, exp_id, seed, out_dir):
 # config table
 
 # each experiment's runner, trainer kinds and populations (each mapped to
-# the keys it reads) and blocks besides _TOP, each mapped to the keys it
-# reads (None: all); any other block or key is a config error
+# the specs of the keys it reads) and blocks besides _TOP, each mapped to
+# the keys it reads (None: all); any other block or key is a config error
 _TOP = ("experiment", "id")
 _BLOCKS = dict.fromkeys(("model", "population", "gibbs", "trainer", "sweep"))
 _CSV, _JSON = {"output": ("dir", "csv")}, {"output": ("dir", "json")}
 _EXPERIMENTS = {
     "gaussian-oracle": (_run_gaussian_oracle,
-                        {"explicit_gaussian_mean": ("sigma_tilde",)},
-                        {"gaussian": ("mu", "sigma")},
+                        {"explicit_gaussian_mean":
+                         _TRAINERS["explicit_gaussian_mean"]},
+                        {"gaussian": _POPULATIONS["gaussian"]},
                         dict.fromkeys(("population", "trainer", "sweep"))
                         | _CSV),
     "gen-sweep": (_run_gen_sweep, _TRAINERS, _POPULATIONS,
@@ -666,7 +666,7 @@ _EXPERIMENTS = {
     "bounds": (_run_bounds, {"gibbs_grid": _TRAINERS["gibbs_grid"]},
                _POPULATIONS, _BLOCKS | {"schedule": None} | _CSV),
     "mfld-vs-grid": (_run_mfld_vs_grid,  # its grid solve reads grid keys
-                     {"mfld": _TRAINERS["mfld"] + _TRAINERS["gibbs_grid"]},
+                     {"mfld": _TRAINERS["mfld"] | _TRAINERS["gibbs_grid"]},
                      _POPULATIONS, _BLOCKS | _CSV),
     "gibbs-solve": (_run_gibbs_solve, {"gibbs_grid": _TRAINERS["gibbs_grid"]},
                     _POPULATIONS, _BLOCKS | _JSON),
@@ -681,44 +681,31 @@ _EXPERIMENTS = {
 # a list holds each choice once.  A seed is an int in [0, 2**64).  A key
 # with no default is required where it is read; a None default also takes
 # null; a str default may name {experiment}, {id} and {kind}, the
-# experiment's first trainer kind.
+# experiment's first trainer kind.  A selector block holds its selector, a
+# choice of the values of its table, and every key that a value reads.
+
+
+def _selector(key: str, table: dict, default=...) -> dict:
+    return {key: _Key("choice", tuple(table), default),
+            **{k: spec for keys in table.values() for k, spec in keys.items()}}
+
+
 _SCHEMA = {
     "experiment": _Key("choice", tuple(_EXPERIMENTS)),
     "id": _Key("str", default="{experiment}"),
     "routes": _Key("list", _Key("choice", ("direct", "resampled",
                                            "representation", "lge")),
                    ("direct", "resampled")),
-    "model": {"variant": _Key("choice", tuple(_MODELS)),
-              "activation": _Key("choice", tuple(losses._ACTIVATIONS), "tanh"),
-              "outer": _Key("choice", tuple(losses._OUTER), "quadratic"),
-              "param_loss": _Key("choice", tuple(_PARAM_LOSSES),
-                                 "mean_squared")},
-    "population": {"name": _Key("choice", tuple(_POPULATIONS)),
-                   "mu": _Key("number", default=0.0),
-                   "sigma": _Key("positive", math.inf),
-                   "slope": _Key("number"),
-                   "x_sigma": _Key("positive", math.inf, 1.0),
-                   "points": _Key("list", {"x": _Key("list", _Key("number"),
-                                                     ()),
-                                           "y": _Key("number")}),
-                   "probs": _Key("list", _Key("number"))},
+    "model": _selector("variant", _MODELS),
+    "population": _selector("name", _POPULATIONS),
     "gibbs": {"beta": _Key("number"),
               "sigma": _Key("number", default=1.0),
               "p": _Key("number", default=4.0),
               "kappa": _Key("number", default=1.0),
               "q": _Key("int", 1, None),
               "radius": _Key("number", 1e-12, None),
-              "nodes": _Key("int", 8, 129),
-              "theta_dim": _Key("int", 1, None)},  # None: the model's own
-    "trainer": {"kind": _Key("choice", tuple(_TRAINERS), "{kind}"),
-                "sigma_tilde": _Key("number", 1e-12, 1.0),
-                "measure": _Key("choice", ("prior", "tilt"), "prior"),
-                "damping": _Key("positive", 1.0, 1.0),
-                "tol": _Key("positive", math.inf, 1e-10),
-                "max_iter": _Key("int", 1, 500),
-                "n_particles": _Key("int", 1, 2048),
-                "step_size": _Key("positive", math.inf, 1e-3),
-                "n_steps": _Key("int", 1, 2000)},
+              "nodes": _Key("int", 8, 129)},
+    "trainer": _selector("kind", _TRAINERS, "{kind}"),
     "sweep": {"n": _Key("sizes", _Key("int", 1)),
               "replicates": _Key("int", 2),
               "seed": _Key("seed")},

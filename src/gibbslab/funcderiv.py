@@ -106,16 +106,16 @@ def build_Cm(model, m: GridMeasure, nu: DataMeasure) -> CurvatureKernel:
     phi = model.phi(m.nodes, nu.xs)
     preds = phi.T @ w
     return CurvatureKernel(phi - preds,
-                           nu.weights * model.outer.d2(preds, nu.ys), w)
+                           nu.weights * model.outer.d2(preds, nu.ys), w, preds)
 
 
 class TrainedDerivatives:
     """Derivative machinery around one trained measure.
 
-    Caches the solved measure, the curvature kernel and the inverse of
-    its condition-checked n x n system, so each further sample
-    direction ``z`` against the same data measure costs matrix-vector
-    products only.
+    Caches the solved measure, the curvature kernel, the data measure's
+    part of every right-hand side and the inverse of the condition-checked
+    n x n system, so each further sample direction ``z`` against the same
+    data measure costs matrix-vector products only.
     """
 
     def __init__(self, model, nu: DataMeasure, cfg: GibbsConfig,
@@ -123,33 +123,43 @@ class TrainedDerivatives:
         self.model = model
         self.nu = nu
         self.cfg = cfg
-        self._solution = None
         self._solve_kwargs = dict(solve_kwargs or {})
-        self._kernel = None
-        self._s_inv = None
-        self._s_nodes = None
 
-    @property
+    @functools.cached_property
     def solution(self) -> GibbsSolution:
-        if self._solution is None:
-            self._solution = solve_gibbs(self.model, self.nu, self.cfg,
-                                         **self._solve_kwargs)
-        return self._solution
+        return solve_gibbs(self.model, self.nu, self.cfg, **self._solve_kwargs)
 
     @property
     def measure(self) -> GridMeasure:
         return self.solution.measure
 
-    @property
+    @functools.cached_property
     def kernel(self) -> CurvatureKernel:
-        if self._kernel is None:
-            self._kernel = build_Cm(self.model, self.measure, self.nu)
-        return self._kernel
+        return build_Cm(self.model, self.measure, self.nu)
 
     def s_values(self, theta) -> np.ndarray:
         """Risk derivative at the trained measure, evaluated at ``theta``."""
         nu = self.nu
         return self.model.dm(self.measure, nu.xs, nu.ys, nu.weights, theta)
+
+    @functools.cached_property
+    def _s_nodes(self) -> np.ndarray:
+        """:meth:`s_values` at the nodes; a network's is ``A (w * l_o'(p, y))``
+        on the kernel's features ``A = phi - p``, evaluated once."""
+        if self.model.has_zero_d2m():
+            return self.s_values(self.measure.nodes)
+        kern, nu = self.kernel, self.nu
+        return kern.features @ (
+            nu.weights * self.model.outer.d1(kern.predictions, nu.ys))
+
+    @functools.cached_property
+    def _s_inv(self) -> np.ndarray:
+        small = self.kernel.system(self.cfg.temperature)
+        cond = np.linalg.cond(small)
+        if not cond < 1.0 / np.finfo(float).eps:
+            raise RuntimeError(f"singular derivative system: n = "
+                               f"{self.kernel.rank}, cond(S) ~ {cond:.3e}")
+        return np.linalg.inv(small)
 
     def s_derivative(self, z: DataPoint) -> SDerivative:
         """Solve ``(Id + temperature * C_m) v = L`` for the direction ``z``.
@@ -165,26 +175,15 @@ class TrainedDerivatives:
         RuntimeError
             If the n x n system ``S`` is numerically singular.
         """
-        # right-hand side: the loss derivative against delta_z - nu; the
-        # nu part is shared by every direction
+        # right-hand side: the loss derivative against delta_z - nu
         m = self.measure
-        if self._s_nodes is None:
-            self._s_nodes = self.s_values(m.nodes)
         rhs = _losses.loss_dm(self.model, m, z, m.nodes) - self._s_nodes
         if self.model.has_zero_d2m():
             return SDerivative(rhs, z)
-        kern, tau = self.kernel, self.cfg.temperature
-        if self._s_inv is None:
-            small = kern.system(tau)
-            cond = np.linalg.cond(small)
-            if not cond < 1.0 / np.finfo(float).eps:
-                raise RuntimeError(
-                    f"singular derivative system: n = {kern.rank}, "
-                    f"cond(S) ~ {cond:.3e}")
-            self._s_inv = np.linalg.inv(small)
-        a = kern.features
+        kern, a = self.kernel, self.kernel.features
         coef = self._s_inv @ (a.T @ (kern.weights * rhs))
-        return SDerivative(rhs - tau * (a @ (kern.curvatures * coef)), z)
+        return SDerivative(rhs - self.cfg.temperature
+                           * (a @ (kern.curvatures * coef)), z)
 
     def dm_dnu(self, z: DataPoint) -> GridMeasure:
         """Signed density derivative of the trained measure toward ``z``."""

@@ -56,6 +56,7 @@ _OOS_FACTOR = 10
 # 2 exp(-2 pi^2 (N / 18)^2), and the mass past 9 scales are below rounding
 _EXPLICIT_NODES = 65
 _EXPLICIT_SPAN = 9.0
+_SEGMENT_NODES = 8  # Gauss-Legendre blends along each segment of measures
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +458,7 @@ class GridGibbsTrainer(_RowByRowTrainer):
             d = self.model.lp_sums(nodes, xs[:, :k], ys[:, :k], np.ones(k)) \
                 - self.model.lp_sums(nodes, xk[:, :k], yk[:, :k], np.ones(k))
             e0, ek = self._exponent(xs, ys), self._exponent(xk, yk)
-            for lt, w in zip(*gauss_legendre_01(8)):
+            for lt, w in zip(*gauss_legendre_01(_SEGMENT_NODES)):
                 dens = self._tilt((1.0 - lt) * ek + lt * e0)
                 mean = (d * (dens * vol)).sum(axis=1, keepdims=True)
                 out += w * (-self.cfg.temperature * dens * (d - mean))
@@ -465,7 +466,7 @@ class GridGibbsTrainer(_RowByRowTrainer):
         for r in range(ys.shape[0]):
             nu = empirical_from_arrays(xs[r], ys[r])
             nu_k = empirical_from_arrays(xk[r], yk[r])
-            for lt, w in zip(*gauss_legendre_01(8)):
+            for lt, w in zip(*gauss_legendre_01(_SEGMENT_NODES)):
                 td = TrainedDerivatives(
                     self.model, convex_combination(nu_k, nu, float(lt)),
                     self.cfg, solve_kwargs=self.solve_kwargs)
@@ -677,12 +678,13 @@ class _Block:
         over blended batches.  For a loss linear in the measure the
         integrand is affine in it, and the end points give it exactly."""
         m_k, m = self.swap(k), self.m
+        blends = list(zip(*gauss_legendre_01(_SEGMENT_NODES)))
         if self.model.has_zero_d2m():
-            a = sum(w * (1.0 - lam) for lam, w in zip(*gauss_legendre_01(8)))
-            b = sum(w * lam for lam, w in zip(*gauss_legendre_01(8)))
+            a = sum(w * (1.0 - lam) for lam, w in blends)
+            b = sum(w * lam for lam, w in blends)
             return a * integrand(m_k) + b * integrand(m)
         out = 0.0
-        for lam, w in zip(*gauss_legendre_01(8)):
+        for lam, w in blends:
             out = out + w * integrand(MeasureBatch(
                 m.nodes, m.cell_volumes,
                 (1.0 - lam) * m_k.density + lam * m.density))

@@ -356,10 +356,10 @@ def _tilt(cfg: GibbsConfig, drdm: np.ndarray) -> GridMeasure:
 class CurvatureKernel:
     """Curvature kernel of a network risk at a grid measure, in rank-n form.
 
-    The kernel is ``K = A diag(c) A^T`` with ``A = phi(nodes, xs) - E_m phi``
-    the (N, n) centered features, ``c`` the (n,) atom weights times the
-    outer-loss curvatures, and ``w`` the (N,) node weights of ``m``.  It
-    acts on node functions through ``(K W f) = A (c * A^T (w f))``;
+    The kernel is ``K = A diag(c) A^T`` with ``A = phi(nodes, xs) - p`` the
+    (N, n) features centered at the predictions ``p = E_m phi`` (kept if
+    given), ``c`` the atom weights times the outer-loss curvatures and ``w``
+    the (N,) node weights of ``m``.  ``K W f = A (c * A^T (w f))`` is
     symmetric, and positive semidefinite in the weighted inner product
     whenever ``c >= 0``.  Losses linear in the measure have ``n = 0``.
     """
@@ -367,6 +367,7 @@ class CurvatureKernel:
     features: np.ndarray
     curvatures: np.ndarray
     weights: np.ndarray
+    predictions: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.features.ndim != 2:

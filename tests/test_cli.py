@@ -127,7 +127,7 @@ def test_unknown_route_rejected(tmp_path, capsys):
         "model": {"variant": "expected_param", "param_loss": "mean_squared"},
         "population": {"name": "gaussian", "sigma": 1.0},
         "gibbs": {"beta": 1.0},
-        "trainer": {"kind": "constant"},
+        "trainer": {"kind": "gibbs_grid"},
         "routes": ["direct", "warp"],
         "sweep": {"n": [4], "replicates": 10, "seed": 0},
     }
@@ -141,7 +141,7 @@ SWEEP_CFG = {
     "population": {"name": "discrete", "points": [{"y": 0.0}, {"y": 1.0}],
                    "probs": [0.5, 0.5]},
     "gibbs": {"beta": 1.0},
-    "trainer": {"kind": "constant"},
+    "trainer": {"kind": "gibbs_grid"},
     "sweep": {"n": [4], "replicates": 10, "seed": 0},
 }
 
@@ -264,14 +264,14 @@ def test_network_parameter_dimension_follows_the_features(tmp_path, capsys):
     path = write_config(tmp_path, NN_DISCRETE_CFG)
     assert cli.run(path, out=str(tmp_path)) == 0
     assert len((tmp_path / "nn2.csv").read_text().splitlines()) == 3
+    assert cli._setup(cli.read_config(NN_DISCRETE_CFG))[2].theta_dim == 3
+    # derived, so not a setting
     cfg = json.loads(json.dumps(NN_DISCRETE_CFG))
-    for dim in (2, 4):
-        cfg["gibbs"]["theta_dim"] = dim
-        capsys.readouterr()
-        assert cli.run(write_config(tmp_path, cfg), out=str(tmp_path)) == 1
-        assert capsys.readouterr().err == (
-            "config error: gibbs.theta_dim: a network on 2-feature data has "
-            f"theta_dim 3, got {dim}\n")
+    cfg["gibbs"]["theta_dim"] = 3
+    capsys.readouterr()
+    assert cli.run(write_config(tmp_path, cfg), out=str(tmp_path)) == 1
+    assert capsys.readouterr().err == (
+        "config error: gibbs.theta_dim: unknown key\n")
 
 
 @pytest.mark.parametrize("population", [
@@ -400,7 +400,7 @@ def test_points_take_only_x_and_y(tmp_path, capsys):
     ("bounds", "trainer", "mfld", "['gibbs_grid']"),
     ("bounds", "trainer", "explicit_gaussian_mean", "['gibbs_grid']"),
     ("mfld-vs-grid", "trainer", "gibbs_grid", "['mfld']"),
-    ("gibbs-solve", "trainer", "constant", "['gibbs_grid']"),
+    ("gibbs-solve", "trainer", "constant", None),
     ("verify", "trainer", "gibbs_grid", "none"),
     ("verify", "population", "gaussian", "none"),
 ])
@@ -560,7 +560,7 @@ def test_shipped_and_benchmark_configs_hold_only_blocks_they_read(tmp_path):
     ("gen_sweep_explicit.json", "model", "outer", "logcosh",
      "variant 'expected_param'"),
     ("gibbs_solve_nn.json", "model", "param_loss", "zero", "variant 'nn'"),
-    ("gaussian_oracle.json", "trainer", "measure", "tilt",
+    ("gaussian_oracle.json", "trainer", "damping", 0.5,
      "kind 'explicit_gaussian_mean'"),
     # gaussian-oracle takes only the gaussian population: a left-out name
     # reads as that one
@@ -687,24 +687,6 @@ def test_a_config_naming_no_kind_runs_the_first_kind_its_experiment_takes(
     assert "kind" not in trainer and trainer.kind == kind
 
 
-def test_selector_tables_name_every_key_of_their_block_and_no_other():
-    for block, key, table in (("trainer", "kind", cli._TRAINERS),
-                              ("population", "name", cli._POPULATIONS),
-                              ("model", "variant", cli._MODELS)):
-        schema = cli._SCHEMA[block]
-        assert schema[key].bound == tuple(table)  # the choices
-        read = [k for keys in table.values() for k in keys]
-        assert len(read) == len(set(read))
-        assert set(read) == set(schema) - {key}
-    for _, trainers, populations, _ in cli._EXPERIMENTS.values():
-        for block, key, sub, table in (
-                ("trainer", "kind", trainers, cli._TRAINERS),
-                ("population", "name", populations, cli._POPULATIONS)):
-            for value, keys in sub.items():
-                assert set(table[value]) <= set(keys)
-                assert set(keys) <= set(cli._SCHEMA[block]) - {key}
-
-
 def _changed(config, block, **keys):
     cfg = shipped(config)
     cfg[block].update(keys)
@@ -714,9 +696,11 @@ def _changed(config, block, **keys):
 @pytest.mark.parametrize("cfg, message", [
     (_changed("mfld_vs_grid.json", "trainer", n_particles=1),
      "config error: trainer.n_particles: must be >= 2, got 1\n"),
-    (_changed("gibbs_solve_nn.json", "gibbs", theta_dim=3),
-     "config error: gibbs.theta_dim: a network on 1-feature data has "
-     "theta_dim 2, got 3\n"),
+    (_changed("gibbs_solve_nn.json", "gibbs", theta_dim=2),
+     "config error: gibbs.theta_dim: unknown key\n"),
+    # the lge bound resamples two atoms; a schedule runs at n = 1
+    (_changed("bounds_gaussian.json", "sweep", n=[1, 5]),
+     "config error: sweep.n: bounds needs n >= 2, got 1\n"),
     (dict(shipped("gibbs_solve_nn.json"),
           population={"name": "gaussian", "sigma": 1.0}),
      "config error: model.variant: a network needs data with at least one "
@@ -724,12 +708,20 @@ def _changed(config, block, **keys):
     # a runtime error; the residual depends on the machine
     (_changed("gibbs_solve_nn.json", "trainer", max_iter=1),
      "error: [gibbs_solve_nn] no fixed point after 1 updates; "),
-], ids=["n_particles", "theta_dim", "featureless", "max_iter"])
+], ids=["n_particles", "theta_dim", "bounds_n", "featureless", "max_iter"])
 def test_a_failed_run_leaves_no_output(tmp_path, capsys, cfg, message):
     out = tmp_path / "out" / "nested"
     assert cli.run(write_config(tmp_path, cfg), out=str(out)) == 1
     assert capsys.readouterr().err.startswith(message)
     assert not (tmp_path / "out").exists()
+
+
+def test_schedules_run_at_one_atom(tmp_path):
+    for name in ("schedule_wge.json", "schedule_lge.json"):
+        cfg = _changed(name, "sweep", n=[1], replicates=4)
+        assert cli.run(write_config(tmp_path, cfg), out=str(tmp_path)) == 0
+        rows = (tmp_path / name.replace(".json", ".csv")).read_text()
+        assert len(rows.splitlines()) == 2
 
 
 def test_output_names_may_name_subdirectories(tmp_path):
@@ -840,26 +832,6 @@ def test_exit_two_when_oracle_misses(tmp_path):
     assert all(r.endswith("false") for r in rows)
 
 
-def test_gen_sweep_constant_trainer(tmp_path):
-    cfg = {
-        "experiment": "gen-sweep",
-        "id": "const",
-        "model": {"variant": "expected_param", "param_loss": "mean_squared"},
-        "population": {"name": "gaussian", "mu": 0.0, "sigma": 1.0},
-        "gibbs": {"beta": 1.0, "sigma": 1.0, "p": 4},
-        "trainer": {"kind": "constant", "measure": "prior"},
-        "routes": ["direct", "resampled"],
-        "sweep": {"n": [4, 8], "replicates": 300, "seed": 3},
-        "output": {"csv": "const.csv"},
-    }
-    assert cli.run(write_config(tmp_path, cfg), out=str(tmp_path)) == 0
-    for line in (tmp_path / "const.csv").read_text().strip().split("\n")[1:]:
-        f = line.split(",")
-        est, se = float(f[5]), float(f[6])
-        # a data-independent trainer has zero mean gap
-        assert abs(est) <= max(3 * se, 1e-15)
-
-
 def test_gen_sweep_convergence_failure_names_its_replicate(tmp_path, capsys):
     cfg = {
         "experiment": "gen-sweep",
@@ -926,16 +898,17 @@ def test_expected_parameter_loss_needs_one_parameter_dimension(tmp_path,
         "experiment": "gibbs-solve",
         "id": "solve",
         "model": {"variant": "expected_param", "param_loss": "mean_squared"},
-        "population": {"name": "gaussian", "sigma": 1.0},
-        "gibbs": {"beta": 0.5, "p": 4, "theta_dim": 2, "nodes": 17},
+        "population": {"name": "noiseless_line", "slope": 0.5},
+        "gibbs": {"beta": 0.5, "p": 4, "nodes": 17},
         "trainer": {"kind": "gibbs_grid", "damping": 1.0, "tol": 1e-10},
         "sweep": {"n": [8], "seed": 1},
         "output": {"json": "solve.json"},
     }
+    assert cli._setup(cli.read_config(cfg))[2].theta_dim == 1
+    cfg["gibbs"]["theta_dim"] = 2
     assert cli.run(write_config(tmp_path, cfg), out=str(tmp_path)) == 1
     assert capsys.readouterr().err == (
-        "config error: gibbs.theta_dim: an expected-parameter loss has "
-        "theta_dim 1, got 2\n")
+        "config error: gibbs.theta_dim: unknown key\n")
     assert not (tmp_path / "solve.json").exists()
 
 

@@ -1,5 +1,7 @@
 """Tests for functional-derivative checks and trained-measure derivatives."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -435,15 +437,38 @@ def test_woodbury_matches_dense_lu(nodes, atoms):
                 <= 1e-12 * np.max(np.abs(dense)))
 
 
+def test_first_direction_evaluates_the_data_features_once(monkeypatch):
+    # the kernel and the data measure's part of every right-hand side
+    # share one (N, n) evaluation of the features
+    model, nu = nn_problem(seed=14, n=8)
+    td = TrainedDerivatives(model, nu, NN_CFG, solve_kwargs=SOLVE_NN)
+    m = td.measure
+    shapes, phi = [], losses.NNLoss.phi
+
+    def counted(self, theta, xs):
+        shapes.append(phi(self, theta, xs).shape)
+        return phi(self, theta, xs)
+
+    monkeypatch.setattr(losses.NNLoss, "phi", counted)
+    td.dm_dnu(nu.point(0))
+    assert shapes.count((m.n_nodes, nu.n_atoms)) == 1
+    td.dm_dnu(DataPoint(np.array([0.3]), -0.2))
+    assert shapes.count((m.n_nodes, nu.n_atoms)) == 1
+    monkeypatch.undo()
+    # the loss derivative's own path is the oracle
+    s_nodes = td.s_values(m.nodes)
+    assert np.max(np.abs(td._s_nodes - s_nodes)) \
+        <= 1e-12 * np.max(np.abs(s_nodes))
+
+
 def test_singular_derivative_system_names_its_size():
     # a negative curvature can make S singular: -tau * Cov(phi) * c = -1
     model, nu = nn_problem(seed=13, n=1)
     td = TrainedDerivatives(model, nu, NN_CFG, solve_kwargs=SOLVE_NN)
     kern = td.kernel
     cov = float(kern.features[:, 0] ** 2 @ kern.weights)
-    td._kernel = CurvatureKernel(kern.features,
-                                 np.array([-1.0 / (NN_CFG.temperature * cov)]),
-                                 kern.weights)
+    td.kernel = dataclasses.replace(
+        kern, curvatures=np.array([-1.0 / (NN_CFG.temperature * cov)]))
     with pytest.raises(RuntimeError, match=r"n = 1, cond\(S\)"):
         td.s_derivative(nu.point(0))
 

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -60,6 +61,63 @@ def test_output_digest_diff_names_a_moved_demo_line(tmp_path):
         "\t   4 quadrature nodes -> residual 9.71e-17"
         "\t   4 quadrature nodes -> residual 1.02e-16\t-",
         "1 differing fields in 3 files"]
+
+
+# a benchmark that generates one CLI config and has one other workload
+_WORKLOADS = '''import json
+
+
+class _CliWorkload:
+    def __init__(self, seed, out_dir):
+        self.out_dir, self.configs = out_dir, []
+
+    def setup(self):
+        body = {"experiment": "gaussian-oracle", "id": "tiny",
+                "population": {"sigma": 1.0}, "sweep": {"n": [5],
+                "replicates": 20, "seed": 1}}
+        path = self.out_dir / "tiny.config.json"
+        path.write_text(json.dumps(body))
+        self.configs.append((path, body))
+
+
+class Tiny(_CliWorkload):
+    pass
+
+
+class Direct:
+    pass
+
+
+WORKLOADS = {"tiny": Tiny, "direct": Direct}
+'''
+
+
+def test_output_digest_runs_and_compares_the_benchmark_configs(tmp_path):
+    root = tmp_path / "root"
+    for sub in ("configs", "demos", "perfbench"):
+        (root / sub).mkdir(parents=True)
+    (root / "src").symlink_to(TOOLS.parent / "src")
+    (root / "perfbench" / "workloads.py").write_text(_WORKLOADS)
+    parent, change = tmp_path / "a", tmp_path / "b"
+    subprocess.run([sys.executable, str(TOOLS / "output_digest.py"), "run",
+                    str(parent), "--repo", str(root)], check=True,
+                   capture_output=True)
+    assert json.loads((parent / "exit_codes.json").read_text()) == {
+        "verify": 0, "perfbench/tiny.config.json": 0}
+    rows = (parent / "perfbench" / "tiny.csv").read_text().splitlines()
+    assert len(rows) == 3 and rows[1].startswith("tiny,direct,5,20,1,")
+    # the generated configs stay out of the outputs
+    assert sorted(p.name for p in (parent / "perfbench").iterdir()) \
+        == ["tiny.csv"]
+    shutil.copytree(parent, change)
+    moved = rows[2].split(",")
+    moved[5] = "0.5"
+    (change / "perfbench" / "tiny.csv").write_text(
+        "\n".join(rows[:2] + [",".join(moved)]) + "\n")
+    proc = _diff(parent, change)
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines()[0].startswith(
+        "perfbench/tiny.csv\t1\testimate\t")
 
 
 _MODULE = '''def used():

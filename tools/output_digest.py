@@ -1,5 +1,5 @@
-"""Run every shipped config, ``gibbslab verify`` and every demo, or compare
-two such runs.
+"""Run every shipped config, ``gibbslab verify``, every demo and the
+benchmark's generated configs, or compare two such runs.
 
 Usage, from any directory::
 
@@ -10,7 +10,11 @@ Usage, from any directory::
 ``ROOT/demos/*.py`` with the package in ``ROOT/src`` (ROOT defaults to
 this checkout), writes the stdout of each demo to
 ``OUT_DIR/demo_<name>.txt`` and records each exit code in
-``OUT_DIR/exit_codes.json``.  ``diff`` prints one tab-separated line per
+``OUT_DIR/exit_codes.json``.  It then runs the configs that the CLI
+workloads of ``ROOT/perfbench/workloads.py`` generate at seed 0, with
+their results in ``OUT_DIR/perfbench``; that file is imported, never
+written to.  ``diff`` compares every result file under the two
+directories and prints one tab-separated line per
 differing ``(file, row, field, parent, change, relative)``, where
 ``relative`` is ``|change - parent| / |parent|`` for two numbers and
 ``-`` otherwise, then each file's largest relative difference; JSON
@@ -20,28 +24,52 @@ It exits 1 when anything differs.
 """
 
 import csv
+import importlib.util
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+
+
+def _benchmark_configs(root: Path, tmp: Path) -> list:
+    """Paths of the configs the CLI workloads generate at seed 0."""
+    sys.path.insert(0, str(root / "src"))
+    spec = importlib.util.spec_from_file_location(
+        "_workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    paths = []
+    for cls in workloads.WORKLOADS.values():
+        if issubclass(cls, workloads._CliWorkload):
+            work = cls(0, tmp)
+            work.setup()
+            paths += [path for path, _ in work.configs]
+    return paths
 
 
 def run(out: Path, root: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    jobs = {p.name: ["run", str(p)]
-            for p in sorted((root / "configs").glob("*.json"))}
-    jobs["verify"] = ["verify"]
-    codes = {name: subprocess.run(
-        [sys.executable, "-m", "gibbslab", *cmd, "--out", str(out)],
-        env=env).returncode for name, cmd in jobs.items()}
+
+    def gibbslab(*args, out=out):
+        return subprocess.run([sys.executable, "-m", "gibbslab", *args,
+                               "--out", str(out)], env=env).returncode
+
+    codes = {p.name: gibbslab("run", str(p))
+             for p in sorted((root / "configs").glob("*.json"))}
+    codes["verify"] = gibbslab("verify")
     for demo in sorted((root / "demos").glob("*.py")):
         proc = subprocess.run([sys.executable, str(demo)], env=env,
                               stdout=subprocess.PIPE, text=True)
         (out / f"demo_{demo.stem}.txt").write_text(proc.stdout)
         codes[f"demos/{demo.name}"] = proc.returncode
+    with tempfile.TemporaryDirectory() as tmp:
+        for path in _benchmark_configs(root, Path(tmp)):
+            codes[f"perfbench/{path.name}"] = gibbslab(
+                "run", str(path), out=out / "perfbench")
     (out / "exit_codes.json").write_text(json.dumps(codes, indent=1) + "\n")
 
 
@@ -82,7 +110,8 @@ def _relative(old, new):
 
 
 def diff(parent: Path, change: Path) -> int:
-    names = sorted({p.name for d in (parent, change) for p in d.iterdir()
+    names = sorted({str(p.relative_to(d)) for d in (parent, change)
+                    for p in d.rglob("*")
                     if p.suffix in (".csv", ".json", ".txt")})
     count, largest = 0, {}
     for name in names:
