@@ -10,12 +10,12 @@ several routes that must agree:
 * ``representation``: the derivative-based double-integral formula
   (grid trainers only).
 
-Every route is a reduction over replicate blocks.  A block holds up to
-``_BLOCK`` consecutive replicates: their seeded draws ``(nu, z_bar)``
-stacked into arrays, and the batches of measures trained on ``nu`` and
-its one- and two-atom swaps, each trained lazily and at most once by
-one ``train_batch`` call per trainer.  Each route is an array
-expression over a block.  The derivative routes pair the loss
+Every route is a reduction over replicate blocks.  A block holds as many
+consecutive replicates as its working set allows (``_BLOCK_ELEMENTS``):
+their seeded draws ``(nu, z_bar)`` stacked into arrays, and the batches
+of measures trained on ``nu`` and its one- and two-atom swaps, each
+trained lazily and at most once by one ``train_batch`` call per trainer.
+Each route is an array expression over a block.  The derivative routes pair the loss
 derivative, which the loss model evaluates for a whole batch, with the
 data derivative of the trained measure, which the grid trainer owns
 (:meth:`GridGibbsTrainer.derivative_path`).  :func:`estimate_routes`
@@ -372,6 +372,8 @@ def noiseless_line_setup(slope: float = 0.5, x_sigma: float = 1.0):
 # ``rngs[r]`` (``rngs`` is None for deterministic trainers), and returns a
 # MeasureBatch.  Row ``r`` must not depend on the other rows: the replicate
 # loop locates a failing replicate by training it again on its own.
+# ``n_nodes`` is the node count of the measures it returns; the replicate
+# loop sizes its blocks by it.
 
 
 class _RowByRowTrainer:
@@ -406,6 +408,10 @@ class GridGibbsTrainer(_RowByRowTrainer):
         self.solve_kwargs = {"damping": damping, "tol": tol,
                              "max_iter": max_iter}
         self.closed_form = model.has_zero_d2m() and damping == 1.0
+
+    @property
+    def n_nodes(self) -> int:
+        return self.cfg.nodes_per_axis ** self.cfg.theta_dim
 
     def solve(self, nu: DataMeasure):
         return solve_gibbs(self.model, nu, self.cfg, **self.solve_kwargs)
@@ -491,7 +497,7 @@ class MFLDTrainer(_RowByRowTrainer):
                  step_size: float, n_steps: int):
         self.model = model
         self.cfg = cfg
-        self.n_particles = int(n_particles)
+        self.n_nodes = self.n_particles = int(n_particles)
         self.step_size = float(step_size)
         self.n_steps = int(n_steps)
 
@@ -513,6 +519,7 @@ class ExplicitGaussianMeanTrainer:
     """
 
     deterministic = True
+    n_nodes = _EXPLICIT_NODES
 
     def __init__(self, sigma_tilde: float):
         if sigma_tilde <= 0:
@@ -547,6 +554,7 @@ class ConstantTrainer(_RowByRowTrainer):
 
     def __init__(self, measure):
         self.measure = measure
+        self.n_nodes = measure.n_nodes
 
     def train(self, nu: DataMeasure, rng=None):
         return self.measure
@@ -560,25 +568,30 @@ class ReplicateError(RuntimeError):
     """A replicate raised; the message names the routes, n, replicate and seed."""
 
 
-# replicates drawn, trained and reduced together; bounds the working set
-_BLOCK = 64
+# elements of a block's widest per-row array, (rows, max(n_nodes, n + 2)):
+# the rows drawn, trained and reduced together; the out-of-sample draws,
+# (rows, 10 n), stay within 10 times it
+_BLOCK_ELEMENTS = 1 << 15
 
 
 class _Block:
     """The replicates ``reps`` of an experiment, held as arrays.
 
-    Replicate ``r`` draws ``n + 2`` samples of its ``(seed, r, 0)``
-    stream; one ``pop.sample_batch`` call draws the block into ``xs``
-    (B, n + 2, q) and ``ys`` (B, n + 2).  The dataset ``nu`` is the first
-    ``n`` columns and ``z_bar`` the two after them.  Populations sample in
-    prefix order, so a route that reads only ``n`` or ``n + 1`` columns
-    sees the numbers of a shorter draw.  Trained batches are computed on
-    first use and kept, so each dataset is trained at most once whichever
-    routes read it.  Swapped batches train ``m`` first, so a stochastic
-    trainer draws its seeds from each replicate's ``(seed, r, 2)`` stream
-    in a fixed order.  That stream is made only for stochastic trainers,
-    and the out-of-sample stream ``(seed, r, 1)`` only when the population
-    has no analytic average.  Every term is a (B,) array.
+    :func:`_replicate_terms` sizes ``reps`` so that B rows of the trainer's
+    ``n_nodes`` or of ``n + 2`` atoms hold at most ``_BLOCK_ELEMENTS``
+    elements; a row wider than that runs alone.  Replicate ``r`` draws
+    ``n + 2`` samples of its ``(seed, r, 0)`` stream; one
+    ``pop.sample_batch`` call draws the block into ``xs`` (B, n + 2, q) and
+    ``ys`` (B, n + 2).  The dataset ``nu`` is the first ``n`` columns and
+    ``z_bar`` the two after them.  Populations sample in prefix order, so a
+    route that reads only ``n`` or ``n + 1`` columns sees the numbers of a
+    shorter draw.  Trained batches are computed on first use and kept, so
+    each dataset is trained at most once whichever routes read it.  Swapped
+    batches train ``m`` first, so a stochastic trainer draws its seeds from
+    each replicate's ``(seed, r, 2)`` stream in a fixed order.  That stream
+    is made only for stochastic trainers, and the out-of-sample stream
+    ``(seed, r, 1)`` only when the population has no analytic average.
+    Every term is a (B,) array.
     """
 
     def __init__(self, trainer, pop, model, n: int, seed: int, reps: range):
@@ -794,8 +807,9 @@ def _replicate_terms(trainer, pop, model, n, replicates, seed,
         return [term(block) for term in terms.values()]
 
     parts = []
-    for start in range(0, replicates, _BLOCK):
-        reps = range(start, min(start + _BLOCK, replicates))
+    rows = max(1, _BLOCK_ELEMENTS // max(trainer.n_nodes, n + 2))
+    for start in range(0, replicates, rows):
+        reps = range(start, min(start + rows, replicates))
         try:
             parts.append(run(reps))
         except Exception as exc:

@@ -599,6 +599,13 @@ def test_closed_form_returns_the_prior_where_the_solver_stops_at_it():
     assert iterations == [1, 0]
 
 
+def _force_rows(monkeypatch, trainer, n, rows):
+    """Set the block budget so that the replicate loop runs ``rows`` rows
+    a block for ``trainer`` at sample size ``n``."""
+    monkeypatch.setattr(genbench, "_BLOCK_ELEMENTS",
+                        rows * max(trainer.n_nodes, n + 2))
+
+
 @pytest.mark.parametrize("trainer_kind, pop_kind, routes", [
     ("explicit", "gaussian", ["direct", "resampled", "lge", "convex_lower"]),
     ("explicit", "discrete", ["direct", "resampled"]),
@@ -612,7 +619,7 @@ def test_block_size_does_not_change_estimates(monkeypatch, trainer_kind,
     replicates = 4 if "lge_upper" in routes else 20
     results = []
     for block in (1, 7, replicates + 5):
-        monkeypatch.setattr(genbench, "_BLOCK", block)
+        _force_rows(monkeypatch, trainer, 6, block)
         results.append(estimate_routes(trainer, pop, model, 6, replicates,
                                        41, routes))
     assert results[0] == results[1] == results[2]
@@ -705,16 +712,17 @@ _FAILURE_SITES = {
 @pytest.mark.parametrize("block", [1, 7, 64])
 @pytest.mark.parametrize("where", list(_FAILURE_SITES))
 def test_non_finite_draw_names_its_replicate(monkeypatch, where, block):
-    monkeypatch.setattr(genbench, "_BLOCK", block)
     # only the route_term case marks its draws with _MARK
     monkeypatch.setattr(genbench, "TrainedDerivatives", _DerivativeFailsAtMark)
     model = losses.mean_squared_param_loss()
     make_trainer, value, route, message = _FAILURE_SITES[where]
+    trainer = make_trainer(model)
+    _force_rows(monkeypatch, trainer, 4, block)
     with np.errstate(over="ignore"), pytest.raises(
             genbench.ReplicateError,
             match=rf"{route}.* n=4, replicate 3, seed 5: {message}") as info:
-        estimate_routes(make_trainer(model), _MarkAtReplicate(3, value),
-                        model, 4, 8, 5, [route])
+        estimate_routes(trainer, _MarkAtReplicate(3, value), model, 4, 8, 5,
+                        [route])
     assert type(info.value.__cause__).__name__ == message.split(":")[0]
 
 
@@ -764,13 +772,63 @@ class _FailsOnBlocks(ExplicitGaussianMeanTrainer):
 
 
 def test_block_only_failure_names_the_block(monkeypatch):
-    monkeypatch.setattr(genbench, "_BLOCK", 7)
+    trainer = _FailsOnBlocks(1.0)
+    _force_rows(monkeypatch, trainer, 4, 7)
     model, pop = gaussian_mean_setup()
     with pytest.raises(genbench.ReplicateError,
                        match=r"direct.* n=4, replicates 0-6, seed 2: "
                              r"FloatingPointError: batch of") as info:
-        wge_direct(_FailsOnBlocks(1.0), pop, model, 4, 10, seed=2)
+        wge_direct(trainer, pop, model, 4, 10, seed=2)
     assert isinstance(info.value.__cause__, FloatingPointError)
+
+
+def _block_sizes(monkeypatch, stop=False):
+    """Row counts of the blocks the replicate loop builds; with ``stop``
+    each block raises as soon as it is sized."""
+    sizes, init = [], genbench._Block.__init__
+
+    def sized(self, trainer, pop, model, n, seed, reps):
+        sizes.append(len(reps))
+        if stop:
+            raise RuntimeError("block sized")
+        init(self, trainer, pop, model, n, seed, reps)
+
+    monkeypatch.setattr(genbench._Block, "__init__", sized)
+    return sizes
+
+
+def _first_block_rows(monkeypatch, trainer, model, pop, n) -> int:
+    sizes = _block_sizes(monkeypatch, stop=True)
+    with pytest.raises(genbench.ReplicateError, match="block sized"):
+        estimate_routes(trainer, pop, model, n, 10_000, 1, ["direct"])
+    return sizes[0]
+
+
+def test_block_rows_follow_the_working_set(monkeypatch):
+    budget = genbench._BLOCK_ELEMENTS
+    # the explicit trainer's 200-replicate cells each run in one block
+    model, pop = gaussian_mean_setup()
+    sizes = _block_sizes(monkeypatch)
+    for n in (5, 10, 20, 40, 80):
+        estimate_routes(ExplicitGaussianMeanTrainer(1.0), pop, model, n, 200,
+                        3, ["direct", "resampled"])
+    assert sizes == [200] * 5
+    # a 257-node grid: budget // 257 rows, then the remainder
+    model, pop = noiseless_line_setup()
+    sizes.clear()
+    rows = budget // 257
+    estimate_routes(GridGibbsTrainer(model, WEAK_CFG), pop, model, 4,
+                    rows + 3, 3, ["direct"])
+    assert sizes == [rows, 3]
+    # a network on a 65^2 grid fills the budget; a 257^2 grid is wider
+    # than it and runs one row a block
+    net = losses.NNLoss("tanh", "quadratic")
+    line = NoiselessLinePopulation(0.8, 1.0)
+    rows = [_first_block_rows(monkeypatch, GridGibbsTrainer(net, GibbsConfig(
+        beta=0.7, sigma=1.0, p=8, theta_dim=2, nodes_per_axis=nodes)), net,
+        line, 4) for nodes in (65, 257)]
+    assert rows[0] * 65 ** 2 <= budget < (rows[0] + 1) * 65 ** 2
+    assert rows[1] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,13 @@
 
 import importlib.util
 import json
+import shlex
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
@@ -160,20 +163,29 @@ def _git(repo: Path, *args: str) -> str:
                           capture_output=True, text=True).stdout
 
 
-def test_bench_pairs_runs_a_snapshot_of_the_working_tree(tmp_path,
-                                                         monkeypatch):
+def _bench_pairs():
     spec = importlib.util.spec_from_file_location("_bench_pairs",
                                                   TOOLS / "bench_pairs.py")
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
+    return bench_pairs
+
+
+def _commit(repo: Path, message: str) -> None:
+    _git(repo, "add", "-A")
+    _git(repo, "-c", "user.name=t", "-c", "user.email=t@t", "commit", "-qm",
+         message)
+
+
+def test_bench_pairs_runs_a_snapshot_of_the_working_tree(tmp_path,
+                                                         monkeypatch):
+    bench_pairs = _bench_pairs()
     repo = tmp_path / "repo"
     repo.mkdir()
     _git(repo, "init", "-q")
     (repo / ".gitignore").write_text("__pycache__/\n")
     (repo / "tracked.py").write_text("A = 1\n")
-    _git(repo, "add", "-A")
-    _git(repo, "-c", "user.name=t", "-c", "user.email=t@t", "commit", "-qm",
-         "base")
+    _commit(repo, "base")
     (repo / "tracked.py").write_text("A = 2\n")
     (repo / "new.py").write_text("B = 3\n")
     (repo / "__pycache__").mkdir()
@@ -187,3 +199,48 @@ def test_bench_pairs_runs_a_snapshot_of_the_working_tree(tmp_path,
                                                       "tracked.py"]
     assert (side / "tracked.py").read_text() == "A = 2\n"
     assert _git(repo, "status", "--porcelain") == status
+
+
+# exits with the code in the side's file ``code`` after holding 40 MB
+_EXIT_WITH_CODE = (f"{shlex.quote(sys.executable)} -c \"import sys; "
+                   "b = bytearray(40 << 20); "
+                   "sys.exit(int(open('code').read()))\"")
+
+
+def _two_sides(tmp_path, parent_code: str, change_code: str) -> Path:
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    _git(repo, "init", "-q")
+    for side, code in (("parent", parent_code), ("change", change_code)):
+        (repo / "code").write_text(code)
+        (repo / "side").write_text(side)
+        _commit(repo, side)
+    return repo
+
+
+def test_bench_pairs_wall_refuses_pairs_that_exit_differently(tmp_path,
+                                                              monkeypatch):
+    bench_pairs = _bench_pairs()
+    monkeypatch.setattr(bench_pairs, "ROOT", _two_sides(tmp_path, "3", "0"))
+    with pytest.raises(RuntimeError, match=r"--wall fail pair 1: parent "
+                                           r"exited 3, change 0: "):
+        bench_pairs.main(["--parent", "HEAD~1", "--change", "HEAD",
+                          "--label", "t", "--wall", "fail=" + _EXIT_WITH_CODE,
+                          "--wall-pairs", "1"])
+
+
+def test_bench_pairs_wall_records_peak_rss(tmp_path, monkeypatch):
+    bench_pairs = _bench_pairs()
+    repo = _two_sides(tmp_path, "2", "2")
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    # both sides exit 2, as gaussian-oracle does when a 3-SE test misses
+    assert bench_pairs.main(["--parent", "HEAD~1", "--change", "HEAD",
+                             "--label", "t", "--wall-pairs", "2",
+                             "--wall", "hold=" + _EXIT_WITH_CODE]) == 0
+    wall = json.loads((repo / "BENCH_t.json").read_text())[
+        "end_to_end_wall"]["hold"]
+    for row in wall["runs"]:
+        for side in ("parent", "change"):
+            assert row[side]["exit"] == 2
+            assert row[side]["peak_rss_mb"] >= 40
+    assert wall["summary"]["peak_rss_mb"]["pairs"] == 2

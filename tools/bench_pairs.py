@@ -15,7 +15,11 @@ every workload and seed, one pair of ``perfbench/run.py --trace 0`` runs
 is made, alternating which side runs first.  Each ``--wall`` command is
 run ``--wall-pairs`` times per side through the shell, in the side's
 directory with ``PYTHONPATH`` set to its ``src``; ``{out}`` in the
-command is replaced by a fresh output directory.  The tool prints each
+command is replaced by a fresh output directory.  Each run records its
+wall time, exit code and peak RSS (``ru_maxrss`` of the shell and the
+processes it waited for).  A pair whose two sides exit with different
+codes, or in which a side ends by a signal, is an error, so a command
+that fails fast cannot win its pairs.  The tool prints each
 side's median and quartiles, the change's wins and the parent's
 interquartile range for every metric, and writes (or updates)
 ``BENCH_<label>.json``.
@@ -78,9 +82,24 @@ def _wall(side: Path, command: str, scratch: Path) -> dict:
     out = Path(tempfile.mkdtemp(dir=scratch))
     env = dict(os.environ, PYTHONPATH=str(side / "src"))
     t0 = time.perf_counter()
-    proc = subprocess.run(command.replace("{out}", shlex.quote(str(out))),
-                          shell=True, cwd=side, env=env, capture_output=True)
-    return {"wall_s": time.perf_counter() - t0, "exit": proc.returncode}
+    proc = subprocess.Popen(command.replace("{out}", shlex.quote(str(out))),
+                            shell=True, cwd=side, env=env,
+                            stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - t0
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return {"wall_s": wall, "exit": proc.returncode,
+            "peak_rss_mb": usage.ru_maxrss / 1024.0}
+
+
+def _check_exits(name: str, command: str, row: dict) -> None:
+    """Refuse a pair whose sides exit differently or by a signal (a
+    negative code); equal codes, such as 2 for a missed 3-SE test, pass."""
+    par, chg = row["parent"]["exit"], row["change"]["exit"]
+    if par != chg or min(par, chg) < 0:
+        raise RuntimeError(f"--wall {name} pair {row['pair']}: parent "
+                           f"exited {par}, change {chg}: {command}")
 
 
 def _summary(runs: list, metrics) -> dict:
@@ -171,9 +190,10 @@ def main(argv=None) -> int:
                 row = {"pair": k + 1, "first": order[0]}
                 for side in order:
                     row[side] = _wall(sides[side], command, tmp)
-                runs.append(row)
                 print(json.dumps(row), flush=True)
-            summary = _summary(runs, ("wall_s",))
+                _check_exits(name, command, row)
+                runs.append(row)
+            summary = _summary(runs, ("wall_s", "peak_rss_mb"))
             report.setdefault("end_to_end_wall", {})[name] = {
                 "command": command, "summary": summary, "runs": runs}
             _print(name, summary)
