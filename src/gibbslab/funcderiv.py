@@ -31,7 +31,7 @@ import numpy as np
 from . import losses as _losses
 from .gibbs import CurvatureKernel, GibbsConfig, GibbsSolution, solve_gibbs
 from .measures import (DataMeasure, DataPoint, GridMeasure, MeasureBatch,
-                       _freeze)
+                       _readonly)
 
 
 @functools.cache
@@ -44,7 +44,7 @@ def gauss_legendre_01(n: int):
     if n < 1:
         raise ValueError("need at least one quadrature node")
     x, w = np.polynomial.legendre.leggauss(n)
-    return _freeze(0.5 * (x + 1.0)), _freeze(0.5 * w)
+    return _readonly(0.5 * (x + 1.0)), _readonly(0.5 * w)
 
 
 def check_linear_derivative(value_fn: Callable, deriv_fn: Callable,
@@ -103,9 +103,10 @@ def build_Cm(model, m: GridMeasure, nu: DataMeasure) -> CurvatureKernel:
     w = m.node_weights
     if model.has_zero_d2m():
         return CurvatureKernel(np.zeros((m.n_nodes, 0)), np.zeros(0), w)
-    phi = model.phi(m.nodes, nu.xs)
-    preds = phi.T @ w
-    return CurvatureKernel(phi - preds,
+    feats = model.phi(m.nodes, nu.xs)
+    preds = feats.T @ w
+    feats -= preds  # centred in place: one (N, n) array
+    return CurvatureKernel(feats,
                            nu.weights * model.outer.d2(preds, nu.ys), w, preds)
 
 

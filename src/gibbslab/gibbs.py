@@ -26,7 +26,8 @@ from typing import Optional
 import numpy as np
 
 from . import losses as _losses
-from .measures import DataMeasure, GridMeasure, ParticleMeasure, uniform_grid
+from .measures import (DataMeasure, GridMeasure, ParticleMeasure, _readonly,
+                       uniform_grid)
 
 # prior and tilted-prior mass left outside the automatic grid box
 TAIL_MASS = 1e-10
@@ -175,10 +176,12 @@ class GibbsConfig:
         return float(self.radius)
 
     def grid(self):
-        """Grid nodes and scalar cell volume for this configuration."""
+        """Read-only grid nodes and scalar cell volume for this
+        configuration; every measure built on them shares the nodes."""
         if "grid" not in self._cache:
-            self._cache["grid"] = uniform_grid(
+            nodes, vol = uniform_grid(
                 self.box_radius(), self.nodes_per_axis, self.theta_dim)
+            self._cache["grid"] = _readonly(nodes), vol
         return self._cache["grid"]
 
     def confinement(self) -> np.ndarray:
@@ -349,7 +352,7 @@ def _tilt(cfg: GibbsConfig, drdm: np.ndarray) -> GridMeasure:
     """Grid measure with density proportional to ``exp(-tau drdm - U/sigma^2)``."""
     nodes, vol = cfg.grid()
     expo = -cfg.temperature * drdm - cfg.confinement()
-    return GridMeasure(nodes, vol, _normalized_exp(expo, vol)[0])
+    return GridMeasure(nodes, vol, _readonly(_normalized_exp(expo, vol)[0]))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -393,10 +396,16 @@ class CurvatureKernel:
         ``p -> E_{tilt(p)} phi - p`` and the small matrix of the
         Woodbury identity for ``(I + tau K W)^-1``.
         """
-        # Gram form B^T B with B = W^(1/2) A: exactly symmetric, and it
-        # avoids subnormal products where the density underflows
-        b = self.features * np.sqrt(self.weights)[:, None]
-        return np.eye(self.rank) + temperature * (b.T @ b) * self.curvatures
+        return _system(self.features * np.sqrt(self.weights)[:, None],
+                       self.curvatures, temperature)
+
+
+def _system(b: np.ndarray, curvatures: np.ndarray,
+            temperature: float) -> np.ndarray:
+    """``S = I + tau B^T B diag(c)`` from the weighted features
+    ``B = W^(1/2) A`` (N, n): the Gram form is exactly symmetric, and it
+    avoids subnormal products where the density underflows."""
+    return np.eye(b.shape[1]) + temperature * (b.T @ b) * curvatures
 
 
 @dataclasses.dataclass(frozen=True)
@@ -414,14 +423,16 @@ def _newton_network(model, nu: DataMeasure, cfg: GibbsConfig,
 
     The fixed point solves ``G(q) = E_{tilt(q)} phi - q = 0`` in R^n,
     with Jacobian ``-S`` (:meth:`CurvatureKernel.system`); each step
-    starts from the predictions of the current measure.  Stops at the
-    first measure whose residual ``||gibbs_map(m) - m||_inf`` is within
-    ``tol``, after ``max_iter`` steps, or when a step is non-finite,
-    singular or fails to lower ``||G||_inf``.  Returns the last accepted
-    ``(measure, steps, residual)``, with ``residual = inf`` unless it
-    converged.
+    starts from the predictions of the current measure.  A solve holds
+    two (N, n) arrays: the features ``phi`` and one work array in which
+    every step forms ``S``.  Stops at the first measure whose residual
+    ``||gibbs_map(m) - m||_inf`` is within ``tol``, after ``max_iter``
+    steps, or when a step is non-finite, singular or fails to lower
+    ``||G||_inf``.  Returns the last accepted ``(measure, steps,
+    residual)``, with ``residual = inf`` unless it converged.
     """
     phi = model.phi(cfg.grid()[0], nu.xs)
+    work = np.empty_like(phi)
 
     def tilt(p):
         return _tilt(cfg, phi @ (nu.weights * model.outer.d1(p, nu.ys)))
@@ -445,11 +456,13 @@ def _newton_network(model, nu: DataMeasure, cfg: GibbsConfig,
         current, steps, g_norm = trial, it, g_trial
         if it == max_iter:
             break
-        kern = CurvatureKernel(phi - mean,
-                               nu.weights * model.outer.d2(q, nu.ys),
-                               target.node_weights)
+        # the kernel's weighted features (phi - mean) W^(1/2), in place
+        np.subtract(phi, mean, out=work)
+        work *= np.sqrt(target.node_weights)[:, None]
+        small = _system(work, nu.weights * model.outer.d2(q, nu.ys),
+                        cfg.temperature)
         try:
-            p = q + np.linalg.solve(kern.system(cfg.temperature), g)
+            p = q + np.linalg.solve(small, g)
             trial = tilt(p)
         except (np.linalg.LinAlgError, ValueError):
             break

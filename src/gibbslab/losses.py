@@ -53,7 +53,9 @@ _PHI_ELEMENTS = 1 << 22
 class Activation:
     """Scalar activation with an optional derivative.
 
-    ``value`` is vectorized; ``deriv(u, a)`` also takes ``a = value(u)``.
+    ``value`` is vectorized and returns a new array or its argument, which
+    :meth:`NNLoss.phi` then scales in place; ``deriv(u, a)`` also takes
+    ``a = value(u)``.
     ``deriv`` is ``None`` for activations that have no usable derivative
     (heaviside), which restricts them to grid-based solvers.
     """
@@ -222,10 +224,14 @@ class NNLoss:
         self.outer = outer_loss(outer) if isinstance(outer, str) else outer
 
     def phi(self, theta: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        """Feature map for all parameter rows and all inputs, shape (N, n)."""
+        """Feature map for all parameter rows and all inputs, shape (N, n).
+        The activations are scaled in place, so at most two (N, n) arrays
+        are alive at once."""
         theta = np.atleast_2d(np.asarray(theta, dtype=float))
         u = theta[:, 1:] @ np.asarray(xs, dtype=float).T
-        return theta[:, 0][:, None] * self.activation.value(u)
+        out = self.activation.value(u)
+        out *= theta[:, :1]
+        return out
 
     def predict(self, m, xs: np.ndarray) -> np.ndarray:
         """Mean-field predictions ``E_m phi(., x_i)``, shape (n,); (B, k)

@@ -17,6 +17,11 @@ r-th measure as a grid measure.  A batch runs the checks of one grid
 measure and does not say which row failed them.  Code that takes
 either reads it as rows (:func:`as_rows`); a grid measure is one row.
 
+Measures are immutable: every array they expose is read-only.  An
+input that no writable array reaches, such as a configuration's grid
+nodes or another measure's arrays, is held as it is; any other input is
+copied.  A scalar cell volume is one frozen value seen by every node.
+
 Data measures are probability measures.  Signed grid measures
 (derivatives of trained measures in the data) are supported through a
 ``signed`` flag rather than a separate type: validation switches from
@@ -58,10 +63,32 @@ class DataPoint:
         object.__setattr__(self, "y", float(self.y))
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
+def _freeze(a) -> np.ndarray:
+    """``a`` as a read-only float64 array: ``a`` itself when no writable
+    array reaches its memory, that is when it is read-only and owns its
+    data or views a read-only array that does (a frozen grid, or a frozen
+    scalar cell volume broadcast to every node); a frozen copy otherwise."""
+    a = np.asarray(a, dtype=float)
+    owner = a if a.base is None else a.base
+    if a.flags.writeable or not isinstance(owner, np.ndarray) \
+            or owner.flags.writeable or not owner.flags.owndata:
+        a = _readonly(a.copy())
+    return a
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    """``a``, an array no one else holds, frozen in place."""
     a.flags.writeable = False
     return a
+
+
+def _cells(cell_volumes, n: int) -> np.ndarray:
+    """Read-only cell volumes of ``n`` nodes: a scalar is frozen and
+    broadcast to (n,), never expanded, and frozen (n,) volumes are kept."""
+    cell_volumes = _freeze(cell_volumes)
+    if cell_volumes.shape == (n,):
+        return cell_volumes
+    return np.broadcast_to(cell_volumes, (n,))
 
 
 def _check_grid(nodes, cell_volumes, density, signed, normalize):
@@ -80,7 +107,7 @@ def _check_grid(nodes, cell_volumes, density, signed, normalize):
     if normalize and not signed:
         if not all(0.0 < m < math.inf for m in masses):
             raise ValueError("cannot normalize a degenerate density")
-        density = density / mass[..., None]
+        density = _readonly(density / mass[..., None])
         masses = [1.0]
     if not signed and (density < 0).any():
         raise ValueError("unsigned grid density with negative value")
@@ -241,18 +268,15 @@ class GridMeasure:
         if nodes.ndim == 1:
             nodes = nodes[:, None]
         density = np.asarray(density, dtype=float)
-        cell_volumes = np.broadcast_to(
-            np.asarray(cell_volumes, dtype=float), (nodes.shape[0],))
+        cell_volumes = _cells(cell_volumes, nodes.shape[0])
         if nodes.ndim != 2 or density.shape != (nodes.shape[0],):
             raise ValueError("grid arrays must be (N, d) nodes and (N,) density")
         density = _check_grid(nodes, cell_volumes, density, signed, normalize)
         self.nodes = _freeze(nodes)
-        self.cell_volumes = _freeze(cell_volumes)
+        self.cell_volumes = cell_volumes
         self.density = _freeze(density)
         # per-node quadrature mass ``density * cell_volume``
-        weights = self.density * self.cell_volumes
-        weights.flags.writeable = False
-        self.node_weights = weights
+        self.node_weights = _readonly(self.density * cell_volumes)
         self.signed = bool(signed)
 
     @property
@@ -264,9 +288,9 @@ class GridMeasure:
         return self.nodes.shape[1]
 
     def same_grid(self, other: "GridMeasure") -> bool:
-        return (self.nodes.shape == other.nodes.shape
-                and np.array_equal(self.nodes, other.nodes)
-                and np.array_equal(self.cell_volumes, other.cell_volumes))
+        return all(a is b or np.array_equal(a, b) for a, b in (
+            (self.nodes, other.nodes),
+            (self.cell_volumes, other.cell_volumes)))
 
     integrate = _integrate
 
@@ -293,7 +317,7 @@ class ParticleMeasure(GridMeasure):
         if not np.isfinite(points).all():
             raise ValueError("non-finite particle")
         super().__init__(points, 1.0 / points.shape[0],
-                         np.ones(points.shape[0]))
+                         _readonly(np.ones(points.shape[0])))
 
     @property
     def points(self) -> np.ndarray:
@@ -329,12 +353,12 @@ class MeasureBatch:
         cell_volumes = np.asarray(cell_volumes, dtype=float)
         if cell_volumes.ndim > 1:
             raise ValueError("batch cell volumes must be a scalar or (N,)")
-        cell_volumes = np.broadcast_to(cell_volumes, (density.shape[1],))
+        cell_volumes = _cells(cell_volumes, density.shape[1])
         density = _check_grid(nodes, cell_volumes, density, False, normalize)
         self.nodes = _freeze(nodes)
-        self.cell_volumes = _freeze(cell_volumes)
+        self.cell_volumes = cell_volumes
         self.density = _freeze(density)
-        self.node_weights = _freeze(density * cell_volumes)
+        self.node_weights = _readonly(self.density * cell_volumes)
 
     @classmethod
     def of(cls, measures) -> "MeasureBatch":
@@ -351,13 +375,14 @@ class MeasureBatch:
         elif all(m.nodes.shape == first.nodes.shape
                  and np.array_equal(m.cell_volumes, first.cell_volumes)
                  for m in rows):
-            batch.nodes = _freeze(np.stack([m.nodes for m in rows]))
+            batch.nodes = _readonly(np.stack([m.nodes for m in rows]))
         else:
             raise ValueError("batch rows must agree on node count and "
                              "cell volumes")
         batch.cell_volumes = first.cell_volumes
-        batch.density = _freeze(np.stack([m.density for m in rows]))
-        batch.node_weights = _freeze(np.stack([m.node_weights for m in rows]))
+        batch.density = _readonly(np.stack([m.density for m in rows]))
+        batch.node_weights = _readonly(np.stack([m.node_weights
+                                                 for m in rows]))
         return batch
 
     def __len__(self) -> int:
@@ -414,11 +439,8 @@ def uniform_grid(radius: float, nodes_per_axis: int, dim: int):
         raise ValueError("grid radius must be positive")
     h = 2.0 * radius / nodes_per_axis
     axis = -radius + h * (np.arange(nodes_per_axis) + 0.5)
-    if dim == 1:
-        nodes = axis[:, None]
-    else:
-        grids = np.meshgrid(*([axis] * dim), indexing="ij")
-        nodes = np.stack([g.ravel() for g in grids], axis=1)
+    grids = np.meshgrid(*([axis] * dim), indexing="ij")
+    nodes = np.stack([g.ravel() for g in grids], axis=1)
     return nodes, h ** dim
 
 

@@ -4,16 +4,17 @@ import dataclasses
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from gibbslab import gibbs, losses
+from gibbslab import funcderiv, gibbs, losses
 from gibbslab.gibbs import (GibbsConfig, GibbsConvergenceError, Regularizer,
                             default_regularizer, gibbs_map, kl_divergence,
                             mfld_sample, objective, prior_kl,
                             prior_moment_bound, solve_gibbs)
-from gibbslab.measures import (GridMeasure, ParticleMeasure,
+from gibbslab.measures import (DataPoint, GridMeasure, ParticleMeasure,
                                empirical_from_arrays, uniform_grid_1d)
 
 
@@ -428,6 +429,40 @@ def test_newton_falls_back_to_damped_iteration():
     ref = damped_oracle(losses.NNLoss("tanh", "quadratic"), nu, cfg,
                         cfg.priors().gamma_sigma)
     assert np.max(np.abs(sol.measure.density - ref.density)) <= 1e-9
+
+
+def _traced_peak(fn):
+    """``fn()`` and the tracemalloc peak of the call, in bytes above the
+    traced level before it."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_network_solve_and_derivative_hold_two_feature_arrays():
+    # budget fixed from the array count: the features phi and one work
+    # array of the same (N, n) shape, plus 24 node-sized arrays for the
+    # measures, exponents and checks of a step
+    model = losses.NNLoss("tanh", "quadratic")
+    nu = network_data("quadratic", n=64)
+    cfg = GibbsConfig(beta=0.7, sigma=1.0, p=8, theta_dim=2,
+                      nodes_per_axis=65)
+    cfg.priors()
+    n_nodes, n_atoms = cfg.grid()[0].shape[0], nu.n_atoms
+    budget = 8 * (2 * n_nodes * n_atoms + 24 * n_nodes)
+    kw = {"damping": 0.5, "tol": 1e-9}
+    sol, peak = _traced_peak(lambda: solve_gibbs(model, nu, cfg, **kw))
+    assert sol.residual <= 1e-9
+    assert peak <= budget, (peak, budget)
+    td = funcderiv.TrainedDerivatives(model, nu, cfg, solve_kwargs=kw)
+    dm, peak = _traced_peak(lambda: td.dm_dnu(DataPoint([0.5], 0.4)))
+    assert dm.signed
+    assert peak <= budget, (peak, budget)
 
 
 def test_solve_gibbs_argument_validation():

@@ -124,6 +124,25 @@ def test_nn_predict_matches_manual_average():
         rtol=1e-12)
 
 
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("kind", ["relu", "tanh", "sigmoid", "heaviside",
+                                  "identity"])
+def test_nn_phi_scales_activations_in_place_bit_for_bit(kind, q):
+    act = (losses.Activation("identity", lambda u: u, None)
+           if kind == "identity" else activation(kind))
+    rng = np.random.default_rng(q)
+    theta = rng.standard_normal((50, 1 + q)) * 3.0
+    theta[:5, 1:] = 0.0  # u = 0 exactly: the relu and heaviside kinks
+    xs = rng.standard_normal((7, q))
+    theta_in, xs_in = theta.copy(), xs.copy()
+    got = NNLoss(act, "quadratic").phi(theta, xs)
+    want = theta[:, :1] * act.value(theta[:, 1:] @ xs.T)
+    np.testing.assert_array_equal(got, want)
+    assert got.shape == (50, 7) and got.dtype == np.float64
+    np.testing.assert_array_equal(theta, theta_in)
+    np.testing.assert_array_equal(xs, xs_in)
+
+
 def test_nn_predict_batch_consistency():
     model = NNLoss("sigmoid", "logcosh")
     m = bump_grid_2d(np.array([-0.2, 0.4]))

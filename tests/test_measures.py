@@ -8,6 +8,7 @@ from gibbslab.measures import (DataMeasure, DataPoint, GridMeasure,
                                convex_combination, empirical_from_arrays,
                                resample, uniform_grid, uniform_grid_1d)
 from gibbslab import losses
+from gibbslab.gibbs import GibbsConfig, solve_gibbs
 from gibbslab.losses import ExpectedParamLoss, NNLoss
 
 
@@ -75,6 +76,77 @@ def test_grid_measure_node_weights_computed_once_and_frozen():
     np.testing.assert_array_equal(m.node_weights, m.density * m.cell_volumes)
     with pytest.raises(ValueError):
         m.node_weights[0] = 0.0
+
+
+def _exposed(m):
+    names = ("xs", "ys", "weights") if isinstance(m, DataMeasure) \
+        else ("nodes", "cell_volumes", "density", "node_weights")
+    return [getattr(m, k) for k in names]
+
+
+def _one_cell_volume(m):
+    # a scalar cell volume is one value seen by every node, never a copy
+    assert m.cell_volumes.strides == (0,)
+    assert m.cell_volumes.base.size == 1
+
+
+def test_measures_on_a_config_grid_share_its_nodes_and_cell_volume():
+    cfg = GibbsConfig(beta=1.0, sigma=1.0, p=2, theta_dim=2,
+                      nodes_per_axis=9)
+    nodes, vol = cfg.grid()
+    assert not nodes.flags.writeable
+    dens = np.exp(-np.sum(nodes ** 2, axis=1))
+    g = GridMeasure(nodes, vol, dens, normalize=True)
+    batch = MeasureBatch(nodes, vol, np.stack([dens, 2.0 * dens]),
+                         normalize=True)
+    nu = empirical_from_arrays(np.zeros((3, 0)), np.array([0.1, -0.2, 0.3]))
+    sol = solve_gibbs(losses.mean_squared_param_loss(), nu,
+                      GibbsConfig(beta=1.0, sigma=1.0, p=2, nodes_per_axis=9),
+                      damping=1.0)
+    rows = [g, batch, batch[1], MeasureBatch.of([g, batch[0]]),
+            convex_combination(g, batch[1], 0.25), cfg.priors().gamma_sigma,
+            cfg.priors().gamma_tilt_p]
+    for m in rows:
+        assert m.nodes is nodes
+        _one_cell_volume(m)
+        if isinstance(m, GridMeasure):
+            assert m.same_grid(g)
+    for m in sol.measure, ParticleMeasure(nodes), GridMeasure(
+            nodes, np.array(vol), dens, normalize=True):
+        _one_cell_volume(m)
+    # a row of a batch views the batch's frozen density
+    assert np.shares_memory(batch[1].density, batch.density)
+    for m in rows + [sol.measure]:
+        assert not any(a.flags.writeable for a in _exposed(m))
+
+
+def test_measures_copy_read_only_views_of_writable_arrays():
+    nodes, vol = uniform_grid_1d(0.0, 1.0, 11)
+    base_nodes, base_vol = nodes.copy(), np.array(vol)
+    base_cells = np.full(11, vol)
+    base_dens = np.full(11, 0.5)
+
+    def view(a):
+        v = a[...]
+        v.flags.writeable = False
+        return v
+
+    cases = [GridMeasure(view(base_nodes), np.broadcast_to(base_vol, (11,)),
+                         view(base_dens)),
+             GridMeasure(view(base_nodes[:, 0]), view(base_cells),
+                         view(base_dens)),
+             MeasureBatch(view(base_nodes), view(base_vol),
+                          np.broadcast_to(base_dens, (2, 11))),
+             ParticleMeasure(view(base_nodes))]
+    xs, ys, w = np.ones((4, 2)), np.arange(4.0), np.full(4, 0.25)
+    data = DataMeasure(view(xs), view(ys), view(w))
+    before = [[a.copy() for a in _exposed(m)] for m in cases + [data]]
+    for a in (base_nodes, base_vol, base_cells, base_dens, xs, ys, w):
+        a[...] = 7.0
+    for m, old in zip(cases + [data], before):
+        for a, b in zip(_exposed(m), old):
+            assert not a.flags.writeable
+            np.testing.assert_array_equal(a, b)
 
 
 def test_grid_measure_moments_against_gaussian():

@@ -139,11 +139,16 @@ class K:
 '''
 
 
-def test_traffic_report_names_unrun_code_and_counts_lines(tmp_path):
+def _load_traffic():
     spec = importlib.util.spec_from_file_location("_traffic",
                                                   TOOLS / "traffic.py")
     traffic = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(traffic)
+    return traffic
+
+
+def test_traffic_report_names_unrun_code_and_counts_lines(tmp_path):
+    traffic = _load_traffic()
     pkg = tmp_path / "src" / "gibbslab"
     pkg.mkdir(parents=True)
     (pkg / "mod.py").write_text(_MODULE)
@@ -156,6 +161,35 @@ def test_traffic_report_names_unrun_code_and_counts_lines(tmp_path):
         "mod: 13 lines, 5 of 9 executable lines not run: 5-6, 9-10, 12",
         "other: 3 lines, 0 of 2 executable lines not run",
         "src/gibbslab: 16 lines"]
+
+
+_THREADED = '''import threading
+
+
+def on_helper():
+    return 1
+
+
+def main():
+    helper = threading.Thread(target=on_helper)
+    helper.start()
+    helper.join()
+'''
+
+
+def test_traffic_traces_functions_entered_only_on_a_thread(tmp_path):
+    traffic = _load_traffic()
+    pkg = tmp_path / "src" / "gibbslab"
+    pkg.mkdir(parents=True)
+    path = pkg / "threaded.py"
+    path.write_text(_THREADED)
+    spec = importlib.util.spec_from_file_location("_threaded", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    ran = traffic.trace_lines(mod.main)
+    assert 5 in ran[path.resolve()]
+    assert traffic.report(pkg, ran).splitlines()[0] \
+        == "0 functions not entered"
 
 
 def _git(repo: Path, *args: str) -> str:

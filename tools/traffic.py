@@ -4,7 +4,8 @@ Usage, from any directory::
 
     python tools/traffic.py [--repo ROOT] [--seed SEED]
 
-In one process under ``trace.Trace(count=1, trace=0)``, this runs every
+In one process under ``trace.Trace(count=1, trace=0)``, installed on
+every thread the traffic starts as well, this runs every
 ``ROOT/configs/*.json`` as shipped, ``gibbslab verify``, and one pass of
 each workload of ``ROOT/perfbench/workloads.py`` (set up from ``SEED``,
 default 0), all writing into a temporary directory, with the package
@@ -26,6 +27,7 @@ import contextlib
 import io
 import sys
 import tempfile
+import threading
 import time
 import trace
 import types
@@ -98,6 +100,24 @@ def report(pkg: Path, ran: dict) -> str:
                      + [f"{pkg.parent.name}/{pkg.name}: {total} lines"])
 
 
+def trace_lines(fn, *args) -> dict:
+    """Run ``fn(*args)`` under ``trace.Trace(count=1, trace=0)`` and return
+    the line numbers that ran, per resolved file path.  The tracer is
+    installed with ``threading.settrace`` too, as ``Trace.runctx`` does,
+    so threads started meanwhile (the particle sampler's noise helper)
+    are counted."""
+    tracer = trace.Trace(count=1, trace=0)
+    threading.settrace(tracer.globaltrace)
+    try:
+        tracer.runfunc(fn, *args)
+    finally:
+        threading.settrace(None)
+    ran = {}
+    for (filename, line), _ in tracer.results().counts.items():
+        ran.setdefault(Path(filename).resolve(), set()).add(line)
+    return ran
+
+
 def _traffic(root: Path, seed: int, out: Path) -> None:
     """The configs, ``verify`` and one pass of each benchmark workload."""
     from gibbslab import cli
@@ -139,12 +159,8 @@ def main(argv=None) -> int:
     root = args.repo.resolve()
     pkg = root / "src" / "gibbslab"
     sys.path.insert(0, str(root / "src"))
-    tracer = trace.Trace(count=1, trace=0)
     with tempfile.TemporaryDirectory() as tmp:
-        tracer.runfunc(_traffic, root, args.seed, Path(tmp))
-    ran = {}
-    for (filename, line), _ in tracer.results().counts.items():
-        ran.setdefault(Path(filename).resolve(), set()).add(line)
+        ran = trace_lines(_traffic, root, args.seed, Path(tmp))
     print(report(pkg, ran))
     return 0
 
