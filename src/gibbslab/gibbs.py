@@ -33,6 +33,10 @@ from .measures import (DataMeasure, GridMeasure, ParticleMeasure, _readonly,
 TAIL_MASS = 1e-10
 # normals in each of the sampler's two noise blocks (at least one step)
 _NOISE_ELEMENTS = 1 << 16
+# nodes of the trapezoid rule that sizes the automatic box, and the nodes
+# it evaluates and sums at a time
+_TAIL_NODES = 200001
+_TAIL_CHUNK = 1 << 12
 
 
 class GibbsConvergenceError(RuntimeError):
@@ -56,11 +60,12 @@ class Regularizer:
     q: int = 1
 
     def __post_init__(self):
-        if self.kappa <= 0:
+        if not self.kappa > 0:
             raise ValueError("confinement strength kappa must be positive")
-        if int(self.q) != self.q or self.q < 1:
-            raise ValueError("confinement exponent q must be an integer >= 1")
-        object.__setattr__(self, "q", int(self.q))
+        if not math.isfinite(self.kappa):
+            raise ValueError("confinement strength kappa must be finite")
+        object.__setattr__(self, "q", _whole(
+            self.q, 1, "confinement exponent q must be an integer >= 1"))
 
     def value(self, theta) -> np.ndarray:
         theta = np.atleast_2d(np.asarray(theta, dtype=float))
@@ -90,6 +95,17 @@ class Regularizer:
             raise ValueError(
                 f"confinement degree 2q={2 * self.q} must exceed {need} "
                 f"for this model and moment order")
+
+
+def _whole(value, low, message, fractional=None):
+    """``value`` as an int, refused unless it is a whole number >= ``low``;
+    ``fractional`` is the message for a non-integer, ``message`` by default.
+    """
+    if not value >= low:
+        raise ValueError(message)
+    if not (math.isfinite(value) and int(value) == value):
+        raise ValueError(fractional or message)
+    return int(value)
 
 
 def default_regularizer(p: float, kappa: float = 1.0) -> Regularizer:
@@ -134,17 +150,28 @@ class GibbsConfig:
     radius: Optional[float] = None
 
     def __post_init__(self):
-        if self.beta <= 0 or self.sigma <= 0:
+        if not (self.beta > 0 and self.sigma > 0):
             raise ValueError("beta and sigma must be positive")
-        if self.p < 2:
+        if not (math.isfinite(self.beta) and math.isfinite(self.sigma)):
+            raise ValueError("beta and sigma must be finite")
+        if not self.p >= 2:
             raise ValueError("moment order p must be at least 2")
+        if not math.isfinite(self.p):
+            raise ValueError("moment order p must be finite")
+        if self.radius is not None:
+            if not self.radius > 0:
+                raise ValueError("grid radius must be positive")
+            if not math.isfinite(self.radius):
+                raise ValueError("grid radius must be finite")
         if self.regularizer is None:
             object.__setattr__(self, "regularizer",
                                default_regularizer(self.p))
-        if self.theta_dim < 1:
-            raise ValueError("parameter dimension must be at least 1")
-        if self.nodes_per_axis < 8:
-            raise ValueError("grid needs at least 8 nodes per axis")
+        object.__setattr__(self, "theta_dim", _whole(
+            self.theta_dim, 1, "parameter dimension must be at least 1",
+            "parameter dimension must be an integer"))
+        object.__setattr__(self, "nodes_per_axis", _whole(
+            self.nodes_per_axis, 8, "grid needs at least 8 nodes per axis",
+            "nodes per axis must be an integer"))
         object.__setattr__(self, "_cache", {})
 
     @property
@@ -171,8 +198,6 @@ class GibbsConfig:
         if self.radius is None:
             return _auto_radius(self.regularizer, self.sigma, self.p,
                                 self.theta_dim)
-        if self.radius <= 0:
-            raise ValueError("grid radius must be positive")
         return float(self.radius)
 
     def grid(self):
@@ -255,6 +280,17 @@ def _radial_tail_radius(exponent, dim):
     ``exponent`` is the radial log-density ``f(r)``; the mass element is
     ``r^(dim-1) exp(f(r)) dr``.  A box of this half-width contains the
     ball, so the box tail is no larger.
+
+    The mass elements on ``np.linspace(0, r_hi, _TAIL_NODES)`` are scaled
+    so the largest is 1, and the tail ratio at a node is
+    ``1 - cum / total`` for their cumulative trapezoid sum ``cum``.  The
+    sum is walked :data:`_TAIL_CHUNK` nodes at a time, each chunk's
+    ``cumsum`` starting from the previous chunk's last partial sum, so
+    every partial sum is the one a single ``cumsum`` over all nodes gives
+    and only the mass elements are held in full.  The ratio falls from
+    node to node, so the chunk holding the first node within
+    :data:`TAIL_MASS` is found from the partial sums at chunk ends, and
+    only that chunk is summed again.
     """
     # find a cutoff where the log mass element has dropped far below its peak
     r_hi, peak = 1.0, -np.inf
@@ -267,17 +303,42 @@ def _radial_tail_radius(exponent, dim):
         r_hi *= 1.5
     else:
         raise ValueError("radial density does not decay; check the confinement")
-    r = np.linspace(0.0, r_hi, 200001)
+    n, step = _TAIL_NODES, r_hi / (_TAIL_NODES - 1)
+
+    def nodes(a, b):  # np.linspace(0.0, r_hi, n)[a:b], bit for bit
+        r = np.arange(a, b, dtype=float) * step + 0.0
+        if b == n:
+            r[-1] = r_hi
+        return r
+
+    w = np.empty(n)
     with np.errstate(divide="ignore"):
-        logs = np.where(r > 0, (dim - 1) * np.log(np.maximum(r, 1e-300))
-                        + exponent(np.maximum(r, 1e-300)), -np.inf)
-    w = np.exp(logs - np.max(logs))
-    cum = np.concatenate([[0.0], np.cumsum((w[1:] + w[:-1]) * 0.5)])
-    total = cum[-1]
-    tail_ratio = 1.0 - cum / total
-    idx = int(np.searchsorted(-tail_ratio, -TAIL_MASS))
-    idx = min(max(idx, 1), len(r) - 1)
-    return float(r[idx])
+        for a in range(0, n, _TAIL_CHUNK):
+            r = nodes(a, min(a + _TAIL_CHUNK, n))
+            safe = np.maximum(r, 1e-300)
+            w[a:a + r.size] = np.where(
+                r > 0, (dim - 1) * np.log(safe) + exponent(safe), -np.inf)
+    w -= np.max(w)
+    np.exp(w, out=w)
+
+    def partial_sums(a, b, carry):  # cum[a:b + 1], where cum[a] == carry
+        return np.cumsum(np.concatenate([[carry], (w[a + 1:b + 1] + w[a:b])
+                                         * 0.5]))
+
+    edges = [*range(0, n - 1, _TAIL_CHUNK), n - 1]
+    ends = [0.0]
+    for a, b in zip(edges, edges[1:]):
+        ends.append(partial_sums(a, b, ends[-1])[-1])
+    ends = np.array(ends)
+    total = ends[-1]
+    k = int(np.searchsorted(-(1.0 - ends / total), -TAIL_MASS))
+    if 0 < k < len(edges):  # the crossing is in the chunk ending at edges[k]
+        tail = 1.0 - partial_sums(edges[k - 1], edges[k], ends[k - 1]) / total
+        idx = edges[k - 1] + int(np.searchsorted(-tail, -TAIL_MASS))
+    else:  # at the first node, or past the last
+        idx = 0 if k == 0 else n
+    idx = min(max(idx, 1), n - 1)
+    return float(nodes(idx, idx + 1)[0])
 
 
 # ---------------------------------------------------------------------------

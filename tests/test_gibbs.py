@@ -1,15 +1,21 @@
 """Tests for the regularized objective, tilt fixed point, and sampler."""
 
+import contextlib
 import dataclasses
+import importlib.util
+import json
 import math
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gibbslab import funcderiv, gibbs, losses
+from gibbslab import cli, funcderiv, gibbs, losses
 from gibbslab.gibbs import (GibbsConfig, GibbsConvergenceError, Regularizer,
                             default_regularizer, gibbs_map, kl_divergence,
                             mfld_sample, objective, prior_kl,
@@ -101,6 +107,48 @@ def test_gibbs_config_validation_and_derived_quantities():
             GibbsConfig(**bad)
 
 
+@pytest.mark.parametrize("fields, message", [
+    (dict(beta=math.nan), "beta and sigma must be positive"),
+    (dict(beta=math.inf), "beta and sigma must be finite"),
+    (dict(sigma=math.nan), "beta and sigma must be positive"),
+    (dict(sigma=math.inf), "beta and sigma must be finite"),
+    (dict(p=math.nan), "moment order p must be at least 2"),
+    (dict(p=math.inf), "moment order p must be finite"),
+    (dict(radius=math.nan), "grid radius must be positive"),
+    (dict(radius=math.inf), "grid radius must be finite"),
+    (dict(radius=-2.0), "grid radius must be positive"),
+    (dict(theta_dim=math.nan), "parameter dimension must be at least 1"),
+    (dict(theta_dim=1.5), "parameter dimension must be an integer"),
+    (dict(nodes_per_axis=math.nan), "grid needs at least 8 nodes per axis"),
+    (dict(nodes_per_axis=8.5), "nodes per axis must be an integer"),
+    (dict(nodes_per_axis=math.inf), "nodes per axis must be an integer"),
+    (dict(regularizer=(math.nan, 1)),
+     "confinement strength kappa must be positive"),
+    (dict(regularizer=(math.inf, 1)),
+     "confinement strength kappa must be finite"),
+    (dict(regularizer=(1.0, math.nan)),
+     "confinement exponent q must be an integer >= 1"),
+    (dict(regularizer=(1.0, math.inf)),
+     "confinement exponent q must be an integer >= 1"),
+])
+def test_config_fields_are_refused_when_built(fields, message):
+    # a NaN, an infinity or a fraction is refused by the constructor, not
+    # by the grid or the tilt it would later spoil
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        if "regularizer" in fields:
+            Regularizer(*fields["regularizer"])
+        else:
+            GibbsConfig(**dict(dict(beta=1.0, sigma=1.0, p=4), **fields))
+
+
+def test_config_whole_number_fields_are_stored_as_ints():
+    cfg = GibbsConfig(beta=1.0, sigma=1.0, p=4, theta_dim=np.int64(2),
+                      nodes_per_axis=9.0)
+    assert type(cfg.theta_dim) is int and type(cfg.nodes_per_axis) is int
+    assert cfg.grid()[0].shape == (81, 2)
+    assert type(Regularizer(1.0, 3.0).q) is int
+
+
 def test_gibbs_config_is_frozen():
     # a stale prior cache cannot survive a parameter change: the change
     # itself is refused, and with_beta builds a fresh configuration
@@ -171,6 +219,138 @@ def test_automatic_radius_is_memoized_on_the_fields_it_reads(monkeypatch):
     calls.clear()
     assert GibbsConfig(**base, radius=2.5).box_radius() == 2.5
     assert calls == []
+
+
+def _dense_tail_radius(exponent, dim):
+    """``gibbs._radial_tail_radius`` summed over all its nodes at once: the
+    oracle for the chunked walk."""
+    r_hi, peak = 1.0, -np.inf
+    for _ in range(200):
+        probes = np.linspace(1e-9, r_hi, 4097)
+        logs = (dim - 1) * np.log(probes) + exponent(probes)
+        peak = max(peak, float(np.max(logs)))
+        if logs[-1] < peak - 240.0:
+            break
+        r_hi *= 1.5
+    else:
+        raise ValueError("radial density does not decay; check the confinement")
+    r = np.linspace(0.0, r_hi, 200001)
+    with np.errstate(divide="ignore"):
+        logs = np.where(r > 0, (dim - 1) * np.log(np.maximum(r, 1e-300))
+                        + exponent(np.maximum(r, 1e-300)), -np.inf)
+    w = np.exp(logs - np.max(logs))
+    cum = np.concatenate([[0.0], np.cumsum((w[1:] + w[:-1]) * 0.5)])
+    total = cum[-1]
+    tail_ratio = 1.0 - cum / total
+    idx = int(np.searchsorted(-tail_ratio, -gibbs.TAIL_MASS))
+    idx = min(max(idx, 1), len(r) - 1)
+    return float(r[idx])
+
+
+@contextlib.contextmanager
+def _tail_exponents(record):
+    """Patch ``gibbs._radial_tail_radius`` to append each (exponent,
+    dimension) it is asked to size to ``record`` before sizing it."""
+    tail_radius = gibbs._radial_tail_radius
+
+    def recording(exponent, dim):
+        record.append((exponent, dim))
+        return tail_radius(exponent, dim)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gibbs, "_radial_tail_radius", recording)
+        yield
+
+
+def _auto_exponents(regularizer, sigma, p, theta_dim):
+    """The (exponent, dimension) pairs ``gibbs._auto_radius`` sizes."""
+    record = []
+    with _tail_exponents(record):
+        try:
+            gibbs._auto_radius.__wrapped__(regularizer, sigma, p, theta_dim)
+        except ValueError:
+            pass
+    return record
+
+
+def _assert_matches_dense(exponent, dim):
+    """The chunked radius equals the dense one bit for bit, or both raise
+    the same message; returns the outcome."""
+    def outcome(tail_radius):
+        try:
+            return tail_radius(exponent, dim)
+        except ValueError as exc:
+            return str(exc)
+    got = outcome(gibbs._radial_tail_radius)
+    want = outcome(_dense_tail_radius)
+    assert type(got) is type(want) and got == want, (dim, got, want)
+    return got
+
+
+@pytest.fixture(scope="module")
+def shipped_tail_exponents(tmp_path_factory):
+    """Every (exponent, dimension) the automatic radius sizes for the
+    shipped configs, the benchmark's workloads and ``verify``."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "_workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    record = []
+    gibbs._auto_radius.cache_clear()
+    try:
+        with _tail_exponents(record):
+            bodies = [json.loads(path.read_text())
+                      for path in sorted((root / "configs").glob("*.json"))]
+            for name, cls in workloads.WORKLOADS.items():
+                work = cls(1, tmp_path_factory.mktemp(name))
+                work.setup()
+                bodies += [body for _, body in getattr(work, "configs", ())]
+            for body in bodies:
+                if "gibbs" in body:
+                    cli._setup(cli.read_config(body))[2].box_radius()
+            cli._verify_checks(0)
+    finally:
+        gibbs._auto_radius.cache_clear()
+    return record
+
+
+@pytest.mark.parametrize("chunk", [gibbs._TAIL_CHUNK, 997, 1000,
+                                   gibbs._TAIL_NODES + 1])
+def test_tail_radius_is_the_dense_rule_bit_for_bit(shipped_tail_exponents,
+                                                   chunk, monkeypatch):
+    # chunk ends that do and do not divide the 200 000 intervals, and one
+    # chunk holding every node
+    monkeypatch.setattr(gibbs, "_TAIL_CHUNK", chunk)
+    assert {dim for _, dim in shipped_tail_exponents} == {1, 2}
+    assert len(shipped_tail_exponents) >= 8
+    for exponent, dim in shipped_tail_exponents:
+        assert isinstance(_assert_matches_dense(exponent, dim), float)
+    # the tilted exponent of q = 1 against p = 4 grows: the same error
+    _, growing = _auto_exponents(Regularizer(1.0, 1), 1.0, 4, 1)
+    assert _assert_matches_dense(*growing) == \
+        "radial density does not decay; check the confinement"
+
+
+@settings(max_examples=25, deadline=None)
+@given(kappa=st.floats(0.02, 5.0), q=st.integers(1, 5),
+       sigma=st.floats(0.2, 3.0), p=st.floats(2.0, 8.0),
+       dim=st.integers(1, 4))
+def test_tail_radius_is_the_dense_rule_on_any_confinement(kappa, q, sigma, p,
+                                                          dim):
+    for exponent, d in _auto_exponents(Regularizer(kappa, q), sigma, p, dim):
+        _assert_matches_dense(exponent, d)
+
+
+def test_automatic_radius_holds_one_node_array():
+    # budget fixed from the array count: the (200 001,) mass elements,
+    # 1.53 MiB, and chunk-sized work arrays; summing all nodes at once
+    # peaks at 9.2 MiB
+    gibbs._auto_radius.cache_clear()
+    radius, peak = _traced_peak(
+        lambda: gibbs._auto_radius(default_regularizer(8), 1.0, 8, 2))
+    assert radius > 1.0
+    assert peak <= 2 * 2 ** 20, peak
 
 
 def test_grid_and_priors_are_cached():
