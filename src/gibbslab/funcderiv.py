@@ -105,7 +105,7 @@ def build_Cm(model, m: GridMeasure, nu: DataMeasure) -> CurvatureKernel:
         return CurvatureKernel(np.zeros((m.n_nodes, 0)), np.zeros(0), w)
     feats = model.phi(m.nodes, nu.xs)
     preds = feats.T @ w
-    feats -= preds  # centred in place: one (N, n) array
+    feats -= preds  # centred in place: the kernel's one (N, n) array
     return CurvatureKernel(feats,
                            nu.weights * model.outer.d2(preds, nu.ys), w, preds)
 

@@ -455,18 +455,36 @@ class CurvatureKernel:
 
         ``S`` is the negated Jacobian of the prediction map
         ``p -> E_{tilt(p)} phi - p`` and the small matrix of the
-        Woodbury identity for ``(I + tau K W)^-1``.
+        Woodbury identity for ``(I + tau K W)^-1``.  The features are
+        already centred; :func:`_system` weights them a row chunk at a
+        time, so no (N, n) copy is made.
         """
-        return _system(self.features * np.sqrt(self.weights)[:, None],
-                       self.curvatures, temperature)
+        return _system(self.features, 0.0, self.weights, self.curvatures,
+                       temperature)
 
 
-def _system(b: np.ndarray, curvatures: np.ndarray,
-            temperature: float) -> np.ndarray:
-    """``S = I + tau B^T B diag(c)`` from the weighted features
-    ``B = W^(1/2) A`` (N, n): the Gram form is exactly symmetric, and it
-    avoids subnormal products where the density underflows."""
-    return np.eye(b.shape[1]) + temperature * (b.T @ b) * curvatures
+def _system(features: np.ndarray, mean, weights: np.ndarray,
+            curvatures: np.ndarray, temperature: float) -> np.ndarray:
+    """``S = I + tau B^T B diag(c)`` for the weighted centred features
+    ``B = W^(1/2) (A - mean)`` of the (N, n) features ``A``.
+
+    ``B`` is formed one chunk of rows at a time
+    (:func:`losses._chunk_rows`) in one reused buffer, and each chunk's
+    ``b^T b`` is added into the n x n Gram ``B^T B``.  Each term, and so
+    the sum, is exactly symmetric, and the Gram form avoids subnormal
+    products where the density underflows.
+    """
+    n_nodes, rank = features.shape
+    step = _losses._chunk_rows(rank)
+    root = np.sqrt(weights)
+    buf = np.empty((min(step, n_nodes), rank))
+    gram = np.zeros((rank, rank))
+    for lo in range(0, n_nodes, step):
+        b = buf[:min(step, n_nodes - lo)]
+        np.subtract(features[lo:lo + step], mean, out=b)
+        b *= root[lo:lo + step, None]
+        gram += b.T @ b
+    return np.eye(rank) + temperature * gram * curvatures
 
 
 @dataclasses.dataclass(frozen=True)
@@ -485,15 +503,15 @@ def _newton_network(model, nu: DataMeasure, cfg: GibbsConfig,
     The fixed point solves ``G(q) = E_{tilt(q)} phi - q = 0`` in R^n,
     with Jacobian ``-S`` (:meth:`CurvatureKernel.system`); each step
     starts from the predictions of the current measure.  A solve holds
-    two (N, n) arrays: the features ``phi`` and one work array in which
-    every step forms ``S``.  Stops at the first measure whose residual
-    ``||gibbs_map(m) - m||_inf`` is within ``tol``, after ``max_iter``
-    steps, or when a step is non-finite, singular or fails to lower
-    ``||G||_inf``.  Returns the last accepted ``(measure, steps,
-    residual)``, with ``residual = inf`` unless it converged.
+    one (N, n) array, the features ``phi``, and one row chunk in which
+    every step forms ``S`` (:func:`_system`).  Stops at the first
+    measure whose residual ``||gibbs_map(m) - m||_inf`` is within
+    ``tol``, after ``max_iter`` steps, or when a step is non-finite,
+    singular or fails to lower ``||G||_inf``.  Returns the last accepted
+    ``(measure, steps, residual)``, with ``residual = inf`` unless it
+    converged.
     """
     phi = model.phi(cfg.grid()[0], nu.xs)
-    work = np.empty_like(phi)
 
     def tilt(p):
         return _tilt(cfg, phi @ (nu.weights * model.outer.d1(p, nu.ys)))
@@ -517,10 +535,8 @@ def _newton_network(model, nu: DataMeasure, cfg: GibbsConfig,
         current, steps, g_norm = trial, it, g_trial
         if it == max_iter:
             break
-        # the kernel's weighted features (phi - mean) W^(1/2), in place
-        np.subtract(phi, mean, out=work)
-        work *= np.sqrt(target.node_weights)[:, None]
-        small = _system(work, nu.weights * model.outer.d2(q, nu.ys),
+        small = _system(phi, mean, target.node_weights,
+                        nu.weights * model.outer.d2(q, nu.ys),
                         cfg.temperature)
         try:
             p = q + np.linalg.solve(small, g)

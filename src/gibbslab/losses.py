@@ -43,6 +43,14 @@ from .measures import DataMeasure, DataPoint, as_rows, row_dot
 
 # elements of the largest feature array one NNLoss.predict call may build
 _PHI_ELEMENTS = 1 << 22
+# elements of the row chunk in which NNLoss.phi applies its activation and
+# gibbs._system forms its weighted features
+_CHUNK_ELEMENTS = 1 << 16
+
+
+def _chunk_rows(n_cols: int) -> int:
+    """Rows of an (N, n_cols) array in one chunk of ``_CHUNK_ELEMENTS``."""
+    return max(1, _CHUNK_ELEMENTS // max(n_cols, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -53,9 +61,10 @@ _PHI_ELEMENTS = 1 << 22
 class Activation:
     """Scalar activation with an optional derivative.
 
-    ``value`` is vectorized and returns a new array or its argument, which
-    :meth:`NNLoss.phi` then scales in place; ``deriv(u, a)`` also takes
-    ``a = value(u)``.
+    ``value`` is vectorized and returns a new array or its argument;
+    :meth:`NNLoss.phi` calls it on one row chunk of the products at a time
+    and writes the scaled values back over that chunk.  ``deriv(u, a)``
+    also takes ``a = value(u)``.
     ``deriv`` is ``None`` for activations that have no usable derivative
     (heaviside), which restricts them to grid-based solvers.
     """
@@ -225,12 +234,19 @@ class NNLoss:
 
     def phi(self, theta: np.ndarray, xs: np.ndarray) -> np.ndarray:
         """Feature map for all parameter rows and all inputs, shape (N, n).
-        The activations are scaled in place, so at most two (N, n) arrays
-        are alive at once."""
+
+        The products ``theta[:, 1:] @ xs.T`` are formed in one call as
+        the result; the activation and the output weights are then
+        applied to it in place, one chunk of rows at a time
+        (:func:`_chunk_rows`), so one (N, n) array and one chunk are
+        alive at once."""
         theta = np.atleast_2d(np.asarray(theta, dtype=float))
-        u = theta[:, 1:] @ np.asarray(xs, dtype=float).T
-        out = self.activation.value(u)
-        out *= theta[:, :1]
+        out = theta[:, 1:] @ np.asarray(xs, dtype=float).T
+        step = _chunk_rows(out.shape[1])
+        for lo in range(0, out.shape[0], step):
+            rows = out[lo:lo + step]
+            np.multiply(self.activation.value(rows), theta[lo:lo + step, :1],
+                        out=rows)
         return out
 
     def predict(self, m, xs: np.ndarray) -> np.ndarray:

@@ -437,6 +437,29 @@ def test_woodbury_matches_dense_lu(nodes, atoms):
                 <= 1e-12 * np.max(np.abs(dense)))
 
 
+@pytest.mark.parametrize("chunk", [losses._CHUNK_ELEMENTS, 1000])
+def test_dm_dnu_matches_dense_lu_across_row_chunks(monkeypatch, chunk):
+    # 1089 nodes by 64 atoms: the shipped chunk splits the rows into two
+    # (1024 and 65), and 1000 elements into 73 ragged 15-row chunks; the
+    # oracle is the N x N system solved by dense LU, as above
+    monkeypatch.setattr(losses, "_CHUNK_ELEMENTS", chunk)
+    model, nu = nn_problem(seed=15, n=64)
+    td = TrainedDerivatives(model, nu, NN_CFG, solve_kwargs=SOLVE_NN)
+    m, tau = td.measure, NN_CFG.temperature
+    w = m.node_weights
+    preds = model.predict(m, nu.xs)
+    a = model.phi(m.nodes, nu.xs) - preds
+    curvs = nu.weights * model.outer.d2(preds, nu.ys)
+    system = np.eye(m.n_nodes) + tau * ((a * curvs) @ a.T) * w
+    s_nodes = td.s_values(m.nodes)
+    for z in (nu.point(3), DataPoint(np.array([-0.4]), 0.25)):
+        v = np.linalg.solve(system,
+                            losses.loss_dm(model, m, z, m.nodes) - s_nodes)
+        want = -tau * m.density * (v - v @ w)
+        got = td.dm_dnu(z).density
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_first_direction_evaluates_the_data_features_once(monkeypatch):
     # the kernel and the data measure's part of every right-hand side
     # share one (N, n) evaluation of the features

@@ -624,20 +624,64 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
-def test_network_solve_and_derivative_hold_two_feature_arrays():
-    # budget fixed from the array count: the features phi and one work
-    # array of the same (N, n) shape, plus 24 node-sized arrays for the
-    # measures, exponents and checks of a step
+def _dense_system(features, mean, weights, curvatures, temperature):
+    """Oracle: ``S = I + tau B^T B diag(c)`` with the whole weighted
+    features ``B = W^(1/2) (A - mean)`` formed at once."""
+    b = (features - mean) * np.sqrt(weights)[:, None]
+    return np.eye(b.shape[1]) + temperature * (b.T @ b) * curvatures
+
+
+@pytest.mark.parametrize("chunk", [losses._CHUNK_ELEMENTS, 1000, 64 * 4225,
+                                   1 << 22])
+def test_system_gram_summed_by_row_chunks_matches_dense_oracle(
+        monkeypatch, chunk):
+    # 4225 nodes by 64 atoms: the shipped chunks, ragged 15-row chunks,
+    # all rows in exactly one chunk, and a chunk larger than the features
+    monkeypatch.setattr(losses, "_CHUNK_ELEMENTS", chunk)
+    model = losses.NNLoss("tanh", "quadratic")
+    nu = network_data("quadratic", n=64)
+    cfg = GibbsConfig(beta=0.7, sigma=1.0, p=8, theta_dim=2,
+                      nodes_per_axis=65)
+    m = cfg.priors().gamma_sigma
+    w = m.node_weights
+    phi = model.phi(m.nodes, nu.xs)
+    mean = phi.T @ w
+    ones = np.ones(nu.n_atoms)
+    # unit curvatures and temperature: S - I is the Gram itself
+    gram = gibbs._system(phi, mean, w, ones, 1.0)
+    assert np.array_equal(gram, gram.T)
+    want = _dense_system(phi, mean, w, ones, 1.0)
+    scale = np.max(np.abs(want - np.eye(nu.n_atoms)))
+    assert np.max(np.abs(gram - want)) <= 1e-14 * scale
+    # the kernel's system on its centred features, at its curvatures
+    kern = funcderiv.build_Cm(model, m, nu)
+    got = kern.system(cfg.temperature)
+    want = _dense_system(kern.features, 0.0, kern.weights, kern.curvatures,
+                         cfg.temperature)
+    scale = np.max(np.abs(want - np.eye(nu.n_atoms)))
+    assert np.max(np.abs(got - want)) <= 1e-14 * scale
+
+
+def test_network_solve_map_and_derivative_hold_one_feature_array():
+    # budget fixed from the array count: one (N, n) feature array, one
+    # row chunk of the activation or of the system's weighted features,
+    # plus 24 node-sized arrays for the measures, exponents and checks of
+    # a step
     model = losses.NNLoss("tanh", "quadratic")
     nu = network_data("quadratic", n=64)
     cfg = GibbsConfig(beta=0.7, sigma=1.0, p=8, theta_dim=2,
                       nodes_per_axis=65)
     cfg.priors()
     n_nodes, n_atoms = cfg.grid()[0].shape[0], nu.n_atoms
-    budget = 8 * (2 * n_nodes * n_atoms + 24 * n_nodes)
+    budget = 8 * (n_nodes * n_atoms + losses._CHUNK_ELEMENTS + 24 * n_nodes)
     kw = {"damping": 0.5, "tol": 1e-9}
     sol, peak = _traced_peak(lambda: solve_gibbs(model, nu, cfg, **kw))
     assert sol.residual <= 1e-9
+    assert peak <= budget, (peak, budget)
+    # the damped path: NNLoss.dm builds the features for the predictions
+    # and again for the derivative, one at a time
+    mapped, peak = _traced_peak(lambda: gibbs_map(model, sol.measure, nu, cfg))
+    assert np.max(np.abs(mapped.density - sol.measure.density)) <= 1e-9
     assert peak <= budget, (peak, budget)
     td = funcderiv.TrainedDerivatives(model, nu, cfg, solve_kwargs=kw)
     dm, peak = _traced_peak(lambda: td.dm_dnu(DataPoint([0.5], 0.4)))

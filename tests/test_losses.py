@@ -143,6 +143,25 @@ def test_nn_phi_scales_activations_in_place_bit_for_bit(kind, q):
     np.testing.assert_array_equal(xs, xs_in)
 
 
+@pytest.mark.parametrize("chunks", ["below_one", "one", "ragged"])
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["tanh", "relu", "sigmoid", "heaviside"])
+def test_nn_phi_applies_activations_in_row_chunks_bit_for_bit(kind, q, chunks):
+    # rows of one chunk for 7 inputs: one row short of it, exactly it, and
+    # two chunks and a part chunk
+    n_inputs = 7
+    rows = losses._chunk_rows(n_inputs)
+    n_rows = {"below_one": rows - 1, "one": rows, "ragged": 2 * rows + 5}
+    rng = np.random.default_rng(10 * q + len(kind))
+    theta = rng.standard_normal((n_rows[chunks], 1 + q)) * 3.0
+    theta[::97, 1:] = 0.0  # u = 0 exactly: the relu and heaviside kinks
+    xs = rng.standard_normal((n_inputs, q))
+    act = activation(kind)
+    got = NNLoss(act, "quadratic").phi(theta, xs)
+    np.testing.assert_array_equal(
+        got, act.value(theta[:, 1:] @ xs.T) * theta[:, :1])
+
+
 def test_nn_predict_batch_consistency():
     model = NNLoss("sigmoid", "logcosh")
     m = bump_grid_2d(np.array([-0.2, 0.4]))
