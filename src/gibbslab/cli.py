@@ -278,6 +278,10 @@ def _setup(cfg: _Settings):
     """``cfg``'s model, population, gibbs config (None for the closed-form
     trainer, which has no grid) and trainer."""
     model, pop = build_model(cfg), build_population(cfg)
+    if getattr(model, "name", None) == "linear_regression" \
+            and pop.feature_dim == 0:
+        raise ConfigError("model.param_loss: linear_regression reads a "
+                          "feature x, and the population has none")
     gcfg = None if cfg.trainer.kind in _GRIDLESS \
         else _gibbs_config(cfg, model, pop)
     return model, pop, gcfg, build_trainer(cfg, model, gcfg)

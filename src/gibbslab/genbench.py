@@ -35,7 +35,7 @@ import functools
 import itertools
 import math
 import warnings
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -48,6 +48,20 @@ from .measures import (DataMeasure, DataPoint, GridMeasure, MeasureBatch,
                        uniform_grid_1d)
 
 _MAX_MOMENT_ORDER = 8
+# the 9-node Gauss-Hermite rule for E f(g), g ~ N(0, 1), exact to degree 17,
+# which covers the shipped losses (quadratic in the data) and the moment
+# oracle: numpy.polynomial.hermite_e.hermegauss(9) normalized, as a table of
+# its nodes 0, +-g and weights w: computing it pages in LAPACK, about 1 MB
+_HERMITE_G = (0.0, 1.0232556637891326, 2.07684797867783, 3.20542900285647,
+              4.512745863399783)
+_HERMITE_W = (0.40634920634920635, 0.24409750289493953, 0.04991640676521782,
+              0.0027891413212317692, 2.2345844007746607e-05)
+_HERMITE_NODES = np.concatenate([np.negative(_HERMITE_G[:0:-1]), _HERMITE_G])
+_HERMITE_WEIGHTS = np.concatenate([_HERMITE_W[:0:-1], _HERMITE_W])
+_HERMITE_NODES.flags.writeable = _HERMITE_WEIGHTS.flags.writeable = False
+# the shipped losses polynomial in the data, whose population averages a
+# Gaussian population's measure gives exactly
+_POLYNOMIAL_LOSSES = frozenset({"mean_squared", "linear_regression", "zero"})
 _ENUM_CAP = 1_000_000
 # out-of-sample batches hold _OOS_FACTOR * n samples
 _OOS_FACTOR = 10
@@ -197,19 +211,16 @@ def _estimate(values, n, seed, route) -> GenEstimate:
 
 
 class PopulationModel:
-    """Data-generating distribution with a moment oracle.
+    """Data-generating distribution: seeded draws and one exact measure.
 
-    Subclasses implement seeded sampling and the closed-form moments
-    ``E[(1 + ||Z||^2)^k]`` for ``k <= 8``.  The hooks ``population_risk``
-    and ``population_loss_dm`` give analytic population averages, by
-    default from ``_expected_lp``, the analytic ``E_Z lp(theta, Z)`` of
-    each expected parametric loss by name; estimators take out-of-sample
-    batches when they return ``None``.  On a :class:`MeasureBatch` they
-    return one value, or one row of node values, per measure.
-    """
+    A population implements ``sample_batch`` and ``measure``, a weighted
+    atomic :class:`DataMeasure`: the support of a finite population, a
+    Gauss-Hermite rule in a Gaussian one's input, exact for polynomials in
+    the data up to degree 17.  It knows no loss; :func:`_population_atoms`
+    chooses between its measure and out-of-sample draws."""
 
     feature_dim = 0
-    _expected_lp: dict = {}
+    measure: DataMeasure
 
     def sample_batch(self, rngs: Sequence[np.random.Generator], size: int):
         """``xs`` (B, size, q) and ``ys`` (B, size), row ``r`` drawn from
@@ -224,33 +235,22 @@ class PopulationModel:
         return xs[0], ys[0]
 
     def moment_one_plus_sq(self, k: int) -> float:
-        raise NotImplementedError
-
-    def population_risk(self, model, m) -> Optional[float]:
-        f = self._expected_lp.get(getattr(model, "name", None))
-        return None if f is None else m.integrate(f)
-
-    def population_loss_dm(self, model, m, nodes) -> Optional[np.ndarray]:
-        f = self._expected_lp.get(getattr(model, "name", None))
-        return None if f is None else np.asarray(f(nodes), dtype=float) \
-            - np.expand_dims(m.integrate(f), -1)
-
-    @staticmethod
-    def _check_order(k: int):
+        """``E[(1 + ||Z||^2)^k]``, ``1 <= k <= 8``, summed on the measure."""
         if not 1 <= k <= _MAX_MOMENT_ORDER:
             raise ValueError(
                 f"moment oracle supports orders 1..{_MAX_MOMENT_ORDER}")
+        mu = self.measure
+        nsq = np.einsum("ij,ij->i", mu.xs, mu.xs) + mu.ys ** 2
+        return float(mu.weights @ (1.0 + nsq) ** k)
 
 
-def _normal_raw_moments(mu: float, sigma: float, top: int) -> np.ndarray:
-    """Raw moments E[Z^j], j = 0..top, of a scalar normal distribution."""
-    out = np.empty(top + 1)
-    out[0] = 1.0
-    if top >= 1:
-        out[1] = mu
-    for j in range(2, top + 1):
-        out[j] = mu * out[j - 1] + (j - 1) * sigma ** 2 * out[j - 2]
-    return out
+def _parameter(name: str, value, scale: bool = False) -> float:
+    """``value`` as a float, finite, and positive for a ``scale``."""
+    value = float(value)
+    if not math.isfinite(value) or (scale and not value > 0):
+        raise ValueError(f"population parameter {name} must be finite"
+                         f"{' and positive' if scale else ''}, got {value!r}")
+    return value
 
 
 class GaussianScalarPopulation(PopulationModel):
@@ -259,12 +259,8 @@ class GaussianScalarPopulation(PopulationModel):
     feature_dim = 0
 
     def __init__(self, mu: float, sigma: float):
-        if sigma <= 0:
-            raise ValueError("population scale must be positive")
-        self.mu = float(mu)
-        self.sigma = float(sigma)
-        self._expected_lp = {"mean_squared": lambda th: (th[:, 0] - mu) ** 2
-                             + sigma ** 2}
+        self.mu = _parameter("mu", mu)
+        self.sigma = _parameter("sigma", sigma, scale=True)
 
     def sample_batch(self, rngs, size):
         z = np.empty((len(rngs), size))
@@ -272,10 +268,12 @@ class GaussianScalarPopulation(PopulationModel):
             rng.standard_normal(out=row)
         return np.zeros(z.shape + (0,)), self.mu + self.sigma * z
 
-    def moment_one_plus_sq(self, k):
-        self._check_order(k)
-        raw = _normal_raw_moments(self.mu, self.sigma, 2 * k)
-        return float(sum(math.comb(k, j) * raw[2 * j] for j in range(k + 1)))
+    @functools.cached_property
+    def measure(self) -> DataMeasure:
+        """``mu + sigma g`` at the Gauss-Hermite nodes ``g``."""
+        g = _HERMITE_NODES
+        return DataMeasure(np.zeros((g.size, 0)), self.mu + self.sigma * g,
+                           _HERMITE_WEIGHTS)
 
 
 class NoiselessLinePopulation(PopulationModel):
@@ -288,12 +286,8 @@ class NoiselessLinePopulation(PopulationModel):
     feature_dim = 1
 
     def __init__(self, slope: float, x_sigma: float = 1.0):
-        if x_sigma <= 0:
-            raise ValueError("input scale must be positive")
-        self.slope = float(slope)
-        self.x_sigma = float(x_sigma)
-        self._expected_lp = {"linear_regression": lambda th: (
-            slope - th[:, 0]) ** 2 * x_sigma ** 2}
+        self.slope = _parameter("slope", slope)
+        self.x_sigma = _parameter("x_sigma", x_sigma, scale=True)
 
     def sample_batch(self, rngs, size):
         z = np.empty((len(rngs), size, 1))
@@ -302,15 +296,15 @@ class NoiselessLinePopulation(PopulationModel):
         z *= self.x_sigma
         return z, self.slope * z[..., 0]
 
-    def moment_one_plus_sq(self, k):
-        self._check_order(k)
-        scale = self.x_sigma * math.sqrt(1.0 + self.slope ** 2)
-        raw = _normal_raw_moments(0.0, scale, 2 * k)
-        return float(sum(math.comb(k, j) * raw[2 * j] for j in range(k + 1)))
+    @functools.cached_property
+    def measure(self) -> DataMeasure:
+        """``x = x_sigma g`` at the Gauss-Hermite nodes ``g``, on the line."""
+        x = self.x_sigma * _HERMITE_NODES
+        return DataMeasure(x[:, None], self.slope * x, _HERMITE_WEIGHTS)
 
 
 class DiscretePopulation(PopulationModel):
-    """Finitely supported population; all its averages are exact sums."""
+    """Finitely supported population; its measure is its support."""
 
     def __init__(self, points: Sequence[DataPoint], probs: Sequence[float]):
         self.points = list(points)
@@ -322,33 +316,14 @@ class DiscretePopulation(PopulationModel):
             raise ValueError(
                 "probabilities must be finite, nonnegative and sum to one")
         self.probs = probs
-        self.feature_dim = self.points[0].x.shape[0]
-        self._xs = np.stack([p.x for p in self.points]) if self.feature_dim \
-            else np.zeros((len(self.points), 0))
-        self._ys = np.array([p.y for p in self.points])
+        self.measure = DataMeasure(np.stack([p.x for p in self.points]),
+                                   [p.y for p in self.points], probs)
+        self.feature_dim = self.measure.feature_dim
 
     def sample_batch(self, rngs, size):
         idx = np.array([rng.choice(len(self.points), size=size, p=self.probs)
                         for rng in rngs])
-        return self._xs[idx], self._ys[idx]
-
-    def moment_one_plus_sq(self, k):
-        self._check_order(k)
-        nsq = np.einsum("ij,ij->i", self._xs, self._xs) + self._ys ** 2
-        return float(self.probs @ (1.0 + nsq) ** k)
-
-    def _atoms(self, m):
-        """The support as the dataset of every row of ``m``."""
-        shape = m.node_weights.shape[:-1] + self._ys.shape
-        return (np.broadcast_to(self._xs, shape + self._xs.shape[1:]),
-                np.broadcast_to(self._ys, shape))
-
-    def population_risk(self, model, m):
-        out = row_dot(model.atom_losses(m, *self._atoms(m)), self.probs)
-        return float(out) if out.ndim == 0 else out
-
-    def population_loss_dm(self, model, m, nodes):
-        return model.dm(m, *self._atoms(m), self.probs, nodes)
+        return self.measure.xs[idx], self.measure.ys[idx]
 
 
 def gaussian_mean_setup(mu: float = 0.0, sigma: float = 1.0):
@@ -574,6 +549,29 @@ class ReplicateError(RuntimeError):
 _BLOCK_ELEMENTS = 1 << 15
 
 
+def _draw(pop, seed: int, reps: range, stream: int, size: int):
+    """``size`` samples of each replicate's ``(seed, r, stream)`` stream."""
+    xs, ys = pop.sample_batch(_streams(seed, reps, stream), size)
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError("non-finite atom or weight")
+    return xs, ys
+
+
+def _population_atoms(pop, model, seed: int, reps: range, size: int):
+    """``(xs, ys, weights, exact)``: atoms (B, K, q) and (B, K) whose
+    ``weights``-sums are ``model``'s population averages in the replicates
+    ``reps``: ``pop.measure`` (``exact``) for a finite population and the
+    ``_POLYNOMIAL_LOSSES``, else ``size`` draws of each ``(seed, r, 1)``."""
+    if isinstance(pop, DiscretePopulation) \
+            or getattr(model, "name", None) in _POLYNOMIAL_LOSSES:
+        mu = pop.measure
+        shape = (len(reps),) + mu.ys.shape
+        return (np.broadcast_to(mu.xs, shape + mu.xs.shape[1:]),
+                np.broadcast_to(mu.ys, shape), mu.weights, True)
+    xs, ys = _draw(pop, seed, reps, 1, size)
+    return xs, ys, np.full(size, 1.0 / size), False
+
+
 class _Block:
     """The replicates ``reps`` of an experiment, held as arrays.
 
@@ -590,27 +588,20 @@ class _Block:
     batches train ``m`` first, so a stochastic trainer draws its seeds from
     each replicate's ``(seed, r, 2)`` stream in a fixed order.  That stream
     is made only for stochastic trainers, and the out-of-sample stream
-    ``(seed, r, 1)`` only when the population has no analytic average.
+    ``(seed, r, 1)`` only for averages that no measure gives exactly.
     Every term is a (B,) array.
     """
 
     def __init__(self, trainer, pop, model, n: int, seed: int, reps: range):
         self.trainer, self.pop, self.model, self.n = trainer, pop, model, n
         self.seed, self.reps = seed, reps
-        self.xs, self.ys = self._draw(0, n + 2)
+        self.xs, self.ys = _draw(pop, seed, reps, 0, n + 2)
         self._rngs = None if getattr(trainer, "deterministic", False) \
             else _streams(seed, reps, 2)
         self._data, self._swaps = {}, {}
 
     def __len__(self) -> int:
         return len(self.reps)
-
-    def _draw(self, stream: int, size: int):
-        xs, ys = self.pop.sample_batch(_streams(self.seed, self.reps, stream),
-                                       size)
-        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
-            raise ValueError("non-finite atom or weight")
-        return xs, ys
 
     def atom(self, j: int):
         """``(xs, ys)`` of the drawn column ``j``, (B, 1, q) and (B, 1):
@@ -642,9 +633,10 @@ class _Block:
         return self._swaps[k]
 
     @functools.cached_property
-    def oos(self):
-        """Out-of-sample draws ``(xs, ys)`` of the ``(seed, r, 1)`` streams."""
-        return self._draw(1, max(_OOS_FACTOR * self.n, 2))
+    def pop_atoms(self):
+        """Atoms of the population averages, :func:`_population_atoms`."""
+        return _population_atoms(self.pop, self.model, self.seed, self.reps,
+                                 max(_OOS_FACTOR * self.n, 2))
 
     def risk(self, m: MeasureBatch, xs, ys) -> np.ndarray:
         """Risk of each row of ``m`` on the equal-weight atoms of its row,
@@ -654,14 +646,24 @@ class _Block:
 
     @functools.cached_property
     def pop_risk(self) -> np.ndarray:
-        """Population risk of ``m``: the analytic hook, else the batch."""
-        pr = self.pop.population_risk(self.model, self.m)
-        return self.risk(self.m, *self.oos) if pr is None else pr
+        """Population risk of ``m``."""
+        xs, ys, w, _ = self.pop_atoms
+        return row_dot(self.model.atom_losses(self.m, xs, ys), w)
 
     @functools.cached_property
     def gap(self) -> np.ndarray:
-        """Population minus empirical risk of ``m``."""
-        return self.pop_risk - self.risk(self.m, *self.data(0))
+        """Population minus empirical risk of ``m``, on the measure from one
+        ``atom_losses`` call on the dataset and the measure's atoms.  Draws
+        take calls of their own: a network's losses round with the atom
+        count of a call."""
+        xs, ys, w, exact = self.pop_atoms
+        data, n = self.data(0), self.n
+        if not exact:
+            return self.pop_risk - self.risk(self.m, *data)
+        out = self.model.atom_losses(self.m, *(
+            np.concatenate(pair, axis=1) for pair in zip(data, (xs, ys))))
+        return row_dot(out[:, n:], w) - row_dot(out[:, :n],
+                                                np.full(n, 1.0 / n))
 
     @functools.cached_property
     def swap_gap(self) -> np.ndarray:
@@ -670,21 +672,18 @@ class _Block:
         return (self.model.atom_losses(self.m, *z)
                 - self.model.atom_losses(self.swap(1), *z))[:, 0]
 
-    # node functions of grid batches, (B, N)
+    # node functions of grid batches, (B, N), less a constant of each row:
+    # the routes pair them only with measures of zero mass
 
     def loss_dm(self, m: MeasureBatch, j: int) -> np.ndarray:
         """Loss derivative at each row of ``m`` toward the drawn atom ``j``."""
-        return self.model.dm(m, *self.atom(j), np.ones(1), m.nodes)
+        return self.model.dm(m, *self.atom(j), np.ones(1), m.nodes,
+                             centered=False)
 
     def pop_dm(self, m: MeasureBatch) -> np.ndarray:
-        """Population average of the loss derivative at each row of ``m``:
-        the hook, else the out-of-sample batch."""
-        out = self.pop.population_loss_dm(self.model, m, m.nodes)
-        if out is None:
-            xs, ys = self.oos
-            out = self.model.dm(m, xs, ys, np.full(ys.shape[1],
-                                                  1.0 / ys.shape[1]), m.nodes)
-        return out
+        """Population average of the loss derivative at each row of ``m``."""
+        xs, ys, w, _ = self.pop_atoms
+        return self.model.dm(m, xs, ys, w, m.nodes, centered=False)
 
     def segment(self, k: int, integrand) -> np.ndarray:
         """Quadrature of ``integrand(m_lam)`` along the segment ``m_k -> m``
@@ -857,11 +856,9 @@ def estimate_routes(trainer, pop, model, n: int, replicates: int, seed: int,
 
 def wge_direct(trainer, pop, model, n: int, replicates: int,
                seed: int) -> GenEstimate:
-    """Mean generalization gap: population minus empirical risk of ``m``.
-
-    The population risk is the analytic hook when the pair admits one,
-    otherwise the risk on an out-of-sample batch of ``10 n`` samples.
-    """
+    """Mean generalization gap: population minus empirical risk of ``m``,
+    the former on the population's measure where it is exact, else on
+    ``10 n`` out-of-sample draws (:func:`_population_atoms`)."""
     return estimate_routes(trainer, pop, model, n, replicates, seed,
                            ["direct"])["direct"]
 
@@ -1037,10 +1034,9 @@ def population_risk_bound(trainer, pop, model, m_bar, n: int, mode: str,
 
     kl_value = prior_kl(m_bar, cfg_n)
     kl_term = cfg_n.kl_weight * kl_value
-    r_bar = pop.population_risk(model, m_bar)
-    if r_bar is None:
-        xs, ys = pop.sample(_rng(seed, 0, 3), max(_OOS_FACTOR * n, 1000))
-        r_bar = _losses.risk(model, m_bar, empirical_from_arrays(xs, ys))
+    xs, ys, w, _ = _population_atoms(pop, model, seed, range(1),
+                                     max(_OOS_FACTOR * n, 1000))
+    r_bar = float(row_dot(model.atom_losses(m_bar, xs[0], ys[0]), w))
     consts = gibbs_bound_constants(model, cfg_n, pop, n)
 
     squared = mode == "lge_n16"
@@ -1107,10 +1103,10 @@ def enumerate_exact_gen(trainer, data_space, model, n: int):
     """
     pop = DiscretePopulation([z for z, _ in data_space],
                              [p for _, p in data_space])
-    points, probs, xs_all, ys_all = pop.points, pop.probs, pop._xs, pop._ys
+    mu, probs = pop.measure, pop.probs
     if n < 1 or n > 6:
         raise ValueError("enumeration supports 1 <= n <= 6")
-    s = len(points)
+    s = len(probs)
     if s ** (n + 1) > _ENUM_CAP:
         raise ValueError("sample space too large to enumerate")
     if not getattr(trainer, "deterministic", False):
@@ -1123,7 +1119,7 @@ def enumerate_exact_gen(trainer, data_space, model, n: int):
         if key not in cache:
             sel = list(key)
             cache[key] = trainer.train(
-                empirical_from_arrays(xs_all[sel], ys_all[sel]))
+                empirical_from_arrays(mu.xs[sel], mu.ys[sel]))
         return cache[key]
 
     wge_exact = 0.0
@@ -1134,17 +1130,14 @@ def enumerate_exact_gen(trainer, data_space, model, n: int):
             continue
         m = trained(idx)
         sel = list(idx)
-        nu = empirical_from_arrays(xs_all[sel], ys_all[sel])
-        wge_exact += p_data * (pop.population_risk(model, m)
-                              - _losses.risk(model, m, nu))
-        for j in range(s):
-            if probs[j] == 0.0:
-                continue
-            m_swap = trained((j,) + idx[1:])
-            z_bar = points[j]
+        nu = empirical_from_arrays(mu.xs[sel], mu.ys[sel])
+        wge_exact += p_data * (_losses.risk(model, m, mu)
+                               - _losses.risk(model, m, nu))
+        for j in np.flatnonzero(probs):
+            z_bar = pop.points[j]
             swap_exact += p_data * probs[j] * (
                 _losses.loss_value(model, m, z_bar)
-                - _losses.loss_value(model, m_swap, z_bar))
+                - _losses.loss_value(model, trained((j,) + idx[1:]), z_bar))
     return float(wge_exact), float(swap_exact)
 
 

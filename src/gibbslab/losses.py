@@ -272,13 +272,20 @@ class NNLoss:
         """Weighted derivative ``sum_i w_i dl/dm(m, z_i, theta)``, shape (N,).
 
         Always centered: the constant costs nothing here.  A batch goes
-        row by row on the shared ``theta``: (B, N).
+        row by row on the shared ``theta``: (B, N).  On the measure's own
+        node array, the predictions come from the features of the sum.
         """
-        preds = _finite(self.predict(m, xs))
-        _, _, (xs, ys, preds), one = as_rows(m, xs, ys, preds)
-        coef = weights * self.outer.d1(preds, ys)
-        out = np.stack([self.phi(theta, x) @ c - float(p @ c)
-                        for x, c, p in zip(xs, coef, preds)])
+        nodes, node_weights, (xs, ys), one = as_rows(m, xs, ys)
+        preds = None if theta is nodes else _finite(
+            self.predict(m, xs[0] if one else xs)).reshape(ys.shape)
+        out = []
+        for r, (x, y) in enumerate(zip(xs, ys)):
+            feats = self.phi(theta, x)
+            p = _finite(feats.T @ node_weights[r]) if preds is None \
+                else preds[r]
+            c = weights * self.outer.d1(p, y)
+            out.append(feats @ c - float(p @ c))
+        out = np.stack(out)
         return out[0] if one else out
 
     def dm_grad(self, pts, xs, ys, weights) -> np.ndarray:

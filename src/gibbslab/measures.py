@@ -231,20 +231,6 @@ def row_dot(a, b) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _integrate(m, f) -> float | np.ndarray:
-    """Quadrature of ``f`` against the measure, or each row of a batch:
-    ``f`` maps all nodes, (N, d) or (B * N, d), to one value each."""
-    nodes, w, _, one = as_rows(m)
-    flat = nodes.reshape(-1, nodes.shape[-1])
-    vals = np.asarray(f(flat), dtype=float)
-    if vals.shape != flat.shape[:1]:
-        raise ValueError("integrand must return one value per node")
-    if not np.isfinite(vals).all():
-        raise ValueError("non-finite integrand value")
-    out = row_dot(w, vals.reshape(-1, w.shape[1]))
-    return float(out[0]) if one else out
-
-
 class GridMeasure:
     """Measure on parameter space given by a density on quadrature nodes.
 
@@ -292,7 +278,15 @@ class GridMeasure:
             (self.nodes, other.nodes),
             (self.cell_volumes, other.cell_volumes)))
 
-    integrate = _integrate
+    def integrate(self, f) -> float:
+        """Quadrature of ``f``, which maps the nodes (N, d) to one value
+        each."""
+        vals = np.asarray(f(self.nodes), dtype=float)
+        if vals.shape != self.nodes.shape[:1]:
+            raise ValueError("integrand must return one value per node")
+        if not np.isfinite(vals).all():
+            raise ValueError("non-finite integrand value")
+        return float(vals @ self.node_weights)
 
     def moment(self, p: float) -> float:
         r = np.sqrt(np.einsum("ij,ij->i", self.nodes, self.nodes))
@@ -391,8 +385,6 @@ class MeasureBatch:
     def __getitem__(self, r: int) -> GridMeasure:
         nodes = self.nodes if self.nodes.ndim == 2 else self.nodes[r]
         return GridMeasure(nodes, self.cell_volumes, self.density[r])
-
-    integrate = _integrate
 
 
 def convex_combination(mu0, mu1, lam: float):

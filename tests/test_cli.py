@@ -290,6 +290,29 @@ def test_network_on_featureless_data_is_a_config_error(tmp_path, capsys,
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("config, population", [
+    ("gen_sweep_gibbs.json", None),
+    ("gen_sweep_explicit.json", None),
+    ("bounds_gaussian.json", None),
+    ("gen_sweep_gibbs.json", {"name": "discrete", "probs": [0.5, 0.5],
+                              "points": [{"y": 0.3}, {"y": -0.4}]}),
+])
+def test_featureless_linear_regression_is_a_config_error(tmp_path, capsys,
+                                                         config, population):
+    # the loss reads x[:, 0]; it used to fail in the replicate loop with an
+    # IndexError
+    cfg = shipped(config)
+    cfg["model"] = {"variant": "expected_param",
+                    "param_loss": "linear_regression"}
+    if population is not None:
+        cfg["population"] = population
+    assert cli.run(write_config(tmp_path, cfg), out=str(tmp_path)) == 1
+    assert capsys.readouterr().err == (
+        "config error: model.param_loss: linear_regression reads a feature "
+        "x, and the population has none\n")
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_particle_and_damping_defaults_are_shared(tmp_path, capsys,
                                                   monkeypatch):
     cfg = json.loads((CONFIGS / "mfld_vs_grid.json").read_text())

@@ -38,8 +38,11 @@ def test_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("script", ["train_tilted_measure.py",
-                                    "measure_derivatives.py"])
+@pytest.mark.parametrize("script", [
+    "train_tilted_measure.py", "measure_derivatives.py",
+    # population averages, the bound moments and a discrete population
+    "generalization_routes.py", "rate_study.py", "bounds_and_schedules.py",
+    "exact_enumeration.py"])
 def test_demo_runs(script):
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / script)],
                           env=_src_env(), capture_output=True, text=True,

@@ -21,8 +21,9 @@ from gibbslab.genbench import (ConstantTrainer, DiscretePopulation,
                                rate_fit, wge_direct, wge_representation,
                                wge_resampled)
 from gibbslab.gibbs import GibbsConfig, Regularizer
-from gibbslab.measures import (DataPoint, MeasureBatch, convex_combination,
-                               empirical_from_arrays, resample, uniform_grid)
+from gibbslab.measures import (DataMeasure, DataPoint, MeasureBatch,
+                               convex_combination, empirical_from_arrays,
+                               resample, uniform_grid)
 
 WEAK_CFG = GibbsConfig(beta=0.5, sigma=1.0, p=4,
                        regularizer=Regularizer(kappa=0.05, q=3),
@@ -30,8 +31,8 @@ WEAK_CFG = GibbsConfig(beta=0.5, sigma=1.0, p=4,
 
 
 def _unnamed(model):
-    """``model`` under a name for which no population has an analytic
-    average, so that estimators take their out-of-sample batches."""
+    """``model`` under a custom name, which no population's measure
+    integrates exactly, so that estimators take their out-of-sample draws."""
     return losses.ExpectedParamLoss(model.lp, model.M_p, model.lp_grad)
 
 
@@ -70,77 +71,180 @@ def test_noiseless_line_population():
                                rtol=0.05)
 
 
-def test_discrete_population_exact_hooks():
-    pts = [DataPoint(np.zeros(0), 0.0), DataPoint(np.zeros(0), 1.0)]
-    pop = DiscretePopulation(pts, [0.25, 0.75])
-    model, _ = gaussian_mean_setup()
-    trainer = ExplicitGaussianMeanTrainer(1.0)
-    nu = empirical_from_arrays(np.zeros((4, 0)), np.array([0.0, 1.0, 1.0, 0.0]))
-    m = trainer.train(nu)
-    manual = 0.25 * losses.loss_value(model, m, pts[0]) \
-        + 0.75 * losses.loss_value(model, m, pts[1])
-    np.testing.assert_allclose(pop.population_risk(model, m), manual,
-                               rtol=1e-12)
-    for probs in ([0.5, 0.6], [np.nan, 1.0], [1.0, np.nan], [np.inf, 1.0]):
-        with pytest.raises(ValueError, match="finite, nonnegative"):
-            DiscretePopulation(pts, probs)
-    # on a batch, row r of each hook is the hook at the measure of row r
+def _normal_raw_moments(mu, sigma, top):
+    """Raw moments E[Z^j], j = 0..top, of N(mu, sigma^2) by their
+    recurrence: the closed form the moment oracle once used."""
+    out = [1.0, mu]
+    for j in range(2, top + 1):
+        out.append(mu * out[-1] + (j - 1) * sigma ** 2 * out[-2])
+    return out
+
+
+@pytest.mark.parametrize("pop, mu, scale", [
+    (GaussianScalarPopulation(0.5, 1.5), 0.5, 1.5),
+    (GaussianScalarPopulation(-2.0, 0.3), -2.0, 0.3),
+    # ||Z||^2 = (1 + slope^2) x^2 with x ~ N(0, x_sigma^2)
+    (NoiselessLinePopulation(0.5, 2.0), 0.0, 2.0 * math.sqrt(1.25)),
+    (NoiselessLinePopulation(-1.5, 0.7), 0.0, 0.7 * math.sqrt(3.25)),
+])
+def test_moment_oracle_matches_raw_normal_moments(pop, mu, scale):
+    for k in range(1, 9):
+        raw = _normal_raw_moments(mu, scale, 2 * k)
+        want = sum(math.comb(k, j) * raw[2 * j] for j in range(k + 1))
+        np.testing.assert_allclose(pop.moment_one_plus_sq(k), want,
+                                   rtol=1e-12)
+
+
+def test_gauss_hermite_rule_matches_numpy():
+    g, w = np.polynomial.hermite_e.hermegauss(9)
+    np.testing.assert_allclose(genbench._HERMITE_NODES, g, rtol=0,
+                               atol=1e-15)
+    np.testing.assert_allclose(genbench._HERMITE_WEIGHTS, w / w.sum(),
+                               rtol=1e-15)
+    assert abs(genbench._HERMITE_WEIGHTS.sum() - 1.0) <= 1e-15
+
+
+# population averages of each pair by the closed forms the populations once
+# held: E_Z lp(theta, Z) as a function of the nodes theta (N, 1)
+_CLOSED_FORMS = {
+    "mean_squared on gaussian": (
+        losses.mean_squared_param_loss, GaussianScalarPopulation(0.3, 1.2),
+        lambda th: (th[:, 0] - 0.3) ** 2 + 1.2 ** 2),
+    "linear_regression on line": (
+        losses.linear_regression_param_loss, NoiselessLinePopulation(0.5, 2.0),
+        lambda th: (0.5 - th[:, 0]) ** 2 * 2.0 ** 2),
+    "mean_squared on line": (
+        losses.mean_squared_param_loss, NoiselessLinePopulation(0.5, 2.0),
+        lambda th: th[:, 0] ** 2 + 0.5 ** 2 * 2.0 ** 2),
+}
+
+
+@pytest.mark.parametrize("pair", list(_CLOSED_FORMS))
+def test_population_measure_matches_closed_form_averages(pair):
+    make_model, pop, expected = _CLOSED_FORMS[pair]
+    model = make_model()
+    trainer = GridGibbsTrainer(model, WEAK_CFG)
+    block = genbench._Block(trainer, pop, model, 5, 3, range(4))
+    assert block.pop_atoms[3]  # the measure, not draws
+    m, nodes = block.m, block.m.nodes
+    want_risk = m.node_weights @ expected(nodes)
+    np.testing.assert_allclose(block.pop_risk, want_risk, rtol=1e-12)
+    np.testing.assert_allclose(
+        block.gap, want_risk - block.risk(m, *block.data(0)), rtol=1e-12)
+    # the block's derivative drops each row's constant: it is E_Z lp
+    want_dm = np.broadcast_to(expected(nodes), (len(block), len(nodes)))
+    scale = np.abs(want_dm).max()
+    np.testing.assert_allclose(block.pop_dm(m), want_dm, rtol=1e-12,
+                               atol=1e-12 * scale)
+    xs, ys, w, _ = block.pop_atoms
+    np.testing.assert_allclose(
+        model.dm(m, xs, ys, w, nodes),
+        want_dm - want_risk[:, None], rtol=1e-12, atol=1e-12 * scale)
+
+
+def test_discrete_population_measure_is_its_support():
     xs, ys = np.array([[0.5], [-1.0], [2.0]]), np.array([0.2, -0.4, 1.1])
     probs = np.array([0.2, 0.3, 0.5])
     pop = DiscretePopulation([DataPoint(x, y) for x, y in zip(xs, ys)], probs)
+    np.testing.assert_array_equal(pop.measure.xs, xs)
+    np.testing.assert_array_equal(pop.measure.ys, ys)
+    np.testing.assert_array_equal(pop.measure.weights, probs)
+    nsq = 1.0 + xs[:, 0] ** 2 + ys ** 2
+    for k in range(1, 9):
+        assert pop.moment_one_plus_sq(k) == float(probs @ nsq ** k)
+    for bad in ([0.5, 0.6, 0.0], [np.nan, 0.5, 0.5], [1.0, np.nan, 0.0],
+                [np.inf, 0.5, 0.5], [-0.1, 0.6, 0.5]):
+        with pytest.raises(ValueError, match="finite, nonnegative"):
+            DiscretePopulation(pop.points, bad)
+    # every loss takes the support: row r of a block's averages is the
+    # average at the measure of row r
     rng = np.random.default_rng(4)
     for model, d in ((losses.linear_regression_param_loss(), 1),
                      (losses.NNLoss("tanh", "logcosh"), 2)):
         nodes, vol = uniform_grid(2.0, 9, d)
         dens = rng.uniform(0.1, 1.0, (3, len(nodes)))
         batch = MeasureBatch(nodes, vol, dens, normalize=True)
-        dm = pop.population_loss_dm(model, batch, nodes)
-        risks = pop.population_risk(model, batch)
+        block = genbench._Block(ConstantTrainer(batch[0]), pop, model, 2, 5,
+                                range(3))
+        block.m = batch
+        assert block.pop_atoms[3]
         for r in range(3):
+            manual = sum(p * losses.loss_value(model, batch[r], z)
+                         for p, z in zip(probs, pop.points))
+            np.testing.assert_allclose(block.pop_risk[r], manual, rtol=1e-12)
             np.testing.assert_allclose(
-                dm[r], model.dm(batch[r], xs, ys, probs, nodes),
+                block.pop_dm(batch)[r],
+                model.dm(batch[r], xs, ys, probs, nodes, centered=False),
                 rtol=1e-12, atol=1e-15)
-            assert risks[r] == pop.population_risk(model, batch[r])
 
 
-def test_setup_factories_attach_analytic_risks():
-    model, pop = gaussian_mean_setup(mu=0.2, sigma=1.0)
-    trainer = ExplicitGaussianMeanTrainer(1.0)
-    nu = empirical_from_arrays(np.zeros((5, 0)),
-                               np.random.default_rng(2).standard_normal(5))
-    m = trainer.train(nu)
-    # analytic population risk equals a huge-sample empirical risk
-    rng = np.random.default_rng(3)
-    xs, ys = pop.sample(rng, 400000)
-    emp = losses.risk(model, m, empirical_from_arrays(xs, ys))
-    np.testing.assert_allclose(pop.population_risk(model, m), emp, atol=5e-3)
-
-    model2, pop2 = noiseless_line_setup(slope=0.5, x_sigma=1.0)
-    cfg = WEAK_CFG
-    m2 = GridGibbsTrainer(model2, cfg).train(
-        empirical_from_arrays(np.array([[1.0], [-0.5]]), np.array([0.5, -0.25])))
-    xs2, ys2 = pop2.sample(np.random.default_rng(4), 400000)
-    emp2 = losses.risk(model2, m2, empirical_from_arrays(xs2, ys2))
-    np.testing.assert_allclose(pop2.population_risk(model2, m2), emp2,
-                               atol=5e-3)
+def test_population_measures_match_large_samples():
+    for pop in (GaussianScalarPopulation(0.2, 1.3),
+                NoiselessLinePopulation(-0.7, 1.5)):
+        xs, ys = pop.sample(np.random.default_rng(3), 400000)
+        mu = pop.measure
+        assert mu.n_atoms == 9
+        assert mu.feature_dim == pop.feature_dim
+        for f in (lambda x, y: y, lambda x, y: y ** 2,
+                  lambda x, y: (x ** 2).sum(axis=1) + y ** 4):
+            sample = f(xs, ys)
+            np.testing.assert_allclose(
+                mu.weights @ f(mu.xs, mu.ys), sample.mean(),
+                atol=4.0 * sample.std() / math.sqrt(sample.size))
 
 
-def test_analytic_average_answers_only_for_its_own_loss():
-    # a population's formula belongs to the loss it was derived for: the
-    # Gaussian one is E (theta - Z)^2, which is not the zero loss's average
+def test_population_atoms_are_the_measure_only_for_known_losses():
+    gauss, line = gaussian_mean_setup()[1], noiseless_line_setup()[1]
+    discrete = DiscretePopulation([DataPoint(np.array([1.0]), 0.5)], [1.0])
+    net = losses.NNLoss("tanh", "quadratic")
+    reps, size = range(3, 6), 7
+    for pop, model, exact in (
+            (gauss, losses.mean_squared_param_loss(), True),
+            (gauss, losses.zero_param_loss(), True),
+            (line, losses.linear_regression_param_loss(), True),
+            (line, losses.mean_squared_param_loss(), True),
+            (discrete, net, True),
+            (gauss, _unnamed(losses.mean_squared_param_loss()), False),
+            (line, net, False)):
+        xs, ys, w, got = genbench._population_atoms(pop, model, 11, reps,
+                                                    size)
+        assert got == exact
+        if exact:
+            want = pop.measure
+            np.testing.assert_array_equal(xs, np.broadcast_to(
+                want.xs, (3,) + want.xs.shape))
+            np.testing.assert_array_equal(ys, np.broadcast_to(
+                want.ys, (3,) + want.ys.shape))
+            assert w is want.weights
+        else:
+            want = pop.sample_batch(genbench._streams(11, reps, 1), size)
+            np.testing.assert_array_equal(xs, want[0])
+            np.testing.assert_array_equal(ys, want[1])
+            np.testing.assert_array_equal(w, np.full(size, 1.0 / size))
+    # the zero loss's population average is exactly zero on the measure
     zero = losses.zero_param_loss()
     m = GibbsConfig(beta=0.5, sigma=1.0, p=4,
                     nodes_per_axis=65).priors().gamma_sigma
-    for pop in (gaussian_mean_setup()[1], noiseless_line_setup()[1]):
-        assert pop.population_risk(zero, m) is None
-        assert pop.population_loss_dm(zero, m, m.nodes) is None
-        assert pop.population_risk(losses.NNLoss("tanh", "quadratic"),
-                                   m) is None
+    for pop in (gauss, line):
         est = wge_direct(ConstantTrainer(m), pop, zero, 4, 3, 5)
         assert est.value == 0.0 and est.stderr == 0.0
-    model, pop = gaussian_mean_setup()
-    assert pop.population_risk(_unnamed(model), m) is None
-    assert pop.population_risk(model, m) is not None
+
+
+@pytest.mark.parametrize("make, value, name", [
+    (lambda v: GaussianScalarPopulation(v, 1.0), math.nan, "mu"),
+    (lambda v: GaussianScalarPopulation(v, 1.0), math.inf, "mu"),
+    (lambda v: GaussianScalarPopulation(0.0, v), math.nan, "sigma"),
+    (lambda v: GaussianScalarPopulation(0.0, v), math.inf, "sigma"),
+    (lambda v: GaussianScalarPopulation(0.0, v), 0.0, "sigma"),
+    (lambda v: NoiselessLinePopulation(v, 1.0), math.nan, "slope"),
+    (lambda v: NoiselessLinePopulation(v, 1.0), -math.inf, "slope"),
+    (lambda v: NoiselessLinePopulation(0.5, v), math.nan, "x_sigma"),
+    (lambda v: NoiselessLinePopulation(0.5, v), math.inf, "x_sigma"),
+    (lambda v: NoiselessLinePopulation(0.5, v), -1.0, "x_sigma"),
+])
+def test_population_refuses_non_finite_parameters(make, value, name):
+    with pytest.raises(ValueError, match=f"parameter {name} must be"):
+        make(value)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +419,7 @@ def _one_stream(pop, rng, size):
         xs = pop.x_sigma * rng.standard_normal((size, 1))
         return xs, pop.slope * xs[:, 0]
     idx = rng.choice(len(pop.points), size=size, p=pop.probs)
-    return pop._xs[idx], pop._ys[idx]
+    return pop.measure.xs[idx], pop.measure.ys[idx]
 
 
 @pytest.mark.parametrize("rows", [1, 7, 64])
@@ -399,7 +503,7 @@ def test_routes_match_scalar_loop_oracle():
     # draw (seed, rep, 0), out-of-sample batch (seed, rep, 1), trainer
     # stream (seed, rep, 2) with m trained before the swapped measure
     model = _unnamed(losses.mean_squared_param_loss())
-    pop = GaussianScalarPopulation(0.2, 1.0)  # no hook: out-of-sample risk
+    pop = GaussianScalarPopulation(0.2, 1.0)  # custom loss: draws
     trainer = MFLDTrainer(model, WEAK_CFG, 16, 1e-3, 5)
     n, replicates, seed = 4, 5, 29
     direct, swapped = [], []
@@ -430,7 +534,7 @@ def _block_setup(trainer_kind, pop_kind):
         model, pop = noiseless_line_setup()
     else:
         model, pop = gaussian_mean_setup(0.2, 1.0)
-        if pop_kind == "gaussian_no_hook":
+        if pop_kind == "gaussian_custom":
             model = _unnamed(model)
         elif pop_kind == "discrete":
             pop = DiscretePopulation(
@@ -457,8 +561,12 @@ def _scalar_loop_terms(trainer, pop, model, n, replicates, seed):
         rng = None if trainer.deterministic else stream(2)
         m = trainer.train(nu, rng)
         m_swap = trainer.train(resample(nu, [0], [z_bar]), rng)
-        pop_risk = pop.population_risk(model, m)
-        if pop_risk is None:
+        # a finite population and the shipped polynomial losses take the
+        # population's measure, any other loss 10 n draws of stream 1
+        if isinstance(pop, DiscretePopulation) or model.name in (
+                "mean_squared", "linear_regression", "zero"):
+            pop_risk = losses.risk(model, m, pop.measure)
+        else:
             oos = empirical_from_arrays(*pop.sample(stream(1), 10 * n))
             pop_risk = losses.risk(model, m, oos)
         gap = pop_risk - losses.risk(model, m, nu)
@@ -469,7 +577,7 @@ def _scalar_loop_terms(trainer, pop, model, n, replicates, seed):
 
 @settings(max_examples=30, deadline=None)
 @given(trainer_kind=st.sampled_from(["explicit", "grid", "mfld"]),
-       pop_kind=st.sampled_from(["gaussian", "gaussian_no_hook", "line",
+       pop_kind=st.sampled_from(["gaussian", "gaussian_custom", "line",
                                  "discrete"]),
        n=st.integers(1, 8), replicates=st.integers(2, 5),
        seed=st.integers(0, 2 ** 32 - 1))
@@ -488,7 +596,7 @@ def test_block_terms_match_scalar_loop(trainer_kind, pop_kind, n, replicates,
 
 
 @settings(max_examples=25, deadline=None)
-@given(pop_kind=st.sampled_from(["gaussian", "gaussian_no_hook", "line",
+@given(pop_kind=st.sampled_from(["gaussian", "gaussian_custom", "line",
                                  "discrete"]),
        n=st.integers(1, 8), replicates=st.integers(2, 4),
        seed=st.integers(0, 2 ** 32 - 1))
@@ -521,13 +629,14 @@ def test_closed_form_matches_row_by_row_oracle(pop_kind, n, replicates,
 def _reference_terms(block, r):
     """representation, convex_lower and lge_upper terms of replicate ``r``
     of ``block``, one measure at a time with the one-measure functions."""
-    model, n, pop, t = block.model, block.n, block.pop, block.trainer
+    model, n, t = block.model, block.n, block.trainer
     nus = [empirical_from_arrays(*(a[r] for a in block.data(k)))
            for k in range(3)]
     ms = [block.m[r], block.swap(1)[r], block.swap(2)[r]]
     m, nodes, vol = ms[0], ms[0].nodes, ms[0].cell_volumes
     z1, z_bar = nus[0].point(0), nus[1].point(0)
-    oos = empirical_from_arrays(*(a[r] for a in block.oos))
+    xs, ys, w, _ = block.pop_atoms
+    pop_nu = DataMeasure(xs[r], ys[r], w)
     rule = list(zip(*funcderiv.gauss_legendre_01(8)))
 
     def segment(k, integrand):
@@ -546,9 +655,7 @@ def _reference_terms(block, r):
         return out
 
     def pop_dm(m_lam):
-        out = pop.population_loss_dm(model, m_lam, nodes)
-        return model.dm(m_lam, oos.xs, oos.ys, oos.weights, nodes) \
-            if out is None else out
+        return model.dm(m_lam, pop_nu.xs, pop_nu.ys, pop_nu.weights, nodes)
 
     g_bar = segment(1, lambda m_lam: losses.loss_dm(model, m_lam, z_bar,
                                                     nodes))
@@ -609,7 +716,7 @@ def _force_rows(monkeypatch, trainer, n, rows):
 @pytest.mark.parametrize("trainer_kind, pop_kind, routes", [
     ("explicit", "gaussian", ["direct", "resampled", "lge", "convex_lower"]),
     ("explicit", "discrete", ["direct", "resampled"]),
-    ("grid", "gaussian_no_hook", ["direct", "resampled", "lge"]),
+    ("grid", "gaussian_custom", ["direct", "resampled", "lge"]),
     ("grid", "line", ["representation", "lge_upper"]),
     ("mfld", "line", ["direct", "resampled"]),
 ])

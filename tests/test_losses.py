@@ -191,6 +191,45 @@ def test_nn_loss_value_and_dm_zero_mean():
     np.testing.assert_allclose(dm @ m.node_weights, 0.0, atol=1e-12)
 
 
+def test_nn_dm_builds_the_features_once_a_row_on_its_own_nodes(monkeypatch):
+    # on the measure's own nodes the predictions come from the features of
+    # the sum; on a copy of them predict builds features of its own
+    model = NNLoss("tanh", "logcosh")
+    rng = np.random.default_rng(8)
+    nodes, vol = uniform_grid(2.0, 13, 2)
+    batch = MeasureBatch(nodes, vol, rng.uniform(0.1, 1.0, (3, len(nodes))),
+                         normalize=True)
+    own, copy = batch.nodes, batch.nodes.copy()
+    xs, ys = rng.standard_normal((3, 5, 1)), rng.standard_normal((3, 5))
+    w = rng.uniform(0.1, 1.0, 5)
+    cases = [(batch, xs, ys, 3), (batch[1], xs[1], ys[1], 1)]
+    want = [[model.dm(m, x, y, w, th) for th in (own, copy)]
+            for m, x, y, _ in cases]
+    calls, phi = [], NNLoss.phi
+
+    def counted(self, theta, x):
+        calls.append(theta.shape)
+        return phi(self, theta, x)
+
+    monkeypatch.setattr(NNLoss, "phi", counted)
+    for (m, x, y, rows), values in zip(cases, want):
+        for th, value, builds in zip((own, copy), values, (1, 2)):
+            calls.clear()
+            np.testing.assert_array_equal(model.dm(m, x, y, w, th), value)
+            assert calls == [own.shape] * (builds * rows)
+    # the tilt map passes the configuration grid, the measure's own nodes
+    cfg = gibbs.GibbsConfig(beta=0.7, sigma=1.0, p=4, theta_dim=2,
+                            nodes_per_axis=13)
+    calls.clear()
+    gibbs.gibbs_map(model, cfg.priors().gamma_sigma,
+                    empirical_from_arrays(xs[0], ys[0]), cfg)
+    assert calls == [cfg.grid()[0].shape]
+    monkeypatch.undo()
+    # both take predict's predictions, bit for bit
+    np.testing.assert_array_equal(want[0][0], want[0][1])
+    np.testing.assert_array_equal(want[1][0], want[0][0][1])
+
+
 def test_nn_loss_dm_predicts_loss_change():
     # first-order expansion along a measure segment
     model = NNLoss("tanh", "logcosh")
