@@ -681,8 +681,15 @@ class _Block:
                              centered=False)
 
     def pop_dm(self, m: MeasureBatch) -> np.ndarray:
-        """Population average of the loss derivative at each row of ``m``."""
-        xs, ys, w, _ = self.pop_atoms
+        """Population average of the loss derivative at each row of ``m``.
+        For a loss linear in the measure, on the population's measure and
+        shared nodes, every row is the same function: one row is computed
+        and broadcast."""
+        xs, ys, w, exact = self.pop_atoms
+        if exact and self.model.has_zero_d2m() and m.nodes.ndim == 2:
+            row = self.model.dm(m[0], xs[0], ys[0], w, m.nodes,
+                                centered=False)
+            return np.broadcast_to(row, m.density.shape)
         return self.model.dm(m, xs, ys, w, m.nodes, centered=False)
 
     def segment(self, k: int, integrand) -> np.ndarray:

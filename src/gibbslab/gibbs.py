@@ -618,10 +618,10 @@ def prior_moment_bound(model, nu: DataMeasure, cfg: GibbsConfig) -> float:
 # particle sampler
 
 
-def _drift(model, nu, cfg, pts):
-    """Gradient of ``dR/dm(m_hat, nu, .) + U(.)/(2 beta^2)`` at the particles."""
-    return cfg.regularizer.grad(pts) / (2.0 * cfg.beta ** 2) + model.dm_grad(
-        pts, nu.xs, nu.ys, nu.weights)
+def _drift(dm_grad, cfg, pts):
+    """Gradient of ``dR/dm(m_hat, nu, .) + U(.)/(2 beta^2)`` at the
+    particles, with ``dm_grad`` the loss model's map of ``nu``."""
+    return cfg.regularizer.grad(pts) / (2.0 * cfg.beta ** 2) + dm_grad(pts)
 
 
 def _init_scale(cfg: GibbsConfig) -> float:
@@ -643,28 +643,28 @@ def mfld_sample(model, nu: DataMeasure, cfg: GibbsConfig, n_particles: int,
     ``theta <- theta - h * grad[dR/dm(m_hat, nu, theta) + U(theta)/(2 beta^2)]
     + sqrt(h sigma^2 / beta^2) * xi``
     with ``m_hat`` the empirical particle measure, so the stationary law
-    matches the exponential tilt fixed point.  Deterministic for a fixed
-    ``seed``: one helper thread draws the noise ahead, in blocks of
-    steps, and the particles are the serial stream's bit for bit,
-    whatever the timing or core count.  Returns the cloud, a grid
-    measure on the particles with weight ``1/P`` each.
+    matches the exponential tilt fixed point.  The loss term is the
+    model's ``dm_grad_map`` of ``nu``, built once per call, before the
+    stability probe: for a separable expected-parameter loss it holds the
+    K data statistics, and a step costs O(N d K) whatever the atom count.
+    Deterministic for a fixed ``seed``: one helper thread draws the noise
+    ahead, in blocks of steps, and the particles are the serial stream's
+    bit for bit, whatever the timing or core count.  Returns the cloud, a
+    grid measure on the particles with weight ``1/P`` each.
 
     Raises
     ------
     ValueError
-        For activations without a derivative, or when the heuristic
-        stability check ``h * temperature * L <= 0.25`` fails (``L`` a
-        probed Lipschitz scale of the drift).
+        For activations without a derivative (from ``dm_grad_map``), or
+        when the heuristic stability check ``h * temperature * L <= 0.25``
+        fails (``L`` a probed Lipschitz scale of the drift).
         Also when a particle is not finite: in ``init``, or after a step.
     RuntimeError
         If any particle escapes ten box radii (divergence detector).
     """
-    if isinstance(model, _losses.NNLoss) and model.activation.deriv is None:
-        raise ValueError(
-            f"activation {model.activation.kind!r} is not differentiable; "
-            "the particle sampler requires a smooth activation")
     if n_particles < 1 or n_steps < 1 or step_size <= 0:
         raise ValueError("need positive particle count, steps and step size")
+    dm_grad = model.dm_grad_map(nu.xs, nu.ys, nu.weights)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     radius = cfg.box_radius()
     if init is None:
@@ -678,7 +678,7 @@ def mfld_sample(model, nu: DataMeasure, cfg: GibbsConfig, n_particles: int,
 
     # heuristic stability probe: drift Lipschitz scale on the initial cloud
     probe = pts[:33]
-    d0 = _drift(model, nu, cfg, probe)
+    d0 = _drift(dm_grad, cfg, probe)
     num = np.linalg.norm(d0[1:] - d0[:-1], axis=1)
     den = np.linalg.norm(probe[1:] - probe[:-1], axis=1)
     ok = den > 1e-12
@@ -716,7 +716,7 @@ def mfld_sample(model, nu: DataMeasure, cfg: GibbsConfig, n_particles: int,
             if done[i] is not None:
                 raise done[i]
             for step, noise in enumerate(blocks[i % 2, :size], i * k + 1):
-                d = _drift(model, nu, cfg, pts)
+                d = _drift(dm_grad, cfg, pts)
                 d *= step_size
                 pts -= d
                 pts += noise

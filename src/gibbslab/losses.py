@@ -11,7 +11,8 @@ Two loss families are implemented:
   ``lp(theta, z) = psi(theta - c) . coef(z, c)`` with K statistics,
   about a centre ``c`` chosen per row.  Then the data of a row enter
   through one K-vector of weighted sums, and a measure through the
-  K moments ``E_m psi``, instead of ``lp`` at every atom and node.  The
+  K moments ``E_m psi``, instead of ``lp`` at every atom and node; the
+  particle drift is ``psi_grad`` against the same K-vector.  The
   centre only sets the rounding: expanded about a far point the terms
   are large and cancel, so losses are centred at each measure's mean
   and weighted sums at a point taken from the data.  Every shipped
@@ -288,21 +289,31 @@ class NNLoss:
         out = np.stack(out)
         return out[0] if one else out
 
-    def dm_grad(self, pts, xs, ys, weights) -> np.ndarray:
-        """Gradient at the particles ``pts`` (N, d) of :meth:`dm` at their
-        own empirical measure, (N, d), from one evaluation of the features."""
+    def dm_grad_map(self, xs, ys, weights) -> Callable:
+        """The map ``pts -> dm_grad(pts, xs, ys, weights)`` of one dataset:
+        the gradient at the particles ``pts`` (N, d) of :meth:`dm` at their
+        own empirical measure, (N, d), from one evaluation of the features.
+        """
         if self.activation.deriv is None:
             raise ValueError(
                 f"activation {self.activation.kind!r} has no derivative")
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
         xs = np.asarray(xs, dtype=float)
-        u = pts[:, 1:] @ xs.T
-        a = self.activation.value(u)
-        coef = weights * self.outer.d1((pts[:, :1] * a).mean(axis=0), ys)
-        g = np.empty_like(pts)
-        g[:, 0] = a @ coef
-        g[:, 1:] = pts[:, :1] * ((self.activation.deriv(u, a) * coef) @ xs)
-        return g
+
+        def grad(pts):
+            pts = np.atleast_2d(np.asarray(pts, dtype=float))
+            u = pts[:, 1:] @ xs.T
+            a = self.activation.value(u)
+            coef = weights * self.outer.d1((pts[:, :1] * a).mean(axis=0), ys)
+            g = np.empty_like(pts)
+            g[:, 0] = a @ coef
+            g[:, 1:] = pts[:, :1] * ((self.activation.deriv(u, a) * coef)
+                                     @ xs)
+            return g
+        return grad
+
+    def dm_grad(self, pts, xs, ys, weights) -> np.ndarray:
+        """:meth:`dm_grad_map` at ``pts``, in one call."""
+        return self.dm_grad_map(xs, ys, weights)(pts)
 
     def dm_along(self, m, m2, xs, ys) -> np.ndarray:
         """Per-atom pairing ``int dl/dm(m, z_i, .) d(m2 - m)``, shape (n,):
@@ -353,39 +364,44 @@ class ExpectedParamLoss:
     M_p : float
         Growth constant with ``0 <= lp(theta, z) <= M_p (1 + ||theta||^2)(1 + ||z||^2)``.
     lp_grad : callable, optional
-        ``lp_grad(theta, xs, ys) -> (n, N, d)`` parameter gradient, used
-        by the particle sampler.  A centered finite difference of ``lp``
-        is substituted when missing.
-    psi, coef, centre : callables, optional
+        ``lp_grad(theta, xs, ys) -> (n, N, d)`` parameter gradient.  It
+        drives the particle sampler for an ``lp``-only loss, and is the
+        oracle of the separable drift.  A centered finite difference of
+        ``lp`` is substituted when missing.
+    psi, psi_grad, coef, centre : callables, optional
         The separable form ``lp(theta, z) = sum_k psi(theta - c)[k]
-        coef(z, c)[k]``, valid for every centre ``c``; give all three or
+        coef(z, c)[k]``, valid for every centre ``c``; give all four or
         none.  Arrays are parameter- and statistic-major:
         ``psi(u) -> (K, ...)`` for parameters ``u`` (d, ...) less their
-        centre; ``coef(xs, ys, c) -> (K, ..., n)`` for the atoms ``xs``
+        centre, and ``psi_grad(u) -> (K, d, ...)`` its gradient in ``u``;
+        ``coef(xs, ys, c) -> (K, ..., n)`` for the atoms ``xs``
         (..., n, q), ``ys`` (..., n) and one centre per row, ``c``
         (d, ...); ``centre(xs, ys) -> (d, ...)`` a centre taken from each
         row's data.  With them, :meth:`atom_losses` is
         ``coef(z, c) . E_m psi(. - c)`` about each measure's mean ``c``,
-        and :meth:`lp_sums` is ``psi(theta - c) . sum_i w_i coef(z_i, c)``
-        about the data's centre: the terms of the expansion stay the size
-        of the loss, so the rounding does too.  Without them ``lp`` is
-        evaluated at every atom and node, one row of data at a time; that
-        path is the oracle of the separable one.
+        :meth:`lp_sums` is ``psi(theta - c) . sum_i w_i coef(z_i, c)``
+        about the data's centre, and :meth:`dm_grad_map` is
+        ``psi_grad(theta - c) . sum_i w_i coef(z_i, c)`` with the K sums
+        taken once per dataset: the terms of the expansion stay the size
+        of the loss, so the rounding does too.  Without them ``lp`` and
+        ``lp_grad`` are evaluated at every atom and node, one row of data
+        at a time; that path is the oracle of the separable one.
     """
 
     variant = "expected_param"
 
     def __init__(self, lp, M_p: float, lp_grad=None, name: str = "custom",
-                 psi=None, coef=None, centre=None):
+                 psi=None, psi_grad=None, coef=None, centre=None):
         if M_p <= 0:
             raise ValueError("growth constant must be positive")
-        if (psi is None) != (coef is None) or (psi is None) != (centre is None):
-            raise ValueError("give psi, coef and centre together")
+        if len({f is None for f in (psi, psi_grad, coef, centre)}) > 1:
+            raise ValueError("give psi, psi_grad, coef and centre together")
         self.lp = lp
         self.M_p = float(M_p)
         self.lp_grad = lp_grad or self._finite_difference_grad
         self.name = name
-        self.psi, self.coef, self.centre = psi, coef, centre
+        self.psi, self.psi_grad = psi, psi_grad
+        self.coef, self.centre = coef, centre
 
     def _finite_difference_grad(self, theta, xs, ys) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
@@ -414,14 +430,19 @@ class ExpectedParamLoss:
                             for r in range(len(ys))])
         return _finite(out[0] if one else out)
 
+    def _stats(self, xs, ys, weights):
+        """``(c, stats)``: each row's data centre ``c`` (d, B) and its K
+        weighted sums ``sum_i weights[i] coef(z_ri, c)``, (K, B)."""
+        c = self.centre(xs, ys)
+        return c, row_dot(self.coef(xs, ys, c), weights)
+
     def lp_sums(self, nodes, xs, ys, weights, shift=None) -> np.ndarray:
         """Weighted sums ``sum_i weights[i] (lp(theta, z_ri) - shift[r, i])``,
         ``weights`` (k,), over the atoms of each row of ``xs`` (B, k, q),
         ``ys`` (B, k), at the shared ``nodes`` (N, d): shape (B, N).
         ``shift`` (B, k) defaults to zero."""
         if self.psi is not None:
-            c = self.centre(xs, ys)
-            stats = row_dot(self.coef(xs, ys, c), weights)
+            c, stats = self._stats(xs, ys, weights)
             out = _contract(self.psi(_param_major(nodes) - c[..., None]),
                             stats[..., None])
             if shift is not None:
@@ -445,13 +466,38 @@ class ExpectedParamLoss:
                            xs, ys, weights, shift)
         return out[0] if one else out
 
+    def dm_grad_map(self, xs, ys, weights) -> Callable:
+        """The map ``pts -> dm_grad(pts, xs, ys, weights)`` of one dataset:
+        the gradient of :meth:`dm` at the particles ``pts`` (N, d), (N, d).
+
+        A separable loss sums its K statistics here, once, and each call
+        is ``psi_grad(pts - c) . stats``, O(N d K) whatever the atom
+        count; an ``lp``-only loss reduces ``lp_grad`` over the atoms at
+        every call."""
+        if self.psi is None:
+            def grad(pts):
+                g = self.lp_grad(np.atleast_2d(np.asarray(pts, dtype=float)),
+                                 xs, ys)
+                # the one dot call of tensordot(weights, g, axes=1), without
+                # its Python bookkeeping, which costs as much as the dot at
+                # these sizes
+                return np.dot(np.reshape(weights, (1, -1)),
+                              g.reshape(len(g), -1)).reshape(g.shape[1:])
+            return grad
+        # one row of data: c (d, 1), stats (K, 1)
+        c, stats = self._stats(np.asarray(xs, dtype=float)[None],
+                               np.asarray(ys, dtype=float)[None], weights)
+
+        def grad(pts):
+            u = np.atleast_2d(np.asarray(pts, dtype=float)).T - c
+            g = self.psi_grad(u)
+            # stats . g over K in one dot call, as in the lp-only map
+            return np.dot(stats.T, g.reshape(len(g), -1)).reshape(u.shape).T
+        return grad
+
     def dm_grad(self, pts, xs, ys, weights) -> np.ndarray:
-        """Gradient of :meth:`dm` at the particles ``pts`` (N, d): (N, d)."""
-        g = self.lp_grad(np.atleast_2d(np.asarray(pts, dtype=float)), xs, ys)
-        # the one dot call of tensordot(weights, g, axes=1), without its
-        # Python bookkeeping, which costs as much as the dot at these sizes
-        return np.dot(np.reshape(weights, (1, -1)),
-                      g.reshape(len(g), -1)).reshape(g.shape[1:])
+        """:meth:`dm_grad_map` at ``pts``, in one call."""
+        return self.dm_grad_map(xs, ys, weights)(pts)
 
     def dm_along(self, m, m2, xs, ys) -> np.ndarray:
         """Per-atom pairing ``int dl/dm(m, z_i, .) d(m2 - m)``, shape (n,):
@@ -477,6 +523,15 @@ def _quadratic_psi(u) -> np.ndarray:
     out[0] = 1.0
     out[1] = u[0]
     np.multiply(u[0], u[0], out=out[2])
+    return out
+
+
+def _quadratic_psi_grad(u) -> np.ndarray:
+    """Gradient of :func:`_quadratic_psi` in ``u``, ``(0, 1, 2 u)`` on the
+    first parameter coordinate and 0 on the others: (3, d, ...)."""
+    out = np.zeros((3,) + u.shape)
+    out[1, 0] = 1.0
+    np.multiply(u[0], 2.0, out=out[2, 0])
     return out
 
 
@@ -507,7 +562,8 @@ def mean_squared_param_loss() -> ExpectedParamLoss:
         return ys.mean(axis=-1)[None]
 
     return ExpectedParamLoss(lp, M_p=2.0, lp_grad=lp_grad, name="mean_squared",
-                             psi=_quadratic_psi, coef=coef, centre=centre)
+                             psi=_quadratic_psi, psi_grad=_quadratic_psi_grad,
+                             coef=coef, centre=centre)
 
 
 def linear_regression_param_loss() -> ExpectedParamLoss:
@@ -535,7 +591,8 @@ def linear_regression_param_loss() -> ExpectedParamLoss:
 
     return ExpectedParamLoss(lp, M_p=2.0, lp_grad=lp_grad,
                              name="linear_regression",
-                             psi=_quadratic_psi, coef=coef, centre=centre)
+                             psi=_quadratic_psi, psi_grad=_quadratic_psi_grad,
+                             coef=coef, centre=centre)
 
 
 def zero_param_loss() -> ExpectedParamLoss:
@@ -549,6 +606,9 @@ def zero_param_loss() -> ExpectedParamLoss:
     def psi(u):
         return np.ones((1,) + u.shape[1:])
 
+    def psi_grad(u):
+        return np.zeros((1,) + u.shape)
+
     def coef(xs, ys, c):
         return np.zeros((1,) + ys.shape)
 
@@ -556,7 +616,8 @@ def zero_param_loss() -> ExpectedParamLoss:
         return np.zeros((1,) + ys.shape[:-1])
 
     return ExpectedParamLoss(lp, M_p=1e-300, lp_grad=lp_grad, name="zero",
-                             psi=psi, coef=coef, centre=centre)
+                             psi=psi, psi_grad=psi_grad, coef=coef,
+                             centre=centre)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,9 @@ def test_import_leaves_scipy_unloaded():
     "train_tilted_measure.py", "measure_derivatives.py",
     # population averages, the bound moments and a discrete population
     "generalization_routes.py", "rate_study.py", "bounds_and_schedules.py",
-    "exact_enumeration.py"])
+    "exact_enumeration.py",
+    # the separable particle drift end to end, 8192 particles x 4000 steps
+    "particle_dynamics.py"])
 def test_demo_runs(script):
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / script)],
                           env=_src_env(), capture_output=True, text=True,

@@ -178,6 +178,33 @@ def test_discrete_population_measure_is_its_support():
                 rtol=1e-12, atol=1e-15)
 
 
+@pytest.mark.parametrize("pair", [*_CLOSED_FORMS, "custom on discrete"])
+def test_pop_dm_on_the_measure_is_one_broadcast_row(pair):
+    # a loss linear in the measure, on the population's measure: every row
+    # of the block's population derivative is the same function of the
+    # shared nodes, so one row broadcast equals the per-row form exactly
+    if pair == "custom on discrete":
+        rng = np.random.default_rng(8)
+        pop = DiscretePopulation(
+            [DataPoint(rng.standard_normal(1), float(rng.standard_normal()))
+             for _ in range(4)], np.array([0.1, 0.2, 0.3, 0.4]))
+        model = _unnamed(losses.linear_regression_param_loss())
+    else:
+        make_model, pop, _ = _CLOSED_FORMS[pair]
+        model = make_model()
+    nodes, vol = uniform_grid(3.0, 257, 1)
+    dens = np.random.default_rng(9).uniform(0.1, 1.0, (127, len(nodes)))
+    batch = MeasureBatch(nodes, vol, dens, normalize=True)
+    block = genbench._Block(ConstantTrainer(batch[0]), pop, model, 3, 5,
+                            range(127))
+    xs, ys, w, exact = block.pop_atoms
+    assert exact
+    got = block.pop_dm(batch)
+    assert got.shape == (127, 257) and got.strides[0] == 0
+    np.testing.assert_array_equal(
+        got, model.dm(batch, xs, ys, w, nodes, centered=False))
+
+
 def test_population_measures_match_large_samples():
     for pop in (GaussianScalarPopulation(0.2, 1.3),
                 NoiselessLinePopulation(-0.7, 1.5)):

@@ -842,10 +842,19 @@ def test_mfld_sample_non_finite_particle_raises_value_error():
                     init=_shifted_init(64, 40, np.nan))
 
 
-def _general_dm_grad(model, m, xs, ys, weights, theta):
-    """Gradient in ``theta`` of ``model.dm`` at any measure ``m``."""
+# shipped losses whose sampler drift comes from their data statistics; the
+# zero loss's drift is exactly 0 either way
+_STATISTICS_DRIFT = ("mean_squared", "linear_regression")
+
+
+def _general_dm_grad(model, m, xs, ys, weights, theta, via_lp_grad=False):
+    """Gradient in ``theta`` of ``model.dm`` at any measure ``m``.  For the
+    ``_STATISTICS_DRIFT`` losses it is their ``dm_grad``, called afresh
+    (statistics summed again at every call), unless ``via_lp_grad``."""
     theta = np.atleast_2d(np.asarray(theta, dtype=float))
     if not isinstance(model, losses.NNLoss):
+        if model.name in _STATISTICS_DRIFT and not via_lp_grad:
+            return model.dm_grad(theta, xs, ys, weights)
         return np.tensordot(weights, model.lp_grad(theta, xs, ys), axes=1)
     act = model.activation
     xs = np.asarray(xs, dtype=float)
@@ -860,7 +869,7 @@ def _general_dm_grad(model, m, xs, ys, weights, theta):
 
 
 def _oracle_mfld_sample(model, nu, cfg, n_particles, step_size, n_steps,
-                        seed, init=None):
+                        seed, init=None, via_lp_grad=False):
     """The sampler one out-of-place step at a time, with a
     ``ParticleMeasure`` per step: the slow reference for the fused loop."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -873,7 +882,7 @@ def _oracle_mfld_sample(model, nu, cfg, n_particles, step_size, n_steps,
     for _ in range(n_steps):
         drift = cfg.regularizer.grad(pts) / (2.0 * cfg.beta ** 2) \
             + _general_dm_grad(model, ParticleMeasure(pts), nu.xs, nu.ys,
-                               nu.weights, pts)
+                               nu.weights, pts, via_lp_grad)
         pts = pts - step_size * drift \
             + noise_scale * rng.standard_normal(pts.shape)
         assert np.max(np.abs(pts)) <= 10.0 * cfg.box_radius()
@@ -915,6 +924,47 @@ def test_mfld_sample_matches_out_of_place_oracle(name, with_init):
     part = mfld_sample(model, nu, cfg, 64, 1e-3, 40, seed=9, init=init)
     ref = _oracle_mfld_sample(model, nu, cfg, 64, 1e-3, 40, seed=9, init=init)
     np.testing.assert_array_equal(part.points, ref.points)
+
+
+@pytest.mark.parametrize("with_init", [False, True])
+@pytest.mark.parametrize("name", _STATISTICS_DRIFT)
+def test_mfld_sample_statistics_drift_tracks_lp_grad_loop(name, with_init):
+    # 40 steps driven by the data statistics stay within 1e-12 of
+    # max(1, |reference|) of the loop that reduces lp_grad over the atoms
+    model, nu, cfg = _sampler_case(name)
+    init = (0.3 * np.random.default_rng(4).standard_normal((64, 1))
+            if with_init else None)
+    got = mfld_sample(model, nu, cfg, 64, 1e-3, 40, seed=9, init=init).points
+    want = _oracle_mfld_sample(model, nu, cfg, 64, 1e-3, 40, seed=9,
+                               init=init, via_lp_grad=True).points
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0,
+                                                          np.abs(want)))
+
+
+def _counting(fn, counts, key):
+    def wrapped(*args):
+        counts[key] += 1
+        return fn(*args)
+    return wrapped
+
+
+@pytest.mark.parametrize("name", _STATISTICS_DRIFT)
+def test_mfld_sample_sums_statistics_once_per_call(name):
+    # coef and centre run once per sampler call, whatever the step count:
+    # the stability probe and every step share the statistics
+    shipped, nu, cfg = _sampler_case(name)
+    for n_steps in (1, 7, 40):
+        counts = {"coef": 0, "centre": 0}
+        model = losses.ExpectedParamLoss(
+            shipped.lp, shipped.M_p, shipped.lp_grad, shipped.name,
+            psi=shipped.psi, psi_grad=shipped.psi_grad,
+            coef=_counting(shipped.coef, counts, "coef"),
+            centre=_counting(shipped.centre, counts, "centre"))
+        part = mfld_sample(model, nu, cfg, 64, 1e-3, n_steps, seed=9)
+        assert counts == {"coef": 1, "centre": 1}
+        np.testing.assert_array_equal(
+            part.points,
+            mfld_sample(shipped, nu, cfg, 64, 1e-3, n_steps, seed=9).points)
 
 
 _SAMPLER_NAMES = [

@@ -385,6 +385,17 @@ def test_expected_param_loss_validates_growth_constant():
         losses.ExpectedParamLoss(lp, M_p=1.0, psi=zero.psi, coef=zero.coef)
 
 
+def test_separable_form_needs_psi_grad():
+    # psi, coef and centre without psi_grad leave the sampler no drift
+    # from the statistics, so they are refused
+    zero = zero_param_loss()
+    with pytest.raises(ValueError, match="psi_grad"):
+        losses.ExpectedParamLoss(zero.lp, M_p=1.0, psi=zero.psi,
+                                 coef=zero.coef, centre=zero.centre)
+    with pytest.raises(ValueError, match="together"):
+        losses.ExpectedParamLoss(zero.lp, M_p=1.0, psi_grad=zero.psi_grad)
+
+
 # ---------------------------------------------------------------------------
 # the separable form against lp
 
@@ -497,6 +508,33 @@ def test_separable_operations_match_lp_oracle(name, per_row, mu):
                                   model.dm(m, xs, ys, w, theta)[1])
 
 
+@pytest.mark.parametrize("mu", [0.0, 10.0, 1000.0])
+@pytest.mark.parametrize("name", ["mean_squared", "linear_regression"])
+def test_separable_dm_grad_matches_lp_grad_oracle(name, mu):
+    # the sampler's drift from the K data statistics equals the weighted
+    # sum of lp_grad over the atoms, to 1e-12 of max(1, |oracle|) entry by
+    # entry, with data and particles far from the origin
+    model = _SHIPPED[name]()
+    rng = np.random.default_rng(int(mu) + 31)
+    for n in (1, 5, 40):
+        xs = rng.standard_normal((n, 1))
+        noise = rng.standard_normal(n)
+        ys = mu * xs[:, 0] + 0.5 * noise if name == "linear_regression" \
+            else mu + noise
+        w = rng.uniform(0.1, 1.0, n)
+        w /= w.sum()
+        pts = mu + np.concatenate([rng.standard_normal((64, 1)),
+                                   rng.uniform(-50.0, 50.0, (8, 1))])
+        want = np.tensordot(w, model.lp_grad(pts, xs, ys), axes=1)
+        got = model.dm_grad(pts, xs, ys, w)
+        assert got.shape == want.shape == (72, 1)
+        assert np.all(np.abs(got - want)
+                      <= 1e-12 * np.maximum(1.0, np.abs(want))), \
+            float((np.abs(got - want) / np.maximum(1.0, np.abs(want))).max())
+        # the map of one dataset is the one-call form, bit for bit
+        np.testing.assert_array_equal(model.dm_grad_map(xs, ys, w)(pts), got)
+
+
 def test_zero_param_loss_is_separable():
     # the zero loss takes the separable path and is exactly 0 there too
     model = zero_param_loss()
@@ -507,6 +545,12 @@ def test_zero_param_loss_is_separable():
     theta = uniform_grid_1d(0.0, 3.0, 11)[0]
     np.testing.assert_array_equal(
         model.dm(m, xs, ys, np.full(6, 1 / 6), theta), np.zeros((4, 11)))
+    # and so is its sampler drift, on one or two parameter coordinates
+    for d in (1, 2):
+        pts = np.random.default_rng(d).standard_normal((9, d))
+        np.testing.assert_array_equal(
+            model.dm_grad(pts, xs[0], ys[0], np.full(6, 1 / 6)),
+            np.zeros((9, d)))
 
 
 # ---------------------------------------------------------------------------
@@ -649,8 +693,9 @@ def test_batched_operations_match_one_atom_views(model_name, n, q, on_grid,
     pts = rng.standard_normal((6, d))
     if isinstance(model, NNLoss) and model.activation.deriv is None:
         with pytest.raises(ValueError):
-            gibbs._drift(model, nu, cfg, pts)
+            model.dm_grad_map(nu.xs, nu.ys, nu.weights)
         return
+    dm_grad = model.dm_grad_map(nu.xs, nu.ys, nu.weights)
     m_hat = ParticleMeasure(pts)
 
     def potential(th):
@@ -669,5 +714,5 @@ def test_batched_operations_match_one_atom_views(model_name, n, q, on_grid,
     if isinstance(model, NNLoss) and model.activation.kind == "relu":
         u = np.abs(pts[:, 1:] @ xs.T)
         smooth = ~np.any((u > 0) & (u < 1e-4), axis=1)
-    np.testing.assert_allclose(gibbs._drift(model, nu, cfg, pts)[smooth],
+    np.testing.assert_allclose(gibbs._drift(dm_grad, cfg, pts)[smooth],
                                fd[smooth], rtol=1e-6, atol=1e-6)
