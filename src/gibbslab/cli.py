@@ -369,7 +369,7 @@ def _run_gaussian_oracle(cfg, exp_id, seed, out_dir):
         pop.mu, pop.sigma if "sigma" in pop else trainer.sigma_tilde)
     rows = []
     for n in cfg.sweep.n:
-        oracle = genbench.gaussian_mean_oracle(trainer.sigma_tilde, n)
+        oracle = genbench.gaussian_mean_oracle(pop.sigma, n)
         ests = genbench.estimate_routes(trainer, pop, model, n,
                                         cfg.sweep.replicates, seed,
                                         ["direct", "resampled"])
@@ -381,10 +381,14 @@ def _run_gaussian_oracle(cfg, exp_id, seed, out_dir):
 
 def _run_gen_sweep(cfg, exp_id, seed, out_dir):
     model, pop, _, trainer = _setup(cfg)
+    # the explicit trainer's gap is known for mean_squared on a Gaussian
+    exact = cfg.trainer.kind == "explicit_gaussian_mean" \
+        and isinstance(pop, genbench.GaussianScalarPopulation) \
+        and getattr(model, "name", None) == "mean_squared"
     rows = []
     for n in cfg.sweep.n:
-        oracle = genbench.gaussian_mean_oracle(trainer.sigma_tilde, n) \
-            if cfg.trainer.kind == "explicit_gaussian_mean" else None
+        oracle = genbench.gaussian_mean_oracle(pop.sigma, n) if exact \
+            else None
         ests = genbench.estimate_routes(trainer, pop, model, n,
                                         cfg.sweep.replicates, seed, cfg.routes)
         for route in cfg.routes:

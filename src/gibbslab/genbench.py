@@ -341,27 +341,19 @@ def noiseless_line_setup(slope: float = 0.5, x_sigma: float = 1.0):
 # ---------------------------------------------------------------------------
 # trainers
 #
-# A trainer maps data to parameter measures.  ``train(nu, rng)`` trains one
-# data measure; ``train_batch(xs, ys, rngs)`` trains the B equal-weight
-# datasets ``xs`` (B, n, q), ``ys`` (B, n), row ``r`` on the stream
-# ``rngs[r]`` (``rngs`` is None for deterministic trainers), and returns a
-# MeasureBatch.  Row ``r`` must not depend on the other rows: the replicate
-# loop locates a failing replicate by training it again on its own.
-# ``n_nodes`` is the node count of the measures it returns; the replicate
-# loop sizes its blocks by it.
+# A trainer maps data to parameter measures through its one entry point,
+# ``train_batch(xs, ys, rngs)``: it trains the B equal-weight datasets
+# ``xs`` (B, n, q), ``ys`` (B, n), row ``r`` on the stream ``rngs[r]``
+# (``rngs`` is None for deterministic trainers), and returns a MeasureBatch.
+# Row ``r`` must not depend on the other rows: the replicate loop locates a
+# failing replicate by training it again on its own, and one dataset is a
+# one-row batch, ``train_batch(nu.xs[None], nu.ys[None])[0]``.  The grid
+# trainer's ``solve`` is its per-dataset oracle.  ``n_nodes`` is the node
+# count of the measures it returns; the replicate loop sizes its blocks by
+# it.
 
 
-class _RowByRowTrainer:
-    """Trainers whose primitive is ``train``: a batch is trained row by row."""
-
-    def train_batch(self, xs, ys, rngs=None) -> MeasureBatch:
-        return MeasureBatch.of([
-            self.train(empirical_from_arrays(xs[r], ys[r]),
-                       None if rngs is None else rngs[r])
-            for r in range(ys.shape[0])])
-
-
-class GridGibbsTrainer(_RowByRowTrainer):
+class GridGibbsTrainer:
     """Deterministic trainer: damped fixed-point solve on the grid.
 
     For a loss linear in the measure (``model.has_zero_d2m()``) the tilt
@@ -371,7 +363,7 @@ class GridGibbsTrainer(_RowByRowTrainer):
     ``closed_form``: :meth:`train_batch` and :meth:`derivative_path`
     evaluate that tilt for a whole batch at once.  Otherwise both solve
     row by row, and with ``closed_form`` off they are the oracles of the
-    closed form; :meth:`train` always solves.
+    closed form; :meth:`solve` always solves one dataset.
     """
 
     deterministic = True
@@ -390,9 +382,6 @@ class GridGibbsTrainer(_RowByRowTrainer):
 
     def solve(self, nu: DataMeasure):
         return solve_gibbs(self.model, nu, self.cfg, **self.solve_kwargs)
-
-    def train(self, nu: DataMeasure, rng=None):
-        return self.solve(nu).measure
 
     def _exponent(self, xs, ys) -> np.ndarray:
         """(B, N) tilt exponents ``E`` of the equal-weight datasets ``xs``
@@ -413,7 +402,9 @@ class GridGibbsTrainer(_RowByRowTrainer):
 
     def train_batch(self, xs, ys, rngs=None) -> MeasureBatch:
         if not self.closed_form:
-            return super().train_batch(xs, ys, rngs)
+            return MeasureBatch.of([
+                self.solve(empirical_from_arrays(x, y)).measure
+                for x, y in zip(xs, ys)])
         nodes, vol = self.cfg.grid()
         return MeasureBatch(nodes, vol, self._tilt(self._exponent(xs, ys)),
                             normalize=True)
@@ -463,7 +454,7 @@ class GridGibbsTrainer(_RowByRowTrainer):
                                 **self.solve_kwargs)
 
 
-class MFLDTrainer(_RowByRowTrainer):
+class MFLDTrainer:
     """Stochastic trainer: Euler-Maruyama interacting particle system."""
 
     deterministic = False
@@ -476,21 +467,26 @@ class MFLDTrainer(_RowByRowTrainer):
         self.step_size = float(step_size)
         self.n_steps = int(n_steps)
 
-    def train(self, nu: DataMeasure, rng=None):
-        if rng is None:
+    def train_batch(self, xs, ys, rngs=None) -> MeasureBatch:
+        """:func:`mfld_sample` on each row, from a seed of ``rngs[r]``."""
+        if rngs is None:
             raise ValueError("the particle trainer needs a random stream")
-        seed = int(rng.integers(0, 2 ** 63))
-        return mfld_sample(self.model, nu, self.cfg, self.n_particles,
-                           self.step_size, self.n_steps, seed)
+        return MeasureBatch.of([
+            mfld_sample(self.model, empirical_from_arrays(x, y), self.cfg,
+                        self.n_particles, self.step_size, self.n_steps,
+                        int(rng.integers(0, 2 ** 63)))
+            for x, y, rng in zip(xs, ys, rngs)])
 
 
 class ExplicitGaussianMeanTrainer:
     """Closed-form trainer of the Gaussian location problem.
 
     Maps a data measure of ``n`` atoms to the normal law centered at its
-    target mean with variance ``sigma_tilde^2 / n``.  The mean
-    generalization error of this trainer is exactly
-    ``2 sigma_tilde^2 / n``.
+    target mean with variance ``sigma_tilde^2 / n``.  Under
+    ``mean_squared`` on ``N(mu, sigma^2)`` data its mean generalization
+    error is exactly ``2 sigma^2 / n`` whatever ``sigma_tilde``: the
+    ``sigma_tilde^2 / n`` the law adds to every loss cancels between the
+    population and the empirical risk (:func:`gaussian_mean_oracle`).
     """
 
     deterministic = True
@@ -515,14 +511,8 @@ class ExplicitGaussianMeanTrainer:
                             np.broadcast_to(shape, (ys.shape[0], shape.size)),
                             normalize=True)
 
-    def train(self, nu: DataMeasure, rng=None) -> GridMeasure:
-        """One-row view of :meth:`train_batch`."""
-        if np.ptp(nu.weights) > 0:
-            raise ValueError("the closed-form trainer needs equal weights")
-        return self.train_batch(nu.xs[None], nu.ys[None])[0]
 
-
-class ConstantTrainer(_RowByRowTrainer):
+class ConstantTrainer:
     """Trainer that ignores the data (zero generalization gap baseline)."""
 
     deterministic = True
@@ -531,8 +521,8 @@ class ConstantTrainer(_RowByRowTrainer):
         self.measure = measure
         self.n_nodes = measure.n_nodes
 
-    def train(self, nu: DataMeasure, rng=None):
-        return self.measure
+    def train_batch(self, xs, ys, rngs=None) -> MeasureBatch:
+        return MeasureBatch.of([self.measure] * ys.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -1090,13 +1080,14 @@ def gaussian_bump_on_grid(cfg: GibbsConfig, center, scale: float):
 # exact oracles and rate fits
 
 
-def gaussian_mean_oracle(sigma_tilde: float, n: int) -> float:
-    """Exact mean generalization error of the Gaussian location trainer."""
-    if sigma_tilde <= 0:
-        raise ValueError("sigma_tilde must be positive")
+def gaussian_mean_oracle(sigma: float, n: int) -> float:
+    """Exact mean generalization error ``2 sigma^2 / n`` of the Gaussian
+    location trainer under ``mean_squared`` on ``N(mu, sigma^2)`` data."""
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
     if n < 1:
         raise ValueError("sample size must be positive")
-    return 2.0 * sigma_tilde ** 2 / n
+    return 2.0 * sigma ** 2 / n
 
 
 def enumerate_exact_gen(trainer, data_space, model, n: int):
@@ -1106,7 +1097,10 @@ def enumerate_exact_gen(trainer, data_space, model, n: int):
     the direct definition and the single-swap resampling form are
     summed over all ordered datasets; the two agree identically, so the
     pair of outputs is a correctness oracle for trainers.  The trainer
-    must be deterministic; trained measures are cached per multiset.
+    must be deterministic.  Its measure depends on a dataset only through
+    the multiset of its atoms, so the multisets of the support are
+    trained in one ``train_batch`` call, and every loss of both sums is
+    read from one ``atom_losses`` table of that batch on the support.
     """
     pop = DiscretePopulation([z for z, _ in data_space],
                              [p for _, p in data_space])
@@ -1119,15 +1113,16 @@ def enumerate_exact_gen(trainer, data_space, model, n: int):
     if not getattr(trainer, "deterministic", False):
         raise TypeError("enumeration needs a deterministic trainer")
 
-    cache = {}
-
-    def trained(idx):
-        key = tuple(sorted(idx))
-        if key not in cache:
-            sel = list(key)
-            cache[key] = trainer.train(
-                empirical_from_arrays(mu.xs[sel], mu.ys[sel]))
-        return cache[key]
+    support = np.flatnonzero(probs)
+    keys = list(itertools.combinations_with_replacement(support, n))
+    row = {key: r for r, key in enumerate(keys)}
+    sel = np.array(keys)
+    # losses[r, j]: loss at support point j of the measure of multiset r
+    losses = model.atom_losses(
+        trainer.train_batch(mu.xs[sel], mu.ys[sel]),
+        np.broadcast_to(mu.xs, (len(keys),) + mu.xs.shape),
+        np.broadcast_to(mu.ys, (len(keys), s)))
+    w_data = np.full(n, 1.0 / n)
 
     wge_exact = 0.0
     swap_exact = 0.0
@@ -1135,16 +1130,12 @@ def enumerate_exact_gen(trainer, data_space, model, n: int):
         p_data = float(np.prod(probs[list(idx)]))
         if p_data == 0.0:
             continue
-        m = trained(idx)
-        sel = list(idx)
-        nu = empirical_from_arrays(mu.xs[sel], mu.ys[sel])
-        wge_exact += p_data * (_losses.risk(model, m, mu)
-                               - _losses.risk(model, m, nu))
-        for j in np.flatnonzero(probs):
-            z_bar = pop.points[j]
+        loss = losses[row[tuple(sorted(idx))]]
+        wge_exact += p_data * (float(probs @ loss)
+                               - float(w_data @ loss[list(idx)]))
+        for j in support:
             swap_exact += p_data * probs[j] * (
-                _losses.loss_value(model, m, z_bar)
-                - _losses.loss_value(model, trained((j,) + idx[1:]), z_bar))
+                loss[j] - losses[row[tuple(sorted((j,) + idx[1:]))], j])
     return float(wge_exact), float(swap_exact)
 
 

@@ -290,10 +290,9 @@ class NNLoss:
         return out[0] if one else out
 
     def dm_grad_map(self, xs, ys, weights) -> Callable:
-        """The map ``pts -> dm_grad(pts, xs, ys, weights)`` of one dataset:
-        the gradient at the particles ``pts`` (N, d) of :meth:`dm` at their
-        own empirical measure, (N, d), from one evaluation of the features.
-        """
+        """The sampler drift of one dataset: the map from the particles
+        ``pts`` (N, d) to the gradient of :meth:`dm` at their own empirical
+        measure, (N, d), from one evaluation of the features."""
         if self.activation.deriv is None:
             raise ValueError(
                 f"activation {self.activation.kind!r} has no derivative")
@@ -310,10 +309,6 @@ class NNLoss:
                                      @ xs)
             return g
         return grad
-
-    def dm_grad(self, pts, xs, ys, weights) -> np.ndarray:
-        """:meth:`dm_grad_map` at ``pts``, in one call."""
-        return self.dm_grad_map(xs, ys, weights)(pts)
 
     def dm_along(self, m, m2, xs, ys) -> np.ndarray:
         """Per-atom pairing ``int dl/dm(m, z_i, .) d(m2 - m)``, shape (n,):
@@ -467,8 +462,8 @@ class ExpectedParamLoss:
         return out[0] if one else out
 
     def dm_grad_map(self, xs, ys, weights) -> Callable:
-        """The map ``pts -> dm_grad(pts, xs, ys, weights)`` of one dataset:
-        the gradient of :meth:`dm` at the particles ``pts`` (N, d), (N, d).
+        """The sampler drift of one dataset: the map from the particles
+        ``pts`` (N, d) to the gradient of :meth:`dm` at them, (N, d).
 
         A separable loss sums its K statistics here, once, and each call
         is ``psi_grad(pts - c) . stats``, O(N d K) whatever the atom
@@ -494,10 +489,6 @@ class ExpectedParamLoss:
             # stats . g over K in one dot call, as in the lp-only map
             return np.dot(stats.T, g.reshape(len(g), -1)).reshape(u.shape).T
         return grad
-
-    def dm_grad(self, pts, xs, ys, weights) -> np.ndarray:
-        """:meth:`dm_grad_map` at ``pts``, in one call."""
-        return self.dm_grad_map(xs, ys, weights)(pts)
 
     def dm_along(self, m, m2, xs, ys) -> np.ndarray:
         """Per-atom pairing ``int dl/dm(m, z_i, .) d(m2 - m)``, shape (n,):

@@ -848,11 +848,42 @@ def test_seed_override_changes_output(tmp_path):
         != (tmp_path / "b" / "gauss.csv").read_text()
 
 
-def test_exit_two_when_oracle_misses(tmp_path):
-    cfg = dict(GAUSS_CFG, trainer={"sigma_tilde": 2.0})
-    assert cli.run(write_config(tmp_path, cfg), out=str(tmp_path)) == 2
+def test_exit_two_when_oracle_misses(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli.genbench, "gaussian_mean_oracle",
+                        lambda sigma, n: 10.0 * sigma ** 2 / n)
+    assert cli.run(write_config(tmp_path, GAUSS_CFG), out=str(tmp_path)) == 2
     rows = (tmp_path / "gauss.csv").read_text().strip().split("\n")[1:]
     assert all(r.endswith("false") for r in rows)
+
+
+def test_gaussian_oracle_reads_the_population_spread(tmp_path):
+    # the trained law's sigma_tilde^2 / n cancels in the gap: 2 sigma^2 / n
+    cfg = dict(GAUSS_CFG, population={"mu": 0.0, "sigma": 2.0},
+               trainer={"sigma_tilde": 1.0},
+               sweep={"n": [10], "replicates": 4000, "seed": 3})
+    assert cli.run(write_config(tmp_path, cfg), out=str(tmp_path)) == 0
+    rows = [r.split(",") for r in
+            (tmp_path / "gauss.csv").read_text().strip().split("\n")[1:]]
+    assert [r[1] for r in rows] == ["direct", "resampled"]
+    for r in rows:
+        assert float(r[7]) == 0.8 and r[9] == "true"
+
+
+def test_gen_sweep_writes_no_oracle_off_the_gaussian(tmp_path):
+    cfg = {
+        "experiment": "gen-sweep",
+        "id": "line",
+        "model": {"variant": "expected_param", "param_loss": "mean_squared"},
+        "population": {"name": "noiseless_line", "slope": 0.8},
+        "trainer": {"kind": "explicit_gaussian_mean"},
+        "routes": ["direct", "resampled"],
+        "sweep": {"n": [4], "replicates": 20, "seed": 0},
+        "output": {"csv": "line.csv"},
+    }
+    assert cli.run(write_config(tmp_path, cfg), out=str(tmp_path)) == 0
+    rows = [r.split(",") for r in
+            (tmp_path / "line.csv").read_text().strip().split("\n")[1:]]
+    assert len(rows) == 2 and all(r[7] == "" for r in rows)
 
 
 def test_gen_sweep_convergence_failure_names_its_replicate(tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gibbslab import funcderiv, genbench, losses
+from gibbslab import funcderiv, genbench, gibbs, losses
 from gibbslab.genbench import (ConstantTrainer, DiscretePopulation,
                                ExplicitGaussianMeanTrainer,
                                GaussianScalarPopulation, GridGibbsTrainer,
@@ -28,6 +28,20 @@ from gibbslab.measures import (DataMeasure, DataPoint, MeasureBatch,
 WEAK_CFG = GibbsConfig(beta=0.5, sigma=1.0, p=4,
                        regularizer=Regularizer(kappa=0.05, q=3),
                        nodes_per_axis=257)
+
+
+def _train_one(trainer, nu, rng=None):
+    """The measure ``trainer`` trains on the one dataset ``nu``: the grid
+    trainer's solve, the sampler on a seed drawn from ``rng``, else a
+    one-row batch."""
+    if isinstance(trainer, GridGibbsTrainer):
+        return trainer.solve(nu).measure
+    if isinstance(trainer, MFLDTrainer):
+        return gibbs.mfld_sample(trainer.model, nu, trainer.cfg,
+                                 trainer.n_particles, trainer.step_size,
+                                 trainer.n_steps,
+                                 int(rng.integers(0, 2 ** 63)))
+    return trainer.train_batch(nu.xs[None], nu.ys[None])[0]
 
 
 def _unnamed(model):
@@ -281,8 +295,7 @@ def test_population_refuses_non_finite_parameters(make, value, name):
 def test_explicit_trainer_matches_its_description():
     trainer = ExplicitGaussianMeanTrainer(1.5)
     ys = np.array([0.2, 0.8, -0.4, 1.0])
-    nu = empirical_from_arrays(np.zeros((4, 0)), ys)
-    m = trainer.train(nu)
+    m = trainer.train_batch(np.zeros((1, 4, 0)), ys[None])[0]
     np.testing.assert_allclose(m.mean()[0], ys.mean(), atol=1e-12)
     var = m.moment(2) - m.mean()[0] ** 2
     np.testing.assert_allclose(var, 1.5 ** 2 / 4.0, rtol=1e-6)
@@ -330,7 +343,9 @@ def test_grid_trainer_roundtrip_and_with_beta():
     nu = empirical_from_arrays(xs, ys)
     sol = trainer.solve(nu)
     assert sol.iterations == 1  # loss linear in m, full step
-    m = trainer.train(nu)
+    solved = GridGibbsTrainer(model, WEAK_CFG)
+    solved.closed_form = False
+    m = solved.train_batch(xs[None], ys[None])[0]
     np.testing.assert_array_equal(m.density, sol.measure.density)
     t2 = trainer.with_beta(1.0)
     assert t2.cfg.beta == 1.0
@@ -349,11 +364,51 @@ def test_constant_trainer_has_zero_swap_gap():
 def test_mfld_trainer_requires_rng():
     model, _ = gaussian_mean_setup()
     trainer = MFLDTrainer(model, WEAK_CFG, 32, 1e-3, 10)
-    nu = empirical_from_arrays(np.zeros((3, 0)), np.zeros(3))
+    xs, ys = np.zeros((1, 3, 0)), np.zeros((1, 3))
     with pytest.raises(ValueError):
-        trainer.train(nu)
-    part = trainer.train(nu, rng=np.random.default_rng(7))
-    assert part.points.shape == (32, 1)
+        trainer.train_batch(xs, ys)
+    part = trainer.train_batch(xs, ys, [np.random.default_rng(7)])
+    assert len(part) == 1 and part[0].nodes.shape == (32, 1)
+
+
+def _row_streams(rows):
+    return [np.random.default_rng([7, r]) for r in rows]
+
+
+@pytest.mark.parametrize("kind", ["explicit", "grid", "solved", "mfld",
+                                  "constant"])
+def test_train_batch_rows_are_one_row_batches(kind):
+    # the one entry point's row contract: row r of a B-row batch is the
+    # one-row batch of its dataset and stream, bit for bit
+    trainer, pop, _ = _block_setup("grid" if kind == "solved" else kind,
+                                   "gaussian")
+    if kind in ("grid", "solved"):
+        assert trainer.closed_form
+        trainer.closed_form = kind == "grid"
+    xs, ys = pop.sample_batch(_row_streams(range(10, 14)), 5)
+    rows = range(4)
+    det = trainer.deterministic
+    batch = trainer.train_batch(xs, ys, None if det else _row_streams(rows))
+    assert len(batch) == 4
+    for r in rows:
+        one = trainer.train_batch(xs[r:r + 1], ys[r:r + 1],
+                                  None if det else _row_streams([r]))[0]
+        for name in ("nodes", "cell_volumes", "density"):
+            np.testing.assert_array_equal(getattr(batch[r], name),
+                                          getattr(one, name))
+
+
+def test_particle_rows_are_the_sampler_on_their_seeds():
+    trainer, pop, model = _block_setup("mfld", "gaussian")
+    xs, ys = pop.sample_batch(_row_streams(range(10, 13)), 4)
+    batch = trainer.train_batch(xs, ys, _row_streams(range(3)))
+    for r, rng in enumerate(_row_streams(range(3))):
+        want = gibbs.mfld_sample(model, empirical_from_arrays(xs[r], ys[r]),
+                                 trainer.cfg, trainer.n_particles,
+                                 trainer.step_size, trainer.n_steps,
+                                 int(rng.integers(0, 2 ** 63)))
+        np.testing.assert_array_equal(batch[r].nodes, want.nodes)
+        np.testing.assert_array_equal(batch[r].density, want.density)
 
 
 # ---------------------------------------------------------------------------
@@ -542,8 +597,8 @@ def test_routes_match_scalar_loop_oracle():
         nu = empirical_from_arrays(xs[:n], ys[:n])
         z_bar = DataPoint(xs[n], ys[n])
         rng = stream(2)
-        m = trainer.train(nu, rng)
-        m_swap = trainer.train(resample(nu, [0], [z_bar]), rng)
+        m = _train_one(trainer, nu, rng)
+        m_swap = _train_one(trainer, resample(nu, [0], [z_bar]), rng)
         oos = empirical_from_arrays(*pop.sample(stream(1), 10 * n))
         direct.append(losses.risk(model, m, oos) - losses.risk(model, m, nu))
         swapped.append(losses.loss_value(model, m, z_bar)
@@ -571,6 +626,8 @@ def _block_setup(trainer_kind, pop_kind):
     trainer = {"explicit": lambda: ExplicitGaussianMeanTrainer(1.0),
                "grid": lambda: GridGibbsTrainer(model, WEAK_CFG),
                "mfld": lambda: MFLDTrainer(model, WEAK_CFG, 16, 1e-3, 5),
+               "constant": lambda: ConstantTrainer(
+                   WEAK_CFG.priors().gamma_sigma),
                }[trainer_kind]()
     return trainer, pop, model
 
@@ -586,8 +643,8 @@ def _scalar_loop_terms(trainer, pop, model, n, replicates, seed):
         nu = empirical_from_arrays(xs[:n], ys[:n])
         z_bar = DataPoint(xs[n], ys[n])
         rng = None if trainer.deterministic else stream(2)
-        m = trainer.train(nu, rng)
-        m_swap = trainer.train(resample(nu, [0], [z_bar]), rng)
+        m = _train_one(trainer, nu, rng)
+        m_swap = _train_one(trainer, resample(nu, [0], [z_bar]), rng)
         # a finite population and the shipped polynomial losses take the
         # population's measure, any other loss 10 n draws of stream 1
         if isinstance(pop, DiscretePopulation) or model.name in (

@@ -849,12 +849,12 @@ _STATISTICS_DRIFT = ("mean_squared", "linear_regression")
 
 def _general_dm_grad(model, m, xs, ys, weights, theta, via_lp_grad=False):
     """Gradient in ``theta`` of ``model.dm`` at any measure ``m``.  For the
-    ``_STATISTICS_DRIFT`` losses it is their ``dm_grad``, called afresh
+    ``_STATISTICS_DRIFT`` losses it is their ``dm_grad_map``, made afresh
     (statistics summed again at every call), unless ``via_lp_grad``."""
     theta = np.atleast_2d(np.asarray(theta, dtype=float))
     if not isinstance(model, losses.NNLoss):
         if model.name in _STATISTICS_DRIFT and not via_lp_grad:
-            return model.dm_grad(theta, xs, ys, weights)
+            return model.dm_grad_map(xs, ys, weights)(theta)
         return np.tensordot(weights, model.lp_grad(theta, xs, ys), axes=1)
     act = model.activation
     xs = np.asarray(xs, dtype=float)

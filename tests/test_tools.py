@@ -1,4 +1,5 @@
-"""Tests for the command-line tools under ``tools/``."""
+"""Tests for the command-line tools under ``tools/`` and for the
+benchmark's trace mode."""
 
 import importlib.util
 import json
@@ -278,3 +279,21 @@ def test_bench_pairs_wall_records_peak_rss(tmp_path, monkeypatch):
             assert row[side]["exit"] == 2
             assert row[side]["peak_rss_mb"] >= 40
     assert wall["summary"]["peak_rss_mb"]["pairs"] == 2
+
+
+def test_benchmark_tracer_installs_and_restores_every_name():
+    # `perfbench/run.py --trace 1` wraps library names in place; a name it
+    # wraps that the library dropped would only show as a crash there
+    spec = importlib.util.spec_from_file_location(
+        "_tracing", TOOLS.parent / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        patches = list(tracer._patches)
+    finally:
+        tracer.uninstall()
+    assert patches
+    for kind, owner, key, orig in patches:
+        assert (owner[key] if kind == "item" else vars(owner)[key]) is orig
