@@ -522,7 +522,7 @@ def _verify_checks(seed: int):
 
     ep = losses.mean_squared_param_loss()
     cfg1 = gibbs.GibbsConfig(beta=1.0, sigma=1.0, p=4, theta_dim=1)
-    trainer = genbench.GridGibbsTrainer(ep, cfg1, damping=1.0, tol=1e-12)
+    trainer = genbench.GridGibbsTrainer(ep, cfg1, tol=1e-12)
 
     # exhaustive resampling identity on a two-point space
     space = [(measures.DataPoint(np.zeros(0), 0.0), 0.5),
@@ -583,7 +583,7 @@ def _verify_checks(seed: int):
     xs1, ys1 = genbench.GaussianScalarPopulation(0.0, 1.0).sample(
         genbench._rng(seed, 0, 12), 8)
     nu1 = measures.empirical_from_arrays(xs1, ys1)
-    sol1 = gibbs.solve_gibbs(ep, nu1, cfg1, damping=1.0)
+    sol1 = gibbs.solve_gibbs(ep, nu1, cfg1)
     add("gibbs_param_one_step", abs(sol1.iterations - 1), 0.5)
     add("prior_moment_bound",
         max(0.0, sol1.measure.moment(cfg1.p)
@@ -591,15 +591,13 @@ def _verify_checks(seed: int):
 
     # trained-measure derivative vs finite differences + covariance form
     z0 = nu1.point(0)
-    dm = funcderiv.dm_dnu(ep, nu1, cfg1, z0, solve_kwargs={"damping": 1.0})
-    fd = funcderiv.finite_diff_dm_dnu(ep, nu1, cfg1, z0, eps=1e-4,
-                                      solve_kwargs={"damping": 1.0})
+    dm = funcderiv.dm_dnu(ep, nu1, cfg1, z0)
+    fd = funcderiv.finite_diff_dm_dnu(ep, nu1, cfg1, z0, eps=1e-4)
     add("dm_dnu_finite_diff",
         np.abs(dm.node_weights - fd.node_weights).sum()
         / np.abs(fd.node_weights).sum(), 1e-3)
 
-    td = funcderiv.TrainedDerivatives(ep, nu1, cfg1,
-                                      solve_kwargs={"damping": 1.0})
+    td = funcderiv.TrainedDerivatives(ep, nu1, cfg1)
     m_star = td.measure
     v = td.s_derivative(z0).values
     w = m_star.node_weights

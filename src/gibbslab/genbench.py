@@ -41,8 +41,8 @@ import numpy as np
 
 from . import losses as _losses
 from .funcderiv import TrainedDerivatives, gauss_legendre_01
-from .gibbs import (GibbsConfig, _normalized_exp, mfld_sample, prior_kl,
-                    solve_gibbs)
+from .gibbs import (GibbsConfig, _check_solve, linear_exponents,
+                    linear_fixed_points, mfld_sample, prior_kl, solve_gibbs)
 from .measures import (DataMeasure, DataPoint, GridMeasure, MeasureBatch,
                        convex_combination, empirical_from_arrays, row_dot,
                        uniform_grid_1d)
@@ -347,34 +347,27 @@ def noiseless_line_setup(slope: float = 0.5, x_sigma: float = 1.0):
 # (``rngs`` is None for deterministic trainers), and returns a MeasureBatch.
 # Row ``r`` must not depend on the other rows: the replicate loop locates a
 # failing replicate by training it again on its own, and one dataset is a
-# one-row batch, ``train_batch(nu.xs[None], nu.ys[None])[0]``.  The grid
-# trainer's ``solve`` is its per-dataset oracle.  ``n_nodes`` is the node
-# count of the measures it returns; the replicate loop sizes its blocks by
-# it.
+# one-row batch, ``train_batch(nu.xs[None], nu.ys[None])[0]``.  The loop
+# sizes its blocks by ``n_nodes``, the node count of the measures.
 
 
 class GridGibbsTrainer:
-    """Deterministic trainer: damped fixed-point solve on the grid.
+    """Deterministic trainer: the tilt map's fixed point on the grid.
 
-    For a loss linear in the measure (``model.has_zero_d2m()``) the tilt
-    map ignores ``m``, and at ``damping`` 1 :func:`solve_gibbs` returns
-    its first update: the normalized ``exp(E)`` of the exponent
-    ``E = -tau sum_i w_i lp(., z_i) - U / sigma^2``.  Such a trainer is
-    ``closed_form``: :meth:`train_batch` and :meth:`derivative_path`
-    evaluate that tilt for a whole batch at once.  Otherwise both solve
-    row by row, and with ``closed_form`` off they are the oracles of the
-    closed form; :meth:`solve` always solves one dataset.
+    A loss linear in the measure (``model.has_zero_d2m()``) trains and
+    differentiates a batch at once by :func:`gibbs.linear_fixed_points`,
+    whose one-row view is :meth:`solve`; a network solves row by row, and
+    ``damping`` relaxes its Newton fallback.  The constructor checks the
+    settings as :func:`solve_gibbs` does.
     """
 
     deterministic = True
 
     def __init__(self, model, cfg: GibbsConfig, damping: float = 1.0,
                  tol: float = 1e-10, max_iter: int = 500):
-        self.model = model
-        self.cfg = cfg
+        self.model, self.cfg = model, cfg
         self.solve_kwargs = {"damping": damping, "tol": tol,
-                             "max_iter": max_iter}
-        self.closed_form = model.has_zero_d2m() and damping == 1.0
+                             "max_iter": _check_solve(damping, tol, max_iter)}
 
     @property
     def n_nodes(self) -> int:
@@ -383,55 +376,39 @@ class GridGibbsTrainer:
     def solve(self, nu: DataMeasure):
         return solve_gibbs(self.model, nu, self.cfg, **self.solve_kwargs)
 
-    def _exponent(self, xs, ys) -> np.ndarray:
-        """(B, N) tilt exponents ``E`` of the equal-weight datasets ``xs``
-        (B, n, q), ``ys`` (B, n) on the grid (closed form only)."""
-        w = np.full(ys.shape[1], 1.0 / ys.shape[1])
-        return -self.cfg.temperature * self.model.lp_sums(
-            self.cfg.grid()[0], xs, ys, w) - self.cfg.confinement()
-
-    def _tilt(self, expo: np.ndarray) -> np.ndarray:
-        """(B, N) densities :func:`solve_gibbs` returns for the exponent
-        rows ``expo``: each normalized ``exp`` row, or the prior where that
-        lies within ``tol`` of it (the solver's start)."""
-        dens = _normalized_exp(expo, self.cfg.grid()[1])[0]
-        prior = self.cfg.priors().gamma_sigma.density
-        start = np.abs(dens - prior).max(axis=1) <= self.solve_kwargs["tol"]
-        dens[start] = prior
-        return dens
+    def _fixed_points(self, expo: np.ndarray) -> np.ndarray:
+        return linear_fixed_points(self.cfg, expo, self.solve_kwargs["tol"],
+                                   self.solve_kwargs["max_iter"])[0]
 
     def train_batch(self, xs, ys, rngs=None) -> MeasureBatch:
-        if not self.closed_form:
+        if not self.model.has_zero_d2m():
             return MeasureBatch.of([
                 self.solve(empirical_from_arrays(x, y)).measure
                 for x, y in zip(xs, ys)])
-        nodes, vol = self.cfg.grid()
-        return MeasureBatch(nodes, vol, self._tilt(self._exponent(xs, ys)),
-                            normalize=True)
+        return MeasureBatch(*self.cfg.grid(), self._fixed_points(
+            linear_exponents(self.model, self.cfg, xs, ys)), normalize=True)
 
     def derivative_path(self, data, swapped, k: int) -> np.ndarray:
         """Quadrature along ``swapped -> data`` of the trained-measure
         derivative toward ``z_j`` minus toward ``z_bar_j``, summed over
-        ``j < k``: (B, N) node values.
-
-        ``data`` and ``swapped`` are the ``(xs, ys)`` of B equal-weight
-        datasets that differ in their first ``k`` atoms, ``z_j`` and
-        ``z_bar_j``.  In closed form the measure trained on the blend
-        ``(1 - lt) swapped + lt data`` is the tilt of the blended
-        exponent, and the risk derivative cancels in the difference of
-        two directions: ``-tau m (D - E_m D)`` with
-        ``D = sum_j lp(., z_j) - lp(., z_bar_j)``.  Otherwise each row
-        solves :class:`TrainedDerivatives` at every blend.
+        ``j < k``: (B, N) node values, for B equal-weight datasets ``data``
+        and ``swapped``, ``(xs, ys)`` that differ in their first ``k`` atoms.
+        For a loss linear in the measure the blend ``(1 - lt) swapped + lt
+        data`` trains to the fixed point of the blended exponent, and the
+        path is ``-tau m (D - E_m D)`` with ``D = sum_j lp(., z_j) -
+        lp(., z_bar_j)``; a network solves :class:`TrainedDerivatives` row
+        by row at every blend.
         """
         (xs, ys), (xk, yk) = data, swapped
         nodes, vol = self.cfg.grid()
         out = np.zeros((ys.shape[0], nodes.shape[0]))
-        if self.closed_form:
+        if self.model.has_zero_d2m():
             d = self.model.lp_sums(nodes, xs[:, :k], ys[:, :k], np.ones(k)) \
                 - self.model.lp_sums(nodes, xk[:, :k], yk[:, :k], np.ones(k))
-            e0, ek = self._exponent(xs, ys), self._exponent(xk, yk)
+            e0, ek = (linear_exponents(self.model, self.cfg, *z)
+                      for z in (data, swapped))
             for lt, w in zip(*gauss_legendre_01(_SEGMENT_NODES)):
-                dens = self._tilt((1.0 - lt) * ek + lt * e0)
+                dens = self._fixed_points((1.0 - lt) * ek + lt * e0)
                 mean = (d * (dens * vol)).sum(axis=1, keepdims=True)
                 out += w * (-self.cfg.temperature * dens * (d - mean))
             return out

@@ -9,10 +9,10 @@ and ``gamma_sigma`` is the prior with density proportional to
 ``exp(-U(theta)/sigma^2)`` for a polynomial confinement ``U``.
 
 Minimizers are fixed points of the tilt map implemented by
-:func:`gibbs_map`; :func:`solve_gibbs` finds them on a tensor grid, by
-Newton's method on the n predictions for network losses and by damped
-fixed-point iteration otherwise, and :func:`mfld_sample` approximates
-them with an Euler-Maruyama particle system.
+:func:`gibbs_map`; :func:`solve_gibbs` finds them on a tensor grid, in one
+update for a loss linear in the measure (:func:`linear_fixed_points`, also
+for a batch) and by Newton's method with a damped fallback for a network;
+:func:`mfld_sample` approximates them with an Euler-Maruyama particle system.
 """
 
 from __future__ import annotations
@@ -496,28 +496,71 @@ class GibbsSolution:
     residual: float
 
 
-def _newton_network(model, nu: DataMeasure, cfg: GibbsConfig,
-                    m: GridMeasure, tol: float, max_iter: int):
-    """Newton's method on the n predictions of a network loss.
+def _check_solve(damping, tol, max_iter) -> int:
+    """``max_iter`` as an int, once the settings are checked; tol 0 stays."""
+    if not 0 < damping <= 1:
+        raise ValueError("damping must lie in (0, 1]")
+    if not tol >= 0:
+        raise ValueError(f"tol must be a number >= 0, got {tol!r}")
+    return _whole(max_iter, 0, "max_iter must be a whole number >= 0")
 
-    The fixed point solves ``G(q) = E_{tilt(q)} phi - q = 0`` in R^n,
-    with Jacobian ``-S`` (:meth:`CurvatureKernel.system`); each step
-    starts from the predictions of the current measure.  A solve holds
-    one (N, n) array, the features ``phi``, and one row chunk in which
-    every step forms ``S`` (:func:`_system`).  Stops at the first
-    measure whose residual ``||gibbs_map(m) - m||_inf`` is within
-    ``tol``, after ``max_iter`` steps, or when a step is non-finite,
-    singular or fails to lower ``||G||_inf``.  Returns the last accepted
-    ``(measure, steps, residual)``, with ``residual = inf`` unless it
-    converged.
-    """
-    phi = model.phi(cfg.grid()[0], nu.xs)
+
+def linear_exponents(model, cfg: GibbsConfig, xs, ys, weights=None):
+    """(B, N) tilt exponents ``-tau sum_i w_i lp(., z_ri) - U / sigma^2`` of
+    the datasets ``xs`` (B, n, q), ``ys`` (B, n); weights (n,), or equal."""
+    if weights is None:
+        weights = np.full(ys.shape[1], 1.0 / ys.shape[1])
+    return -cfg.temperature * model.lp_sums(cfg.grid()[0], xs, ys, weights) \
+        - cfg.confinement()
+
+
+def linear_fixed_points(cfg: GibbsConfig, expo: np.ndarray, tol: float,
+                        max_iter: int, start: Optional[np.ndarray] = None):
+    """Fixed points of tilt maps that ignore the measure: the normalized
+    ``exp`` of each row of the (B, N) exponents ``expo``, one update at any
+    damping, or ``start`` (N; the prior) after 0 where that is within
+    ``tol``.  An update's residual is the move of its renormalization, at
+    most ``(N + 4) eps / mass`` (:func:`_normalized_exp`), and measured
+    where that exceeds ``tol``.  Returns ``(density, moved, residual)`` per
+    row; raises :class:`GibbsConvergenceError`, naming a batch's row, where
+    ``max_iter`` is 0 or the residual exceeds ``tol``."""
+    vol = cfg.grid()[1]
+    start = cfg.priors().gamma_sigma.density if start is None else start
+    dens, _, mass = _normalized_exp(expo, vol)
+    residual = np.abs(dens - start).max(axis=1)
+    kept = residual <= tol
+    dens[kept] = start
+    if max_iter > 0:
+        residual = np.where(kept, residual,
+                            (len(start) + 4) * np.finfo(float).eps / mass)
+    fail = residual > tol
+    if fail.any():
+        if max_iter > 0:
+            d = dens[fail]
+            residual[fail] = np.abs(
+                d - d / (d * vol).sum(axis=1, keepdims=True)).max(axis=1)
+        for r in np.flatnonzero(residual > tol)[:1]:
+            where = f" in row {r}" if len(dens) > 1 else ""
+            raise GibbsConvergenceError(
+                f"no fixed point after {min(max_iter, 1)} updates{where}; "
+                f"last residual {residual[r]:.3e}", float(residual[r]))
+    return dens, ~kept, residual
+
+
+def _solve_network(model, nu: DataMeasure, cfg: GibbsConfig, m: GridMeasure,
+                   damping: float, tol: float, max_iter: int) -> GibbsSolution:
+    """Newton's method on ``G(q) = E_{tilt(q)} phi - q = 0`` for the n
+    predictions of a network loss, with Jacobian ``-S`` (:func:`_system`),
+    then damped iteration from its last accepted measure if a step is
+    non-finite, singular or does not lower ``||G||_inf``.  Both phases read
+    one (N, n) array, the features ``phi``, built once."""
+    nodes, vol = cfg.grid()
+    phi = model.phi(nodes, nu.xs)
 
     def tilt(p):
         return _tilt(cfg, phi @ (nu.weights * model.outer.d1(p, nu.ys)))
 
-    current = trial = m
-    steps, g_norm = 0, math.inf
+    trial, start, g_norm = m, 0, math.inf
     for it in range(max_iter + 1):
         q = phi.T @ trial.node_weights
         try:
@@ -526,72 +569,24 @@ def _newton_network(model, nu: DataMeasure, cfg: GibbsConfig,
             break
         residual = float(np.max(np.abs(target.density - trial.density)))
         if residual <= tol:
-            return trial, it, residual
+            return GibbsSolution(trial, it, residual)
         mean = phi.T @ target.node_weights
         g = mean - q
         g_trial = float(np.max(np.abs(g)))
         if not g_trial < g_norm:
             break
-        current, steps, g_norm = trial, it, g_trial
+        m, start, g_norm = trial, it, g_trial
         if it == max_iter:
             break
         small = _system(phi, mean, target.node_weights,
                         nu.weights * model.outer.d2(q, nu.ys),
                         cfg.temperature)
         try:
-            p = q + np.linalg.solve(small, g)
-            trial = tilt(p)
+            trial = tilt(q + np.linalg.solve(small, g))
         except (np.linalg.LinAlgError, ValueError):
             break
-    return current, steps, math.inf
-
-
-def solve_gibbs(model, nu: DataMeasure, cfg: GibbsConfig,
-                damping: float = 0.5, tol: float = 1e-8,
-                max_iter: int = 500, init: Optional[GridMeasure] = None
-                ) -> GibbsSolution:
-    """Fixed point of the tilt map: the regularized minimizer on the grid.
-
-    Starting from the prior (or ``init``), updates the measure until the
-    sup-norm density residual ``||gibbs_map(m) - m||_inf`` falls below
-    ``tol``; the returned measure satisfies it and ``residual`` is its
-    value.
-
-    For network losses the solver first runs Newton's method on the n
-    predictions ``E_m phi`` (the tilt map sees the measure only through
-    them); it needs no activation derivative and usually converges in
-    two to four steps.  If a Newton step is non-finite, singular or does
-    not lower the prediction residual, and for every other model, the
-    solver continues from the current measure by damped iteration:
-    :func:`gibbs_map` applied with relaxation ``damping``.
-
-    ``iterations`` counts the updates actually applied, Newton steps
-    first, and ``max_iter`` caps both kinds together.  A model whose
-    tilt map does not depend on ``m`` converges after exactly one update
-    at ``damping=1``.
-
-    Raises
-    ------
-    GibbsConvergenceError
-        If ``max_iter`` updates do not reach ``tol``; the error carries
-        the last residual.
-    """
-    if not 0 < damping <= 1:
-        raise ValueError("damping must lie in (0, 1]")
-    nodes, vol = cfg.grid()
-    m = cfg.priors().gamma_sigma if init is None else init
-    if init is not None and (not isinstance(init, GridMeasure)
-                             or init.nodes.shape != nodes.shape
-                             or not np.array_equal(init.nodes, nodes)):
-        raise ValueError("initial measure lives on a different grid")
-    start = 0
-    if isinstance(model, _losses.NNLoss):
-        m, start, residual = _newton_network(model, nu, cfg, m, tol, max_iter)
-        if residual <= tol:
-            return GibbsSolution(m, start, residual)
-    residual = math.inf
     for it in range(start, max_iter + 1):
-        target = gibbs_map(model, m, nu, cfg)
+        target = tilt(phi.T @ m.node_weights)
         residual = float(np.max(np.abs(target.density - m.density)))
         if residual <= tol:
             return GibbsSolution(m, it, residual)
@@ -602,6 +597,36 @@ def solve_gibbs(model, nu: DataMeasure, cfg: GibbsConfig,
     raise GibbsConvergenceError(
         f"no fixed point after {max_iter} updates; last residual {residual:.3e}",
         residual)
+
+
+def solve_gibbs(model, nu: DataMeasure, cfg: GibbsConfig,
+                damping: float = 0.5, tol: float = 1e-8,
+                max_iter: int = 500, init: Optional[GridMeasure] = None
+                ) -> GibbsSolution:
+    """Fixed point of the tilt map: the regularized minimizer on the grid.
+
+    Updates the measure from the prior (or ``init``) until the residual
+    ``||gibbs_map(m) - m||_inf`` is within ``tol``, in at most ``max_iter``
+    updates, else raises :class:`GibbsConvergenceError` with the last
+    residual.  A loss linear in the measure solves as the one-row view of
+    :func:`linear_fixed_points`, at any ``damping``; a network as
+    :func:`_solve_network`, whose damped fallback ``damping`` relaxes.
+    ``damping`` outside (0, 1], a NaN or negative ``tol`` and a ``max_iter``
+    not a whole number >= 0 raise ``ValueError`` before any tilt.
+    """
+    max_iter = _check_solve(damping, tol, max_iter)
+    nodes, vol = cfg.grid()
+    if init is not None and not (isinstance(init, GridMeasure)
+                                 and np.array_equal(init.nodes, nodes)):
+        raise ValueError("initial measure lives on a different grid")
+    m = cfg.priors().gamma_sigma if init is None else init
+    if not model.has_zero_d2m():
+        return _solve_network(model, nu, cfg, m, damping, tol, max_iter)
+    expo = linear_exponents(model, cfg, nu.xs[None], nu.ys[None], nu.weights)
+    dens, moved, res = linear_fixed_points(cfg, expo, tol, max_iter, m.density)
+    if moved[0]:
+        m = GridMeasure(nodes, vol, dens[0], normalize=True)
+    return GibbsSolution(m, int(moved[0]), float(res[0]))
 
 
 def prior_moment_bound(model, nu: DataMeasure, cfg: GibbsConfig) -> float:

@@ -887,13 +887,15 @@ def test_gen_sweep_writes_no_oracle_off_the_gaussian(tmp_path):
 
 
 def test_gen_sweep_convergence_failure_names_its_replicate(tmp_path, capsys):
+    # a loss linear in the measure: the batch of a block checks its one
+    # update against tol as the solve does, and no update reaches 1e-300
     cfg = {
         "experiment": "gen-sweep",
         "id": "stalls",
         "model": {"variant": "expected_param", "param_loss": "mean_squared"},
         "population": {"name": "gaussian", "mu": 0.0, "sigma": 1.0},
         "gibbs": {"beta": 0.5, "sigma": 1.0, "p": 4, "kappa": 0.05, "q": 3},
-        "trainer": {"kind": "gibbs_grid", "damping": 0.5, "max_iter": 1},
+        "trainer": {"kind": "gibbs_grid", "damping": 1.0, "tol": 1e-300},
         "routes": ["direct", "resampled"],
         "sweep": {"n": [4], "replicates": 5, "seed": 3},
     }

@@ -1,6 +1,7 @@
 """Tests for populations, trainers, estimation routes, and bounds."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -21,13 +22,21 @@ from gibbslab.genbench import (ConstantTrainer, DiscretePopulation,
                                rate_fit, wge_direct, wge_representation,
                                wge_resampled)
 from gibbslab.gibbs import GibbsConfig, Regularizer
-from gibbslab.measures import (DataMeasure, DataPoint, MeasureBatch,
-                               convex_combination, empirical_from_arrays,
-                               resample, uniform_grid)
+from gibbslab.measures import (DataMeasure, DataPoint, GridMeasure,
+                               MeasureBatch, convex_combination,
+                               empirical_from_arrays, resample, uniform_grid)
 
 WEAK_CFG = GibbsConfig(beta=0.5, sigma=1.0, p=4,
                        regularizer=Regularizer(kappa=0.05, q=3),
                        nodes_per_axis=257)
+NET_CFG = GibbsConfig(beta=0.7, sigma=1.0, p=4, theta_dim=2,
+                      nodes_per_axis=17)
+
+
+def _network_trainer():
+    """A grid trainer that solves row by row: a tanh network, damped 0.5."""
+    return GridGibbsTrainer(losses.NNLoss("tanh", "quadratic"), NET_CFG,
+                            damping=0.5)
 
 
 def _train_one(trainer, nu, rng=None):
@@ -343,10 +352,11 @@ def test_grid_trainer_roundtrip_and_with_beta():
     nu = empirical_from_arrays(xs, ys)
     sol = trainer.solve(nu)
     assert sol.iterations == 1  # loss linear in m, full step
-    solved = GridGibbsTrainer(model, WEAK_CFG)
-    solved.closed_form = False
-    m = solved.train_batch(xs[None], ys[None])[0]
-    np.testing.assert_array_equal(m.density, sol.measure.density)
+    m = trainer.train_batch(xs[None], ys[None])[0]
+    # one fixed point, renormalized by a one-measure and a batch mass sum
+    np.testing.assert_allclose(m.density, sol.measure.density, rtol=1e-14)
+    mapped = gibbs.gibbs_map(model, m, nu, WEAK_CFG)
+    assert np.max(np.abs(mapped.density - m.density)) <= 1e-14
     t2 = trainer.with_beta(1.0)
     assert t2.cfg.beta == 1.0
     assert t2.cfg.box_radius() == WEAK_CFG.box_radius()
@@ -379,12 +389,12 @@ def _row_streams(rows):
                                   "constant"])
 def test_train_batch_rows_are_one_row_batches(kind):
     # the one entry point's row contract: row r of a B-row batch is the
-    # one-row batch of its dataset and stream, bit for bit
-    trainer, pop, _ = _block_setup("grid" if kind == "solved" else kind,
-                                   "gaussian")
-    if kind in ("grid", "solved"):
-        assert trainer.closed_form
-        trainer.closed_form = kind == "grid"
+    # one-row batch of its dataset and stream, bit for bit; a network's
+    # rows are solved one at a time
+    if kind == "solved":
+        trainer, pop = _network_trainer(), NoiselessLinePopulation(0.8)
+    else:
+        trainer, pop, _ = _block_setup(kind, "gaussian")
     xs, ys = pop.sample_batch(_row_streams(range(10, 14)), 5)
     rows = range(4)
     det = trainer.deterministic
@@ -396,6 +406,40 @@ def test_train_batch_rows_are_one_row_batches(kind):
         for name in ("nodes", "cell_volumes", "density"):
             np.testing.assert_array_equal(getattr(batch[r], name),
                                           getattr(one, name))
+
+
+def test_linear_batch_ignores_damping():
+    # the one update of a loss linear in the measure is its fixed point
+    model, pop = gaussian_mean_setup(0.2, 1.0)
+    xs, ys = pop.sample_batch(_row_streams(range(6)), 5)
+    data, swapped = (xs, ys), (xs[:, ::-1].copy(), ys[:, ::-1].copy())
+    got = [(t.train_batch(xs, ys).density, t.derivative_path(data, swapped, 2))
+           for t in (GridGibbsTrainer(model, WEAK_CFG, damping=d)
+                     for d in (0.25, 0.5, 1.0))]
+    for dens, path in got[1:]:
+        np.testing.assert_array_equal(dens, got[0][0])
+        np.testing.assert_array_equal(path, got[0][1])
+
+
+@pytest.mark.parametrize("setting", [{"max_iter": 0}, {"tol": 1e-300}])
+def test_linear_batch_honours_max_iter_and_tol_as_the_solve_does(setting):
+    # no row is within tol of the prior, and no update's residual is 1e-300
+    model, pop = gaussian_mean_setup()
+    trainer = GridGibbsTrainer(model, WEAK_CFG, **setting)
+    xs, ys = pop.sample_batch(_row_streams(range(6)), 4)
+    with pytest.raises(gibbs.GibbsConvergenceError,
+                       match=r"no fixed point after [01] updates in row "
+                             r"(\d+); last residual") as info:
+        trainer.train_batch(xs, ys)
+    bad = int(re.search(r"in row (\d+)", str(info.value)).group(1))
+    for r in range(bad + 1):
+        nu = empirical_from_arrays(xs[r], ys[r])
+        if r < bad:
+            trainer.solve(nu)
+            continue
+        with pytest.raises(gibbs.GibbsConvergenceError) as one:
+            trainer.solve(nu)
+        assert one.value.residual == info.value.residual
 
 
 def test_particle_rows_are_the_sampler_on_their_seeds():
@@ -686,37 +730,50 @@ def test_block_terms_match_scalar_loop(trainer_kind, pop_kind, n, replicates,
        seed=st.integers(0, 2 ** 32 - 1))
 def test_closed_form_matches_row_by_row_oracle(pop_kind, n, replicates,
                                                seed):
-    # the same blocks with the closed form off: trained and differentiated
-    # row by row by solve_gibbs and TrainedDerivatives
+    # a loss linear in the measure: the batch's fixed points against a
+    # damped gibbs_map loop per row, and its derivative routes against
+    # TrainedDerivatives and the one-measure functions per replicate
     trainer, pop, model = _block_setup("grid", pop_kind)
-    assert trainer.closed_form
-    solved = GridGibbsTrainer(model, WEAK_CFG)
-    solved.closed_form = False
-    block, oracle = (genbench._Block(t, pop, model, n, seed, range(replicates))
-                     for t in (trainer, solved))
+    block = genbench._Block(trainer, pop, model, n, seed, range(replicates))
     for k in range(min(n, 2) + 1):
-        got, want = ((b.swap(k) if k else b.m).density
-                     for b in (block, oracle))
-        np.testing.assert_allclose(got, want, rtol=1e-12)
-    routes = [genbench._representation, genbench._convex_lower]
+        got = block.swap(k) if k else block.m
+        for r, (x, y) in enumerate(zip(*block.data(k))):
+            nu = empirical_from_arrays(x, y)
+            want = _damped_oracle(model, nu, WEAK_CFG)
+            assert np.max(np.abs(got.density[r] - want.density)) <= 1e-12
+    terms = [_reference_terms(block, r) for r in range(replicates)]
+    got = [genbench._representation(block),
+           genbench._convex_lower(block)[:, 1]]
     if n >= 2:
-        routes.append(genbench._lge_upper)
-    for route in routes:
-        got, want = route(block), route(oracle)
-        # K in, K out and gap^2 cancel nothing; atol covers the terms that
-        # cancel to about zero
-        if route is genbench._lge_upper:
-            np.testing.assert_allclose(got[:, :3], want[:, :3], rtol=1e-12)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        got.append(genbench._lge_upper(block))
+    for g, w in zip(got, zip(*terms)):
+        # atol covers the terms that cancel to about zero
+        np.testing.assert_allclose(g, np.array(w), rtol=1e-12, atol=1e-12)
+
+
+def _damped_oracle(model, nu, cfg, damping=0.5, tol=1e-14):
+    """Plain damped ``gibbs_map`` iteration from the prior."""
+    nodes, vol = cfg.grid()
+    m = cfg.priors().gamma_sigma
+    for _ in range(5000):
+        target = gibbs.gibbs_map(model, m, nu, cfg)
+        if np.max(np.abs(target.density - m.density)) <= tol:
+            return m
+        m = GridMeasure(nodes, vol,
+                        (1.0 - damping) * m.density + damping * target.density,
+                        normalize=True)
+    raise AssertionError("damped iteration did not converge")
 
 
 def _reference_terms(block, r):
-    """representation, convex_lower and lge_upper terms of replicate ``r``
-    of ``block``, one measure at a time with the one-measure functions."""
+    """representation, convex_lower and, at n >= 2, lge_upper terms of
+    replicate ``r`` of ``block``, one measure at a time with the
+    one-measure functions."""
     model, n, t = block.model, block.n, block.trainer
+    swaps = range(min(n, 2) + 1)
     nus = [empirical_from_arrays(*(a[r] for a in block.data(k)))
-           for k in range(3)]
-    ms = [block.m[r], block.swap(1)[r], block.swap(2)[r]]
+           for k in swaps]
+    ms = [block.swap(k)[r] if k else block.m[r] for k in swaps]
     m, nodes, vol = ms[0], ms[0].nodes, ms[0].cell_volumes
     z1, z_bar = nus[0].point(0), nus[1].point(0)
     xs, ys, w, _ = block.pop_atoms
@@ -745,6 +802,8 @@ def _reference_terms(block, r):
                                                     nodes))
     representation = g_bar @ (derivative_path(1) * vol) / n
     lower = m.integrate(lambda th: losses.loss_dm(model, ms[1], z_bar, th))
+    if n < 2:
+        return representation, lower
     d_bar = segment(2, lambda m_lam: losses.loss_dm(model, m_lam, z1, nodes)
                     - pop_dm(m_lam))
     upper = [losses.loss_value(model, m, z1) ** 2,
@@ -754,17 +813,16 @@ def _reference_terms(block, r):
     return representation, lower, upper
 
 
-@pytest.mark.parametrize("kind", ["closed_form", "damped", "network"])
+@pytest.mark.parametrize("kind", ["closed_form", "network"])
 def test_derivative_routes_match_per_replicate_reference(kind):
-    model, pop, cfg = *noiseless_line_setup(), WEAK_CFG
+    # a loss linear in the measure takes its paths from blended exponents,
+    # a network from TrainedDerivatives row by row
+    model, pop = noiseless_line_setup()
+    trainer = GridGibbsTrainer(model, WEAK_CFG)
     if kind == "network":
-        model, pop = losses.NNLoss("tanh", "quadratic"), \
-            NoiselessLinePopulation(0.8)
-        cfg = GibbsConfig(beta=0.7, sigma=1.0, p=4, theta_dim=2,
-                          nodes_per_axis=17)
-    trainer = GridGibbsTrainer(model, cfg,
-                               damping=1.0 if kind == "closed_form" else 0.5)
-    assert trainer.closed_form == (kind == "closed_form")
+        trainer, pop = _network_trainer(), NoiselessLinePopulation(0.8)
+        model = trainer.model
+    assert model.has_zero_d2m() == (kind == "closed_form")
     block = genbench._Block(trainer, pop, model, 3, 43, range(3))
     got = (genbench._representation(block),
            genbench._convex_lower(block)[:, 1], genbench._lge_upper(block))
@@ -853,16 +911,18 @@ def test_block_streams_reject_keys_they_cannot_hash():
         genbench._rng(1, 0, 0).bit_generator.seed_seq.generate_state(8)
 
 
-class _MarkAtReplicate(GaussianScalarPopulation):
-    """Gaussian population whose draws for replicate ``bad`` hold ``value``
-    at the positions ``at``."""
+class _MarkAtReplicate(genbench.PopulationModel):
+    """Population ``base``, a standard Gaussian by default, whose draws for
+    replicate ``bad`` hold ``value`` at the positions ``at``."""
 
-    def __init__(self, bad, value, at=slice(None)):
-        super().__init__(0.0, 1.0)
+    def __init__(self, bad, value, at=slice(None), base=None):
+        self.base = base or GaussianScalarPopulation(0.0, 1.0)
+        self.feature_dim, self.measure = self.base.feature_dim, \
+            self.base.measure
         self.bad, self.value, self.at = bad, value, at
 
     def sample_batch(self, rngs, size):
-        xs, ys = super().sample_batch(rngs, size)
+        xs, ys = self.base.sample_batch(rngs, size)
         for rng, row in zip(rngs, ys):
             if rng.bit_generator.seed_seq.entropy[1] == self.bad:
                 row[self.at] = self.value
@@ -882,8 +942,8 @@ class _DerivativeFailsAtMark(funcderiv.TrainedDerivatives):
 
 
 # where the failure is raised -> (trainer, marked value, route, message);
-# a damped grid trainer trains and differentiates row by row, an undamped
-# one in closed form
+# the grid trainer takes a loss linear in the measure in closed form,
+# damped or not, and trains and differentiates a network row by row
 _FAILURE_SITES = {
     "draw": (lambda m: ExplicitGaussianMeanTrainer(1.0), np.inf, "direct",
              "ValueError: non-finite atom or weight"),
@@ -891,11 +951,9 @@ _FAILURE_SITES = {
                     "resampled", "ValueError: non-finite grid data"),
     "closed_form": (lambda m: GridGibbsTrainer(m, WEAK_CFG), 1e200,
                     "resampled", "ValueError: tilt map produced a degenerate"),
-    "row_by_row": (lambda m: GridGibbsTrainer(m, WEAK_CFG, damping=0.5),
-                   1e200, "resampled",
+    "row_by_row": (lambda m: _network_trainer(), 1e308, "resampled",
                    "ValueError: tilt map produced a degenerate"),
-    "route_term": (lambda m: GridGibbsTrainer(m, WEAK_CFG, damping=0.5),
-                   _MARK, "representation",
+    "route_term": (lambda m: _network_trainer(), _MARK, "representation",
                    "FloatingPointError: derivative toward the marked atom"),
 }
 
@@ -905,15 +963,17 @@ _FAILURE_SITES = {
 def test_non_finite_draw_names_its_replicate(monkeypatch, where, block):
     # only the route_term case marks its draws with _MARK
     monkeypatch.setattr(genbench, "TrainedDerivatives", _DerivativeFailsAtMark)
-    model = losses.mean_squared_param_loss()
     make_trainer, value, route, message = _FAILURE_SITES[where]
-    trainer = make_trainer(model)
+    trainer = make_trainer(losses.mean_squared_param_loss())
+    model = getattr(trainer, "model", losses.mean_squared_param_loss())
     _force_rows(monkeypatch, trainer, 4, block)
+    # a network needs inputs
+    pop = _MarkAtReplicate(3, value, base=None if model.has_zero_d2m()
+                           else NoiselessLinePopulation(0.8))
     with np.errstate(over="ignore"), pytest.raises(
             genbench.ReplicateError,
             match=rf"{route}.* n=4, replicate 3, seed 5: {message}") as info:
-        estimate_routes(trainer, _MarkAtReplicate(3, value), model, 4, 8, 5,
-                        [route])
+        estimate_routes(trainer, pop, model, 4, 8, 5, [route])
     assert type(info.value.__cause__).__name__ == message.split(":")[0]
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gibbslab import cli, funcderiv, gibbs, losses
+from gibbslab import cli, funcderiv, genbench, gibbs, losses
 from gibbslab.gibbs import (GibbsConfig, GibbsConvergenceError, Regularizer,
                             default_regularizer, gibbs_map, kl_divergence,
                             mfld_sample, objective, prior_kl,
@@ -368,20 +368,26 @@ def test_confinement_is_evaluated_once_per_configuration(monkeypatch):
         return value(self, theta)
 
     monkeypatch.setattr(Regularizer, "value", counting)
-    model = losses.mean_squared_param_loss()
-    nu = gaussian_data(seed=2, n=5)
+    # a network's damped fallback takes many updates, a loss linear in the
+    # measure one; a configuration's solves share one evaluation
+    model, nu = _fallback_network(), network_data("quadratic")
     runs = []
     for tol in (1e-3, 1e-12):
-        cfg = GibbsConfig(beta=0.5, sigma=1.0, p=4,
-                          regularizer=Regularizer(kappa=0.05, q=3),
-                          nodes_per_axis=65)
+        cfg = GibbsConfig(beta=2.0, sigma=1.0, p=4, theta_dim=2,
+                          nodes_per_axis=17)
         calls.clear()
-        sol = solve_gibbs(model, nu, cfg, damping=0.5, tol=tol)
+        sol = solve_gibbs(model, nu, cfg, tol=tol)
         prior_kl(sol.measure, cfg)
         runs.append((sol.iterations, len(calls)))
     (short, calls_short), (long, calls_long) = runs
     assert long > short + 10
     assert calls_short == calls_long == 1
+    cfg = GibbsConfig(beta=0.5, sigma=1.0, p=4, nodes_per_axis=65)
+    calls.clear()
+    for init in (None, cfg.priors().gamma_tilt_p):
+        solve_gibbs(losses.mean_squared_param_loss(), gaussian_data(2, 5),
+                    cfg, init=init)
+    assert len(calls) == 1
 
 
 def test_priors_normalized_and_tilt_ratio():
@@ -594,16 +600,21 @@ def test_newton_matches_damped_oracle(nodes, outer, act):
                 sol.residual, atol=1e-14)
 
 
-def test_newton_falls_back_to_damped_iteration():
-    # a curvature of the wrong sign and size gives Newton steps that do
-    # not lower the prediction residual; the solver continues by damped
-    # iteration and still reaches the true fixed point
+def _fallback_network():
+    """A tanh network whose outer curvature has the wrong sign and size:
+    its Newton steps do not lower the prediction residual."""
     quad = losses.outer_loss("quadratic")
-    wrong = dataclasses.replace(quad, d2=lambda yh, y: -10.0 * quad.d2(yh, y))
+    return losses.NNLoss("tanh", dataclasses.replace(
+        quad, d2=lambda yh, y: -10.0 * quad.d2(yh, y)))
+
+
+def test_newton_falls_back_to_damped_iteration():
+    # the solver continues from Newton's last measure by damped iteration
+    # and still reaches the true fixed point
     nu = network_data("quadratic")
     cfg = GibbsConfig(beta=2.0, sigma=1.0, p=4, theta_dim=2,
                       nodes_per_axis=17)
-    sol = solve_gibbs(losses.NNLoss("tanh", wrong), nu, cfg, tol=1e-12)
+    sol = solve_gibbs(_fallback_network(), nu, cfg, tol=1e-12)
     assert sol.residual <= 1e-12
     assert sol.iterations > 5
     ref = damped_oracle(losses.NNLoss("tanh", "quadratic"), nu, cfg,
@@ -700,6 +711,76 @@ def test_solve_gibbs_argument_validation():
     other = GibbsConfig(beta=1.0, sigma=1.0, p=4, nodes_per_axis=33)
     with pytest.raises(ValueError):
         solve_gibbs(model, nu, cfg, init=other.priors().gamma_sigma)
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Calls of ``owner.name`` from here on, as a list of 1s."""
+    calls, orig = [], getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_network_fallback_builds_its_features_once(monkeypatch):
+    # the damped fallback iterates on the features Newton built
+    calls = _count_calls(monkeypatch, losses.NNLoss, "phi")
+    cfg = GibbsConfig(beta=2.0, sigma=1.0, p=4, theta_dim=2,
+                      nodes_per_axis=17)
+    sol = solve_gibbs(_fallback_network(), network_data("quadratic"), cfg,
+                      tol=1e-12)
+    assert sol.iterations > 5
+    assert len(calls) == 1
+
+
+def test_linear_solve_is_one_update_at_any_damping(monkeypatch):
+    # the tilt map of a loss linear in the measure ignores the measure:
+    # one update is its fixed point whatever the damping, from one lp_sums
+    # call, and a start within tol of it is kept after 0 updates
+    cfg = GibbsConfig(beta=1.0, sigma=1.0, p=4, nodes_per_axis=257)
+    model, nu = losses.mean_squared_param_loss(), gaussian_data(seed=3)
+    calls = _count_calls(monkeypatch, type(model), "lp_sums")
+    sols = [solve_gibbs(model, nu, cfg, damping=d, tol=1e-12)
+            for d in (0.25, 0.5, 1.0)]
+    assert len(calls) == 3
+    for sol in sols:
+        assert sol.iterations == 1
+        assert sol.residual <= 1e-12
+        np.testing.assert_array_equal(sol.measure.density,
+                                      sols[0].measure.density)
+    mapped = gibbs_map(model, sols[0].measure, nu, cfg)
+    assert np.max(np.abs(mapped.density - sols[0].measure.density)) <= 1e-12
+    kept = solve_gibbs(model, nu, cfg, tol=1e-12, init=sols[0].measure)
+    assert kept.iterations == 0 and kept.measure is sols[0].measure
+
+
+@pytest.mark.parametrize("setting", [
+    {"tol": math.nan}, {"tol": -1e-9}, {"max_iter": -1}, {"max_iter": 2.5},
+    {"damping": 3.0}, {"damping": 0.0}])
+@pytest.mark.parametrize("where", ["solve_gibbs", "trainer"])
+def test_bad_solver_settings_are_refused_before_any_tilt(monkeypatch, where,
+                                                        setting):
+    tilts = _count_calls(monkeypatch, gibbs, "_normalized_exp")
+    maps = _count_calls(monkeypatch, gibbs, "gibbs_map")
+    # a new configuration: its prior is not built yet
+    cfg = GibbsConfig(beta=1.0, sigma=1.0, p=4, nodes_per_axis=65)
+    model = losses.mean_squared_param_loss()
+    with pytest.raises(ValueError, match=next(iter(setting))):
+        if where == "trainer":
+            genbench.GridGibbsTrainer(model, cfg, **setting)
+        else:
+            solve_gibbs(model, gaussian_data(seed=7), cfg, **setting)
+    assert tilts == maps == []
+
+
+def test_exact_and_empty_solver_settings_are_accepted():
+    # tol 0 asks for an exact fixed point, which a network solve can reach
+    cfg = GibbsConfig(beta=1.0, sigma=1.0, p=4, nodes_per_axis=65)
+    trainer = genbench.GridGibbsTrainer(losses.mean_squared_param_loss(), cfg,
+                                        tol=0.0, max_iter=0)
+    assert trainer.solve_kwargs == {"damping": 1.0, "tol": 0.0, "max_iter": 0}
 
 
 def test_solve_gibbs_convergence_error_carries_residual():

@@ -281,6 +281,35 @@ def test_bench_pairs_wall_records_peak_rss(tmp_path, monkeypatch):
     assert wall["summary"]["peak_rss_mb"]["pairs"] == 2
 
 
+def test_bench_pairs_refuses_unknown_workloads_before_any_run(
+        tmp_path, monkeypatch, capsys):
+    bench_pairs = _bench_pairs()
+    repo = tmp_path / "repo"
+    (repo / "perfbench").mkdir(parents=True)
+    _git(repo, "init", "-q")
+    for names in ("'a', 'b'", "'a', 'b', 'c'"):
+        (repo / "perfbench" / "workloads.py").write_text(
+            f"WORKLOADS = dict.fromkeys([{names}])\n")
+        _commit(repo, names)
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    ran = []
+    monkeypatch.setattr(bench_pairs, "_bench", lambda side, workload, seed,
+                        seconds: ran.append((side.name, workload)) or {})
+    argv = ["--parent", "HEAD~1", "--change", "HEAD", "--label", "t"]
+    # c is only in the change, and a comma list is no workload's name
+    for bad, named in (("c", "c"), ("a,b", "a,b")):
+        with pytest.raises(SystemExit) as info:
+            bench_pairs.main(argv + ["--workload", "a", "--workload", bad])
+        assert info.value.code == 2
+        assert (f"unknown workload {named} in the parent tree; its "
+                f"workloads are a, b" in capsys.readouterr().err)
+    assert ran == []
+    assert bench_pairs.main(argv + ["--workload", "b", "--workload",
+                                    "a"]) == 0
+    assert ran == [("parent", "b"), ("change", "b"), ("parent", "a"),
+                   ("change", "a")]
+
+
 def test_benchmark_tracer_installs_and_restores_every_name():
     # `perfbench/run.py --trace 1` wraps library names in place; a name it
     # wraps that the library dropped would only show as a crash there

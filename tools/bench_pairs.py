@@ -10,12 +10,16 @@ The parent ref and the change ref, when given, otherwise a snapshot of
 this checkout's working tree (tracked and untracked files that git does
 not ignore, staged or not), are each extracted with ``git archive`` into
 a temporary directory.  So each side runs from a fresh tree with no
-``__pycache__``, and no ref or index of the repository changes.  For
-every workload and seed, one pair of ``perfbench/run.py --trace 0`` runs
-is made, alternating which side runs first.  Each ``--wall`` command is
-run ``--wall-pairs`` times per side through the shell, in the side's
-directory with ``PYTHONPATH`` set to its ``src``; ``{out}`` in the
-command is replaced by a fresh output directory.  Each run records its
+``__pycache__``, and no ref or index of the repository changes.  Each
+``--workload`` (the option repeats) must be a key of ``WORKLOADS`` in
+both sides' ``perfbench/workloads.py``, which is imported without
+writing bytecode; otherwise the tool exits with the valid names before
+any run.  For every workload and seed, one pair of
+``perfbench/run.py --trace 0`` runs is made, alternating which side runs
+first.  Each ``--wall`` command is run ``--wall-pairs`` times per side
+through the shell, in the side's directory with ``PYTHONPATH`` set to
+its ``src``; ``{out}`` in the command is replaced by a fresh output
+directory.  Each run records its
 wall time, exit code and peak RSS (``ru_maxrss`` of the shell and the
 processes it waited for).  A pair whose two sides exit with different
 codes, or in which a side ends by a signal, is an error, so a command
@@ -62,6 +66,19 @@ def _worktree() -> str:
         subprocess.run(git + ["add", "-A"], env=env, check=True)
         return subprocess.run(git + ["write-tree"], env=env, check=True,
                               capture_output=True, text=True).stdout.strip()
+
+
+def _workload_names(side: Path) -> list:
+    """The keys of ``WORKLOADS`` in the side's ``perfbench/workloads.py``."""
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", "import sys; sys.path[:0] = "
+         "['perfbench', 'src']; import workloads; "
+         "print(*workloads.WORKLOADS)"],
+        cwd=side, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{side}: cannot read perfbench/workloads.py:\n"
+                           f"{proc.stderr[-2000:]}")
+    return proc.stdout.split()
 
 
 def _bench(side: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -166,6 +183,12 @@ def main(argv=None) -> int:
         sides = {"parent": _extract(args.parent, tmp / "parent"),
                  "change": _extract(args.change or _worktree(),
                                     tmp / "change")}
+        for name, side in sides.items() if args.workload else ():
+            known = _workload_names(side)
+            unknown = [w for w in args.workload if w not in known]
+            if unknown:
+                ap.error(f"unknown workload {', '.join(unknown)} in the "
+                         f"{name} tree; its workloads are {', '.join(known)}")
         for workload in args.workload:
             runs = []
             for k, seed in enumerate(seeds):
