@@ -41,8 +41,9 @@ import numpy as np
 
 from . import losses as _losses
 from .funcderiv import TrainedDerivatives, gauss_legendre_01
-from .gibbs import (GibbsConfig, _check_solve, linear_exponents,
-                    linear_fixed_points, mfld_sample, prior_kl, solve_gibbs)
+from .gibbs import (GibbsConfig, _check_sampler, _check_solve,
+                    linear_exponents, linear_fixed_points, mfld_sample,
+                    prior_kl, solve_gibbs)
 from .measures import (DataMeasure, DataPoint, GridMeasure, MeasureBatch,
                        convex_combination, empirical_from_arrays, row_dot,
                        uniform_grid_1d)
@@ -432,7 +433,7 @@ class GridGibbsTrainer:
 
 
 class MFLDTrainer:
-    """Stochastic trainer: Euler-Maruyama interacting particle system."""
+    """Stochastic trainer: :func:`mfld_sample`, its settings checked once."""
 
     deterministic = False
 
@@ -440,9 +441,9 @@ class MFLDTrainer:
                  step_size: float, n_steps: int):
         self.model = model
         self.cfg = cfg
-        self.n_nodes = self.n_particles = int(n_particles)
-        self.step_size = float(step_size)
-        self.n_steps = int(n_steps)
+        n_particles, self.step_size, self.n_steps = _check_sampler(
+            n_particles, step_size, n_steps)
+        self.n_nodes = self.n_particles = n_particles
 
     def train_batch(self, xs, ys, rngs=None) -> MeasureBatch:
         """:func:`mfld_sample` on each row, from a seed of ``rngs[r]``."""

@@ -75,12 +75,13 @@ class Regularizer:
     def value_radial(self, r) -> np.ndarray:
         return self.kappa * np.asarray(r, dtype=float) ** (2 * self.q)
 
-    def grad(self, theta) -> np.ndarray:
+    def grad(self, theta, out=None) -> np.ndarray:  # into out if given
         theta = np.atleast_2d(np.asarray(theta, dtype=float))
         if self.q == 1:  # r2 ** 0 is exactly 1, even for a non-finite r2
-            return (2.0 * self.q * self.kappa) * theta
+            return np.multiply(2.0 * self.q * self.kappa, theta, out=out)
         r2 = np.einsum("ij,ij->i", theta, theta)
-        return (2.0 * self.q * self.kappa * r2 ** (self.q - 1))[:, None] * theta
+        scale = 2.0 * self.q * self.kappa * r2 ** (self.q - 1)
+        return np.multiply(scale[:, None], theta, out=out)
 
     def validate_growth(self, model, p: float) -> None:
         """Check ``2q`` strictly dominates the loss and moment growth.
@@ -643,10 +644,22 @@ def prior_moment_bound(model, nu: DataMeasure, cfg: GibbsConfig) -> float:
 # particle sampler
 
 
-def _drift(dm_grad, cfg, pts):
+def _drift(dm_grad, cfg, pts, out=None):
     """Gradient of ``dR/dm(m_hat, nu, .) + U(.)/(2 beta^2)`` at the
-    particles, with ``dm_grad`` the loss model's map of ``nu``."""
-    return cfg.regularizer.grad(pts) / (2.0 * cfg.beta ** 2) + dm_grad(pts)
+    particles, with ``dm_grad`` the loss model's map of ``nu``; written
+    into ``out`` when given."""
+    out = cfg.regularizer.grad(pts, out=out)
+    np.divide(out, 2.0 * cfg.beta ** 2, out=out)
+    return np.add(out, dm_grad(pts), out=out)
+
+
+def _check_sampler(n_particles, step_size, n_steps):
+    """The sampler's settings as (int, float, int), once checked."""
+    if not 0 < step_size < math.inf:
+        raise ValueError(f"step_size must be finite and > 0: {step_size!r}")
+    return (_whole(n_particles, 1, "n_particles must be a whole number >= 1"),
+            float(step_size),
+            _whole(n_steps, 1, "n_steps must be a whole number >= 1"))
 
 
 def _init_scale(cfg: GibbsConfig) -> float:
@@ -672,14 +685,17 @@ def mfld_sample(model, nu: DataMeasure, cfg: GibbsConfig, n_particles: int,
     model's ``dm_grad_map`` of ``nu``, built once per call, before the
     stability probe: for a separable expected-parameter loss it holds the
     K data statistics, and a step costs O(N d K) whatever the atom count.
-    Deterministic for a fixed ``seed``: one helper thread draws the noise
-    ahead, in blocks of steps, and the particles are the serial stream's
-    bit for bit, whatever the timing or core count.  Returns the cloud, a
-    grid measure on the particles with weight ``1/P`` each.
+    Deterministic for a fixed ``seed``: one helper thread only draws the
+    standard normals ahead, in blocks of steps, the calling thread scales
+    each block as it takes it over, and the particles are the serial
+    stream's bit for bit, whatever the timing or core count.  Returns the
+    cloud, a grid measure on the particles with weight ``1/P`` each.
 
     Raises
     ------
     ValueError
+        Before any draw, for a count that is not a whole number >= 1 or a
+        step that is not finite and positive.
         For activations without a derivative (from ``dm_grad_map``), or
         when the heuristic stability check ``h * temperature * L <= 0.25``
         fails (``L`` a probed Lipschitz scale of the drift).
@@ -687,8 +703,8 @@ def mfld_sample(model, nu: DataMeasure, cfg: GibbsConfig, n_particles: int,
     RuntimeError
         If any particle escapes ten box radii (divergence detector).
     """
-    if n_particles < 1 or n_steps < 1 or step_size <= 0:
-        raise ValueError("need positive particle count, steps and step size")
+    n_particles, step_size, n_steps = _check_sampler(n_particles, step_size,
+                                                     n_steps)
     dm_grad = model.dm_grad_map(nu.xs, nu.ys, nu.weights)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     radius = cfg.box_radius()
@@ -714,12 +730,13 @@ def mfld_sample(model, nu: DataMeasure, cfg: GibbsConfig, n_particles: int,
             f"{step_size * cfg.temperature * lip:.3g} exceeds 0.25")
 
     # a helper thread owns rng from here: it fills block i + 1 of k steps
-    # of scaled normals while this thread runs block i, and leaves a fault
-    # in done[i] for this thread to raise
+    # of standard normals while this thread scales block i and runs its
+    # steps with the drift in d, and leaves a fault in done[i] to raise
     noise_scale = math.sqrt(step_size * cfg.sigma ** 2 / cfg.beta ** 2)
     k = max(1, _NOISE_ELEMENTS // pts.size)
     sizes = [min(k, n_steps - s) for s in range(0, n_steps, k)]
     blocks, done = np.empty((2, k) + pts.shape), [None] * len(sizes)
+    d = np.empty_like(pts)
     sync = threading.Barrier(2)
 
     def draw():
@@ -727,7 +744,6 @@ def mfld_sample(model, nu: DataMeasure, cfg: GibbsConfig, n_particles: int,
             for i, size in enumerate(sizes):
                 try:
                     rng.standard_normal(out=blocks[i % 2, :size])
-                    blocks[i % 2, :size] *= noise_scale
                 except BaseException as exc:
                     done[i] = exc
                 sync.wait()
@@ -740,13 +756,15 @@ def mfld_sample(model, nu: DataMeasure, cfg: GibbsConfig, n_particles: int,
             sync.wait()
             if done[i] is not None:
                 raise done[i]
-            for step, noise in enumerate(blocks[i % 2, :size], i * k + 1):
-                d = _drift(dm_grad, cfg, pts)
+            block = blocks[i % 2, :size]
+            block *= noise_scale
+            for step, noise in enumerate(block, i * k + 1):
+                _drift(dm_grad, cfg, pts, out=d)
                 d *= step_size
                 pts -= d
                 pts += noise
                 top = np.abs(pts, out=d).max()  # a NaN propagates
-                if np.isnan(top):
+                if top != top:
                     raise ValueError(f"non-finite particle after step {step}")
                 if top > 10.0 * radius:
                     raise RuntimeError(

@@ -65,7 +65,8 @@ class Activation:
     ``value`` is vectorized and returns a new array or its argument;
     :meth:`NNLoss.phi` calls it on one row chunk of the products at a time
     and writes the scaled values back over that chunk.  ``deriv(u, a)``
-    also takes ``a = value(u)``.
+    also takes ``a = value(u)``, and returns a new array that
+    :meth:`NNLoss.dm_grad_map` scales in place.
     ``deriv`` is ``None`` for activations that have no usable derivative
     (heaviside), which restricts them to grid-based solvers.
     """
@@ -292,21 +293,31 @@ class NNLoss:
     def dm_grad_map(self, xs, ys, weights) -> Callable:
         """The sampler drift of one dataset: the map from the particles
         ``pts`` (N, d) to the gradient of :meth:`dm` at their own empirical
-        measure, (N, d), from one evaluation of the features."""
+        measure, a new (N, d) array, from one evaluation of the features;
+        its two (N, n) products go to buffers of the map's, sized by N."""
         if self.activation.deriv is None:
             raise ValueError(
                 f"activation {self.activation.kind!r} has no derivative")
         xs = np.asarray(xs, dtype=float)
+        bufs = np.empty((2, 0, len(xs)))
+        # one feature: an entry is one product on either path; dot's is faster
+        products = np.dot if xs.shape[1] == 1 else np.matmul
 
         def grad(pts):
+            nonlocal bufs
             pts = np.atleast_2d(np.asarray(pts, dtype=float))
-            u = pts[:, 1:] @ xs.T
+            if bufs.shape[1] != len(pts):
+                bufs = np.empty((2, len(pts), len(xs)))
+            u = products(pts[:, 1:], xs.T, out=bufs[0])
             a = self.activation.value(u)
-            coef = weights * self.outer.d1((pts[:, :1] * a).mean(axis=0), ys)
+            pred = np.add.reduce(np.multiply(pts[:, :1], a, out=bufs[1]), 0)
+            pred /= len(pts)  # as .mean(axis=0) forms it, bit for bit
+            coef = weights * self.outer.d1(pred, ys)
             g = np.empty_like(pts)
             g[:, 0] = a @ coef
-            g[:, 1:] = pts[:, :1] * ((self.activation.deriv(u, a) * coef)
-                                     @ xs)
+            da = self.activation.deriv(u, a)
+            da *= coef
+            np.multiply(pts[:, :1], da @ xs, out=g[:, 1:])
             return g
         return grad
 

@@ -1188,3 +1188,47 @@ def test_mfld_sample_matches_oracle_under_thread_contention(monkeypatch):
         ref = _oracle_mfld_sample(model, nu, cfg, 64, 1e-3, 40, seed=seed,
                                   init=init)
         np.testing.assert_array_equal(points[seed], ref.points)
+
+
+@pytest.mark.parametrize("setting", [
+    {"n_particles": 2.5}, {"n_particles": 0}, {"n_steps": 2.5},
+    {"n_steps": math.nan}, {"step_size": math.nan}, {"step_size": math.inf},
+    {"step_size": -1e-3}])
+@pytest.mark.parametrize("where", ["mfld_sample", "trainer"])
+def test_bad_sampler_settings_are_refused_before_any_draw(monkeypatch, where,
+                                                          setting):
+    # each is named, as a ValueError, before a stream or a drift map is made
+    model, nu, cfg = _sampler_case("nn-tanh-quadratic-1")
+    draws = _count_calls(monkeypatch, np.random, "default_rng")
+    maps = _count_calls(monkeypatch, losses.NNLoss, "dm_grad_map")
+    kwargs = dict({"n_particles": 64, "step_size": 1e-3, "n_steps": 5},
+                  **setting)
+    with pytest.raises(ValueError, match=next(iter(setting))):
+        if where == "trainer":
+            genbench.MFLDTrainer(model, cfg, **kwargs)
+        else:
+            mfld_sample(model, nu, cfg, seed=3, **kwargs)
+    assert draws == maps == []
+
+
+def test_mfld_trainer_keeps_whole_settings():
+    model, _, cfg = _sampler_case("nn-tanh-quadratic-1")
+    trainer = genbench.MFLDTrainer(model, cfg, 16.0, 1e-3, 5.0)
+    assert (trainer.n_particles, trainer.n_nodes, trainer.n_steps) \
+        == (16, 16, 5)
+    assert all(type(v) is int for v in (trainer.n_particles, trainer.n_steps))
+
+
+@pytest.mark.parametrize("name", ["nn-tanh-quadratic-2", "mean_squared"])
+def test_mfld_sample_owns_its_buffers(name):
+    # two calls on one model with different particle counts each equal the
+    # out-of-place oracle, and the model gains no attribute: the drift
+    # buffers live in the call, not on the model
+    model, nu, cfg = _sampler_case(name)
+    before = dict(vars(model))
+    for n_particles in (64, 40, 64):
+        part = mfld_sample(model, nu, cfg, n_particles, 1e-3, 20, seed=9)
+        ref = _oracle_mfld_sample(model, nu, cfg, n_particles, 1e-3, 20,
+                                  seed=9)
+        np.testing.assert_array_equal(part.points, ref.points)
+        assert vars(model) == before

@@ -269,6 +269,29 @@ def test_nn_dm_grad_matches_finite_difference():
         NNLoss("heaviside", "quadratic").dm_grad_map(xs, ys, w)
 
 
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("act", ["tanh", "sigmoid", "relu"])
+def test_nn_dm_grad_map_buffers_follow_the_points(act, q):
+    # one map on 33 rows (the sampler's stability probe), then on P and P'
+    # rows, equals a fresh map on each, bit for bit; a result it returned
+    # stays as it was when the map runs again on other points
+    model = NNLoss(act, "logcosh")
+    rng = np.random.default_rng(9)
+    xs, ys = rng.standard_normal((7, q)), rng.standard_normal(7)
+    w = rng.uniform(0.1, 1.0, 7)
+    grad = model.dm_grad_map(xs, ys, w)
+    kept = []
+    for rows in (33, 64, 40, 64):
+        pts = rng.standard_normal((rows, 1 + q))
+        got = grad(pts)
+        np.testing.assert_array_equal(got,
+                                      model.dm_grad_map(xs, ys, w)(pts))
+        kept.append((got, got.copy()))
+    for got, copy in kept:
+        np.testing.assert_array_equal(got, copy)
+    assert vars(model) == vars(NNLoss(act, "logcosh"))
+
+
 def test_predict_in_atom_chunks_matches_one_feature_array(monkeypatch):
     model = NNLoss("tanh", "quadratic")
     rng = np.random.default_rng(8)
