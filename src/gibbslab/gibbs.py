@@ -79,7 +79,9 @@ class Regularizer:
         theta = np.atleast_2d(np.asarray(theta, dtype=float))
         if self.q == 1:  # r2 ** 0 is exactly 1, even for a non-finite r2
             return np.multiply(2.0 * self.q * self.kappa, theta, out=out)
-        r2 = np.einsum("ij,ij->i", theta, theta)
+        # one coordinate: its square is einsum's one-term sum, bit for bit
+        r2 = (theta[:, 0] * theta[:, 0] if theta.shape[1] == 1
+              else np.einsum("ij,ij->i", theta, theta))
         scale = 2.0 * self.q * self.kappa * r2 ** (self.q - 1)
         return np.multiply(scale[:, None], theta, out=out)
 

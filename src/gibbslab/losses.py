@@ -243,7 +243,7 @@ class NNLoss:
         (:func:`_chunk_rows`), so one (N, n) array and one chunk are
         alive at once."""
         theta = np.atleast_2d(np.asarray(theta, dtype=float))
-        out = theta[:, 1:] @ np.asarray(xs, dtype=float).T
+        out = _products(theta, np.asarray(xs, dtype=float))
         step = _chunk_rows(out.shape[1])
         for lo in range(0, out.shape[0], step):
             rows = out[lo:lo + step]
@@ -294,27 +294,28 @@ class NNLoss:
         """The sampler drift of one dataset: the map from the particles
         ``pts`` (N, d) to the gradient of :meth:`dm` at their own empirical
         measure, a new (N, d) array, from one evaluation of the features;
-        its two (N, n) products go to buffers of the map's, sized by N."""
+        their (N, n) products go to a buffer of the map's, sized by N."""
         if self.activation.deriv is None:
             raise ValueError(
                 f"activation {self.activation.kind!r} has no derivative")
         xs = np.asarray(xs, dtype=float)
-        bufs = np.empty((2, 0, len(xs)))
-        # one feature: an entry is one product on either path; dot's is faster
-        products = np.dot if xs.shape[1] == 1 else np.matmul
+        buf = np.empty((0, len(xs)))
 
         def grad(pts):
-            nonlocal bufs
+            nonlocal buf
             pts = np.atleast_2d(np.asarray(pts, dtype=float))
-            if bufs.shape[1] != len(pts):
-                bufs = np.empty((2, len(pts), len(xs)))
-            u = products(pts[:, 1:], xs.T, out=bufs[0])
+            if len(buf) != len(pts):
+                buf = np.empty((len(pts), len(xs)))
+            u = _products(pts, xs, out=buf)
             a = self.activation.value(u)
-            pred = np.add.reduce(np.multiply(pts[:, :1], a, out=bufs[1]), 0)
+            if len(xs) > 1:  # rows added in order, as np.add.reduce adds them
+                pred = np.einsum("i,ij->j", pts[:, 0], a)
+            else:  # one column, which np.add.reduce sums pairwise
+                pred = np.add.reduce(pts[:, :1] * a, 0)
             pred /= len(pts)  # as .mean(axis=0) forms it, bit for bit
             coef = weights * self.outer.d1(pred, ys)
             g = np.empty_like(pts)
-            g[:, 0] = a @ coef
+            g[:, 0] = np.dot(a, coef)
             da = self.activation.deriv(u, a)
             da *= coef
             np.multiply(pts[:, :1], da @ xs, out=g[:, 1:])
@@ -341,6 +342,13 @@ class NNLoss:
         r4 = np.einsum("ij,ij->i", theta, theta) ** 2
         c = 6.0 * self.outer.L_l1 * self.L_phi * (1.0 + self.L_phi)
         return c * (4.0 + r4 + m.moment(4.0))
+
+
+def _products(theta, xs, out=None) -> np.ndarray:
+    """``theta[:, 1:] @ xs.T``, (N, n).  With one feature an entry is one
+    product on either path, and ``np.dot``'s is the faster."""
+    return (np.dot if xs.shape[1] == 1 else np.matmul)(theta[:, 1:], xs.T,
+                                                       out=out)
 
 
 def _contract(a, b) -> np.ndarray:

@@ -74,6 +74,26 @@ def test_regularizer_grad_at_q1_is_the_general_formula_bit_for_bit():
                                   [[0.75, -1.0]])
 
 
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_regularizer_grad_is_the_einsum_formula_bit_for_bit(d, q):
+    # one coordinate squares it in place of einsum's one-term sum; 1, 33
+    # (the sampler's probe) and 2048 rows, NaN and infinite entries among
+    # them, into a new array and into out=
+    rng = np.random.default_rng(6)
+    reg = Regularizer(0.05, q)
+    for rows in (1, 33, 2048):
+        theta = 3.0 * rng.standard_normal((rows, d))
+        theta[5:6] = np.nan
+        theta[7:8, -1] = -np.inf
+        r2 = np.einsum("ij,ij->i", theta, theta)
+        want = (2.0 * q * 0.05 * r2 ** (q - 1))[:, None] * theta
+        np.testing.assert_array_equal(reg.grad(theta), want)
+        out = np.empty_like(theta)
+        assert reg.grad(theta, out=out) is out
+        np.testing.assert_array_equal(out, want)
+
+
 def test_default_regularizer_degree():
     assert default_regularizer(2.0).q == 2
     assert default_regularizer(4.0).q == 3
@@ -970,9 +990,24 @@ def _oracle_mfld_sample(model, nu, cfg, n_particles, step_size, n_steps,
     return ParticleMeasure(pts)
 
 
+# the benchmark's two sampler shapes (perfbench network_2d) as (particles,
+# steps): ufunc and einsum loops may take other kernels than at 64 rows
+_BENCH_SAMPLER = {"bench-nn-1024x8": (1024, 5),
+                  "bench-mean_squared-2048x12": (2048, 5)}
+
+
 def _sampler_case(name):
     """``(model, nu, cfg)`` of one equivalence case."""
     rng = np.random.default_rng(21)
+    if name.startswith("bench"):
+        net = name.startswith("bench-nn")
+        xs = rng.standard_normal((8 if net else 12, 1))
+        nu = empirical_from_arrays(xs, np.tanh(0.8 * xs[:, 0]))
+        if net:  # tanh network, theta in R^2
+            return (losses.NNLoss("tanh", "quadratic"), nu,
+                    GibbsConfig(beta=0.7, sigma=1.0, p=4, theta_dim=2))
+        return losses.mean_squared_param_loss(), nu, GibbsConfig(
+            beta=0.8, sigma=1.0, p=4, regularizer=Regularizer(0.05, 3))
     if name.startswith("nn"):
         _, act, outer, q = name.split("-")
         xs = rng.standard_normal((6, int(q)))
@@ -997,13 +1032,16 @@ def _sampler_case(name):
 @pytest.mark.parametrize("name", [
     "mean_squared", "linear_regression", "finite_difference", "zero",
     *(f"nn-{act}-{outer}-{q}" for act in ("tanh", "sigmoid", "relu")
-      for outer in ("quadratic", "logcosh") for q in (1, 2))])
+      for outer in ("quadratic", "logcosh") for q in (1, 2)),
+    *_BENCH_SAMPLER])
 def test_mfld_sample_matches_out_of_place_oracle(name, with_init):
     model, nu, cfg = _sampler_case(name)
-    init = (0.3 * np.random.default_rng(4).standard_normal((64, cfg.theta_dim))
-            if with_init else None)
-    part = mfld_sample(model, nu, cfg, 64, 1e-3, 40, seed=9, init=init)
-    ref = _oracle_mfld_sample(model, nu, cfg, 64, 1e-3, 40, seed=9, init=init)
+    rows, steps = _BENCH_SAMPLER.get(name, (64, 40))
+    init = (0.3 * np.random.default_rng(4).standard_normal(
+        (rows, cfg.theta_dim)) if with_init else None)
+    part = mfld_sample(model, nu, cfg, rows, 1e-3, steps, seed=9, init=init)
+    ref = _oracle_mfld_sample(model, nu, cfg, rows, 1e-3, steps, seed=9,
+                              init=init)
     np.testing.assert_array_equal(part.points, ref.points)
 
 

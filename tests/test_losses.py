@@ -292,6 +292,50 @@ def test_nn_dm_grad_map_buffers_follow_the_points(act, q):
     assert vars(model) == vars(NNLoss(act, "logcosh"))
 
 
+def _dm_grad_before_contraction(model, xs, ys, w, pts):
+    """The network drift as formed with a (P, n) product summed by
+    np.add.reduce along axis 0 and matmul's ``a @ coef``."""
+    u = pts[:, 1:] @ xs.T
+    a = model.activation.value(u)
+    pred = np.add.reduce(pts[:, :1] * a, 0) / len(pts)
+    coef = w * model.outer.d1(pred, ys)
+    g = np.empty_like(pts)
+    g[:, 0] = a @ coef
+    g[:, 1:] = pts[:, :1] * ((model.activation.deriv(u, a) * coef) @ xs)
+    return g
+
+
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("act", ["tanh", "sigmoid", "relu"])
+def test_nn_dm_grad_map_is_the_reduce_form_bit_for_bit(act, q):
+    # the prediction mean as one einsum contraction, and np.dot's a @ coef,
+    # round as the forms they replace: 1, 33 (the sampler's probe), 1024
+    # and 2048 particles on 1, 8 and 64 atoms
+    model = NNLoss(act, "quadratic")
+    rng = np.random.default_rng(10)
+    for n in (1, 8, 64):
+        xs, ys = rng.standard_normal((n, q)), rng.standard_normal(n)
+        w = rng.uniform(0.1, 1.0, n)
+        grad = model.dm_grad_map(xs, ys, w)
+        for rows in (1, 33, 1024, 2048):
+            pts = 2.0 * rng.standard_normal((rows, 1 + q))
+            np.testing.assert_array_equal(
+                grad(pts), _dm_grad_before_contraction(model, xs, ys, w, pts))
+
+
+@pytest.mark.parametrize("act", ["tanh", "sigmoid", "relu"])
+def test_nn_phi_one_feature_is_the_matmul_form_bit_for_bit(act):
+    # np.dot's products of one feature are matmul's: the grids of the
+    # network solves, 65^2 and 129^2 nodes, on 1, 8 and 64 atoms
+    model = NNLoss(act, "quadratic")
+    rng = np.random.default_rng(11)
+    for nodes, n in ((65 ** 2, 8), (129 ** 2, 64), (33, 1)):
+        theta = 3.0 * rng.standard_normal((nodes, 2))
+        xs = rng.standard_normal((n, 1))
+        want = model.activation.value(theta[:, 1:] @ xs.T) * theta[:, :1]
+        np.testing.assert_array_equal(model.phi(theta, xs), want)
+
+
 def test_predict_in_atom_chunks_matches_one_feature_array(monkeypatch):
     model = NNLoss("tanh", "quadratic")
     rng = np.random.default_rng(8)
