@@ -75,7 +75,13 @@ class Regularizer:
     def value_radial(self, r) -> np.ndarray:
         return self.kappa * np.asarray(r, dtype=float) ** (2 * self.q)
 
-    def grad(self, theta, out=None) -> np.ndarray:  # into out if given
+    def grad(self, theta, out=None) -> np.ndarray:
+        """Gradient at the rows of ``theta`` (N, d), into ``out`` if given.
+
+        Either may be a view of any layout, such as the sampler's ``pts.T``
+        of its (d, P) particles.  For d >= 3 the squared norm, an
+        ``einsum`` row sum, may then round otherwise than on a C-ordered
+        copy: the sum's order follows the layout."""
         theta = np.atleast_2d(np.asarray(theta, dtype=float))
         if self.q == 1:  # r2 ** 0 is exactly 1, even for a non-finite r2
             return np.multiply(2.0 * self.q * self.kappa, theta, out=out)
@@ -648,11 +654,13 @@ def prior_moment_bound(model, nu: DataMeasure, cfg: GibbsConfig) -> float:
 
 def _drift(dm_grad, cfg, pts, out=None):
     """Gradient of ``dR/dm(m_hat, nu, .) + U(.)/(2 beta^2)`` at the
-    particles, with ``dm_grad`` the loss model's map of ``nu``; written
-    into ``out`` when given."""
-    out = cfg.regularizer.grad(pts, out=out)
+    particles ``pts`` (d, P), with ``dm_grad`` the loss model's map of
+    ``nu``, or ``None`` where that drift is identically 0: (d, P), written
+    into ``out`` when given.  The confinement is :meth:`Regularizer.grad`
+    on the (P, d) views ``pts.T`` and ``out.T``."""
+    out = cfg.regularizer.grad(pts.T, out=None if out is None else out.T).T
     np.divide(out, 2.0 * cfg.beta ** 2, out=out)
-    return np.add(out, dm_grad(pts), out=out)
+    return out if dm_grad is None else np.add(out, dm_grad(pts), out=out)
 
 
 def _check_sampler(n_particles, step_size, n_steps):
@@ -690,8 +698,14 @@ def mfld_sample(model, nu: DataMeasure, cfg: GibbsConfig, n_particles: int,
     Deterministic for a fixed ``seed``: one helper thread only draws the
     standard normals ahead, in blocks of steps, the calling thread scales
     each block as it takes it over, and the particles are the serial
-    stream's bit for bit, whatever the timing or core count.  Returns the
-    cloud, a grid measure on the particles with weight ``1/P`` each.
+    stream's bit for bit, whatever the timing or core count.  The
+    particles are held parameter-major, one C-ordered (d, P) array, so
+    every step works on rows P long; ``init`` is read, and the normals
+    are drawn, as (P, d) rows, and each step adds a block's step
+    transposed.  A loss whose drift map is ``None`` (all statistics 0)
+    adds nothing to the confinement.  Returns the cloud, a grid measure on
+    the particles with weight ``1/P`` each; its points are the (P, d)
+    view ``pts.T``.
 
     Raises
     ------
@@ -713,17 +727,18 @@ def mfld_sample(model, nu: DataMeasure, cfg: GibbsConfig, n_particles: int,
     if init is None:
         pts = _init_scale(cfg) * rng.standard_normal((n_particles, cfg.theta_dim))
     else:
-        pts = np.array(init, dtype=float)
+        pts = np.asarray(init, dtype=float)
         if pts.shape != (n_particles, cfg.theta_dim):
             raise ValueError("initial particle array has the wrong shape")
         if not np.isfinite(pts).all():
             raise ValueError("non-finite particle in init")
+    pts = np.array(pts.T, order="C")  # (d, P), never init itself
 
     # heuristic stability probe: drift Lipschitz scale on the initial cloud
-    probe = pts[:33]
+    probe = pts[:, :33]
     d0 = _drift(dm_grad, cfg, probe)
-    num = np.linalg.norm(d0[1:] - d0[:-1], axis=1)
-    den = np.linalg.norm(probe[1:] - probe[:-1], axis=1)
+    num = np.linalg.norm(d0[:, 1:] - d0[:, :-1], axis=0)
+    den = np.linalg.norm(probe[:, 1:] - probe[:, :-1], axis=0)
     ok = den > 1e-12
     lip = float(np.max(num[ok] / den[ok])) if np.any(ok) else 0.0
     if step_size * cfg.temperature * lip > 0.25:
@@ -737,7 +752,7 @@ def mfld_sample(model, nu: DataMeasure, cfg: GibbsConfig, n_particles: int,
     noise_scale = math.sqrt(step_size * cfg.sigma ** 2 / cfg.beta ** 2)
     k = max(1, _NOISE_ELEMENTS // pts.size)
     sizes = [min(k, n_steps - s) for s in range(0, n_steps, k)]
-    blocks, done = np.empty((2, k) + pts.shape), [None] * len(sizes)
+    blocks, done = np.empty((2, k) + pts.shape[::-1]), [None] * len(sizes)
     d = np.empty_like(pts)
     sync = threading.Barrier(2)
 
@@ -764,7 +779,7 @@ def mfld_sample(model, nu: DataMeasure, cfg: GibbsConfig, n_particles: int,
                 _drift(dm_grad, cfg, pts, out=d)
                 d *= step_size
                 pts -= d
-                pts += noise
+                pts += noise.T
                 top = np.abs(pts, out=d).max()  # a NaN propagates
                 if top != top:
                     raise ValueError(f"non-finite particle after step {step}")
@@ -775,4 +790,4 @@ def mfld_sample(model, nu: DataMeasure, cfg: GibbsConfig, n_particles: int,
     finally:
         sync.abort()
         helper.join()
-    return ParticleMeasure(pts)
+    return ParticleMeasure(pts.T)

@@ -12,10 +12,11 @@ Two loss families are implemented:
   about a centre ``c`` chosen per row.  Then the data of a row enter
   through one K-vector of weighted sums, and a measure through the
   K moments ``E_m psi``, instead of ``lp`` at every atom and node; the
-  particle drift is ``psi_grad`` against the same K-vector.  The
-  centre only sets the rounding: expanded about a far point the terms
-  are large and cancel, so losses are centred at each measure's mean
-  and weighted sums at a point taken from the data.  Every shipped
+  particle drift is ``psi_grad`` against the same K-vector, and no map
+  at all where the K-vector is 0 (the zero loss).  The centre only sets
+  the rounding: expanded about a far point the terms are large and
+  cancel, so losses are centred at each measure's mean and weighted
+  sums at a point taken from the data.  Every shipped
   parametric loss is a quadratic, separable with ``psi = (1, u, u^2)``.
 
 For both, the first measure derivative (normalized so its measure
@@ -24,7 +25,9 @@ envelopes ``growth(m)`` and ``growth_d1(m, theta)`` bounding
 ``|l(m, z)|`` and ``|dl/dm(m, z, theta)|`` in units of
 ``1 + ||z||^2``.  ``has_zero_d2m()`` says whether the second measure
 derivative vanishes; ``funcderiv.build_Cm`` assembles it over a dataset
-as a rank-n ``gibbs.CurvatureKernel``.  Each model evaluates losses,
+as a rank-n ``gibbs.CurvatureKernel``.  Each model's ``dm_grad_map``
+of a dataset is the particle sampler's drift, a map from the particles
+held parameter-major, (d, N), to (d, N).  Each model evaluates losses,
 weighted sums of first derivatives (``dm``) and their pairings with a
 difference of measures (``dm_along``) over all atoms of a dataset at
 once, in one body over the rows of :func:`measures.as_rows`: a single
@@ -63,10 +66,11 @@ class Activation:
     """Scalar activation with an optional derivative.
 
     ``value`` is vectorized and returns a new array or its argument;
-    :meth:`NNLoss.phi` calls it on one row chunk of the products at a time
-    and writes the scaled values back over that chunk.  ``deriv(u, a)``
-    also takes ``a = value(u)``, and returns a new array that
-    :meth:`NNLoss.dm_grad_map` scales in place.
+    :meth:`NNLoss.phi` calls it on one row chunk of the (N, n) products at
+    a time and writes the scaled values back over that chunk, and
+    :meth:`NNLoss.dm_grad_map` on the (n, P) products of the particles.
+    ``deriv(u, a)`` also takes ``a = value(u)`` and returns a new array,
+    which :meth:`NNLoss.dm_grad_map` only reads.
     ``deriv`` is ``None`` for activations that have no usable derivative
     (heaviside), which restricts them to grid-based solvers.
     """
@@ -243,7 +247,10 @@ class NNLoss:
         (:func:`_chunk_rows`), so one (N, n) array and one chunk are
         alive at once."""
         theta = np.atleast_2d(np.asarray(theta, dtype=float))
-        out = _products(theta, np.asarray(xs, dtype=float))
+        xs = np.asarray(xs, dtype=float)
+        # with one feature an entry is one product on either path, and
+        # np.dot's is the faster
+        out = (np.dot if xs.shape[1] == 1 else np.matmul)(theta[:, 1:], xs.T)
         step = _chunk_rows(out.shape[1])
         for lo in range(0, out.shape[0], step):
             rows = out[lo:lo + step]
@@ -292,33 +299,33 @@ class NNLoss:
 
     def dm_grad_map(self, xs, ys, weights) -> Callable:
         """The sampler drift of one dataset: the map from the particles
-        ``pts`` (N, d) to the gradient of :meth:`dm` at their own empirical
-        measure, a new (N, d) array, from one evaluation of the features;
-        their (N, n) products go to a buffer of the map's, sized by N."""
+        ``pts`` (d, N), parameter-major, to the gradient of :meth:`dm` at
+        their own empirical measure, a new (d, N) array, from one
+        evaluation of the features.  Every step works on rows N long: the
+        (n, N) products ``u`` go to a buffer of the map's, sized by N; with
+        ``a`` their activation, the prediction mean is ``a @ pts[0] / N``,
+        ``g[0]`` is ``coef @ a``, and ``g[1:]`` is
+        ``pts[0] * ((coef * xs).T @ deriv(u, a))``."""
         if self.activation.deriv is None:
             raise ValueError(
                 f"activation {self.activation.kind!r} has no derivative")
         xs = np.asarray(xs, dtype=float)
-        buf = np.empty((0, len(xs)))
+        buf = np.empty((len(xs), 0))
 
         def grad(pts):
             nonlocal buf
-            pts = np.atleast_2d(np.asarray(pts, dtype=float))
-            if len(buf) != len(pts):
-                buf = np.empty((len(pts), len(xs)))
-            u = _products(pts, xs, out=buf)
+            pts = np.asarray(pts, dtype=float)
+            if buf.shape[1] != pts.shape[1]:
+                buf = np.empty((len(xs), pts.shape[1]))
+            u = np.dot(xs, pts[1:], out=buf)
             a = self.activation.value(u)
-            if len(xs) > 1:  # rows added in order, as np.add.reduce adds them
-                pred = np.einsum("i,ij->j", pts[:, 0], a)
-            else:  # one column, which np.add.reduce sums pairwise
-                pred = np.add.reduce(pts[:, :1] * a, 0)
-            pred /= len(pts)  # as .mean(axis=0) forms it, bit for bit
-            coef = weights * self.outer.d1(pred, ys)
-            g = np.empty_like(pts)
-            g[:, 0] = np.dot(a, coef)
-            da = self.activation.deriv(u, a)
-            da *= coef
-            np.multiply(pts[:, :1], da @ xs, out=g[:, 1:])
+            coef = weights * self.outer.d1(a @ pts[0] / pts.shape[1], ys)
+            g = np.empty(pts.shape)
+            np.dot(coef, a, out=g[0])
+            # coef scales the (n, q) inputs, not the (n, N) derivative
+            np.dot((xs * coef[:, None]).T, self.activation.deriv(u, a),
+                   out=g[1:])
+            g[1:] *= pts[0]
             return g
         return grad
 
@@ -342,13 +349,6 @@ class NNLoss:
         r4 = np.einsum("ij,ij->i", theta, theta) ** 2
         c = 6.0 * self.outer.L_l1 * self.L_phi * (1.0 + self.L_phi)
         return c * (4.0 + r4 + m.moment(4.0))
-
-
-def _products(theta, xs, out=None) -> np.ndarray:
-    """``theta[:, 1:] @ xs.T``, (N, n).  With one feature an entry is one
-    product on either path, and ``np.dot``'s is the faster."""
-    return (np.dot if xs.shape[1] == 1 else np.matmul)(theta[:, 1:], xs.T,
-                                                       out=out)
 
 
 def _contract(a, b) -> np.ndarray:
@@ -480,33 +480,37 @@ class ExpectedParamLoss:
                            xs, ys, weights, shift)
         return out[0] if one else out
 
-    def dm_grad_map(self, xs, ys, weights) -> Callable:
+    def dm_grad_map(self, xs, ys, weights) -> Optional[Callable]:
         """The sampler drift of one dataset: the map from the particles
-        ``pts`` (N, d) to the gradient of :meth:`dm` at them, (N, d).
+        ``pts`` (d, N), parameter-major, to the gradient of :meth:`dm` at
+        them, (d, N).
 
         A separable loss sums its K statistics here, once, and each call
         is ``psi_grad(pts - c) . stats``, O(N d K) whatever the atom
-        count; an ``lp``-only loss reduces ``lp_grad`` over the atoms at
-        every call."""
+        count; where all K sums are exactly 0 the drift is too, and the
+        map is ``None``.  An ``lp``-only loss reduces ``lp_grad`` over the
+        atoms at every call, on the (N, d) view ``pts.T``."""
         if self.psi is None:
             def grad(pts):
-                g = self.lp_grad(np.atleast_2d(np.asarray(pts, dtype=float)),
+                g = self.lp_grad(np.atleast_2d(np.asarray(pts, dtype=float)).T,
                                  xs, ys)
                 # the one dot call of tensordot(weights, g, axes=1), without
                 # its Python bookkeeping, which costs as much as the dot at
                 # these sizes
                 return np.dot(np.reshape(weights, (1, -1)),
-                              g.reshape(len(g), -1)).reshape(g.shape[1:])
+                              g.reshape(len(g), -1)).reshape(g.shape[1:]).T
             return grad
         # one row of data: c (d, 1), stats (K, 1)
         c, stats = self._stats(np.asarray(xs, dtype=float)[None],
                                np.asarray(ys, dtype=float)[None], weights)
+        if not stats.any():
+            return None
 
         def grad(pts):
-            u = np.atleast_2d(np.asarray(pts, dtype=float)).T - c
+            u = np.atleast_2d(np.asarray(pts, dtype=float)) - c
             g = self.psi_grad(u)
             # stats . g over K in one dot call, as in the lp-only map
-            return np.dot(stats.T, g.reshape(len(g), -1)).reshape(u.shape).T
+            return np.dot(stats.T, g.reshape(len(g), -1)).reshape(u.shape)
         return grad
 
     def dm_along(self, m, m2, xs, ys) -> np.ndarray:

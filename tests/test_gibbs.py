@@ -946,17 +946,39 @@ def test_mfld_sample_non_finite_particle_raises_value_error():
 # shipped losses whose sampler drift comes from their data statistics; the
 # zero loss's drift is exactly 0 either way
 _STATISTICS_DRIFT = ("mean_squared", "linear_regression")
+# the network cases: activation, outer loss and input features
+_NN_SAMPLER_NAMES = [f"nn-{act}-{outer}-{q}"
+                     for act in ("tanh", "sigmoid", "relu")
+                     for outer in ("quadratic", "logcosh") for q in (1, 2)]
 
 
 def _general_dm_grad(model, m, xs, ys, weights, theta, via_lp_grad=False):
-    """Gradient in ``theta`` of ``model.dm`` at any measure ``m``.  For the
+    """Gradient in ``theta`` (d, N), parameter-major as the sampler holds
+    its particles, of ``model.dm`` at any measure ``m``: (d, N).  For the
     ``_STATISTICS_DRIFT`` losses it is their ``dm_grad_map``, made afresh
     (statistics summed again at every call), unless ``via_lp_grad``."""
     theta = np.atleast_2d(np.asarray(theta, dtype=float))
     if not isinstance(model, losses.NNLoss):
         if model.name in _STATISTICS_DRIFT and not via_lp_grad:
             return model.dm_grad_map(xs, ys, weights)(theta)
-        return np.tensordot(weights, model.lp_grad(theta, xs, ys), axes=1)
+        return np.tensordot(weights, model.lp_grad(theta.T, xs, ys),
+                            axes=1).T
+    act = model.activation
+    xs = np.asarray(xs, dtype=float)
+    nodes = m.points.T
+    preds = act.value(xs @ nodes[1:]) @ nodes[0] / m.n_particles
+    coef = weights * model.outer.d1(preds, ys)
+    u = xs @ theta[1:]
+    g = np.empty_like(theta)
+    a = act.value(u)
+    g[0] = coef @ a
+    g[1:] = theta[0] * ((coef[:, None] * xs).T @ act.deriv(u, a))
+    return g
+
+
+def _node_major_dm_grad(model, m, xs, ys, weights, theta):
+    """The network drift of ``model.dm`` at ``m``, node-major: ``theta``
+    (N, d) to (N, d), as the sampler formed it on (P, d) particles."""
     act = model.activation
     xs = np.asarray(xs, dtype=float)
     preds = model.phi(m.points, xs).mean(axis=0)
@@ -970,24 +992,36 @@ def _general_dm_grad(model, m, xs, ys, weights, theta, via_lp_grad=False):
 
 
 def _oracle_mfld_sample(model, nu, cfg, n_particles, step_size, n_steps,
-                        seed, init=None, via_lp_grad=False):
+                        seed, init=None, via_lp_grad=False,
+                        node_major=False):
     """The sampler one out-of-place step at a time, with a
-    ``ParticleMeasure`` per step: the slow reference for the fused loop."""
+    ``ParticleMeasure`` per step: the slow reference for the fused loop.
+    It holds the particles parameter-major, (d, P), as the sampler does;
+    ``node_major`` holds them (P, d) and forms a network's drift with
+    :func:`_node_major_dm_grad`, which rounds otherwise."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if init is None:
         pts = gibbs._init_scale(cfg) * rng.standard_normal(
             (n_particles, cfg.theta_dim))
     else:
         pts = np.array(init, dtype=float)
+    if not node_major:
+        pts = np.ascontiguousarray(pts.T)
     noise_scale = math.sqrt(step_size * cfg.sigma ** 2 / cfg.beta ** 2)
     for _ in range(n_steps):
-        drift = cfg.regularizer.grad(pts) / (2.0 * cfg.beta ** 2) \
-            + _general_dm_grad(model, ParticleMeasure(pts), nu.xs, nu.ys,
-                               nu.weights, pts, via_lp_grad)
-        pts = pts - step_size * drift \
-            + noise_scale * rng.standard_normal(pts.shape)
+        if node_major:
+            drift = cfg.regularizer.grad(pts) / (2.0 * cfg.beta ** 2) \
+                + _node_major_dm_grad(model, ParticleMeasure(pts), nu.xs,
+                                      nu.ys, nu.weights, pts)
+            noise = rng.standard_normal(pts.shape)
+        else:
+            drift = cfg.regularizer.grad(pts.T).T / (2.0 * cfg.beta ** 2) \
+                + _general_dm_grad(model, ParticleMeasure(pts.T), nu.xs,
+                                   nu.ys, nu.weights, pts, via_lp_grad)
+            noise = rng.standard_normal(pts.shape[::-1]).T
+        pts = pts - step_size * drift + noise_scale * noise
         assert np.max(np.abs(pts)) <= 10.0 * cfg.box_radius()
-    return ParticleMeasure(pts)
+    return ParticleMeasure(pts if node_major else pts.T)
 
 
 # the benchmark's two sampler shapes (perfbench network_2d) as (particles,
@@ -1031,15 +1065,17 @@ def _sampler_case(name):
 @pytest.mark.parametrize("with_init", [False, True])
 @pytest.mark.parametrize("name", [
     "mean_squared", "linear_regression", "finite_difference", "zero",
-    *(f"nn-{act}-{outer}-{q}" for act in ("tanh", "sigmoid", "relu")
-      for outer in ("quadratic", "logcosh") for q in (1, 2)),
-    *_BENCH_SAMPLER])
+    *_NN_SAMPLER_NAMES, *_BENCH_SAMPLER])
 def test_mfld_sample_matches_out_of_place_oracle(name, with_init):
     model, nu, cfg = _sampler_case(name)
     rows, steps = _BENCH_SAMPLER.get(name, (64, 40))
     init = (0.3 * np.random.default_rng(4).standard_normal(
         (rows, cfg.theta_dim)) if with_init else None)
+    kept = None if init is None else init.copy()
     part = mfld_sample(model, nu, cfg, rows, 1e-3, steps, seed=9, init=init)
+    # the sampler steps a (d, P) copy, never init, even where init.T is
+    # already C-ordered (d = 1)
+    np.testing.assert_array_equal(init, kept)
     ref = _oracle_mfld_sample(model, nu, cfg, rows, 1e-3, steps, seed=9,
                               init=init)
     np.testing.assert_array_equal(part.points, ref.points)
@@ -1056,6 +1092,23 @@ def test_mfld_sample_statistics_drift_tracks_lp_grad_loop(name, with_init):
     got = mfld_sample(model, nu, cfg, 64, 1e-3, 40, seed=9, init=init).points
     want = _oracle_mfld_sample(model, nu, cfg, 64, 1e-3, 40, seed=9,
                                init=init, via_lp_grad=True).points
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0,
+                                                          np.abs(want)))
+
+
+@pytest.mark.parametrize("with_init", [False, True])
+@pytest.mark.parametrize("name", _NN_SAMPLER_NAMES)
+def test_mfld_sample_network_drift_tracks_node_major_loop(name, with_init):
+    # the parameter-major drift sums in other orders (the prediction mean,
+    # the atom contractions, and for d >= 3 the confinement's squared
+    # norm): 40 steps stay within 1e-12 of max(1, |reference|) of the loop
+    # on (P, d) particles with the node-major network drift
+    model, nu, cfg = _sampler_case(name)
+    init = (0.3 * np.random.default_rng(4).standard_normal(
+        (64, cfg.theta_dim)) if with_init else None)
+    got = mfld_sample(model, nu, cfg, 64, 1e-3, 40, seed=9, init=init).points
+    want = _oracle_mfld_sample(model, nu, cfg, 64, 1e-3, 40, seed=9,
+                               init=init, node_major=True).points
     assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0,
                                                           np.abs(want)))
 
@@ -1086,10 +1139,27 @@ def test_mfld_sample_sums_statistics_once_per_call(name):
             mfld_sample(shipped, nu, cfg, 64, 1e-3, n_steps, seed=9).points)
 
 
-_SAMPLER_NAMES = [
-    "mean_squared", "linear_regression", "finite_difference", "zero",
-    *(f"nn-{act}-{outer}-{q}" for act in ("tanh", "sigmoid", "relu")
-      for outer in ("quadratic", "logcosh") for q in (1, 2))]
+def test_mfld_sample_never_calls_the_zero_loss_drift():
+    # the zero loss's statistics are all 0, so it has no drift map and no
+    # step evaluates psi_grad; the particles equal the oracle's, which adds
+    # the lp_grad zeros at every step
+    shipped, nu, cfg = _sampler_case("zero")
+    counts = {"psi_grad": 0}
+    model = losses.ExpectedParamLoss(
+        shipped.lp, shipped.M_p, shipped.lp_grad, shipped.name,
+        psi=shipped.psi,
+        psi_grad=_counting(shipped.psi_grad, counts, "psi_grad"),
+        coef=shipped.coef, centre=shipped.centre)
+    for init in (None, np.linspace(-0.5, 0.5, 64)[:, None]):
+        part = mfld_sample(model, nu, cfg, 64, 1e-3, 40, seed=9, init=init)
+        assert counts == {"psi_grad": 0}
+        ref = _oracle_mfld_sample(shipped, nu, cfg, 64, 1e-3, 40, seed=9,
+                                  init=init)
+        np.testing.assert_array_equal(part.points, ref.points)
+
+
+_SAMPLER_NAMES = ["mean_squared", "linear_regression", "finite_difference",
+                  "zero", *_NN_SAMPLER_NAMES]
 
 
 # _NOISE_ELEMENTS as a function of P * d: 3 steps a block with a last
@@ -1129,14 +1199,14 @@ def _nan_beyond(limit):
 def _oracle_first_nan_step(model, nu, cfg, step_size, n_steps, seed, init):
     """The out-of-place loop's first step that leaves a NaN particle."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    pts = np.array(init, dtype=float)
+    pts = np.ascontiguousarray(np.transpose(init), dtype=float)
     noise_scale = math.sqrt(step_size * cfg.sigma ** 2 / cfg.beta ** 2)
     for step in range(1, n_steps + 1):
-        drift = cfg.regularizer.grad(pts) / (2.0 * cfg.beta ** 2) \
-            + _general_dm_grad(model, ParticleMeasure(pts), nu.xs, nu.ys,
+        drift = cfg.regularizer.grad(pts.T).T / (2.0 * cfg.beta ** 2) \
+            + _general_dm_grad(model, ParticleMeasure(pts.T), nu.xs, nu.ys,
                                nu.weights, pts)
         pts = pts - step_size * drift \
-            + noise_scale * rng.standard_normal(pts.shape)
+            + noise_scale * rng.standard_normal(pts.shape[::-1]).T
         if np.isnan(pts).any():
             return step
     return None

@@ -281,6 +281,47 @@ def test_bench_pairs_wall_records_peak_rss(tmp_path, monkeypatch):
     assert wall["summary"]["peak_rss_mb"]["pairs"] == 2
 
 
+# a benchmark run that spends 0.1 s of CPU, sleeps 0.1 s and prints the
+# last line of perfbench/run.py
+_STUB_RUN = '''import json, time
+while time.process_time() < 0.1:
+    pass
+time.sleep(0.1)
+print(json.dumps({"attempted": 1, "failed": 0, "metrics": {
+    name: {"value": 1.0} for name in ("wall_ref", "setup_s",
+                                      "peak_rss_mb")}}))
+'''
+
+
+def test_bench_pairs_records_the_cpu_time_of_each_run(tmp_path,
+                                                      monkeypatch):
+    bench_pairs = _bench_pairs()
+    repo = tmp_path / "repo"
+    (repo / "perfbench").mkdir(parents=True)
+    _git(repo, "init", "-q")
+    (repo / "perfbench" / "workloads.py").write_text(
+        "WORKLOADS = {'w': None}\n")
+    (repo / "perfbench" / "run.py").write_text(_STUB_RUN)
+    for side in ("parent", "change"):
+        (repo / "side").write_text(side)
+        _commit(repo, side)
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    assert bench_pairs.main(["--parent", "HEAD~1", "--change", "HEAD",
+                             "--label", "t", "--workload", "w",
+                             "--seeds", "1,2", "--seconds", "0.1"]) == 0
+    report = json.loads((repo / "BENCH_t.json").read_text())["workloads"]
+    for row in report["w"]["runs"]:
+        for side in ("parent", "change"):
+            run = row[side]
+            # one thread: the spin is CPU time, the sleep is not
+            assert run["cpu_s"] >= 0.1
+            assert run["run_wall_s"] >= 0.2
+            assert run["cpu_per_wall"] == run["cpu_s"] / run["run_wall_s"]
+            assert run["cpu_per_wall"] < 1.0
+    summary = report["w"]["summary"]
+    assert summary["cpu_s"]["pairs"] == summary["cpu_per_wall"]["pairs"] == 2
+
+
 def test_bench_pairs_refuses_unknown_workloads_before_any_run(
         tmp_path, monkeypatch, capsys):
     bench_pairs = _bench_pairs()

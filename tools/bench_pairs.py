@@ -16,17 +16,21 @@ both sides' ``perfbench/workloads.py``, which is imported without
 writing bytecode; otherwise the tool exits with the valid names before
 any run.  For every workload and seed, one pair of
 ``perfbench/run.py --trace 0`` runs is made, alternating which side runs
-first.  Each ``--wall`` command is run ``--wall-pairs`` times per side
-through the shell, in the side's directory with ``PYTHONPATH`` set to
-its ``src``; ``{out}`` in the command is replaced by a fresh output
-directory.  Each run records its
-wall time, exit code and peak RSS (``ru_maxrss`` of the shell and the
-processes it waited for).  A pair whose two sides exit with different
-codes, or in which a side ends by a signal, is an error, so a command
-that fails fast cannot win its pairs.  The tool prints each
-side's median and quartiles, the change's wins and the parent's
-interquartile range for every metric, and writes (or updates)
-``BENCH_<label>.json``.
+first; each run records the end-to-end metrics of its last output line,
+its wall time and its CPU time.  Each ``--wall`` command is run
+``--wall-pairs`` times per side through the shell, in the side's
+directory with ``PYTHONPATH`` set to its ``src``; ``{out}`` in the
+command is replaced by a fresh output directory.  Each run records its
+wall time, exit code, peak RSS and CPU time.  CPU time is user plus
+system time (``os.wait4``, which also gives ``ru_maxrss``) of the child
+and the processes it waited for, and ``cpu_per_wall`` its ratio to the
+run's wall time: above 1 only where threads or processes ran in
+parallel, such as the particle sampler's noise thread beside its drift.
+A pair whose two sides exit with different codes, or in which a side
+ends by a signal, is an error, so a command that fails fast cannot win
+its pairs.  The tool prints each side's median and quartiles, the
+change's wins and the parent's interquartile range for every metric,
+and writes (or updates) ``BENCH_<label>.json``.
 """
 
 import argparse
@@ -81,33 +85,52 @@ def _workload_names(side: Path) -> list:
     return proc.stdout.split()
 
 
+def _run(args, side: Path, stdout=subprocess.DEVNULL,
+         stderr=subprocess.DEVNULL, **popen):
+    """Run ``args`` in ``side`` to its end: ``(exit code, wall seconds,
+    usage)``, ``usage`` the ``os.wait4`` resource use of the child and of
+    the processes it waited for."""
+    t0 = time.perf_counter()
+    proc = subprocess.Popen(args, cwd=side, stdout=stdout, stderr=stderr,
+                            **popen)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - t0
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, wall, usage
+
+
+def _cpu(wall: float, usage) -> dict:
+    """User plus system seconds, and their ratio to the wall time."""
+    cpu = usage.ru_utime + usage.ru_stime
+    return {"cpu_s": cpu, "cpu_per_wall": cpu / wall}
+
+
 def _bench(side: Path, workload: str, seed: int, seconds: float) -> dict:
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=side, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise RuntimeError(f"{side}: {workload} seed {seed} failed:\n"
-                           f"{proc.stderr[-2000:]}")
-    last = json.loads(proc.stdout.strip().splitlines()[-1])
+    with tempfile.TemporaryFile("w+") as out, \
+            tempfile.TemporaryFile("w+") as err:
+        code, wall, usage = _run(
+            [sys.executable, "perfbench/run.py", "--workload", workload,
+             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+            side, out, err)
+        out.seek(0)
+        err.seek(0)
+        if code != 0:
+            raise RuntimeError(f"{side}: {workload} seed {seed} failed:\n"
+                               f"{err.read()[-2000:]}")
+        last = json.loads(out.read().strip().splitlines()[-1])
     row = {k: v["value"] for k, v in last["metrics"].items()}
-    row.update(attempted=last["attempted"], failed=last["failed"])
+    row.update(attempted=last["attempted"], failed=last["failed"],
+               run_wall_s=wall, **_cpu(wall, usage))
     return row
 
 
 def _wall(side: Path, command: str, scratch: Path) -> dict:
     out = Path(tempfile.mkdtemp(dir=scratch))
     env = dict(os.environ, PYTHONPATH=str(side / "src"))
-    t0 = time.perf_counter()
-    proc = subprocess.Popen(command.replace("{out}", shlex.quote(str(out))),
-                            shell=True, cwd=side, env=env,
-                            stdout=subprocess.DEVNULL,
-                            stderr=subprocess.DEVNULL)
-    _, status, usage = os.wait4(proc.pid, 0)
-    wall = time.perf_counter() - t0
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    return {"wall_s": wall, "exit": proc.returncode,
-            "peak_rss_mb": usage.ru_maxrss / 1024.0}
+    code, wall, usage = _run(command.replace("{out}", shlex.quote(str(out))),
+                             side, shell=True, env=env)
+    return {"wall_s": wall, "exit": code,
+            "peak_rss_mb": usage.ru_maxrss / 1024.0, **_cpu(wall, usage)}
 
 
 def _check_exits(name: str, command: str, row: dict) -> None:
@@ -200,7 +223,8 @@ def main(argv=None) -> int:
                                        args.seconds)
                 runs.append(row)
                 print(json.dumps(row), flush=True)
-            summary = _summary(runs, ("wall_ref", "setup_s", "peak_rss_mb"))
+            summary = _summary(runs, ("wall_ref", "setup_s", "peak_rss_mb",
+                                      "cpu_s", "cpu_per_wall"))
             report.setdefault("workloads", {})[workload] = {
                 "summary": summary, "runs": runs}
             _print(workload, summary)
@@ -216,7 +240,8 @@ def main(argv=None) -> int:
                 print(json.dumps(row), flush=True)
                 _check_exits(name, command, row)
                 runs.append(row)
-            summary = _summary(runs, ("wall_s", "peak_rss_mb"))
+            summary = _summary(runs, ("wall_s", "peak_rss_mb", "cpu_s",
+                                      "cpu_per_wall"))
             report.setdefault("end_to_end_wall", {})[name] = {
                 "command": command, "summary": summary, "runs": runs}
             _print(name, summary)
