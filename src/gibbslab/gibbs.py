@@ -20,7 +20,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import threading
 from typing import Optional
 
 import numpy as np
@@ -31,8 +30,6 @@ from .measures import (DataMeasure, GridMeasure, ParticleMeasure, _readonly,
 
 # prior and tilted-prior mass left outside the automatic grid box
 TAIL_MASS = 1e-10
-# normals in each of the sampler's two noise blocks (at least one step)
-_NOISE_ELEMENTS = 1 << 16
 # nodes of the trapezoid rule that sizes the automatic box, and the nodes
 # it evaluates and sums at a time
 _TAIL_NODES = 200001
@@ -695,15 +692,14 @@ def mfld_sample(model, nu: DataMeasure, cfg: GibbsConfig, n_particles: int,
     model's ``dm_grad_map`` of ``nu``, built once per call, before the
     stability probe: for a separable expected-parameter loss it holds the
     K data statistics, and a step costs O(N d K) whatever the atom count.
-    Deterministic for a fixed ``seed``: one helper thread only draws the
-    standard normals ahead, in blocks of steps, the calling thread scales
-    each block as it takes it over, and the particles are the serial
-    stream's bit for bit, whatever the timing or core count.  The
-    particles are held parameter-major, one C-ordered (d, P) array, so
-    every step works on rows P long; ``init`` is read, and the normals
-    are drawn, as (P, d) rows, and each step adds a block's step
-    transposed.  A loss whose drift map is ``None`` (all statistics 0)
-    adds nothing to the confinement.  Returns the cloud, a grid measure on
+    Deterministic for a fixed ``seed``: everything runs on the calling
+    thread, each step draws its standard normals as one (P, d) array and
+    scales them, and the particles are the serial stream's bit for bit.
+    The particles are held parameter-major, one C-ordered (d, P) array,
+    so every step works on rows P long; ``init`` is read, and the normals
+    are drawn, as (P, d) rows, and each step adds its normals transposed.
+    A loss whose drift map is ``None`` (all statistics 0) adds nothing to
+    the confinement.  Returns the cloud, a grid measure on
     the particles with weight ``1/P`` each; its points are the (P, d)
     view ``pts.T``.
 
@@ -746,48 +742,21 @@ def mfld_sample(model, nu: DataMeasure, cfg: GibbsConfig, n_particles: int,
             f"step size {step_size} too large: h * temperature * L = "
             f"{step_size * cfg.temperature * lip:.3g} exceeds 0.25")
 
-    # a helper thread owns rng from here: it fills block i + 1 of k steps
-    # of standard normals while this thread scales block i and runs its
-    # steps with the drift in d, and leaves a fault in done[i] to raise
+    # each step draws its (P, d) normals, consuming the stream in C order
     noise_scale = math.sqrt(step_size * cfg.sigma ** 2 / cfg.beta ** 2)
-    k = max(1, _NOISE_ELEMENTS // pts.size)
-    sizes = [min(k, n_steps - s) for s in range(0, n_steps, k)]
-    blocks, done = np.empty((2, k) + pts.shape[::-1]), [None] * len(sizes)
-    d = np.empty_like(pts)
-    sync = threading.Barrier(2)
-
-    def draw():
-        try:
-            for i, size in enumerate(sizes):
-                try:
-                    rng.standard_normal(out=blocks[i % 2, :size])
-                except BaseException as exc:
-                    done[i] = exc
-                sync.wait()
-        except threading.BrokenBarrierError:  # the sampler stopped early
-            return
-    helper = threading.Thread(target=draw, daemon=True)
-    helper.start()
-    try:
-        for i, size in enumerate(sizes):
-            sync.wait()
-            if done[i] is not None:
-                raise done[i]
-            block = blocks[i % 2, :size]
-            block *= noise_scale
-            for step, noise in enumerate(block, i * k + 1):
-                _drift(dm_grad, cfg, pts, out=d)
-                d *= step_size
-                pts -= d
-                pts += noise.T
-                top = np.abs(pts, out=d).max()  # a NaN propagates
-                if top != top:
-                    raise ValueError(f"non-finite particle after step {step}")
-                if top > 10.0 * radius:
-                    raise RuntimeError(
-                        "particle system diverged (left ten box radii); "
-                        "reduce the step size")
-    finally:
-        sync.abort()
-        helper.join()
+    noise, d = np.empty(pts.shape[::-1]), np.empty_like(pts)
+    for step in range(1, n_steps + 1):
+        rng.standard_normal(out=noise)
+        noise *= noise_scale
+        _drift(dm_grad, cfg, pts, out=d)
+        d *= step_size
+        pts -= d
+        pts += noise.T
+        top = np.abs(pts, out=d).max()  # a NaN propagates
+        if top != top:
+            raise ValueError(f"non-finite particle after step {step}")
+        if top > 10.0 * radius:
+            raise RuntimeError(
+                "particle system diverged (left ten box radii); "
+                "reduce the step size")
     return ParticleMeasure(pts.T)

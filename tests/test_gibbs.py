@@ -1158,32 +1158,6 @@ def test_mfld_sample_never_calls_the_zero_loss_drift():
         np.testing.assert_array_equal(part.points, ref.points)
 
 
-_SAMPLER_NAMES = ["mean_squared", "linear_regression", "finite_difference",
-                  "zero", *_NN_SAMPLER_NAMES]
-
-
-# _NOISE_ELEMENTS as a function of P * d: 3 steps a block with a last
-# block of 1 (40 = 13 * 3 + 1), one block of 50 > 40 steps, and one step
-# a block when a step alone holds more normals than the constant
-@pytest.mark.parametrize("elements", [lambda pd: 3 * pd + pd - 1,
-                                      lambda pd: 50 * pd,
-                                      lambda pd: pd - 1],
-                         ids=["partial_last_block", "one_short_block",
-                              "one_step_blocks"])
-@pytest.mark.parametrize("with_init", [False, True])
-@pytest.mark.parametrize("name", _SAMPLER_NAMES)
-def test_mfld_sample_noise_blocks_match_oracle(monkeypatch, name, with_init,
-                                               elements):
-    model, nu, cfg = _sampler_case(name)
-    monkeypatch.setattr(gibbs, "_NOISE_ELEMENTS",
-                        elements(64 * cfg.theta_dim))
-    init = (0.3 * np.random.default_rng(4).standard_normal((64, cfg.theta_dim))
-            if with_init else None)
-    part = mfld_sample(model, nu, cfg, 64, 1e-3, 40, seed=9, init=init)
-    ref = _oracle_mfld_sample(model, nu, cfg, 64, 1e-3, 40, seed=9, init=init)
-    np.testing.assert_array_equal(part.points, ref.points)
-
-
 def _nan_beyond(limit):
     """A quadratic loss whose gradient is NaN where ``|theta| > limit``."""
     def lp(theta, xs, ys):
@@ -1212,9 +1186,7 @@ def _oracle_first_nan_step(model, nu, cfg, step_size, n_steps, seed, init):
     return None
 
 
-def test_mfld_sample_leaves_no_thread_behind(monkeypatch):
-    # five steps a block, so each failure below happens inside a later block
-    monkeypatch.setattr(gibbs, "_NOISE_ELEMENTS", 5 * 64)
+def test_mfld_sample_leaves_no_thread_behind():
     cfg = GibbsConfig(beta=1.0, sigma=1.0, p=2,
                       regularizer=Regularizer(kappa=1.0, q=1), radius=6.0)
     nu = gaussian_data(seed=16, n=3)
@@ -1229,11 +1201,35 @@ def test_mfld_sample_leaves_no_thread_behind(monkeypatch):
 
     model, init = _nan_beyond(1.05), _shifted_init(64, 40, 1.0)
     step = _oracle_first_nan_step(model, nu, cfg, 1e-2, 200, 3, init)
-    assert step is not None and step > 5 and step % 5 != 1
+    assert step is not None and step > 5
     with pytest.raises(ValueError) as info:
         mfld_sample(model, nu, cfg, 64, 1e-2, 200, seed=3, init=init)
     assert str(info.value) == f"non-finite particle after step {step}"
     assert threading.enumerate() == before
+
+
+@pytest.mark.parametrize("name", ["nn-tanh-quadratic-1", "mean_squared"])
+def test_mfld_sample_runs_on_the_calling_thread(monkeypatch, name):
+    # the drift map reads the live thread count at the stability probe and
+    # at every step: the sampler starts no thread (2048 particles, enough
+    # normals that a thread drawing them ahead would outlive the probe)
+    model, nu, cfg = _sampler_case(name)
+    ref = _oracle_mfld_sample(model, nu, cfg, 2048, 1e-3, 40, seed=9)
+    shipped, counts = type(model).dm_grad_map, []
+
+    def dm_grad_map(self, xs, ys, weights):
+        drift = shipped(self, xs, ys, weights)
+
+        def counted(pts):
+            counts.append(threading.active_count())
+            return drift(pts)
+        return counted
+
+    monkeypatch.setattr(type(model), "dm_grad_map", dm_grad_map)
+    before = threading.active_count()
+    part = mfld_sample(model, nu, cfg, 2048, 1e-3, 40, seed=9)
+    assert counts == [before] * 41
+    np.testing.assert_array_equal(part.points, ref.points)
 
 
 class _FailingDraws:
@@ -1250,9 +1246,9 @@ class _FailingDraws:
         return self.rng.standard_normal(size, out=out)
 
 
-def test_mfld_sample_reraises_a_fault_of_the_noise_thread(monkeypatch):
+def test_mfld_sample_propagates_a_failing_draw(monkeypatch):
+    # the first and the third step's draw fail
     default_rng = np.random.default_rng
-    monkeypatch.setattr(gibbs, "_NOISE_ELEMENTS", 5 * 64)
     cfg = GibbsConfig(beta=1.0, sigma=1.0, p=2,
                       regularizer=Regularizer(kappa=1.0, q=1), radius=6.0)
     nu = gaussian_data(seed=16, n=3)
@@ -1267,11 +1263,9 @@ def test_mfld_sample_reraises_a_fault_of_the_noise_thread(monkeypatch):
         assert threading.enumerate() == before
 
 
-def test_mfld_sample_matches_oracle_under_thread_contention(monkeypatch):
-    # four samplers at once, each with its own noise thread, two steps a
-    # block and a short switch interval: a fill racing the drift over a
-    # block would move a particle
-    monkeypatch.setattr(gibbs, "_NOISE_ELEMENTS", 2 * 64 * 2)
+def test_mfld_sample_matches_oracle_under_thread_contention():
+    # four samplers at once on four threads with a short switch interval:
+    # state shared between calls would move a particle
     model, nu, cfg = _sampler_case("nn-tanh-quadratic-1")
     init = 0.3 * np.random.default_rng(4).standard_normal((64, 2))
     points = {}

@@ -25,7 +25,8 @@ wall time, exit code, peak RSS and CPU time.  CPU time is user plus
 system time (``os.wait4``, which also gives ``ru_maxrss``) of the child
 and the processes it waited for, and ``cpu_per_wall`` its ratio to the
 run's wall time: above 1 only where threads or processes ran in
-parallel, such as the particle sampler's noise thread beside its drift.
+parallel, such as numpy kernels on a multithreaded BLAS or a child
+process beside its parent.
 A pair whose two sides exit with different codes, or in which a side
 ends by a signal, is an error, so a command that fails fast cannot win
 its pairs.  The tool prints each side's median and quartiles, the

@@ -104,8 +104,7 @@ def trace_lines(fn, *args) -> dict:
     """Run ``fn(*args)`` under ``trace.Trace(count=1, trace=0)`` and return
     the line numbers that ran, per resolved file path.  The tracer is
     installed with ``threading.settrace`` too, as ``Trace.runctx`` does,
-    so threads started meanwhile (the particle sampler's noise helper)
-    are counted."""
+    so lines run on threads that ``fn`` starts are counted."""
     tracer = trace.Trace(count=1, trace=0)
     threading.settrace(tracer.globaltrace)
     try:
