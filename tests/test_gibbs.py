@@ -993,12 +993,14 @@ def _node_major_dm_grad(model, m, xs, ys, weights, theta):
 
 def _oracle_mfld_sample(model, nu, cfg, n_particles, step_size, n_steps,
                         seed, init=None, via_lp_grad=False,
-                        node_major=False):
+                        node_major=False, block_steps=None):
     """The sampler one out-of-place step at a time, with a
     ``ParticleMeasure`` per step: the slow reference for the fused loop.
     It holds the particles parameter-major, (d, P), as the sampler does;
     ``node_major`` holds them (P, d) and forms a network's drift with
-    :func:`_node_major_dm_grad`, which rounds otherwise."""
+    :func:`_node_major_dm_grad`, which rounds otherwise.  With
+    ``block_steps`` = k it draws the normals of k steps at a time, as one
+    (k, P, d) array (the last block shorter), instead of one step's."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if init is None:
         pts = gibbs._init_scale(cfg) * rng.standard_normal(
@@ -1008,17 +1010,24 @@ def _oracle_mfld_sample(model, nu, cfg, n_particles, step_size, n_steps,
     if not node_major:
         pts = np.ascontiguousarray(pts.T)
     noise_scale = math.sqrt(step_size * cfg.sigma ** 2 / cfg.beta ** 2)
-    for _ in range(n_steps):
+    for step in range(n_steps):
+        if block_steps is None:
+            noise = rng.standard_normal((n_particles, cfg.theta_dim))
+        else:
+            if step % block_steps == 0:
+                block = rng.standard_normal(
+                    (min(block_steps, n_steps - step), n_particles,
+                     cfg.theta_dim))
+            noise = block[step % block_steps]
         if node_major:
             drift = cfg.regularizer.grad(pts) / (2.0 * cfg.beta ** 2) \
                 + _node_major_dm_grad(model, ParticleMeasure(pts), nu.xs,
                                       nu.ys, nu.weights, pts)
-            noise = rng.standard_normal(pts.shape)
         else:
             drift = cfg.regularizer.grad(pts.T).T / (2.0 * cfg.beta ** 2) \
                 + _general_dm_grad(model, ParticleMeasure(pts.T), nu.xs,
                                    nu.ys, nu.weights, pts, via_lp_grad)
-            noise = rng.standard_normal(pts.shape[::-1]).T
+            noise = noise.T
         pts = pts - step_size * drift + noise_scale * noise
         assert np.max(np.abs(pts)) <= 10.0 * cfg.box_radius()
     return ParticleMeasure(pts if node_major else pts.T)
@@ -1156,6 +1165,34 @@ def test_mfld_sample_never_calls_the_zero_loss_drift():
         ref = _oracle_mfld_sample(shipped, nu, cfg, 64, 1e-3, 40, seed=9,
                                   init=init)
         np.testing.assert_array_equal(part.points, ref.points)
+
+
+_SAMPLER_NAMES = ["mean_squared", "linear_regression", "finite_difference",
+                  "zero", *_NN_SAMPLER_NAMES]
+
+
+# The block layouts the sampler's normals were once drawn in, as a number
+# of normals a block as a function of P * d: 3 steps a block with a last
+# block of 1 (40 = 13 * 3 + 1), one block of 50 > 40 steps, and one step a
+# block when a step alone holds more normals than the block.  The sampler
+# now draws one step at a time; drawn in any of these blocks, the stream
+# gives the same particles bit for bit.
+@pytest.mark.parametrize("elements", [lambda pd: 3 * pd + pd - 1,
+                                      lambda pd: 50 * pd,
+                                      lambda pd: pd - 1],
+                         ids=["partial_last_block", "one_short_block",
+                              "one_step_blocks"])
+@pytest.mark.parametrize("with_init", [False, True])
+@pytest.mark.parametrize("name", _SAMPLER_NAMES)
+def test_mfld_sample_noise_blocks_match_oracle(name, with_init, elements):
+    model, nu, cfg = _sampler_case(name)
+    block_steps = max(1, elements(64 * cfg.theta_dim) // (64 * cfg.theta_dim))
+    init = (0.3 * np.random.default_rng(4).standard_normal((64, cfg.theta_dim))
+            if with_init else None)
+    part = mfld_sample(model, nu, cfg, 64, 1e-3, 40, seed=9, init=init)
+    ref = _oracle_mfld_sample(model, nu, cfg, 64, 1e-3, 40, seed=9, init=init,
+                              block_steps=block_steps)
+    np.testing.assert_array_equal(part.points, ref.points)
 
 
 def _nan_beyond(limit):
