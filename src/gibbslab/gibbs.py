@@ -682,22 +682,31 @@ def _init_scale(cfg: GibbsConfig) -> float:
 def mfld_sample(model, nu: DataMeasure, cfg: GibbsConfig, n_particles: int,
                 step_size: float, n_steps: int, seed: int,
                 init: Optional[np.ndarray] = None) -> ParticleMeasure:
-    """Euler-Maruyama simulation of the interacting particle dynamics.
+    """Simplified weak Euler simulation of the interacting particle dynamics.
 
     Each particle follows
     ``theta <- theta - h * grad[dR/dm(m_hat, nu, theta) + U(theta)/(2 beta^2)]
     + sqrt(h sigma^2 / beta^2) * xi``
     with ``m_hat`` the empirical particle measure, so the stationary law
-    matches the exponential tilt fixed point.  The loss term is the
-    model's ``dm_grad_map`` of ``nu``, built once per call, before the
-    stability probe: for a separable expected-parameter loss it holds the
-    K data statistics, and a step costs O(N d K) whatever the atom count.
-    Deterministic for a fixed ``seed``: everything runs on the calling
-    thread, each step draws its standard normals as one (P, d) array and
-    scales them, and the particles are the serial stream's bit for bit.
+    matches the exponential tilt fixed point.  The increments ``xi`` are
+    independent random signs (+1 or -1 with probability 1/2 each) in
+    place of standard normals: the simplified weak Euler scheme, of weak
+    order 1 like Euler-Maruyama, since every consumer reads the law of
+    the particles, not their paths (Kloeden and Platen 1992, section
+    14.1; Talay and Tubaro 1990 for the expansion of the weak error).
+    The loss term is the model's ``dm_grad_map`` of ``nu``, built once
+    per call, before the stability probe: for a separable
+    expected-parameter loss it holds the K data statistics, and a step
+    costs O(N d K) whatever the atom count.
+    Deterministic for a fixed ``seed``, and everything runs on the calling
+    thread.  The stream: the Gaussian initial cloud (``init`` is None) is
+    drawn as one (P, d) array of standard normals; then each step takes
+    ``ceil(P * d / 64)`` words from ``rng.bit_generator.random_raw``,
+    unpacks their little-endian bytes least significant bit first, and
+    maps bit 0 / 1 to ``-s`` / ``+s`` (``s`` the noise scale) in C order
+    of the (d, P) particles, so the signs do not depend on the platform.
     The particles are held parameter-major, one C-ordered (d, P) array,
-    so every step works on rows P long; ``init`` is read, and the normals
-    are drawn, as (P, d) rows, and each step adds its normals transposed.
+    so every step works on rows P long; ``init`` is read as (P, d) rows.
     A loss whose drift map is ``None`` (all statistics 0) adds nothing to
     the confinement.  Returns the cloud, a grid measure on
     the particles with weight ``1/P`` each; its points are the (P, d)
@@ -713,7 +722,8 @@ def mfld_sample(model, nu: DataMeasure, cfg: GibbsConfig, n_particles: int,
         fails (``L`` a probed Lipschitz scale of the drift).
         Also when a particle is not finite: in ``init``, or after a step.
     RuntimeError
-        If any particle escapes ten box radii (divergence detector).
+        If any particle escapes ten box radii (divergence detector); the
+        message names the step and the seed.
     """
     n_particles, step_size, n_steps = _check_sampler(n_particles, step_size,
                                                      n_steps)
@@ -742,21 +752,27 @@ def mfld_sample(model, nu: DataMeasure, cfg: GibbsConfig, n_particles: int,
             f"step size {step_size} too large: h * temperature * L = "
             f"{step_size * cfg.temperature * lip:.3g} exceeds 0.25")
 
-    # each step draws its (P, d) normals, consuming the stream in C order
+    # each step's signs: 64 a raw word, in C order of the (d, P) particles
     noise_scale = math.sqrt(step_size * cfg.sigma ** 2 / cfg.beta ** 2)
-    noise, d = np.empty(pts.shape[::-1]), np.empty_like(pts)
+    signs = np.array([-noise_scale, noise_scale])
+    n_signs = pts.size
+    n_words = -(-n_signs // 64)
+    noise, d = np.empty_like(pts), np.empty_like(pts)
+    flat = noise.reshape(-1)  # a view: noise is C-ordered
     for step in range(1, n_steps + 1):
-        rng.standard_normal(out=noise)
-        noise *= noise_scale
+        raw = rng.bit_generator.random_raw(n_words).astype("<u8", copy=False)
+        bits = np.unpackbits(raw.view(np.uint8), count=n_signs,
+                             bitorder="little")
+        np.take(signs, bits, out=flat, mode="clip")  # "raise" buffers out
         _drift(dm_grad, cfg, pts, out=d)
         d *= step_size
         pts -= d
-        pts += noise.T
+        pts += noise
         top = np.abs(pts, out=d).max()  # a NaN propagates
         if top != top:
             raise ValueError(f"non-finite particle after step {step}")
         if top > 10.0 * radius:
             raise RuntimeError(
-                "particle system diverged (left ten box radii); "
-                "reduce the step size")
+                f"particle system diverged at step {step} (seed {seed}, "
+                "left ten box radii); reduce the step size")
     return ParticleMeasure(pts.T)

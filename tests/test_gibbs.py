@@ -878,6 +878,71 @@ def test_mfld_sample_matches_quadratic_stationary_law():
     assert abs(samp.mean()) <= 5 * math.sqrt(target / samp.size)
 
 
+def test_mfld_sample_sign_stream_is_pinned(monkeypatch):
+    # from zero particles under the zero loss one step leaves each at
+    # +-sqrt(h) exactly; for seed 9 the first step's 64 signs, bit i set
+    # where particle i moved up, are this word: the first raw word, read
+    # as little-endian bytes, least significant bit first
+    cfg = GibbsConfig(beta=1.0, sigma=1.0, p=2,
+                      regularizer=Regularizer(kappa=1.0, q=1), radius=6.0)
+    nu = gaussian_data(seed=16, n=3)
+    x = mfld_sample(losses.zero_param_loss(), nu, cfg, 64, 1e-2, 1, seed=9,
+                    init=np.zeros((64, 1))).points[:, 0]
+    assert np.all(np.abs(x) == math.sqrt(1e-2))
+    assert sum(1 << i for i in range(64) if x[i] > 0) == 0xDEC8A6DE6BEA8721
+
+    # a call draws the initial cloud and then ceil(P * d / 64) whole raw
+    # words a step, and nothing else
+    default_rng, made = np.random.default_rng, []
+
+    def recording(seed):
+        made.append(default_rng(seed))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    for name, n_particles, n_steps, n_words in [
+            ("zero", 64, 7, 1), ("zero", 65, 5, 2),
+            ("nn-tanh-quadratic-1", 50, 3, 2),
+            ("nn-tanh-quadratic-2", 64, 4, 3)]:
+        model, nu, cfg = _sampler_case(name)
+        mfld_sample(model, nu, cfg, n_particles, 1e-3, n_steps, seed=5)
+        fresh = default_rng(np.random.SeedSequence(5))
+        fresh.standard_normal((n_particles, cfg.theta_dim))
+        fresh.bit_generator.random_raw(n_steps * n_words)
+        assert made[-1].bit_generator.state == fresh.bit_generator.state
+
+
+def test_mfld_sample_ou_variance_follows_the_exact_recursion():
+    # zero loss, U = theta^2 and beta = sigma = 1: from zero particles each
+    # step is theta <- (1 - h) theta + sqrt(h) xi with xi = +-1, so the
+    # variance follows v_{k+1} = (1 - h)^2 v_k + h exactly, from v_0 = 0
+    cfg = GibbsConfig(beta=1.0, sigma=1.0, p=2,
+                      regularizer=Regularizer(kappa=1.0, q=1), radius=6.0)
+    nu = gaussian_data(seed=12, n=2)
+    h, n = 0.02, 8192
+    for k in (10, 100):
+        x = mfld_sample(losses.zero_param_loss(), nu, cfg, n, h, k, seed=31,
+                        init=np.zeros((n, 1))).points[:, 0]
+        v = 0.0
+        for _ in range(k):
+            v = (1.0 - h) ** 2 * v + h
+        se = math.sqrt(np.var((x - x.mean()) ** 2, ddof=1) / n)
+        assert abs(x.var(ddof=1) - v) <= 5 * se
+
+
+def test_mfld_sample_law_matches_the_gaussian_increment_oracle():
+    # the signs and Euler-Maruyama's normals, on independent seeds, give
+    # the same mean and second moment at T = 1 within 4 combined SE
+    model, nu, cfg = _sampler_case("bench-mean_squared-2048x12")
+    n, h, k = 8192, 2e-3, 500
+    x = mfld_sample(model, nu, cfg, n, h, k, seed=41).points[:, 0]
+    y = _oracle_mfld_sample(model, nu, cfg, n, h, k, seed=42,
+                            gaussian=True).points[:, 0]
+    for a, b in ((x, y), (x ** 2, y ** 2)):
+        se = math.sqrt((a.var(ddof=1) + b.var(ddof=1)) / n)
+        assert abs(a.mean() - b.mean()) <= 4 * se
+
+
 def test_mfld_sample_rejects_unstable_step():
     model = losses.NNLoss("tanh", "quadratic")
     cfg = GibbsConfig(beta=1.0, sigma=0.5, p=8, theta_dim=2)
@@ -920,6 +985,28 @@ def test_mfld_sample_divergence_raises_runtime_error():
     with pytest.raises(RuntimeError, match="diverged"):
         mfld_sample(losses.zero_param_loss(), nu, cfg, 64, 1e-3, 5, seed=2,
                     init=_shifted_init(64, 33, 100.0))
+
+    # a loss drift of -6 theta against the confinement's theta grows one
+    # particle from 30 by about 1 + 5h a step, past ten radii (60) after
+    # some steps: the error names the step at which the out-of-place loop
+    # first leaves them, and the seed
+    def lp(theta, xs, ys):
+        return -3.0 * (theta[:, 0] + 0.0 * ys[:, None]) ** 2
+
+    def lp_grad(theta, xs, ys):
+        return -6.0 * (theta[:, 0] + 0.0 * ys[:, None])[:, :, None]
+
+    model = losses.ExpectedParamLoss(lp, M_p=1.0, lp_grad=lp_grad)
+    init = _shifted_init(64, 33, 30.0)
+    step = _oracle_first_step(
+        model, nu, cfg, 1e-2, 100, 2, init,
+        lambda pts: np.abs(pts).max() > 10.0 * cfg.box_radius())
+    assert step is not None and step > 5
+    with pytest.raises(RuntimeError) as info:
+        mfld_sample(model, nu, cfg, 64, 1e-2, 100, seed=2, init=init)
+    assert str(info.value) == (
+        f"particle system diverged at step {step} (seed 2, left ten box "
+        "radii); reduce the step size")
 
 
 def test_mfld_sample_non_finite_particle_raises_value_error():
@@ -991,16 +1078,32 @@ def _node_major_dm_grad(model, m, xs, ys, weights, theta):
     return g
 
 
+def _oracle_signs(rng, n_steps, shape):
+    """``n_steps`` steps of the sampler's +-1 increments, as one
+    (n_steps, *shape) array: each step takes ceil(size / 64) raw words,
+    and its increment i is bit i % 64 of its word i // 64, taken by
+    shifts of the word, never through its bytes."""
+    size = math.prod(shape)
+    words = rng.bit_generator.random_raw((n_steps, -(-size // 64)))
+    bits = (words[..., None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
+    bits = bits.reshape(n_steps, -1)[:, :size]
+    return np.where(bits == 1, 1.0, -1.0).reshape(n_steps, *shape)
+
+
 def _oracle_mfld_sample(model, nu, cfg, n_particles, step_size, n_steps,
                         seed, init=None, via_lp_grad=False,
-                        node_major=False, block_steps=None):
+                        node_major=False, block_steps=None, gaussian=False):
     """The sampler one out-of-place step at a time, with a
     ``ParticleMeasure`` per step: the slow reference for the fused loop.
     It holds the particles parameter-major, (d, P), as the sampler does;
     ``node_major`` holds them (P, d) and forms a network's drift with
-    :func:`_node_major_dm_grad`, which rounds otherwise.  With
-    ``block_steps`` = k it draws the normals of k steps at a time, as one
-    (k, P, d) array (the last block shorter), instead of one step's."""
+    :func:`_node_major_dm_grad`, which rounds otherwise.  Each step's
+    increments are the sampler's signs, in C order of the (d, P)
+    particles; with ``block_steps`` = k it draws the raw words of k steps
+    at a time (the last block shorter) and splits them per step.  With
+    ``gaussian`` the increments are (P, d) standard normals a step
+    instead (Euler-Maruyama): the law reference for the signs, not the
+    sampler's stream."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if init is None:
         pts = gibbs._init_scale(cfg) * rng.standard_normal(
@@ -1010,24 +1113,26 @@ def _oracle_mfld_sample(model, nu, cfg, n_particles, step_size, n_steps,
     if not node_major:
         pts = np.ascontiguousarray(pts.T)
     noise_scale = math.sqrt(step_size * cfg.sigma ** 2 / cfg.beta ** 2)
+    shape = (cfg.theta_dim, n_particles)
     for step in range(n_steps):
-        if block_steps is None:
-            noise = rng.standard_normal((n_particles, cfg.theta_dim))
+        if gaussian:
+            noise = rng.standard_normal(shape[::-1]).T
+        elif block_steps is None:
+            noise = _oracle_signs(rng, 1, shape)[0]
         else:
             if step % block_steps == 0:
-                block = rng.standard_normal(
-                    (min(block_steps, n_steps - step), n_particles,
-                     cfg.theta_dim))
+                block = _oracle_signs(rng, min(block_steps, n_steps - step),
+                                      shape)
             noise = block[step % block_steps]
         if node_major:
             drift = cfg.regularizer.grad(pts) / (2.0 * cfg.beta ** 2) \
                 + _node_major_dm_grad(model, ParticleMeasure(pts), nu.xs,
                                       nu.ys, nu.weights, pts)
+            noise = noise.T
         else:
             drift = cfg.regularizer.grad(pts.T).T / (2.0 * cfg.beta ** 2) \
                 + _general_dm_grad(model, ParticleMeasure(pts.T), nu.xs,
                                    nu.ys, nu.weights, pts, via_lp_grad)
-            noise = noise.T
         pts = pts - step_size * drift + noise_scale * noise
         assert np.max(np.abs(pts)) <= 10.0 * cfg.box_radius()
     return ParticleMeasure(pts if node_major else pts.T)
@@ -1171,12 +1276,12 @@ _SAMPLER_NAMES = ["mean_squared", "linear_regression", "finite_difference",
                   "zero", *_NN_SAMPLER_NAMES]
 
 
-# The block layouts the sampler's normals were once drawn in, as a number
-# of normals a block as a function of P * d: 3 steps a block with a last
-# block of 1 (40 = 13 * 3 + 1), one block of 50 > 40 steps, and one step a
-# block when a step alone holds more normals than the block.  The sampler
-# now draws one step at a time; drawn in any of these blocks, the stream
-# gives the same particles bit for bit.
+# Block layouts for the sampler's raw words, as a number of increments a
+# block as a function of P * d: 3 steps a block with a last block of 1
+# (40 = 13 * 3 + 1), one block of 50 > 40 steps, and one step a block when
+# a step alone holds more increments than the block.  The sampler draws
+# one step's whole words at a time; drawn in any of these blocks and split
+# per step, the stream gives the same particles bit for bit.
 @pytest.mark.parametrize("elements", [lambda pd: 3 * pd + pd - 1,
                                       lambda pd: 50 * pd,
                                       lambda pd: pd - 1],
@@ -1207,8 +1312,9 @@ def _nan_beyond(limit):
     return losses.ExpectedParamLoss(lp, M_p=2.0, lp_grad=lp_grad)
 
 
-def _oracle_first_nan_step(model, nu, cfg, step_size, n_steps, seed, init):
-    """The out-of-place loop's first step that leaves a NaN particle."""
+def _oracle_first_step(model, nu, cfg, step_size, n_steps, seed, init, stop):
+    """The out-of-place loop's first step whose (d, P) particles meet
+    ``stop``, or None."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     pts = np.ascontiguousarray(np.transpose(init), dtype=float)
     noise_scale = math.sqrt(step_size * cfg.sigma ** 2 / cfg.beta ** 2)
@@ -1217,8 +1323,8 @@ def _oracle_first_nan_step(model, nu, cfg, step_size, n_steps, seed, init):
             + _general_dm_grad(model, ParticleMeasure(pts.T), nu.xs, nu.ys,
                                nu.weights, pts)
         pts = pts - step_size * drift \
-            + noise_scale * rng.standard_normal(pts.shape[::-1]).T
-        if np.isnan(pts).any():
+            + noise_scale * _oracle_signs(rng, 1, pts.shape)[0]
+        if stop(pts):
             return step
     return None
 
@@ -1237,7 +1343,8 @@ def test_mfld_sample_leaves_no_thread_behind():
     assert threading.enumerate() == before
 
     model, init = _nan_beyond(1.05), _shifted_init(64, 40, 1.0)
-    step = _oracle_first_nan_step(model, nu, cfg, 1e-2, 200, 3, init)
+    step = _oracle_first_step(model, nu, cfg, 1e-2, 200, 3, init,
+                              lambda pts: np.isnan(pts).any())
     assert step is not None and step > 5
     with pytest.raises(ValueError) as info:
         mfld_sample(model, nu, cfg, 64, 1e-2, 200, seed=3, init=init)
@@ -1270,17 +1377,20 @@ def test_mfld_sample_runs_on_the_calling_thread(monkeypatch, name):
 
 
 class _FailingDraws:
-    """A generator whose ``fail_at``-th draw into a buffer raises."""
+    """A generator whose bit generator's ``fail_at``-th raw draw raises."""
 
     def __init__(self, rng, fail_at):
         self.rng, self.left = rng, fail_at
+        self.bit_generator = self
 
-    def standard_normal(self, size=None, out=None):
-        if out is not None:
-            self.left -= 1
-            if self.left == 0:
-                raise MemoryError("injected draw failure")
-        return self.rng.standard_normal(size, out=out)
+    def standard_normal(self, *args, **kwargs):
+        return self.rng.standard_normal(*args, **kwargs)
+
+    def random_raw(self, size=None, output=True):
+        self.left -= 1
+        if self.left == 0:
+            raise MemoryError("injected draw failure")
+        return self.rng.bit_generator.random_raw(size, output)
 
 
 def test_mfld_sample_propagates_a_failing_draw(monkeypatch):
